@@ -51,6 +51,44 @@ def wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
     return (-1.0) ** (j1 - j2 - m3) * total
 
 
+def wigner3j_array(j1, j2, j3, m1, m2, m3) -> np.ndarray:
+    """Wigner 3j symbols over broadcast integer arrays.
+
+    The same Racah sum as `wigner3j`, term by term, so entries agree with the
+    scalar symbol to rounding.  The sum runs over k <= j2 + m2, which bounds
+    the loop at 2 j2 + 1 array passes (five for the rank-2 couplings).
+    """
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64)
+                                 for a in (j1, j2, j3, m1, m2, m3)))
+    j1, j2, j3, m1, m2, m3 = args
+    ok = ((m1 + m2 + m3 == 0)
+          & (np.abs(m1) <= j1) & (np.abs(m2) <= j2) & (np.abs(m3) <= j3)
+          & (j3 >= np.abs(j1 - j2)) & (j3 <= j1 + j2)
+          & ~((m1 == 0) & (m2 == 0) & (m3 == 0) & ((j1 + j2 + j3) % 2 == 1)))
+    # zero every argument of a vanishing symbol so all factorial indices exist
+    j1, j2, j3, m1, m2, m3 = (np.where(ok, a, 0) for a in args)
+    log_delta = (_logfact(j1 + j2 - j3) + _logfact(j1 - j2 + j3)
+                 + _logfact(-j1 + j2 + j3) - _logfact(j1 + j2 + j3 + 1))
+    log_outer = (_logfact(j1 + m1) + _logfact(j1 - m1)
+                 + _logfact(j2 + m2) + _logfact(j2 - m2)
+                 + _logfact(j3 + m3) + _logfact(j3 - m3))
+    base = 0.5 * (log_delta + log_outer)
+    k_min = np.maximum(np.maximum(0, j2 - j3 - m1), j1 - j3 + m2)
+    k_max = np.minimum(np.minimum(j1 + j2 - j3, j1 - m1), j2 + m2)
+    total = np.zeros(base.shape)
+    for k in range(int(k_max.max(initial=-1)) + 1):
+        on = (k >= k_min) & (k <= k_max)
+        log_den = (_logfact(k)
+                   + _logfact(np.where(on, j1 + j2 - j3 - k, 0))
+                   + _logfact(np.where(on, j1 - m1 - k, 0))
+                   + _logfact(np.where(on, j2 + m2 - k, 0))
+                   + _logfact(np.where(on, j3 - j2 + m1 + k, 0))
+                   + _logfact(np.where(on, j3 - j1 - m2 + k, 0)))
+        total += np.where(on, (-1.0) ** k * np.exp(base - log_den), 0.0)
+    sign = np.where((j1 - j2 - m3) % 2 == 1, -1.0, 1.0)
+    return np.where(ok, sign * total, 0.0)
+
+
 def gaunt_y2(l1: int, m1: int, q: int, l2: int, m2: int) -> float:
     """<l1 m1 | Y_{2q} | l2 m2> (spherical-harmonic triple integral)."""
     if m1 != m2 + q:

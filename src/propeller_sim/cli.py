@@ -383,7 +383,7 @@ def main(argv=None) -> int:
             files, delay, extra = runner(args, out_dir)
             config = {k: v for k, v in vars(args).items() if k != "out"}
             command = args.command
-    except (ParameterError, KeyError) as exc:
+    except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (TruncationError, IntegrationError, ProtocolError) as exc:

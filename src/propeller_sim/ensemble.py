@@ -154,6 +154,9 @@ class EnsembleConfig:
         if self.T_K < 0:
             raise ParameterError("temperature must be >= 0")
         object.__setattr__(self, "pulses", tuple(self.pulses))
+        if any(p.duration > 0 for p in self.pulses):
+            raise ParameterError("the classical engine applies impulsive kicks only; "
+                                 "finite pulse durations need a quantum engine")
         times = [p.t_apply for p in self.pulses]
         for i, t in enumerate(times):
             if t == "auto" and i == 0:

@@ -104,36 +104,39 @@ class SymTopBasis:
                 if len(self.block_indices(k, p))]
 
 
-def omega_element(Jp: int, Mp: int, J: int, M: int, K: int) -> float:
-    """<J' K M'| Omega |J K M> with Omega = 3 cos^2(beta) - 1 about x."""
-    val = 0.0
-    if Mp == M:
-        val -= angular.symtop_d2_element(Jp, Mp, J, M, K, 0)
-    if Mp == M + 2:
-        val += math.sqrt(1.5) * angular.symtop_d2_element(Jp, Mp, J, M, K, 2)
-    if Mp == M - 2:
-        val += math.sqrt(1.5) * angular.symtop_d2_element(Jp, Mp, J, M, K, -2)
-    return val
+# (J' - J, M' - M) offsets of the Omega couplings on and above the diagonal
+# of a block ordered by (J, M); (0, -2) is the mirror of (0, +2)
+_UPPER_STEPS = ((0, 0), (0, 2), (1, -2), (1, 0), (1, 2), (2, -2), (2, 0), (2, 2))
 
 
 def coupling_block(basis: SymTopBasis, key) -> np.ndarray:
-    """Dense symmetric matrix of Omega on one (K, M-parity) block."""
+    """Dense symmetric matrix of Omega on one (K, M-parity) block.
+
+    <J' K M'|Omega|J K M> is -d_0 for M' = M and sqrt(3/2) d_{+-2} for
+    M' = M +- 2, with d_p = <J' K M'|D^{2*}_{p,0}|J K M> (see
+    angular.symtop_d2_element).  Each (J' - J, M' - M) offset is filled for
+    the whole block at once and mirrored below the diagonal.
+    """
     idx = basis.block_indices(*key)
     J, M, K = basis.J[idx], basis.M[idx], key[0]
     nb = len(idx)
-    pos = {(int(J[i]), int(M[i])): i for i in range(nb)}
+    pad = basis.J_max + 2
+    local = np.full((pad + 1, 2 * pad + 1), -1)    # (J, M + pad) -> local index
+    local[J, M + pad] = np.arange(nb)
     mat = np.zeros((nb, nb))
-    for b in range(nb):
-        Jb, Mb = int(J[b]), int(M[b])
-        for Jp in range(Jb, min(Jb + 2, basis.J_max) + 1):
-            for Mp in (Mb - 2, Mb, Mb + 2):
-                a = pos.get((Jp, Mp))
-                if a is None or a < b:
-                    continue
-                v = omega_element(Jp, Mp, Jb, Mb, K)
-                if v != 0.0:
-                    mat[a, b] = v
-                    mat[b, a] = v
+    for dJ, dM in _UPPER_STEPS:
+        a = local[J + dJ, M + dM + pad]
+        b = np.flatnonzero(a >= 0)
+        a = a[b]
+        Jb, Mb = J[b], M[b]
+        Jp = Jb + dJ
+        pref = np.sqrt((2.0 * Jp + 1) * (2.0 * Jb + 1))
+        sign = np.where((dM + Mb - K) % 2 == 1, -1.0, 1.0)
+        d = (pref * sign * angular.wigner3j_array(Jp, 2, Jb, Mb + dM, -dM, -Mb)
+             * angular.wigner3j_array(Jp, 2, Jb, K, 0, -K))
+        v = -d if dM == 0 else math.sqrt(1.5) * d
+        mat[a, b] = v
+        mat[b, a] = v
     return mat
 
 
@@ -146,10 +149,14 @@ def coupling_matrix(basis: SymTopBasis) -> np.ndarray:
     return out
 
 
-def alignment_block(basis: SymTopBasis, key) -> np.ndarray:
-    """cos^2 of the angle to the first-pulse axis: (1 + Omega)/3."""
-    nb = len(basis.block_indices(*key))
-    return (np.eye(nb) + coupling_block(basis, key)) / 3.0
+def alignment_block(basis: SymTopBasis, key, omega=None) -> np.ndarray:
+    """cos^2 of the angle to the first-pulse axis: (1 + Omega)/3.
+
+    omega, when given, is the block's coupling matrix, already built.
+    """
+    if omega is None:
+        omega = coupling_block(basis, key)
+    return (np.eye(len(omega)) + omega) / 3.0
 
 
 @dataclass
@@ -329,11 +336,11 @@ def _check_headroom(basis: SymTopBasis, idx: np.ndarray, psi: np.ndarray):
     return tail
 
 
-def _block_sparse_op(basis: SymTopBasis, key, name: str):
-    """Local COO triplets of an observable on one block."""
+def _block_sparse_op(basis: SymTopBasis, key, name: str, omega=None):
+    """Local COO triplets of an observable on one block (omega: see alignment_block)."""
     idx = basis.block_indices(*key)
     if name == "cos2theta":
-        mat = alignment_block(basis, key)
+        mat = alignment_block(basis, key, omega)
         rows, cols = np.nonzero(mat)
         return rows, cols, mat[rows, cols].astype(complex)
     if name == "Ly":        # J_z of the propagation frame = classical L_y
@@ -412,7 +419,7 @@ def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
         phase = np.exp(1j * (P1 / 3.0) * lam)
         psi1 = V @ (phase[:, None] * V.T[:, locs])
         tail = max(tail, _check_headroom(basis, idx, psi1))
-        rows, cols, vals = _block_sparse_op(basis, key, "cos2theta")
+        rows, cols, vals = _block_sparse_op(basis, key, "cos2theta", omega)
         accumulate_pattern(trace, rows, cols, vals, basis.energies[idx],
                            psi1, ws, scale=mult)
     values = trace.evaluate(times * TWO_PI)
@@ -460,15 +467,18 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
             arrive = np.exp(-1j * e * t_probe + 1j * M * dphi)[:, None] * psi1
             psi2 = V @ (ph2[:, None] * (V.T @ arrive))
             tail = max(tail, _check_headroom(basis, idx, psi2))
-        for name in ("Ly", "L2"):
-            a = M.astype(float) if name == "Ly" else (basis.J[idx] * (basis.J[idx] + 1)).astype(float)
+        pair_phase = np.conj(ph2)[:, None] * ph2[None, :]
+        m_phase = np.exp(-1j * M * dphi)
+        tilt = m_phase[:, None] * np.conj(m_phase)[None, :]   # e^{-i(M-M')dphi}
+        weight = mult * tilt * F.T
+        freqs = (e[:, None] - e[None, :]).ravel()
+        for name, a in (("Ly", M), ("L2", basis.J[idx] * (basis.J[idx] + 1))):
             mid = (V.T * a) @ V                            # V^T diag(a) V, real
-            mid = mid * (np.conj(ph2)[:, None] * ph2[None, :])
-            s_mat = V @ mid @ V.T                          # U2^dag diag(a) U2
-            tilt = np.exp(-1j * (M[:, None] - M[None, :]) * dphi)
-            amps = s_mat * tilt * F.T
-            freqs = e[:, None] - e[None, :]
-            traces[name].add(freqs.ravel(), mult * amps.ravel())
+            # U2^dag diag(a) U2 = V (mid * pair_phase) V^T; V is real, so the
+            # real and imaginary parts each take two real products
+            s_mat = (V @ (mid * pair_phase.real) @ V.T
+                     + 1j * (V @ (mid * pair_phase.imag) @ V.T))
+            traces[name].add(freqs, (s_mat * weight).ravel())
     Ly = traces["Ly"].evaluate(taus)
     L2 = traces["L2"].evaluate(taus)
     with np.errstate(invalid="ignore", divide="ignore"):

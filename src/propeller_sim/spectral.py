@@ -16,16 +16,34 @@ from __future__ import annotations
 import numpy as np
 
 _QUARTER = 4    # frequencies are multiples of 1/4 in dimensionless units
+_LATTICE_TOL = 1e-9
 
 
 def group_amplitudes(freqs: np.ndarray, amps: np.ndarray):
-    """Collapse (frequency, amplitude) pairs onto the distinct frequencies."""
-    key = np.round(_QUARTER * np.asarray(freqs)).astype(np.int64)
-    uniq, inv = np.unique(key, return_inverse=True)
-    g = np.zeros(len(uniq), dtype=complex)
-    np.add.at(g.real, inv, np.real(amps))
-    np.add.at(g.imag, inv, np.imag(amps))
-    return uniq / _QUARTER, g
+    """Collapse (frequency, amplitude) pairs onto the sorted distinct frequencies.
+
+    Amplitudes are binned by the integer lattice key 4f, so the work and the
+    scratch arrays scale with the span of the frequencies, which the energy
+    tables bound.  Raises ValueError if a frequency is off the quarter lattice.
+    """
+    scaled = _QUARTER * np.asarray(freqs, dtype=float)
+    if not len(scaled):
+        return np.zeros(0), np.zeros(0, dtype=complex)
+    key = np.round(scaled)
+    resid = np.abs(scaled - key)
+    worst = int(np.argmax(resid))
+    if not resid[worst] <= _LATTICE_TOL:
+        raise ValueError(
+            f"frequency {float(freqs[worst])!r} is off the 1/{_QUARTER} lattice: "
+            f"|{_QUARTER}f - round({_QUARTER}f)| = {resid[worst]:.3e} > {_LATTICE_TOL:g}")
+    key = key.astype(np.int64)
+    lo = key.min()
+    key -= lo
+    present = np.flatnonzero(np.bincount(key))
+    g = np.empty(len(present), dtype=complex)
+    g.real = np.bincount(key, weights=np.real(amps))[present]
+    g.imag = np.bincount(key, weights=np.imag(amps))[present]
+    return (present + lo) / _QUARTER, g
 
 
 class SpectralTrace:

@@ -6,7 +6,7 @@ from scipy.special import sph_harm_y
 from sympy.physics.wigner import wigner_3j as sympy_3j
 
 from propeller_sim.angular import (gaunt_y2, legendre_table, symtop_d2_element,
-                                   wigner3j, y2_components)
+                                   wigner3j, wigner3j_array, y2_components)
 
 
 class TestWigner3j:
@@ -34,6 +34,30 @@ class TestWigner3j:
         assert wigner3j(1, 2, 5, 0, 0, 0) == 0.0      # triangle violated
         assert wigner3j(2, 2, 2, 1, 0, 0) == 0.0      # m-sum nonzero
         assert wigner3j(2, 2, 3, 0, 0, 0) == 0.0      # odd sum with zero m
+
+
+class TestWigner3jArray:
+    def test_matches_scalar_symbol(self):
+        # every integer argument set with j1, j3 <= 9, j2 <= 3 and |m| <= j + 1,
+        # so m-sum, |m| > j and triangle violations are all included
+        cases = [(j1, j2, j3, m1, m2, -m1 - m2 + dm)
+                 for j1 in range(10) for j2 in range(4) for j3 in range(10)
+                 for m1 in range(-j1 - 1, j1 + 2) for m2 in range(-j2 - 1, j2 + 2)
+                 for dm in (0, 1)]
+        got = wigner3j_array(*np.array(cases).T)
+        ref = np.array([wigner3j(*c) for c in cases])
+        assert np.max(np.abs(got - ref)) <= 1e-14
+        assert np.array_equal(got == 0.0, ref == 0.0)
+
+    def test_broadcast_and_large_j(self):
+        j = np.arange(100, 160)
+        got = wigner3j_array(j, 2, j + 2, 7, -2, -5)
+        ref = [wigner3j(int(x), 2, int(x) + 2, 7, -2, -5) for x in j]
+        assert got.shape == j.shape
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_empty(self):
+        assert wigner3j_array([], 2, [], [], 0, []).shape == (0,)
 
 
 class TestLegendreTable:

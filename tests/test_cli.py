@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from propeller_sim import __version__
+from propeller_sim import __version__, cli
 from propeller_sim.cli import main, parse_molecule
 from propeller_sim.core import ParameterError
 from propeller_sim.io_formats import (RunManifest, read_density_text,
@@ -45,6 +45,15 @@ class TestExitCodes:
                        "--n-traj", "200", "--t-max", "0.002",
                        "--dt-out", "0.001", "--out", str(tmp_path))
         assert code == 3
+
+    def test_internal_key_error_propagates(self, tmp_path, monkeypatch):
+        # a KeyError inside a runner is a bug, not a configuration error
+        def broken(args, out_dir):
+            raise KeyError("missing-channel")
+
+        monkeypatch.setattr(cli, "cmd_classical", broken)
+        with pytest.raises(KeyError, match="missing-channel"):
+            run_cli("classical-linear", "--out", str(tmp_path))
 
     def test_success(self, tmp_path):
         code = run_cli("classical-linear", "--molecule", "n2", "--temp-K", "50",

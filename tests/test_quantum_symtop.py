@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from propeller_sim.angular import symtop_d2_element
 from propeller_sim.core import PulseSpec, benzene
 from propeller_sim.quantum_linear import LinearBasis
 from propeller_sim.quantum_symtop import (SymTopBasis, alignment_block,
@@ -67,6 +68,22 @@ class TestCouplingMatrix:
                 a = lb.index(int(b.J[i]), int(b.M[i]))
                 c = lb.index(int(b.J[j]), int(b.M[j]))
                 assert m[i, j] == pytest.approx(omega_lin[a, c].real, abs=1e-10)
+
+    @pytest.mark.parametrize("jm", [0, 1, 4, 8])
+    def test_blocks_match_scalar_elements(self, jm):
+        # element-wise oracle: Omega = -D2*_00 + sqrt(3/2)(D2*_20 + D2*_-20)
+        # from the scalar 3j symbols, on every pair of states of every block
+        b = SymTopBasis(jm, K_limit=jm)
+        for key in b.block_keys():
+            idx = b.block_indices(*key)
+            ref = np.zeros((len(idx), len(idx)))
+            for r, gr in enumerate(idx):
+                for c, gc in enumerate(idx):
+                    args = (int(b.J[gr]), int(b.M[gr]), int(b.J[gc]), int(b.M[gc]), key[0])
+                    ref[r, c] = (-symtop_d2_element(*args, 0)
+                                 + math.sqrt(1.5) * (symtop_d2_element(*args, 2)
+                                                     + symtop_d2_element(*args, -2)))
+            assert np.max(np.abs(coupling_block(b, key) - ref)) <= 1e-13, key
 
     def test_alignment_operator_isotropy(self):
         b = SymTopBasis(4)
