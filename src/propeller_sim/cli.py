@@ -183,7 +183,11 @@ def cmd_density(args, out_dir: Path):
         grid = density.belt_average("symtop", final["r"], final["L"], args.sigma_kde)
         moments = density.second_moments("symtop", final["r"], final["L"])
     io_formats.write_density_text(out_dir / "density.csv", grid, seed=args.seed)
-    extra = {"second_moments": list(moments), "density_integral": grid.integral()}
+    diagnostics = {k: grid.meta[k] for k in ("path", "l_max", "spectrum_tail",
+                                             "synthesis_error", "clamped_min",
+                                             "n_live", "n_rest")}
+    extra = {"second_moments": list(moments), "density_integral": grid.integral(),
+             "diagnostics": {"belt_average": diagnostics}}
     return ["density.csv"], final["meta"].get("auto_delay_trev"), extra
 
 
@@ -396,6 +400,7 @@ def main(argv=None) -> int:
         wall_time_s=time.perf_counter() - start,
         auto_delay_trev=delay,
         truncation=extra.pop("truncation", {}) if isinstance(extra, dict) else {},
+        diagnostics=extra.pop("diagnostics", {}) if isinstance(extra, dict) else {},
         outputs=sorted(files))
     if isinstance(extra, dict):
         for k, v in extra.items():

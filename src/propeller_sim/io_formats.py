@@ -111,6 +111,7 @@ class RunManifest:
     wall_time_s: float = 0.0
     auto_delay_trev: float | None = None
     truncation: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
 
     def to_json(self) -> str:

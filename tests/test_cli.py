@@ -124,6 +124,18 @@ class TestOutputs:
         m = RunManifest.from_json_file(tmp_path / "manifest.json")
         assert abs(m.config["result_density_integral"] - 1.0) < 1e-3
 
+    def test_density_manifest_diagnostics(self, tmp_path):
+        assert run_cli("density", "--molecule", "n2", "--temp-K", "50",
+                       "--P1", "5", "--n-traj", "300", "--seed", "4",
+                       "--out", str(tmp_path)) == 0
+        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        belt = m.diagnostics["belt_average"]
+        assert belt["path"] in ("direct", "spectral")
+        assert belt["n_live"] + belt["n_rest"] == 300
+        assert belt["l_max"] > 0 and belt["spectrum_tail"] >= 0.0
+        assert belt["clamped_min"] <= 0.0
+        assert not any(k.startswith("result_diagnostics") for k in m.config)
+
     def test_quantum_linear_run(self, tmp_path):
         code = run_cli("quantum-linear", "--molecule", "n2", "--temp-K", "0",
                        "--P1", "2", "--P2", "2", "--delay", "0.05",

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
+from propeller_sim import density
 from propeller_sim.classical_linear import kick_velocity
-from propeller_sim.core import ParameterError, PulseSpec, nitrogen
+from propeller_sim.core import IntegrationError, ParameterError, PulseSpec, nitrogen
 from propeller_sim.density import (DensityGrid, analytic_zero_temp, belt_average,
                                    kde_at, kde_snapshot, second_moments)
 from propeller_sim.ensemble import (EnsembleConfig, final_states,
@@ -146,6 +147,106 @@ class TestBeltAverage:
         peak_theta = grid.theta[np.argmax(grid.phi_average())]
         assert peak_theta == pytest.approx(math.pi / 3, abs=0.02)
         assert grid.integral() == pytest.approx(1.0, abs=1e-3)
+
+
+def _linear_ensemble(n, seed, n_rest=0):
+    """Kicked thermal N2-like belts; the last n_rest molecules are at rest."""
+    r, v = linear_ensemble_from_uniforms(uniform_matrix(seed, n, 4), 1.5)
+    v = kick_velocity(r, v, 4.0, np.array([0.0, 0.0, 1.0]))
+    v[n - n_rest:] = 0.0
+    return "linear", r, v
+
+
+def _cone_ensemble(n, seed):
+    """Precession cones with cos(theta_pr) spread over (-1, 1), down to cones
+    1e-7 rad wide about either pole (sin(theta_pr) just above CONE_SIN scale)."""
+    rng = np.random.default_rng(seed)
+    e_l = rng.standard_normal((n, 3))
+    e_l /= np.linalg.norm(e_l, axis=1, keepdims=True)
+    perp = np.cross(e_l, rng.standard_normal((n, 3)))
+    perp /= np.linalg.norm(perp, axis=1, keepdims=True)
+    theta_pr = np.linspace(0.0, math.pi, n)
+    theta_pr[[0, 1, -2, -1]] = [1e-7, 1e-4, math.pi - 1e-4, math.pi - 1e-7]
+    r0 = np.cos(theta_pr)[:, None] * e_l + np.sin(theta_pr)[:, None] * perp
+    return "symtop", r0, 2.5 * e_l
+
+
+ORACLE_ENSEMBLES = {
+    "linear_belts": lambda: _linear_ensemble(80, 3),
+    "symtop_cones": lambda: _cone_ensemble(60, 4),
+    "rest_points": lambda: _linear_ensemble(40, 5, n_rest=40),
+    "mixed_live_rest": lambda: _linear_ensemble(60, 6, n_rest=20),
+}
+
+
+def _belt_on_path(monkeypatch, spectral, kind, r, w, sigma, shape):
+    monkeypatch.setattr(density, "_spectral_is_cheaper", lambda *args: spectral)
+    return belt_average(kind, r, w, sigma, grid=DensityGrid.build(*shape))
+
+
+class TestSpectralBelt:
+    @pytest.mark.parametrize("shape", [(61, 120), (181, 360)])
+    @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.5])
+    @pytest.mark.parametrize("ensemble", sorted(ORACLE_ENSEMBLES))
+    def test_matches_direct_sum(self, monkeypatch, ensemble, sigma, shape):
+        kind, r, w = ORACLE_ENSEMBLES[ensemble]()
+        direct = _belt_on_path(monkeypatch, False, kind, r, w, sigma, shape)
+        spectral = _belt_on_path(monkeypatch, True, kind, r, w, sigma, shape)
+        assert direct.meta["path"] == "direct" and spectral.meta["path"] == "spectral"
+        top = direct.rho.max()
+        assert np.max(np.abs(spectral.rho - direct.rho)) <= 1e-10 * top
+        assert spectral.integral() == pytest.approx(direct.integral(), abs=1e-10)
+        assert np.allclose(spectral.moments(), direct.moments(), rtol=0, atol=1e-10)
+
+    def test_single_molecule_takes_direct_path(self):
+        _, r, v = _linear_ensemble(1, 7)
+        assert belt_average("linear", r, v, 0.1).meta["path"] == "direct"
+
+    def test_fig4_size_takes_spectral_path(self):
+        _, r, v = _linear_ensemble(4000, 8)
+        grid = belt_average("linear", r, v, 0.1)
+        assert grid.meta["path"] == "spectral"
+        assert 80 <= grid.meta["l_max"] <= 100
+        assert grid.integral() == pytest.approx(1.0, abs=1e-9)
+
+    def test_in_plane_ensemble_stays_nonnegative(self):
+        # 500 belts about the z axis: the true density at the poles is ~1e-22,
+        # which the synthesis reproduces only to round-off of either sign
+        phase = np.linspace(0.0, 2 * math.pi, 500, endpoint=False)
+        r0 = np.stack([np.cos(phase), np.sin(phase), np.zeros(500)], axis=1)
+        v0 = 2.0 * np.stack([-np.sin(phase), np.cos(phase), np.zeros(500)], axis=1)
+        grid = belt_average("linear", r0, v0, 0.1)
+        assert grid.meta["path"] == "spectral"
+        assert np.all(grid.rho >= 0)
+        top = grid.rho.max()
+        assert grid.rho[0].max() <= 1e-14 * top and grid.rho[-1].max() <= 1e-14 * top
+        assert -grid.meta["synthesis_error"] <= grid.meta["clamped_min"] <= 0.0
+
+    def test_negative_beyond_error_bound_raises(self, monkeypatch):
+        _, r, v = _linear_ensemble(500, 9)
+        monkeypatch.setattr(density, "_spectral_sum",
+                            lambda grid, *args: np.full(grid.rho.shape, -1e-6))
+        with pytest.raises(IntegrationError, match="error bound"):
+            belt_average("linear", r, v, 0.1)
+
+
+class TestInputValidation:
+    def test_empty_ensemble_rejected(self):
+        empty = np.zeros((0, 3))
+        for kind in ("linear", "symtop"):
+            with pytest.raises(ParameterError, match="at least one"):
+                belt_average(kind, empty, empty)
+            with pytest.raises(ParameterError, match="at least one"):
+                second_moments(kind, empty, empty)
+
+    def test_mismatched_lengths_rejected(self):
+        r0 = np.tile([1.0, 0.0, 0.0], (3, 1))
+        w = np.tile([0.0, 1.0, 0.0], (2, 1))
+        for kind in ("linear", "symtop"):
+            with pytest.raises(ParameterError, match="shape"):
+                belt_average(kind, r0, w)
+            with pytest.raises(ParameterError, match="shape"):
+                second_moments(kind, r0, w)
 
 
 class TestAnalyticLaw:
