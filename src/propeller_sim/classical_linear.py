@@ -50,8 +50,12 @@ class UnitSphereState:
 
 
 def kick_velocity(r: np.ndarray, v: np.ndarray, P: float, p: np.ndarray) -> np.ndarray:
-    """Vectorized velocity change of the impulsive kick; r unchanged."""
-    cb = r @ p
+    """Vectorized velocity change of the impulsive kick; r unchanged.
+
+    p . r is taken as BLAS row products of a C-ordered r, whatever the
+    memory layout of r, so a block of kicks matches one (N, 3) kick bit for bit.
+    """
+    cb = np.ascontiguousarray(r) @ p
     return v + 2.0 * P * cb[..., None] * (p - cb[..., None] * r)
 
 

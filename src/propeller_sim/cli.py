@@ -16,8 +16,10 @@ preset
     Canned parameter sets fig2, fig3a, fig3b, fig4, fig5, fig6, fig7.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-Times are in units of T_rev throughout.  PROPELLER_THREADS caps the
-trajectory-evaluation thread count of the Monte Carlo engine.
+Times are in units of T_rev throughout.  PROPELLER_THREADS (a positive
+integer) caps the trajectory-evaluation thread count of the Monte Carlo
+engine.  Classical runs record their free-flight layout under
+diagnostics.free_flight in manifest.json.
 """
 
 from __future__ import annotations
@@ -136,7 +138,9 @@ def cmd_classical(args, out_dir: Path):
                          t_max=args.t_max, dt_out=args.dt_out)
     ts = ensemble.run_protocol(cfg)
     files = [_write_series(out_dir, "timeseries", ts, args.format)]
-    return files, ts.meta.get("auto_delay_trev"), {"config": ts.meta["config"]}
+    extra = {"config": ts.meta["config"],
+             "diagnostics": {"free_flight": ts.meta["free_flight"]}}
+    return files, ts.meta.get("auto_delay_trev"), extra
 
 
 def cmd_quantum_linear(args, out_dir: Path):
@@ -223,7 +227,8 @@ def _compare_linear(args, mol, out_dir: Path):
     ts = TimeSeries(grid=qm.grid, channels=channels, meta={})
     files = [_write_series(out_dir, "compare", ts, args.format)]
     extra = {"max_abs_deviation": summary, "delay_trev": float(delay),
-             "quantum_revival_avg": qm.meta["revival_avg"]}
+             "quantum_revival_avg": qm.meta["revival_avg"],
+             "diagnostics": {"free_flight": cl.meta["free_flight"]}}
     return files, float(delay), extra
 
 
@@ -252,7 +257,8 @@ def _compare_symtop(args, mol, out_dir: Path):
     }
     ts = TimeSeries(grid=taus, channels=channels, meta={})
     files = [_write_series(out_dir, "compare", ts, args.format, time_column="tau_trev")]
-    return files, None, {"max_abs_deviation": summary}
+    return files, None, {"max_abs_deviation": summary,
+                         "diagnostics": {"free_flight": scan_cl.meta["free_flight"]}}
 
 
 # ---- presets ------------------------------------------------------------------
@@ -287,7 +293,7 @@ def _preset_fig5(out_dir: Path, seed: int, n_traj):
     n = n_traj or 100000
     taus = np.arange(0.0, 0.12 + 0.5 * SCAN_TREV, SCAN_TREV)
     files, summary = [], []
-    combined = {}
+    combined, free_flight = {}, {}
     for P in (-1.0, -3.0, -10.0):
         cfg = EnsembleConfig(
             mol=mol, T_K=0.9, n_traj=n, seed=seed,
@@ -296,6 +302,7 @@ def _preset_fig5(out_dir: Path, seed: int, n_traj):
             t_max=0.5, dt_out=SCAN_TREV)
         scan = ensemble.delay_scan(cfg, taus)
         tag = f"P{int(abs(P))}"
+        free_flight[tag] = scan.meta["free_flight"]
         align = TimeSeries(grid=taus,
                            channels={"cos2theta": scan.channels["cos2theta"]}, meta={})
         files.append(_write_series(out_dir, f"alignment_{tag}", align, "csv"))
@@ -315,7 +322,7 @@ def _preset_fig5(out_dir: Path, seed: int, n_traj):
     files.append("extrema.csv")
     ts = TimeSeries(grid=taus, channels=combined, meta={})
     files.append(_write_series(out_dir, "combined", ts, "csv", time_column="tau_trev"))
-    return files, None, {"n_traj": n}
+    return files, None, {"n_traj": n, "diagnostics": {"free_flight": free_flight}}
 
 
 def _preset_fig6(out_dir: Path, seed: int, n_traj):
@@ -335,7 +342,7 @@ def _preset_fig6(out_dir: Path, seed: int, n_traj):
 
 def _preset_fig7(out_dir: Path, seed: int, n_traj):
     files = []
-    extras = {}
+    extras, free_flight = {}, {}
     for P in (-1.0, -3.0, -10.0):
         sub = out_dir / f"P{int(abs(P))}"
         sub.mkdir(exist_ok=True)
@@ -347,7 +354,9 @@ def _preset_fig7(out_dir: Path, seed: int, n_traj):
         f, _, extra = cmd_compare(args, sub)
         files += [f"P{int(abs(P))}/{x}" for x in f]
         extras[f"P{int(abs(P))}"] = extra["max_abs_deviation"]
-    return files, None, {"max_abs_deviation": extras}
+        free_flight[f"P{int(abs(P))}"] = extra["diagnostics"]["free_flight"]
+    return files, None, {"max_abs_deviation": extras,
+                         "diagnostics": {"free_flight": free_flight}}
 
 
 PRESETS = {

@@ -133,6 +133,10 @@ class PulseSpec:
             raise ParameterError("pulse duration must be >= 0")
         if isinstance(self.t_apply, str) and self.t_apply != "auto":
             raise ParameterError(f"t_apply must be a time in T_rev units or 'auto', got {self.t_apply!r}")
+        if not math.isfinite(self.P):
+            raise ParameterError(f"kick strength P must be finite, got {self.P}")
+        if not isinstance(self.t_apply, str) and not math.isfinite(self.t_apply):
+            raise ParameterError(f"t_apply must be finite, got {self.t_apply}")
 
     @classmethod
     def along(cls, P: float, direction, t_apply: float | str = 0.0,

@@ -412,23 +412,7 @@ def second_moments(kind: str, r0: np.ndarray, v_or_L: np.ndarray):
     enters; the three moments sum to 1 exactly.
     """
     r0, w = _ensemble_arrays(kind, r0, v_or_L)
-    n = r0.shape[0]
-    per_mol = np.empty((n, 3))
-
-    if kind == "linear":
-        vn = np.linalg.norm(w, axis=-1)
-        live = vn > clin.REST_SPEED
-        vhat = w[live] / vn[live][:, None]
-        per_mol[live] = 0.5 * (r0[live] ** 2 + vhat ** 2)
-        per_mol[~live] = r0[~live] ** 2
-    else:
-        ens = csym.SymTopEnsemble(r0, w)
-        live = ens.live
-        c2 = ens.cth[live, None] ** 2
-        s2 = ens.sth[live, None] ** 2
-        per_mol[live] = (c2 * ens.eL[live] ** 2
-                         + 0.5 * s2 * (ens.r0par[live] ** 2 + ens.vhat[live] ** 2))
-        per_mol[~live] = r0[~live] ** 2
-
+    flight = csym.SymTopEnsemble(r0, v=w) if kind == "linear" else csym.SymTopEnsemble(r0, w)
+    per_mol = flight.time_average_squares()
     m = per_mol.mean(axis=0)
     return float(m[0]), float(m[1]), float(m[2])

@@ -12,13 +12,24 @@ how work is chunked across threads.
 The protocol engine applies the configured pulses in order (an "auto" second
 pulse fires at the first alignment extremum after the first pulse, located on
 a T_rev/2000 grid with parabolic refinement), and records ensemble-averaged
-observables on the output grid.  Ensemble means are accumulated over
-fixed-size molecule chunks combined in index order, so values are invariant
-under the thread count used to evaluate the chunks.
+observables on the output grid.
+
+Free flight between kicks runs through one kernel per segment
+(classical_symtop.SymTopEnsemble, whose great circle serves linear rotors):
+the per-molecule geometry is built once, and blocks of output times are
+evaluated as (time x molecule) arrays of about BLOCK elements.  Each block is
+reduced along its contiguous molecule axis, so every row is summed by the
+same pairwise summation as a 1-D array of those molecules; a molecule at a
+pole leaves its cos2phi row by compression, not by adding a zero.  Block
+boundaries therefore do not change any value.  run_protocol sums over
+fixed-size molecule chunks (CHUNK) combined in index order, so values are
+also invariant under the thread count used to evaluate the chunks.  The
+alignment scan and delay_scan reduce each time over the whole ensemble.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -34,6 +45,7 @@ from .core import (MoleculeParams, ParameterError, ProtocolError, PulseSpec,
 
 SCAN_STEP = TWO_PI / 2000.0     # extremum-scan resolution: T_rev/2000
 CHUNK = 16384                   # fixed accumulation chunk (thread-count invariant)
+BLOCK = 2 ** 14                 # molecule-times evaluated per free-flight block
 _TINY = 2.0 ** -54              # guards inverse-CDF transforms at w = 0
 
 # fixed per-molecule uniform draw layouts (columns of the sample matrix)
@@ -149,8 +161,13 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ParameterError("n_traj must be >= 1")
+        for name in ("T_K", "t_max", "dt_out"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt_out <= 0:
             raise ParameterError("dt_out must be positive")
+        if self.t_max < 0:
+            raise ParameterError(f"t_max must be >= 0, got {self.t_max}")
         if self.T_K < 0:
             raise ParameterError("temperature must be >= 0")
         object.__setattr__(self, "pulses", tuple(self.pulses))
@@ -184,122 +201,116 @@ class TimeSeries:
 
 
 def resolve_threads(n_threads: int) -> int:
+    """Thread count: n_threads if positive, else PROPELLER_THREADS (default 1)."""
     if n_threads > 0:
         return n_threads
     env = os.environ.get("PROPELLER_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+    if not env:
         return 1
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ParameterError(f"PROPELLER_THREADS must be a positive integer, got {env!r}")
+    return value
 
 
+@dataclass(frozen=True)
 class _Swarm:
-    """Frozen-geometry view of an ensemble during one free-flight segment."""
+    """Ensemble state between kicks: axes r and angular momenta L.
 
-    def positions(self, dt: float) -> np.ndarray:
-        raise NotImplementedError
+    A linear rotor also carries its tangential velocity v (L = r x v).  The
+    free-flight kernel of the segment that starts from this state is built
+    on first use and then shared by every time evaluated in the segment.
+    """
 
-    def angmom(self) -> np.ndarray:
-        raise NotImplementedError
+    r: np.ndarray
+    L: np.ndarray
+    v: np.ndarray | None = None
 
+    @classmethod
+    def linear(cls, r: np.ndarray, v: np.ndarray) -> "_Swarm":
+        return cls(r, np.cross(r, v), v)
 
-class _LinearSwarm(_Swarm):
-    def __init__(self, r: np.ndarray, v: np.ndarray):
-        self.r, self.v = r, v
-        self.speed = np.linalg.norm(v, axis=-1)
-        self.moving = self.speed > clin.REST_SPEED
-        self.vhat = np.where(self.moving[:, None],
-                             v / np.maximum(self.speed, 1e-300)[:, None], 0.0)
-        self._L = np.cross(r, v)
+    @functools.cached_property
+    def flight(self) -> csym.SymTopEnsemble:
+        if self.v is None:
+            return csym.SymTopEnsemble(self.r, self.L)
+        return csym.SymTopEnsemble(self.r, v=self.v)
 
-    def positions(self, dt: float) -> np.ndarray:
-        ang = self.speed * dt
-        c, s = np.cos(ang)[:, None], np.sin(ang)[:, None]
-        out = np.where(self.moving[:, None], self.r * c + self.vhat * s, self.r)
-        return out / np.linalg.norm(out, axis=-1, keepdims=True)
+    def advance(self, dt: float) -> "_Swarm":
+        if self.v is None:
+            return _Swarm(self.flight.positions(dt), self.L)
+        return _Swarm.linear(*clin.propagate_arrays(self.r, self.v, dt))
 
-    def advance(self, dt: float) -> "_LinearSwarm":
-        r, v = clin.propagate_arrays(self.r, self.v, dt)
-        return _LinearSwarm(r, v)
-
-    def kick(self, pulse: PulseSpec) -> "_LinearSwarm":
-        return _LinearSwarm(self.r, clin.kick_velocity(self.r, self.v, pulse.P, pulse.p_vec))
-
-    def angmom(self) -> np.ndarray:
-        return self._L
-
-
-class _SymtopSwarm(_Swarm):
-    def __init__(self, r: np.ndarray, L: np.ndarray):
-        self.r, self.L = r, L
-        self._geom = csym.SymTopEnsemble(r, L)
-
-    def positions(self, dt: float) -> np.ndarray:
-        return self._geom.positions(dt)
-
-    def advance(self, dt: float) -> "_SymtopSwarm":
-        return _SymtopSwarm(self.positions(dt), self.L)
-
-    def kick(self, pulse: PulseSpec) -> "_SymtopSwarm":
-        r = self.r
-        return _SymtopSwarm(r, csym.kick_momentum(r, self.L, pulse.P, pulse.p_vec))
-
-    def angmom(self) -> np.ndarray:
-        return self.L
+    def kick(self, pulse: PulseSpec) -> "_Swarm":
+        if self.v is None:
+            return _Swarm(self.r, csym.kick_momentum(self.r, self.L, pulse.P, pulse.p_vec))
+        return _Swarm.linear(self.r, clin.kick_velocity(self.r, self.v, pulse.P, pulse.p_vec))
 
 
 def _initial_swarm(cfg: EnsembleConfig) -> _Swarm:
     if cfg.mol.kind == "linear":
         sigma = sigma_th(cfg.mol, cfg.T_K)
         u = uniform_matrix(cfg.seed, cfg.n_traj, _LINEAR_DRAWS)
-        return _LinearSwarm(*linear_ensemble_from_uniforms(u, sigma))
+        return _Swarm.linear(*linear_ensemble_from_uniforms(u, sigma))
     sig1, sig3 = sigma_th(cfg.mol, cfg.T_K)
     u = uniform_matrix(cfg.seed, cfg.n_traj, _SYMTOP_DRAWS)
-    return _SymtopSwarm(*symtop_ensemble_from_uniforms(u, sig1, sig3))
+    return _Swarm(*symtop_ensemble_from_uniforms(u, sig1, sig3))
 
 
 def _chunk_ranges(n: int):
     return [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
 
 
-def _chunked_channel_sums(swarm: _Swarm, dt: float, n_threads: int):
-    """Sums of per-molecule observables at one instant, chunked in fixed order."""
-    n = swarm.r.shape[0]
-    ranges = _chunk_ranges(n)
-    L = swarm.angmom()
+def _block_times(n_molecules: int) -> int:
+    """Times per block when each time spans n_molecules molecules."""
+    return max(1, BLOCK // n_molecules)
 
-    def one(rng_pair):
-        a, b = rng_pair
-        if isinstance(swarm, _LinearSwarm):
-            sub = _LinearSwarm(swarm.r[a:b], swarm.v[a:b])
-        else:
-            sub = _SymtopSwarm(swarm.r[a:b], swarm.L[a:b])
-        pos = sub.positions(dt)
-        z2 = pos[:, 2] ** 2
-        s2 = pos[:, 0] ** 2 + pos[:, 1] ** 2
+
+def _flight_diagnostics(n: int, chunk: int, workers: int, segments) -> dict:
+    return {"n_traj": n, "chunks": -(-n // chunk), "threads": workers,
+            "block_shape": [_block_times(chunk), chunk],
+            "segments": [{"t_start_trev": t0 / TWO_PI, "n_times": int(n_t),
+                          "n_frozen": int(np.count_nonzero(~sw.flight.live))}
+                         for t0, n_t, sw in segments]}
+
+
+def _chunk_sums(flight: csym.SymTopEnsemble, L: np.ndarray, dts: np.ndarray,
+                rows: tuple[int, int]):
+    """Per-time sums of z^2, of x^2/(x^2+y^2) off the poles and of the
+    off-pole count over molecules rows = (a, b), plus the chunk's L sums."""
+    a, b = rows
+    z2, c2p = np.empty(len(dts)), np.empty(len(dts))
+    n_az = np.empty(len(dts), dtype=np.int64)
+    step = _block_times(b - a)
+    for i in range(0, len(dts), step):
+        pos = flight.positions(dts[i:i + step], slice(a, b))
+        x, y, z = pos[..., 0], pos[..., 1], pos[..., 2]
+        x2 = x * x
+        s2 = x2 + y * y
         az_ok = s2 >= clin.POLE_SIN2
-        cos2phi_sum = float(np.sum(pos[az_ok, 0] ** 2 / s2[az_ok]))
-        Lc = L[a:b]
-        return (float(z2.sum()), cos2phi_sum, int(az_ok.sum()),
-                Lc.sum(axis=0), float(np.sum(Lc * Lc)))
-
-    if n_threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            parts = list(ex.map(one, ranges))
-    else:
-        parts = [one(r) for r in ranges]
-
-    z2 = sum(p[0] for p in parts)
-    c2p = sum(p[1] for p in parts)
-    n_az = sum(p[2] for p in parts)
-    Lsum = sum((p[3] for p in parts), np.zeros(3))
-    L2 = sum(p[4] for p in parts)
-    return z2, c2p, n_az, Lsum, L2
+        ratio = np.divide(x2, s2, out=np.zeros_like(x2), where=az_ok)
+        z2[i:i + step] = np.sum(z * z, axis=-1)
+        c2p[i:i + step] = np.sum(ratio, axis=-1)
+        n_az[i:i + step] = np.count_nonzero(az_ok, axis=-1)
+        # a pole molecule must leave the sum, not add a zero to it, so that
+        # the pairwise summation order matches the 1-D sum of the kept terms
+        for j in np.flatnonzero(~az_ok.all(axis=-1)):
+            c2p[i + j] = np.sum(ratio[j, az_ok[j]])
+    Lc = L[a:b]
+    return z2, c2p, n_az, Lc.sum(axis=0), float(np.sum(Lc * Lc))
 
 
-def mean_cos2theta(swarm: _Swarm, dt: float) -> float:
-    pos = swarm.positions(dt)
-    return float(np.mean(pos[:, 2] ** 2))
+def mean_cos2theta(swarm: _Swarm, times: np.ndarray) -> np.ndarray:
+    """Ensemble means of cos^2 theta after free flight by each of the times."""
+    out = np.empty(len(times))
+    step = _block_times(len(swarm.r))
+    for i in range(0, len(times), step):
+        z = swarm.flight.positions(times[i:i + step])[..., 2]
+        out[i:i + step] = np.mean(z * z, axis=-1)
+    return out
 
 
 def parabolic_vertex(x, y) -> float:
@@ -323,24 +334,20 @@ def find_alignment_extremum(swarm: _Swarm, kind: str, t_limit: float,
     """First strict local extremum of <cos^2 theta>(t) after a kick.
 
     Scans on a uniform grid of the given step (default T_rev/2000 in
-    dimensionless units) and refines through the three bracketing points.
-    Returns (t_extremum, value); raises ProtocolError if no extremum occurs
-    before t_limit.
+    dimensionless units), one block of 256 steps at a time, and refines
+    through the three bracketing points.  Returns (t_extremum, value);
+    raises ProtocolError if no extremum occurs before t_limit.
     """
     n_limit = int(math.floor(t_limit / step))
     window = 256
-    values = [mean_cos2theta(swarm, 0.0)]
-    i = 1
-    while i <= n_limit:
-        j_end = min(i + window, n_limit + 1)
-        for j in range(i, j_end):
-            values.append(mean_cos2theta(swarm, j * step))
+    values = np.empty(0)
+    for stop in [*range(window + 1, n_limit + 1, window), n_limit + 1]:
+        times = np.arange(len(values), stop) * step
+        values = np.concatenate([values, mean_cos2theta(swarm, times)])
         k = first_local_extremum(values, kind)
         if k is not None:
             ts = np.array([k - 1, k, k + 1]) * step
-            t_ext = parabolic_vertex(ts, np.array(values[k - 1:k + 2]))
-            return t_ext, values[k]
-        i = j_end
+            return parabolic_vertex(ts, values[k - 1:k + 2]), float(values[k])
     raise ProtocolError(
         f"no alignment {kind} of <cos^2 theta> found in scan window "
         f"[0, {t_limit / TWO_PI:.4g}] T_rev (step T_rev/2000)")
@@ -385,7 +392,7 @@ def final_states(cfg: EnsembleConfig):
     out = {"kind": "linear" if cfg.mol.kind == "linear" else "symtop",
            "r": last.r, "meta": meta,
            "pulse_times_trev": [t / TWO_PI for t, _ in events]}
-    if isinstance(last, _LinearSwarm):
+    if last.v is not None:
         out["v"] = last.v
     else:
         out["L"] = last.L
@@ -397,38 +404,55 @@ def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
 
     Channels: cos2theta, cos2phi (pole-excluded mean), Lx, Ly, Lz, L2 and the
     normalized orientation Ly_norm = <L_y>/sqrt(<L^2>).  The resolved auto
-    delay (T_rev units) is stored in meta["auto_delay_trev"].
+    delay (T_rev units) is stored in meta["auto_delay_trev"] and the
+    free-flight layout (chunks, threads, block shape, segments with their
+    frozen-molecule counts) in meta["free_flight"].
     """
     n_threads = resolve_threads(cfg.n_threads)
-    swarm = _initial_swarm(cfg)
+    initial = _initial_swarm(cfg)
     meta = {"config": describe_config(cfg), "seed": cfg.seed}
-    events, pulse_meta = apply_pulses(cfg, swarm)
+    events, pulse_meta = apply_pulses(cfg, initial)
     meta.update(pulse_meta)
 
     grid = np.arange(0.0, cfg.t_max + 0.5 * cfg.dt_out, cfg.dt_out)
-    n_t = len(grid)
+    t = grid * TWO_PI
+    # segment 0 is free flight from the initial state, segment s >= 1 the
+    # flight after pulse s; a grid time joins the last pulse it does not precede
+    segments = [(0.0, initial)] + events
+    seg_of = np.searchsorted(np.array([t_p - 1e-12 for t_p, _ in events]), t, side="right")
+
     names = ("cos2theta", "cos2phi", "Lx", "Ly", "Lz", "L2", "Ly_norm")
-    out = {k: np.empty(n_t) for k in names}
-
-    initial = _initial_swarm(cfg) if events and events[0][0] > 0 else None
+    out = {k: np.empty(len(grid)) for k in names}
     n = cfg.n_traj
-    for it, t_trev in enumerate(grid):
-        t = t_trev * TWO_PI
-        seg_t0, seg = 0.0, initial
-        for t_p, sw in events:
-            if t >= t_p - 1e-12:
-                seg_t0, seg = t_p, sw
-        if seg is None:     # grid point before any pulse and initial not built
-            seg_t0, seg = 0.0, _initial_swarm(cfg)
-            initial = seg
-        z2, c2p, n_az, Lsum, L2 = _chunked_channel_sums(seg, t - seg_t0, n_threads)
-        out["cos2theta"][it] = z2 / n
-        out["cos2phi"][it] = c2p / n_az if n_az else np.nan
-        out["Lx"][it], out["Ly"][it], out["Lz"][it] = Lsum / n
-        out["L2"][it] = L2 / n
-        out["Ly_norm"][it] = (Lsum[1] / n) / math.sqrt(L2 / n) if L2 > 0 else 0.0
+    ranges = _chunk_ranges(n)
+    workers = min(n_threads, len(ranges))
+    evaluated = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        mapper = pool.map if workers > 1 else map
+        for s, (t0, swarm) in enumerate(segments):
+            sel = np.flatnonzero(seg_of == s)
+            if not len(sel):
+                continue
+            evaluated.append((t0, len(sel), swarm))
+            chunk_sums = functools.partial(_chunk_sums, swarm.flight, swarm.L, t[sel] - t0)
+            z2, c2p = np.zeros(len(sel)), np.zeros(len(sel))
+            n_az = np.zeros(len(sel), dtype=np.int64)
+            Lsum, L2 = np.zeros(3), 0.0
+            for part in mapper(chunk_sums, ranges):   # chunk order, whatever the threads
+                z2 += part[0]
+                c2p += part[1]
+                n_az += part[2]
+                Lsum += part[3]
+                L2 += part[4]
+            out["cos2theta"][sel] = z2 / n
+            out["cos2phi"][sel] = np.divide(c2p, n_az, out=np.full(len(sel), np.nan),
+                                            where=n_az > 0)
+            out["Lx"][sel], out["Ly"][sel], out["Lz"][sel] = Lsum / n
+            out["L2"][sel] = L2 / n
+            out["Ly_norm"][sel] = (Lsum[1] / n) / math.sqrt(L2 / n) if L2 > 0 else 0.0
 
-    meta["pulse_times_trev"] = [t / TWO_PI for t, _ in events]
+    meta["pulse_times_trev"] = [t_p / TWO_PI for t_p, _ in events]
+    meta["free_flight"] = _flight_diagnostics(n, min(CHUNK, n), workers, evaluated)
     return TimeSeries(grid=grid, channels=out, meta=meta)
 
 
@@ -436,10 +460,12 @@ def delay_scan(cfg: EnsembleConfig, delays) -> TimeSeries:
     """Post-pulse-2 stationary orientation versus pulse delay.
 
     Uses common random numbers: one sampled ensemble and one first kick are
-    shared by all delays.  Channels: Ly, L2, Ly_norm (all stationary after the
-    last kick), the transferred dLy = <L_y(after)> - <L_y(before)>, and the
+    shared by all delays, and so is the free-flight kernel after the first
+    kick.  Blocks of delays are evaluated at once, each over the whole
+    ensemble.  Channels: Ly, L2, Ly_norm (all stationary after the last
+    kick), the transferred dLy = <L_y(after)> - <L_y(before)>, and the
     alignment factor cos2theta at the kick instant.  meta["Ly_pre"] holds the
-    pre-pulse-2 value.
+    pre-pulse-2 value and meta["free_flight"] the kernel layout.
     """
     if len(cfg.pulses) != 2:
         raise ParameterError("delay_scan needs exactly two pulses")
@@ -447,29 +473,34 @@ def delay_scan(cfg: EnsembleConfig, delays) -> TimeSeries:
     p1, p2 = cfg.pulses
     t1 = 0.0 if p1.t_apply == "auto" else float(p1.t_apply) * TWO_PI
     swarm1 = _initial_swarm(cfg).advance(t1).kick(p1)
-    Ly_pre = float(swarm1.angmom()[:, 1].mean())
+    Ly_pre = float(swarm1.L[:, 1].mean())
 
     n = cfg.n_traj
-    out = {k: np.empty(len(delays)) for k in
-           ("Ly", "L2", "Ly_norm", "dLy", "cos2theta")}
-    for i, d in enumerate(delays):
-        pos = swarm1.positions(d * TWO_PI)
-        out["cos2theta"][i] = float(np.mean(pos[:, 2] ** 2))
-        if cfg.mol.kind == "linear":
-            v_at = clin.propagate_arrays(swarm1.r, swarm1.v, d * TWO_PI)[1]
-            kicked = _LinearSwarm(pos, clin.kick_velocity(pos, v_at, p2.P, p2.p_vec))
+    Ly, L2, cos2 = np.empty(len(delays)), np.empty(len(delays)), np.empty(len(delays))
+    step = _block_times(n)
+    for i in range(0, len(delays), step):
+        dts = delays[i:i + step] * TWO_PI
+        pos = swarm1.flight.positions(dts)
+        z = pos[..., 2]
+        cos2[i:i + step] = np.mean(z * z, axis=-1)
+        if swarm1.v is None:
+            L = csym.kick_momentum(pos, swarm1.L, p2.P, p2.p_vec)
         else:
-            kicked = _SymtopSwarm(pos, csym.kick_momentum(pos, swarm1.L, p2.P, p2.p_vec))
-        L = kicked.angmom()
-        Ly = float(L[:, 1].mean())
-        L2 = float(np.mean(np.sum(L * L, axis=-1)))
-        out["Ly"][i] = Ly
-        out["L2"][i] = L2
-        out["Ly_norm"][i] = Ly / math.sqrt(L2) if L2 > 0 else 0.0
-        out["dLy"][i] = Ly - Ly_pre
+            omega = swarm1.flight.omega
+            ang = np.multiply.outer(dts, omega)
+            v_at = ((-omega[:, None] * swarm1.r) * np.sin(ang)[..., None]
+                    + swarm1.v * np.cos(ang)[..., None])
+            L = np.cross(pos, clin.kick_velocity(pos, v_at, p2.P, p2.p_vec))
+        Lx, Ly_i, Lz = L[..., 0], L[..., 1], L[..., 2]
+        Ly[i:i + step] = Ly_i.mean(axis=-1)
+        L2[i:i + step] = np.mean(Lx * Lx + Ly_i * Ly_i + Lz * Lz, axis=-1)
+    channels = {"Ly": Ly, "L2": L2,
+                "Ly_norm": np.divide(Ly, np.sqrt(L2), out=np.zeros(len(delays)), where=L2 > 0),
+                "dLy": Ly - Ly_pre, "cos2theta": cos2}
     meta = {"config": describe_config(cfg), "seed": cfg.seed, "Ly_pre": Ly_pre,
-            "common_random_numbers": True}
-    return TimeSeries(grid=delays, channels=out, meta=meta)
+            "common_random_numbers": True,
+            "free_flight": _flight_diagnostics(n, n, 1, [(t1, len(delays), swarm1)])}
+    return TimeSeries(grid=delays, channels=channels, meta=meta)
 
 
 def describe_config(cfg: EnsembleConfig) -> dict:

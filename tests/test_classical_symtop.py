@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from propeller_sim.classical_symtop import (SymTopState, kick_symtop,
+from propeller_sim.classical_symtop import (SymTopEnsemble, SymTopState, kick_momentum,
+                                            kick_symtop,
                                             propagate_symtop)
-from propeller_sim.classical_linear import UnitSphereState, propagate_linear
-from propeller_sim.core import PulseSpec
+from propeller_sim.classical_linear import (UnitSphereState, kick_velocity,
+                                            propagate_arrays, propagate_linear)
+from propeller_sim.core import ParameterError, PulseSpec
 
 
 def st(r, L):
@@ -183,3 +185,109 @@ class TestKick:
         s = kick_symtop(st([0, 0, 1], [0.3, 0.2, 0.1]),
                         PulseSpec(P=5.0, p=(0.0, 0.0, 1.0)))
         assert np.allclose(s.L, [0.3, 0.2, 0.1])
+
+
+# ---- block-evaluated free-flight kernel --------------------------------------
+
+def _kernel_ensemble(seed=5, n=40):
+    """Random cones plus the special cases: rest, r parallel and antiparallel
+    to L, r perpendicular to L, and axes at both poles."""
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((n, 3))
+    r /= np.linalg.norm(r, axis=1, keepdims=True)
+    L = 3.0 * rng.standard_normal((n, 3))
+    z = np.array([0.0, 0.0, 1.0])
+    r[:4] = [z, -z, z, -z]
+    L[0] = 0.0                                  # at rest on a pole
+    L[1] = [0.0, 2.0, 0.0]                      # precessing through the poles
+    L[2] = 2.5 * z                              # r parallel to L
+    L[3] = 1.5 * z                              # r antiparallel to L
+    L[4] = np.cross(r[4], rng.standard_normal(3))   # great circle
+    L[5] = 1e-15 * L[5]                         # below the rest threshold
+    return r, L
+
+
+def _rodrigues(r, L, t):
+    """Axis r rotated about e_L by |L| t, one molecule at a time."""
+    out = np.empty_like(r)
+    for i, (ri, Li) in enumerate(zip(r, L)):
+        m = np.linalg.norm(Li)
+        if m <= 1e-14:
+            out[i] = ri
+            continue
+        e = Li / m
+        c, s = math.cos(m * t), math.sin(m * t)
+        out[i] = ri * c + np.cross(e, ri) * s + e * (e @ ri) * (1 - c)
+    return out
+
+
+class TestFreeFlightKernel:
+    TIMES = np.array([0.0, 0.013, 0.4, 1.1, 2.9, 7.5])
+
+    def test_symtop_block_matches_rotation_oracle(self):
+        r, L = _kernel_ensemble()
+        block = SymTopEnsemble(r, L).positions(self.TIMES)
+        assert block.shape == (len(self.TIMES), len(r), 3)
+        for i, t in enumerate(self.TIMES):
+            assert np.allclose(block[i], _rodrigues(r, L, t), rtol=0, atol=1e-12)
+
+    def test_symtop_block_is_time_by_time(self):
+        r, L = _kernel_ensemble()
+        ens = SymTopEnsemble(r, L)
+        block = ens.positions(self.TIMES)
+        for i, t in enumerate(self.TIMES):
+            single = ens.positions(t)
+            assert single.shape == (len(r), 3) and single.flags.c_contiguous
+            assert np.array_equal(block[i], single)
+        # a molecule range evaluates the same rows
+        assert np.array_equal(ens.positions(self.TIMES, slice(3, 17)), block[:, 3:17])
+
+    def test_frozen_molecules_stay_put(self):
+        r, L = _kernel_ensemble()
+        ens = SymTopEnsemble(r, L)
+        frozen = ~ens.live
+        assert frozen[[0, 2, 3, 5]].all() and ens.live[[1, 4]].all()
+        block = ens.positions(self.TIMES)
+        unit = r / np.linalg.norm(r, axis=1, keepdims=True)    # every row is normalised
+        for i in range(len(self.TIMES)):
+            assert np.array_equal(block[i][frozen], unit[frozen])
+
+    def test_linear_block_matches_propagate_arrays(self):
+        r, L = _kernel_ensemble()
+        v = np.cross(L, r)                      # tangential; zero on the rest and L || r rows
+        v[6] = 0.0
+        ens = SymTopEnsemble(r, v=v)
+        rest = ~ens.live
+        assert rest[[0, 2, 3, 5, 6]].all()
+        block = ens.positions(self.TIMES)
+        unit = r / np.linalg.norm(r, axis=1, keepdims=True)
+        for i, t in enumerate(self.TIMES):
+            # propagate_arrays returns a rotor at rest as given, unnormalised
+            assert np.array_equal(block[i][~rest], propagate_arrays(r, v, t)[0][~rest])
+            assert np.array_equal(block[i][rest], unit[rest])
+
+    def test_great_circle_is_the_unit_cone(self):
+        # a symtop with r perpendicular to L flies the linear rotor's circle
+        r, L = _kernel_ensemble()
+        L = np.cross(r, np.random.default_rng(8).standard_normal(r.shape))
+        top = SymTopEnsemble(r, L).positions(self.TIMES)
+        lin = SymTopEnsemble(r, v=np.cross(L, r)).positions(self.TIMES)
+        assert np.allclose(top, lin, rtol=0, atol=1e-12)
+
+    def test_needs_exactly_one_of_l_and_v(self):
+        r, L = _kernel_ensemble()
+        with pytest.raises(ParameterError):
+            SymTopEnsemble(r)
+        with pytest.raises(ParameterError):
+            SymTopEnsemble(r, L, v=L)
+
+    def test_block_kick_is_kick_by_kick(self):
+        r, L = _kernel_ensemble()
+        pos = SymTopEnsemble(r, L).positions(self.TIMES)     # component-major view
+        p = PulseSpec.along(-3.0, (-1.0, 0.0, 1.0)).p_vec
+        block = kick_momentum(pos, L, -3.0, p)
+        v = np.cross(L, pos)
+        block_v = kick_velocity(pos, v, -3.0, p)
+        for i in range(len(self.TIMES)):
+            assert np.array_equal(block[i], kick_momentum(pos[i].copy(), L, -3.0, p))
+            assert np.array_equal(block_v[i], kick_velocity(pos[i].copy(), v[i], -3.0, p))

@@ -55,6 +55,31 @@ class TestExitCodes:
         with pytest.raises(KeyError, match="missing-channel"):
             run_cli("classical-linear", "--out", str(tmp_path))
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("classical-linear", "--temp-K", "nan"),
+        ("classical-symtop", "--P1", "nan"),
+        ("classical-linear", "--P1", "inf"),
+        ("classical-linear", "--t-max", "-1"),
+        ("classical-linear", "--t-max", "nan"),
+        ("classical-linear", "--dt-out", "inf"),
+        ("classical-linear", "--delay", "nan"),
+    ])
+    def test_non_finite_or_negative_run_parameters(self, tmp_path, command, flag, value):
+        molecule = "benzene" if command.endswith("symtop") else "n2"
+        args = {"--temp-K": "5", "--P1": "2", "--P2": "2", "--delay": "0.02",
+                "--t-max": "0.05", "--dt-out": "0.01"}
+        args[flag] = value
+        argv = [command, "--molecule", molecule, "--n-traj", "50", "--out", str(tmp_path)]
+        for k, v in args.items():
+            argv += [k, v]
+        assert run_cli(*argv) == 2
+        assert not (tmp_path / "timeseries.csv").exists()
+
+    def test_bad_propeller_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PROPELLER_THREADS", "abc")
+        assert run_cli("classical-linear", "--n-traj", "50", "--t-max", "0.02",
+                       "--dt-out", "0.01", "--out", str(tmp_path)) == 2
+
     def test_success(self, tmp_path):
         code = run_cli("classical-linear", "--molecule", "n2", "--temp-K", "50",
                        "--P1", "5", "--P2", "5", "--delay", "auto",
@@ -136,6 +161,17 @@ class TestOutputs:
         assert belt["clamped_min"] <= 0.0
         assert not any(k.startswith("result_diagnostics") for k in m.config)
 
+    def test_classical_manifest_free_flight(self, tmp_path):
+        assert run_cli("classical-linear", "--molecule", "n2", "--temp-K", "50",
+                       "--P1", "5", "--P2", "5", "--n-traj", "300", "--seed", "4",
+                       "--t-max", "0.2", "--dt-out", "0.01", "--out", str(tmp_path)) == 0
+        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        flight = m.diagnostics["free_flight"]
+        assert flight["n_traj"] == 300 and flight["threads"] == 1
+        assert sum(seg["n_times"] for seg in flight["segments"]) == 21
+        assert "free_flight" not in m.truncation
+        assert not any(k.startswith("result_diagnostics") for k in m.config)
+
     def test_quantum_linear_run(self, tmp_path):
         code = run_cli("quantum-linear", "--molecule", "n2", "--temp-K", "0",
                        "--P1", "2", "--P2", "2", "--delay", "0.05",
@@ -168,6 +204,9 @@ class TestOutputs:
         m = RunManifest.from_json_file(tmp_path / "manifest.json")
         assert len(m.outputs) == 8
         assert (tmp_path / "extrema.csv").exists()
+        flight = m.diagnostics["free_flight"]
+        assert sorted(flight) == ["P1", "P10", "P3"]
+        assert all(f["segments"][0]["n_times"] == 241 for f in flight.values())
 
     def test_compare_linear(self, tmp_path):
         code = run_cli("compare", "--molecule", "n2", "--temp-K", "50",
@@ -178,3 +217,4 @@ class TestOutputs:
         assert "cos2phi_classical" in ts.channels and "cos2phi_quantum" in ts.channels
         m = RunManifest.from_json_file(tmp_path / "manifest.json")
         assert "cos2phi" in m.config["result_max_abs_deviation"]
+        assert m.diagnostics["free_flight"]["n_traj"] == 2000

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from propeller_sim import classical_symtop, ensemble
+from propeller_sim.classical_linear import POLE_SIN2
+from propeller_sim.classical_symtop import SymTopEnsemble
 from propeller_sim.core import ParameterError, ProtocolError, PulseSpec, nitrogen, benzene, sigma_th
-from propeller_sim.ensemble import (EnsembleConfig, delay_scan, final_states,
+from propeller_sim.ensemble import (CHUNK, EnsembleConfig, delay_scan, final_states,
                                     linear_ensemble_from_uniforms, run_protocol,
                                     sample_linear_velocity, sample_orientation,
                                     sample_symtop_momentum,
@@ -250,3 +253,128 @@ class TestDelayScan:
         assert np.allclose(plus.channels["dLy"], -minus.channels["dLy"],
                            rtol=0, atol=1e-12)
         assert np.all(np.sign(plus.channels["Ly"]) == -np.sign(minus.channels["Ly"]))
+
+
+class TestFreeFlightBlocks:
+    BZ_TWO = (PulseSpec(P=-3.0, p=(0, 0, 1.0)),
+              PulseSpec.along(-3.0, (-1, 0, 1), t_apply=0.03))
+    N2_AUTO = (PulseSpec(P=5.0, p=(0, 0, 1.0)),
+               PulseSpec.along(5.0, (1, 0, 1), t_apply="auto"))
+
+    @pytest.mark.parametrize("mol, pulses", [(BZ, BZ_TWO), (N2, N2_AUTO)],
+                             ids=["benzene_two_pulse", "n2_auto_delay"])
+    def test_thread_invariance(self, mol, pulses):
+        base = dict(mol=mol, T_K=0.9 if mol is BZ else 50.0, n_traj=2 * CHUNK + 1000,
+                    seed=21, pulses=pulses, t_max=0.06, dt_out=0.005)
+        runs = [run_protocol(EnsembleConfig(n_threads=k, **base)) for k in (1, 2, 4)]
+        assert [r.meta["free_flight"]["threads"] for r in runs] == [1, 2, 3]
+        for other in runs[1:]:
+            assert other.meta.get("auto_delay_trev") == runs[0].meta.get("auto_delay_trev")
+            for name in runs[0].channels:
+                assert np.array_equal(runs[0].channels[name], other.channels[name]), name
+
+    @pytest.mark.parametrize("mol, pulses", [(BZ, BZ_TWO), (N2, N2_AUTO)],
+                             ids=["benzene", "n2"])
+    def test_delay_scan_block_boundaries(self, mol, pulses):
+        # 2000 molecules put 8 delays in a block; a single-delay call is its own block
+        cfg = EnsembleConfig(mol=mol, T_K=0.9 if mol is BZ else 50.0, n_traj=2000,
+                             seed=4, pulses=pulses, t_max=0.5, dt_out=0.01)
+        taus = np.linspace(0.0, 0.1, 21)
+        whole = delay_scan(cfg, taus)
+        assert whole.meta["free_flight"]["block_shape"] == [8, 2000]
+        singles = [delay_scan(cfg, [tau]) for tau in taus]
+        for name, values in whole.channels.items():
+            joined = np.concatenate([one.channels[name] for one in singles])
+            assert np.array_equal(values, joined), name
+
+    def test_delay_scan_builds_constant_geometry(self, monkeypatch):
+        builds = []
+        original = SymTopEnsemble.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(classical_symtop.SymTopEnsemble, "__init__", counting)
+        cfg = EnsembleConfig(mol=BZ, T_K=0.9, n_traj=3000, seed=4, pulses=self.BZ_TWO,
+                             t_max=0.5, dt_out=0.01)
+        counts = []
+        for n_delays in (3, 40):
+            builds.clear()
+            delay_scan(cfg, np.linspace(0.0, 0.1, n_delays))
+            counts.append(len(builds))
+        assert counts[0] == counts[1] <= 2
+
+    def test_pole_molecules_leave_cos2phi(self):
+        # molecules at rest on the poles, and one flying through a pole at
+        # t = pi/4: each time's sum equals the 1-D sum of the kept terms
+        rng = np.random.default_rng(17)
+        n = 300
+        r = rng.standard_normal((n, 3))
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        v = np.cross(r, rng.standard_normal((n, 3)))
+        r[:3] = [[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]]
+        v[:3] = [[0, 0, 0], [0, 0, 0], [0, 0, 2.0]]
+        flight = SymTopEnsemble(r, v=v)
+        dts = np.array([0.0, 0.3, math.pi / 4, 1.0])
+        z2, c2p, n_az, _, _ = ensemble._chunk_sums(flight, np.cross(r, v), dts, (0, n))
+        for i, dt in enumerate(dts):
+            pos = flight.positions(dt)
+            s2 = pos[:, 0] ** 2 + pos[:, 1] ** 2
+            ok = s2 >= POLE_SIN2
+            assert n_az[i] == ok.sum() == n - 2 - (i == 2)
+            assert c2p[i] == np.sum(pos[ok, 0] ** 2 / s2[ok])
+            assert z2[i] == np.sum(pos[:, 2] ** 2)
+
+    def test_free_flight_meta(self):
+        cfg = EnsembleConfig(mol=BZ, T_K=0.0, n_traj=500, seed=3, pulses=(
+            PulseSpec(P=-3.0, p=(0, 0, 1.0), t_apply=0.02),), t_max=0.05, dt_out=0.01)
+        meta = run_protocol(cfg).meta["free_flight"]
+        assert meta["n_traj"] == 500 and meta["chunks"] == 1 and meta["threads"] == 1
+        assert meta["block_shape"] == [ensemble.BLOCK // 500, 500]
+        # T = 0: all molecules rest until the pulse; after it only the ones
+        # whose axis lies along the polarisation stay frozen
+        before, after = meta["segments"]
+        assert (before["n_times"], after["n_times"]) == (2, 4)
+        assert before["n_frozen"] == 500 and after["n_frozen"] == 0
+
+
+class TestThreadSetting:
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_propeller_threads_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("PROPELLER_THREADS", value)
+        cfg = EnsembleConfig(mol=N2, T_K=20.0, n_traj=100, seed=9,
+                             pulses=(PulseSpec(P=3.0, p=(0, 0, 1.0)),),
+                             t_max=0.02, dt_out=0.01)
+        with pytest.raises(ParameterError, match="PROPELLER_THREADS"):
+            run_protocol(cfg)
+
+    def test_workers_capped_at_chunks(self, monkeypatch):
+        monkeypatch.setenv("PROPELLER_THREADS", "8")
+        base = dict(mol=N2, T_K=20.0, n_traj=2 * CHUNK + 5, seed=9,
+                    pulses=(PulseSpec(P=3.0, p=(0, 0, 1.0)),), t_max=0.02, dt_out=0.01)
+        capped = run_protocol(EnsembleConfig(**base))
+        assert capped.meta["free_flight"]["chunks"] == 3
+        assert capped.meta["free_flight"]["threads"] == 3
+        single = run_protocol(EnsembleConfig(n_threads=1, **base))
+        for name in single.channels:
+            assert np.array_equal(single.channels[name], capped.channels[name]), name
+
+
+class TestRunParameters:
+    @pytest.mark.parametrize("field, value", [
+        ("T_K", math.nan), ("T_K", math.inf), ("t_max", math.nan),
+        ("t_max", -1.0), ("dt_out", math.inf), ("dt_out", math.nan)])
+    def test_bad_values_rejected(self, field, value):
+        kwargs = dict(mol=N2, T_K=0.0, n_traj=10, seed=1,
+                      pulses=(PulseSpec(P=1.0, p=(0, 0, 1.0)),))
+        kwargs[field] = value
+        with pytest.raises(ParameterError, match=field):
+            EnsembleConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [dict(P=math.nan), dict(P=-math.inf),
+                                        dict(P=1.0, t_apply=math.nan),
+                                        dict(P=1.0, t_apply=math.inf)])
+    def test_bad_pulse_rejected(self, kwargs):
+        with pytest.raises(ParameterError, match="finite"):
+            PulseSpec(p=(0, 0, 1.0), **kwargs)
