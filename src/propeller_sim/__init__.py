@@ -2,14 +2,14 @@
 
 __version__ = "0.1.0"
 
-from .core import (FrameConvention, IntegrationError, MoleculeParams,
-                   ParameterError, ProtocolError, PulseSpec, RevivalTime,
-                   TruncationError, benzene, nitrogen, revival_time, sigma_th)
+from .core import (IntegrationError, MoleculeParams, ParameterError,
+                   ProtocolError, PulseSpec, TruncationError, benzene, nitrogen,
+                   revival_time, sigma_th)
 from .ensemble import EnsembleConfig, TimeSeries, delay_scan, run_protocol
 
 __all__ = [
-    "FrameConvention", "IntegrationError", "MoleculeParams", "ParameterError",
-    "ProtocolError", "PulseSpec", "RevivalTime", "TruncationError",
+    "IntegrationError", "MoleculeParams", "ParameterError",
+    "ProtocolError", "PulseSpec", "TruncationError",
     "benzene", "nitrogen", "revival_time", "sigma_th",
     "EnsembleConfig", "TimeSeries", "delay_scan", "run_protocol",
     "__version__",

@@ -1,17 +1,17 @@
-"""Deterministic dynamics of a kicked oblate symmetric top (benzene-like).
+"""Deterministic dynamics of a kicked rigid rotor: symmetric top or linear.
 
 State is the molecular symmetry axis r (unit vector) and the dimensionless
 angular momentum L (units hbar, time unit I_1/hbar).  The body-frame spin
 about the symmetry axis is not tracked: it neither moves the axis nor couples
-to a linearly polarized pulse.
+to a linearly polarized pulse.  A linear molecule is the case L . r = 0.
 
 Free motion is precession of r about L on a cone of half-angle theta_pr
 (cos theta_pr = e_L . r) at rate Omega_pr = |L|:
 
     r(t) = cos(th) e_L + sin(th) (r0par cos(Om t) + vhat sin(Om t)),
 
-with r0par = (r0 - cos(th) e_L)/sin(th) and v = L x r.  An impulsive kick
-leaves r unchanged and adds
+with r0par = (r0 - cos(th) e_L)/sin(th) and v = L x r; a linear rotor flies
+the great circle th = pi/2.  An impulsive kick leaves r unchanged and adds
 
     dL = -P sin(2 beta0) e_{p x r} = -2 P (p . r) (p x r),
 
@@ -21,56 +21,10 @@ as by free motion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .classical_linear import REST_SPEED
-from .core import ParameterError, PulseSpec
 
 REST_MOMENTUM = 1e-14     # |L| below this freezes the molecule
 CONE_SIN = 1e-12          # sin(theta_pr) below which the axis is parallel to L
-
-
-@dataclass(frozen=True)
-class SymTopState:
-    """Axis r and dimensionless angular momentum L of one symmetric top."""
-
-    r: np.ndarray
-    L: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        L = np.asarray(self.L, dtype=float)
-        if r.shape != (3,) or L.shape != (3,):
-            raise ParameterError("r and L must be 3-vectors")
-        if abs(np.linalg.norm(r) - 1.0) > 1e-10:
-            raise ParameterError(f"|r| must be 1, got {np.linalg.norm(r)}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "L", L)
-
-    @property
-    def L3(self) -> float:
-        """Body-axis angular momentum component (conserved)."""
-        return float(self.L @ self.r)
-
-    @property
-    def omega_pr(self) -> float:
-        """Precession rate |L| in dimensionless units."""
-        return float(np.linalg.norm(self.L))
-
-    @property
-    def cos_theta_pr(self) -> float:
-        Lm = self.omega_pr
-        if Lm < REST_MOMENTUM:
-            return 1.0
-        return float(np.clip(self.L @ self.r / Lm, -1.0, 1.0))
-
-    def energy(self, i1_over_i3: float = 0.5) -> float:
-        """Kinetic energy in units hbar^2/I_1: Lpar^2/2 + (I_1/I_3) L3^2/2."""
-        L2 = float(self.L @ self.L)
-        L3 = self.L3
-        return 0.5 * (L2 - L3 * L3) + 0.5 * i1_over_i3 * L3 * L3
 
 
 class SymTopEnsemble:
@@ -82,11 +36,9 @@ class SymTopEnsemble:
 
     with the geometry (a, w, b, c, omega) computed once at construction:
 
-    * symmetric top, SymTopEnsemble(r, L): the precession cone,
-      a = cos(th) e_L, w = sin(th), b = r0par, c = vhat, omega = |L|;
-    * linear rotor, SymTopEnsemble(r, v=v): the great circle, which is the
-      cone at w = 1, set from v directly (a = 0, b = r, c = v/|v|,
-      omega = |v|) so that no cos(th) ~ 1e-17 enters through L = r x v;
+    * a rotating molecule: the precession cone, a = cos(th) e_L,
+      w = sin(th), b = r0par, c = vhat, omega = |L| (a linear rotor, with
+      L . r = 0, has the great circle w = 1 up to rounding);
     * frozen molecules (at rest, or r parallel to L): a = r, w = 0,
       b = c = 0, omega = 0.
 
@@ -94,30 +46,19 @@ class SymTopEnsemble:
     times yields each component as one contiguous (n_t, N) array.
     """
 
-    def __init__(self, r: np.ndarray, L: np.ndarray | None = None,
-                 v: np.ndarray | None = None):
-        if (L is None) == (v is None):
-            raise ParameterError("give the angular momentum L or the velocity v")
+    def __init__(self, r: np.ndarray, L: np.ndarray):
         a, b, c, w = r.copy(), np.zeros_like(r), np.zeros_like(r), np.zeros(r.shape[0])
-        if v is None:
-            rate = np.linalg.norm(L, axis=-1)
-            eL = L / np.maximum(rate, REST_MOMENTUM)[:, None]
-            cth = np.clip(np.einsum("ij,ij->i", eL, r), -1.0, 1.0)
-            sth = np.sqrt(np.clip(1.0 - cth * cth, 0.0, 1.0))
-            live = (rate > REST_MOMENTUM) & (sth > CONE_SIN)
-            axis = cth[live, None] * eL[live]
-            a[live] = axis
-            w[live] = sth[live]
-            b[live] = (r[live] - axis) / sth[live, None]
-            vel = np.cross(L[live], r[live])
-            c[live] = vel / np.linalg.norm(vel, axis=-1, keepdims=True)
-        else:
-            rate = np.linalg.norm(v, axis=-1)
-            live = rate > REST_SPEED
-            a[live] = 0.0
-            w[live] = 1.0
-            b[live] = r[live]
-            c[live] = v[live] / rate[live, None]
+        rate = np.linalg.norm(L, axis=-1)
+        eL = L / np.maximum(rate, REST_MOMENTUM)[:, None]
+        cth = np.clip(np.einsum("ij,ij->i", eL, r), -1.0, 1.0)
+        sth = np.sqrt(np.clip(1.0 - cth * cth, 0.0, 1.0))
+        live = (rate > REST_MOMENTUM) & (sth > CONE_SIN)
+        axis = cth[live, None] * eL[live]
+        a[live] = axis
+        w[live] = sth[live]
+        b[live] = (r[live] - axis) / sth[live, None]
+        vel = np.cross(L[live], r[live])
+        c[live] = vel / np.linalg.norm(vel, axis=-1, keepdims=True)
         self.live = live
         self.omega = np.where(live, rate, 0.0)
         self.w = w
@@ -177,15 +118,3 @@ def kick_momentum(r: np.ndarray, L: np.ndarray, P: float, p: np.ndarray) -> np.n
             dL[degenerate] = 0.0
         np.add(L[..., k], dL, out=out[..., k])
     return out
-
-
-def propagate_symtop(state: SymTopState, dt: float) -> SymTopState:
-    """Free precession by dimensionless time dt; frozen when |L| ~ 0 or r || L."""
-    ens = SymTopEnsemble(state.r[None, :], state.L[None, :])
-    return SymTopState(r=ens.positions(dt)[0], L=state.L)
-
-
-def kick_symtop(state: SymTopState, pulse: PulseSpec) -> SymTopState:
-    """Impulsive kick at frozen orientation; P carries the anisotropy sign."""
-    L_new = kick_momentum(state.r[None, :], state.L[None, :], pulse.P, pulse.p_vec)[0]
-    return SymTopState(r=state.r, L=L_new)

@@ -180,12 +180,8 @@ def cmd_density(args, out_dir: Path):
                          seed=args.seed, pulses=_pulses_from_args(args),
                          t_max=args.t_max, dt_out=args.dt_out)
     final = ensemble.final_states(cfg)
-    if final["kind"] == "linear":
-        grid = density.belt_average("linear", final["r"], final["v"], args.sigma_kde)
-        moments = density.second_moments("linear", final["r"], final["v"])
-    else:
-        grid = density.belt_average("symtop", final["r"], final["L"], args.sigma_kde)
-        moments = density.second_moments("symtop", final["r"], final["L"])
+    grid = density.belt_average(final["kind"], final["r"], final["L"], args.sigma_kde)
+    moments = density.second_moments(final["r"], final["L"])
     io_formats.write_density_text(out_dir / "density.csv", grid, seed=args.seed)
     diagnostics = {k: grid.meta[k] for k in ("path", "l_max", "spectrum_tail",
                                              "synthesis_error", "clamped_min",

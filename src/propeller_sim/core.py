@@ -28,7 +28,7 @@ classical (x, y, z) = propagation (y', z', x').
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,21 +153,6 @@ class PulseSpec:
         return np.asarray(self.p, dtype=float)
 
 
-@dataclass(frozen=True)
-class RevivalTime:
-    """Quantum revival period and the dimensionless-time conversion it defines."""
-
-    seconds: float                      # T_rev = 2 pi I / hbar
-    seconds_per_dimensionless: float    # t[s] = this * t'
-    dimensionless_per_trev: float = field(default=TWO_PI)
-
-    def trev_to_dimensionless(self, t_trev) -> np.ndarray | float:
-        return np.asarray(t_trev) * TWO_PI if np.ndim(t_trev) else t_trev * TWO_PI
-
-    def dimensionless_to_trev(self, t_dimless) -> np.ndarray | float:
-        return np.asarray(t_dimless) / TWO_PI if np.ndim(t_dimless) else t_dimless / TWO_PI
-
-
 def moment_of_inertia(B_cm1: float) -> float:
     """I in kg m^2 from a rotational constant in cm^-1 (B = h/(8 pi^2 I c))."""
     if not B_cm1 > 0:
@@ -175,10 +160,9 @@ def moment_of_inertia(B_cm1: float) -> float:
     return PLANCK_H / (8 * math.pi**2 * B_cm1 * SPEED_OF_LIGHT_CM)
 
 
-def revival_time(mol: MoleculeParams) -> RevivalTime:
-    """Revival period T_rev = 2 pi I / hbar = 1/(2 B c), with I = I_1 for tops."""
-    trev = 1.0 / (2.0 * mol.B_cm1 * SPEED_OF_LIGHT_CM)
-    return RevivalTime(seconds=trev, seconds_per_dimensionless=trev / TWO_PI)
+def revival_time(mol: MoleculeParams) -> float:
+    """Revival period T_rev = 2 pi I / hbar = 1/(2 B c) in seconds, with I = I_1 for tops."""
+    return 1.0 / (2.0 * mol.B_cm1 * SPEED_OF_LIGHT_CM)
 
 
 def sigma_th(mol: MoleculeParams, T_K: float):
@@ -197,23 +181,3 @@ def sigma_th(mol: MoleculeParams, T_K: float):
     sig3 = math.sqrt(BOLTZMANN_K * T_K /
                      (2 * PLANCK_H * mol.C_cm1 * SPEED_OF_LIGHT_CM))
     return sig1, sig3
-
-
-class FrameConvention:
-    """Fixed axis permutation between the classical and propagation frames.
-
-    classical (x, y, z) = propagation (y', z', x'): the classical z axis
-    (first-pulse polarization) is the propagation x' axis, and the classical
-    y axis (light propagation) is the propagation z' axis.  The map is an
-    exact component permutation, so round trips are bit-identical.
-    """
-
-    @staticmethod
-    def classical_to_propagation(vec) -> np.ndarray:
-        v = np.asarray(vec)
-        return np.stack([v[..., 2], v[..., 0], v[..., 1]], axis=-1)
-
-    @staticmethod
-    def propagation_to_classical(vec) -> np.ndarray:
-        v = np.asarray(vec)
-        return np.stack([v[..., 1], v[..., 2], v[..., 0]], axis=-1)

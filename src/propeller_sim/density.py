@@ -51,7 +51,6 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import erf, ive
 
 from . import angular
-from . import classical_linear as clin
 from . import classical_symtop as csym
 from .core import IntegrationError, ParameterError, TWO_PI
 
@@ -159,18 +158,16 @@ def kde_snapshot(points: np.ndarray, sigma: float = DEFAULT_SIGMA,
     return grid
 
 
-def _ensemble_arrays(kind: str, r0, v_or_L) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and velocities (or angular momenta) as matching (N, 3), N >= 1."""
-    if kind not in ("linear", "symtop"):
-        raise ParameterError(f"unknown ensemble kind {kind!r}")
+def _ensemble_arrays(r0, L) -> tuple[np.ndarray, np.ndarray]:
+    """Axes and angular momenta as matching (N, 3) arrays, N >= 1."""
     r0 = np.atleast_2d(np.asarray(r0, dtype=float))
-    w = np.atleast_2d(np.asarray(v_or_L, dtype=float))
-    if r0.shape != w.shape or r0.ndim != 2 or r0.shape[1] != 3:
-        raise ParameterError(f"positions {r0.shape} and rotation vectors {w.shape} "
+    L = np.atleast_2d(np.asarray(L, dtype=float))
+    if r0.shape != L.shape or r0.ndim != 2 or r0.shape[1] != 3:
+        raise ParameterError(f"positions {r0.shape} and angular momenta {L.shape} "
                              "must both have shape (N, 3)")
     if r0.shape[0] < 1:
         raise ParameterError("need at least one molecule")
-    return r0, w
+    return r0, L
 
 
 def _spectrum_cap(sigma: float) -> int:
@@ -327,16 +324,18 @@ def _direct_sum(gp: np.ndarray, e_l: np.ndarray, c: np.ndarray, amp: np.ndarray,
     return rho
 
 
-def belt_average(kind: str, r0: np.ndarray, v_or_L: np.ndarray,
+def belt_average(kind: str, r0: np.ndarray, L: np.ndarray,
                  sigma_belt: float = DEFAULT_SIGMA,
                  grid: DensityGrid | None = None) -> DensityGrid:
     """Long-time-averaged density from per-molecule rotation belts.
 
-    kind "linear": v_or_L holds velocities, the belt normal is
-    e_L = r0 x v0 / |v0| and the belt sits at e_L.r = 0.  kind "symtop":
-    v_or_L holds angular momenta, the belt is the precession cone
-    e_L.r = cos(theta_pr).  Molecules with no rotation of their axis (at rest,
-    or axis parallel to L) contribute a point kernel at r0 instead.
+    Each molecule (axis r0, angular momentum L) covers its precession cone
+    e_L.r = cos(theta_pr).  kind "linear" takes the centre of every belt as
+    exactly 0, the great circle of L . r0 = 0, so that rounding in the
+    computed cos(theta_pr) cannot split the belts' one Legendre spectrum;
+    kind "symtop" takes the computed centres.  Molecules with no rotation
+    of their axis (at rest, or axis parallel to L) contribute a point kernel
+    at r0 instead.
 
     grid.meta records the path taken ("direct" or "spectral"), the truncation
     degree l_max, the kernel-spectrum tail beyond it, the bound on the
@@ -344,24 +343,20 @@ def belt_average(kind: str, r0: np.ndarray, v_or_L: np.ndarray,
     round-off below zero was clamped (clamped_min).
     """
     _check_sigma(sigma_belt)
-    r0, w = _ensemble_arrays(kind, r0, v_or_L)
+    if kind not in ("linear", "symtop"):
+        raise ParameterError(f"unknown ensemble kind {kind!r}")
+    r0, L = _ensemble_arrays(r0, L)
     n = r0.shape[0]
     grid = grid or DensityGrid.build()
     s2 = sigma_belt * sigma_belt
 
-    wnorm = np.linalg.norm(w, axis=-1)
-    if kind == "linear":
-        live = wnorm > clin.REST_SPEED
-        e_l = np.cross(r0[live], w[live])
-        e_l /= np.linalg.norm(e_l, axis=-1, keepdims=True)
-        c = np.zeros(e_l.shape[0])
-    else:
-        eL_all = w / np.maximum(wnorm, 1e-300)[:, None]
-        cos_pr = np.clip(np.einsum("ij,ij->i", eL_all, r0), -1.0, 1.0)
-        sin_pr = np.sqrt(np.clip(1.0 - cos_pr**2, 0.0, 1.0))
-        live = (wnorm > csym.REST_MOMENTUM) & (sin_pr > csym.CONE_SIN)
-        e_l = eL_all[live]
-        c = cos_pr[live]
+    Lnorm = np.linalg.norm(L, axis=-1)
+    eL_all = L / np.maximum(Lnorm, 1e-300)[:, None]
+    cos_pr = np.clip(np.einsum("ij,ij->i", eL_all, r0), -1.0, 1.0)
+    sin_pr = np.sqrt(np.clip(1.0 - cos_pr**2, 0.0, 1.0))
+    live = (Lnorm > csym.REST_MOMENTUM) & (sin_pr > csym.CONE_SIN)
+    e_l = eL_all[live]
+    c = np.zeros(e_l.shape[0]) if kind == "linear" else cos_pr[live]
     # exact on-sphere normalization of the recentered Gaussian in u = e_L.r
     rt2 = math.sqrt(2.0) * sigma_belt
     mass = 0.5 * (erf((1.0 - c) / rt2) + erf((1.0 + c) / rt2))
@@ -404,15 +399,14 @@ def analytic_zero_temp(theta) -> np.ndarray:
     return 1.0 / (2.0 * math.pi**2 * np.sin(np.asarray(theta, dtype=float)))
 
 
-def second_moments(kind: str, r0: np.ndarray, v_or_L: np.ndarray):
+def second_moments(r0: np.ndarray, L: np.ndarray):
     """Ensemble- and time-averaged (<x^2>, <y^2>, <z^2>), computed analytically.
 
-    The time average runs over each molecule's own closed trajectory (circle
-    or precession cone) with uniform measure, so no numerical time stepping
-    enters; the three moments sum to 1 exactly.
+    The time average runs over each molecule's own closed trajectory (its
+    precession cone, a great circle for a linear rotor) with uniform
+    measure, so no numerical time stepping enters; the three moments sum to
+    1 exactly.
     """
-    r0, w = _ensemble_arrays(kind, r0, v_or_L)
-    flight = csym.SymTopEnsemble(r0, v=w) if kind == "linear" else csym.SymTopEnsemble(r0, w)
-    per_mol = flight.time_average_squares()
+    per_mol = csym.SymTopEnsemble(*_ensemble_arrays(r0, L)).time_average_squares()
     m = per_mol.mean(axis=0)
     return float(m[0]), float(m[1]), float(m[2])

@@ -14,17 +14,21 @@ pulse fires at the first alignment extremum after the first pulse, located on
 a T_rev/2000 grid with parabolic refinement), and records ensemble-averaged
 observables on the output grid.
 
-Free flight between kicks runs through one kernel per segment
-(classical_symtop.SymTopEnsemble, whose great circle serves linear rotors):
-the per-molecule geometry is built once, and blocks of output times are
-evaluated as (time x molecule) arrays of about BLOCK elements.  Each block is
-reduced along its contiguous molecule axis, so every row is summed by the
-same pairwise summation as a 1-D array of those molecules; a molecule at a
-pole leaves its cos2phi row by compression, not by adding a zero.  Block
-boundaries therefore do not change any value.  run_protocol sums over
-fixed-size molecule chunks (CHUNK) combined in index order, so values are
-also invariant under the thread count used to evaluate the chunks.  The
-alignment scan and delay_scan reduce each time over the whole ensemble.
+Every ensemble is carried as axes r and angular momenta L; a linear
+molecule is the case L . r = 0, and its sampler maps the thermal velocity v
+to L = r x v.  Kicks are classical_symtop.kick_momentum, and free flight
+between kicks runs through one kernel per segment
+(classical_symtop.SymTopEnsemble, whose L . r = 0 cone is the linear
+rotor's great circle): the per-molecule geometry is built once, and blocks
+of output times are evaluated as (time x molecule) arrays of about BLOCK
+elements.  Each block is reduced along its contiguous molecule axis, so
+every row is summed by the same pairwise summation as a 1-D array of those
+molecules; a molecule at a pole leaves its cos2phi row by compression, not
+by adding a zero.  Block boundaries therefore do not change any value.
+run_protocol sums over fixed-size molecule chunks (CHUNK) combined in index
+order, so values are also invariant under the thread count used to evaluate
+the chunks.  The alignment scan and delay_scan reduce each time over the
+whole ensemble.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from . import classical_linear as clin
 from . import classical_symtop as csym
 from .core import (MoleculeParams, ParameterError, ProtocolError, PulseSpec,
                    TWO_PI, sigma_th)
@@ -47,6 +50,7 @@ SCAN_STEP = TWO_PI / 2000.0     # extremum-scan resolution: T_rev/2000
 CHUNK = 16384                   # fixed accumulation chunk (thread-count invariant)
 BLOCK = 2 ** 14                 # molecule-times evaluated per free-flight block
 _TINY = 2.0 ** -54              # guards inverse-CDF transforms at w = 0
+POLE_SIN2 = 1e-12               # sin^2(theta) below which the azimuth is undefined
 
 # fixed per-molecule uniform draw layouts (columns of the sample matrix)
 _LINEAR_DRAWS = 4    # w_theta, w_phi, w_vtheta, w_vphi
@@ -64,13 +68,6 @@ def orientation_from_uniforms(w_theta, w_phi):
     return 2.0 * np.arcsin(np.sqrt(w_theta)), TWO_PI * np.asarray(w_phi)
 
 
-def sample_orientation(rng: np.random.Generator, n: int | None = None):
-    """Draw isotropic orientation angles (theta, phi) via the transformation method."""
-    size = n if n is not None else 1
-    th, ph = orientation_from_uniforms(rng.random(size), rng.random(size))
-    return (th[0], ph[0]) if n is None else (th, ph)
-
-
 def unit_vectors(theta, phi) -> np.ndarray:
     th, ph = np.asarray(theta), np.asarray(phi)
     st = np.sin(th)
@@ -86,24 +83,18 @@ def tangent_frame(theta, phi):
     return e_th, e_ph
 
 
-def sample_linear_velocity(sigma: float, rng: np.random.Generator, n: int | None = None):
-    """Thermal tangential velocity components (v_theta, v_phi), i.i.d. N(0, sigma)."""
-    if sigma < 0:
-        raise ParameterError("thermal width must be >= 0")
-    size = n if n is not None else 1
-    vt = sigma * ndtri(np.maximum(rng.random(size), _TINY))
-    vp = sigma * ndtri(np.maximum(rng.random(size), _TINY))
-    return (vt[0], vp[0]) if n is None else (vt, vp)
-
-
 def linear_ensemble_from_uniforms(u: np.ndarray, sigma: float):
-    """Initial (r, v) arrays from a (n, 4) uniform matrix."""
+    """Initial (r, L) arrays from a (n, 4) uniform matrix.
+
+    The tangential velocity v has i.i.d. N(0, sigma) components along
+    e_theta and e_phi; the rotor is carried as L = r x v.
+    """
     theta, phi = orientation_from_uniforms(u[:, 0], u[:, 1])
     r = unit_vectors(theta, phi)
     e_th, e_ph = tangent_frame(theta, phi)
     vt = sigma * ndtri(np.maximum(u[:, 2], _TINY))
     vp = sigma * ndtri(np.maximum(u[:, 3], _TINY))
-    return r, vt[:, None] * e_th + vp[:, None] * e_ph
+    return r, np.cross(r, vt[:, None] * e_th + vp[:, None] * e_ph)
 
 
 def symtop_ensemble_from_uniforms(u: np.ndarray, sigma1: float, sigma3: float):
@@ -133,16 +124,6 @@ def symtop_ensemble_from_uniforms(u: np.ndarray, sigma1: float, sigma3: float):
     if n and np.any(Lmag <= csym.REST_MOMENTUM):
         L[Lmag <= csym.REST_MOMENTUM] = 0.0
     return r, L
-
-
-def sample_symtop_momentum(sigma1: float, sigma3: float, rng: np.random.Generator,
-                           n: int | None = None):
-    """Draw initial symmetric-top states; returns (r, L) arrays."""
-    if sigma1 < 0 or sigma3 < 0:
-        raise ParameterError("thermal widths must be >= 0")
-    size = n if n is not None else 1
-    r, L = symtop_ensemble_from_uniforms(rng.random((size, _SYMTOP_DRAWS)), sigma1, sigma3)
-    return (r[0], L[0]) if n is None else (r, L)
 
 
 @dataclass(frozen=True)
@@ -220,41 +201,29 @@ def resolve_threads(n_threads: int) -> int:
 class _Swarm:
     """Ensemble state between kicks: axes r and angular momenta L.
 
-    A linear rotor also carries its tangential velocity v (L = r x v).  The
-    free-flight kernel of the segment that starts from this state is built
-    on first use and then shared by every time evaluated in the segment.
+    The free-flight kernel of the segment that starts from this state is
+    built on first use and then shared by every time evaluated in the segment.
     """
 
     r: np.ndarray
     L: np.ndarray
-    v: np.ndarray | None = None
-
-    @classmethod
-    def linear(cls, r: np.ndarray, v: np.ndarray) -> "_Swarm":
-        return cls(r, np.cross(r, v), v)
 
     @functools.cached_property
     def flight(self) -> csym.SymTopEnsemble:
-        if self.v is None:
-            return csym.SymTopEnsemble(self.r, self.L)
-        return csym.SymTopEnsemble(self.r, v=self.v)
+        return csym.SymTopEnsemble(self.r, self.L)
 
     def advance(self, dt: float) -> "_Swarm":
-        if self.v is None:
-            return _Swarm(self.flight.positions(dt), self.L)
-        return _Swarm.linear(*clin.propagate_arrays(self.r, self.v, dt))
+        return _Swarm(self.flight.positions(dt), self.L)
 
     def kick(self, pulse: PulseSpec) -> "_Swarm":
-        if self.v is None:
-            return _Swarm(self.r, csym.kick_momentum(self.r, self.L, pulse.P, pulse.p_vec))
-        return _Swarm.linear(self.r, clin.kick_velocity(self.r, self.v, pulse.P, pulse.p_vec))
+        return _Swarm(self.r, csym.kick_momentum(self.r, self.L, pulse.P, pulse.p_vec))
 
 
 def _initial_swarm(cfg: EnsembleConfig) -> _Swarm:
     if cfg.mol.kind == "linear":
         sigma = sigma_th(cfg.mol, cfg.T_K)
         u = uniform_matrix(cfg.seed, cfg.n_traj, _LINEAR_DRAWS)
-        return _Swarm.linear(*linear_ensemble_from_uniforms(u, sigma))
+        return _Swarm(*linear_ensemble_from_uniforms(u, sigma))
     sig1, sig3 = sigma_th(cfg.mol, cfg.T_K)
     u = uniform_matrix(cfg.seed, cfg.n_traj, _SYMTOP_DRAWS)
     return _Swarm(*symtop_ensemble_from_uniforms(u, sig1, sig3))
@@ -290,7 +259,7 @@ def _chunk_sums(flight: csym.SymTopEnsemble, L: np.ndarray, dts: np.ndarray,
         x, y, z = pos[..., 0], pos[..., 1], pos[..., 2]
         x2 = x * x
         s2 = x2 + y * y
-        az_ok = s2 >= clin.POLE_SIN2
+        az_ok = s2 >= POLE_SIN2
         ratio = np.divide(x2, s2, out=np.zeros_like(x2), where=az_ok)
         z2[i:i + step] = np.sum(z * z, axis=-1)
         c2p[i:i + step] = np.sum(ratio, axis=-1)
@@ -385,18 +354,13 @@ def apply_pulses(cfg: EnsembleConfig, swarm: _Swarm):
 
 
 def final_states(cfg: EnsembleConfig):
-    """States right after the last kick: dict with kind, r, v or L, and meta."""
+    """States right after the last kick: dict with kind, r, L and meta."""
     swarm = _initial_swarm(cfg)
     events, meta = apply_pulses(cfg, swarm)
     last = events[-1][1] if events else swarm
-    out = {"kind": "linear" if cfg.mol.kind == "linear" else "symtop",
-           "r": last.r, "meta": meta,
-           "pulse_times_trev": [t / TWO_PI for t, _ in events]}
-    if last.v is not None:
-        out["v"] = last.v
-    else:
-        out["L"] = last.L
-    return out
+    return {"kind": "linear" if cfg.mol.kind == "linear" else "symtop",
+            "r": last.r, "L": last.L, "meta": meta,
+            "pulse_times_trev": [t / TWO_PI for t, _ in events]}
 
 
 def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
@@ -483,14 +447,7 @@ def delay_scan(cfg: EnsembleConfig, delays) -> TimeSeries:
         pos = swarm1.flight.positions(dts)
         z = pos[..., 2]
         cos2[i:i + step] = np.mean(z * z, axis=-1)
-        if swarm1.v is None:
-            L = csym.kick_momentum(pos, swarm1.L, p2.P, p2.p_vec)
-        else:
-            omega = swarm1.flight.omega
-            ang = np.multiply.outer(dts, omega)
-            v_at = ((-omega[:, None] * swarm1.r) * np.sin(ang)[..., None]
-                    + swarm1.v * np.cos(ang)[..., None])
-            L = np.cross(pos, clin.kick_velocity(pos, v_at, p2.P, p2.p_vec))
+        L = csym.kick_momentum(pos, swarm1.L, p2.P, p2.p_vec)
         Lx, Ly_i, Lz = L[..., 0], L[..., 1], L[..., 2]
         Ly[i:i + step] = Ly_i.mean(axis=-1)
         L2[i:i + step] = np.mean(Lx * Lx + Ly_i * Ly_i + Lz * Lz, axis=-1)

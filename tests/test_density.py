@@ -5,7 +5,7 @@ import pytest
 from scipy.special import i0
 
 from propeller_sim import density
-from propeller_sim.classical_linear import kick_velocity
+from propeller_sim.classical_symtop import SymTopEnsemble, kick_momentum
 from propeller_sim.core import IntegrationError, ParameterError, PulseSpec, nitrogen
 from propeller_sim.density import (DensityGrid, analytic_zero_temp, belt_average,
                                    kde_at, kde_snapshot, second_moments)
@@ -65,8 +65,8 @@ class TestBeltAverage:
     def test_equatorial_belt_value(self):
         # one molecule rotating in the x-y plane: belt peak 1/(2 pi sqrt(2 pi) s)
         r0 = np.array([[1.0, 0.0, 0.0]])
-        v0 = np.array([[0.0, 2.0, 0.0]])
-        grid = belt_average("linear", r0, v0, 0.1)
+        L0 = np.array([[0.0, 0.0, 2.0]])         # r0 x v0 with v0 = (0, 2, 0)
+        grid = belt_average("linear", r0, L0, 0.1)
         i_eq = np.argmin(np.abs(grid.theta - math.pi / 2))
         expect = 1 / (2 * math.pi * math.sqrt(2 * math.pi) * 0.1)
         assert grid.rho[i_eq].mean() == pytest.approx(expect, rel=2e-3)
@@ -75,22 +75,20 @@ class TestBeltAverage:
 
     def test_normalization_and_positivity(self):
         u = uniform_matrix(3, 2000, 4)
-        r, v = linear_ensemble_from_uniforms(u, 1.5)
-        v = kick_velocity(r, v, 4.0, np.array([0.0, 0.0, 1.0]))
-        grid = belt_average("linear", r, v, 0.1, grid=DensityGrid.build(91, 180))
+        r, L = linear_ensemble_from_uniforms(u, 1.5)
+        L = kick_momentum(r, L, 4.0, np.array([0.0, 0.0, 1.0]))
+        grid = belt_average("linear", r, L, 0.1, grid=DensityGrid.build(91, 180))
         assert np.all(grid.rho >= 0)
         assert grid.integral() == pytest.approx(1.0, abs=1e-3)
 
     def test_time_shift_invariance(self):
         # belts depend only on the rotation-plane normal: propagating the
         # ensemble along its own trajectories leaves the belt field unchanged
-        from propeller_sim.classical_linear import propagate_arrays
         u = uniform_matrix(5, 400, 4)
-        r, v = linear_ensemble_from_uniforms(u, 1.0)
-        v = kick_velocity(r, v, 3.0, np.array([0.0, 0.0, 1.0]))
-        a = belt_average("linear", r, v, 0.1)
-        r2, v2 = propagate_arrays(r, v, 1.234)
-        b = belt_average("linear", r2, v2, 0.1)
+        r, L = linear_ensemble_from_uniforms(u, 1.0)
+        L = kick_momentum(r, L, 3.0, np.array([0.0, 0.0, 1.0]))
+        a = belt_average("linear", r, L, 0.1)
+        b = belt_average("linear", SymTopEnsemble(r, L).positions(1.234), L, 0.1)
         assert np.max(np.abs(a.rho - b.rho)) < 1e-12 * np.max(a.rho) + 1e-12
 
     def test_rest_molecules_point_kernel(self):
@@ -108,7 +106,7 @@ class TestBeltAverage:
                              pulses=(PulseSpec(P=10.0, p=(0, 0, 1.0)),),
                              t_max=0.1, dt_out=0.01)
         fin = final_states(cfg)
-        grid = belt_average("linear", fin["r"], fin["v"], sig,
+        grid = belt_average("linear", fin["r"], fin["L"], sig,
                             grid=DensityGrid.build(181, 60))
         prof = grid.phi_average()
         x = np.sin(grid.theta) ** 2 / (4 * sig * sig)
@@ -120,19 +118,19 @@ class TestBeltAverage:
         # 500 uniformly spaced snapshots over 5 T_rev, kernel-estimated and
         # averaged, agree with the closed-form belt construction pointwise
         # where the density is appreciable (same molecules, so MC noise cancels)
-        from propeller_sim.classical_linear import propagate_arrays
         u = uniform_matrix(8, 300, 4)
-        r, v = linear_ensemble_from_uniforms(u, 1.0)
-        v = kick_velocity(r, v, 5.0, np.array([0.0, 0.0, 1.0]))
+        r, L = linear_ensemble_from_uniforms(u, 1.0)
+        L = kick_momentum(r, L, 5.0, np.array([0.0, 0.0, 1.0]))
         grid_shape = (61, 120)
         accum = DensityGrid.build(*grid_shape)
         total = np.zeros(accum.rho.shape)
         times = np.linspace(0.0, 5 * 2 * math.pi, 500, endpoint=False)
+        flight = SymTopEnsemble(r, L)
         for t in times:
-            rt, _ = propagate_arrays(r, v, t)
+            rt = flight.positions(t)
             total += kde_snapshot(rt, 0.1, grid=DensityGrid.build(*grid_shape)).rho
         avg = total / len(times)
-        belt = belt_average("linear", r, v, 0.1, grid=DensityGrid.build(*grid_shape))
+        belt = belt_average("linear", r, L, 0.1, grid=DensityGrid.build(*grid_shape))
         sel = belt.rho > 0.1 * belt.rho.max()
         rel = np.abs(avg[sel] - belt.rho[sel]) / belt.rho[sel]
         assert np.max(rel) < 0.05
@@ -151,10 +149,10 @@ class TestBeltAverage:
 
 def _linear_ensemble(n, seed, n_rest=0):
     """Kicked thermal N2-like belts; the last n_rest molecules are at rest."""
-    r, v = linear_ensemble_from_uniforms(uniform_matrix(seed, n, 4), 1.5)
-    v = kick_velocity(r, v, 4.0, np.array([0.0, 0.0, 1.0]))
-    v[n - n_rest:] = 0.0
-    return "linear", r, v
+    r, L = linear_ensemble_from_uniforms(uniform_matrix(seed, n, 4), 1.5)
+    L = kick_momentum(r, L, 4.0, np.array([0.0, 0.0, 1.0]))
+    L[n - n_rest:] = 0.0
+    return "linear", r, L
 
 
 def _cone_ensemble(n, seed):
@@ -198,13 +196,33 @@ class TestSpectralBelt:
         assert spectral.integral() == pytest.approx(direct.integral(), abs=1e-10)
         assert np.allclose(spectral.moments(), direct.moments(), rtol=0, atol=1e-10)
 
+    def test_linear_belts_share_one_spectrum(self, monkeypatch):
+        # a kicked linear ensemble carries L . r = 0 only to rounding, so the
+        # computed cone centres scatter about 0; kind "linear" takes c = 0
+        # exactly, which keeps one Legendre spectrum and l_max = 88
+        _, r, L = _linear_ensemble(600, 10)
+        dots = np.einsum("ij,ij->i", L / np.linalg.norm(L, axis=1, keepdims=True), r)
+        assert 0.0 < np.max(np.abs(dots)) < 1e-14 and len(np.unique(dots)) > 1
+        centres = []
+        spectra = density._kernel_spectra
+
+        def counted(c, point, *args):
+            centres.append(np.unique(c[~point]).size)
+            return spectra(c, point, *args)
+
+        monkeypatch.setattr(density, "_kernel_spectra", counted)
+        direct = _belt_on_path(monkeypatch, False, "linear", r, L, 0.1, (61, 120))
+        spectral = _belt_on_path(monkeypatch, True, "linear", r, L, 0.1, (61, 120))
+        assert set(centres) == {1} and spectral.meta["l_max"] == 88
+        assert np.max(np.abs(spectral.rho - direct.rho)) <= 1e-10 * direct.rho.max()
+
     def test_single_molecule_takes_direct_path(self):
-        _, r, v = _linear_ensemble(1, 7)
-        assert belt_average("linear", r, v, 0.1).meta["path"] == "direct"
+        _, r, L = _linear_ensemble(1, 7)
+        assert belt_average("linear", r, L, 0.1).meta["path"] == "direct"
 
     def test_fig4_size_takes_spectral_path(self):
-        _, r, v = _linear_ensemble(4000, 8)
-        grid = belt_average("linear", r, v, 0.1)
+        _, r, L = _linear_ensemble(4000, 8)
+        grid = belt_average("linear", r, L, 0.1)
         assert grid.meta["path"] == "spectral"
         assert 80 <= grid.meta["l_max"] <= 100
         assert grid.integral() == pytest.approx(1.0, abs=1e-9)
@@ -215,7 +233,7 @@ class TestSpectralBelt:
         phase = np.linspace(0.0, 2 * math.pi, 500, endpoint=False)
         r0 = np.stack([np.cos(phase), np.sin(phase), np.zeros(500)], axis=1)
         v0 = 2.0 * np.stack([-np.sin(phase), np.cos(phase), np.zeros(500)], axis=1)
-        grid = belt_average("linear", r0, v0, 0.1)
+        grid = belt_average("linear", r0, np.cross(r0, v0), 0.1)
         assert grid.meta["path"] == "spectral"
         assert np.all(grid.rho >= 0)
         top = grid.rho.max()
@@ -223,11 +241,11 @@ class TestSpectralBelt:
         assert -grid.meta["synthesis_error"] <= grid.meta["clamped_min"] <= 0.0
 
     def test_negative_beyond_error_bound_raises(self, monkeypatch):
-        _, r, v = _linear_ensemble(500, 9)
+        _, r, L = _linear_ensemble(500, 9)
         monkeypatch.setattr(density, "_spectral_sum",
                             lambda grid, *args: np.full(grid.rho.shape, -1e-6))
         with pytest.raises(IntegrationError, match="error bound"):
-            belt_average("linear", r, v, 0.1)
+            belt_average("linear", r, L, 0.1)
 
 
 class TestInputValidation:
@@ -236,8 +254,8 @@ class TestInputValidation:
         for kind in ("linear", "symtop"):
             with pytest.raises(ParameterError, match="at least one"):
                 belt_average(kind, empty, empty)
-            with pytest.raises(ParameterError, match="at least one"):
-                second_moments(kind, empty, empty)
+        with pytest.raises(ParameterError, match="at least one"):
+            second_moments(empty, empty)
 
     def test_mismatched_lengths_rejected(self):
         r0 = np.tile([1.0, 0.0, 0.0], (3, 1))
@@ -245,8 +263,8 @@ class TestInputValidation:
         for kind in ("linear", "symtop"):
             with pytest.raises(ParameterError, match="shape"):
                 belt_average(kind, r0, w)
-            with pytest.raises(ParameterError, match="shape"):
-                second_moments(kind, r0, w)
+        with pytest.raises(ParameterError, match="shape"):
+            second_moments(r0, w)
 
 
 class TestAnalyticLaw:
@@ -267,18 +285,18 @@ class TestAnalyticLaw:
 class TestSecondMoments:
     def test_isotropic_rest_ensemble(self):
         u = uniform_matrix(9, 200_000, 4)
-        r, v = linear_ensemble_from_uniforms(u, 0.0)
-        mx, my, mz = second_moments("linear", r, v)
+        r, L = linear_ensemble_from_uniforms(u, 0.0)
+        mx, my, mz = second_moments(r, L)
         assert mx + my + mz == pytest.approx(1.0, abs=1e-10)
         for m in (mx, my, mz):
             assert m == pytest.approx(1 / 3, abs=0.005)
 
     def test_moments_match_belt_grid(self):
         u = uniform_matrix(14, 3000, 4)
-        r, v = linear_ensemble_from_uniforms(u, 1.0)
-        v = kick_velocity(r, v, 6.0, np.array([0.0, 0.0, 1.0]))
-        analytic = second_moments("linear", r, v)
-        grid_m = belt_average("linear", r, v, 0.05,
+        r, L = linear_ensemble_from_uniforms(u, 1.0)
+        L = kick_momentum(r, L, 6.0, np.array([0.0, 0.0, 1.0]))
+        analytic = second_moments(r, L)
+        grid_m = belt_average("linear", r, L, 0.05,
                               grid=DensityGrid.build(91, 180)).moments()
         # the belt grid smears by ~sigma^2, so compare loosely
         assert np.allclose(analytic, grid_m, atol=0.01)
@@ -287,7 +305,7 @@ class TestSecondMoments:
         from propeller_sim.ensemble import symtop_ensemble_from_uniforms
         u = uniform_matrix(15, 5000, 5)
         r, L = symtop_ensemble_from_uniforms(u, 1.3, 1.8)
-        m = second_moments("symtop", r, L)
+        m = second_moments(r, L)
         assert sum(m) == pytest.approx(1.0, abs=1e-10)
 
 

@@ -5,15 +5,13 @@ import pytest
 from scipy.stats import chi2
 
 from propeller_sim import classical_symtop, ensemble
-from propeller_sim.classical_linear import POLE_SIN2
 from propeller_sim.classical_symtop import SymTopEnsemble
 from propeller_sim.core import ParameterError, ProtocolError, PulseSpec, nitrogen, benzene, sigma_th
-from propeller_sim.ensemble import (CHUNK, EnsembleConfig, delay_scan, final_states,
-                                    linear_ensemble_from_uniforms, run_protocol,
-                                    sample_linear_velocity, sample_orientation,
-                                    sample_symtop_momentum,
-                                    symtop_ensemble_from_uniforms, uniform_matrix,
-                                    unit_vectors)
+from propeller_sim.ensemble import (CHUNK, POLE_SIN2, EnsembleConfig, delay_scan,
+                                    final_states, linear_ensemble_from_uniforms,
+                                    orientation_from_uniforms, run_protocol,
+                                    symtop_ensemble_from_uniforms, tangent_frame,
+                                    uniform_matrix)
 
 N2, BZ = nitrogen(), benzene()
 
@@ -28,46 +26,53 @@ class TestOrientationSampler:
         assert ph[1] == pytest.approx(math.pi)
 
     def test_cos2_moment(self):
-        rng = np.random.default_rng(1)
-        th, ph = sample_orientation(rng, n=100_000)
+        u = uniform_matrix(1, 100_000, 2)
+        th, ph = orientation_from_uniforms(u[:, 0], u[:, 1])
         c2 = np.cos(th) ** 2
         se = c2.std() / math.sqrt(len(c2))
         assert abs(c2.mean() - 1.0 / 3.0) < 3 * se
 
 
+def _velocity_components(u, r, L):
+    """(v_theta, v_phi) of the rotors (r, L) drawn from the uniforms u."""
+    e_th, e_ph = tangent_frame(*orientation_from_uniforms(u[:, 0], u[:, 1]))
+    v = np.cross(L, r)
+    return np.einsum("ij,ij->i", v, e_th), np.einsum("ij,ij->i", v, e_ph)
+
+
 class TestVelocitySampler:
     def test_zero_width(self):
-        rng = np.random.default_rng(2)
-        vt, vp = sample_linear_velocity(0.0, rng, n=100)
-        assert np.all(vt == 0) and np.all(vp == 0)
+        u = uniform_matrix(2, 100, 4)
+        r, L = linear_ensemble_from_uniforms(u, 0.0)
+        vt, vp = _velocity_components(u, r, L)
+        assert np.all(L == 0) and np.all(vt == 0) and np.all(vp == 0)
 
     def test_nitrogen_variance(self):
         sigma = sigma_th(N2, 50.0)
-        rng = np.random.default_rng(3)
-        vt, _ = sample_linear_velocity(sigma, rng, n=100_000)
+        u = uniform_matrix(3, 100_000, 4)
+        vt, _ = _velocity_components(u, *linear_ensemble_from_uniforms(u, sigma))
         var = vt ** 2
         se = var.std() / math.sqrt(len(var))
         assert abs(var.mean() - sigma ** 2) < 3 * se
         assert sigma ** 2 == pytest.approx(8.69, abs=0.05)
 
     def test_tangency(self):
+        # the linear sampler's rotors are the L . r = 0 tops
         u = uniform_matrix(7, 5000, 4)
-        r, v = linear_ensemble_from_uniforms(u, 2.0)
-        assert np.max(np.abs(np.einsum("ij,ij->i", r, v))) < 1e-12
+        r, L = linear_ensemble_from_uniforms(u, 2.0)
+        assert np.max(np.abs(np.einsum("ij,ij->i", r, L))) < 1e-12
         assert np.max(np.abs(np.linalg.norm(r, axis=1) - 1)) < 1e-12
 
 
 class TestSymtopSampler:
     def test_zero_temperature(self):
-        rng = np.random.default_rng(4)
-        r, L = sample_symtop_momentum(0.0, 0.0, rng, n=50)
+        r, L = symtop_ensemble_from_uniforms(uniform_matrix(4, 50, 5), 0.0, 0.0)
         assert np.all(L == 0)
         assert np.max(np.abs(np.linalg.norm(r, axis=1) - 1)) < 1e-12
 
     def test_benzene_second_moments(self):
         s1, s3 = sigma_th(BZ, 0.9)
-        rng = np.random.default_rng(5)
-        r, L = sample_symtop_momentum(s1, s3, rng, n=100_000)
+        r, L = symtop_ensemble_from_uniforms(uniform_matrix(5, 100_000, 5), s1, s3)
         L3 = np.einsum("ij,ij->i", L, r)
         Lpar2 = np.einsum("ij,ij->i", L, L) - L3 ** 2
         se_par = Lpar2.std() / math.sqrt(len(Lpar2))
@@ -176,6 +181,18 @@ class TestProtocol:
         fin = final_states(cfg)
         assert fin["meta"]["auto_delay_trev"] == d
 
+    @pytest.mark.parametrize("mol", [N2, BZ], ids=["n2", "benzene"])
+    def test_final_states_carry_l(self, mol):
+        # one state for both kinds: axes and angular momenta, no velocities
+        cfg = EnsembleConfig(mol=mol, T_K=0.9 if mol is BZ else 50.0, n_traj=200,
+                             seed=3, pulses=(PulseSpec(P=-3.0, p=(0, 0, 1.0)),
+                                             PulseSpec.along(-3.0, (1, 0, 1), t_apply=0.02)))
+        fin = final_states(cfg)
+        assert "v" not in fin and fin["L"].shape == fin["r"].shape == (200, 3)
+        assert fin["kind"] == ("linear" if mol is N2 else "symtop")
+        if mol is N2:
+            assert np.max(np.abs(np.einsum("ij,ij->i", fin["L"], fin["r"]))) < 1e-12
+
     def test_extremum_not_found_raises(self):
         cfg = EnsembleConfig(mol=N2, T_K=50.0, n_traj=200, seed=2,
                              pulses=(PulseSpec(P=5.0, p=(0, 0, 1.0)),
@@ -233,7 +250,8 @@ class TestDelayScan:
         scan = delay_scan(cfg, taus)
         u = uniform_matrix(cfg.seed, cfg.n_traj, 4)
         sig = sigma_th(N2, 50.0)
-        r, v = linear_ensemble_from_uniforms(u, sig)
+        r, L = linear_ensemble_from_uniforms(u, sig)
+        v = np.cross(L, r)
         from propeller_sim.classical_linear import kick_velocity, propagate_arrays
         v1 = kick_velocity(r, v, P, np.array([0.0, 0.0, 1.0]))
         for i, tau in enumerate(taus):
@@ -315,9 +333,10 @@ class TestFreeFlightBlocks:
         v = np.cross(r, rng.standard_normal((n, 3)))
         r[:3] = [[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]]
         v[:3] = [[0, 0, 0], [0, 0, 0], [0, 0, 2.0]]
-        flight = SymTopEnsemble(r, v=v)
+        L = np.cross(r, v)
+        flight = SymTopEnsemble(r, L)
         dts = np.array([0.0, 0.3, math.pi / 4, 1.0])
-        z2, c2p, n_az, _, _ = ensemble._chunk_sums(flight, np.cross(r, v), dts, (0, n))
+        z2, c2p, n_az, _, _ = ensemble._chunk_sums(flight, L, dts, (0, n))
         for i, dt in enumerate(dts):
             pos = flight.positions(dt)
             s2 = pos[:, 0] ** 2 + pos[:, 1] ** 2
