@@ -1,5 +1,6 @@
-"""Angular-momentum algebra: Wigner 3j symbols, normalized associated
-Legendre tables, and rank-2 spherical-tensor matrix elements.
+"""Angular-momentum algebra: Wigner 3j symbols, the Wigner d^J(pi/2)
+rotation tables, normalized associated Legendre tables, and rank-2
+spherical-tensor matrix elements.
 
 The 3j symbol uses the Racah sum with log-factorials, combined per term in
 log space.  For the rank-2 couplings needed here the alternating sum has at
@@ -135,6 +136,32 @@ def legendre_table(l_max: int, m: int, x: np.ndarray) -> np.ndarray:
     if m < 0:
         rows = rows * (-1.0) ** am
     return rows
+
+
+def wigner_d_half_pi(J_max: int) -> list[np.ndarray]:
+    """Wigner d^J(pi/2) for J = 0..J_max; entry [M + J, m + J] is d^J_{M m}.
+
+    d^J_{M m}(beta) = <J M| exp(-i beta J_y) |J m>.  Built by Risbo's
+    recursion (J. Geodesy 70, 383 (1996)): coupling one spin 1/2 to d^{j-1/2}
+    gives d^j with the Clebsch-Gordan weights sqrt((j +- m)/2j), so every
+    half step is a positive combination of the previous table, stable to
+    rounding for any J.
+    """
+    c = s = math.sqrt(0.5)              # cos(beta/2), sin(beta/2) at beta = pi/2
+    d = np.ones((1, 1))
+    out = [d]
+    for two_j in range(1, 2 * J_max + 1):
+        n = two_j + 1
+        p = np.arange(n)
+        a = np.sqrt(p / two_j)              # sqrt((j + m)/2j), m = p - j
+        b = np.sqrt((two_j - p) / two_j)    # sqrt((j - m)/2j)
+        old = np.zeros((n + 1, n + 1))
+        old[1:n, 1:n] = d                   # old[p, q] = d^{j-1/2}[p - 1, q - 1]
+        d = (np.outer(a, a) * (c * old[:n, :n]) - np.outer(a, b) * (s * old[:n, 1:])
+             + np.outer(b, a) * (s * old[1:, :n]) + np.outer(b, b) * (c * old[1:, 1:]))
+        if two_j % 2 == 0:
+            out.append(d)
+    return out
 
 
 def symtop_d2_element(Jp: int, Mp: int, J: int, M: int, K: int, p: int) -> float:

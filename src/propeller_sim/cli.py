@@ -164,6 +164,8 @@ def cmd_quantum_symtop(args, out_dir: Path):
                                            J_max=args.l_max)
     files = [_write_series(out_dir, "alignment", align, args.format)]
     trunc = {"J_max": align.meta["J_max"], "headroom_tail": align.meta["headroom_tail"]}
+    diag = {k: align.meta[k] for k in ("K_limit", "n_initial_states", "weight_truncation")}
+    runs = {"alignment": align}
     if args.P2 is not None:
         dphi = math.radians(args.angle_deg)
         scan = quantum_symtop.delay_curve(mol, args.temp_K, args.P1, args.P2,
@@ -171,7 +173,12 @@ def cmd_quantum_symtop(args, out_dir: Path):
         files.append(_write_series(out_dir, "delayscan", scan, args.format,
                                    time_column="tau_trev"))
         trunc["J_max_two_pulse"] = scan.meta["J_max"]
-    return files, None, {"truncation": trunc}
+        runs["delay_curve"] = scan
+    for name, ts in runs.items():
+        diag[name] = {k: ts.meta[k] for k in (
+            "J_max", "n_blocks", "max_block_dim", "headroom_tail_pulse1",
+            "headroom_tail_pulse2", "distinct_freqs") if k in ts.meta}
+    return files, None, {"truncation": trunc, "diagnostics": {"quantum_symtop": diag}}
 
 
 def cmd_density(args, out_dir: Path):

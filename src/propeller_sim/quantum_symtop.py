@@ -1,48 +1,56 @@
 """Rotational wave-packet dynamics of an oblate symmetric top.
 
-Works in the propagation frame (z along the laser propagation, first pulse
-polarized along x) with a |J, K, M> basis.  Dimensionless energies are
+The laboratory frame has z along the laser propagation and the first pulse
+polarized along x; states are |J, K, M>.  Dimensionless energies are
 
     e(J, K) = J(J+1)/2 + (I_1/I_3 - 1) K^2 / 2          (units hbar^2/I_1),
 
-so e = J(J+1)/2 - K^2/4 for a planar ring (I_3 = 2 I_1).
+so e = J(J+1)/2 - K^2/4 for a planar ring (I_3 = 2 I_1).  An impulsive pulse
+of strength P applies U = exp(i (P/3) Omega), equal to exp(i P cos^2 beta)
+up to a global phase, with Omega = 3 cos^2(beta) - 1 about the polarization.
 
-The x-polarized pulse couples through the rank-2 spherical-tensor combination
+The engine works in the pulse frame, quantised along the polarization.
+There Omega = 2 D^{2*}_{0,0} conserves K and m, so each (K, m) block holds
+at most J_max + 1 states and is pentadiagonal in J; the blocks are
+diagonalised once per run.  The lab-frame coupling is the rotated one,
+Omega_x = R Omega_z R^T with R = d^J(pi/2) on every J shell
+(angular.wigner_d_half_pi); `coupling_block` builds it directly and serves
+as the test oracle.  Block (K, -m) is S (K, m) S with S = diag((-1)^J), and
+the K and -K blocks are related the same way, so K, m >= 0 suffice.
 
-    Omega = -D^{2*}_{0,0} + sqrt(3/2) (D^{2*}_{-2,0} + D^{2*}_{2,0})
-          = 3 cos^2(beta) - 1,          cos(beta) = x_hat . r_hat,
+* Alignment needs no rotation.  The thermal list holds whole degenerate
+  levels, so the initial mixture is isotropic and may be resolved into
+  pulse-frame states |J0 K m0>; free evolution depends only on (J, K) and
+  commutes with rotations; and cos^2 theta about the first pulse is
+  (1 + Omega)/3, diagonal in m.
+* The two-pulse delay curve rotates only where it must.  The second pulse
+  is tilted by dphi about z, |J,K,M> -> e^{i M dphi} |J,K,M>, which the
+  pulse frame sees as Theta^J = d^T e^{i M dphi} d per J shell.  The lab
+  J_z observed after it is d^T M d = -J_x there, and J^2 is unchanged.
+  Free flight multiplies each J shell by e^{-i e tau}, so with the rank-n
+  thermal state after pulse 1 every stationary observable reduces to
+  amplitudes g_{J,J'} of the beats e_J - e_J': (J_max + 1)^2 of them per
+  trace, summed over blocks before grouping.  No lab-frame block matrix is
+  formed.
+* Basis truncation is checked per initial state: the population within
+  HEADROOM_BAND of J_max after pulse 1, and after pulse 2 at every delay of
+  the output grid (the same contraction with the band projector, per state).
 
-whose matrix elements (products of two 3j symbols) obey Delta-K = 0 and
-Delta-M in {0, +-2}; an impulsive pulse of strength P applies
-U = exp(i (P/3) Omega), equal to exp(i P cos^2 beta) up to a global phase.
-The matrix is block-diagonal in (K, parity of M); blocks are diagonalized
-once and reused for every initial state, delay and observable.
-
-A second pulse tilted by dphi about z composes through the frame transform
-|J,K,M> -> e^{i M dphi} |J,K,M>:
-
-    B(tau) = sum_{r'} C_{ri,r'} C'_{r',r} e^{-i(e'-e) tau} e^{i(M'-M) dphi},
-
-evaluable for any tau from one solve.  The alignment factor about the first
-pulse is the operator (1 + Omega)/3; the oriented angular momentum is J_z
-(the classical-frame L_y).  Contributions of the K and -K blocks are equal
-(they are related by the similarity diag((-1)^J)), so only K >= 0 blocks are
-evaluated, with doubled weight for K > 0.
+`SymTopBasis` and `coupling_block` stay as the lab-frame reference: the
+tests build their propagator oracle on them (tests/symtop_oracle.py).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import angular
-from .core import (IntegrationError, MoleculeParams, ParameterError,
-                   PulseSpec, TruncationError, TWO_PI, sigma_th)
+from .core import (MoleculeParams, ParameterError, PulseSpec, TruncationError,
+                   TWO_PI, sigma_th)
 from .ensemble import TimeSeries
-from .spectral import SpectralTrace, accumulate_pattern
+from .spectral import SpectralTrace
 
 HEADROOM_BAND = 4
 HEADROOM_TOL = 1e-10
@@ -140,137 +148,6 @@ def coupling_block(basis: SymTopBasis, key) -> np.ndarray:
     return mat
 
 
-def coupling_matrix(basis: SymTopBasis) -> np.ndarray:
-    """Full dense Omega matrix (tests and small bases only)."""
-    out = np.zeros((basis.size, basis.size))
-    for key in basis.block_keys():
-        idx = basis.block_indices(*key)
-        out[np.ix_(idx, idx)] = coupling_block(basis, key)
-    return out
-
-
-def alignment_block(basis: SymTopBasis, key, omega=None) -> np.ndarray:
-    """cos^2 of the angle to the first-pulse axis: (1 + Omega)/3.
-
-    omega, when given, is the block's coupling matrix, already built.
-    """
-    if omega is None:
-        omega = coupling_block(basis, key)
-    return (np.eye(len(omega)) + omega) / 3.0
-
-
-@dataclass
-class BlockSolution:
-    """Eigen-factorized impulsive propagator on one block: U = V e^{i(P/3)lam} V^T."""
-
-    key: tuple
-    idx: np.ndarray
-    V: np.ndarray
-    lam: np.ndarray
-    P: float
-
-    def U(self) -> np.ndarray:
-        phase = np.exp(1j * (self.P / 3.0) * self.lam)
-        return (self.V * phase) @ self.V.T
-
-    def apply(self, cols: np.ndarray) -> np.ndarray:
-        """U @ cols without materializing U."""
-        phase = np.exp(1j * (self.P / 3.0) * self.lam)
-        return self.V @ (phase[:, None] * (self.V.T @ cols))
-
-
-class PulseSolution:
-    """Single-pulse amplitude matrix C_{ri,r}, stored block by block."""
-
-    def __init__(self, basis: SymTopBasis, pulse: PulseSpec, blocks: dict):
-        self.basis = basis
-        self.pulse = pulse
-        self.blocks = blocks       # key -> BlockSolution or dense U (finite pulses)
-
-    def block_U(self, key) -> np.ndarray:
-        b = self.blocks[key]
-        return b.U() if isinstance(b, BlockSolution) else b
-
-    def row(self, J: int, K: int, M: int) -> np.ndarray:
-        """One amplitude row C_{ri, r} over the full basis."""
-        i = self.basis.index(J, K, M)
-        key = (K, abs(M) % 2)
-        idx = self.basis.block_indices(*key)
-        local = int(np.flatnonzero(idx == i)[0])
-        out = np.zeros(self.basis.size, dtype=complex)
-        out[idx] = self.block_U(key)[:, local]
-        return out
-
-
-def solve_pulse(basis: SymTopBasis, pulse: PulseSpec,
-                block_keys=None) -> PulseSolution:
-    """Propagator of one x-polarized pulse on each (K, M-parity) block.
-
-    Impulsive pulses (duration 0) are the matrix exponential of the coupling
-    block; finite pulses integrate the coupled coefficient equations with a
-    Gaussian envelope of the given FWHM (same integrated strength P).
-    """
-    keys = block_keys if block_keys is not None else basis.block_keys()
-    blocks = {}
-    for key in keys:
-        idx = basis.block_indices(*key)
-        omega = coupling_block(basis, key)
-        if pulse.duration == 0.0:
-            lam, V = np.linalg.eigh(omega)
-            blocks[key] = BlockSolution(key, idx, V, lam, pulse.P)
-        else:
-            blocks[key] = _finite_pulse_block(basis, idx, omega, pulse)
-    return PulseSolution(basis, pulse, blocks)
-
-
-def _finite_pulse_block(basis: SymTopBasis, idx: np.ndarray, omega: np.ndarray,
-                        pulse: PulseSpec) -> np.ndarray:
-    """Full finite-pulse propagator on one block (columns = basis states)."""
-    from .quantum_linear import gaussian_envelope
-
-    e = basis.energies[idx]
-    g = gaussian_envelope(pulse.P / 3.0, pulse.duration)
-    span = 4.0 * pulse.duration
-    nb = len(idx)
-
-    def rhs(t, y):
-        c = y.view(complex).reshape(nb, nb)
-        ph = np.exp(-1j * e * t)
-        dc = 1j * g(t) * (np.conj(ph)[:, None] * (omega @ (ph[:, None] * c)))
-        return dc.reshape(-1).view(float)
-
-    y0 = np.eye(nb, dtype=complex).reshape(-1).view(float)
-    sol = solve_ivp(rhs, (-span, span), y0, method="DOP853", rtol=1e-8, atol=1e-10)
-    if not sol.success:
-        raise IntegrationError(
-            f"pulse integration failed at t = {sol.t[-1]:.6g}: {sol.message}")
-    return sol.y[:, -1].copy().view(complex).reshape(nb, nb)
-
-
-def compose_two_pulses(sol1: PulseSolution, sol2: PulseSolution | None,
-                       tau: float, dphi: float) -> dict:
-    """Two-pulse amplitude blocks B(tau) for a delay tau (dimensionless).
-
-    sol2 = None means the second pulse is a replica of the first.  The tilt
-    enters as the diagonal frame-transform phase e^{i(M'-M) dphi} applied per
-    intermediate state; amplitudes refer to the convention
-    Psi(t) = sum_r B_r exp(-i e_r t)|r>.
-    """
-    sol2 = sol2 or sol1
-    basis = sol1.basis
-    out = {}
-    for key, b1 in sol1.blocks.items():
-        idx = b1.idx if isinstance(b1, BlockSolution) else basis.block_indices(*key)
-        e = basis.energies[idx]
-        M = basis.M[idx]
-        U1 = sol1.block_U(key)
-        U2 = sol2.block_U(key)
-        d_mid = np.exp(-1j * e * tau + 1j * M * dphi)
-        d_out = np.exp(1j * e * tau - 1j * M * dphi)
-        out[key] = (U1.T * d_mid) @ U2.T * d_out[None, :]
-    return out
-
-
 def symtop_thermal_states(mol: MoleculeParams, T_K: float, g_ns=None,
                           cutoff: float = WEIGHT_CUTOFF):
     """Initial (J, K, M, weight) list covering >= cutoff of the Boltzmann sum.
@@ -324,108 +201,145 @@ def default_J_max(pulses, J0_max: int) -> int:
     return 10 + math.ceil(4.0 * p_max) + J0_max
 
 
-def _check_headroom(basis: SymTopBasis, idx: np.ndarray, psi: np.ndarray):
-    band = basis.J[idx] > basis.J_max - HEADROOM_BAND
-    if not np.any(band):
-        return 0.0
-    tail = float((np.abs(psi[band, :]) ** 2).sum(axis=0).max())
-    if tail > HEADROOM_TOL:
-        raise TruncationError(
-            f"population {tail:.2e} within {HEADROOM_BAND} of J_max={basis.J_max}; "
-            "increase J_max")
-    return tail
+# ---- pulse-frame engine ------------------------------------------------------
 
 
-def _block_sparse_op(basis: SymTopBasis, key, name: str, omega=None):
-    """Local COO triplets of an observable on one block (omega: see alignment_block)."""
-    idx = basis.block_indices(*key)
-    if name == "cos2theta":
-        mat = alignment_block(basis, key, omega)
-        rows, cols = np.nonzero(mat)
-        return rows, cols, mat[rows, cols].astype(complex)
-    if name == "Ly":        # J_z of the propagation frame = classical L_y
-        n = np.arange(len(idx))
-        return n, n, basis.M[idx].astype(complex)
-    if name == "L2":
-        n = np.arange(len(idx))
-        return n, n, (basis.J[idx] * (basis.J[idx] + 1)).astype(complex)
-    raise ParameterError(f"unknown symtop observable {name!r}")
+def _pulse_frame_blocks(J_max: int, K: int) -> np.ndarray:
+    """Omega about the pulse axis on every (K, m >= 0) block, zero-padded.
 
-
-def _fold_keys(basis: SymTopBasis):
-    """(key, weight-multiplier) pairs exploiting the K <-> -K symmetry."""
-    out = []
-    for key in basis.block_keys(K_values=range(0, basis.K_limit + 1)):
-        out.append((key, 1.0 if key[0] == 0 else 2.0))
+    Entry [m, J' - |K|, J - |K|] is <J' K m|2 D^{2*}_{0,0}|J K m> (see
+    angular.symtop_d2_element) for J, J' = |K|..J_max; it is pentadiagonal
+    in J and vanishes wherever J or J' < m.
+    """
+    Js = np.arange(abs(K), J_max + 1)
+    n = len(Js)
+    m = np.arange(J_max + 1)[:, None]
+    sign = np.where((m - K) % 2 == 1, -1.0, 1.0)
+    out = np.zeros((J_max + 1, n, n))
+    for dJ in (0, 1, 2):
+        i = np.arange(n - dJ)
+        J = Js[i]
+        v = (2.0 * np.sqrt((2.0 * J + 2 * dJ + 1) * (2.0 * J + 1)) * sign
+             * angular.wigner3j_array(J + dJ, 2, J, m, 0, -m)
+             * angular.wigner3j_array(J + dJ, 2, J, K, 0, -K))
+        out[:, i + dJ, i] = v
+        out[:, i, i + dJ] = v
     return out
 
 
-def _initial_in_block(basis: SymTopBasis, key, states):
-    """Local indices and weights of thermal states living in one block."""
-    idx = basis.block_indices(*key)
-    lookup = {int(g): n for n, g in enumerate(idx)}
-    locs, ws = [], []
-    for (J, K, M, w) in states:
-        if K == key[0] and abs(M) % 2 == key[1]:
-            locs.append(lookup[basis.index(J, K, M)])
-            ws.append(w)
-    return np.array(locs, dtype=int), np.array(ws)
+def _kicks(omega: np.ndarray, K: int, strengths, n_m: int) -> np.ndarray:
+    """exp(i (P/3) Omega) on the blocks m = 0..n_m-1, one stack per P."""
+    n = omega.shape[1]
+    out = np.zeros((len(strengths), n_m, n, n), dtype=complex)
+    for m in range(n_m):
+        lo = max(m - K, 0)
+        lam, W = np.linalg.eigh(omega[m, lo:, lo:])
+        for U, P in zip(out, strengths):
+            U[m, lo:, lo:] = (W * np.exp(1j * (P / 3.0) * lam)) @ W.T
+    return out
 
 
-def thermal_expectation(b_blocks: dict, basis: SymTopBasis, observable: str,
-                        states, t_grid_trev) -> np.ndarray:
-    """Post-pulse-2 expectation trace from composed amplitude blocks.
+def _frame_tables(J_max: int, dphi: float, m0_top: int):
+    """The tilt and the lab J_z seen from the pulse frame, from d^J(pi/2).
 
-    b_blocks maps block keys to B(tau) matrices whose rows span the block;
-    `states` is the thermal (J, K, M, weight) list.  When only K >= 0 blocks
-    are present, K > 0 contributions are doubled (the K <-> -K fold);
-    otherwise every block counts once.  Times are absolute (pulse 1 at
-    t = 0), in T_rev units, matching compose_two_pulses' phase convention.
+    tilt[J, m + J_max, m0] = (d^T e^{i M dphi} d)^J_{m, m0} for m0 < m0_top;
+    jz_up[m + J_max, J] = (d^T M d)^J_{m, m+1}.  d^T J_z d is -J_x, so that
+    band and its mirror are all of the lab J_z there.
     """
-    folded = not any(key[0] < 0 for key in b_blocks)
-    trace = SpectralTrace()
-    for key, B in b_blocks.items():
-        mult = 2.0 if (folded and key[0] > 0) else 1.0
-        locs, ws = _initial_in_block(basis, key, states)
-        if not len(locs):
-            continue
-        idx = basis.block_indices(*key)
-        rows, cols, vals = _block_sparse_op(basis, key, observable)
-        psi = B[locs, :].T.copy()
-        accumulate_pattern(trace, rows, cols, vals, basis.energies[idx],
-                           psi, ws, scale=mult)
-    return trace.evaluate(np.asarray(t_grid_trev) * TWO_PI)
+    n_m = 2 * J_max + 1
+    tilt = np.zeros((J_max + 1, n_m, m0_top), dtype=complex)
+    jz_up = np.zeros((n_m - 1, J_max + 1))
+    for J, d in enumerate(angular.wigner_d_half_pi(J_max)):
+        M = np.arange(-J, J + 1)
+        k = min(J + 1, m0_top)
+        tilt[J, J_max - J:J_max + J + 1, :k] = d.T @ (np.exp(1j * M * dphi)[:, None]
+                                                      * d[:, J:J + k])
+        jz_up[J_max - J:J_max + J, J] = np.einsum("ij,i,ij->j", d[:, :-1], M, d[:, 1:])
+    return tilt, jz_up
 
 
-def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
-                    J_max: int | None = None, g_ns=None) -> TimeSeries:
-    """Thermal <cos^2 theta>(t) about the first-pulse axis after one pulse."""
+def _thermal_setup(mol: MoleculeParams, T_K: float, strengths, J_max, g_ns):
+    """Thermal levels {K >= 0: [(J0, weight)]}, the basis cut-off and base meta."""
     states, trunc = symtop_thermal_states(mol, T_K, g_ns)
     J0 = max(s[0] for s in states)
     K_lim = max(abs(s[1]) for s in states)
     if J_max is None:
-        J_max = default_J_max([PulseSpec.along(P1, (1, 0, 0))], J0)
-    basis = SymTopBasis(J_max, mol.i1_over_i3, K_limit=K_lim)
-    times = np.asarray(times_trev, dtype=float)
-    trace = SpectralTrace()
-    tail = 0.0
-    for key, mult in _fold_keys(basis):
-        locs, ws = _initial_in_block(basis, key, states)
-        if not len(locs):
-            continue
-        idx = basis.block_indices(*key)
-        omega = coupling_block(basis, key)
-        lam, V = np.linalg.eigh(omega)
-        phase = np.exp(1j * (P1 / 3.0) * lam)
-        psi1 = V @ (phase[:, None] * V.T[:, locs])
-        tail = max(tail, _check_headroom(basis, idx, psi1))
-        rows, cols, vals = _block_sparse_op(basis, key, "cos2theta", omega)
-        accumulate_pattern(trace, rows, cols, vals, basis.energies[idx],
-                           psi1, ws, scale=mult)
-    values = trace.evaluate(times * TWO_PI)
+        J_max = default_J_max([PulseSpec.along(P, (1, 0, 0)) for P in strengths], J0)
+    if J_max < J0:
+        raise ParameterError(f"J_max={J_max} is below the thermal J={J0}")
+    levels: dict = {}
+    for J, K, M, w in states:           # one entry per degenerate level
+        if K >= 0 and M == 0:
+            levels.setdefault(K, []).append((J, w))
     meta = {"J_max": J_max, "K_limit": K_lim, "weight_truncation": trunc,
-            "headroom_tail": tail, "n_initial_states": len(states),
+            "n_initial_states": len(states),
             "g_ns": "uniform" if g_ns is None else "custom"}
+    return levels, J_max, meta
+
+
+def _band_tail(pop_band: np.ndarray, J_max: int, stage: str) -> float:
+    tail = float(pop_band.max(initial=0.0))
+    if tail > HEADROOM_TOL:
+        raise TruncationError(
+            f"population {tail:.2e} within {HEADROOM_BAND} of J_max={J_max} "
+            f"{stage}; increase J_max")
+    return tail
+
+
+def _first_kick(K: int, levels, J_max: int, strengths, n_m: int | None = None):
+    """The thermal states of one K as pulse-frame states after the first kick.
+
+    A whole level is isotropic, so it may be resolved along the pulse axis
+    into |J0 K m0>; m0 and -m0 (like K and -K) contribute alike, so m0 >= 0
+    carry doubled weights.  Returns the (K, m) blocks of Omega, their kicks
+    (one stack per strength, m = 0..n_m-1, by default up to the largest m0),
+    m0, the weights, the amplitudes psi (states x J, J = K..J_max) and the
+    largest per-state population within HEADROOM_BAND of J_max.
+    """
+    J0, m0, w = (np.array(c) for c in zip(*[
+        (J, m, wt * (2.0 if m else 1.0) * (2.0 if K else 1.0))
+        for J, wt in levels for m in range(J + 1)]))
+    J0, m0 = J0.astype(int), m0.astype(int)
+    omega = _pulse_frame_blocks(J_max, K)
+    kicks = _kicks(omega, K, strengths, int(m0.max()) + 1 if n_m is None else n_m)
+    psi = kicks[0][m0, :, J0 - K]
+    tail = _band_tail((np.abs(psi[:, -HEADROOM_BAND:]) ** 2).sum(axis=1), J_max,
+                      "after pulse 1")
+    return omega, kicks, m0, w, psi, tail
+
+
+def _beat_freqs(J_max: int) -> np.ndarray:
+    """e(J1, K) - e(J2, K) for J1, J2 = 0..J_max: the same for every K."""
+    eps = np.arange(J_max + 1) * (np.arange(J_max + 1) + 1.0) / 2.0
+    return eps[:, None] - eps[None, :]
+
+
+def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
+                    J_max: int | None = None, g_ns=None) -> TimeSeries:
+    """Thermal <cos^2 theta>(t) about the first-pulse axis after one pulse.
+
+    Computed in the pulse frame, where cos^2 theta = (1 + Omega)/3 and the
+    kick are both diagonal in m: no rotation is needed.
+    """
+    levels, J_max, meta = _thermal_setup(mol, T_K, (P1,), J_max, g_ns)
+    freqs = _beat_freqs(J_max)
+    amp = np.zeros((J_max + 1, J_max + 1), dtype=complex)
+    tail, n_blocks = 0.0, 0
+    for K, lev in levels.items():
+        omega, (U1,), m0, w, psi, tail_K = _first_kick(K, lev, J_max, (P1,))
+        n_blocks += U1.shape[0]
+        tail = max(tail, tail_K)
+        op = (np.eye(omega.shape[1]) + omega[m0]) / 3.0
+        amp[K:, K:] += np.einsum("sij,si,sj->ij", op, np.conj(psi) * w[:, None], psi)
+    # (1 + Omega)/3 couples |J - J'| <= 2 only
+    beat = np.abs(np.subtract.outer(np.arange(J_max + 1), np.arange(J_max + 1))) <= 2
+    trace = SpectralTrace()
+    trace.add(freqs[beat], amp[beat])
+    times = np.asarray(times_trev, dtype=float)
+    values = trace.evaluate(times * TWO_PI)
+    meta.update(headroom_tail=tail, headroom_tail_pulse1=tail, n_blocks=n_blocks,
+                max_block_dim=J_max + 1 - min(levels),
+                distinct_freqs=len(np.unique(freqs[beat])))
     return TimeSeries(grid=times, channels={"cos2theta": values}, meta=meta)
 
 
@@ -437,54 +351,61 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
     Channels: Ly (= <J_z>, the classical-frame L_y), L2 (= <J^2>) and
     Ly_norm = Ly/sqrt(L2); dphi is the tilt of the second pulse about the
     propagation axis in radians (the classical-frame angle of p2 from z).
+    Raises TruncationError if any initial state puts more than HEADROOM_TOL
+    within HEADROOM_BAND of J_max after pulse 1, or after pulse 2 at any tau.
     """
-    states, trunc = symtop_thermal_states(mol, T_K, g_ns)
-    J0 = max(s[0] for s in states)
-    K_lim = max(abs(s[1]) for s in states)
-    if J_max is None:
-        J_max = default_J_max([PulseSpec.along(P1, (1, 0, 0)),
-                               PulseSpec.along(P2, (1, 0, 0))], J0)
-    basis = SymTopBasis(J_max, mol.i1_over_i3, K_limit=K_lim)
+    levels, J_max, meta = _thermal_setup(mol, T_K, (P1, P2), J_max, g_ns)
     taus = np.asarray(taus_trev, dtype=float) * TWO_PI
+    freqs = _beat_freqs(J_max)
+    distinct = np.unique(freqs)
+    m0_top = max(J for lev in levels.values() for J, _ in lev) + 1
+    tilt, jz_up = _frame_tables(J_max, dphi, m0_top)
+    g_Ly = np.zeros((J_max + 1, J_max + 1), dtype=complex)
+    g_L2 = np.zeros_like(g_Ly)
+    band_amps = []                      # per state: band population by frequency
+    tail1, n_blocks = 0.0, 0
+    for K, lev in levels.items():
+        _, (_, U2), m0, w, psi, tail_K = _first_kick(K, lev, J_max, (P1, P2), J_max + 1)
+        n_blocks += J_max + 1
+        tail1 = max(tail1, tail_K)
+        Js = np.arange(K, J_max + 1)
+        # block -m is S (block m) S with S = (-1)^J; stack m = -J_max..J_max
+        S = np.where(Js % 2 == 1, -1.0, 1.0)
+        U2 = np.concatenate([U2[:0:-1] * np.outer(S, S), U2])
+        # pulse-2 frame amplitudes at each delay, before the phase e^{-i e_J tau}
+        Z = (tilt[Js][:, :, m0] * psi.T[:, None, :]).transpose(1, 2, 0)  # (m, s, J)
+        Zw = np.conj(Z).transpose(0, 2, 1) * w
+        U2h = np.conj(U2).transpose(0, 2, 1)
+        a = Js * (Js + 1.0)
+        g_L2[K:, K:] += np.einsum("mij,mij->ij", U2h @ (a[:, None] * U2), Zw @ Z)
+        up = np.einsum("mij,mij->ij", U2h[:-1] @ (jz_up[:, Js][:, :, None] * U2[1:]),
+                       Zw[:-1] @ Z[1:])
+        g_Ly[K:, K:] += up + up.conj().T
+        # per-state population of the top J rows after pulse 2, by frequency
+        Y = U2[:, None, -HEADROOM_BAND:, :] * Z[:, :, None, :]
+        Y = Y.transpose(1, 0, 2, 3).reshape(len(w), -1, len(Js))
+        pop = np.conj(Y).transpose(0, 2, 1) @ Y                          # (s, J, J')
+        size = len(w) * len(distinct)
+        key = (np.searchsorted(distinct, freqs[K:, K:]).ravel()
+               + len(distinct) * np.arange(len(w))[:, None]).ravel()
+        rows = (np.bincount(key, pop.real.ravel(), size)
+                + 1j * np.bincount(key, pop.imag.ravel(), size))
+        band_amps.append(rows.reshape(len(w), -1))
+    band_amps = np.concatenate(band_amps)
+    tail2 = 0.0
+    for start in range(0, len(taus), 256):
+        phases = np.exp(1j * np.outer(distinct, taus[start:start + 256]))
+        tail2 = max(tail2, _band_tail(np.real(band_amps @ phases), J_max,
+                                      "after pulse 2"))
     traces = {"Ly": SpectralTrace(), "L2": SpectralTrace()}
-    tail = 0.0
-    for key, mult in _fold_keys(basis):
-        locs, ws = _initial_in_block(basis, key, states)
-        if not len(locs):
-            continue
-        idx = basis.block_indices(*key)
-        e = basis.energies[idx]
-        M = basis.M[idx]
-        omega = coupling_block(basis, key)
-        lam, V = np.linalg.eigh(omega)
-        ph1 = np.exp(1j * (P1 / 3.0) * lam)
-        psi1 = V @ (ph1[:, None] * V.T[:, locs])          # (nb, ni)
-        tail = max(tail, _check_headroom(basis, idx, psi1))
-        F = (psi1 * ws) @ psi1.conj().T                    # thermal rho after pulse 1
-        ph2 = np.exp(1j * (P2 / 3.0) * lam)
-        # post-second-kick headroom, sampled at the scan-window extremes
-        for t_probe in (taus[0], taus[len(taus) // 2], taus[-1]):
-            arrive = np.exp(-1j * e * t_probe + 1j * M * dphi)[:, None] * psi1
-            psi2 = V @ (ph2[:, None] * (V.T @ arrive))
-            tail = max(tail, _check_headroom(basis, idx, psi2))
-        pair_phase = np.conj(ph2)[:, None] * ph2[None, :]
-        m_phase = np.exp(-1j * M * dphi)
-        tilt = m_phase[:, None] * np.conj(m_phase)[None, :]   # e^{-i(M-M')dphi}
-        weight = mult * tilt * F.T
-        freqs = (e[:, None] - e[None, :]).ravel()
-        for name, a in (("Ly", M), ("L2", basis.J[idx] * (basis.J[idx] + 1))):
-            mid = (V.T * a) @ V                            # V^T diag(a) V, real
-            # U2^dag diag(a) U2 = V (mid * pair_phase) V^T; V is real, so the
-            # real and imaginary parts each take two real products
-            s_mat = (V @ (mid * pair_phase.real) @ V.T
-                     + 1j * (V @ (mid * pair_phase.imag) @ V.T))
-            traces[name].add(freqs, (s_mat * weight).ravel())
+    traces["Ly"].add(freqs.ravel(), g_Ly.ravel())
+    traces["L2"].add(freqs.ravel(), g_L2.ravel())
     Ly = traces["Ly"].evaluate(taus)
     L2 = traces["L2"].evaluate(taus)
     with np.errstate(invalid="ignore", divide="ignore"):
         norm = np.where(L2 > 0, Ly / np.sqrt(L2), 0.0)
-    meta = {"J_max": J_max, "K_limit": K_lim, "weight_truncation": trunc,
-            "headroom_tail": tail, "dphi": dphi,
-            "g_ns": "uniform" if g_ns is None else "custom"}
+    meta.update(headroom_tail=max(tail1, tail2), headroom_tail_pulse1=tail1,
+                headroom_tail_pulse2=tail2, dphi=dphi, n_blocks=n_blocks,
+                max_block_dim=J_max + 1 - min(levels), distinct_freqs=len(distinct))
     return TimeSeries(grid=np.asarray(taus_trev, dtype=float),
                       channels={"Ly": Ly, "L2": L2, "Ly_norm": norm}, meta=meta)

@@ -11,7 +11,7 @@ import pytest
 
 from propeller_sim import EnsembleConfig, PulseSpec, benzene, nitrogen
 from propeller_sim.ensemble import delay_scan, run_protocol
-from propeller_sim import quantum_linear, quantum_symtop
+from propeller_sim import quantum_symtop
 
 SCAN_TREV = 1.0 / 2000.0
 FINE_TAUS = np.arange(0.0, 0.15 + 0.5 * SCAN_TREV, SCAN_TREV)

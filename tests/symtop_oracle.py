@@ -1,0 +1,204 @@
+"""Lab-frame block chain for the symmetric top: the tests' oracle.
+
+Propagators are built directly in the propagation frame (z along the
+light, first pulse along x) on the (K, M-parity) blocks of
+`quantum_symtop.coupling_block`, by dense eigendecomposition (impulsive
+pulses) or by integrating the coefficient equations (finite pulses).  A
+second pulse tilted by dphi about z composes through the frame transform
+|J,K,M> -> e^{i M dphi} |J,K,M>:
+
+    B(tau) = sum_{r'} C_{ri,r'} C'_{r',r} e^{-i(e'-e) tau} e^{i(M'-M) dphi}.
+
+The engine in `quantum_symtop` computes the same traces in the pulse frame;
+the two agree to rounding on any truncated basis.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from propeller_sim.core import IntegrationError, ParameterError, PulseSpec, TWO_PI
+from propeller_sim.quantum_linear import gaussian_envelope
+from propeller_sim.quantum_symtop import SymTopBasis, coupling_block
+from propeller_sim.spectral import SpectralTrace, accumulate_pattern
+
+
+def coupling_matrix(basis: SymTopBasis) -> np.ndarray:
+    """Full dense Omega matrix (tests and small bases only)."""
+    out = np.zeros((basis.size, basis.size))
+    for key in basis.block_keys():
+        idx = basis.block_indices(*key)
+        out[np.ix_(idx, idx)] = coupling_block(basis, key)
+    return out
+
+
+def alignment_block(basis: SymTopBasis, key) -> np.ndarray:
+    """cos^2 of the angle to the first-pulse axis: (1 + Omega)/3."""
+    omega = coupling_block(basis, key)
+    return (np.eye(len(omega)) + omega) / 3.0
+
+
+@dataclass
+class BlockSolution:
+    """Eigen-factorized impulsive propagator on one block: U = V e^{i(P/3)lam} V^T."""
+
+    key: tuple
+    idx: np.ndarray
+    V: np.ndarray
+    lam: np.ndarray
+    P: float
+
+    def U(self) -> np.ndarray:
+        phase = np.exp(1j * (self.P / 3.0) * self.lam)
+        return (self.V * phase) @ self.V.T
+
+    def apply(self, cols: np.ndarray) -> np.ndarray:
+        """U @ cols without materializing U."""
+        phase = np.exp(1j * (self.P / 3.0) * self.lam)
+        return self.V @ (phase[:, None] * (self.V.T @ cols))
+
+
+class PulseSolution:
+    """Single-pulse amplitude matrix C_{ri,r}, stored block by block."""
+
+    def __init__(self, basis: SymTopBasis, pulse: PulseSpec, blocks: dict):
+        self.basis = basis
+        self.pulse = pulse
+        self.blocks = blocks       # key -> BlockSolution or dense U (finite pulses)
+
+    def block_U(self, key) -> np.ndarray:
+        b = self.blocks[key]
+        return b.U() if isinstance(b, BlockSolution) else b
+
+    def row(self, J: int, K: int, M: int) -> np.ndarray:
+        """One amplitude row C_{ri, r} over the full basis."""
+        i = self.basis.index(J, K, M)
+        key = (K, abs(M) % 2)
+        idx = self.basis.block_indices(*key)
+        local = int(np.flatnonzero(idx == i)[0])
+        out = np.zeros(self.basis.size, dtype=complex)
+        out[idx] = self.block_U(key)[:, local]
+        return out
+
+
+def solve_pulse(basis: SymTopBasis, pulse: PulseSpec,
+                block_keys=None) -> PulseSolution:
+    """Propagator of one x-polarized pulse on each (K, M-parity) block.
+
+    Impulsive pulses (duration 0) are the matrix exponential of the coupling
+    block; finite pulses integrate the coupled coefficient equations with a
+    Gaussian envelope of the given FWHM (same integrated strength P).
+    """
+    keys = block_keys if block_keys is not None else basis.block_keys()
+    blocks = {}
+    for key in keys:
+        idx = basis.block_indices(*key)
+        omega = coupling_block(basis, key)
+        if pulse.duration == 0.0:
+            lam, V = np.linalg.eigh(omega)
+            blocks[key] = BlockSolution(key, idx, V, lam, pulse.P)
+        else:
+            blocks[key] = _finite_pulse_block(basis, idx, omega, pulse)
+    return PulseSolution(basis, pulse, blocks)
+
+
+def _finite_pulse_block(basis: SymTopBasis, idx: np.ndarray, omega: np.ndarray,
+                        pulse: PulseSpec) -> np.ndarray:
+    """Full finite-pulse propagator on one block (columns = basis states)."""
+    e = basis.energies[idx]
+    g = gaussian_envelope(pulse.P / 3.0, pulse.duration)
+    span = 4.0 * pulse.duration
+    nb = len(idx)
+
+    def rhs(t, y):
+        c = y.view(complex).reshape(nb, nb)
+        ph = np.exp(-1j * e * t)
+        dc = 1j * g(t) * (np.conj(ph)[:, None] * (omega @ (ph[:, None] * c)))
+        return dc.reshape(-1).view(float)
+
+    y0 = np.eye(nb, dtype=complex).reshape(-1).view(float)
+    sol = solve_ivp(rhs, (-span, span), y0, method="DOP853", rtol=1e-8, atol=1e-10)
+    if not sol.success:
+        raise IntegrationError(
+            f"pulse integration failed at t = {sol.t[-1]:.6g}: {sol.message}")
+    return sol.y[:, -1].copy().view(complex).reshape(nb, nb)
+
+
+def compose_two_pulses(sol1: PulseSolution, sol2: PulseSolution | None,
+                       tau: float, dphi: float) -> dict:
+    """Two-pulse amplitude blocks B(tau) for a delay tau (dimensionless).
+
+    sol2 = None means the second pulse is a replica of the first.  The tilt
+    enters as the diagonal frame-transform phase e^{i(M'-M) dphi} applied per
+    intermediate state; amplitudes refer to the convention
+    Psi(t) = sum_r B_r exp(-i e_r t)|r>.
+    """
+    sol2 = sol2 or sol1
+    basis = sol1.basis
+    out = {}
+    for key, b1 in sol1.blocks.items():
+        idx = b1.idx if isinstance(b1, BlockSolution) else basis.block_indices(*key)
+        e = basis.energies[idx]
+        M = basis.M[idx]
+        U1 = sol1.block_U(key)
+        U2 = sol2.block_U(key)
+        d_mid = np.exp(-1j * e * tau + 1j * M * dphi)
+        d_out = np.exp(1j * e * tau - 1j * M * dphi)
+        out[key] = (U1.T * d_mid) @ U2.T * d_out[None, :]
+    return out
+
+
+def _block_sparse_op(basis: SymTopBasis, key, name: str):
+    """Local COO triplets of an observable on one block."""
+    idx = basis.block_indices(*key)
+    if name == "cos2theta":
+        mat = alignment_block(basis, key)
+        rows, cols = np.nonzero(mat)
+        return rows, cols, mat[rows, cols].astype(complex)
+    if name == "Ly":        # J_z of the propagation frame = classical L_y
+        n = np.arange(len(idx))
+        return n, n, basis.M[idx].astype(complex)
+    if name == "L2":
+        n = np.arange(len(idx))
+        return n, n, (basis.J[idx] * (basis.J[idx] + 1)).astype(complex)
+    raise ParameterError(f"unknown symtop observable {name!r}")
+
+
+def _initial_in_block(basis: SymTopBasis, key, states):
+    """Local indices and weights of thermal states living in one block."""
+    idx = basis.block_indices(*key)
+    lookup = {int(g): n for n, g in enumerate(idx)}
+    locs, ws = [], []
+    for (J, K, M, w) in states:
+        if K == key[0] and abs(M) % 2 == key[1]:
+            locs.append(lookup[basis.index(J, K, M)])
+            ws.append(w)
+    return np.array(locs, dtype=int), np.array(ws)
+
+
+def thermal_expectation(b_blocks: dict, basis: SymTopBasis, observable: str,
+                        states, t_grid_trev) -> np.ndarray:
+    """Post-pulse-2 expectation trace from composed amplitude blocks.
+
+    b_blocks maps block keys to B(tau) matrices whose rows span the block;
+    `states` is the thermal (J, K, M, weight) list.  When only K >= 0 blocks
+    are present, K > 0 contributions are doubled (the K <-> -K fold);
+    otherwise every block counts once.  Times are absolute (pulse 1 at
+    t = 0), in T_rev units, matching compose_two_pulses' phase convention.
+    """
+    folded = not any(key[0] < 0 for key in b_blocks)
+    trace = SpectralTrace()
+    for key, B in b_blocks.items():
+        mult = 2.0 if (folded and key[0] > 0) else 1.0
+        locs, ws = _initial_in_block(basis, key, states)
+        if not len(locs):
+            continue
+        idx = basis.block_indices(*key)
+        rows, cols, vals = _block_sparse_op(basis, key, observable)
+        psi = B[locs, :].T.copy()
+        accumulate_pattern(trace, rows, cols, vals, basis.energies[idx],
+                           psi, ws, scale=mult)
+    return trace.evaluate(np.asarray(t_grid_trev) * TWO_PI)

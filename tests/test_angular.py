@@ -6,7 +6,8 @@ from scipy.special import sph_harm_y
 from sympy.physics.wigner import wigner_3j as sympy_3j
 
 from propeller_sim.angular import (gaunt_y2, legendre_table, symtop_d2_element,
-                                   wigner3j, wigner3j_array, y2_components)
+                                   wigner3j, wigner3j_array, wigner_d_half_pi,
+                                   y2_components)
 
 
 class TestWigner3j:
@@ -58,6 +59,33 @@ class TestWigner3jArray:
 
     def test_empty(self):
         assert wigner3j_array([], 2, [], [], 0, []).shape == (0,)
+
+
+class TestWignerDHalfPi:
+    D = wigner_d_half_pi(70)
+
+    def test_unitary(self):
+        assert len(self.D) == 71
+        for J, d in enumerate(self.D):
+            assert d.shape == (2 * J + 1, 2 * J + 1)
+            assert np.max(np.abs(d @ d.T - np.eye(2 * J + 1))) <= 1e-13, J
+
+    def test_edge_row_closed_form(self):
+        # d^J_{J m}(pi/2) = (-1)^(J - m) sqrt(C(2J, J - m)) / 2^J
+        for J in (1, 2, 7, 30, 70):
+            m = np.arange(-J, J + 1)
+            ref = np.array([(-1.0) ** (J - k) * math.sqrt(math.comb(2 * J, J - k))
+                            for k in m]) / 2.0 ** J
+            assert np.max(np.abs(self.D[J][-1] - ref)) <= 1e-14, J
+
+    def test_rotates_jz_into_minus_jx(self):
+        # exp(i pi/2 J_y) J_z exp(-i pi/2 J_y) = -J_x, column by column
+        for J in (1, 5, 33, 70):
+            d = self.D[J]
+            m = np.arange(-J, J)
+            jx = np.diag(0.5 * np.sqrt(J * (J + 1.0) - m * (m + 1.0)), 1)
+            jx = jx + jx.T
+            assert np.max(np.abs(d.T @ (np.arange(-J, J + 1)[:, None] * d) + jx)) <= 1e-12, J
 
 
 class TestLegendreTable:

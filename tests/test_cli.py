@@ -1,6 +1,4 @@
 import json
-import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +187,39 @@ class TestOutputs:
         align = read_timeseries_csv(tmp_path / "alignment.csv")
         assert align.channels["cos2theta"].min() < 1 / 3
         assert (tmp_path / "delayscan.csv").exists()
+
+    def test_quantum_symtop_manifest_diagnostics(self, tmp_path):
+        assert run_cli("quantum-symtop", "--molecule", "benzene", "--temp-K", "0.9",
+                       "--P1", "-3", "--P2", "-2", "--angle-deg", "-45",
+                       "--t-max", "0.05", "--dt-out", "0.005",
+                       "--out", str(tmp_path)) == 0
+        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        assert set(m.truncation) == {"J_max", "J_max_two_pulse", "headroom_tail"}
+        diag = m.diagnostics["quantum_symtop"]
+        assert set(diag) == {"K_limit", "n_initial_states", "weight_truncation",
+                             "alignment", "delay_curve"}
+        assert diag["K_limit"] == 7 and diag["n_initial_states"] == 394
+        assert 0.0 < diag["weight_truncation"] < 1e-4
+        run_keys = {"J_max", "n_blocks", "max_block_dim", "headroom_tail_pulse1",
+                    "distinct_freqs"}
+        assert set(diag["alignment"]) == run_keys
+        assert set(diag["delay_curve"]) == run_keys | {"headroom_tail_pulse2"}
+        for name, J_max in (("alignment", m.truncation["J_max"]),
+                            ("delay_curve", m.truncation["J_max_two_pulse"])):
+            run = diag[name]
+            assert run["J_max"] == J_max and run["max_block_dim"] == J_max + 1
+            assert run["n_blocks"] > 0 and run["distinct_freqs"] > 0
+            assert 0.0 <= run["headroom_tail_pulse1"] <= 1e-10
+        assert diag["alignment"]["headroom_tail_pulse1"] == m.truncation["headroom_tail"]
+        assert 0.0 < diag["delay_curve"]["headroom_tail_pulse2"] <= 1e-10
+        assert not any(k.startswith("result_diagnostics") for k in m.config)
+
+    def test_quantum_symtop_headroom_exit_code(self, tmp_path):
+        code = run_cli("quantum-symtop", "--molecule", "benzene", "--temp-K", "0.9",
+                       "--l-max", "12", "--P1", "-4", "--P2", "-4",
+                       "--t-max", "0.05", "--dt-out", "0.005", "--out", str(tmp_path))
+        assert code == 3
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_preset_fig3a(self, tmp_path):
         assert run_cli("preset", "fig3a", "--n-traj", "500",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from propeller_sim.constants import PLANCK_H, SPEED_OF_LIGHT_CM
+from propeller_sim.constants import PLANCK_H
 from propeller_sim.core import (MoleculeParams, ParameterError,
                                 PulseSpec, benzene, moment_of_inertia, nitrogen,
                                 revival_time, sigma_th)

@@ -5,9 +5,8 @@ import pytest
 from scipy.special import sph_harm_y
 
 from propeller_sim.core import ParameterError, PulseSpec, TruncationError, nitrogen
-from propeller_sim.quantum_linear import (LinearBasis, WavePacket, expectation,
-                                          finite_pulse, free_evolve,
-                                          nitrogen_spin_weights, observe,
+from propeller_sim.quantum_linear import (LinearBasis, WavePacket, finite_pulse,
+                                          free_evolve, nitrogen_spin_weights, observe,
                                           sudden_kick, thermal_run, thermal_states)
 
 Z5 = PulseSpec(P=5.0, p=(0.0, 0.0, 1.0))

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from propeller_sim.angular import symtop_d2_element
-from propeller_sim.core import PulseSpec, benzene
+from propeller_sim import quantum_symtop
+from propeller_sim.angular import symtop_d2_element, wigner_d_half_pi
+from propeller_sim.core import ParameterError, PulseSpec, TruncationError, benzene
 from propeller_sim.quantum_linear import LinearBasis
-from propeller_sim.quantum_symtop import (SymTopBasis, alignment_block,
-                                          alignment_trace, compose_two_pulses,
-                                          coupling_block, coupling_matrix,
-                                          delay_curve, solve_pulse,
-                                          symtop_thermal_states,
-                                          thermal_expectation)
+from propeller_sim.quantum_symtop import (SymTopBasis, _pulse_frame_blocks,
+                                          alignment_trace, coupling_block,
+                                          delay_curve, symtop_thermal_states)
+from symtop_oracle import (alignment_block, compose_two_pulses, coupling_matrix,
+                           solve_pulse, thermal_expectation)
 
 BZ = benzene()
 
@@ -267,3 +267,128 @@ class TestThermal:
         da = delay_curve(BZ, 0.9, -1.0, -1.0, -math.pi / 4, taus, J_max=21)
         db = delay_curve(BZ, 0.9, -1.0, -1.0, -math.pi / 4, taus, J_max=42)
         assert np.max(np.abs(da.channels["Ly_norm"] - db.channels["Ly_norm"])) < 1e-6
+
+
+def _lab_from_pulse_frame(J_max, K):
+    """R Omega_z R^T on the whole K sector, R = d^J(pi/2) per J; (J, M) order."""
+    Js = np.arange(abs(K), J_max + 1)
+    om = _pulse_frame_blocks(J_max, K)
+    S = (-1.0) ** Js
+    start = np.concatenate([[0], np.cumsum(2 * Js + 1)])
+    pos = {J: start[i] + J for i, J in enumerate(Js)}       # row of (J, M = 0)
+    n = start[-1]
+    oz = np.zeros((n, n))
+    for m in range(-J_max, J_max + 1):
+        blk = om[m] if m >= 0 else S[:, None] * om[-m] * S[None, :]
+        for i, J1 in enumerate(Js):
+            for j, J2 in enumerate(Js):
+                if abs(m) <= min(J1, J2):
+                    oz[pos[J1] + m, pos[J2] + m] = blk[i, j]
+    R = np.zeros((n, n))
+    for J, d in zip(Js, wigner_d_half_pi(J_max)[abs(K):]):
+        R[pos[J] - J:pos[J] + J + 1, pos[J] - J:pos[J] + J + 1] = d
+    return R @ oz @ R.T, pos
+
+
+class TestPulseFrame:
+    @pytest.mark.parametrize("K", [0, 1, 3, -2, 8])
+    def test_blocks_match_scalar_elements(self, K):
+        # Omega about the pulse axis is 2 D2*_00, diagonal in m
+        jm = 8
+        om = _pulse_frame_blocks(jm, K)
+        Js = range(abs(K), jm + 1)
+        for m in range(jm + 1):
+            ref = np.array([[2 * symtop_d2_element(Jp, m, J, m, K, 0)
+                             if m <= min(J, Jp) else 0.0 for J in Js] for Jp in Js])
+            assert np.max(np.abs(om[m] - ref)) <= 1e-13, m
+
+    def test_rotation_gives_coupling_block(self):
+        # D Omega_z D^T is the x-polarized coupling on every (K, M-parity) block,
+        # and it never couples the two M parities
+        jm = 12
+        b = SymTopBasis(jm)
+        for K in range(-jm, jm + 1):
+            lab, pos = _lab_from_pulse_frame(jm, K)
+            rows = {p: [pos[int(J)] + int(M) for J, M in
+                        zip(b.J[b.block_indices(K, p)], b.M[b.block_indices(K, p)])]
+                    for p in (0, 1)}
+            for p in (0, 1):
+                ref = coupling_block(b, (K, p))
+                assert np.max(np.abs(lab[np.ix_(rows[p], rows[p])] - ref)) <= 1e-13, (K, p)
+            assert np.max(np.abs(lab[np.ix_(rows[0], rows[1])]), initial=0.0) <= 1e-13
+
+
+@pytest.fixture
+def no_headroom_gate(monkeypatch):
+    # the oracle comparison is exact on any truncated basis, so a strong kick
+    # at J_max = 10 is a fair test even though it fills the top of the basis
+    monkeypatch.setattr(quantum_symtop, "HEADROOM_TOL", math.inf)
+
+
+class TestAgainstBlockOracle:
+    """Pulse-frame engine vs the lab-frame solve/compose/expectation chain."""
+
+    JM = 10
+
+    def _oracle(self, T_K, P1, P2):
+        states, _ = symtop_thermal_states(BZ, T_K)
+        K_lim = max(abs(s[1]) for s in states)
+        b = SymTopBasis(self.JM, BZ.i1_over_i3, K_limit=K_lim)
+        sol1 = solve_pulse(b, PulseSpec(P=P1, p=(1.0, 0, 0)))
+        sol2 = solve_pulse(b, PulseSpec(P=P2, p=(1.0, 0, 0)))
+        return states, b, sol1, sol2
+
+    def test_alignment_trace(self, no_headroom_gate):
+        times = np.array([0.0, 0.004, 0.013, 0.05, 0.21, 0.5, 0.77])
+        states, b, sol1, sol0 = self._oracle(0.9, -3.0, 0.0)
+        ref = thermal_expectation(compose_two_pulses(sol1, sol0, 0.0, 0.0), b,
+                                  "cos2theta", states, times)
+        got = alignment_trace(BZ, 0.9, -3.0, times, J_max=self.JM)
+        assert np.max(np.abs(got.channels["cos2theta"] - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("dphi", [-math.pi / 4, 0.3])
+    def test_delay_curve(self, no_headroom_gate, dphi):
+        taus = np.array([0.0, 0.013, 0.05, 0.11, 0.5])
+        states, b, sol1, sol2 = self._oracle(0.9, -3.0, -2.0)
+        got = delay_curve(BZ, 0.9, -3.0, -2.0, dphi, taus, J_max=self.JM)
+        for k, tau in enumerate(taus):
+            blocks = compose_two_pulses(sol1, sol2, 2 * math.pi * tau, dphi)
+            for name in ("Ly", "L2"):
+                ref = thermal_expectation(blocks, b, name, states, [0.0])[0]
+                assert abs(got.channels[name][k] - ref) <= 1e-12, (name, tau)
+
+
+class TestHeadroom:
+    def test_alignment_rejects_small_basis(self):
+        with pytest.raises(TruncationError, match="after pulse 1"):
+            alignment_trace(BZ, 0.9, -4.0, np.linspace(0.0, 0.1, 5), J_max=12)
+
+    def test_delay_curve_rejects_after_second_pulse(self):
+        # no first kick: only the post-pulse-2 check can see the overflow
+        taus = np.linspace(0.0, 0.1, 11)
+        with pytest.raises(TruncationError, match="after pulse 2"):
+            delay_curve(BZ, 0.9, 0.0, -4.0, -math.pi / 4, taus, J_max=14)
+        with pytest.raises(TruncationError, match="after pulse 1"):
+            delay_curve(BZ, 0.9, -4.0, -4.0, -math.pi / 4, taus, J_max=12)
+
+    def test_basis_below_thermal_levels(self):
+        with pytest.raises(ParameterError):
+            alignment_trace(BZ, 0.9, -1.0, [0.0], J_max=5)
+
+    def test_post_pulse_2_tail_is_exact_on_the_grid(self):
+        # at T = 0 the one initial state |0 0 0> is the same in both frames, so
+        # the reported tail is the lab-frame band population, maximised over
+        # every delay of the output grid; only even J are reachable from it,
+        # and an odd J_max puts one at the lower edge of the band
+        jm, P, dphi = 21, -2.0, -math.pi / 4
+        taus = np.linspace(0.0, 0.2, 41)
+        got = delay_curve(BZ, 0.0, P, P, dphi, taus, J_max=jm).meta
+        b = SymTopBasis(jm, BZ.i1_over_i3, K_limit=0)
+        sol = solve_pulse(b, PulseSpec(P=P, p=(1.0, 0, 0)), block_keys=[(0, 0)])
+        idx = b.block_indices(0, 0)
+        band = b.J[idx] > jm - quantum_symtop.HEADROOM_BAND
+        pops = [np.sum(np.abs(compose_two_pulses(sol, None, 2 * math.pi * t, dphi)
+                              [(0, 0)][0, band]) ** 2) for t in taus]
+        assert got["headroom_tail_pulse2"] == pytest.approx(max(pops), rel=1e-6)
+        assert 1e-13 < got["headroom_tail_pulse2"] < quantum_symtop.HEADROOM_TOL
+        assert got["headroom_tail"] == got["headroom_tail_pulse2"]
