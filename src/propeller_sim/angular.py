@@ -1,6 +1,6 @@
 """Angular-momentum algebra: Wigner 3j symbols, the Wigner d^J(pi/2)
-rotation tables, normalized associated Legendre tables, and rank-2
-spherical-tensor matrix elements.
+rotation tables, normalized associated Legendre tables, and the rank-2
+harmonics Y_2q at a polarization vector.
 
 The 3j symbol uses the Racah sum with log-factorials, combined per term in
 log space.  For the rank-2 couplings needed here the alternating sum has at
@@ -90,15 +90,6 @@ def wigner3j_array(j1, j2, j3, m1, m2, m3) -> np.ndarray:
     return np.where(ok, sign * total, 0.0)
 
 
-def gaunt_y2(l1: int, m1: int, q: int, l2: int, m2: int) -> float:
-    """<l1 m1 | Y_{2q} | l2 m2> (spherical-harmonic triple integral)."""
-    if m1 != m2 + q:
-        return 0.0
-    pref = math.sqrt((2 * l1 + 1) * 5 * (2 * l2 + 1) / (4.0 * math.pi))
-    return ((-1.0) ** m1 * pref * wigner3j(l1, 2, l2, 0, 0, 0)
-            * wigner3j(l1, 2, l2, -m1, q, m2))
-
-
 def y2_components(p: np.ndarray) -> np.ndarray:
     """[Y_{2,-2} .. Y_{2,2}] evaluated at the unit vector p."""
     x, y, z = p
@@ -162,13 +153,3 @@ def wigner_d_half_pi(J_max: int) -> list[np.ndarray]:
         if two_j % 2 == 0:
             out.append(d)
     return out
-
-
-def symtop_d2_element(Jp: int, Mp: int, J: int, M: int, K: int, p: int) -> float:
-    """<J' K M' | D^{2*}_{p,0} | J K M> for symmetric-top eigenstates."""
-    if Mp != M + p:
-        return 0.0
-    pref = math.sqrt((2.0 * Jp + 1) * (2.0 * J + 1))
-    sign = (-1.0) ** (p + M - K)
-    return (pref * sign * wigner3j(Jp, 2, J, Mp, -p, -M)
-            * wigner3j(Jp, 2, J, K, 0, -K))

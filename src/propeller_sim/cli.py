@@ -152,8 +152,26 @@ def cmd_quantum_linear(args, out_dir: Path):
     files = [_write_series(out_dir, "timeseries", ts, args.format)]
     trunc = {"l_max": ts.meta["l_max"], "headroom_tail": ts.meta["headroom_tail"],
              "weight_truncation": ts.meta["weight_truncation"]}
-    extra = {"revival_avg": ts.meta["revival_avg"], "truncation": trunc}
+    extra = {"revival_avg": ts.meta["revival_avg"], "truncation": trunc,
+             "diagnostics": {"quantum_linear": _linear_diagnostics(ts)}}
     return files, ts.meta.get("auto_delay_trev"), extra
+
+
+def _linear_diagnostics(ts: TimeSeries) -> dict:
+    """diagnostics.quantum_linear: basis size, thermal set and headroom."""
+    return {k: ts.meta[k] for k in ("l_max", "n_initial_states", "weight_truncation",
+                                    "headroom_tail")}
+
+
+def _symtop_diagnostics(runs: dict) -> dict:
+    """diagnostics.quantum_symtop: the thermal set, then each run's blocks and headroom."""
+    diag = {k: runs["alignment"].meta[k]
+            for k in ("K_limit", "n_initial_states", "weight_truncation")}
+    for name, ts in runs.items():
+        diag[name] = {k: ts.meta[k] for k in (
+            "J_max", "n_blocks", "max_block_dim", "headroom_tail_pulse1",
+            "headroom_tail_pulse2", "distinct_freqs") if k in ts.meta}
+    return diag
 
 
 def cmd_quantum_symtop(args, out_dir: Path):
@@ -164,7 +182,6 @@ def cmd_quantum_symtop(args, out_dir: Path):
                                            J_max=args.l_max)
     files = [_write_series(out_dir, "alignment", align, args.format)]
     trunc = {"J_max": align.meta["J_max"], "headroom_tail": align.meta["headroom_tail"]}
-    diag = {k: align.meta[k] for k in ("K_limit", "n_initial_states", "weight_truncation")}
     runs = {"alignment": align}
     if args.P2 is not None:
         dphi = math.radians(args.angle_deg)
@@ -174,11 +191,8 @@ def cmd_quantum_symtop(args, out_dir: Path):
                                    time_column="tau_trev"))
         trunc["J_max_two_pulse"] = scan.meta["J_max"]
         runs["delay_curve"] = scan
-    for name, ts in runs.items():
-        diag[name] = {k: ts.meta[k] for k in (
-            "J_max", "n_blocks", "max_block_dim", "headroom_tail_pulse1",
-            "headroom_tail_pulse2", "distinct_freqs") if k in ts.meta}
-    return files, None, {"truncation": trunc, "diagnostics": {"quantum_symtop": diag}}
+    return files, None, {"truncation": trunc,
+                         "diagnostics": {"quantum_symtop": _symtop_diagnostics(runs)}}
 
 
 def cmd_density(args, out_dir: Path):
@@ -231,7 +245,8 @@ def _compare_linear(args, mol, out_dir: Path):
     files = [_write_series(out_dir, "compare", ts, args.format)]
     extra = {"max_abs_deviation": summary, "delay_trev": float(delay),
              "quantum_revival_avg": qm.meta["revival_avg"],
-             "diagnostics": {"free_flight": cl.meta["free_flight"]}}
+             "diagnostics": {"free_flight": cl.meta["free_flight"],
+                             "quantum_linear": _linear_diagnostics(qm)}}
     return files, float(delay), extra
 
 
@@ -260,8 +275,10 @@ def _compare_symtop(args, mol, out_dir: Path):
     }
     ts = TimeSeries(grid=taus, channels=channels, meta={})
     files = [_write_series(out_dir, "compare", ts, args.format, time_column="tau_trev")]
+    quantum = _symtop_diagnostics({"alignment": align_qm, "delay_curve": scan_qm})
     return files, None, {"max_abs_deviation": summary,
-                         "diagnostics": {"free_flight": scan_cl.meta["free_flight"]}}
+                         "diagnostics": {"free_flight": scan_cl.meta["free_flight"],
+                                         "quantum_symtop": quantum}}
 
 
 # ---- presets ------------------------------------------------------------------

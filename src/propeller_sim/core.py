@@ -50,7 +50,7 @@ class TruncationError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """An adaptive integrator failed to reach the requested tolerance."""
+    """A numerical result fell outside its own error bound."""
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,12 @@ class PulseSpec:
     P is the signed dimensionless kick strength (sign of the polarizability
     anisotropy included), p the unit polarization vector in the active frame,
     t_apply the application time in T_rev units ("auto" fires the pulse at the
-    first alignment extremum found after the previous pulse), and duration an
-    optional dimensionless FWHM for finite-pulse quantum runs (0 = impulsive).
+    first alignment extremum found after the previous pulse).
     """
 
     P: float
     p: tuple[float, float, float]
     t_apply: float | str = 0.0
-    duration: float = 0.0
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -129,8 +127,6 @@ class PulseSpec:
         if abs(np.linalg.norm(p) - 1.0) > 1e-12:
             raise ParameterError(f"polarization must be a unit vector, |p| = {np.linalg.norm(p)}")
         object.__setattr__(self, "p", tuple(float(x) for x in p))
-        if self.duration < 0:
-            raise ParameterError("pulse duration must be >= 0")
         if isinstance(self.t_apply, str) and self.t_apply != "auto":
             raise ParameterError(f"t_apply must be a time in T_rev units or 'auto', got {self.t_apply!r}")
         if not math.isfinite(self.P):
@@ -139,14 +135,13 @@ class PulseSpec:
             raise ParameterError(f"t_apply must be finite, got {self.t_apply}")
 
     @classmethod
-    def along(cls, P: float, direction, t_apply: float | str = 0.0,
-              duration: float = 0.0) -> "PulseSpec":
+    def along(cls, P: float, direction, t_apply: float | str = 0.0) -> "PulseSpec":
         """Build a pulse, normalizing the given polarization direction."""
         d = np.asarray(direction, dtype=float)
         n = np.linalg.norm(d)
         if n == 0:
             raise ParameterError("polarization direction must be nonzero")
-        return cls(P=P, p=tuple(d / n), t_apply=t_apply, duration=duration)
+        return cls(P=P, p=tuple(d / n), t_apply=t_apply)
 
     @property
     def p_vec(self) -> np.ndarray:

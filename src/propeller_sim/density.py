@@ -1,10 +1,8 @@
 """Angular-distribution estimators on the unit sphere.
 
-Three reconstructions of the molecular-axis distribution from a Monte Carlo
+Two reconstructions of the molecular-axis distribution from a Monte Carlo
 ensemble:
 
-* kde_snapshot: instantaneous kernel estimate, each molecule smeared by a
-  spherical Gaussian exp(-(1 - r.r_i)/sigma^2)/(2 pi sigma^2);
 * belt_average: per-molecule long-time average.  A freely rotating linear
   molecule covers a great circle, so its time-averaged density is a Gaussian
   "belt" exp(-(e_L.r)^2/(2 sigma^2)) around the plane normal to its angular
@@ -38,7 +36,7 @@ belt_average has two paths that agree to ~1e-13 of the peak density:
 The path follows an operation count over N, n_theta * n_phi and L.  On the
 181 x 360 grid at sigma = 0.1 the measured crossover is near N = 80 (one
 molecule: 12 ms direct, 110 ms spectral; 4000 molecules: 5.8 s direct,
-0.17 s spectral).  kde_at and kde_snapshot always sum directly.
+0.17 s spectral).
 """
 
 from __future__ import annotations
@@ -128,34 +126,6 @@ def _accumulate(grid_pts: np.ndarray, centers_or_axes: np.ndarray,
         dots = centers_or_axes[a:a + _MOL_CHUNK] @ grid_pts.T
         total += kernel_of_dots(dots).sum(axis=0)
     return total
-
-
-def kde_at(at: np.ndarray, points: np.ndarray, sigma: float = DEFAULT_SIGMA) -> np.ndarray:
-    """Kernel density estimate evaluated at arbitrary unit vectors."""
-    _check_sigma(sigma)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    at = np.atleast_2d(np.asarray(at, dtype=float))
-    n = points.shape[0]
-    if n < 1:
-        raise ParameterError("need at least one point")
-    norm = 1.0 / (2.0 * math.pi * sigma * sigma)
-
-    def kern(dots):
-        arg = np.minimum((1.0 - dots) / (sigma * sigma), 745.0)
-        return np.exp(-arg)
-
-    return _accumulate(at, points, kern) * (norm / n)
-
-
-def kde_snapshot(points: np.ndarray, sigma: float = DEFAULT_SIGMA,
-                 grid: DensityGrid | None = None) -> DensityGrid:
-    """Instantaneous kernel density estimate from unit vectors (N, 3)."""
-    grid = grid or DensityGrid.build()
-    rho = kde_at(grid.points(), points, sigma)
-    grid.rho = rho.reshape(len(grid.theta), len(grid.phi))
-    grid.meta.update({"estimator": "kde", "sigma": sigma,
-                      "n_molecules": np.atleast_2d(points).shape[0]})
-    return grid
 
 
 def _ensemble_arrays(r0, L) -> tuple[np.ndarray, np.ndarray]:

@@ -152,9 +152,6 @@ class EnsembleConfig:
         if self.T_K < 0:
             raise ParameterError("temperature must be >= 0")
         object.__setattr__(self, "pulses", tuple(self.pulses))
-        if any(p.duration > 0 for p in self.pulses):
-            raise ParameterError("the classical engine applies impulsive kicks only; "
-                                 "finite pulse durations need a quantum engine")
         times = [p.t_apply for p in self.pulses]
         for i, t in enumerate(times):
             if t == "auto" and i == 0:
@@ -469,8 +466,7 @@ def describe_config(cfg: EnsembleConfig) -> dict:
         "T_K": cfg.T_K,
         "n_traj": cfg.n_traj,
         "seed": cfg.seed,
-        "pulses": [{"P": p.P, "p": list(p.p), "t_apply": p.t_apply,
-                    "duration": p.duration} for p in cfg.pulses],
+        "pulses": [{"P": p.P, "p": list(p.p), "t_apply": p.t_apply} for p in cfg.pulses],
         "t_max": cfg.t_max,
         "dt_out": cfg.dt_out,
     }

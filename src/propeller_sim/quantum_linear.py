@@ -8,9 +8,8 @@ observable trace is periodic in it.
 An impulsive pulse applies the unitary exp(i P cos^2 beta) with
 cos beta = p . r_hat; the rank-2 interaction matrix follows from the
 spherical-harmonic addition theorem, so tilted polarizations are handled in
-the fixed frame without rotations.  Finite pulses integrate the coupled
-coefficient equations with an adaptive Runge-Kutta pair and converge to the
-sudden limit as the FWHM goes to zero.
+the fixed frame without rotations.  Its Gaunt integrals <l' m'|Y_2q|l m> are
+evaluated for the whole basis at once with angular.wigner3j_array.
 
 Thermal averaging sums per-initial-state traces with Boltzmann weights
 (optionally modified by a nuclear-spin weight hook); the traces themselves
@@ -24,13 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
 from . import angular
-from .core import (IntegrationError, MoleculeParams, ParameterError,
-                   ProtocolError, PulseSpec, TruncationError, TWO_PI, sigma_th)
+from .core import (MoleculeParams, ParameterError, ProtocolError, PulseSpec,
+                   TruncationError, TWO_PI, sigma_th)
 from .ensemble import TimeSeries, first_local_extremum, parabolic_vertex
 from .spectral import SpectralTrace, accumulate_pattern
 
@@ -47,9 +45,6 @@ class SparseOp:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-
-    def to_csr(self, size: int) -> csr_matrix:
-        return csr_matrix((self.vals, (self.rows, self.cols)), shape=(size, size))
 
 
 class LinearBasis:
@@ -74,19 +69,17 @@ class LinearBasis:
     # ---- operator builders -------------------------------------------------
 
     def _y2_matrix(self, q: int) -> SparseOp:
-        rows, cols, vals = [], [], []
-        for k in range(self.size):
-            l, m = int(self.l[k]), int(self.m[k])
-            mp = m + q
-            for lp in (l - 2, l, l + 2):
-                if lp < abs(mp) or lp < 0 or lp > self.l_max:
-                    continue
-                v = angular.gaunt_y2(lp, mp, q, l, m)
-                if v != 0.0:
-                    rows.append(self.index(lp, mp))
-                    cols.append(k)
-                    vals.append(v)
-        return SparseOp(np.array(rows), np.array(cols), np.array(vals, dtype=complex))
+        """Gaunt integrals <l' m+q|Y_2q|l m>, l' = l-2, l, l+2, column by column."""
+        lp = self.l[:, None] + np.array([-2, 0, 2])
+        col, step = np.nonzero((lp >= np.abs(self.m + q)[:, None]) & (lp <= self.l_max))
+        l, m = self.l[col], self.m[col]
+        lp, mp = l + 2 * step - 2, m + q
+        sign = np.where(mp % 2 == 1, -1.0, 1.0)
+        pref = np.sqrt((2 * lp + 1) * 5 * (2 * l + 1) / (4.0 * math.pi))
+        v = (sign * pref * angular.wigner3j_array(lp, 2, l, 0, 0, 0)
+             * angular.wigner3j_array(lp, 2, l, -mp, q, m))
+        nz = v != 0.0
+        return SparseOp((lp * (lp + 1) + mp)[nz], col[nz], v[nz].astype(complex))
 
     def op_cos2beta(self, p) -> SparseOp:
         """(p . r_hat)^2 via the rank-2 addition theorem; Hermitian for unit p."""
@@ -153,21 +146,15 @@ class LinearBasis:
             mp = m + 2
             t_hi = angular.legendre_table(self.l_max, mp, x)   # rows l' = |mp|..
             t_lo = angular.legendre_table(self.l_max, m, x)
-            if not len(t_hi) or not len(t_lo):
-                continue
             block = math.pi * (t_hi * w) @ t_lo.T
-            lp0, l0 = abs(mp), abs(m)
-            for i in range(block.shape[0]):
-                for j in range(block.shape[1]):
-                    v = block[i, j]
-                    if abs(v) < 1e-14:
-                        continue
-                    a = self.index(lp0 + i, mp)
-                    b = self.index(l0 + j, m)
-                    rows.extend((a, b))
-                    cols.extend((b, a))
-                    vals.extend((v, v))
-        op = SparseOp(np.array(rows), np.array(cols), np.array(vals, dtype=complex))
+            i, j = np.nonzero(np.abs(block) >= 1e-14)
+            lp, l = abs(mp) + i, abs(m) + j
+            a, b = lp * (lp + 1) + mp, l * (l + 1) + m
+            rows.append(np.stack([a, b], axis=1).ravel())
+            cols.append(np.stack([b, a], axis=1).ravel())
+            vals.append(np.repeat(block[i, j], 2))
+        op = SparseOp(np.concatenate(rows), np.concatenate(cols),
+                      np.concatenate(vals).astype(complex))
         self._ops[key] = op
         return op
 
@@ -185,20 +172,9 @@ class LinearBasis:
         key = "jy"
         if key in self._ops:
             return self._ops[key]
-        rows, cols, vals = [], [], []
-        for k in range(self.size):
-            l, m = int(self.l[k]), int(self.m[k])
-            if m + 1 <= l:
-                cplus = math.sqrt(l * (l + 1) - m * (m + 1))
-                rows.append(self.index(l, m + 1))
-                cols.append(k)
-                vals.append(-0.5j * cplus)
-            if m - 1 >= -l:
-                cminus = math.sqrt(l * (l + 1) - m * (m - 1))
-                rows.append(self.index(l, m - 1))
-                cols.append(k)
-                vals.append(0.5j * cminus)
-        op = SparseOp(np.array(rows), np.array(cols), np.array(vals, dtype=complex))
+        col, down = np.nonzero(np.stack([self.m < self.l, self.m > -self.l], axis=1))
+        l, m, dm = self.l[col], self.m[col], 1 - 2 * down    # J_+ then J_- per column
+        op = SparseOp(col + dm, col, -0.5j * dm * np.sqrt(l * (l + 1) - m * (m + dm)))
         self._ops[key] = op
         return op
 
@@ -221,141 +197,23 @@ class LinearBasis:
         return table[name]()
 
 
-@dataclass
-class WavePacket:
-    """Complex coefficients over a LinearBasis, referenced at time t_ref."""
-
-    basis: LinearBasis
-    c: np.ndarray
-    t_ref: float = 0.0
-
-    @classmethod
-    def pure(cls, basis: LinearBasis, l: int, m: int) -> "WavePacket":
-        c = np.zeros(basis.size, dtype=complex)
-        c[basis.index(l, m)] = 1.0
-        return cls(basis, c)
-
-    @property
-    def norm(self) -> float:
-        return float(np.real(np.vdot(self.c, self.c)))
-
-
-def _headroom_tail(basis: LinearBasis, c: np.ndarray) -> float:
+def _headroom_tail(basis: LinearBasis, psi: np.ndarray) -> float:
+    """Largest per-state population within HEADROOM_BAND of l_max."""
     band = basis.l > basis.l_max - HEADROOM_BAND
-    pops = np.abs(c[band]) ** 2 if c.ndim == 1 else np.abs(c[band, :]) ** 2
-    return float(pops.sum(axis=0).max()) if c.ndim > 1 else float(pops.sum())
-
-
-def _check_headroom(basis: LinearBasis, c: np.ndarray):
-    tail = _headroom_tail(basis, c)
-    if tail > HEADROOM_TOL:
-        raise TruncationError(
-            f"population {tail:.2e} within {HEADROOM_BAND} of l_max={basis.l_max}; "
-            "increase l_max")
-
-
-def free_evolve(wp: WavePacket, dt: float) -> WavePacket:
-    """Field-free propagation: diagonal phases exp(-i l(l+1) dt / 2)."""
-    phases = np.exp(-1j * wp.basis.energies * dt)
-    return WavePacket(wp.basis, wp.c * phases, wp.t_ref + dt)
-
-
-def sudden_kick(wp: WavePacket, pulse: PulseSpec) -> WavePacket:
-    """Impulsive kick exp(i P cos^2 beta) in the truncated basis."""
-    if pulse.duration != 0.0:
-        raise ParameterError("sudden_kick requires an impulsive pulse (duration 0)")
-    basis = wp.basis
-    mat = basis.op_cos2beta(pulse.p_vec).to_csr(basis.size)
-    c_new = expm_multiply(1j * pulse.P * mat, wp.c)
-    _check_headroom(basis, c_new)
-    return WavePacket(basis, c_new, wp.t_ref)
+    return float((np.abs(psi[band, :]) ** 2).sum(axis=0).max())
 
 
 def kick_batch(basis: LinearBasis, psi: np.ndarray, pulse: PulseSpec) -> np.ndarray:
     """Apply one impulsive kick to a (size, n_states) coefficient batch."""
-    mat = basis.op_cos2beta(pulse.p_vec).to_csr(basis.size)
+    op = basis.op_cos2beta(pulse.p_vec)
+    mat = csr_matrix((op.vals, (op.rows, op.cols)), shape=(basis.size, basis.size))
     out = expm_multiply(1j * pulse.P * mat, psi)
-    _check_headroom(basis, out)
+    tail = _headroom_tail(basis, out)
+    if tail > HEADROOM_TOL:
+        raise TruncationError(
+            f"population {tail:.2e} within {HEADROOM_BAND} of l_max={basis.l_max}; "
+            "increase l_max")
     return out
-
-
-def gaussian_envelope(P: float, fwhm: float):
-    """Envelope g(t) with integral P and the given dimensionless FWHM."""
-    amp = P * 2.0 / fwhm * math.sqrt(math.log(2.0) / math.pi)
-    a = 4.0 * math.log(2.0) / fwhm ** 2
-
-    def g(t):
-        return amp * math.exp(-a * t * t)
-
-    return g
-
-
-def finite_pulse(wp: WavePacket, pulse: PulseSpec) -> WavePacket:
-    """Gaussian-envelope pulse via the coupled coefficient equations.
-
-    The envelope is centered at wp.t_ref and normalized so its time integral
-    matches the pulse's kick strength P; the result converges to sudden_kick
-    as the FWHM goes to zero.
-    """
-    if pulse.duration <= 0.0:
-        raise ParameterError("finite_pulse requires duration > 0")
-    basis = wp.basis
-    mat = basis.op_cos2beta(pulse.p_vec).to_csr(basis.size)
-    g = gaussian_envelope(pulse.P, pulse.duration)
-    e = basis.energies
-    span = 4.0 * pulse.duration
-
-    def rhs(t, y):
-        c = y.view(complex)
-        ph = np.exp(-1j * e * t)
-        dc = 1j * g(t) * (np.conj(ph) * (mat @ (ph * c)))
-        return dc.view(float)
-
-    sol = solve_ivp(rhs, (-span, span), wp.c.astype(complex).view(float),
-                    method="DOP853", rtol=1e-8, atol=1e-10)
-    if not sol.success:
-        raise IntegrationError(
-            f"pulse integration failed at t = {sol.t[-1]:.6g}: {sol.message}")
-    c_new = sol.y[:, -1].copy().view(complex)
-    _check_headroom(basis, c_new)
-    return WavePacket(basis, c_new, wp.t_ref)
-
-
-# ---- observables ------------------------------------------------------------
-
-
-def expectation(wp: WavePacket, name: str) -> float:
-    op = wp.basis.operator(name)
-    return float(np.real(np.sum(np.conj(wp.c[op.rows]) * op.vals * wp.c[op.cols])))
-
-
-def observe_grid(wp: WavePacket, f) -> float:
-    """<f(theta, phi)> by quadrature of f against |Psi|^2 on a GL x uniform grid."""
-    basis = wp.basis
-    l_max = basis.l_max
-    n_th = 2 * l_max + 8
-    n_ph = 4 * l_max + 16
-    x, w = np.polynomial.legendre.leggauss(n_th)
-    theta = np.arccos(x)
-    phi = np.arange(n_ph) * (TWO_PI / n_ph)
-    psi_m = np.zeros((2 * l_max + 1, n_th), dtype=complex)
-    for m in range(-l_max, l_max + 1):
-        tab = angular.legendre_table(l_max, m, x)
-        sel = basis.m == m
-        if tab.shape[0]:
-            psi_m[m + l_max] = wp.c[sel] @ tab
-    phases = np.exp(1j * np.outer(np.arange(-l_max, l_max + 1), phi))
-    psi = psi_m.T @ phases          # (n_th, n_ph)
-    dens = np.abs(psi) ** 2
-    fv = f(theta[:, None], phi[None, :])
-    return float(np.einsum("i,ij->", w, dens * fv) * (TWO_PI / n_ph))
-
-
-def observe(wp: WavePacket, what) -> float:
-    """Expectation value; `what` is an observable name or a callable f(theta, phi)."""
-    if callable(what):
-        return observe_grid(wp, what)
-    return expectation(wp, what)
 
 
 # ---- thermal averaging -------------------------------------------------------
@@ -400,15 +258,10 @@ def default_l_max(pulses, l0_max: int) -> int:
     return 12 + math.ceil(4.0 * p_max) + l0_max
 
 
-def _pattern_trace(trace: SpectralTrace, op: SparseOp, energies: np.ndarray,
-                   psi: np.ndarray, weights: np.ndarray):
-    accumulate_pattern(trace, op.rows, op.cols, op.vals, energies, psi, weights)
-
-
 def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
                 dt_out: float, l_max: int | None = None,
                 observables=("cos2theta", "cos2phi", "Ly", "L2"),
-                spin_weights=None, scan_limit_trev: float | None = None) -> TimeSeries:
+                spin_weights=None) -> TimeSeries:
     """Boltzmann-averaged double-pulse run; times in T_rev units.
 
     Pulses are given in the classical frame.  A second pulse with
@@ -449,13 +302,14 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
     segments = [(0.0, psi)]
     t_now = 0.0
     psi_now = psi
-    scan_limit = (scan_limit_trev if scan_limit_trev is not None else t_max) * TWO_PI
+    scan_limit = t_max * TWO_PI
     for i, pulse in enumerate(pulses):
         if pulse.t_apply == "auto":
             if i == 0:
                 raise ParameterError("the first pulse cannot use an auto delay")
             trace = SpectralTrace()
-            _pattern_trace(trace, ops["cos2theta"], energies, psi_now, weights)
+            op = ops["cos2theta"]
+            accumulate_pattern(trace, op.rows, op.cols, op.vals, energies, psi_now, weights)
             ts = np.arange(int(scan_limit / SCAN_STEP) + 1) * SCAN_STEP
             vals = trace.evaluate(ts)
             kind = "max" if pulses[0].P >= 0 else "min"
@@ -472,15 +326,7 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
         if t_pulse < t_now - 1e-12:
             raise ParameterError("pulse times must be non-decreasing")
         phases = np.exp(-1j * energies * (t_pulse - t_now))
-        psi_now = psi_now * phases[:, None]
-        if pulse.duration == 0.0:
-            psi_now = kick_batch(basis, psi_now, pulse)
-        else:
-            cols = []
-            for k in range(psi_now.shape[1]):
-                wp = finite_pulse(WavePacket(basis, psi_now[:, k], t_pulse), pulse)
-                cols.append(wp.c)
-            psi_now = np.stack(cols, axis=1)
+        psi_now = kick_batch(basis, psi_now * phases[:, None], pulse)
         t_now = t_pulse
         segments.append((t_pulse, psi_now))
     meta["pulse_times_trev"] = [t / TWO_PI for t, _ in segments[1:]]
@@ -491,7 +337,8 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
         traces = {}
         for name in observables:
             tr = SpectralTrace()
-            _pattern_trace(tr, ops[name], energies, psi_s, weights)
+            op = ops[name]
+            accumulate_pattern(tr, op.rows, op.cols, op.vals, energies, psi_s, weights)
             traces[name] = tr
         seg_traces.append((t0, traces))
 

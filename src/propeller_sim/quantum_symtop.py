@@ -121,9 +121,9 @@ def coupling_block(basis: SymTopBasis, key) -> np.ndarray:
     """Dense symmetric matrix of Omega on one (K, M-parity) block.
 
     <J' K M'|Omega|J K M> is -d_0 for M' = M and sqrt(3/2) d_{+-2} for
-    M' = M +- 2, with d_p = <J' K M'|D^{2*}_{p,0}|J K M> (see
-    angular.symtop_d2_element).  Each (J' - J, M' - M) offset is filled for
-    the whole block at once and mirrored below the diagonal.
+    M' = M +- 2, with d_p = <J' K M'|D^{2*}_{p,0}|J K M>, a product of two
+    3j symbols.  Each (J' - J, M' - M) offset is filled for the whole block
+    at once and mirrored below the diagonal.
     """
     idx = basis.block_indices(*key)
     J, M, K = basis.J[idx], basis.M[idx], key[0]
@@ -195,10 +195,10 @@ def symtop_thermal_states(mol: MoleculeParams, T_K: float, g_ns=None,
 
 
 def default_J_max(pulses, J0_max: int) -> int:
-    # 4x the strongest kick plus a constant margin wide enough that the
-    # 1e-10 headroom band stays empty even for weak pulses
+    # 4x the strongest kick plus a margin; weak kicks need the wider
+    # 16 + 2|P| for the 1e-10 headroom band to stay empty after two pulses
     p_max = max((abs(p.P) for p in pulses), default=0.0)
-    return 10 + math.ceil(4.0 * p_max) + J0_max
+    return max(10 + math.ceil(4.0 * p_max), 16 + math.ceil(2.0 * p_max)) + J0_max
 
 
 # ---- pulse-frame engine ------------------------------------------------------
@@ -207,9 +207,9 @@ def default_J_max(pulses, J0_max: int) -> int:
 def _pulse_frame_blocks(J_max: int, K: int) -> np.ndarray:
     """Omega about the pulse axis on every (K, m >= 0) block, zero-padded.
 
-    Entry [m, J' - |K|, J - |K|] is <J' K m|2 D^{2*}_{0,0}|J K m> (see
-    angular.symtop_d2_element) for J, J' = |K|..J_max; it is pentadiagonal
-    in J and vanishes wherever J or J' < m.
+    Entry [m, J' - |K|, J - |K|] is <J' K m|2 D^{2*}_{0,0}|J K m> for
+    J, J' = |K|..J_max; it is pentadiagonal in J and vanishes wherever J or
+    J' < m.
     """
     Js = np.arange(abs(K), J_max + 1)
     n = len(Js)

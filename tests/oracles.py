@@ -1,0 +1,91 @@
+"""Scalar and direct-sum reference implementations the tests check against.
+
+* gaunt_y2 and symtop_d2_element: one rank-2 matrix element from two
+  scalar 3j symbols, the element-wise oracles of `LinearBasis`'s rank-2
+  operators and of the symmetric-top coupling blocks;
+* observe_grid: <f(theta, phi)> of one |l, m> wave packet by quadrature of
+  f against |Psi|^2, the reference for the operator expectation values;
+* kde_at and kde_snapshot: the instantaneous kernel density estimate, each
+  molecule smeared by a spherical Gaussian exp(-(1 - r.r_i)/sigma^2) /
+  (2 pi sigma^2) and summed directly over the grid, the oracle for the
+  long-time belt density.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from propeller_sim import angular
+from propeller_sim.core import ParameterError, TWO_PI
+from propeller_sim.density import (DEFAULT_SIGMA, DensityGrid, _accumulate,
+                                   _check_sigma)
+
+
+def gaunt_y2(l1: int, m1: int, q: int, l2: int, m2: int) -> float:
+    """<l1 m1 | Y_{2q} | l2 m2> (spherical-harmonic triple integral)."""
+    if m1 != m2 + q:
+        return 0.0
+    pref = math.sqrt((2 * l1 + 1) * 5 * (2 * l2 + 1) / (4.0 * math.pi))
+    return ((-1.0) ** m1 * pref * angular.wigner3j(l1, 2, l2, 0, 0, 0)
+            * angular.wigner3j(l1, 2, l2, -m1, q, m2))
+
+
+def symtop_d2_element(Jp: int, Mp: int, J: int, M: int, K: int, p: int) -> float:
+    """<J' K M' | D^{2*}_{p,0} | J K M> for symmetric-top eigenstates."""
+    if Mp != M + p:
+        return 0.0
+    pref = math.sqrt((2.0 * Jp + 1) * (2.0 * J + 1))
+    sign = (-1.0) ** (p + M - K)
+    return (pref * sign * angular.wigner3j(Jp, 2, J, Mp, -p, -M)
+            * angular.wigner3j(Jp, 2, J, K, 0, -K))
+
+
+def observe_grid(basis, c: np.ndarray, f) -> float:
+    """<f(theta, phi)> by quadrature of f against |Psi|^2 on a GL x uniform grid."""
+    l_max = basis.l_max
+    n_th = 2 * l_max + 8
+    n_ph = 4 * l_max + 16
+    x, w = np.polynomial.legendre.leggauss(n_th)
+    theta = np.arccos(x)
+    phi = np.arange(n_ph) * (TWO_PI / n_ph)
+    psi_m = np.zeros((2 * l_max + 1, n_th), dtype=complex)
+    for m in range(-l_max, l_max + 1):
+        tab = angular.legendre_table(l_max, m, x)
+        sel = basis.m == m
+        if tab.shape[0]:
+            psi_m[m + l_max] = c[sel] @ tab
+    phases = np.exp(1j * np.outer(np.arange(-l_max, l_max + 1), phi))
+    psi = psi_m.T @ phases          # (n_th, n_ph)
+    dens = np.abs(psi) ** 2
+    fv = f(theta[:, None], phi[None, :])
+    return float(np.einsum("i,ij->", w, dens * fv) * (TWO_PI / n_ph))
+
+
+def kde_at(at: np.ndarray, points: np.ndarray, sigma: float = DEFAULT_SIGMA) -> np.ndarray:
+    """Kernel density estimate evaluated at arbitrary unit vectors."""
+    _check_sigma(sigma)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    at = np.atleast_2d(np.asarray(at, dtype=float))
+    n = points.shape[0]
+    if n < 1:
+        raise ParameterError("need at least one point")
+    norm = 1.0 / (2.0 * math.pi * sigma * sigma)
+
+    def kern(dots):
+        arg = np.minimum((1.0 - dots) / (sigma * sigma), 745.0)
+        return np.exp(-arg)
+
+    return _accumulate(at, points, kern) * (norm / n)
+
+
+def kde_snapshot(points: np.ndarray, sigma: float = DEFAULT_SIGMA,
+                 grid: DensityGrid | None = None) -> DensityGrid:
+    """Instantaneous kernel density estimate from unit vectors (N, 3)."""
+    grid = grid or DensityGrid.build()
+    rho = kde_at(grid.points(), points, sigma)
+    grid.rho = rho.reshape(len(grid.theta), len(grid.phi))
+    grid.meta.update({"estimator": "kde", "sigma": sigma,
+                      "n_molecules": np.atleast_2d(points).shape[0]})
+    return grid

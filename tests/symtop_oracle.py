@@ -1,10 +1,9 @@
 """Lab-frame block chain for the symmetric top: the tests' oracle.
 
-Propagators are built directly in the propagation frame (z along the
-light, first pulse along x) on the (K, M-parity) blocks of
-`quantum_symtop.coupling_block`, by dense eigendecomposition (impulsive
-pulses) or by integrating the coefficient equations (finite pulses).  A
-second pulse tilted by dphi about z composes through the frame transform
+Impulsive propagators are built directly in the propagation frame (z along
+the light, first pulse along x) on the (K, M-parity) blocks of
+`quantum_symtop.coupling_block`, by dense eigendecomposition.  A second
+pulse tilted by dphi about z composes through the frame transform
 |J,K,M> -> e^{i M dphi} |J,K,M>:
 
     B(tau) = sum_{r'} C_{ri,r'} C'_{r',r} e^{-i(e'-e) tau} e^{i(M'-M) dphi}.
@@ -18,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from propeller_sim.core import IntegrationError, ParameterError, PulseSpec, TWO_PI
-from propeller_sim.quantum_linear import gaussian_envelope
+from propeller_sim.core import ParameterError, PulseSpec, TWO_PI
 from propeller_sim.quantum_symtop import SymTopBasis, coupling_block
 from propeller_sim.spectral import SpectralTrace, accumulate_pattern
 
@@ -67,11 +64,10 @@ class PulseSolution:
     def __init__(self, basis: SymTopBasis, pulse: PulseSpec, blocks: dict):
         self.basis = basis
         self.pulse = pulse
-        self.blocks = blocks       # key -> BlockSolution or dense U (finite pulses)
+        self.blocks = blocks       # key -> BlockSolution
 
     def block_U(self, key) -> np.ndarray:
-        b = self.blocks[key]
-        return b.U() if isinstance(b, BlockSolution) else b
+        return self.blocks[key].U()
 
     def row(self, J: int, K: int, M: int) -> np.ndarray:
         """One amplitude row C_{ri, r} over the full basis."""
@@ -86,45 +82,14 @@ class PulseSolution:
 
 def solve_pulse(basis: SymTopBasis, pulse: PulseSpec,
                 block_keys=None) -> PulseSolution:
-    """Propagator of one x-polarized pulse on each (K, M-parity) block.
-
-    Impulsive pulses (duration 0) are the matrix exponential of the coupling
-    block; finite pulses integrate the coupled coefficient equations with a
-    Gaussian envelope of the given FWHM (same integrated strength P).
-    """
+    """Impulsive propagator of one x-polarized pulse on each (K, M-parity)
+    block: the matrix exponential of the coupling block."""
     keys = block_keys if block_keys is not None else basis.block_keys()
     blocks = {}
     for key in keys:
-        idx = basis.block_indices(*key)
-        omega = coupling_block(basis, key)
-        if pulse.duration == 0.0:
-            lam, V = np.linalg.eigh(omega)
-            blocks[key] = BlockSolution(key, idx, V, lam, pulse.P)
-        else:
-            blocks[key] = _finite_pulse_block(basis, idx, omega, pulse)
+        lam, V = np.linalg.eigh(coupling_block(basis, key))
+        blocks[key] = BlockSolution(key, basis.block_indices(*key), V, lam, pulse.P)
     return PulseSolution(basis, pulse, blocks)
-
-
-def _finite_pulse_block(basis: SymTopBasis, idx: np.ndarray, omega: np.ndarray,
-                        pulse: PulseSpec) -> np.ndarray:
-    """Full finite-pulse propagator on one block (columns = basis states)."""
-    e = basis.energies[idx]
-    g = gaussian_envelope(pulse.P / 3.0, pulse.duration)
-    span = 4.0 * pulse.duration
-    nb = len(idx)
-
-    def rhs(t, y):
-        c = y.view(complex).reshape(nb, nb)
-        ph = np.exp(-1j * e * t)
-        dc = 1j * g(t) * (np.conj(ph)[:, None] * (omega @ (ph[:, None] * c)))
-        return dc.reshape(-1).view(float)
-
-    y0 = np.eye(nb, dtype=complex).reshape(-1).view(float)
-    sol = solve_ivp(rhs, (-span, span), y0, method="DOP853", rtol=1e-8, atol=1e-10)
-    if not sol.success:
-        raise IntegrationError(
-            f"pulse integration failed at t = {sol.t[-1]:.6g}: {sol.message}")
-    return sol.y[:, -1].copy().view(complex).reshape(nb, nb)
 
 
 def compose_two_pulses(sol1: PulseSolution, sol2: PulseSolution | None,
@@ -140,9 +105,8 @@ def compose_two_pulses(sol1: PulseSolution, sol2: PulseSolution | None,
     basis = sol1.basis
     out = {}
     for key, b1 in sol1.blocks.items():
-        idx = b1.idx if isinstance(b1, BlockSolution) else basis.block_indices(*key)
-        e = basis.energies[idx]
-        M = basis.M[idx]
+        e = basis.energies[b1.idx]
+        M = basis.M[b1.idx]
         U1 = sol1.block_U(key)
         U2 = sol2.block_U(key)
         d_mid = np.exp(-1j * e * tau + 1j * M * dphi)

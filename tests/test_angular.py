@@ -5,9 +5,9 @@ import pytest
 from scipy.special import sph_harm_y
 from sympy.physics.wigner import wigner_3j as sympy_3j
 
-from propeller_sim.angular import (gaunt_y2, legendre_table, symtop_d2_element,
-                                   wigner3j, wigner3j_array, wigner_d_half_pi,
-                                   y2_components)
+from oracles import gaunt_y2, symtop_d2_element
+from propeller_sim.angular import (legendre_table, wigner3j, wigner3j_array,
+                                   wigner_d_half_pi, y2_components)
 
 
 class TestWigner3j:

@@ -214,12 +214,39 @@ class TestOutputs:
         assert 0.0 < diag["delay_curve"]["headroom_tail_pulse2"] <= 1e-10
         assert not any(k.startswith("result_diagnostics") for k in m.config)
 
+    @pytest.mark.parametrize("P", ["-1", "-2"])
+    def test_quantum_symtop_weak_kicks_at_zero_temperature(self, tmp_path, P):
+        assert run_cli("quantum-symtop", "--molecule", "benzene", "--temp-K", "0",
+                       "--P1", P, "--P2", P, "--t-max", "0.15", "--dt-out", "0.0005",
+                       "--out", str(tmp_path)) == 0
+
     def test_quantum_symtop_headroom_exit_code(self, tmp_path):
         code = run_cli("quantum-symtop", "--molecule", "benzene", "--temp-K", "0.9",
                        "--l-max", "12", "--P1", "-4", "--P2", "-4",
                        "--t-max", "0.05", "--dt-out", "0.005", "--out", str(tmp_path))
         assert code == 3
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command, molecule, sections", [
+        ("classical-linear", "n2", {"free_flight"}),
+        ("classical-symtop", "benzene", {"free_flight"}),
+        ("quantum-linear", "n2", {"quantum_linear"}),
+        ("quantum-symtop", "benzene", {"quantum_symtop"}),
+        ("density", "n2", {"belt_average"}),
+        ("compare", "n2", {"free_flight", "quantum_linear"}),
+        ("compare", "benzene", {"free_flight", "quantum_symtop"}),
+    ])
+    def test_manifest_diagnostics_not_empty(self, tmp_path, command, molecule, sections):
+        P = "2" if molecule == "n2" else "-1"
+        assert run_cli(command, "--molecule", molecule, "--temp-K", "0.9",
+                       "--P1", P, "--P2", P, "--delay", "0.02", "--n-traj", "100",
+                       "--t-max", "0.05", "--dt-out", "0.01", "--out", str(tmp_path)) == 0
+        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        assert set(m.diagnostics) == sections
+        assert all(m.diagnostics.values())
+        if "quantum_linear" in sections:
+            assert set(m.diagnostics["quantum_linear"]) == {
+                "l_max", "n_initial_states", "weight_truncation", "headroom_tail"}
 
     def test_preset_fig3a(self, tmp_path):
         assert run_cli("preset", "fig3a", "--n-traj", "500",

@@ -87,10 +87,6 @@ class TestPulseSpec:
         p = PulseSpec.along(1.0, (1.0, 0.0, 1.0))
         assert np.linalg.norm(p.p_vec) == pytest.approx(1.0, abs=1e-15)
 
-    def test_negative_duration(self):
-        with pytest.raises(ParameterError):
-            PulseSpec(P=1.0, p=(0.0, 0.0, 1.0), duration=-0.1)
-
     def test_auto_tag(self):
         assert PulseSpec(P=1.0, p=(0.0, 0.0, 1.0), t_apply="auto").t_apply == "auto"
         with pytest.raises(ParameterError):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
+from oracles import kde_at, kde_snapshot
 from propeller_sim import density
 from propeller_sim.classical_symtop import SymTopEnsemble, kick_momentum
 from propeller_sim.core import IntegrationError, ParameterError, PulseSpec, nitrogen
 from propeller_sim.density import (DensityGrid, analytic_zero_temp, belt_average,
-                                   kde_at, kde_snapshot, second_moments)
+                                   second_moments)
 from propeller_sim.ensemble import (EnsembleConfig, final_states,
                                     linear_ensemble_from_uniforms, uniform_matrix)
 

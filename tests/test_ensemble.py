@@ -217,15 +217,6 @@ class TestProtocol:
             EnsembleConfig(mol=N2, T_K=0.0, n_traj=10, seed=1,
                            pulses=(PulseSpec(P=1.0, p=(0, 0, 1.0), t_apply="auto"),))
 
-    def test_finite_pulse_rejected(self):
-        # the classical kicks are impulsive; a finite FWHM must not run as one
-        for mol in (N2, BZ):
-            with pytest.raises(ParameterError, match="impulsive"):
-                EnsembleConfig(mol=mol, T_K=0.0, n_traj=10, seed=1,
-                               pulses=(PulseSpec(P=1.0, p=(0, 0, 1.0)),
-                                       PulseSpec(P=1.0, p=(1.0, 0, 0), t_apply=0.1,
-                                                 duration=0.01)))
-
 
 class TestDelayScan:
     def test_single_zero_strength_second_pulse(self):

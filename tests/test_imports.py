@@ -1,7 +1,13 @@
-"""Every imported name is used somewhere in its module.
+"""Every imported name is used, and every top-level definition is reachable.
 
-An `ast` scan of src/ and tests/ standing in for a linter's unused-import
-rule.  Names listed in a module's `__all__` count as used (re-exports).
+Two `ast` scans standing in for a linter:
+
+* the unused-import rule over src/ and tests/; names listed in a module's
+  `__all__` count as used (re-exports);
+* a dead-definition rule over src/: each top-level function and class is
+  referred to by another top-level statement of the package, or exported
+  in `__all__`, or kept on KEPT with its reason.  Imports do not count as
+  references, and a definition does not refer to itself.
 """
 
 import ast
@@ -10,26 +16,65 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "propeller_sim"
 FILES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+# top-level definitions no package code refers to, kept on purpose
+KEPT = {
+    "angular.wigner3j": "rebound by perfbench/tracing.py; the scalar 3j oracle",
+    "classical_linear.kick_velocity": "rebound by perfbench/tracing.py",
+    "classical_linear.propagate_arrays": "rebound by perfbench/tracing.py",
+    "io_formats.read_timeseries_csv": "rebound by perfbench/tracing.py",
+    "quantum_symtop.coupling_block": "rebound by perfbench/tracing.py; lab-frame oracle",
+    "core.moment_of_inertia": "the oracle for revival_time",
+    "quantum_linear.nitrogen_spin_weights": "the N2 spin-weight hook of criterion 1",
+}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    return {e.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
 
 
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = {}
-    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            exported |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    exported = _exported(tree)
     # an attribute chain a.b.c is rooted at the Name a
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used and name not in exported)
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """"module.name" of each top-level function or class nothing else refers to.
+
+    sources maps module names to their source.  A reference is a Name or an
+    attribute with the definition's name in any other non-import top-level
+    statement of any module.
+    """
+    defs, statements, exported = [], [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        exported |= _exported(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((module, node.name, node))
+            words = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            statements.append((node, words))
+    return sorted(f"{module}.{name}" for module, name, own in defs
+                  if name not in exported
+                  and not any(name in words for node, words in statements if node is not own))
 
 
 def test_scanner_flags_only_unused_names():
@@ -38,6 +83,24 @@ def test_scanner_flags_only_unused_names():
     assert unused_imports(src) == ["os (line 2)", "x (line 5)"]
 
 
+def test_definition_scanner_flags_only_unreachable_names():
+    sources = {
+        "a": ("from .b import helper\n__all__ = ['api']\n"
+              "def api():\n    return b.helper() + _private()\n"
+              "def _private():\n    return 1\n"
+              "def dead():\n    return dead()\n"
+              "class Orphan:\n    pass\n"),
+        "b": "def helper():\n    return 2\nTABLE = {'x': lambda: used_by_table()}\n"
+             "def used_by_table():\n    return 3\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.Orphan", "a.dead"]
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_unreferenced_definitions():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_definitions(sources) == sorted(KEPT)

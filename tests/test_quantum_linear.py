@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from propeller_sim.core import ParameterError, PulseSpec, TruncationError, nitrogen
-from propeller_sim.quantum_linear import (LinearBasis, WavePacket, finite_pulse,
-                                          free_evolve, nitrogen_spin_weights, observe,
-                                          sudden_kick, thermal_run, thermal_states)
+from oracles import gaunt_y2, observe_grid
+from propeller_sim.core import PulseSpec, TruncationError, nitrogen
+from propeller_sim.quantum_linear import (LinearBasis, kick_batch, nitrogen_spin_weights,
+                                          thermal_run, thermal_states)
 
 Z5 = PulseSpec(P=5.0, p=(0.0, 0.0, 1.0))
 
@@ -16,6 +16,27 @@ def matrix_of(basis, op):
     m = np.zeros((basis.size, basis.size), dtype=complex)
     np.add.at(m, (op.rows, op.cols), op.vals)
     return m
+
+
+def pure(basis, l, m):
+    c = np.zeros(basis.size, dtype=complex)
+    c[basis.index(l, m)] = 1.0
+    return c
+
+
+def kick(basis, c, pulse):
+    """One impulsive kick of a single state, as a one-column batch."""
+    return kick_batch(basis, c[:, None], pulse)[:, 0]
+
+
+def evolve(basis, c, t):
+    """Field-free propagation: phases exp(-i l(l+1) t / 2)."""
+    return c * np.exp(-1j * basis.energies * t)
+
+
+def expect(basis, c, name):
+    op = basis.operator(name)
+    return float(np.real(np.sum(np.conj(c[op.rows]) * op.vals * c[op.cols])))
 
 
 class TestBasis:
@@ -48,6 +69,13 @@ class TestBasis:
                                         np.conj(ytab[i]) * dots2 * ytab[j])
                 assert mat[i, j] == pytest.approx(ref, abs=1e-9), (i, j)
 
+    def test_rank2_elements_match_scalar_oracle(self):
+        b = LinearBasis(8)
+        for q in range(-2, 3):
+            ref = np.array([[gaunt_y2(int(lp), int(mp), q, int(l), int(m))
+                             for l, m in zip(b.l, b.m)] for lp, mp in zip(b.l, b.m)])
+            assert np.max(np.abs(matrix_of(b, b._y2_matrix(q)) - ref)) < 1e-14, q
+
     def test_hermiticity(self):
         b = LinearBasis(10)
         for p in ([0, 0, 1.0], np.array([1.0, 0, 1.0]) / math.sqrt(2)):
@@ -73,35 +101,34 @@ class TestBasis:
 class TestFreeEvolution:
     def test_revival_period(self):
         b = LinearBasis(18)
-        wp = sudden_kick(WavePacket.pure(b, 0, 0), PulseSpec(P=2.0, p=(0, 0, 1.0)))
-        ev = free_evolve(wp, 2 * math.pi)
+        c = kick(b, pure(b, 0, 0), PulseSpec(P=2.0, p=(0, 0, 1.0)))
+        ev = evolve(b, c, 2 * math.pi)
         for name in ("cos2theta", "cos2phi", "Ly", "L2"):
-            assert observe(ev, name) == pytest.approx(observe(wp, name), abs=1e-10)
+            assert expect(b, ev, name) == pytest.approx(expect(b, c, name), abs=1e-10)
 
     def test_ground_state_stationary(self):
         b = LinearBasis(4)
-        wp = free_evolve(WavePacket.pure(b, 0, 0), 0.77)
-        assert wp.c[0] == pytest.approx(1.0)
+        assert evolve(b, pure(b, 0, 0), 0.77)[0] == pytest.approx(1.0)
 
     def test_composition(self):
         b = LinearBasis(16)
-        wp = sudden_kick(WavePacket.pure(b, 1, 1), PulseSpec(P=1.5, p=(0, 0, 1.0)))
-        a = free_evolve(free_evolve(wp, 0.3), 0.9)
-        bb = free_evolve(wp, 1.2)
-        assert np.allclose(a.c, bb.c, atol=1e-14)
+        c = kick(b, pure(b, 1, 1), PulseSpec(P=1.5, p=(0, 0, 1.0)))
+        a = evolve(b, evolve(b, c, 0.3), 0.9)
+        bb = evolve(b, c, 1.2)
+        assert np.allclose(a, bb, atol=1e-14)
 
 
 class TestSuddenKick:
     def test_zero_strength_identity(self):
         b = LinearBasis(6)
-        wp = WavePacket.pure(b, 2, 1)
-        out = sudden_kick(wp, PulseSpec(P=0.0, p=(0, 0, 1.0)))
-        assert np.allclose(out.c, wp.c, atol=1e-14)
+        c = pure(b, 2, 1)
+        out = kick(b, c, PulseSpec(P=0.0, p=(0, 0, 1.0)))
+        assert np.allclose(out, c, atol=1e-14)
 
     def test_z_kick_selection_rules(self):
         b = LinearBasis(20)
-        out = sudden_kick(WavePacket.pure(b, 0, 0), PulseSpec(P=3.0, p=(0, 0, 1.0)))
-        pops = np.abs(out.c) ** 2
+        out = kick(b, pure(b, 0, 0), PulseSpec(P=3.0, p=(0, 0, 1.0)))
+        pops = np.abs(out) ** 2
         populated = pops > 1e-12
         assert np.all(b.m[populated] == 0)
         assert np.all(b.l[populated] % 2 == 0)
@@ -110,13 +137,12 @@ class TestSuddenKick:
         # exp(iP cos^2 beta) is a pure phase in angle space: every angular
         # observable is unchanged at the kick instant
         b = LinearBasis(24)
-        wp = WavePacket.pure(b, 0, 0)
-        out = sudden_kick(wp, Z5)
-        assert observe(out, "cos2theta") == pytest.approx(1 / 3, abs=1e-10)
-        assert observe(out, "cos2phi") == pytest.approx(0.5, abs=1e-10)
-        assert out.norm == pytest.approx(1.0, abs=1e-10)
+        out = kick(b, pure(b, 0, 0), Z5)
+        assert expect(b, out, "cos2theta") == pytest.approx(1 / 3, abs=1e-10)
+        assert expect(b, out, "cos2phi") == pytest.approx(0.5, abs=1e-10)
+        assert np.vdot(out, out).real == pytest.approx(1.0, abs=1e-10)
         # and alignment then builds up to a maximum at finite delay
-        fine = [observe(free_evolve(out, t), "cos2theta")
+        fine = [expect(b, evolve(b, out, t), "cos2theta")
                 for t in np.linspace(0, 0.6, 121)]
         k = int(np.argmax(fine))
         assert 0 < k < 120
@@ -124,59 +150,30 @@ class TestSuddenKick:
 
     def test_tilted_kick_couples_m(self):
         b = LinearBasis(18)
-        out = sudden_kick(WavePacket.pure(b, 0, 0), PulseSpec.along(2.0, (1, 0, 1)))
-        ms = set(int(m) for m, pop in zip(b.m, np.abs(out.c) ** 2) if pop > 1e-10)
+        out = kick(b, pure(b, 0, 0), PulseSpec.along(2.0, (1, 0, 1)))
+        ms = set(int(m) for m, pop in zip(b.m, np.abs(out) ** 2) if pop > 1e-10)
         assert ms > {0}
 
     def test_headroom_error(self):
         b = LinearBasis(6)
         with pytest.raises(TruncationError):
-            sudden_kick(WavePacket.pure(b, 0, 0), Z5)
+            kick(b, pure(b, 0, 0), Z5)
 
     def test_unitarity_long_run(self):
         b = LinearBasis(64)
-        wp = WavePacket.pure(b, 1, 0)
+        c = pure(b, 1, 0)
         for _ in range(10):
-            wp = free_evolve(sudden_kick(wp, PulseSpec(P=1.5, p=(0, 0, 1.0))),
-                             2 * math.pi)
-        assert abs(wp.norm - 1.0) < 1e-8
-
-
-class TestFinitePulse:
-    def test_requires_duration(self):
-        b = LinearBasis(8)
-        with pytest.raises(ParameterError):
-            finite_pulse(WavePacket.pure(b, 0, 0), PulseSpec(P=1.0, p=(0, 0, 1.0)))
-
-    def test_zero_strength_identity(self):
-        b = LinearBasis(8)
-        wp = WavePacket.pure(b, 1, 0)
-        out = finite_pulse(wp, PulseSpec(P=0.0, p=(0, 0, 1.0), duration=0.05))
-        assert np.max(np.abs(out.c - wp.c)) < 1e-10
-
-    def test_converges_to_sudden(self):
-        b = LinearBasis(16)
-        wp = WavePacket.pure(b, 0, 0)
-        sudden = sudden_kick(wp, PulseSpec(P=1.0, p=(0, 0, 1.0)))
-        fwhm = 1e-4 * 2 * math.pi
-        fin = finite_pulse(wp, PulseSpec(P=1.0, p=(0, 0, 1.0), duration=fwhm))
-        assert np.max(np.abs(fin.c - sudden.c)) < 1e-4
-        assert fin.norm == pytest.approx(1.0, abs=1e-8)
-
-    def test_norm_preserved(self):
-        b = LinearBasis(14)
-        out = finite_pulse(WavePacket.pure(b, 0, 0),
-                           PulseSpec(P=1.2, p=(0, 0, 1.0), duration=0.3))
-        assert out.norm == pytest.approx(1.0, abs=1e-8)
+            c = evolve(b, kick(b, c, PulseSpec(P=1.5, p=(0, 0, 1.0))), 2 * math.pi)
+        assert abs(np.vdot(c, c).real - 1.0) < 1e-8
 
 
 class TestObserve:
     def test_ground_state(self):
         b = LinearBasis(6)
-        wp = WavePacket.pure(b, 0, 0)
-        assert observe(wp, "cos2theta") == pytest.approx(1 / 3)
-        assert observe(wp, "cos2phi") == pytest.approx(0.5)
-        assert observe(wp, "L2") == 0.0
+        c = pure(b, 0, 0)
+        assert expect(b, c, "cos2theta") == pytest.approx(1 / 3)
+        assert expect(b, c, "cos2phi") == pytest.approx(0.5)
+        assert expect(b, c, "L2") == 0.0
 
     def test_px_state_hand_values(self):
         # (|1,1> - |1,-1>)/sqrt(2) has |psi|^2 ~ sin^2(theta) cos^2(phi):
@@ -185,19 +182,17 @@ class TestObserve:
         c = np.zeros(b.size, dtype=complex)
         c[b.index(1, 1)] = 1 / math.sqrt(2)
         c[b.index(1, -1)] = -1 / math.sqrt(2)
-        wp = WavePacket(b, c)
-        assert observe(wp, "cos2theta") == pytest.approx(0.2, abs=1e-12)
-        assert observe(wp, "cos2phi") == pytest.approx(0.75, abs=1e-12)
+        assert expect(b, c, "cos2theta") == pytest.approx(0.2, abs=1e-12)
+        assert expect(b, c, "cos2phi") == pytest.approx(0.75, abs=1e-12)
 
     def test_grid_path_matches_matrix_path(self):
         b = LinearBasis(16)
-        wp = free_evolve(sudden_kick(WavePacket.pure(b, 1, -1),
-                                     PulseSpec.along(1.5, (1, 0, 2))), 0.37)
-        got_grid = observe(wp, lambda th, ph: np.cos(th) ** 2 * np.ones_like(ph))
-        assert got_grid == pytest.approx(observe(wp, "cos2theta"), abs=1e-6)
-        got_phi = observe(wp, lambda th, ph: np.cos(ph) ** 2 * np.ones_like(th))
-        assert got_phi == pytest.approx(observe(wp, "cos2phi"), abs=1e-6)
-        assert observe(wp, lambda th, ph: np.ones_like(th) * np.ones_like(ph)) == \
+        c = evolve(b, kick(b, pure(b, 1, -1), PulseSpec.along(1.5, (1, 0, 2))), 0.37)
+        got_grid = observe_grid(b, c, lambda th, ph: np.cos(th) ** 2 * np.ones_like(ph))
+        assert got_grid == pytest.approx(expect(b, c, "cos2theta"), abs=1e-6)
+        got_phi = observe_grid(b, c, lambda th, ph: np.cos(ph) ** 2 * np.ones_like(th))
+        assert got_phi == pytest.approx(expect(b, c, "cos2phi"), abs=1e-6)
+        assert observe_grid(b, c, lambda th, ph: np.ones_like(th) * np.ones_like(ph)) == \
             pytest.approx(1.0, abs=1e-8)
 
 
