@@ -21,10 +21,111 @@ as by free motion.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 REST_MOMENTUM = 1e-14     # |L| below this freezes the molecule
 CONE_SIN = 1e-12          # sin(theta_pr) below which the axis is parallel to L
+ANCHOR_STEP = 32          # K: grid indices between exact cos/sin anchors
+_VELTKAMP = 2.0 ** 27 + 1.0
+
+
+def _split(x):
+    """x = hi + lo with halves of 26 bits, whose products are exact (Veltkamp)."""
+    c = _VELTKAMP * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_product(a, b):
+    """p = fl(a b) and the exact error a b - p (Dekker)."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _two_sum(a, b):
+    """s = fl(a + b) and the exact error a + b - s (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+@dataclass(frozen=True)
+class UniformGrid:
+    """The free-flight times t0 + i h, i = 0 .. n - 1, of one segment."""
+
+    t0: float
+    h: float
+    n: int
+
+
+class GridPhases:
+    """cos/sin(omega t) on a UniformGrid for one range of molecules.
+
+    Index i = m K + j (K = ANCHOR_STEP) joins the anchor A_m = omega (t0 +
+    m K h) and the table entry T_j = omega j h by angle addition, e.g.
+    cos(A_m + T_j) = cos A_m cos T_j - sin A_m sin T_j: four multiplies and
+    two adds per element in place of a cos and a sin.  No value is a running
+    recurrence, so the error stays at a few ulps whatever the segment length
+    and depends only on the molecule and i.  The anchor angle is carried as
+    a double-double, so the phase does not inherit the rounding of omega t
+    (up to 1e-13 rad after a few revivals).  SymTopEnsemble.positions builds
+    the (K, rows) table on first use and keeps the latest anchor here: one
+    GridPhases serves one range of molecules through a segment.
+    """
+
+    def __init__(self, grid: UniformGrid, rows: slice):
+        self.grid, self.rows = grid, rows
+        self.table = None
+        self.anchor_index, self.anchor = -1, None
+
+    def span(self, start: int, stop: int) -> "GridSpan":
+        return GridSpan(self, start, stop)
+
+    def _anchor(self, m: int, omega: np.ndarray):
+        if m != self.anchor_index:
+            # t0 + m K h = t_hi + e_mk + e_sum and omega t_hi = p + err, exactly
+            p_mk, e_mk = _two_product(float(m * ANCHOR_STEP), self.grid.h)
+            t_hi, e_sum = _two_sum(self.grid.t0, p_mk)
+            p, err = _two_product(omega, t_hi)
+            lo = err + omega * (e_mk + e_sum)       # the angle is p + lo
+            cos, sin = np.cos(p), np.sin(p)
+            self.anchor_index, self.anchor = m, (cos - lo * sin, sin + lo * cos)
+        return self.anchor
+
+    def cos_sin(self, omega: np.ndarray, start: int, stop: int):
+        """(stop - start, rows) cos and sin at grid indices start .. stop - 1."""
+        if self.table is None:
+            ang = np.multiply.outer(np.arange(ANCHOR_STEP) * self.grid.h, omega)
+            self.table = (np.cos(ang), np.sin(ang))
+        tab_cos, tab_sin = self.table
+        cos = np.empty((stop - start, len(omega)))
+        sin = np.empty_like(cos)
+        tmp = np.empty_like(cos)
+        i = start
+        while i < stop:             # one anchor group at a time
+            m, j = divmod(i, ANCHOR_STEP)
+            end = min(stop, (m + 1) * ANCHOR_STEP)
+            ac, as_ = self._anchor(m, omega)
+            tc, ts = tab_cos[j:j + end - i], tab_sin[j:j + end - i]
+            c, s, t = cos[i - start:end - start], sin[i - start:end - start], tmp[:end - i]
+            np.multiply(tc, ac, out=c)
+            c -= np.multiply(ts, as_, out=t)
+            np.multiply(tc, as_, out=s)
+            s += np.multiply(ts, ac, out=t)
+            i = end
+        return cos, sin
+
+
+class GridSpan(NamedTuple):
+    """Grid indices start .. stop - 1 of a GridPhases."""
+
+    phases: GridPhases
+    start: int
+    stop: int
 
 
 class SymTopEnsemble:
@@ -44,6 +145,10 @@ class SymTopEnsemble:
 
     a, b and c are stored component-major, (3, N), so that a block of n_t
     times yields each component as one contiguous (n_t, N) array.
+
+    cos/sin(omega t) come from np.cos/np.sin at arbitrary times, or from a
+    GridPhases (anchors and a table) on a UniformGrid; both feed the same
+    placement and normalisation.
     """
 
     def __init__(self, r: np.ndarray, L: np.ndarray):
@@ -68,17 +173,29 @@ class SymTopEnsemble:
         """Axis vectors after free flight by dt (dimensionless).
 
         A scalar dt gives a C-ordered (N, 3) array.  A 1-D array of n_t
-        times gives (n_t, N, 3), a view of component-major data in which
-        each pos[..., k] is a contiguous (n_t, N) array.  rows restricts the
-        evaluation to a range of molecules.
+        times, or a GridSpan of n_t grid indices, gives (n_t, N, 3), a view
+        of component-major data in which each pos[..., k] is a contiguous
+        (n_t, N) array.  rows restricts the evaluation to a range of
+        molecules; a GridSpan must be evaluated on its GridPhases' rows.
         """
+        if isinstance(dt, GridSpan):
+            if dt.phases.rows != rows:
+                raise ValueError(f"grid phases of rows {dt.phases.rows} used for {rows}")
+            cos, sin = dt.phases.cos_sin(self.omega[rows], dt.start, dt.stop)
+            return np.moveaxis(self._place(cos, sin, rows), 0, -1)
         times = np.asarray(dt, dtype=float)
-        w = self.w[rows]
         ang = np.multiply.outer(np.atleast_1d(times), self.omega[rows])
         cos = np.cos(ang)
-        sin = np.sin(ang, out=ang)
-        out = np.empty((3,) + ang.shape)
-        tmp = np.empty_like(ang)
+        out = self._place(cos, np.sin(ang, out=ang), rows)
+        if times.ndim == 0:
+            return np.ascontiguousarray(out[:, 0].T)
+        return np.moveaxis(out, 0, -1)
+
+    def _place(self, cos: np.ndarray, sin: np.ndarray, rows: slice) -> np.ndarray:
+        """(3, n_t, rows) normalised a + w (b cos + c sin); overwrites cos."""
+        w = self.w[rows]
+        out = np.empty((3,) + cos.shape)
+        tmp = np.empty_like(cos)
         for k in range(3):
             np.multiply(self.b[k, rows], cos, out=out[k])
             out[k] += np.multiply(self.c[k, rows], sin, out=tmp)
@@ -88,9 +205,7 @@ class SymTopEnsemble:
         norm += np.multiply(out[1], out[1], out=tmp)
         norm += np.multiply(out[2], out[2], out=tmp)
         out /= np.sqrt(norm, out=norm)
-        if times.ndim == 0:
-            return np.ascontiguousarray(out[:, 0].T)
-        return np.moveaxis(out, 0, -1)
+        return out
 
     def time_average_squares(self) -> np.ndarray:
         """(N, 3) averages of x^2, y^2, z^2 over each molecule's closed orbit."""

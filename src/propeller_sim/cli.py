@@ -349,7 +349,7 @@ def _preset_fig6(out_dir: Path, seed: int, n_traj):
     mol = benzene()
     taus = np.arange(0.0, 0.12 + 0.5 * SCAN_TREV, SCAN_TREV)
     tgrid = np.arange(0.0, 1.1, 0.001)
-    files = []
+    files, quantum = [], {}
     for P in (-1.0, -3.0, -10.0):
         tag = f"P{int(abs(P))}"
         align = quantum_symtop.alignment_trace(mol, 0.9, P, tgrid)
@@ -357,14 +357,17 @@ def _preset_fig6(out_dir: Path, seed: int, n_traj):
         scan = quantum_symtop.delay_curve(mol, 0.9, P, P, -math.pi / 4, taus)
         files.append(_write_series(out_dir, f"delayscan_{tag}", scan, "csv",
                                    time_column="tau_trev"))
-    return files, None, {}
+        quantum[tag] = _symtop_diagnostics({"alignment": align, "delay_curve": scan})
+    return files, None, {"diagnostics": {"quantum_symtop": quantum}}
 
 
 def _preset_fig7(out_dir: Path, seed: int, n_traj):
     files = []
-    extras, free_flight = {}, {}
+    extras = {}
+    diagnostics = {"free_flight": {}, "quantum_symtop": {}}
     for P in (-1.0, -3.0, -10.0):
-        sub = out_dir / f"P{int(abs(P))}"
+        tag = f"P{int(abs(P))}"
+        sub = out_dir / tag
         sub.mkdir(exist_ok=True)
         args = argparse.Namespace(command="compare", molecule="benzene", temp_K=0.9,
                                   P1=P, P2=P, angle_deg=-45.0, delay="auto",
@@ -372,11 +375,11 @@ def _preset_fig7(out_dir: Path, seed: int, n_traj):
                                   dt_out=SCAN_TREV, sigma_kde=0.1, l_max=None,
                                   format="csv")
         f, _, extra = cmd_compare(args, sub)
-        files += [f"P{int(abs(P))}/{x}" for x in f]
-        extras[f"P{int(abs(P))}"] = extra["max_abs_deviation"]
-        free_flight[f"P{int(abs(P))}"] = extra["diagnostics"]["free_flight"]
-    return files, None, {"max_abs_deviation": extras,
-                         "diagnostics": {"free_flight": free_flight}}
+        files += [f"{tag}/{x}" for x in f]
+        extras[tag] = extra["max_abs_deviation"]
+        for key, block in diagnostics.items():
+            block[tag] = extra["diagnostics"][key]
+    return files, None, {"max_abs_deviation": extras, "diagnostics": diagnostics}
 
 
 PRESETS = {

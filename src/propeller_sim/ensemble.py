@@ -24,11 +24,19 @@ of output times are evaluated as (time x molecule) arrays of about BLOCK
 elements.  Each block is reduced along its contiguous molecule axis, so
 every row is summed by the same pairwise summation as a 1-D array of those
 molecules; a molecule at a pole leaves its cos2phi row by compression, not
-by adding a zero.  Block boundaries therefore do not change any value.
-run_protocol sums over fixed-size molecule chunks (CHUNK) combined in index
-order, so values are also invariant under the thread count used to evaluate
-the chunks.  The alignment scan and delay_scan reduce each time over the
-whole ensemble.
+by adding a zero.
+
+run_protocol hands each segment's run of the output grid to the kernel as
+a classical_symtop.UniformGrid (first time t0, step h, n times), so its
+cos/sin(omega t) come from anchors every ANCHOR_STEP grid indices and a
+(ANCHOR_STEP x chunk) table per segment and chunk, joined by angle
+addition; a grid value depends only on the molecule and its grid index.
+Block boundaries therefore do not change any value.  run_protocol sums over
+fixed-size molecule chunks (CHUNK) combined in index order, so values are
+also invariant under the thread count used to evaluate the chunks.  The
+alignment scan, delay_scan and advance take arbitrary times through
+np.cos/np.sin, and the scan and delay_scan reduce each time over the whole
+ensemble.
 """
 
 from __future__ import annotations
@@ -243,16 +251,19 @@ def _flight_diagnostics(n: int, chunk: int, workers: int, segments) -> dict:
                          for t0, n_t, sw in segments]}
 
 
-def _chunk_sums(flight: csym.SymTopEnsemble, L: np.ndarray, dts: np.ndarray,
+def _chunk_sums(flight: csym.SymTopEnsemble, L: np.ndarray, grid: csym.UniformGrid,
                 rows: tuple[int, int]):
     """Per-time sums of z^2, of x^2/(x^2+y^2) off the poles and of the
-    off-pole count over molecules rows = (a, b), plus the chunk's L sums."""
+    off-pole count over molecules rows = (a, b) at the grid's times, plus
+    the chunk's L sums."""
     a, b = rows
-    z2, c2p = np.empty(len(dts)), np.empty(len(dts))
-    n_az = np.empty(len(dts), dtype=np.int64)
+    z2, c2p = np.empty(grid.n), np.empty(grid.n)
+    n_az = np.empty(grid.n, dtype=np.int64)
+    chunk = slice(a, b)
+    phases = csym.GridPhases(grid, chunk)
     step = _block_times(b - a)
-    for i in range(0, len(dts), step):
-        pos = flight.positions(dts[i:i + step], slice(a, b))
+    for i in range(0, grid.n, step):
+        pos = flight.positions(phases.span(i, min(i + step, grid.n)), chunk)
         x, y, z = pos[..., 0], pos[..., 1], pos[..., 2]
         x2 = x * x
         s2 = x2 + y * y
@@ -376,9 +387,10 @@ def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
     meta.update(pulse_meta)
 
     grid = np.arange(0.0, cfg.t_max + 0.5 * cfg.dt_out, cfg.dt_out)
-    t = grid * TWO_PI
+    t, h = grid * TWO_PI, cfg.dt_out * TWO_PI
     # segment 0 is free flight from the initial state, segment s >= 1 the
-    # flight after pulse s; a grid time joins the last pulse it does not precede
+    # flight after pulse s; a grid time joins the last pulse it does not
+    # precede, so each segment owns a run of the grid: its first time plus i h
     segments = [(0.0, initial)] + events
     seg_of = np.searchsorted(np.array([t_p - 1e-12 for t_p, _ in events]), t, side="right")
 
@@ -395,7 +407,8 @@ def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
             if not len(sel):
                 continue
             evaluated.append((t0, len(sel), swarm))
-            chunk_sums = functools.partial(_chunk_sums, swarm.flight, swarm.L, t[sel] - t0)
+            seg_grid = csym.UniformGrid(t[sel[0]] - t0, h, len(sel))
+            chunk_sums = functools.partial(_chunk_sums, swarm.flight, swarm.L, seg_grid)
             z2, c2p = np.zeros(len(sel)), np.zeros(len(sel))
             n_az = np.zeros(len(sel), dtype=np.int64)
             Lsum, L2 = np.zeros(3), 0.0

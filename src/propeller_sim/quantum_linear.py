@@ -332,32 +332,29 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
     meta["pulse_times_trev"] = [t / TWO_PI for t, _ in segments[1:]]
     meta["headroom_tail"] = _headroom_tail(basis, segments[-1][1])
 
-    seg_traces = []
-    for t0, psi_s in segments:
-        traces = {}
-        for name in observables:
-            tr = SpectralTrace()
-            op = ops[name]
-            accumulate_pattern(tr, op.rows, op.cols, op.vals, energies, psi_s, weights)
-            traces[name] = tr
-        seg_traces.append((t0, traces))
-
     grid = np.arange(0.0, t_max + 0.5 * dt_out, dt_out)
     t_dim = grid * TWO_PI
-    starts = np.array([t0 for t0, _ in seg_traces])
+    starts = np.array([t0 for t0, _ in segments])
     seg_of = np.clip(np.searchsorted(starts, t_dim + 1e-12) - 1, 0, len(starts) - 1)
     out = {name: np.empty(len(grid)) for name in observables}
-    for s, (t0, traces) in enumerate(seg_traces):
+    last = len(segments) - 1
+    for s, (t0, psi_s) in enumerate(segments):
         idx = np.flatnonzero(seg_of == s)
-        if not len(idx):
+        # a segment no grid time reads (segment 0 when pulse 1 fires at
+        # t = 0) needs no trace, except the last, which gives revival_avg
+        if not len(idx) and s != last:
             continue
-        rel = t_dim[idx] - t0
+        traces = {}
         for name in observables:
-            out[name][idx] = traces[name].evaluate(rel)
+            traces[name] = SpectralTrace()
+            op = ops[name]
+            accumulate_pattern(traces[name], op.rows, op.cols, op.vals, energies,
+                               psi_s, weights)
+            if len(idx):
+                out[name][idx] = traces[name].evaluate(t_dim[idx] - t0)
     if "Ly" in out and "L2" in out:
         with np.errstate(invalid="ignore", divide="ignore"):
             out["Ly_norm"] = np.where(out["L2"] > 0, out["Ly"] / np.sqrt(out["L2"]), 0.0)
 
-    meta["revival_avg"] = {name: seg_traces[-1][1][name].time_average()
-                           for name in observables}
+    meta["revival_avg"] = {name: traces[name].time_average() for name in observables}
     return TimeSeries(grid=grid, channels=out, meta=meta)

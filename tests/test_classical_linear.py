@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from propeller_sim import ensemble
-from propeller_sim.classical_symtop import SymTopEnsemble, kick_momentum
+from propeller_sim.classical_symtop import SymTopEnsemble, UniformGrid, kick_momentum
 from propeller_sim.core import PulseSpec
 
 
@@ -127,7 +127,7 @@ def _observables(r, L):
     kinetic energy, through the engine's per-time reductions."""
     r, L = np.array([r], float), np.array([L], float)
     z2, c2p, n_az, Lsum, L2 = ensemble._chunk_sums(SymTopEnsemble(r, L), L,
-                                                   np.zeros(1), (0, 1))
+                                                   UniformGrid(0.0, 1.0, 1), (0, 1))
     return {"cos2theta": z2[0], "cos2phi": c2p[0] if n_az[0] else None,
             "L": Lsum, "energy": 0.5 * L2}
 

@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from propeller_sim.classical_symtop import SymTopEnsemble, kick_momentum
+from propeller_sim.classical_symtop import (GridPhases, SymTopEnsemble, UniformGrid,
+                                           kick_momentum)
 from propeller_sim.classical_linear import kick_velocity, propagate_arrays
 from propeller_sim.core import PulseSpec
 
@@ -276,6 +278,21 @@ class TestFreeFlightKernel:
         for i, t in enumerate(self.TIMES):
             lin = propagate_arrays(r, np.cross(L, r), t)[0]
             assert np.allclose(top[i], lin, rtol=0, atol=1e-14)
+
+    def test_grid_phases_match_high_precision(self):
+        # the double-double anchors keep the grid phase within a few ulps of
+        # cos/sin(omega (t0 + i h)) at angles of several hundred radians,
+        # where np.cos of the rounded product is off by up to ~5e-14
+        rng = np.random.default_rng(6)
+        omega = rng.uniform(0.0, 16.0, 64)
+        grid = UniformGrid(0.37, 0.002 * 2.0 * math.pi, 2501)
+        cos, sin = GridPhases(grid, slice(None)).cos_sin(omega, 2000, 2501)
+        with mp.workdps(40):
+            for i, k in zip(rng.integers(0, 501, 200), rng.integers(0, 64, 200)):
+                t = mp.mpf(grid.t0) + (2000 + int(i)) * mp.mpf(grid.h)
+                ang = mp.mpf(omega[k]) * t
+                assert abs(cos[i, k] - float(mp.cos(ang))) <= 2e-15
+                assert abs(sin[i, k] - float(mp.sin(ang))) <= 2e-15
 
     def test_block_kick_is_kick_by_kick(self):
         r, L = _kernel_ensemble()

@@ -266,6 +266,21 @@ class TestOutputs:
         assert sorted(flight) == ["P1", "P10", "P3"]
         assert all(f["segments"][0]["n_times"] == 241 for f in flight.values())
 
+    @pytest.mark.parametrize("name, sections", [
+        ("fig6", {"quantum_symtop"}),
+        ("fig7", {"free_flight", "quantum_symtop"}),
+    ])
+    def test_preset_quantum_symtop_diagnostics(self, tmp_path, name, sections):
+        assert run_cli("preset", name, "--n-traj", "200", "--out", str(tmp_path)) == 0
+        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        assert set(m.diagnostics) == sections
+        for section in sections:
+            assert sorted(m.diagnostics[section]) == ["P1", "P10", "P3"]
+        for diag in m.diagnostics["quantum_symtop"].values():
+            assert {"K_limit", "n_initial_states", "weight_truncation",
+                    "alignment", "delay_curve"} <= set(diag)
+            assert 0.0 < diag["delay_curve"]["headroom_tail_pulse2"] <= 1e-10
+
     def test_compare_linear(self, tmp_path):
         code = run_cli("compare", "--molecule", "n2", "--temp-K", "50",
                        "--P1", "5", "--P2", "5", "--n-traj", "2000", "--seed", "2",

@@ -6,7 +6,8 @@ from scipy.stats import chi2
 
 from propeller_sim import classical_symtop, ensemble
 from propeller_sim.classical_symtop import SymTopEnsemble
-from propeller_sim.core import ParameterError, ProtocolError, PulseSpec, nitrogen, benzene, sigma_th
+from propeller_sim.core import (TWO_PI, ParameterError, ProtocolError, PulseSpec, benzene,
+                                nitrogen, sigma_th)
 from propeller_sim.ensemble import (CHUNK, POLE_SIN2, EnsembleConfig, delay_scan,
                                     final_states, linear_ensemble_from_uniforms,
                                     orientation_from_uniforms, run_protocol,
@@ -316,7 +317,8 @@ class TestFreeFlightBlocks:
 
     def test_pole_molecules_leave_cos2phi(self):
         # molecules at rest on the poles, and one flying through a pole at
-        # t = pi/4: each time's sum equals the 1-D sum of the kept terms
+        # t = pi/4 (grid index 2 of k pi/8): each time's sum equals the 1-D
+        # sum of the kept terms of the grid evaluation
         rng = np.random.default_rng(17)
         n = 300
         r = rng.standard_normal((n, 3))
@@ -326,15 +328,65 @@ class TestFreeFlightBlocks:
         v[:3] = [[0, 0, 0], [0, 0, 0], [0, 0, 2.0]]
         L = np.cross(r, v)
         flight = SymTopEnsemble(r, L)
-        dts = np.array([0.0, 0.3, math.pi / 4, 1.0])
-        z2, c2p, n_az, _, _ = ensemble._chunk_sums(flight, L, dts, (0, n))
-        for i, dt in enumerate(dts):
-            pos = flight.positions(dt)
+        grid = classical_symtop.UniformGrid(0.0, math.pi / 8, 5)
+        z2, c2p, n_az, _, _ = ensemble._chunk_sums(flight, L, grid, (0, n))
+        rows = slice(0, n)
+        block = flight.positions(classical_symtop.GridPhases(grid, rows).span(0, grid.n), rows)
+        for i in range(grid.n):
+            pos = block[i]
             s2 = pos[:, 0] ** 2 + pos[:, 1] ** 2
             ok = s2 >= POLE_SIN2
             assert n_az[i] == ok.sum() == n - 2 - (i == 2)
             assert c2p[i] == np.sum(pos[ok, 0] ** 2 / s2[ok])
             assert z2[i] == np.sum(pos[:, 2] ** 2)
+
+    def test_grid_phases_track_exact_positions(self):
+        # a fig2 segment: N2 at 50 K after a P = 5 kick, 2,501 steps of
+        # T_rev/500; the anchored grid agrees with positions at every time
+        cfg = EnsembleConfig(mol=N2, T_K=50.0, n_traj=2000, seed=3,
+                             pulses=(PulseSpec(P=5.0, p=(0, 0, 1.0)),), t_max=5.0,
+                             dt_out=0.002)
+        flight = ensemble._initial_swarm(cfg).kick(cfg.pulses[0]).flight
+        grid = classical_symtop.UniformGrid(0.0, 0.002 * TWO_PI, 2501)
+        phases = classical_symtop.GridPhases(grid, slice(None))
+        worst = 0.0
+        for i in range(0, grid.n, 128):
+            stop = min(i + 128, grid.n)
+            exact = flight.positions(grid.t0 + np.arange(i, stop) * grid.h)
+            worst = max(worst, np.max(np.abs(flight.positions(phases.span(i, stop)) - exact)))
+        assert worst <= 1e-13
+
+    def test_grid_phases_follow_the_rows(self):
+        # a molecule's grid value does not depend on the chunk it is
+        # evaluated in; phases made for other rows are refused
+        rng = np.random.default_rng(2)
+        r = rng.standard_normal((20, 3))
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        flight = SymTopEnsemble(r, 4.0 * rng.standard_normal((20, 3)))
+        grid = classical_symtop.UniformGrid(0.3, 0.1, 70)
+
+        def on_grid(rows):
+            return flight.positions(classical_symtop.GridPhases(grid, rows).span(0, 70), rows)
+
+        split = np.concatenate([on_grid(slice(0, 7)), on_grid(slice(7, 20))], axis=1)
+        assert np.array_equal(on_grid(slice(0, 20)), split)
+        phases = classical_symtop.GridPhases(grid, slice(0, 10))
+        with pytest.raises(ValueError, match="rows"):
+            flight.positions(phases.span(0, 4), slice(10, 20))
+
+    @pytest.mark.parametrize("block", [1, 3 * 997, 7 * 997, 2 ** 22])
+    def test_run_protocol_ignores_block_size(self, monkeypatch, block):
+        # 997 molecules: one time per block, 3 or 7 (across anchor groups),
+        # or the whole segment at once
+        cfg = EnsembleConfig(mol=N2, T_K=50.0, n_traj=997, seed=5, pulses=self.N2_AUTO,
+                             t_max=0.3, dt_out=0.002)
+        base = run_protocol(cfg)
+        monkeypatch.setattr(ensemble, "BLOCK", block)
+        other = run_protocol(cfg)
+        assert other.meta["free_flight"]["block_shape"][0] == max(1, block // 997)
+        for name in base.channels:
+            assert np.array_equal(base.channels[name], other.channels[name],
+                                  equal_nan=True), name
 
     def test_free_flight_meta(self):
         cfg = EnsembleConfig(mol=BZ, T_K=0.0, n_traj=500, seed=3, pulses=(

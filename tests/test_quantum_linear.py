@@ -5,6 +5,7 @@ import pytest
 from scipy.special import sph_harm_y
 
 from oracles import gaunt_y2, observe_grid
+from propeller_sim import quantum_linear
 from propeller_sim.core import PulseSpec, TruncationError, nitrogen
 from propeller_sim.quantum_linear import (LinearBasis, kick_batch, nitrogen_spin_weights,
                                           thermal_run, thermal_states)
@@ -220,6 +221,30 @@ class TestThermal:
         assert np.allclose(ts.channels["cos2theta"], 1 / 3, atol=1e-8)
         assert np.allclose(ts.channels["cos2phi"], 0.5, atol=1e-8)
         assert np.allclose(ts.channels["Ly"], 0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("t1", [0.0, 0.05])
+    def test_traces_only_for_segments_on_the_grid(self, monkeypatch, t1):
+        # pulse 1 at t = 0 leaves segment 0 without a grid time, so its four
+        # traces are skipped; at t1 > 0 the pre-pulse times still read it
+        calls = []
+        original = quantum_linear.accumulate_pattern
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quantum_linear, "accumulate_pattern", counting)
+        pulses = [PulseSpec(P=2.0, p=(0, 0, 1.0), t_apply=t1),
+                  PulseSpec.along(2.0, (1, 0, 1), t_apply=t1 + 0.03)]
+        ts = thermal_run(nitrogen(), 20.0, pulses, t_max=0.2, dt_out=0.01, l_max=26)
+        assert len(calls) == 4 * (2 if t1 == 0.0 else 3)
+        pre = ts.grid < t1 - 1e-9
+        assert pre.sum() == round(t1 / 0.01)
+        assert np.allclose(ts.channels["cos2theta"][pre], 1 / 3, rtol=0, atol=1e-12)
+        assert np.allclose(ts.channels["cos2phi"][pre], 0.5, rtol=0, atol=1e-12)
+        assert np.all(ts.channels["Ly"][pre] == 0.0)
+        after = ts.grid > t1 + 1e-9          # the kick itself leaves cos^2 theta alone
+        assert np.all(np.abs(ts.channels["cos2theta"][after] - 1 / 3) > 1e-3)
 
     def test_revival_periodicity_of_traces(self):
         ts = thermal_run(nitrogen(), 20.0,
