@@ -6,9 +6,9 @@ e_l = l(l+1)/2, so one revival period is t' = 2 pi exactly and every
 observable trace is periodic in it.
 
 An impulsive pulse applies the unitary exp(i P cos^2 beta) with
-cos beta = p . r_hat; the rank-2 interaction matrix follows from the
-spherical-harmonic addition theorem, so tilted polarizations are handled in
-the fixed frame without rotations.  Its Gaunt integrals <l' m'|Y_2q|l m> are
+cos beta = p . r_hat: e^{iP/3} times the K = 0 pulse-frame blocks of
+quantum_symtop, conjugated for a tilted p by D^l(alpha, beta, 0) on every l
+shell.  The rank-2 observables' Gaunt integrals <l' m'|Y_2q|l m> are
 evaluated for the whole basis at once with angular.wigner3j_array.
 
 Thermal averaging sums per-initial-state traces with Boltzmann weights
@@ -23,10 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import expm_multiply
 
-from . import angular
+from . import angular, quantum_symtop
 from .core import (MoleculeParams, ParameterError, ProtocolError, PulseSpec,
                    TruncationError, TWO_PI, sigma_th)
 from .ensemble import TimeSeries, first_local_extremum, parabolic_vertex
@@ -142,10 +140,10 @@ class LinearBasis:
         n_gl = self.l_max + 4
         x, w = np.polynomial.legendre.leggauss(n_gl)
         rows, cols, vals = [], [], []
-        for m in range(-self.l_max, self.l_max - 1):
+        tables = [angular.legendre_table(self.l_max, m, x)     # each built once
+                  for m in range(-self.l_max, self.l_max + 1)]
+        for m, t_lo, t_hi in zip(range(-self.l_max, self.l_max - 1), tables, tables[2:]):
             mp = m + 2
-            t_hi = angular.legendre_table(self.l_max, mp, x)   # rows l' = |mp|..
-            t_lo = angular.legendre_table(self.l_max, m, x)
             block = math.pi * (t_hi * w) @ t_lo.T
             i, j = np.nonzero(np.abs(block) >= 1e-14)
             lp, l = abs(mp) + i, abs(m) + j
@@ -203,11 +201,32 @@ def _headroom_tail(basis: LinearBasis, psi: np.ndarray) -> float:
     return float((np.abs(psi[band, :]) ** 2).sum(axis=0).max())
 
 
+def _shell_rotations(l_max: int, p: np.ndarray) -> list[np.ndarray]:
+    """D^l(alpha, beta, 0) for l = 0..l_max at the polar and azimuthal angles
+    of p: d(pi/2) diag(e^{-i beta m}) d(pi/2)^T is exp(-i beta J_x), and the
+    phases Q = diag(e^{-i pi m/2}) turn it into exp(-i beta J_y)."""
+    beta, alpha = math.atan2(math.hypot(p[0], p[1]), p[2]), math.atan2(p[1], p[0])
+    ms = (np.arange(-l, l + 1) for l in range(l_max + 1))
+    return [np.exp(-1j * (alpha + math.pi / 2) * m)[:, None]    # diag(e^{-i alpha m}) Q
+            * ((d * np.exp(-1j * beta * m)) @ d.T) * np.exp(0.5j * math.pi * m)
+            for m, d in zip(ms, angular.wigner_d_half_pi(l_max))]
+
+
 def kick_batch(basis: LinearBasis, psi: np.ndarray, pulse: PulseSpec) -> np.ndarray:
     """Apply one impulsive kick to a (size, n_states) coefficient batch."""
-    op = basis.op_cos2beta(pulse.p_vec)
-    mat = csr_matrix((op.vals, (op.rows, op.cols)), shape=(basis.size, basis.size))
-    out = expm_multiply(1j * pulse.P * mat, psi)
+    l_max, p = basis.l_max, pulse.p_vec
+    (U,) = quantum_symtop._kicks(quantum_symtop._pulse_frame_blocks(l_max, 0), 0,
+                                 (pulse.P,), l_max + 1)
+    shells = list(enumerate(_shell_rotations(l_max, p))) if p[0] or p[1] else []
+    out = np.array(psi, dtype=complex, order="C")     # one copy, updated in place
+    for l, D in shells:
+        out[l * l:(l + 1) ** 2] = D.conj().T @ out[l * l:(l + 1) ** 2]
+    for m in range(-l_max, l_max + 1):
+        rows = np.flatnonzero(basis.m == m)
+        out[rows] = U[abs(m), abs(m):, abs(m):] @ out[rows]
+    for l, D in shells:
+        out[l * l:(l + 1) ** 2] = D @ out[l * l:(l + 1) ** 2]
+    out *= np.exp(1j * pulse.P / 3.0)
     tail = _headroom_tail(basis, out)
     if tail > HEADROOM_TOL:
         raise TruncationError(
@@ -295,7 +314,8 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
         ops["cos2theta"] = basis.operator("cos2theta")
 
     meta = {"l_max": l_max, "sigma_th": sigma, "n_initial_states": len(states),
-            "weight_truncation": trunc,
+            "weight_truncation": trunc, "n_blocks": len(pulses) * (l_max + 1),
+            "max_block_dim": l_max + 1,
             "spin_weights": "uniform" if spin_weights is None else "custom"}
 
     # segment 0 is the stationary initial mixture; each kick starts a new one

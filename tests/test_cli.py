@@ -245,8 +245,12 @@ class TestOutputs:
         assert set(m.diagnostics) == sections
         assert all(m.diagnostics.values())
         if "quantum_linear" in sections:
-            assert set(m.diagnostics["quantum_linear"]) == {
-                "l_max", "n_initial_states", "weight_truncation", "headroom_tail"}
+            diag = m.diagnostics["quantum_linear"]
+            assert set(diag) == {"l_max", "n_initial_states", "weight_truncation",
+                                 "n_blocks", "max_block_dim", "headroom_tail"}
+            # two kicks, each on the pulse-frame blocks m = 0..l_max
+            assert diag["max_block_dim"] == diag["l_max"] + 1
+            assert diag["n_blocks"] == 2 * (diag["l_max"] + 1)
 
     def test_preset_fig3a(self, tmp_path):
         assert run_cli("preset", "fig3a", "--n-traj", "500",

@@ -1,16 +1,22 @@
 """Every imported name is used, and every top-level definition is reachable.
 
-Two `ast` scans standing in for a linter:
+Two `ast` scans standing in for a linter, and one import check:
 
 * the unused-import rule over src/ and tests/; names listed in a module's
   `__all__` count as used (re-exports);
 * a dead-definition rule over src/: each top-level function and class is
   referred to by another top-level statement of the package, or exported
   in `__all__`, or kept on KEPT with its reason.  Imports do not count as
-  references, and a definition does not refer to itself.
+  references, and a definition does not refer to itself;
+
+and `import propeller_sim.cli`, run in a fresh interpreter, loads no
+scipy.sparse module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +110,13 @@ def test_no_unused_imports(path):
 def test_no_unreferenced_definitions():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_definitions(sources) == sorted(KEPT)
+
+
+def test_cli_import_loads_no_scipy_sparse():
+    # no engine needs scipy.sparse; importing it adds ~3.5 MiB to every run's peak RSS
+    code = ("import sys, propeller_sim.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    assert run.stdout.strip() == "[]"

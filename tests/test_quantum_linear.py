@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag, expm
 from scipy.special import sph_harm_y
 
 from oracles import gaunt_y2, observe_grid
@@ -11,6 +12,8 @@ from propeller_sim.quantum_linear import (LinearBasis, kick_batch, nitrogen_spin
                                           thermal_run, thermal_states)
 
 Z5 = PulseSpec(P=5.0, p=(0.0, 0.0, 1.0))
+# polarizations on, against and across z, and two general tilts
+KICK_AXES = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (1, 0.5, 2), (0.3, -1, 0.2)]
 
 
 def matrix_of(basis, op):
@@ -148,6 +151,27 @@ class TestSuddenKick:
         k = int(np.argmax(fine))
         assert 0 < k < 120
         assert fine[k] > 0.5
+
+    @pytest.mark.parametrize("axis", KICK_AXES)
+    def test_kick_matches_dense_expm(self, axis):
+        # exp(i P cos^2 beta) itself, global phase included, for both signs of P
+        b = LinearBasis(30)
+        cols = [b.index(l, m) for l, m in ((0, 0), (1, -1), (3, 2), (5, -5), (6, 0))]
+        for P in (3.0, -2.5):
+            pulse = PulseSpec.along(P, axis)
+            ref = expm(1j * P * matrix_of(b, b.op_cos2beta(pulse.p_vec)))[:, cols]
+            got = kick_batch(b, np.eye(b.size, dtype=complex)[:, cols], pulse)
+            assert np.max(np.abs(got - ref)) <= 1e-13, P
+
+    def test_shell_rotations_carry_cos2theta_to_cos2beta(self):
+        b = LinearBasis(12)
+        c2 = matrix_of(b, b.op_cos2theta())
+        for axis in KICK_AXES:
+            p = PulseSpec.along(1.0, axis).p_vec
+            D = block_diag(*quantum_linear._shell_rotations(b.l_max, p))
+            assert np.max(np.abs(D @ D.conj().T - np.eye(b.size))) <= 1e-13, axis
+            ref = matrix_of(b, b.op_cos2beta(p))
+            assert np.max(np.abs(D @ c2 @ D.conj().T - ref)) <= 1e-13, axis
 
     def test_tilted_kick_couples_m(self):
         b = LinearBasis(18)
