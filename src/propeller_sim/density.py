@@ -96,20 +96,6 @@ class DensityGrid:
         dphi = TWO_PI / len(self.phi)
         return float(self.theta_weights @ self.rho.sum(axis=1) * dphi)
 
-    def phi_average(self) -> np.ndarray:
-        return self.rho.mean(axis=1)
-
-    def moments(self) -> tuple[float, float, float]:
-        """Quadrature second moments (<x^2>, <y^2>, <z^2>) of the density."""
-        dphi = TWO_PI / len(self.phi)
-        st2, ct2 = np.sin(self.theta) ** 2, np.cos(self.theta) ** 2
-        cp2, sp2 = np.cos(self.phi) ** 2, np.sin(self.phi) ** 2
-        wth = self.theta_weights
-        mx = float(wth @ ((self.rho * cp2[None, :]).sum(axis=1) * st2) * dphi)
-        my = float(wth @ ((self.rho * sp2[None, :]).sum(axis=1) * st2) * dphi)
-        mz = float(wth @ (self.rho.sum(axis=1) * ct2) * dphi)
-        return mx, my, mz
-
 
 def _check_sigma(sigma: float):
     if not (0.0 < sigma <= 0.5):

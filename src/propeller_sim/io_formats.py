@@ -120,11 +120,6 @@ class RunManifest:
     def write(self, path):
         Path(path).write_text(self.to_json() + "\n")
 
-    @classmethod
-    def from_json_file(cls, path) -> "RunManifest":
-        doc = json.loads(Path(path).read_text())
-        return cls(**doc)
-
 
 def library_versions() -> dict:
     import scipy

@@ -1,15 +1,23 @@
-"""Rotational wave-packet dynamics of a linear rigid rotor.
+"""Rotational wave-packet dynamics of a linear rigid rotor: the K = 0 top.
 
 Works in the classical frame (z along the first pulse) with a truncated
-|l, m> spherical-harmonic basis, 0 <= l <= l_max.  Dimensionless energies are
-e_l = l(l+1)/2, so one revival period is t' = 2 pi exactly and every
-observable trace is periodic in it.
+|l, m> spherical-harmonic basis, 0 <= l <= l_max, at the flat index
+l^2 + l + m.  Dimensionless energies are e_l = l(l+1)/2, so one revival
+period is t' = 2 pi exactly and every observable trace is periodic in it.
 
 An impulsive pulse applies the unitary exp(i P cos^2 beta) with
 cos beta = p . r_hat: e^{iP/3} times the K = 0 pulse-frame blocks of
 quantum_symtop, conjugated for a tilted p by D^l(alpha, beta, 0) on every l
-shell.  The rank-2 observables' Gaunt integrals <l' m'|Y_2q|l m> are
-evaluated for the whole basis at once with angular.wigner3j_array.
+shell.  The blocks are diagonalised once per distinct P in a run.
+
+An observable is a dict of block tables {q: T}, one per m-offset q, with
+T[m + l_max, l', l] = <l', m+q|A|l, m>.  The rank-2 Gaunt integrals
+<l' m'|Y_2q|l m> fill them for the whole basis at once through
+angular.wigner3j_array, and cos 2 phi by exact Gauss-Legendre quadrature.
+Each segment's state batch is scattered once into its (m, l) stack, and
+spectral.accumulate_pattern contracts it with the tables into one (l', l)
+matrix of amplitudes of the beats e_l' - e_l, the same beats as the
+symmetric top's (quantum_symtop._beat_freqs).
 
 Thermal averaging sums per-initial-state traces with Boltzmann weights
 (optionally modified by a nuclear-spin weight hook); the traces themselves
@@ -20,33 +28,19 @@ zero-frequency bin also provides exact revival-period averages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import angular, quantum_symtop
 from .core import (MoleculeParams, ParameterError, ProtocolError, PulseSpec,
                    TruncationError, TWO_PI, sigma_th)
-from .ensemble import TimeSeries, first_local_extremum, parabolic_vertex
+from .ensemble import SCAN_STEP, TimeSeries, first_local_extremum, parabolic_vertex
+from .quantum_symtop import HEADROOM_BAND, HEADROOM_TOL, WEIGHT_CUTOFF
 from .spectral import SpectralTrace, accumulate_pattern
-
-SCAN_STEP = TWO_PI / 2000.0
-HEADROOM_BAND = 4          # top l band that must stay unpopulated
-HEADROOM_TOL = 1e-10
-WEIGHT_CUTOFF = 0.9999
-
-
-@dataclass(frozen=True)
-class SparseOp:
-    """COO triplets of a Hermitian operator in the |l, m> basis."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
 
 
 class LinearBasis:
-    """Truncated |l, m> basis with cached operator matrix elements."""
+    """Truncated |l, m> basis with cached operator block tables and kicks."""
 
     def __init__(self, l_max: int):
         if l_max < 0:
@@ -64,131 +58,94 @@ class LinearBasis:
             raise ParameterError(f"state |{l},{m}> outside basis")
         return l * l + l + m
 
-    # ---- operator builders -------------------------------------------------
+    def blocks(self, psi: np.ndarray) -> np.ndarray:
+        """A (size, n_states) batch as its (m + l_max, l, n_states) stack."""
+        out = np.zeros((2 * self.l_max + 1, self.l_max + 1, psi.shape[1]), dtype=complex)
+        out[self.m + self.l_max, self.l] = psi
+        return out
 
-    def _y2_matrix(self, q: int) -> SparseOp:
-        """Gaunt integrals <l' m+q|Y_2q|l m>, l' = l-2, l, l+2, column by column."""
+    # ---- operator block tables ---------------------------------------------
+
+    def _table(self, m, lp, l, vals) -> np.ndarray:
+        """A table with T[m + l_max, l', l] = vals and zeros elsewhere."""
+        n = self.l_max + 1
+        out = np.zeros((2 * n - 1, n, n), dtype=complex)
+        out[m + self.l_max, lp, l] = vals
+        return out
+
+    def _diagonal(self, vals) -> dict:
+        return {0: self._table(self.m, self.l, self.l, vals)}
+
+    def _y2_matrix(self, q: int) -> np.ndarray:
+        """Gaunt integrals <l' m+q|Y_2q|l m>, l' = l-2, l, l+2, as one table."""
         lp = self.l[:, None] + np.array([-2, 0, 2])
         col, step = np.nonzero((lp >= np.abs(self.m + q)[:, None]) & (lp <= self.l_max))
         l, m = self.l[col], self.m[col]
         lp, mp = l + 2 * step - 2, m + q
         sign = np.where(mp % 2 == 1, -1.0, 1.0)
         pref = np.sqrt((2 * lp + 1) * 5 * (2 * l + 1) / (4.0 * math.pi))
-        v = (sign * pref * angular.wigner3j_array(lp, 2, l, 0, 0, 0)
-             * angular.wigner3j_array(lp, 2, l, -mp, q, m))
-        nz = v != 0.0
-        return SparseOp((lp * (lp + 1) + mp)[nz], col[nz], v[nz].astype(complex))
+        return self._table(m, lp, l, sign * pref * angular.wigner3j_array(lp, 2, l, 0, 0, 0)
+                           * angular.wigner3j_array(lp, 2, l, -mp, q, m))
 
-    def op_cos2beta(self, p) -> SparseOp:
+    def op_cos2beta(self, p) -> dict:
         """(p . r_hat)^2 via the rank-2 addition theorem; Hermitian for unit p."""
         p = np.asarray(p, dtype=float)
         key = ("cos2beta", tuple(np.round(p, 15)))
         if key in self._ops:
             return self._ops[key]
-        y2p = angular.y2_components(p)
-        rows = [np.arange(self.size)]
-        cols = [np.arange(self.size)]
-        vals = [np.full(self.size, 1.0 / 3.0, dtype=complex)]
+        op = self._diagonal(1.0 / 3.0)
         pref = (2.0 / 3.0) * (4.0 * math.pi / 5.0)
-        for qi, q in enumerate(range(-2, 3)):
-            if abs(y2p[qi]) < 1e-300:
-                continue
-            g = self._y2_matrix(q)
-            rows.append(g.rows)
-            cols.append(g.cols)
-            vals.append(pref * np.conj(y2p[qi]) * g.vals)
-        op = SparseOp(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+        for q, y in zip(range(-2, 3), angular.y2_components(p)):
+            if abs(y) >= 1e-300:
+                op[q] = op.get(q, 0.0) + pref * np.conj(y) * self._y2_matrix(q)
         self._ops[key] = op
         return op
 
-    def op_cos2theta(self) -> SparseOp:
+    def op_cos2theta(self) -> dict:
         return self.op_cos2beta(np.array([0.0, 0.0, 1.0]))
 
-    def op_sin2theta_cos2phi(self) -> SparseOp:
-        """x^2 - y^2 = sin^2(theta) cos(2 phi), a pure rank-2 operator."""
-        key = "x2my2"
-        if key in self._ops:
-            return self._ops[key]
-        coef = 2.0 * math.sqrt(2.0 * math.pi / 15.0)
-        parts = [self._y2_matrix(2), self._y2_matrix(-2)]
-        op = SparseOp(np.concatenate([p.rows for p in parts]),
-                      np.concatenate([p.cols for p in parts]),
-                      coef * np.concatenate([p.vals for p in parts]))
-        self._ops[key] = op
-        return op
-
-    def op_axis_moment(self, axis: str) -> SparseOp:
-        """x^2, y^2 or z^2 as combinations of cos^2(theta) and x^2 - y^2."""
-        if axis == "z":
-            return self.op_cos2theta()
-        c2t = self.op_cos2theta()
-        d = self.op_sin2theta_cos2phi()
-        sgn = 1.0 if axis == "x" else -1.0
-        size = self.size
-        rows = np.concatenate([np.arange(size), c2t.rows, d.rows])
-        cols = np.concatenate([np.arange(size), c2t.cols, d.cols])
-        vals = np.concatenate([np.full(size, 0.5, dtype=complex),
-                               -0.5 * c2t.vals, 0.5 * sgn * d.vals])
-        return SparseOp(rows, cols, vals)
-
-    def op_cos_2phi(self) -> SparseOp:
+    def op_cos_2phi(self) -> dict:
         """cos(2 phi): couples m -> m +/- 2 with all Delta-l, built by exact
         Gauss-Legendre quadrature of the theta overlaps (polynomial integrands)."""
         key = "cos_2phi"
         if key in self._ops:
             return self._ops[key]
-        n_gl = self.l_max + 4
-        x, w = np.polynomial.legendre.leggauss(n_gl)
-        rows, cols, vals = [], [], []
-        tables = [angular.legendre_table(self.l_max, m, x)     # each built once
-                  for m in range(-self.l_max, self.l_max + 1)]
-        for m, t_lo, t_hi in zip(range(-self.l_max, self.l_max - 1), tables, tables[2:]):
-            mp = m + 2
+        L = self.l_max
+        x, w = np.polynomial.legendre.leggauss(L + 4)
+        tables = [angular.legendre_table(L, m, x)     # each built once
+                  for m in range(-L, L + 1)]
+        up = np.zeros((2 * L + 1, L + 1, L + 1), dtype=complex)   # <l', m+2|.|l, m>
+        for m, t_lo, t_hi in zip(range(-L, L - 1), tables, tables[2:]):
             block = math.pi * (t_hi * w) @ t_lo.T
-            i, j = np.nonzero(np.abs(block) >= 1e-14)
-            lp, l = abs(mp) + i, abs(m) + j
-            a, b = lp * (lp + 1) + mp, l * (l + 1) + m
-            rows.append(np.stack([a, b], axis=1).ravel())
-            cols.append(np.stack([b, a], axis=1).ravel())
-            vals.append(np.repeat(block[i, j], 2))
-        op = SparseOp(np.concatenate(rows), np.concatenate(cols),
-                      np.concatenate(vals).astype(complex))
-        self._ops[key] = op
+            up[m + L, abs(m + 2):, abs(m):] = np.where(np.abs(block) >= 1e-14, block, 0.0)
+        down = np.zeros_like(up)                      # the real symmetric mirror
+        down[2:] = up[:-2].transpose(0, 2, 1)
+        self._ops[key] = op = {2: up, -2: down}
         return op
 
-    def op_cos2phi(self) -> SparseOp:
+    def op_cos2phi(self) -> dict:
         """Azimuthal factor cos^2(phi) = 1/2 + cos(2 phi)/2."""
-        raw = self.op_cos_2phi()
-        size = self.size
-        rows = np.concatenate([np.arange(size), raw.rows])
-        cols = np.concatenate([np.arange(size), raw.cols])
-        vals = np.concatenate([np.full(size, 0.5, dtype=complex), 0.5 * raw.vals])
-        return SparseOp(rows, cols, vals)
+        return {**self._diagonal(0.5),
+                **{q: 0.5 * T for q, T in self.op_cos_2phi().items()}}
 
-    def op_jy(self) -> SparseOp:
+    def op_jy(self) -> dict:
         """J_y = (J_+ - J_-)/(2i) (dimensionless angular momentum)."""
-        key = "jy"
-        if key in self._ops:
-            return self._ops[key]
-        col, down = np.nonzero(np.stack([self.m < self.l, self.m > -self.l], axis=1))
-        l, m, dm = self.l[col], self.m[col], 1 - 2 * down    # J_+ then J_- per column
-        op = SparseOp(col + dm, col, -0.5j * dm * np.sqrt(l * (l + 1) - m * (m + dm)))
-        self._ops[key] = op
+        op = {}
+        for dm in (1, -1):
+            sel = np.abs(self.m + dm) <= self.l
+            l, m = self.l[sel], self.m[sel]
+            op[dm] = self._table(m, l, l, -0.5j * dm * np.sqrt(l * (l + 1) - m * (m + dm)))
         return op
 
-    def op_j2(self) -> SparseOp:
-        idx = np.arange(self.size)
-        return SparseOp(idx, idx, (self.l * (self.l + 1)).astype(complex))
+    def op_j2(self) -> dict:
+        return self._diagonal(self.l * (self.l + 1))
 
-    def operator(self, name: str) -> SparseOp:
+    def operator(self, name: str) -> dict:
         table = {
             "cos2theta": self.op_cos2theta,
             "cos2phi": self.op_cos2phi,
             "Ly": self.op_jy,
             "L2": self.op_j2,
-            "x2": lambda: self.op_axis_moment("x"),
-            "y2": lambda: self.op_axis_moment("y"),
-            "z2": lambda: self.op_axis_moment("z"),
         }
         if name not in table:
             raise ParameterError(f"unknown observable {name!r}")
@@ -215,8 +172,11 @@ def _shell_rotations(l_max: int, p: np.ndarray) -> list[np.ndarray]:
 def kick_batch(basis: LinearBasis, psi: np.ndarray, pulse: PulseSpec) -> np.ndarray:
     """Apply one impulsive kick to a (size, n_states) coefficient batch."""
     l_max, p = basis.l_max, pulse.p_vec
-    (U,) = quantum_symtop._kicks(quantum_symtop._pulse_frame_blocks(l_max, 0), 0,
-                                 (pulse.P,), l_max + 1)
+    key = ("kick", pulse.P)
+    if key not in basis._ops:            # one eigensystem per distinct P
+        (basis._ops[key],) = quantum_symtop._kicks(
+            quantum_symtop._pulse_frame_blocks(l_max, 0), 0, (pulse.P,), l_max + 1)
+    U = basis._ops[key]
     shells = list(enumerate(_shell_rotations(l_max, p))) if p[0] or p[1] else []
     out = np.array(psi, dtype=complex, order="C")     # one copy, updated in place
     for l, D in shells:
@@ -301,8 +261,12 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
     l0_max = max(s[0] for s in states)
     if l_max is None:
         l_max = default_l_max(pulses, l0_max)
+    if l_max < HEADROOM_BAND:
+        raise ParameterError(f"l_max={l_max} is below the headroom band of {HEADROOM_BAND} "
+                             "levels, which must stay unpopulated")
     basis = LinearBasis(l_max)
     energies = basis.energies
+    freqs = quantum_symtop._beat_freqs(l_max)
 
     psi = np.zeros((basis.size, len(states)), dtype=complex)
     for k, (l0, m0, _) in enumerate(states):
@@ -314,7 +278,8 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
         ops["cos2theta"] = basis.operator("cos2theta")
 
     meta = {"l_max": l_max, "sigma_th": sigma, "n_initial_states": len(states),
-            "weight_truncation": trunc, "n_blocks": len(pulses) * (l_max + 1),
+            "weight_truncation": trunc,
+            "n_blocks": len({p.P for p in pulses}) * (l_max + 1),
             "max_block_dim": l_max + 1,
             "spin_weights": "uniform" if spin_weights is None else "custom"}
 
@@ -328,8 +293,7 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
             if i == 0:
                 raise ParameterError("the first pulse cannot use an auto delay")
             trace = SpectralTrace()
-            op = ops["cos2theta"]
-            accumulate_pattern(trace, op.rows, op.cols, op.vals, energies, psi_now, weights)
+            accumulate_pattern(trace, ops["cos2theta"], freqs, basis.blocks(psi_now), weights)
             ts = np.arange(int(scan_limit / SCAN_STEP) + 1) * SCAN_STEP
             vals = trace.evaluate(ts)
             kind = "max" if pulses[0].P >= 0 else "min"
@@ -365,11 +329,10 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
         if not len(idx) and s != last:
             continue
         traces = {}
+        blocks = basis.blocks(psi_s)
         for name in observables:
             traces[name] = SpectralTrace()
-            op = ops[name]
-            accumulate_pattern(traces[name], op.rows, op.cols, op.vals, energies,
-                               psi_s, weights)
+            accumulate_pattern(traces[name], ops[name], freqs, blocks, weights)
             if len(idx):
                 out[name][idx] = traces[name].evaluate(t_dim[idx] - t0)
     if "Ly" in out and "L2" in out:

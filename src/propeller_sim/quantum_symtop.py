@@ -82,8 +82,6 @@ class SymTopBasis:
         self.K = np.array(K_l, dtype=np.int64)
         self.M = np.array(M_l, dtype=np.int64)
         self.size = len(self.J)
-        self._index = {(int(j), int(k), int(m)): i
-                       for i, (j, k, m) in enumerate(zip(J_l, K_l, M_l))}
         self.energies = self.energy(self.J, self.K)
         self._block_cache: dict = {}
 
@@ -92,12 +90,6 @@ class SymTopBasis:
         K = np.asarray(K, dtype=float)
         return J * (J + 1) / 2.0 + (self.i1_over_i3 - 1.0) * K * K / 2.0
 
-    def index(self, J: int, K: int, M: int) -> int:
-        try:
-            return self._index[(J, K, M)]
-        except KeyError:
-            raise ParameterError(f"state |{J},{K},{M}> outside basis") from None
-
     def block_indices(self, K: int, m_parity: int) -> np.ndarray:
         """Global indices of the (K, M-parity) block, ordered by (J, M)."""
         key = (K, m_parity)
@@ -105,11 +97,6 @@ class SymTopBasis:
             sel = (self.K == K) & (np.abs(self.M) % 2 == m_parity)
             self._block_cache[key] = np.flatnonzero(sel)
         return self._block_cache[key]
-
-    def block_keys(self, K_values=None):
-        ks = range(-self.K_limit, self.K_limit + 1) if K_values is None else K_values
-        return [(k, p) for k in ks for p in (0, 1)
-                if len(self.block_indices(k, p))]
 
 
 # (J' - J, M' - M) offsets of the Omega couplings on and above the diagonal
@@ -267,6 +254,9 @@ def _thermal_setup(mol: MoleculeParams, T_K: float, strengths, J_max, g_ns):
         J_max = default_J_max([PulseSpec.along(P, (1, 0, 0)) for P in strengths], J0)
     if J_max < J0:
         raise ParameterError(f"J_max={J_max} is below the thermal J={J0}")
+    if J_max < HEADROOM_BAND:
+        raise ParameterError(f"J_max={J_max} is below the headroom band of "
+                             f"{HEADROOM_BAND} levels, which must stay unpopulated")
     levels: dict = {}
     for J, K, M, w in states:           # one entry per degenerate level
         if K >= 0 and M == 0:

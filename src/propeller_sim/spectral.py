@@ -9,6 +9,11 @@ dimensionless units used here (integers for every operator that conserves K).
 Grouping the amplitudes by frequency turns a trace over many output times
 into one small matrix product, and the zero-frequency bin is exactly the
 revival-period (long-time) average.
+
+The engines sum the amplitudes of each beat e_J' - e_J over their blocks
+before one add (quantum_symtop over its (K, m) blocks, accumulate_pattern
+over the linear rotor's m blocks), so an add carries at most (J_max + 1)^2
+pairs.
 """
 
 from __future__ import annotations
@@ -79,22 +84,23 @@ class SpectralTrace:
         return float(np.real(g[sel].sum())) if np.any(sel) else 0.0
 
 
-def accumulate_pattern(trace: SpectralTrace, rows, cols, vals,
-                       energies: np.ndarray, psi: np.ndarray,
-                       weights: np.ndarray, scale: float = 1.0):
-    """Add sum_s w_s <psi_s| A |psi_s>(t) for an operator given as COO triplets.
+def accumulate_pattern(trace: SpectralTrace, op: dict, freqs: np.ndarray,
+                       blocks: np.ndarray, weights: np.ndarray):
+    """Add sum_s w_s <psi_s|A|psi_s>(t) for A given as per-m block tables.
 
-    psi is a (dim, n_states) coefficient batch at the segment reference time;
-    the amplitude of entry (j, k) at frequency e_j - e_k is
-    A_jk sum_s w_s conj(psi_js) psi_ks, accumulated in memory-bounded chunks.
+    op maps each m-offset q to a table T[m, l', l] = <l', m+q|A|l, m>, and
+    blocks[m, l, s] holds state s at the segment reference time, m counted
+    from the lowest in both.  One batched product per q gives the weighted
+    densities rho[m] = (conj(psi[m+q]) w) psi[m]^T; sum_m T[m] * rho[m] is
+    the (l', l) matrix of amplitudes of the beats freqs[l', l], which goes
+    to the trace in one add.
     """
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    vals = np.asarray(vals)
-    freqs = energies[rows] - energies[cols]
-    n = len(rows)
-    step = max(1, 4_000_000 // max(1, psi.shape[1]))
-    for a in range(0, n, step):
-        sl = slice(a, min(a + step, n))
-        rho = (np.conj(psi[rows[sl], :]) * psi[cols[sl], :]) @ weights
-        trace.add(freqs[sl], scale * vals[sl] * rho)
+    amp = np.zeros(freqs.shape, dtype=complex)
+    n_m = len(blocks)
+    bra = np.conj(blocks) * weights
+    for q, T in op.items():
+        lo, hi = max(0, -q), min(n_m, n_m - q)
+        rho = bra[lo + q:hi + q] @ blocks[lo:hi].transpose(0, 2, 1)
+        amp += np.einsum("mij,mij->ij", T[lo:hi], rho)
+    nz = amp != 0
+    trace.add(freqs[nz], amp[nz])

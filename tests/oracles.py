@@ -3,17 +3,24 @@
 * gaunt_y2 and symtop_d2_element: one rank-2 matrix element from two
   scalar 3j symbols, the element-wise oracles of `LinearBasis`'s rank-2
   operators and of the symmetric-top coupling blocks;
+* matrix_of: the dense matrix of a `LinearBasis` operator given as block
+  tables, for the element-wise and dense-matrix oracles;
 * observe_grid: <f(theta, phi)> of one |l, m> wave packet by quadrature of
   f against |Psi|^2, the reference for the operator expectation values;
 * kde_at and kde_snapshot: the instantaneous kernel density estimate, each
   molecule smeared by a spherical Gaussian exp(-(1 - r.r_i)/sigma^2) /
   (2 pi sigma^2) and summed directly over the grid, the oracle for the
-  long-time belt density.
+  long-time belt density;
+* phi_average and grid_moments: the azimuthal profile and the quadrature
+  second moments (<x^2>, <y^2>, <z^2>) of a `DensityGrid`;
+* read_manifest: a `RunManifest` read back from its JSON file.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +28,7 @@ from propeller_sim import angular
 from propeller_sim.core import ParameterError, TWO_PI
 from propeller_sim.density import (DEFAULT_SIGMA, DensityGrid, _accumulate,
                                    _check_sigma)
+from propeller_sim.io_formats import RunManifest
 
 
 def gaunt_y2(l1: int, m1: int, q: int, l2: int, m2: int) -> float:
@@ -40,6 +48,16 @@ def symtop_d2_element(Jp: int, Mp: int, J: int, M: int, K: int, p: int) -> float
     sign = (-1.0) ** (p + M - K)
     return (pref * sign * angular.wigner3j(Jp, 2, J, Mp, -p, -M)
             * angular.wigner3j(Jp, 2, J, K, 0, -K))
+
+
+def matrix_of(basis, op: dict) -> np.ndarray:
+    """Dense matrix of {q: T} with T[m + l_max, l', l] = <l', m+q|A|l, m>."""
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    for q, T in op.items():
+        k, lp, l = np.nonzero(T)
+        m = k - basis.l_max
+        out[lp * lp + lp + m + q, l * l + l + m] = T[k, lp, l]
+    return out
 
 
 def observe_grid(basis, c: np.ndarray, f) -> float:
@@ -89,3 +107,23 @@ def kde_snapshot(points: np.ndarray, sigma: float = DEFAULT_SIGMA,
     grid.meta.update({"estimator": "kde", "sigma": sigma,
                       "n_molecules": np.atleast_2d(points).shape[0]})
     return grid
+
+
+def phi_average(grid: DensityGrid) -> np.ndarray:
+    return grid.rho.mean(axis=1)
+
+
+def grid_moments(grid: DensityGrid) -> tuple[float, float, float]:
+    """Quadrature second moments (<x^2>, <y^2>, <z^2>) of the density."""
+    dphi = TWO_PI / len(grid.phi)
+    st2, ct2 = np.sin(grid.theta) ** 2, np.cos(grid.theta) ** 2
+    cp2, sp2 = np.cos(grid.phi) ** 2, np.sin(grid.phi) ** 2
+    wth = grid.theta_weights
+    mx = float(wth @ ((grid.rho * cp2[None, :]).sum(axis=1) * st2) * dphi)
+    my = float(wth @ ((grid.rho * sp2[None, :]).sum(axis=1) * st2) * dphi)
+    mz = float(wth @ (grid.rho.sum(axis=1) * ct2) * dphi)
+    return mx, my, mz
+
+
+def read_manifest(path) -> RunManifest:
+    return RunManifest(**json.loads(Path(path).read_text()))

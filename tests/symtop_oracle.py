@@ -9,7 +9,8 @@ pulse tilted by dphi about z composes through the frame transform
     B(tau) = sum_{r'} C_{ri,r'} C'_{r',r} e^{-i(e'-e) tau} e^{i(M'-M) dphi}.
 
 The engine in `quantum_symtop` computes the same traces in the pulse frame;
-the two agree to rounding on any truncated basis.
+the two agree to rounding on any truncated basis.  The lab-frame traces are
+grouped from COO triplets of each block's observable (accumulate_coo).
 """
 
 from __future__ import annotations
@@ -20,13 +21,27 @@ import numpy as np
 
 from propeller_sim.core import ParameterError, PulseSpec, TWO_PI
 from propeller_sim.quantum_symtop import SymTopBasis, coupling_block
-from propeller_sim.spectral import SpectralTrace, accumulate_pattern
+from propeller_sim.spectral import SpectralTrace
+
+
+def block_keys(basis: SymTopBasis, K_values=None) -> list:
+    """The non-empty (K, M-parity) block keys, for all K by default."""
+    ks = range(-basis.K_limit, basis.K_limit + 1) if K_values is None else K_values
+    return [(k, p) for k in ks for p in (0, 1) if len(basis.block_indices(k, p))]
+
+
+def state_index(basis: SymTopBasis, J: int, K: int, M: int) -> int:
+    """Global index of |J, K, M>."""
+    hit = np.flatnonzero((basis.J == J) & (basis.K == K) & (basis.M == M))
+    if not len(hit):
+        raise ParameterError(f"state |{J},{K},{M}> outside basis")
+    return int(hit[0])
 
 
 def coupling_matrix(basis: SymTopBasis) -> np.ndarray:
     """Full dense Omega matrix (tests and small bases only)."""
     out = np.zeros((basis.size, basis.size))
-    for key in basis.block_keys():
+    for key in block_keys(basis):
         idx = basis.block_indices(*key)
         out[np.ix_(idx, idx)] = coupling_block(basis, key)
     return out
@@ -71,7 +86,7 @@ class PulseSolution:
 
     def row(self, J: int, K: int, M: int) -> np.ndarray:
         """One amplitude row C_{ri, r} over the full basis."""
-        i = self.basis.index(J, K, M)
+        i = state_index(self.basis, J, K, M)
         key = (K, abs(M) % 2)
         idx = self.basis.block_indices(*key)
         local = int(np.flatnonzero(idx == i)[0])
@@ -80,11 +95,10 @@ class PulseSolution:
         return out
 
 
-def solve_pulse(basis: SymTopBasis, pulse: PulseSpec,
-                block_keys=None) -> PulseSolution:
+def solve_pulse(basis: SymTopBasis, pulse: PulseSpec, keys=None) -> PulseSolution:
     """Impulsive propagator of one x-polarized pulse on each (K, M-parity)
     block: the matrix exponential of the coupling block."""
-    keys = block_keys if block_keys is not None else basis.block_keys()
+    keys = keys if keys is not None else block_keys(basis)
     blocks = {}
     for key in keys:
         lam, V = np.linalg.eigh(coupling_block(basis, key))
@@ -138,9 +152,25 @@ def _initial_in_block(basis: SymTopBasis, key, states):
     locs, ws = [], []
     for (J, K, M, w) in states:
         if K == key[0] and abs(M) % 2 == key[1]:
-            locs.append(lookup[basis.index(J, K, M)])
+            locs.append(lookup[state_index(basis, J, K, M)])
             ws.append(w)
     return np.array(locs, dtype=int), np.array(ws)
+
+
+def accumulate_coo(trace: SpectralTrace, rows, cols, vals, energies: np.ndarray,
+                   psi: np.ndarray, weights: np.ndarray, scale: float = 1.0):
+    """Add sum_s w_s <psi_s| A |psi_s>(t) for an operator given as COO triplets.
+
+    psi is a (dim, n_states) coefficient batch at the segment reference time;
+    the amplitude of entry (j, k) at frequency e_j - e_k is
+    A_jk sum_s w_s conj(psi_js) psi_ks, accumulated in memory-bounded chunks.
+    """
+    freqs = energies[rows] - energies[cols]
+    step = max(1, 4_000_000 // max(1, psi.shape[1]))
+    for a in range(0, len(rows), step):
+        sl = slice(a, a + step)
+        rho = (np.conj(psi[rows[sl], :]) * psi[cols[sl], :]) @ weights
+        trace.add(freqs[sl], scale * vals[sl] * rho)
 
 
 def thermal_expectation(b_blocks: dict, basis: SymTopBasis, observable: str,
@@ -163,6 +193,5 @@ def thermal_expectation(b_blocks: dict, basis: SymTopBasis, observable: str,
         idx = basis.block_indices(*key)
         rows, cols, vals = _block_sparse_op(basis, key, observable)
         psi = B[locs, :].T.copy()
-        accumulate_pattern(trace, rows, cols, vals, basis.energies[idx],
-                           psi, ws, scale=mult)
+        accumulate_coo(trace, rows, cols, vals, basis.energies[idx], psi, ws, scale=mult)
     return trace.evaluate(np.asarray(t_grid_trev) * TWO_PI)

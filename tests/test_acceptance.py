@@ -18,6 +18,7 @@ from propeller_sim.ensemble import (delay_scan, final_states,
                                     run_protocol)
 
 from conftest import FINE_TAUS, SCAN_TREV, BENZENE_P_VALUES
+from oracles import phi_average
 
 
 def report(num: int, ok: bool, detail: str):
@@ -98,16 +99,36 @@ def test_criterion_02_first_oscillation(fig2_runs):
     assert dev <= 0.02
 
 
+def quantum_axis_moments(pulses, t_max: float, dt_out: float):
+    """Revival averages of (<x^2>, <y^2>, <z^2>) after the N2 50 K pulses.
+
+    The thermal start is isotropic and free flight commutes with rotations,
+    so <(a.r)^2> of a run is <cos^2 theta> of the same run with every pulse
+    rotated by an R that takes a to z: the cyclic permutations R(p) =
+    (p_y, p_z, p_x) for x and (p_z, p_x, p_y) for y.  An auto delay is taken
+    from the unrotated run.
+    """
+    def run(ps):
+        return quantum_linear.thermal_run(nitrogen(), 50.0, ps, t_max=t_max,
+                                          dt_out=dt_out, observables=("cos2theta",))
+
+    z_run = run(pulses)
+    delay = z_run.meta.get("auto_delay_trev")
+    fixed = [PulseSpec(P=p.P, p=p.p, t_apply=delay if p.t_apply == "auto" else p.t_apply)
+             for p in pulses]
+    x_run, y_run = (run([PulseSpec(P=p.P, p=tuple(np.roll(p.p, shift)), t_apply=p.t_apply)
+                         for p in fixed]) for shift in (-1, 1))
+    return tuple(r.meta["revival_avg"]["cos2theta"] for r in (x_run, y_run, z_run))
+
+
 def test_criterion_03_single_pulse_moments():
     cfg = EnsembleConfig(mol=nitrogen(), T_K=50.0, n_traj=100_000, seed=31,
                          pulses=(PulseSpec(P=10.0, p=(0.0, 0.0, 1.0)),),
                          t_max=0.1, dt_out=0.05)
     fin = final_states(cfg)
     cl = density.second_moments(fin["r"], fin["L"])
-    qm_run = quantum_linear.thermal_run(
-        nitrogen(), 50.0, [PulseSpec(P=10.0, p=(0.0, 0.0, 1.0))],
-        t_max=0.02, dt_out=0.01, observables=("x2", "y2", "z2"))
-    qm = tuple(qm_run.meta["revival_avg"][k] for k in ("x2", "y2", "z2"))
+    qm = quantum_axis_moments([PulseSpec(P=10.0, p=(0.0, 0.0, 1.0))],
+                              t_max=0.02, dt_out=0.01)
     target = (0.29, 0.29, 0.42)
     ok = all(abs(c - t) <= 0.01 for c, t in zip(cl, target)) and \
         all(abs(q - t) <= 0.01 for q, t in zip(qm, target))
@@ -127,12 +148,9 @@ def test_criterion_04_propeller_moments():
         t_max=0.5, dt_out=0.05)
     fin = final_states(cfg)
     cl = density.second_moments(fin["r"], fin["L"])
-    qm_run = quantum_linear.thermal_run(
-        nitrogen(), 50.0,
-        [PulseSpec(P=5.0, p=(0.0, 0.0, 1.0)),
-         PulseSpec.along(5.0, (1.0, 0.0, 1.0), t_apply="auto")],
-        t_max=0.1, dt_out=0.05, observables=("x2", "y2", "z2"))
-    qm = tuple(qm_run.meta["revival_avg"][k] for k in ("x2", "y2", "z2"))
+    qm = quantum_axis_moments([PulseSpec(P=5.0, p=(0.0, 0.0, 1.0)),
+                               PulseSpec.along(5.0, (1.0, 0.0, 1.0), t_apply="auto")],
+                              t_max=0.1, dt_out=0.05)
     target = (0.31, 0.30, 0.39)
     ok = all(abs(c - t) <= 0.01 for c, t in zip(cl, target)) and \
         all(abs(q - t) <= 0.01 for q, t in zip(qm, target))
@@ -150,7 +168,7 @@ def test_criterion_05_zero_temperature_law():
                          t_max=0.1, dt_out=0.05)
     fin = final_states(cfg)
     grid = density.belt_average("linear", fin["r"], fin["L"], 0.1)
-    prof = grid.phi_average()
+    prof = phi_average(grid)
     exact = density.analytic_zero_temp(grid.theta)
     window = (grid.theta >= 0.3) & (grid.theta <= math.pi - 0.3)
     rel = np.abs(prof[window] / exact[window] - 1.0)

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from oracles import read_manifest
 from propeller_sim import __version__, cli
 from propeller_sim.cli import main, parse_molecule
 from propeller_sim.core import ParameterError
-from propeller_sim.io_formats import (RunManifest, read_density_text,
-                                      read_timeseries_csv)
+from propeller_sim.io_formats import read_density_text, read_timeseries_csv
 
 
 def run_cli(*args) -> int:
@@ -116,15 +116,15 @@ class TestOutputs:
         assert run_cli("classical-linear", "--molecule", "n2", "--temp-K", "50",
                        "--P1", "5", "--n-traj", "300", "--t-max", "0.1",
                        "--dt-out", "0.02", "--seed", "5", "--out", str(tmp_path)) == 0
-        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        m = read_manifest(tmp_path / "manifest.json")
         assert m.seed == 5
         assert m.outputs == ["timeseries.csv"]
         # round trip: re-serializing parses back to the identical config
-        clone = RunManifest.from_json_file(tmp_path / "manifest.json")
+        clone = read_manifest(tmp_path / "manifest.json")
         assert json.loads(m.to_json())["config"] == json.loads(clone.to_json())["config"]
         rewritten = tmp_path / "manifest2.json"
         m.write(rewritten)
-        assert RunManifest.from_json_file(rewritten).config == m.config
+        assert read_manifest(rewritten).config == m.config
 
     def test_json_format(self, tmp_path):
         assert run_cli("classical-linear", "--molecule", "n2", "--temp-K", "10",
@@ -144,14 +144,14 @@ class TestOutputs:
         theta, phi, rho, header = read_density_text(tmp_path / "density.csv")
         assert rho.shape == (181, 360)
         assert np.all(rho >= 0)
-        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        m = read_manifest(tmp_path / "manifest.json")
         assert abs(m.config["result_density_integral"] - 1.0) < 1e-3
 
     def test_density_manifest_diagnostics(self, tmp_path):
         assert run_cli("density", "--molecule", "n2", "--temp-K", "50",
                        "--P1", "5", "--n-traj", "300", "--seed", "4",
                        "--out", str(tmp_path)) == 0
-        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        m = read_manifest(tmp_path / "manifest.json")
         belt = m.diagnostics["belt_average"]
         assert belt["path"] in ("direct", "spectral")
         assert belt["n_live"] + belt["n_rest"] == 300
@@ -163,7 +163,7 @@ class TestOutputs:
         assert run_cli("classical-linear", "--molecule", "n2", "--temp-K", "50",
                        "--P1", "5", "--P2", "5", "--n-traj", "300", "--seed", "4",
                        "--t-max", "0.2", "--dt-out", "0.01", "--out", str(tmp_path)) == 0
-        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        m = read_manifest(tmp_path / "manifest.json")
         flight = m.diagnostics["free_flight"]
         assert flight["n_traj"] == 300 and flight["threads"] == 1
         assert sum(seg["n_times"] for seg in flight["segments"]) == 21
@@ -193,7 +193,7 @@ class TestOutputs:
                        "--P1", "-3", "--P2", "-2", "--angle-deg", "-45",
                        "--t-max", "0.05", "--dt-out", "0.005",
                        "--out", str(tmp_path)) == 0
-        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        m = read_manifest(tmp_path / "manifest.json")
         assert set(m.truncation) == {"J_max", "J_max_two_pulse", "headroom_tail"}
         diag = m.diagnostics["quantum_symtop"]
         assert set(diag) == {"K_limit", "n_initial_states", "weight_truncation",
@@ -227,6 +227,17 @@ class TestOutputs:
         assert code == 3
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command, molecule", [("quantum-linear", "n2"),
+                                                   ("quantum-symtop", "benzene")])
+    @pytest.mark.parametrize("l_max", ["0", "3"])
+    def test_basis_below_headroom_band_is_rejected(self, tmp_path, command, molecule, l_max):
+        # a basis no larger than the headroom band can never pass its check
+        code = run_cli(command, "--molecule", molecule, "--temp-K", "0", "--P1", "0.01",
+                       "--P2", "0.01", "--delay", "0.02", "--t-max", "0.05",
+                       "--dt-out", "0.01", "--l-max", l_max, "--out", str(tmp_path))
+        assert code == 2
+        assert not (tmp_path / "manifest.json").exists()
+
     @pytest.mark.parametrize("command, molecule, sections", [
         ("classical-linear", "n2", {"free_flight"}),
         ("classical-symtop", "benzene", {"free_flight"}),
@@ -241,21 +252,21 @@ class TestOutputs:
         assert run_cli(command, "--molecule", molecule, "--temp-K", "0.9",
                        "--P1", P, "--P2", P, "--delay", "0.02", "--n-traj", "100",
                        "--t-max", "0.05", "--dt-out", "0.01", "--out", str(tmp_path)) == 0
-        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        m = read_manifest(tmp_path / "manifest.json")
         assert set(m.diagnostics) == sections
         assert all(m.diagnostics.values())
         if "quantum_linear" in sections:
             diag = m.diagnostics["quantum_linear"]
             assert set(diag) == {"l_max", "n_initial_states", "weight_truncation",
                                  "n_blocks", "max_block_dim", "headroom_tail"}
-            # two kicks, each on the pulse-frame blocks m = 0..l_max
+            # the pulse-frame blocks m = 0..l_max, shared by the two equal kicks
             assert diag["max_block_dim"] == diag["l_max"] + 1
-            assert diag["n_blocks"] == 2 * (diag["l_max"] + 1)
+            assert diag["n_blocks"] == diag["l_max"] + 1
 
     def test_preset_fig3a(self, tmp_path):
         assert run_cli("preset", "fig3a", "--n-traj", "500",
                        "--out", str(tmp_path)) == 0
-        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        m = read_manifest(tmp_path / "manifest.json")
         assert set(m.outputs) == {"density.csv", "profile.csv"}
         prof = read_timeseries_csv(tmp_path / "profile.csv")
         assert "rho_analytic" in prof.channels
@@ -263,7 +274,7 @@ class TestOutputs:
     def test_preset_fig5_small(self, tmp_path):
         assert run_cli("preset", "fig5", "--n-traj", "800",
                        "--out", str(tmp_path)) == 0
-        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        m = read_manifest(tmp_path / "manifest.json")
         assert len(m.outputs) == 8
         assert (tmp_path / "extrema.csv").exists()
         flight = m.diagnostics["free_flight"]
@@ -276,7 +287,7 @@ class TestOutputs:
     ])
     def test_preset_quantum_symtop_diagnostics(self, tmp_path, name, sections):
         assert run_cli("preset", name, "--n-traj", "200", "--out", str(tmp_path)) == 0
-        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        m = read_manifest(tmp_path / "manifest.json")
         assert set(m.diagnostics) == sections
         for section in sections:
             assert sorted(m.diagnostics[section]) == ["P1", "P10", "P3"]
@@ -292,6 +303,6 @@ class TestOutputs:
         assert code == 0
         ts = read_timeseries_csv(tmp_path / "compare.csv")
         assert "cos2phi_classical" in ts.channels and "cos2phi_quantum" in ts.channels
-        m = RunManifest.from_json_file(tmp_path / "manifest.json")
+        m = read_manifest(tmp_path / "manifest.json")
         assert "cos2phi" in m.config["result_max_abs_deviation"]
         assert m.diagnostics["free_flight"]["n_traj"] == 2000

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
-from oracles import kde_at, kde_snapshot
+from oracles import grid_moments, kde_at, kde_snapshot, phi_average
 from propeller_sim import density
 from propeller_sim.classical_symtop import SymTopEnsemble, kick_momentum
 from propeller_sim.core import IntegrationError, ParameterError, PulseSpec, nitrogen
@@ -44,7 +44,7 @@ class TestKdeSnapshot:
         grid = kde_snapshot(v, sigma=0.1, grid=DensityGrid.build(121, 240))
         iso = 1 / (4 * math.pi)
         assert np.max(np.abs(grid.rho - iso)) / iso <= 0.45
-        assert np.max(np.abs(grid.phi_average() - iso)) / iso <= 0.15
+        assert np.max(np.abs(phi_average(grid) - iso)) / iso <= 0.15
         # histogram oracle: coarse equal-area bins agree with the kernel field
         zi = np.clip(((v[:, 2] + 1) / 2 * 6).astype(int), 0, 5)
         counts = np.bincount(zi, minlength=6) / len(v)
@@ -109,7 +109,7 @@ class TestBeltAverage:
         fin = final_states(cfg)
         grid = belt_average("linear", fin["r"], fin["L"], sig,
                             grid=DensityGrid.build(181, 60))
-        prof = grid.phi_average()
+        prof = phi_average(grid)
         x = np.sin(grid.theta) ** 2 / (4 * sig * sig)
         exact = np.exp(-x) * i0(x) / (2 * math.pi * math.sqrt(2 * math.pi) * sig)
         sel = (grid.theta > 0.25) & (grid.theta < math.pi - 0.25)
@@ -143,7 +143,7 @@ class TestBeltAverage:
         r0 = np.array([[s, 0.0, c]])
         L = np.array([[0.0, 0.0, 3.0]])
         grid = belt_average("symtop", r0, L, 0.1)
-        peak_theta = grid.theta[np.argmax(grid.phi_average())]
+        peak_theta = grid.theta[np.argmax(phi_average(grid))]
         assert peak_theta == pytest.approx(math.pi / 3, abs=0.02)
         assert grid.integral() == pytest.approx(1.0, abs=1e-3)
 
@@ -195,7 +195,7 @@ class TestSpectralBelt:
         top = direct.rho.max()
         assert np.max(np.abs(spectral.rho - direct.rho)) <= 1e-10 * top
         assert spectral.integral() == pytest.approx(direct.integral(), abs=1e-10)
-        assert np.allclose(spectral.moments(), direct.moments(), rtol=0, atol=1e-10)
+        assert np.allclose(grid_moments(spectral), grid_moments(direct), rtol=0, atol=1e-10)
 
     def test_linear_belts_share_one_spectrum(self, monkeypatch):
         # a kicked linear ensemble carries L . r = 0 only to rounding, so the
@@ -297,8 +297,8 @@ class TestSecondMoments:
         r, L = linear_ensemble_from_uniforms(u, 1.0)
         L = kick_momentum(r, L, 6.0, np.array([0.0, 0.0, 1.0]))
         analytic = second_moments(r, L)
-        grid_m = belt_average("linear", r, L, 0.05,
-                              grid=DensityGrid.build(91, 180)).moments()
+        grid_m = grid_moments(belt_average("linear", r, L, 0.05,
+                                           grid=DensityGrid.build(91, 180)))
         # the belt grid smears by ~sigma^2, so compare loosely
         assert np.allclose(analytic, grid_m, atol=0.01)
 

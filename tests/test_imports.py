@@ -6,8 +6,10 @@ Two `ast` scans standing in for a linter, and one import check:
   `__all__` count as used (re-exports);
 * a dead-definition rule over src/: each top-level function and class is
   referred to by another top-level statement of the package, or exported
-  in `__all__`, or kept on KEPT with its reason.  Imports do not count as
-  references, and a definition does not refer to itself;
+  in `__all__`, or kept on KEPT with its reason; each method of a class
+  (dunders exempt) is referred to outside its own body, by name or as an
+  attribute.  Imports do not count as references, and a definition does
+  not refer to itself;
 
 and `import propeller_sim.cli`, run in a fresh interpreter, loads no
 scipy.sparse module.
@@ -25,7 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "propeller_sim"
 FILES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
 
-# top-level definitions no package code refers to, kept on purpose
+# definitions no package code refers to, kept on purpose
 KEPT = {
     "angular.wigner3j": "rebound by perfbench/tracing.py; the scalar 3j oracle",
     "classical_linear.kick_velocity": "rebound by perfbench/tracing.py",
@@ -59,14 +61,21 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used and name not in exported)
 
 
+def _words(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """"module.name" of each top-level function or class nothing else refers to.
+    """"module.name" of each top-level function or class, and
+    "module.Class.name" of each non-dunder method, that nothing else refers to.
 
     sources maps module names to their source.  A reference is a Name or an
     attribute with the definition's name in any other non-import top-level
-    statement of any module.
+    statement of any module; for a method, anywhere in the package outside
+    the method itself.
     """
-    defs, statements, exported = [], [], set()
+    defs, methods, statements, members, exported = [], [], [], [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         exported |= _exported(tree)
@@ -75,12 +84,19 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
                 continue
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((module, node.name, node))
-            words = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                     if isinstance(n, (ast.Name, ast.Attribute))}
-            statements.append((node, words))
-    return sorted(f"{module}.{name}" for module, name, own in defs
-                  if name not in exported
-                  and not any(name in words for node, words in statements if node is not own))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    members.append((item, _words(item)))
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        methods.append((f"{module}.{node.name}", item.name, node, item))
+            statements.append((node, _words(node)))
+    dead = [f"{module}.{name}" for module, name, own in defs
+            if name not in exported
+            and not any(name in words for node, words in statements if node is not own)]
+    dead += [f"{owner}.{name}" for owner, name, cls, own in methods
+             if not any(name in words for node, words in statements if node is not cls)
+             and not any(name in words for node, words in members if node is not own)]
+    return sorted(dead)
 
 
 def test_scanner_flags_only_unused_names():
@@ -97,9 +113,13 @@ def test_definition_scanner_flags_only_unreachable_names():
               "def dead():\n    return dead()\n"
               "class Orphan:\n    pass\n"),
         "b": "def helper():\n    return 2\nTABLE = {'x': lambda: used_by_table()}\n"
-             "def used_by_table():\n    return 3\n",
+             "def used_by_table():\n    return 3\n"
+             "class Box:\n    def __init__(self):\n        self.fill()\n"
+             "    def fill(self):\n        return 1\n"
+             "    def spare(self):\n        return self.spare()\n"
+             "def use():\n    return Box()\n",
     }
-    assert unreferenced_definitions(sources) == ["a.Orphan", "a.dead"]
+    assert unreferenced_definitions(sources) == ["a.Orphan", "a.dead", "b.Box.spare", "b.use"]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))

@@ -5,21 +5,16 @@ import pytest
 from scipy.linalg import block_diag, expm
 from scipy.special import sph_harm_y
 
-from oracles import gaunt_y2, observe_grid
-from propeller_sim import quantum_linear
+from oracles import gaunt_y2, matrix_of, observe_grid
+from propeller_sim import quantum_linear, quantum_symtop
 from propeller_sim.core import PulseSpec, TruncationError, nitrogen
 from propeller_sim.quantum_linear import (LinearBasis, kick_batch, nitrogen_spin_weights,
                                           thermal_run, thermal_states)
+from propeller_sim.spectral import SpectralTrace, accumulate_pattern
 
 Z5 = PulseSpec(P=5.0, p=(0.0, 0.0, 1.0))
 # polarizations on, against and across z, and two general tilts
 KICK_AXES = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (1, 0.5, 2), (0.3, -1, 0.2)]
-
-
-def matrix_of(basis, op):
-    m = np.zeros((basis.size, basis.size), dtype=complex)
-    np.add.at(m, (op.rows, op.cols), op.vals)
-    return m
 
 
 def pure(basis, l, m):
@@ -39,8 +34,7 @@ def evolve(basis, c, t):
 
 
 def expect(basis, c, name):
-    op = basis.operator(name)
-    return float(np.real(np.sum(np.conj(c[op.rows]) * op.vals * c[op.cols])))
+    return float(np.real(np.conj(c) @ matrix_of(basis, basis.operator(name)) @ c))
 
 
 class TestBasis:
@@ -78,12 +72,14 @@ class TestBasis:
         for q in range(-2, 3):
             ref = np.array([[gaunt_y2(int(lp), int(mp), q, int(l), int(m))
                              for l, m in zip(b.l, b.m)] for lp, mp in zip(b.l, b.m)])
-            assert np.max(np.abs(matrix_of(b, b._y2_matrix(q)) - ref)) < 1e-14, q
+            assert np.max(np.abs(matrix_of(b, {q: b._y2_matrix(q)}) - ref)) < 1e-14, q
 
     def test_hermiticity(self):
         b = LinearBasis(10)
-        for p in ([0, 0, 1.0], np.array([1.0, 0, 1.0]) / math.sqrt(2)):
-            m = matrix_of(b, b.op_cos2beta(np.asarray(p)))
+        ops = [b.op_cos2beta(np.asarray(p))
+               for p in ([0, 0, 1.0], np.array([1.0, 0, 1.0]) / math.sqrt(2))]
+        for op in ops + [b.operator(name) for name in ("cos2phi", "Ly", "L2")]:
+            m = matrix_of(b, op)
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
     def test_cos2theta_closed_form(self):
@@ -96,10 +92,24 @@ class TestBasis:
                     / ((2 * l - 1) * (2 * l + 3))
                 assert m[i, i].real == pytest.approx(ref, abs=1e-12)
 
-    def test_moment_operators_sum_to_identity(self):
-        b = LinearBasis(6)
-        total = sum(matrix_of(b, b.op_axis_moment(a)) for a in "xyz")
-        assert np.allclose(total, np.eye(b.size), atol=1e-12)
+    def test_accumulate_pattern_matches_dense_trace(self):
+        # sum_s w_s psi_s(t)^H A psi_s(t) from the dense matrices, for a
+        # random batch kicked by a tilted pulse, at five times
+        b = LinearBasis(20)
+        rng = np.random.default_rng(11)
+        psi = rng.normal(size=(b.size, 6)) + 1j * rng.normal(size=(b.size, 6))
+        psi[b.l > 5] = 0.0
+        psi = kick_batch(b, psi / np.linalg.norm(psi, axis=0), PulseSpec.along(1.5, (1, 0.5, 2)))
+        w = rng.uniform(0.1, 1.0, size=6)
+        times = np.array([0.0, 0.13, 0.9, 2.4, 5.7])
+        for name in ("cos2theta", "cos2phi", "Ly", "L2"):
+            trace = SpectralTrace()
+            accumulate_pattern(trace, b.operator(name), quantum_symtop._beat_freqs(b.l_max),
+                               b.blocks(psi), w)
+            A = matrix_of(b, b.operator(name))
+            ref = [np.real(np.einsum("is,ij,js,s->", np.conj(ev), A, ev, w))
+                   for ev in (psi * np.exp(-1j * b.energies * t)[:, None] for t in times)]
+            assert np.max(np.abs(trace.evaluate(times) - ref)) <= 1e-13, name
 
 
 class TestFreeEvolution:
@@ -183,6 +193,21 @@ class TestSuddenKick:
         b = LinearBasis(6)
         with pytest.raises(TruncationError):
             kick(b, pure(b, 0, 0), Z5)
+
+    def test_equal_kicks_share_one_eigensystem(self, monkeypatch):
+        # the K = 0 blocks are diagonalised once per distinct P in a run
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        pulses = [PulseSpec(P=2.0, p=(0, 0, 1.0)),
+                  PulseSpec.along(2.0, (1, 0, 1), t_apply=0.03)]
+        ts = thermal_run(nitrogen(), 10.0, pulses, t_max=0.1, dt_out=0.05, l_max=26)
+        assert len(calls) == 27 == ts.meta["n_blocks"]
 
     def test_unitarity_long_run(self):
         b = LinearBasis(64)
