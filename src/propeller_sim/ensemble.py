@@ -145,7 +145,6 @@ class EnsembleConfig:
     pulses: tuple[PulseSpec, ...]
     t_max: float = 5.0
     dt_out: float = 0.005
-    n_threads: int = 0     # 0 = respect PROPELLER_THREADS, else 1
 
     def __post_init__(self):
         if self.n_traj < 1:
@@ -186,10 +185,8 @@ class TimeSeries:
                 raise ParameterError(f"channel {name!r} length mismatch with grid")
 
 
-def resolve_threads(n_threads: int) -> int:
-    """Thread count: n_threads if positive, else PROPELLER_THREADS (default 1)."""
-    if n_threads > 0:
-        return n_threads
+def resolve_threads() -> int:
+    """Thread count from PROPELLER_THREADS (default 1)."""
     env = os.environ.get("PROPELLER_THREADS", "")
     if not env:
         return 1
@@ -290,6 +287,14 @@ def mean_cos2theta(swarm: _Swarm, times: np.ndarray) -> np.ndarray:
     return out
 
 
+def ly_norm(Ly: np.ndarray, L2: np.ndarray) -> np.ndarray:
+    """The normalized orientation Ly / sqrt(L2), and 0 where L2 <= 0."""
+    out = np.zeros(len(Ly))
+    live = L2 > 0
+    out[live] = Ly[live] / np.sqrt(L2[live])
+    return out
+
+
 def parabolic_vertex(x, y) -> float:
     """Vertex abscissa of the parabola through three uniformly spaced points."""
     d = y[0] - 2.0 * y[1] + y[2]
@@ -380,7 +385,7 @@ def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
     free-flight layout (chunks, threads, block shape, segments with their
     frozen-molecule counts) in meta["free_flight"].
     """
-    n_threads = resolve_threads(cfg.n_threads)
+    n_threads = resolve_threads()
     initial = _initial_swarm(cfg)
     meta = {"config": describe_config(cfg), "seed": cfg.seed}
     events, pulse_meta = apply_pulses(cfg, initial)
@@ -394,8 +399,7 @@ def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
     segments = [(0.0, initial)] + events
     seg_of = np.searchsorted(np.array([t_p - 1e-12 for t_p, _ in events]), t, side="right")
 
-    names = ("cos2theta", "cos2phi", "Lx", "Ly", "Lz", "L2", "Ly_norm")
-    out = {k: np.empty(len(grid)) for k in names}
+    out = {k: np.empty(len(grid)) for k in ("cos2theta", "cos2phi", "Lx", "Ly", "Lz", "L2")}
     n = cfg.n_traj
     ranges = _chunk_ranges(n)
     workers = min(n_threads, len(ranges))
@@ -423,8 +427,8 @@ def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
                                             where=n_az > 0)
             out["Lx"][sel], out["Ly"][sel], out["Lz"][sel] = Lsum / n
             out["L2"][sel] = L2 / n
-            out["Ly_norm"][sel] = (Lsum[1] / n) / math.sqrt(L2 / n) if L2 > 0 else 0.0
 
+    out["Ly_norm"] = ly_norm(out["Ly"], out["L2"])
     meta["pulse_times_trev"] = [t_p / TWO_PI for t_p, _ in events]
     meta["free_flight"] = _flight_diagnostics(n, min(CHUNK, n), workers, evaluated)
     return TimeSeries(grid=grid, channels=out, meta=meta)
@@ -462,7 +466,7 @@ def delay_scan(cfg: EnsembleConfig, delays) -> TimeSeries:
         Ly[i:i + step] = Ly_i.mean(axis=-1)
         L2[i:i + step] = np.mean(Lx * Lx + Ly_i * Ly_i + Lz * Lz, axis=-1)
     channels = {"Ly": Ly, "L2": L2,
-                "Ly_norm": np.divide(Ly, np.sqrt(L2), out=np.zeros(len(delays)), where=L2 > 0),
+                "Ly_norm": ly_norm(Ly, L2),
                 "dLy": Ly - Ly_pre, "cos2theta": cos2}
     meta = {"config": describe_config(cfg), "seed": cfg.seed, "Ly_pre": Ly_pre,
             "common_random_numbers": True,

@@ -10,19 +10,19 @@ cos beta = p . r_hat: e^{iP/3} times the K = 0 pulse-frame blocks of
 quantum_symtop, conjugated for a tilted p by D^l(alpha, beta, 0) on every l
 shell.  The blocks are diagonalised once per distinct P in a run.
 
-An observable is a dict of block tables {q: T}, one per m-offset q, with
-T[m + l_max, l', l] = <l', m+q|A|l, m>.  The rank-2 Gaunt integrals
+Every observable is Hermitian, so it is a dict of block tables {q: T} for
+the m-offsets q >= 0 only, with T[m + l_max, l', l] = <l', m+q|A|l, m>; the
+q < 0 tables are their mirrors.  The rank-2 Gaunt integrals
 <l' m'|Y_2q|l m> fill them for the whole basis at once through
 angular.wigner3j_array, and cos 2 phi by exact Gauss-Legendre quadrature.
 Each segment's state batch is scattered once into its (m, l) stack, and
-spectral.accumulate_pattern contracts it with the tables into one (l', l)
-matrix of amplitudes of the beats e_l' - e_l, the same beats as the
-symmetric top's (quantum_symtop._beat_freqs).
+spectral.accumulate_pattern contracts it with the tables into the trace of
+one (l', l) matrix of amplitudes of the beats e_l' - e_l, the same beats
+as the symmetric top's (spectral.beat_freqs).
 
 Thermal averaging sums per-initial-state traces with Boltzmann weights
-(optionally modified by a nuclear-spin weight hook); the traces themselves
-are evaluated by frequency grouping (spectral.SpectralTrace), whose
-zero-frequency bin also provides exact revival-period averages.
+(optionally modified by a nuclear-spin weight hook); the zero beat of each
+trace (spectral.SpectralTrace) is its exact revival-period average.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ import numpy as np
 from . import angular, quantum_symtop
 from .core import (MoleculeParams, ParameterError, ProtocolError, PulseSpec,
                    TruncationError, TWO_PI, sigma_th)
-from .ensemble import SCAN_STEP, TimeSeries, first_local_extremum, parabolic_vertex
+from .ensemble import (SCAN_STEP, TimeSeries, _extremum_kind, first_local_extremum,
+                       ly_norm, parabolic_vertex)
 from .quantum_symtop import HEADROOM_BAND, HEADROOM_TOL, WEIGHT_CUTOFF
-from .spectral import SpectralTrace, accumulate_pattern
+from .spectral import accumulate_pattern
 
 
 class LinearBasis:
@@ -88,14 +89,14 @@ class LinearBasis:
                            * angular.wigner3j_array(lp, 2, l, -mp, q, m))
 
     def op_cos2beta(self, p) -> dict:
-        """(p . r_hat)^2 via the rank-2 addition theorem; Hermitian for unit p."""
+        """(p . r_hat)^2 via the rank-2 addition theorem, for a unit p."""
         p = np.asarray(p, dtype=float)
         key = ("cos2beta", tuple(np.round(p, 15)))
         if key in self._ops:
             return self._ops[key]
         op = self._diagonal(1.0 / 3.0)
         pref = (2.0 / 3.0) * (4.0 * math.pi / 5.0)
-        for q, y in zip(range(-2, 3), angular.y2_components(p)):
+        for q, y in enumerate(angular.y2_components(p)[2:]):
             if abs(y) >= 1e-300:
                 op[q] = op.get(q, 0.0) + pref * np.conj(y) * self._y2_matrix(q)
         self._ops[key] = op
@@ -105,7 +106,7 @@ class LinearBasis:
         return self.op_cos2beta(np.array([0.0, 0.0, 1.0]))
 
     def op_cos_2phi(self) -> dict:
-        """cos(2 phi): couples m -> m +/- 2 with all Delta-l, built by exact
+        """cos(2 phi): couples m -> m + 2 with all Delta-l, built by exact
         Gauss-Legendre quadrature of the theta overlaps (polynomial integrands)."""
         key = "cos_2phi"
         if key in self._ops:
@@ -118,9 +119,7 @@ class LinearBasis:
         for m, t_lo, t_hi in zip(range(-L, L - 1), tables, tables[2:]):
             block = math.pi * (t_hi * w) @ t_lo.T
             up[m + L, abs(m + 2):, abs(m):] = np.where(np.abs(block) >= 1e-14, block, 0.0)
-        down = np.zeros_like(up)                      # the real symmetric mirror
-        down[2:] = up[:-2].transpose(0, 2, 1)
-        self._ops[key] = op = {2: up, -2: down}
+        self._ops[key] = op = {2: up}
         return op
 
     def op_cos2phi(self) -> dict:
@@ -129,13 +128,10 @@ class LinearBasis:
                 **{q: 0.5 * T for q, T in self.op_cos_2phi().items()}}
 
     def op_jy(self) -> dict:
-        """J_y = (J_+ - J_-)/(2i) (dimensionless angular momentum)."""
-        op = {}
-        for dm in (1, -1):
-            sel = np.abs(self.m + dm) <= self.l
-            l, m = self.l[sel], self.m[sel]
-            op[dm] = self._table(m, l, l, -0.5j * dm * np.sqrt(l * (l + 1) - m * (m + dm)))
-        return op
+        """J_y = (J_+ - J_-)/(2i) (dimensionless angular momentum): the J_+ table."""
+        sel = self.m < self.l
+        l, m = self.l[sel], self.m[sel]
+        return {1: self._table(m, l, l, -0.5j * np.sqrt(l * (l + 1) - m * (m + 1)))}
 
     def op_j2(self) -> dict:
         return self._diagonal(self.l * (self.l + 1))
@@ -265,8 +261,6 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
         raise ParameterError(f"l_max={l_max} is below the headroom band of {HEADROOM_BAND} "
                              "levels, which must stay unpopulated")
     basis = LinearBasis(l_max)
-    energies = basis.energies
-    freqs = quantum_symtop._beat_freqs(l_max)
 
     psi = np.zeros((basis.size, len(states)), dtype=complex)
     for k, (l0, m0, _) in enumerate(states):
@@ -287,21 +281,21 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
     segments = [(0.0, psi)]
     t_now = 0.0
     psi_now = psi
-    scan_limit = t_max * TWO_PI
     for i, pulse in enumerate(pulses):
         if pulse.t_apply == "auto":
             if i == 0:
                 raise ParameterError("the first pulse cannot use an auto delay")
-            trace = SpectralTrace()
-            accumulate_pattern(trace, ops["cos2theta"], freqs, basis.blocks(psi_now), weights)
-            ts = np.arange(int(scan_limit / SCAN_STEP) + 1) * SCAN_STEP
+            # the scan window ends at t_max, as in the classical engine
+            limit = t_max * TWO_PI - t_now
+            trace = accumulate_pattern(ops["cos2theta"], basis.blocks(psi_now), weights)
+            ts = np.arange(int(limit / SCAN_STEP) + 1) * SCAN_STEP
             vals = trace.evaluate(ts)
-            kind = "max" if pulses[0].P >= 0 else "min"
+            kind = _extremum_kind(pulses[0])
             k = first_local_extremum(vals, kind)
             if k is None:
                 raise ProtocolError(
                     f"no quantum alignment {kind} found in scan window "
-                    f"[0, {scan_limit / TWO_PI:.4g}] T_rev")
+                    f"[0, {limit / TWO_PI:.4g}] T_rev")
             delay = parabolic_vertex(ts[k - 1:k + 2], vals[k - 1:k + 2])
             t_pulse = t_now + delay
             meta["auto_delay_trev"] = delay / TWO_PI
@@ -309,7 +303,7 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
             t_pulse = float(pulse.t_apply) * TWO_PI
         if t_pulse < t_now - 1e-12:
             raise ParameterError("pulse times must be non-decreasing")
-        phases = np.exp(-1j * energies * (t_pulse - t_now))
+        phases = np.exp(-1j * basis.energies * (t_pulse - t_now))
         psi_now = kick_batch(basis, psi_now * phases[:, None], pulse)
         t_now = t_pulse
         segments.append((t_pulse, psi_now))
@@ -328,16 +322,14 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
         # t = 0) needs no trace, except the last, which gives revival_avg
         if not len(idx) and s != last:
             continue
-        traces = {}
         blocks = basis.blocks(psi_s)
-        for name in observables:
-            traces[name] = SpectralTrace()
-            accumulate_pattern(traces[name], ops[name], freqs, blocks, weights)
-            if len(idx):
-                out[name][idx] = traces[name].evaluate(t_dim[idx] - t0)
+        traces = {name: accumulate_pattern(ops[name], blocks, weights) for name in observables}
+        if len(idx):
+            for name, trace in traces.items():
+                out[name][idx] = trace.evaluate(t_dim[idx] - t0)
+        if s == last:
+            meta["revival_avg"] = {name: float(trace.time_average)
+                                   for name, trace in traces.items()}
     if "Ly" in out and "L2" in out:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out["Ly_norm"] = np.where(out["L2"] > 0, out["Ly"] / np.sqrt(out["L2"]), 0.0)
-
-    meta["revival_avg"] = {name: traces[name].time_average() for name in observables}
+        out["Ly_norm"] = ly_norm(out["Ly"], out["L2"])
     return TimeSeries(grid=grid, channels=out, meta=meta)

@@ -28,13 +28,15 @@ the K and -K blocks are related the same way, so K, m >= 0 suffice.
   pulse frame sees as Theta^J = d^T e^{i M dphi} d per J shell.  The lab
   J_z observed after it is d^T M d = -J_x there, and J^2 is unchanged.
   Free flight multiplies each J shell by e^{-i e tau}, so with the rank-n
-  thermal state after pulse 1 every stationary observable reduces to
-  amplitudes g_{J,J'} of the beats e_J - e_J': (J_max + 1)^2 of them per
-  trace, summed over blocks before grouping.  No lab-frame block matrix is
-  formed.
+  thermal state after pulse 1 every stationary observable reduces to one
+  (J, J') matrix of amplitudes of the beats e_J - e_J' (spectral.beat_freqs,
+  the same for every K), summed over the blocks.  No lab-frame block matrix
+  is formed.
 * Basis truncation is checked per initial state: the population within
   HEADROOM_BAND of J_max after pulse 1, and after pulse 2 at every delay of
-  the output grid (the same contraction with the band projector, per state).
+  the output grid.  The latter is the same contraction with the band
+  projector, one beat matrix per state, evaluated in one stack with the
+  observables.
 
 `SymTopBasis` and `coupling_block` stay as the lab-frame reference: the
 tests build their propagator oracle on them (tests/symtop_oracle.py).
@@ -49,8 +51,8 @@ import numpy as np
 from . import angular
 from .core import (MoleculeParams, ParameterError, PulseSpec, TruncationError,
                    TWO_PI, sigma_th)
-from .ensemble import TimeSeries
-from .spectral import SpectralTrace
+from .ensemble import TimeSeries, ly_norm
+from .spectral import SpectralTrace, beat_freqs
 
 HEADROOM_BAND = 4
 HEADROOM_TOL = 1e-10
@@ -298,12 +300,6 @@ def _first_kick(K: int, levels, J_max: int, strengths, n_m: int | None = None):
     return omega, kicks, m0, w, psi, tail
 
 
-def _beat_freqs(J_max: int) -> np.ndarray:
-    """e(J1, K) - e(J2, K) for J1, J2 = 0..J_max: the same for every K."""
-    eps = np.arange(J_max + 1) * (np.arange(J_max + 1) + 1.0) / 2.0
-    return eps[:, None] - eps[None, :]
-
-
 def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
                     J_max: int | None = None, g_ns=None) -> TimeSeries:
     """Thermal <cos^2 theta>(t) about the first-pulse axis after one pulse.
@@ -312,7 +308,6 @@ def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
     kick are both diagonal in m: no rotation is needed.
     """
     levels, J_max, meta = _thermal_setup(mol, T_K, (P1,), J_max, g_ns)
-    freqs = _beat_freqs(J_max)
     amp = np.zeros((J_max + 1, J_max + 1), dtype=complex)
     tail, n_blocks = 0.0, 0
     for K, lev in levels.items():
@@ -321,15 +316,12 @@ def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
         tail = max(tail, tail_K)
         op = (np.eye(omega.shape[1]) + omega[m0]) / 3.0
         amp[K:, K:] += np.einsum("sij,si,sj->ij", op, np.conj(psi) * w[:, None], psi)
-    # (1 + Omega)/3 couples |J - J'| <= 2 only
-    beat = np.abs(np.subtract.outer(np.arange(J_max + 1), np.arange(J_max + 1))) <= 2
-    trace = SpectralTrace()
-    trace.add(freqs[beat], amp[beat])
+    trace = SpectralTrace(beat_freqs(J_max + 1), amp)
     times = np.asarray(times_trev, dtype=float)
     values = trace.evaluate(times * TWO_PI)
     meta.update(headroom_tail=tail, headroom_tail_pulse1=tail, n_blocks=n_blocks,
                 max_block_dim=J_max + 1 - min(levels),
-                distinct_freqs=len(np.unique(freqs[beat])))
+                distinct_freqs=len(np.unique(trace.freqs)))
     return TimeSeries(grid=times, channels={"cos2theta": values}, meta=meta)
 
 
@@ -346,19 +338,18 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
     """
     levels, J_max, meta = _thermal_setup(mol, T_K, (P1, P2), J_max, g_ns)
     taus = np.asarray(taus_trev, dtype=float) * TWO_PI
-    freqs = _beat_freqs(J_max)
-    distinct = np.unique(freqs)
+    n = J_max + 1
     m0_top = max(J for lev in levels.values() for J, _ in lev) + 1
     tilt, jz_up = _frame_tables(J_max, dphi, m0_top)
-    g_Ly = np.zeros((J_max + 1, J_max + 1), dtype=complex)
+    g_Ly = np.zeros((n, n), dtype=complex)
     g_L2 = np.zeros_like(g_Ly)
-    band_amps = []                      # per state: band population by frequency
+    band = []                           # per state: band population beats, (n, n)
     tail1, n_blocks = 0.0, 0
     for K, lev in levels.items():
-        _, (_, U2), m0, w, psi, tail_K = _first_kick(K, lev, J_max, (P1, P2), J_max + 1)
-        n_blocks += J_max + 1
+        _, (_, U2), m0, w, psi, tail_K = _first_kick(K, lev, J_max, (P1, P2), n)
+        n_blocks += n
         tail1 = max(tail1, tail_K)
-        Js = np.arange(K, J_max + 1)
+        Js = np.arange(K, n)
         # block -m is S (block m) S with S = (-1)^J; stack m = -J_max..J_max
         S = np.where(Js % 2 == 1, -1.0, 1.0)
         U2 = np.concatenate([U2[:0:-1] * np.outer(S, S), U2])
@@ -368,34 +359,21 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
         U2h = np.conj(U2).transpose(0, 2, 1)
         a = Js * (Js + 1.0)
         g_L2[K:, K:] += np.einsum("mij,mij->ij", U2h @ (a[:, None] * U2), Zw @ Z)
-        up = np.einsum("mij,mij->ij", U2h[:-1] @ (jz_up[:, Js][:, :, None] * U2[1:]),
-                       Zw[:-1] @ Z[1:])
-        g_Ly[K:, K:] += up + up.conj().T
-        # per-state population of the top J rows after pulse 2, by frequency
+        # J_z's band above the diagonal; its mirror gives the same real trace
+        g_Ly[K:, K:] += 2.0 * np.einsum(
+            "mij,mij->ij", U2h[:-1] @ (jz_up[:, Js][:, :, None] * U2[1:]), Zw[:-1] @ Z[1:])
+        # per-state population of the top J rows after pulse 2
         Y = U2[:, None, -HEADROOM_BAND:, :] * Z[:, :, None, :]
         Y = Y.transpose(1, 0, 2, 3).reshape(len(w), -1, len(Js))
-        pop = np.conj(Y).transpose(0, 2, 1) @ Y                          # (s, J, J')
-        size = len(w) * len(distinct)
-        key = (np.searchsorted(distinct, freqs[K:, K:]).ravel()
-               + len(distinct) * np.arange(len(w))[:, None]).ravel()
-        rows = (np.bincount(key, pop.real.ravel(), size)
-                + 1j * np.bincount(key, pop.imag.ravel(), size))
-        band_amps.append(rows.reshape(len(w), -1))
-    band_amps = np.concatenate(band_amps)
-    tail2 = 0.0
-    for start in range(0, len(taus), 256):
-        phases = np.exp(1j * np.outer(distinct, taus[start:start + 256]))
-        tail2 = max(tail2, _band_tail(np.real(band_amps @ phases), J_max,
-                                      "after pulse 2"))
-    traces = {"Ly": SpectralTrace(), "L2": SpectralTrace()}
-    traces["Ly"].add(freqs.ravel(), g_Ly.ravel())
-    traces["L2"].add(freqs.ravel(), g_L2.ravel())
-    Ly = traces["Ly"].evaluate(taus)
-    L2 = traces["L2"].evaluate(taus)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        norm = np.where(L2 > 0, Ly / np.sqrt(L2), 0.0)
+        pop = np.zeros((len(w), n, n), dtype=complex)
+        pop[:, K:, K:] = np.conj(Y).transpose(0, 2, 1) @ Y
+        band.append(pop)
+    trace = SpectralTrace(beat_freqs(n), np.concatenate([[g_Ly, g_L2], *band]))
+    values = trace.evaluate(taus)
+    Ly, L2 = values[:2]
+    tail2 = _band_tail(values[2:], J_max, "after pulse 2")
     meta.update(headroom_tail=max(tail1, tail2), headroom_tail_pulse1=tail1,
                 headroom_tail_pulse2=tail2, dphi=dphi, n_blocks=n_blocks,
-                max_block_dim=J_max + 1 - min(levels), distinct_freqs=len(distinct))
+                max_block_dim=n - min(levels), distinct_freqs=len(np.unique(trace.freqs)))
     return TimeSeries(grid=np.asarray(taus_trev, dtype=float),
-                      channels={"Ly": Ly, "L2": L2, "Ly_norm": norm}, meta=meta)
+                      channels={"Ly": Ly, "L2": L2, "Ly_norm": ly_norm(Ly, L2)}, meta=meta)

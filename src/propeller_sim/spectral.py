@@ -1,106 +1,82 @@
-"""Frequency-grouped evaluation of quantum expectation-value traces.
+"""Beat-matrix evaluation of quantum expectation-value traces.
 
-After the pulses, every expectation value is a finite sum
+After the pulses, every expectation value is a finite sum over rotor beats,
 
-    <A>(t) = sum_jk  rho_jk A_jk  exp(+i (e_j - e_k) t),
+    <A>(t) = Re sum_{J, J'} g_{J J'} exp(i (e_J - e_J') t),   e_J = J(J+1)/2,
 
-and the distinct frequencies e_j - e_k are quarter-integers in the
-dimensionless units used here (integers for every operator that conserves K).
-Grouping the amplitudes by frequency turns a trace over many output times
-into one small matrix product, and the zero-frequency bin is exactly the
-revival-period (long-time) average.
+where g is the (J, J') matrix of beat amplitudes, summed over the blocks
+(K, m) and the states before it reaches a trace.  The K^2 part of the
+symmetric-top energy cancels in every beat, so the beats are integers
+(`beat_freqs`), the same for the linear rotor (K = 0) and the symmetric top,
+and every trace is periodic in one revival period.
 
-The engines sum the amplitudes of each beat e_J' - e_J over their blocks
-before one add (quantum_symtop over its (K, m) blocks, accumulate_pattern
-over the linear rotor's m blocks), so an add carries at most (J_max + 1)^2
-pairs.
+A real trace needs only Re, so `SpectralTrace` folds the strict upper
+triangle of g onto the lower one by conjugation, which leaves only the
+positive beats.  The real trace of the diagonal is the zero beat: the exact
+long-time average.  Grouping equal beats turns a trace over many output
+times into one small matrix product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_QUARTER = 4    # frequencies are multiples of 1/4 in dimensionless units
-_LATTICE_TOL = 1e-9
+
+def beat_freqs(n: int) -> np.ndarray:
+    """e_J - e_J' for J, J' = 0..n-1: integers, the same for every K."""
+    eps = np.arange(n) * (np.arange(n) + 1.0) / 2.0
+    return eps[:, None] - eps[None, :]
 
 
 def group_amplitudes(freqs: np.ndarray, amps: np.ndarray):
-    """Collapse (frequency, amplitude) pairs onto the sorted distinct frequencies.
+    """Collapse amplitudes onto the sorted distinct frequencies.
 
-    Amplitudes are binned by the integer lattice key 4f, so the work and the
-    scratch arrays scale with the span of the frequencies, which the energy
-    tables bound.  Raises ValueError if a frequency is off the quarter lattice.
+    amps holds one amplitude per frequency along its last axis, for one
+    trace or a stack of them; equal frequencies are summed in input order.
     """
-    scaled = _QUARTER * np.asarray(freqs, dtype=float)
-    if not len(scaled):
-        return np.zeros(0), np.zeros(0, dtype=complex)
-    key = np.round(scaled)
-    resid = np.abs(scaled - key)
-    worst = int(np.argmax(resid))
-    if not resid[worst] <= _LATTICE_TOL:
-        raise ValueError(
-            f"frequency {float(freqs[worst])!r} is off the 1/{_QUARTER} lattice: "
-            f"|{_QUARTER}f - round({_QUARTER}f)| = {resid[worst]:.3e} > {_LATTICE_TOL:g}")
-    key = key.astype(np.int64)
-    lo = key.min()
-    key -= lo
-    present = np.flatnonzero(np.bincount(key))
-    g = np.empty(len(present), dtype=complex)
-    g.real = np.bincount(key, weights=np.real(amps))[present]
-    g.imag = np.bincount(key, weights=np.imag(amps))[present]
-    return (present + lo) / _QUARTER, g
+    order = np.argsort(freqs, kind="stable")
+    f = np.asarray(freqs, dtype=float)[order]
+    starts = np.flatnonzero(np.diff(f, prepend=np.nan) != 0)
+    g = np.add.reduceat(np.asarray(amps, dtype=complex)[..., order], starts, axis=-1)
+    return f[starts], g
 
 
 class SpectralTrace:
-    """Accumulates sum_k g_k exp(i w_k t) contributions and evaluates them."""
+    """Re sum g_{J J'} exp(i freqs_{J J'} t) for an (n, n) amplitude matrix g,
+    or for each matrix of a (..., n, n) stack."""
 
-    def __init__(self):
-        self._freqs: list[np.ndarray] = []
-        self._amps: list[np.ndarray] = []
-
-    def add(self, freqs: np.ndarray, amps: np.ndarray):
-        f, g = group_amplitudes(freqs, amps)
-        self._freqs.append(f)
-        self._amps.append(g)
-
-    def _merged(self):
-        if not self._freqs:
-            return np.zeros(0), np.zeros(0, dtype=complex)
-        return group_amplitudes(np.concatenate(self._freqs),
-                                np.concatenate(self._amps))
+    def __init__(self, freqs: np.ndarray, g: np.ndarray):
+        lo, hi = np.tril_indices(freqs.shape[0], -1)
+        folded = g[..., lo, hi] + np.conj(g[..., hi, lo])
+        live = np.any(folded != 0, axis=tuple(range(folded.ndim - 1)))
+        self.freqs = freqs[lo[live], hi[live]]
+        self.amps = folded[..., live]
+        # the zero beat: the exact long-time average
+        self.time_average = np.real(np.trace(g, axis1=-2, axis2=-1))
 
     def evaluate(self, times: np.ndarray) -> np.ndarray:
-        """Real trace values at the given (dimensionless) times."""
-        f, g = self._merged()
-        if not len(f):
-            return np.zeros(len(times))
+        """Real trace values at the given (dimensionless) times, last axis."""
+        f, g = group_amplitudes(self.freqs, self.amps)
         phases = np.exp(1j * np.outer(np.asarray(times), f))
-        return np.real(phases @ g)
-
-    def time_average(self) -> float:
-        """Exact long-time average: the zero-frequency amplitude."""
-        f, g = self._merged()
-        sel = f == 0.0
-        return float(np.real(g[sel].sum())) if np.any(sel) else 0.0
+        return self.time_average[..., None] + np.real(g @ phases.T)
 
 
-def accumulate_pattern(trace: SpectralTrace, op: dict, freqs: np.ndarray,
-                       blocks: np.ndarray, weights: np.ndarray):
-    """Add sum_s w_s <psi_s|A|psi_s>(t) for A given as per-m block tables.
+def accumulate_pattern(op: dict, blocks: np.ndarray, weights: np.ndarray) -> SpectralTrace:
+    """The trace sum_s w_s <psi_s|A|psi_s>(t) of a Hermitian A given as
+    per-m block tables.
 
-    op maps each m-offset q to a table T[m, l', l] = <l', m+q|A|l, m>, and
-    blocks[m, l, s] holds state s at the segment reference time, m counted
-    from the lowest in both.  One batched product per q gives the weighted
-    densities rho[m] = (conj(psi[m+q]) w) psi[m]^T; sum_m T[m] * rho[m] is
-    the (l', l) matrix of amplitudes of the beats freqs[l', l], which goes
-    to the trace in one add.
+    op maps each m-offset q >= 0 to a table T[m, l', l] = <l', m+q|A|l, m>;
+    the q < 0 tables are their mirrors, whose beats conjugate the q > 0
+    ones and so give the same real trace.  blocks[m, l, s] holds state s at
+    the segment reference time, m counted from the lowest.  One batched
+    product per q gives the weighted densities rho[m] = (conj(psi[m+q]) w)
+    psi[m]^T; sum_m T[m] * rho[m], doubled for q > 0, is the (l', l) matrix
+    of amplitudes of the beats e_l' - e_l.
     """
-    amp = np.zeros(freqs.shape, dtype=complex)
-    n_m = len(blocks)
+    n_m, n_l = blocks.shape[:2]
+    amp = np.zeros((n_l, n_l), dtype=complex)
     bra = np.conj(blocks) * weights
     for q, T in op.items():
-        lo, hi = max(0, -q), min(n_m, n_m - q)
-        rho = bra[lo + q:hi + q] @ blocks[lo:hi].transpose(0, 2, 1)
-        amp += np.einsum("mij,mij->ij", T[lo:hi], rho)
-    nz = amp != 0
-    trace.add(freqs[nz], amp[nz])
+        rho = bra[q:] @ blocks[:n_m - q].transpose(0, 2, 1)
+        amp += (2.0 if q else 1.0) * np.einsum("mij,mij->ij", T[:n_m - q], rho)
+    return SpectralTrace(beat_freqs(n_l), amp)

@@ -3,8 +3,9 @@
 * gaunt_y2 and symtop_d2_element: one rank-2 matrix element from two
   scalar 3j symbols, the element-wise oracles of `LinearBasis`'s rank-2
   operators and of the symmetric-top coupling blocks;
-* matrix_of: the dense matrix of a `LinearBasis` operator given as block
-  tables, for the element-wise and dense-matrix oracles;
+* matrix_of: the dense matrix of a `LinearBasis` operator given as its
+  q >= 0 block tables, mirrored into the q < 0 ones, for the element-wise
+  and dense-matrix oracles;
 * observe_grid: <f(theta, phi)> of one |l, m> wave packet by quadrature of
   f against |Psi|^2, the reference for the operator expectation values;
 * kde_at and kde_snapshot: the instantaneous kernel density estimate, each
@@ -50,13 +51,20 @@ def symtop_d2_element(Jp: int, Mp: int, J: int, M: int, K: int, p: int) -> float
             * angular.wigner3j(Jp, 2, J, K, 0, -K))
 
 
-def matrix_of(basis, op: dict) -> np.ndarray:
-    """Dense matrix of {q: T} with T[m + l_max, l', l] = <l', m+q|A|l, m>."""
+def matrix_of(basis, op: dict, hermitian: bool = True) -> np.ndarray:
+    """Dense matrix of {q: T} with T[m + l_max, l', l] = <l', m+q|A|l, m>.
+
+    A Hermitian operator's q < 0 tables are the mirrors of its q > 0 ones,
+    which are added here; hermitian=False takes the tables as they are.
+    """
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for q, T in op.items():
         k, lp, l = np.nonzero(T)
         m = k - basis.l_max
-        out[lp * lp + lp + m + q, l * l + l + m] = T[k, lp, l]
+        rows, cols = lp * lp + lp + m + q, l * l + l + m
+        out[rows, cols] = T[k, lp, l]
+        if hermitian and q > 0:
+            out[cols, rows] = np.conj(T[k, lp, l])
     return out
 
 

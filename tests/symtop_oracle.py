@@ -10,7 +10,8 @@ pulse tilted by dphi about z composes through the frame transform
 
 The engine in `quantum_symtop` computes the same traces in the pulse frame;
 the two agree to rounding on any truncated basis.  The lab-frame traces are
-grouped from COO triplets of each block's observable (accumulate_coo).
+direct sums over the (frequency, amplitude) pairs of COO triplets of each
+block's observable (coo_amplitudes), with no grouping.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from propeller_sim.core import ParameterError, PulseSpec, TWO_PI
 from propeller_sim.quantum_symtop import SymTopBasis, coupling_block
-from propeller_sim.spectral import SpectralTrace
 
 
 def block_keys(basis: SymTopBasis, K_values=None) -> list:
@@ -157,20 +157,17 @@ def _initial_in_block(basis: SymTopBasis, key, states):
     return np.array(locs, dtype=int), np.array(ws)
 
 
-def accumulate_coo(trace: SpectralTrace, rows, cols, vals, energies: np.ndarray,
-                   psi: np.ndarray, weights: np.ndarray, scale: float = 1.0):
-    """Add sum_s w_s <psi_s| A |psi_s>(t) for an operator given as COO triplets.
+def coo_amplitudes(rows, cols, vals, energies: np.ndarray, psi: np.ndarray,
+                   weights: np.ndarray):
+    """(frequency, amplitude) pairs of sum_s w_s <psi_s| A |psi_s>(t) for an
+    operator given as COO triplets.
 
     psi is a (dim, n_states) coefficient batch at the segment reference time;
     the amplitude of entry (j, k) at frequency e_j - e_k is
-    A_jk sum_s w_s conj(psi_js) psi_ks, accumulated in memory-bounded chunks.
+    A_jk sum_s w_s conj(psi_js) psi_ks.
     """
-    freqs = energies[rows] - energies[cols]
-    step = max(1, 4_000_000 // max(1, psi.shape[1]))
-    for a in range(0, len(rows), step):
-        sl = slice(a, a + step)
-        rho = (np.conj(psi[rows[sl], :]) * psi[cols[sl], :]) @ weights
-        trace.add(freqs[sl], scale * vals[sl] * rho)
+    rho = (np.conj(psi[rows, :]) * psi[cols, :]) @ weights
+    return energies[rows] - energies[cols], vals * rho
 
 
 def thermal_expectation(b_blocks: dict, basis: SymTopBasis, observable: str,
@@ -184,7 +181,7 @@ def thermal_expectation(b_blocks: dict, basis: SymTopBasis, observable: str,
     t = 0), in T_rev units, matching compose_two_pulses' phase convention.
     """
     folded = not any(key[0] < 0 for key in b_blocks)
-    trace = SpectralTrace()
+    freqs, amps = [], []
     for key, B in b_blocks.items():
         mult = 2.0 if (folded and key[0] > 0) else 1.0
         locs, ws = _initial_in_block(basis, key, states)
@@ -192,6 +189,8 @@ def thermal_expectation(b_blocks: dict, basis: SymTopBasis, observable: str,
             continue
         idx = basis.block_indices(*key)
         rows, cols, vals = _block_sparse_op(basis, key, observable)
-        psi = B[locs, :].T.copy()
-        accumulate_coo(trace, rows, cols, vals, basis.energies[idx], psi, ws, scale=mult)
-    return trace.evaluate(np.asarray(t_grid_trev) * TWO_PI)
+        f, a = coo_amplitudes(rows, cols, vals, basis.energies[idx], B[locs, :].T, ws)
+        freqs.append(f)
+        amps.append(mult * a)
+    t = np.asarray(t_grid_trev, dtype=float) * TWO_PI
+    return np.real(np.exp(1j * np.outer(t, np.concatenate(freqs))) @ np.concatenate(amps))

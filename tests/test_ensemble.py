@@ -113,22 +113,26 @@ class TestDeterminism:
         big = uniform_matrix(5, 1000, 4)
         assert np.array_equal(big[:100], small)
 
-    def test_thread_count_invariance(self):
-        base = dict(mol=N2, T_K=50.0, n_traj=40_000, seed=3,
-                    pulses=(PulseSpec(P=5.0, p=(0, 0, 1.0)),),
-                    t_max=0.05, dt_out=0.01)
-        a = run_protocol(EnsembleConfig(n_threads=1, **base))
-        b = run_protocol(EnsembleConfig(n_threads=4, **base))
+    def test_thread_count_invariance(self, monkeypatch):
+        cfg = EnsembleConfig(mol=N2, T_K=50.0, n_traj=40_000, seed=3,
+                             pulses=(PulseSpec(P=5.0, p=(0, 0, 1.0)),),
+                             t_max=0.05, dt_out=0.01)
+        monkeypatch.setenv("PROPELLER_THREADS", "1")
+        a = run_protocol(cfg)
+        monkeypatch.setenv("PROPELLER_THREADS", "4")
+        b = run_protocol(cfg)
         for name in a.channels:
             assert np.array_equal(a.channels[name], b.channels[name]), name
 
     def test_propeller_threads_env(self, monkeypatch):
-        base = dict(mol=N2, T_K=20.0, n_traj=30_000, seed=9,
-                    pulses=(PulseSpec(P=3.0, p=(0, 0, 1.0)),),
-                    t_max=0.03, dt_out=0.01)
-        a = run_protocol(EnsembleConfig(n_threads=1, **base))
+        cfg = EnsembleConfig(mol=N2, T_K=20.0, n_traj=30_000, seed=9,
+                             pulses=(PulseSpec(P=3.0, p=(0, 0, 1.0)),),
+                             t_max=0.03, dt_out=0.01)
+        monkeypatch.delenv("PROPELLER_THREADS", raising=False)
+        a = run_protocol(cfg)                       # unset: one thread
         monkeypatch.setenv("PROPELLER_THREADS", "3")
-        b = run_protocol(EnsembleConfig(**base))    # n_threads=0 reads the env
+        b = run_protocol(cfg)
+        assert (a.meta["free_flight"]["threads"], b.meta["free_flight"]["threads"]) == (1, 2)
         for name in a.channels:
             assert np.array_equal(a.channels[name], b.channels[name]), name
 
@@ -273,10 +277,14 @@ class TestFreeFlightBlocks:
 
     @pytest.mark.parametrize("mol, pulses", [(BZ, BZ_TWO), (N2, N2_AUTO)],
                              ids=["benzene_two_pulse", "n2_auto_delay"])
-    def test_thread_invariance(self, mol, pulses):
-        base = dict(mol=mol, T_K=0.9 if mol is BZ else 50.0, n_traj=2 * CHUNK + 1000,
-                    seed=21, pulses=pulses, t_max=0.06, dt_out=0.005)
-        runs = [run_protocol(EnsembleConfig(n_threads=k, **base)) for k in (1, 2, 4)]
+    def test_thread_invariance(self, monkeypatch, mol, pulses):
+        cfg = EnsembleConfig(mol=mol, T_K=0.9 if mol is BZ else 50.0,
+                             n_traj=2 * CHUNK + 1000, seed=21, pulses=pulses,
+                             t_max=0.06, dt_out=0.005)
+        runs = []
+        for k in ("1", "2", "4"):
+            monkeypatch.setenv("PROPELLER_THREADS", k)
+            runs.append(run_protocol(cfg))
         assert [r.meta["free_flight"]["threads"] for r in runs] == [1, 2, 3]
         for other in runs[1:]:
             assert other.meta.get("auto_delay_trev") == runs[0].meta.get("auto_delay_trev")
@@ -418,7 +426,8 @@ class TestThreadSetting:
         capped = run_protocol(EnsembleConfig(**base))
         assert capped.meta["free_flight"]["chunks"] == 3
         assert capped.meta["free_flight"]["threads"] == 3
-        single = run_protocol(EnsembleConfig(n_threads=1, **base))
+        monkeypatch.setenv("PROPELLER_THREADS", "1")
+        single = run_protocol(EnsembleConfig(**base))
         for name in single.channels:
             assert np.array_equal(single.channels[name], capped.channels[name]), name
 

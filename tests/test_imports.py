@@ -10,6 +10,8 @@ Two `ast` scans standing in for a linter, and one import check:
   (dunders exempt) is referred to outside its own body, by name or as an
   attribute.  Imports do not count as references, and a definition does
   not refer to itself;
+* a KEPT entry whose reason is that perfbench/tracing.py rebinds it must
+  be named there, as a string, so that no stale entry outlives the tracer;
 
 and `import propeller_sim.cli`, run in a fresh interpreter, loads no
 scipy.sparse module.
@@ -26,6 +28,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "propeller_sim"
 FILES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
+TRACER = ROOT / "perfbench" / "tracing.py"
+REBOUND = "rebound by perfbench/tracing.py"
 
 # definitions no package code refers to, kept on purpose
 KEPT = {
@@ -99,6 +103,14 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     return sorted(dead)
 
 
+def unrebound_entries(kept: dict[str, str], tracer_source: str) -> list[str]:
+    """KEPT entries said to be rebound by the tracer whose name it never spells."""
+    named = {n.value for n in ast.walk(ast.parse(tracer_source))
+             if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return sorted(key for key, why in kept.items()
+                  if REBOUND in why and key.rsplit(".", 1)[1] not in named)
+
+
 def test_scanner_flags_only_unused_names():
     src = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
            "import a.b\nfrom m import x, y\n__all__ = ['y']\nnp.zeros(a.b.c)\n")
@@ -130,6 +142,16 @@ def test_no_unused_imports(path):
 def test_no_unreferenced_definitions():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_definitions(sources) == sorted(KEPT)
+
+
+def test_rebound_check_flags_only_unnamed_functions():
+    kept = {"a.traced": REBOUND, "a.gone": REBOUND + "; an oracle", "a.oracle": "an oracle"}
+    source = 'rebind(a, "traced")\n# gone is only a comment here\n'
+    assert unrebound_entries(kept, source) == ["a.gone"]
+
+
+def test_kept_tracer_entries_are_rebound():
+    assert unrebound_entries(KEPT, TRACER.read_text()) == []
 
 
 def test_cli_import_loads_no_scipy_sparse():

@@ -6,11 +6,12 @@ from scipy.linalg import block_diag, expm
 from scipy.special import sph_harm_y
 
 from oracles import gaunt_y2, matrix_of, observe_grid
-from propeller_sim import quantum_linear, quantum_symtop
-from propeller_sim.core import PulseSpec, TruncationError, nitrogen
+from propeller_sim import quantum_linear
+from propeller_sim.core import ProtocolError, PulseSpec, TruncationError, nitrogen
+from propeller_sim.ensemble import EnsembleConfig, run_protocol
 from propeller_sim.quantum_linear import (LinearBasis, kick_batch, nitrogen_spin_weights,
                                           thermal_run, thermal_states)
-from propeller_sim.spectral import SpectralTrace, accumulate_pattern
+from propeller_sim.spectral import accumulate_pattern
 
 Z5 = PulseSpec(P=5.0, p=(0.0, 0.0, 1.0))
 # polarizations on, against and across z, and two general tilts
@@ -72,7 +73,8 @@ class TestBasis:
         for q in range(-2, 3):
             ref = np.array([[gaunt_y2(int(lp), int(mp), q, int(l), int(m))
                              for l, m in zip(b.l, b.m)] for lp, mp in zip(b.l, b.m)])
-            assert np.max(np.abs(matrix_of(b, {q: b._y2_matrix(q)}) - ref)) < 1e-14, q
+            got = matrix_of(b, {q: b._y2_matrix(q)}, hermitian=False)
+            assert np.max(np.abs(got - ref)) < 1e-14, q
 
     def test_hermiticity(self):
         b = LinearBasis(10)
@@ -103,9 +105,7 @@ class TestBasis:
         w = rng.uniform(0.1, 1.0, size=6)
         times = np.array([0.0, 0.13, 0.9, 2.4, 5.7])
         for name in ("cos2theta", "cos2phi", "Ly", "L2"):
-            trace = SpectralTrace()
-            accumulate_pattern(trace, b.operator(name), quantum_symtop._beat_freqs(b.l_max),
-                               b.blocks(psi), w)
+            trace = accumulate_pattern(b.operator(name), b.blocks(psi), w)
             A = matrix_of(b, b.operator(name))
             ref = [np.real(np.einsum("is,ij,js,s->", np.conj(ev), A, ev, w))
                    for ev in (psi * np.exp(-1j * b.energies * t)[:, None] for t in times)]
@@ -323,3 +323,16 @@ class TestThermal:
         ts = thermal_run(nitrogen(), 50.0, pulses, t_max=0.5, dt_out=0.05)
         d_cl = nitrogen_fig2_classical.meta["auto_delay_trev"]
         assert ts.meta["auto_delay_trev"] == pytest.approx(d_cl, abs=0.002)
+
+    @pytest.mark.parametrize("engine", ["classical", "quantum"])
+    def test_auto_delay_window_ends_at_t_max(self, engine):
+        # pulse 1 at 0.30 T_rev leaves a 0.01 T_rev window before t_max = 0.31,
+        # which ends before the first alignment maximum (about 0.02 T_rev on)
+        pulses = [PulseSpec(P=5.0, p=(0, 0, 1.0), t_apply=0.30),
+                  PulseSpec.along(5.0, (1, 0, 1), t_apply="auto")]
+        with pytest.raises(ProtocolError, match=r"window \[0, 0\.01\] T_rev"):
+            if engine == "quantum":
+                thermal_run(nitrogen(), 50.0, pulses, t_max=0.31, dt_out=0.01)
+            else:
+                run_protocol(EnsembleConfig(mol=nitrogen(), T_K=50.0, n_traj=2000, seed=1,
+                                            pulses=pulses, t_max=0.31, dt_out=0.01))

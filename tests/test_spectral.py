@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from propeller_sim.spectral import group_amplitudes
+from propeller_sim.spectral import SpectralTrace, beat_freqs, group_amplitudes
 
 
 def _unique_reference(freqs, amps):
@@ -10,6 +12,10 @@ def _unique_reference(freqs, amps):
     g = np.zeros(len(uniq), dtype=complex)
     np.add.at(g, inv, amps)
     return uniq / 4, g
+
+
+def _random_stack(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 class TestGroupAmplitudes:
@@ -26,6 +32,17 @@ class TestGroupAmplitudes:
         assert np.array_equal(f, f_ref)
         assert np.allclose(g, g_ref, rtol=0.0, atol=1e-15)
 
+    def test_stack_groups_each_row(self):
+        freqs = np.array([3.0, 1.0, 3.0, 6.0, 1.0, 3.0])
+        amps = _random_stack(np.random.default_rng(5), (2, 3, len(freqs)))
+        f, g = group_amplitudes(freqs, amps)
+        assert g.shape == (2, 3, 3)
+        for i in range(2):
+            for j in range(3):
+                f_ref, g_ref = _unique_reference(freqs, amps[i, j])
+                assert np.array_equal(f, f_ref)
+                assert np.allclose(g[i, j], g_ref, rtol=0.0, atol=1e-15)
+
     def test_cancelling_amplitudes_keep_their_frequency(self):
         f, g = group_amplitudes(np.array([1.0, 1.0, -2.0]), np.array([1.0, -1.0, 2.0]))
         assert np.array_equal(f, [-2.0, 1.0]) and np.array_equal(g, [2.0, 0.0])
@@ -35,10 +52,45 @@ class TestGroupAmplitudes:
         assert f.shape == g.shape == (0,)
         assert g.dtype == complex
 
-    def test_off_lattice_frequency_raises(self):
-        with pytest.raises(ValueError, match=r"0\.3075 .* = 2\.300e-01"):
-            group_amplitudes(np.array([1.0, 0.3075, -2.25]), np.ones(3))
 
-    def test_round_off_is_tolerated(self):
-        f, g = group_amplitudes(np.array([0.5 + 1e-12, 0.5 - 1e-12]), np.ones(2))
-        assert f.tolist() == [0.5] and g.tolist() == [2.0]
+class TestSpectralTrace:
+    def test_beats_are_integers(self):
+        f = beat_freqs(9)
+        assert np.array_equal(f, np.round(f)) and np.array_equal(f, -f.T)
+        assert f[3, 1] == 6.0 - 1.0
+
+    def test_matches_direct_sum_over_all_beats(self):
+        # Re sum_{J J'} g_{J J'} exp(i (e_J - e_J') t) for every matrix of a
+        # random stack, including the negative and zero beats the trace folds
+        n = 7
+        rng = np.random.default_rng(3)
+        g = _random_stack(rng, (2, 3, n, n))
+        g[0, 1, 4, 2] = g[0, 1, 2, 4] = 0.0
+        freqs = beat_freqs(n)
+        times = np.concatenate([[0.0], rng.uniform(-5.0, 40.0, size=30)])
+        phases = np.exp(1j * times[:, None, None] * freqs)
+        ref = np.real(np.einsum("tij,abij->abt", phases, g))
+        got = SpectralTrace(freqs, g).evaluate(times)
+        assert got.shape == (2, 3, len(times))
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        single = SpectralTrace(freqs, g[1, 2])
+        assert np.max(np.abs(single.evaluate(times) - ref[1, 2])) <= 1e-12
+
+    def test_time_average_is_the_zero_beat(self):
+        # integer beats below 64 average out over 64 uniform times of one period
+        n = 8
+        g = _random_stack(np.random.default_rng(8), (n, n))
+        trace = SpectralTrace(beat_freqs(n), g)
+        times = np.arange(64) * (2 * math.pi / 64)
+        assert trace.time_average == pytest.approx(trace.evaluate(times).mean(), abs=1e-12)
+        assert trace.time_average == pytest.approx(np.trace(g).real, abs=1e-15)
+
+    def test_beats_zero_across_the_stack_are_dropped(self):
+        n = 5
+        g = np.zeros((2, n, n), dtype=complex)
+        g[0, 3, 1] = 1.0            # beat e_3 - e_1 = 5
+        g[1, 0, 2] = 2.0j           # beat -(e_2 - e_0) = -3, folded onto +3
+        g[1, 4, 4] = 7.0            # zero beat
+        trace = SpectralTrace(beat_freqs(n), g)
+        assert sorted(trace.freqs) == [3.0, 5.0]
+        assert np.array_equal(trace.time_average, [0.0, 7.0])
