@@ -25,6 +25,7 @@ diagnostics.free_flight in manifest.json.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -112,6 +113,12 @@ def _pulses_from_args(args) -> tuple:
     return tuple(pulses)
 
 
+def _ensemble_config(args, mol: MoleculeParams) -> EnsembleConfig:
+    return EnsembleConfig(mol=mol, T_K=args.temp_K, n_traj=args.n_traj,
+                          seed=args.seed, pulses=_pulses_from_args(args),
+                          t_max=args.t_max, dt_out=args.dt_out)
+
+
 def _write_series(out_dir: Path, name: str, ts: TimeSeries, fmt: str,
                   time_column: str = "t_trev") -> str:
     fname = f"{name}.{fmt}"
@@ -133,9 +140,7 @@ def _check_pairing(args, mol: MoleculeParams):
 def cmd_classical(args, out_dir: Path):
     mol = parse_molecule(args.molecule)
     _check_pairing(args, mol)
-    cfg = EnsembleConfig(mol=mol, T_K=args.temp_K, n_traj=args.n_traj,
-                         seed=args.seed, pulses=_pulses_from_args(args),
-                         t_max=args.t_max, dt_out=args.dt_out)
+    cfg = _ensemble_config(args, mol)
     ts = ensemble.run_protocol(cfg)
     files = [_write_series(out_dir, "timeseries", ts, args.format)]
     extra = {"config": ts.meta["config"],
@@ -197,9 +202,7 @@ def cmd_quantum_symtop(args, out_dir: Path):
 
 def cmd_density(args, out_dir: Path):
     mol = parse_molecule(args.molecule)
-    cfg = EnsembleConfig(mol=mol, T_K=args.temp_K, n_traj=args.n_traj,
-                         seed=args.seed, pulses=_pulses_from_args(args),
-                         t_max=args.t_max, dt_out=args.dt_out)
+    cfg = _ensemble_config(args, mol)
     final = ensemble.final_states(cfg)
     grid = density.belt_average(final["kind"], final["r"], final["L"], args.sigma_kde)
     moments = density.second_moments(final["r"], final["L"])
@@ -222,15 +225,10 @@ def cmd_compare(args, out_dir: Path):
 
 
 def _compare_linear(args, mol, out_dir: Path):
-    cfg = EnsembleConfig(mol=mol, T_K=args.temp_K, n_traj=args.n_traj,
-                         seed=args.seed, pulses=_pulses_from_args(args),
-                         t_max=args.t_max, dt_out=args.dt_out)
+    cfg = _ensemble_config(args, mol)
     cl = ensemble.run_protocol(cfg)
-    delay = cl.meta.get("auto_delay_trev", cfg.pulses[-1].t_apply)
-    a = math.radians(args.angle_deg)
-    qpulses = [PulseSpec(P=args.P1, p=(0.0, 0.0, 1.0), t_apply=0.0),
-               PulseSpec.along(args.P2, (math.sin(a), 0.0, math.cos(a)),
-                               t_apply=float(delay))]
+    delay = float(cl.meta.get("auto_delay_trev", cfg.pulses[-1].t_apply))
+    qpulses = (cfg.pulses[0], dataclasses.replace(cfg.pulses[1], t_apply=delay))
     qm = quantum_linear.thermal_run(mol, args.temp_K, qpulses, t_max=args.t_max,
                                     dt_out=args.dt_out, l_max=args.l_max)
     channels = {}
@@ -243,18 +241,16 @@ def _compare_linear(args, mol, out_dir: Path):
         summary[name] = float(np.max(np.abs(cl_resampled[post] - qm.channels[name][post])))
     ts = TimeSeries(grid=qm.grid, channels=channels, meta={})
     files = [_write_series(out_dir, "compare", ts, args.format)]
-    extra = {"max_abs_deviation": summary, "delay_trev": float(delay),
+    extra = {"max_abs_deviation": summary, "delay_trev": delay,
              "quantum_revival_avg": qm.meta["revival_avg"],
              "diagnostics": {"free_flight": cl.meta["free_flight"],
                              "quantum_linear": _linear_diagnostics(qm)}}
-    return files, float(delay), extra
+    return files, delay, extra
 
 
 def _compare_symtop(args, mol, out_dir: Path):
     taus = np.arange(0.0, args.t_max + 0.5 * args.dt_out, args.dt_out)
-    cfg = EnsembleConfig(mol=mol, T_K=args.temp_K, n_traj=args.n_traj,
-                         seed=args.seed, pulses=_pulses_from_args(args),
-                         t_max=args.t_max, dt_out=args.dt_out)
+    cfg = _ensemble_config(args, mol)
     scan_cl = ensemble.delay_scan(cfg, taus)
     dphi = math.radians(args.angle_deg)
     align_qm = quantum_symtop.alignment_trace(mol, args.temp_K, args.P1, taus,
@@ -431,12 +427,11 @@ def main(argv=None) -> int:
         versions=io_formats.library_versions(),
         wall_time_s=time.perf_counter() - start,
         auto_delay_trev=delay,
-        truncation=extra.pop("truncation", {}) if isinstance(extra, dict) else {},
-        diagnostics=extra.pop("diagnostics", {}) if isinstance(extra, dict) else {},
+        truncation=extra.pop("truncation", {}),
+        diagnostics=extra.pop("diagnostics", {}),
         outputs=sorted(files))
-    if isinstance(extra, dict):
-        for k, v in extra.items():
-            manifest.config[f"result_{k}"] = io_formats._plain(v)
+    for k, v in extra.items():
+        manifest.config[f"result_{k}"] = io_formats._plain(v)
     manifest.write(out_dir / "manifest.json")
     return 0
 

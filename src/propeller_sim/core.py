@@ -148,13 +148,6 @@ class PulseSpec:
         return np.asarray(self.p, dtype=float)
 
 
-def moment_of_inertia(B_cm1: float) -> float:
-    """I in kg m^2 from a rotational constant in cm^-1 (B = h/(8 pi^2 I c))."""
-    if not B_cm1 > 0:
-        raise ParameterError("rotational constant must be positive")
-    return PLANCK_H / (8 * math.pi**2 * B_cm1 * SPEED_OF_LIGHT_CM)
-
-
 def revival_time(mol: MoleculeParams) -> float:
     """Revival period T_rev = 2 pi I / hbar = 1/(2 B c) in seconds, with I = I_1 for tops."""
     return 1.0 / (2.0 * mol.B_cm1 * SPEED_OF_LIGHT_CM)

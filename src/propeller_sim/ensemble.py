@@ -9,10 +9,12 @@ uniforms, drawn as one row of a (n_traj, k) matrix from a counter-based
 (seed, i): results are bit-stable when n_traj is extended and independent of
 how work is chunked across threads.
 
-The protocol engine applies the configured pulses in order (an "auto" second
-pulse fires at the first alignment extremum after the first pulse, located on
-a T_rev/2000 grid with parabolic refinement), and records ensemble-averaged
-observables on the output grid.
+The pulse protocol is one for the classical and quantum engines:
+check_pulses holds the pulse-list rules, and apply_pulses fires the pulses
+on any state with advance, kick and cos2theta (this swarm, or
+quantum_linear's wave packets).  An "auto" second pulse fires at the first
+alignment extremum after the first, found on a T_rev/2000 grid with
+parabolic refinement in a window that ends at t_max.
 
 Every ensemble is carried as axes r and angular momenta L; a linear
 molecule is the case L . r = 0, and its sampler maps the thermal velocity v
@@ -158,16 +160,21 @@ class EnsembleConfig:
             raise ParameterError(f"t_max must be >= 0, got {self.t_max}")
         if self.T_K < 0:
             raise ParameterError("temperature must be >= 0")
-        object.__setattr__(self, "pulses", tuple(self.pulses))
-        times = [p.t_apply for p in self.pulses]
-        for i, t in enumerate(times):
-            if t == "auto" and i == 0:
-                raise ParameterError("the first pulse cannot use an auto delay")
-            if isinstance(t, str) and i > 1:
-                raise ParameterError("auto delay is only supported for the second pulse")
-        fixed = [t for t in times if not isinstance(t, str)]
-        if any(b < a for a, b in zip(fixed, fixed[1:])):
-            raise ParameterError("pulses must be sorted by application time")
+        object.__setattr__(self, "pulses", check_pulses(self.pulses))
+
+
+def check_pulses(pulses) -> tuple[PulseSpec, ...]:
+    """The pulse list as a tuple, if it has at least one pulse, "auto" at
+    most on the second and its fixed times in order."""
+    pulses = tuple(pulses)
+    if not pulses:
+        raise ParameterError("need at least one pulse")
+    if any(p.t_apply == "auto" for i, p in enumerate(pulses) if i != 1):
+        raise ParameterError("auto delay is only supported for the second pulse")
+    fixed = [p.t_apply for p in pulses if p.t_apply != "auto"]
+    if any(b < a for a, b in zip(fixed, fixed[1:])):
+        raise ParameterError("pulses must be sorted by application time")
+    return pulses
 
 
 @dataclass
@@ -219,6 +226,14 @@ class _Swarm:
 
     def kick(self, pulse: PulseSpec) -> "_Swarm":
         return _Swarm(self.r, csym.kick_momentum(self.r, self.L, pulse.P, pulse.p_vec))
+
+    def cos2theta(self, times: np.ndarray) -> np.ndarray:
+        out = np.empty(len(times))
+        step = _block_times(len(self.r))
+        for i in range(0, len(times), step):
+            z = self.flight.positions(times[i:i + step])[..., 2]
+            out[i:i + step] = np.mean(z * z, axis=-1)
+        return out
 
 
 def _initial_swarm(cfg: EnsembleConfig) -> _Swarm:
@@ -277,14 +292,10 @@ def _chunk_sums(flight: csym.SymTopEnsemble, L: np.ndarray, grid: csym.UniformGr
     return z2, c2p, n_az, Lc.sum(axis=0), float(np.sum(Lc * Lc))
 
 
-def mean_cos2theta(swarm: _Swarm, times: np.ndarray) -> np.ndarray:
-    """Ensemble means of cos^2 theta after free flight by each of the times."""
-    out = np.empty(len(times))
-    step = _block_times(len(swarm.r))
-    for i in range(0, len(times), step):
-        z = swarm.flight.positions(times[i:i + step])[..., 2]
-        out[i:i + step] = np.mean(z * z, axis=-1)
-    return out
+def mean_cos2theta(state, times: np.ndarray) -> np.ndarray:
+    """<cos^2 theta> of a protocol state after free flight by each of the
+    times: the extremum scan's one entry point for either engine."""
+    return state.cos2theta(times)
 
 
 def ly_norm(Ly: np.ndarray, L2: np.ndarray) -> np.ndarray:
@@ -311,69 +322,62 @@ def first_local_extremum(values, kind: str) -> int | None:
     return int(hits[0]) + 1 if len(hits) else None
 
 
-def find_alignment_extremum(swarm: _Swarm, kind: str, t_limit: float,
-                            step: float = SCAN_STEP):
-    """First strict local extremum of <cos^2 theta>(t) after a kick.
+def find_alignment_extremum(state, kind: str, t_limit: float) -> float:
+    """Time of the first strict local extremum of <cos^2 theta>(t) after a kick.
 
-    Scans on a uniform grid of the given step (default T_rev/2000 in
-    dimensionless units), one block of 256 steps at a time, and refines
-    through the three bracketing points.  Returns (t_extremum, value);
-    raises ProtocolError if no extremum occurs before t_limit.
+    Scans on a T_rev/2000 grid, one block of 256 steps at a time, and
+    refines through the three bracketing points; raises ProtocolError if no
+    extremum occurs before t_limit.
     """
-    n_limit = int(math.floor(t_limit / step))
+    n_limit = int(math.floor(t_limit / SCAN_STEP))
     window = 256
     values = np.empty(0)
     for stop in [*range(window + 1, n_limit + 1, window), n_limit + 1]:
-        times = np.arange(len(values), stop) * step
-        values = np.concatenate([values, mean_cos2theta(swarm, times)])
+        times = np.arange(len(values), stop) * SCAN_STEP
+        values = np.concatenate([values, mean_cos2theta(state, times)])
         k = first_local_extremum(values, kind)
         if k is not None:
-            ts = np.array([k - 1, k, k + 1]) * step
-            return parabolic_vertex(ts, values[k - 1:k + 2]), float(values[k])
+            ts = np.array([k - 1, k, k + 1]) * SCAN_STEP
+            return parabolic_vertex(ts, values[k - 1:k + 2])
     raise ProtocolError(
         f"no alignment {kind} of <cos^2 theta> found in scan window "
         f"[0, {t_limit / TWO_PI:.4g}] T_rev (step T_rev/2000)")
 
 
-def _extremum_kind(first_pulse: PulseSpec) -> str:
-    return "max" if first_pulse.P >= 0 else "min"
+def apply_pulses(pulses, t_max: float, state):
+    """Fire the pulses in order on a state with advance, kick and cos2theta.
 
-
-def apply_pulses(cfg: EnsembleConfig, swarm: _Swarm):
-    """Fire the configured pulses in order; returns ([(t, swarm_after)], meta).
-
-    An "auto" pulse time resolves to the first alignment extremum after the
-    previous pulse (maximum for P1 >= 0, minimum for P1 < 0), found on a
-    T_rev/2000 grid with parabolic refinement; times are dimensionless.
+    Returns ([(t, state after the kick)], meta) with meta["pulse_times_trev"],
+    and meta["auto_delay_trev"] for an "auto" pulse: the first alignment
+    extremum after the previous pulse (maximum for P1 >= 0, minimum for
+    P1 < 0) before t_max in T_rev units.  Times t are dimensionless.
     """
     meta = {}
     events = []
     t_now = 0.0
-    for pulse in cfg.pulses:
+    for pulse in pulses:
         if pulse.t_apply == "auto":
-            limit = cfg.t_max * TWO_PI - t_now
-            kind = _extremum_kind(cfg.pulses[0])
-            delay, _ = find_alignment_extremum(swarm, kind, limit)
+            kind = "max" if pulses[0].P >= 0 else "min"
+            delay = find_alignment_extremum(state, kind, t_max * TWO_PI - t_now)
             t_pulse = t_now + delay
             meta["auto_delay_trev"] = delay / TWO_PI
         else:
             t_pulse = float(pulse.t_apply) * TWO_PI
             if t_pulse < t_now - 1e-12:
                 raise ParameterError("pulse times must be non-decreasing")
-        swarm = swarm.advance(t_pulse - t_now).kick(pulse)
+        state = state.advance(t_pulse - t_now).kick(pulse)
         t_now = t_pulse
-        events.append((t_pulse, swarm))
+        events.append((t_pulse, state))
+    meta["pulse_times_trev"] = [t / TWO_PI for t, _ in events]
     return events, meta
 
 
 def final_states(cfg: EnsembleConfig):
     """States right after the last kick: dict with kind, r, L and meta."""
-    swarm = _initial_swarm(cfg)
-    events, meta = apply_pulses(cfg, swarm)
-    last = events[-1][1] if events else swarm
+    events, meta = apply_pulses(cfg.pulses, cfg.t_max, _initial_swarm(cfg))
+    last = events[-1][1]
     return {"kind": "linear" if cfg.mol.kind == "linear" else "symtop",
-            "r": last.r, "L": last.L, "meta": meta,
-            "pulse_times_trev": [t / TWO_PI for t, _ in events]}
+            "r": last.r, "L": last.L, "meta": meta}
 
 
 def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
@@ -388,7 +392,7 @@ def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
     n_threads = resolve_threads()
     initial = _initial_swarm(cfg)
     meta = {"config": describe_config(cfg), "seed": cfg.seed}
-    events, pulse_meta = apply_pulses(cfg, initial)
+    events, pulse_meta = apply_pulses(cfg.pulses, cfg.t_max, initial)
     meta.update(pulse_meta)
 
     grid = np.arange(0.0, cfg.t_max + 0.5 * cfg.dt_out, cfg.dt_out)
@@ -429,7 +433,6 @@ def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
             out["L2"][sel] = L2 / n
 
     out["Ly_norm"] = ly_norm(out["Ly"], out["L2"])
-    meta["pulse_times_trev"] = [t_p / TWO_PI for t_p, _ in events]
     meta["free_flight"] = _flight_diagnostics(n, min(CHUNK, n), workers, evaluated)
     return TimeSeries(grid=grid, channels=out, meta=meta)
 
@@ -449,7 +452,7 @@ def delay_scan(cfg: EnsembleConfig, delays) -> TimeSeries:
         raise ParameterError("delay_scan needs exactly two pulses")
     delays = np.asarray(list(delays), dtype=float)
     p1, p2 = cfg.pulses
-    t1 = 0.0 if p1.t_apply == "auto" else float(p1.t_apply) * TWO_PI
+    t1 = float(p1.t_apply) * TWO_PI
     swarm1 = _initial_swarm(cfg).advance(t1).kick(p1)
     Ly_pre = float(swarm1.L[:, 1].mean())
 

@@ -20,24 +20,25 @@ spectral.accumulate_pattern contracts it with the tables into the trace of
 one (l', l) matrix of amplitudes of the beats e_l' - e_l, the same beats
 as the symmetric top's (spectral.beat_freqs).
 
-Thermal averaging sums per-initial-state traces with Boltzmann weights
-(optionally modified by a nuclear-spin weight hook); the zero beat of each
-trace (spectral.SpectralTrace) is its exact revival-period average.
+The thermal mixture is the K = 0 case of quantum_symtop.thermal_levels,
+expanded to all m.  Its wave packets are a pulse-protocol state, fired by
+ensemble.apply_pulses under the classical engine's rules; the zero beat of
+each weighted trace (spectral.SpectralTrace) is its exact revival average.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import angular, quantum_symtop
-from .core import (MoleculeParams, ParameterError, ProtocolError, PulseSpec,
-                   TruncationError, TWO_PI, sigma_th)
-from .ensemble import (SCAN_STEP, TimeSeries, _extremum_kind, first_local_extremum,
-                       ly_norm, parabolic_vertex)
-from .quantum_symtop import HEADROOM_BAND, HEADROOM_TOL, WEIGHT_CUTOFF
-from .spectral import accumulate_pattern
+from .core import MoleculeParams, ParameterError, PulseSpec, TWO_PI, sigma_th
+from .ensemble import TimeSeries, apply_pulses, check_pulses, ly_norm
+from .quantum_symtop import HEADROOM_BAND, _band_tail
+from .spectral import SpectralTrace, accumulate_pattern
 
 
 class LinearBasis:
@@ -54,10 +55,9 @@ class LinearBasis:
         self.energies = self.l * (self.l + 1) / 2.0
         self._ops: dict = {}
 
-    def index(self, l: int, m: int) -> int:
-        if not (0 <= l <= self.l_max and abs(m) <= l):
-            raise ParameterError(f"state |{l},{m}> outside basis")
-        return l * l + l + m
+    def band_population(self, psi: np.ndarray) -> np.ndarray:
+        """Per-state population within HEADROOM_BAND of l_max."""
+        return (np.abs(psi[self.l > self.l_max - HEADROOM_BAND]) ** 2).sum(axis=0)
 
     def blocks(self, psi: np.ndarray) -> np.ndarray:
         """A (size, n_states) batch as its (m + l_max, l, n_states) stack."""
@@ -148,12 +148,6 @@ class LinearBasis:
         return table[name]()
 
 
-def _headroom_tail(basis: LinearBasis, psi: np.ndarray) -> float:
-    """Largest per-state population within HEADROOM_BAND of l_max."""
-    band = basis.l > basis.l_max - HEADROOM_BAND
-    return float((np.abs(psi[band, :]) ** 2).sum(axis=0).max())
-
-
 def _shell_rotations(l_max: int, p: np.ndarray) -> list[np.ndarray]:
     """D^l(alpha, beta, 0) for l = 0..l_max at the polar and azimuthal angles
     of p: d(pi/2) diag(e^{-i beta m}) d(pi/2)^T is exp(-i beta J_x), and the
@@ -183,12 +177,33 @@ def kick_batch(basis: LinearBasis, psi: np.ndarray, pulse: PulseSpec) -> np.ndar
     for l, D in shells:
         out[l * l:(l + 1) ** 2] = D @ out[l * l:(l + 1) ** 2]
     out *= np.exp(1j * pulse.P / 3.0)
-    tail = _headroom_tail(basis, out)
-    if tail > HEADROOM_TOL:
-        raise TruncationError(
-            f"population {tail:.2e} within {HEADROOM_BAND} of l_max={basis.l_max}; "
-            "increase l_max")
+    _band_tail(basis.band_population(out), l_max, "after a kick")
     return out
+
+
+@dataclass(frozen=True)
+class _Packets:
+    """The thermal wave packets between kicks, as a pulse-protocol state:
+    columns psi at the segment start with their Boltzmann weights."""
+
+    basis: LinearBasis
+    psi: np.ndarray
+    weights: np.ndarray
+
+    @functools.cached_property
+    def _cos2theta(self) -> SpectralTrace:
+        return accumulate_pattern(self.basis.operator("cos2theta"),
+                                  self.basis.blocks(self.psi), self.weights)
+
+    def advance(self, dt: float) -> "_Packets":
+        phases = np.exp(-1j * self.basis.energies * dt)
+        return _Packets(self.basis, self.psi * phases[:, None], self.weights)
+
+    def kick(self, pulse: PulseSpec) -> "_Packets":
+        return _Packets(self.basis, kick_batch(self.basis, self.psi, pulse), self.weights)
+
+    def cos2theta(self, times: np.ndarray) -> np.ndarray:
+        return self._cos2theta.evaluate(times)
 
 
 # ---- thermal averaging -------------------------------------------------------
@@ -199,37 +214,9 @@ def nitrogen_spin_weights(l: int) -> float:
     return 2.0 if l % 2 == 0 else 1.0
 
 
-def thermal_states(sigma: float, weight_hook=None, cutoff: float = WEIGHT_CUTOFF):
-    """Initial (l0, m0, weight) list covering >= cutoff of the Boltzmann sum.
-
-    Weights of the included states are renormalized to sum to one, so a
-    truncated mixture still averages observables without a global bias; the
-    dropped fraction of the exact sum is returned alongside.
-    """
-    hook = weight_hook or (lambda l: 1.0)
-    if sigma == 0.0:
-        return [(0, 0, 1.0)], 0.0
-    two_s2 = 2.0 * sigma * sigma
-    l_grid = np.arange(0, max(64, int(12 * sigma) * 8))
-    terms = np.array([hook(int(l)) * (2 * l + 1) * math.exp(-l * (l + 1) / two_s2)
-                      for l in l_grid])
-    z = terms.sum()
-    states, cum = [], 0.0
-    for l in l_grid:
-        wl = hook(int(l)) * math.exp(-l * (l + 1) / two_s2) / z
-        for m in range(-int(l), int(l) + 1):
-            states.append((int(l), m, wl))
-        cum += terms[l] / z
-        if cum >= cutoff:
-            break
-    states = [(l, m, w / cum) for (l, m, w) in states]
-    return states, 1.0 - cum
-
-
-def default_l_max(pulses, l0_max: int) -> int:
-    # 4x the strongest kick plus a constant margin wide enough that the
+def default_l_max(p_max: float, l0_max: int) -> int:
+    # 4x the strongest kick |P| plus a constant margin wide enough that the
     # 1e-10 headroom band stays empty even for weak pulses
-    p_max = max((abs(p.P) for p in pulses), default=0.0)
     return 12 + math.ceil(4.0 * p_max) + l0_max
 
 
@@ -239,90 +226,51 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
                 spin_weights=None) -> TimeSeries:
     """Boltzmann-averaged double-pulse run; times in T_rev units.
 
-    Pulses are given in the classical frame.  A second pulse with
-    t_apply="auto" fires at the first extremum of the quantum <cos^2 theta>
-    trace after the first pulse (maximum for P1 > 0, minimum for P1 < 0),
-    located on a T_rev/2000 grid with parabolic refinement.
+    Pulses are given in the classical frame and fired by
+    ensemble.apply_pulses: an "auto" second pulse fires at the first extremum
+    of the quantum <cos^2 theta> trace after the first pulse.
 
     The returned TimeSeries carries meta["revival_avg"]: exact one-revival
     time averages of every requested observable over the final free segment.
     """
     if mol.kind != "linear":
         raise ParameterError("thermal_run handles linear molecules")
-    pulses = list(pulses)
-    if not pulses:
-        raise ParameterError("need at least one pulse")
-    sigma = sigma_th(mol, T_K)
-    states, trunc = thermal_states(sigma, spin_weights)
-    l0_max = max(s[0] for s in states)
-    if l_max is None:
-        l_max = default_l_max(pulses, l0_max)
-    if l_max < HEADROOM_BAND:
-        raise ParameterError(f"l_max={l_max} is below the headroom band of {HEADROOM_BAND} "
-                             "levels, which must stay unpopulated")
+    pulses = check_pulses(pulses)
+    levels, trunc = quantum_symtop.thermal_levels(mol, T_K, spin_weights)
+    l0_max = levels[-1][0]
+    p_max = max(abs(p.P) for p in pulses)
+    l_max = quantum_symtop._basis_cutoff(l_max, l0_max, default_l_max(p_max, l0_max))
     basis = LinearBasis(l_max)
-
-    psi = np.zeros((basis.size, len(states)), dtype=complex)
-    for k, (l0, m0, _) in enumerate(states):
-        psi[basis.index(l0, m0), k] = 1.0
-    weights = np.array([w for (_, _, w) in states])
-
+    # the K = 0 levels are l0 = 0..l0_max, all m: the first (l0_max + 1)^2 states
+    n0 = (l0_max + 1) ** 2
+    weights = np.repeat([w for _, _, w in levels], [2 * J + 1 for J, _, _ in levels])
+    initial = _Packets(basis, np.eye(basis.size, n0, dtype=complex), weights)
     ops = {name: basis.operator(name) for name in observables}
-    if "cos2theta" not in ops:
-        ops["cos2theta"] = basis.operator("cos2theta")
 
-    meta = {"l_max": l_max, "sigma_th": sigma, "n_initial_states": len(states),
+    meta = {"l_max": l_max, "sigma_th": sigma_th(mol, T_K), "n_initial_states": n0,
             "weight_truncation": trunc,
             "n_blocks": len({p.P for p in pulses}) * (l_max + 1),
             "max_block_dim": l_max + 1,
             "spin_weights": "uniform" if spin_weights is None else "custom"}
+    events, pulse_meta = apply_pulses(pulses, t_max, initial)
+    meta.update(pulse_meta)
+    meta["headroom_tail"] = float(basis.band_population(events[-1][1].psi).max())
 
     # segment 0 is the stationary initial mixture; each kick starts a new one
-    segments = [(0.0, psi)]
-    t_now = 0.0
-    psi_now = psi
-    for i, pulse in enumerate(pulses):
-        if pulse.t_apply == "auto":
-            if i == 0:
-                raise ParameterError("the first pulse cannot use an auto delay")
-            # the scan window ends at t_max, as in the classical engine
-            limit = t_max * TWO_PI - t_now
-            trace = accumulate_pattern(ops["cos2theta"], basis.blocks(psi_now), weights)
-            ts = np.arange(int(limit / SCAN_STEP) + 1) * SCAN_STEP
-            vals = trace.evaluate(ts)
-            kind = _extremum_kind(pulses[0])
-            k = first_local_extremum(vals, kind)
-            if k is None:
-                raise ProtocolError(
-                    f"no quantum alignment {kind} found in scan window "
-                    f"[0, {limit / TWO_PI:.4g}] T_rev")
-            delay = parabolic_vertex(ts[k - 1:k + 2], vals[k - 1:k + 2])
-            t_pulse = t_now + delay
-            meta["auto_delay_trev"] = delay / TWO_PI
-        else:
-            t_pulse = float(pulse.t_apply) * TWO_PI
-        if t_pulse < t_now - 1e-12:
-            raise ParameterError("pulse times must be non-decreasing")
-        phases = np.exp(-1j * basis.energies * (t_pulse - t_now))
-        psi_now = kick_batch(basis, psi_now * phases[:, None], pulse)
-        t_now = t_pulse
-        segments.append((t_pulse, psi_now))
-    meta["pulse_times_trev"] = [t / TWO_PI for t, _ in segments[1:]]
-    meta["headroom_tail"] = _headroom_tail(basis, segments[-1][1])
-
+    segments = [(0.0, initial)] + events
     grid = np.arange(0.0, t_max + 0.5 * dt_out, dt_out)
     t_dim = grid * TWO_PI
     starts = np.array([t0 for t0, _ in segments])
     seg_of = np.clip(np.searchsorted(starts, t_dim + 1e-12) - 1, 0, len(starts) - 1)
     out = {name: np.empty(len(grid)) for name in observables}
     last = len(segments) - 1
-    for s, (t0, psi_s) in enumerate(segments):
+    for s, (t0, packets) in enumerate(segments):
         idx = np.flatnonzero(seg_of == s)
         # a segment no grid time reads (segment 0 when pulse 1 fires at
         # t = 0) needs no trace, except the last, which gives revival_avg
         if not len(idx) and s != last:
             continue
-        blocks = basis.blocks(psi_s)
+        blocks = basis.blocks(packets.psi)
         traces = {name: accumulate_pattern(ops[name], blocks, weights) for name in observables}
         if len(idx):
             for name, trace in traces.items():

@@ -18,11 +18,13 @@ Omega_x = R Omega_z R^T with R = d^J(pi/2) on every J shell
 as the test oracle.  Block (K, -m) is S (K, m) S with S = diag((-1)^J), and
 the K and -K blocks are related the same way, so K, m >= 0 suffice.
 
-* Alignment needs no rotation.  The thermal list holds whole degenerate
-  levels, so the initial mixture is isotropic and may be resolved into
-  pulse-frame states |J0 K m0>; free evolution depends only on (J, K) and
-  commutes with rotations; and cos^2 theta about the first pulse is
-  (1 + Omega)/3, diagonal in m.
+* One thermal list serves both quantum engines: thermal_levels gives whole
+  degenerate (J, |K|) levels, and a linear molecule is its K = 0 case, so
+  these functions run N2 too and quantum_linear draws its mixture here.
+* Alignment needs no rotation.  Whole levels make the initial mixture
+  isotropic, so it may be resolved into pulse-frame states |J0 K m0>; free
+  evolution depends only on (J, K) and commutes with rotations; and
+  cos^2 theta about the first pulse is (1 + Omega)/3, diagonal in m.
 * The two-pulse delay curve rotates only where it must.  The second pulse
   is tilted by dphi about z, |J,K,M> -> e^{i M dphi} |J,K,M>, which the
   pulse frame sees as Theta^J = d^T e^{i M dphi} d per J shell.  The lab
@@ -36,7 +38,7 @@ the K and -K blocks are related the same way, so K, m >= 0 suffice.
   HEADROOM_BAND of J_max after pulse 1, and after pulse 2 at every delay of
   the output grid.  The latter is the same contraction with the band
   projector, one beat matrix per state, evaluated in one stack with the
-  observables.
+  observables.  _band_tail is the check and message of both engines.
 
 `SymTopBasis` and `coupling_block` stay as the lab-frame reference: the
 tests build their propagator oracle on them (tests/symtop_oracle.py).
@@ -49,8 +51,7 @@ import math
 import numpy as np
 
 from . import angular
-from .core import (MoleculeParams, ParameterError, PulseSpec, TruncationError,
-                   TWO_PI, sigma_th)
+from .core import MoleculeParams, ParameterError, TruncationError, TWO_PI, sigma_th
 from .ensemble import TimeSeries, ly_norm
 from .spectral import SpectralTrace, beat_freqs
 
@@ -137,29 +138,26 @@ def coupling_block(basis: SymTopBasis, key) -> np.ndarray:
     return mat
 
 
-def symtop_thermal_states(mol: MoleculeParams, T_K: float, g_ns=None,
-                          cutoff: float = WEIGHT_CUTOFF):
-    """Initial (J, K, M, weight) list covering >= cutoff of the Boltzmann sum.
+def thermal_levels(mol: MoleculeParams, T_K: float, hook=None):
+    """([(J, |K|, weight per state)], dropped fraction): whole levels in
+    energy order up to WEIGHT_CUTOFF of the Boltzmann sum, renormalised.
 
-    g_ns(|K|) is the nuclear-spin weight hook (default uniform).  Weights use
-    exp(-e(J,K)/sigma_1^2) with the dimensionless energy table.
+    Weights are exp(-e(J, K)/sigma_1^2) times the nuclear-spin hook(J).
+    Whole levels keep the mixture isotropic and K <-> -K symmetric; a linear
+    molecule is the K = 0 case.
     """
-    hook = g_ns or (lambda k: 1.0)
-    if mol.kind != "oblate-symtop":
-        raise ParameterError("symtop_thermal_states needs an oblate-symtop molecule")
-    sig1, _ = sigma_th(mol, T_K)
-    if sig1 == 0.0:
-        return [(0, 0, 0, 1.0)], 0.0
-    s2 = sig1 * sig1
-    ratio = mol.i1_over_i3
-    levels = []       # one entry per degenerate (J, |K|) level
-    J = 0
-    z = 0.0
+    linear = mol.kind == "linear"
+    sig = sigma_th(mol, T_K) if linear else sigma_th(mol, T_K)[0]
+    if sig == 0.0:
+        return [(0, 0, 1.0)], 0.0
+    s2 = sig * sig
+    ratio = 1.0 if linear else mol.i1_over_i3
+    levels, z, J = [], 0.0, 0
     while True:
         shell = 0.0
-        for Ka in range(0, J + 1):
+        for Ka in range(1 if linear else J + 1):
             e = J * (J + 1) / 2.0 + (ratio - 1.0) * Ka * Ka / 2.0
-            w = hook(Ka) * math.exp(-e / s2)
+            w = (hook(J) if hook else 1.0) * math.exp(-e / s2)
             mult = (2 * J + 1) * (2 if Ka else 1)
             levels.append((e, J, Ka, w, mult))
             shell += w * mult
@@ -167,26 +165,19 @@ def symtop_thermal_states(mol: MoleculeParams, T_K: float, g_ns=None,
         if J > 4 and shell < 1e-16 * z:
             break
         J += 1
-    # include whole degenerate levels (all M, both K signs) so that the
-    # truncated mixture stays isotropic and K <-> -K symmetric
-    levels.sort(key=lambda t: (t[0], t[1], t[2]))
-    states, cum = [], 0.0
+    levels.sort(key=lambda t: t[:3])
+    kept, cum = [], 0.0
     for e, J, Ka, w, mult in levels:
-        for K in ({0} if Ka == 0 else {-Ka, Ka}):
-            for M in range(-J, J + 1):
-                states.append((J, K, M, w / z))
+        kept.append((J, Ka, w / z))
         cum += w * mult / z
-        if cum >= cutoff:
+        if cum >= WEIGHT_CUTOFF:
             break
-    # renormalize the truncated mixture so observables carry no global bias
-    states = [(J, K, M, w / cum) for (J, K, M, w) in states]
-    return states, 1.0 - cum
+    return [(J, Ka, w / cum) for J, Ka, w in kept], 1.0 - cum
 
 
-def default_J_max(pulses, J0_max: int) -> int:
-    # 4x the strongest kick plus a margin; weak kicks need the wider
+def default_J_max(p_max: float, J0_max: int) -> int:
+    # 4x the strongest kick |P| plus a margin; weak kicks need the wider
     # 16 + 2|P| for the 1e-10 headroom band to stay empty after two pulses
-    p_max = max((abs(p.P) for p in pulses), default=0.0)
     return max(10 + math.ceil(4.0 * p_max), 16 + math.ceil(2.0 * p_max)) + J0_max
 
 
@@ -247,29 +238,32 @@ def _frame_tables(J_max: int, dphi: float, m0_top: int):
     return tilt, jz_up
 
 
-def _thermal_setup(mol: MoleculeParams, T_K: float, strengths, J_max, g_ns):
-    """Thermal levels {K >= 0: [(J0, weight)]}, the basis cut-off and base meta."""
-    states, trunc = symtop_thermal_states(mol, T_K, g_ns)
-    J0 = max(s[0] for s in states)
-    K_lim = max(abs(s[1]) for s in states)
-    if J_max is None:
-        J_max = default_J_max([PulseSpec.along(P, (1, 0, 0)) for P in strengths], J0)
+def _basis_cutoff(J_max: int | None, J0: int, default: int) -> int:
+    """J_max (default if None), above the thermal levels and the band."""
+    J_max = default if J_max is None else J_max
     if J_max < J0:
         raise ParameterError(f"J_max={J_max} is below the thermal J={J0}")
     if J_max < HEADROOM_BAND:
         raise ParameterError(f"J_max={J_max} is below the headroom band of "
                              f"{HEADROOM_BAND} levels, which must stay unpopulated")
-    levels: dict = {}
-    for J, K, M, w in states:           # one entry per degenerate level
-        if K >= 0 and M == 0:
-            levels.setdefault(K, []).append((J, w))
-    meta = {"J_max": J_max, "K_limit": K_lim, "weight_truncation": trunc,
-            "n_initial_states": len(states),
-            "g_ns": "uniform" if g_ns is None else "custom"}
-    return levels, J_max, meta
+    return J_max
+
+
+def _thermal_setup(mol: MoleculeParams, T_K: float, strengths, J_max):
+    """Thermal levels {K >= 0: [(J0, weight)]}, the basis cut-off and base meta."""
+    levels, trunc = thermal_levels(mol, T_K)
+    J0 = max(J for J, _, _ in levels)
+    J_max = _basis_cutoff(J_max, J0, default_J_max(max(map(abs, strengths)), J0))
+    by_K: dict = {}
+    for J, Ka, w in levels:
+        by_K.setdefault(Ka, []).append((J, w))
+    meta = {"J_max": J_max, "K_limit": max(by_K), "weight_truncation": trunc,
+            "n_initial_states": sum((2 * J + 1) * (2 if Ka else 1) for J, Ka, _ in levels)}
+    return by_K, J_max, meta
 
 
 def _band_tail(pop_band: np.ndarray, J_max: int, stage: str) -> float:
+    """Largest per-state band population; TruncationError above HEADROOM_TOL."""
     tail = float(pop_band.max(initial=0.0))
     if tail > HEADROOM_TOL:
         raise TruncationError(
@@ -301,13 +295,13 @@ def _first_kick(K: int, levels, J_max: int, strengths, n_m: int | None = None):
 
 
 def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
-                    J_max: int | None = None, g_ns=None) -> TimeSeries:
+                    J_max: int | None = None) -> TimeSeries:
     """Thermal <cos^2 theta>(t) about the first-pulse axis after one pulse.
 
     Computed in the pulse frame, where cos^2 theta = (1 + Omega)/3 and the
     kick are both diagonal in m: no rotation is needed.
     """
-    levels, J_max, meta = _thermal_setup(mol, T_K, (P1,), J_max, g_ns)
+    levels, J_max, meta = _thermal_setup(mol, T_K, (P1,), J_max)
     amp = np.zeros((J_max + 1, J_max + 1), dtype=complex)
     tail, n_blocks = 0.0, 0
     for K, lev in levels.items():
@@ -326,8 +320,7 @@ def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
 
 
 def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
-                dphi: float, taus_trev, J_max: int | None = None,
-                g_ns=None) -> TimeSeries:
+                dphi: float, taus_trev, J_max: int | None = None) -> TimeSeries:
     """Oriented angular momentum vs pulse delay (stationary after pulse 2).
 
     Channels: Ly (= <J_z>, the classical-frame L_y), L2 (= <J^2>) and
@@ -336,7 +329,7 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
     Raises TruncationError if any initial state puts more than HEADROOM_TOL
     within HEADROOM_BAND of J_max after pulse 1, or after pulse 2 at any tau.
     """
-    levels, J_max, meta = _thermal_setup(mol, T_K, (P1, P2), J_max, g_ns)
+    levels, J_max, meta = _thermal_setup(mol, T_K, (P1, P2), J_max)
     taus = np.asarray(taus_trev, dtype=float) * TWO_PI
     n = J_max + 1
     m0_top = max(J for lev in levels.values() for J, _ in lev) + 1

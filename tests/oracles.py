@@ -3,6 +3,7 @@
 * gaunt_y2 and symtop_d2_element: one rank-2 matrix element from two
   scalar 3j symbols, the element-wise oracles of `LinearBasis`'s rank-2
   operators and of the symmetric-top coupling blocks;
+* lm_index: the flat index l^2 + l + m of |l, m> in a `LinearBasis`;
 * matrix_of: the dense matrix of a `LinearBasis` operator given as its
   q >= 0 block tables, mirrored into the q < 0 ones, for the element-wise
   and dense-matrix oracles;
@@ -14,7 +15,9 @@
   long-time belt density;
 * phi_average and grid_moments: the azimuthal profile and the quadrature
   second moments (<x^2>, <y^2>, <z^2>) of a `DensityGrid`;
-* read_manifest: a `RunManifest` read back from its JSON file.
+* read_manifest: a `RunManifest` read back from its JSON file;
+* moment_of_inertia: I from a rotational constant, the oracle for
+  `revival_time`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from propeller_sim import angular
+from propeller_sim.constants import PLANCK_H, SPEED_OF_LIGHT_CM
 from propeller_sim.core import ParameterError, TWO_PI
 from propeller_sim.density import (DEFAULT_SIGMA, DensityGrid, _accumulate,
                                    _check_sigma)
@@ -49,6 +53,11 @@ def symtop_d2_element(Jp: int, Mp: int, J: int, M: int, K: int, p: int) -> float
     sign = (-1.0) ** (p + M - K)
     return (pref * sign * angular.wigner3j(Jp, 2, J, Mp, -p, -M)
             * angular.wigner3j(Jp, 2, J, K, 0, -K))
+
+
+def lm_index(l: int, m: int) -> int:
+    """Flat index of |l, m> in a LinearBasis."""
+    return l * l + l + m
 
 
 def matrix_of(basis, op: dict, hermitian: bool = True) -> np.ndarray:
@@ -135,3 +144,10 @@ def grid_moments(grid: DensityGrid) -> tuple[float, float, float]:
 
 def read_manifest(path) -> RunManifest:
     return RunManifest(**json.loads(Path(path).read_text()))
+
+
+def moment_of_inertia(B_cm1: float) -> float:
+    """I in kg m^2 from a rotational constant in cm^-1 (B = h/(8 pi^2 I c))."""
+    if not B_cm1 > 0:
+        raise ParameterError("rotational constant must be positive")
+    return PLANCK_H / (8 * math.pi**2 * B_cm1 * SPEED_OF_LIGHT_CM)

@@ -11,7 +11,9 @@ pulse tilted by dphi about z composes through the frame transform
 The engine in `quantum_symtop` computes the same traces in the pulse frame;
 the two agree to rounding on any truncated basis.  The lab-frame traces are
 direct sums over the (frequency, amplitude) pairs of COO triplets of each
-block's observable (coo_amplitudes), with no grouping.
+block's observable (coo_amplitudes), with no grouping.  The thermal
+mixture is `quantum_symtop.thermal_levels` expanded to every state
+|J, K, M> (thermal_states).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from propeller_sim.core import ParameterError, PulseSpec, TWO_PI
-from propeller_sim.quantum_symtop import SymTopBasis, coupling_block
+from propeller_sim.quantum_symtop import SymTopBasis, coupling_block, thermal_levels
 
 
 def block_keys(basis: SymTopBasis, K_values=None) -> list:
@@ -143,6 +145,13 @@ def _block_sparse_op(basis: SymTopBasis, key, name: str):
         n = np.arange(len(idx))
         return n, n, (basis.J[idx] * (basis.J[idx] + 1)).astype(complex)
     raise ParameterError(f"unknown symtop observable {name!r}")
+
+
+def thermal_states(mol, T_K: float) -> list:
+    """The thermal (J, K, M, weight) list: every state of each kept level."""
+    levels, _ = thermal_levels(mol, T_K)
+    return [(J, K, M, w) for J, Ka, w in levels for K in sorted({-Ka, Ka})
+            for M in range(-J, J + 1)]
 
 
 def _initial_in_block(basis: SymTopBasis, key, states):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import moment_of_inertia
 from propeller_sim.constants import PLANCK_H
 from propeller_sim.core import (MoleculeParams, ParameterError,
-                                PulseSpec, benzene, moment_of_inertia, nitrogen,
+                                PulseSpec, benzene, nitrogen,
                                 revival_time, sigma_th)
 
 HBAR = PLANCK_H / (2 * math.pi)

@@ -1,6 +1,6 @@
 """Every imported name is used, and every top-level definition is reachable.
 
-Two `ast` scans standing in for a linter, and one import check:
+Three `ast` scans standing in for a linter, and one import check:
 
 * the unused-import rule over src/ and tests/; names listed in a module's
   `__all__` count as used (re-exports);
@@ -12,6 +12,9 @@ Two `ast` scans standing in for a linter, and one import check:
   not refer to itself;
 * a KEPT entry whose reason is that perfbench/tracing.py rebinds it must
   be named there, as a string, so that no stale entry outlives the tracer;
+* an unused-option rule over src/: each defaulted parameter of a function
+  or method is set, by keyword or by position, in some call under src/,
+  tests/ or perfbench/, so that no option lingers that nothing sets;
 
 and `import propeller_sim.cli`, run in a fresh interpreter, loads no
 scipy.sparse module.
@@ -29,6 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "propeller_sim"
 FILES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
 TRACER = ROOT / "perfbench" / "tracing.py"
+CALLERS = sorted([*FILES, *(ROOT / "perfbench").glob("*.py")])
 REBOUND = "rebound by perfbench/tracing.py"
 
 # definitions no package code refers to, kept on purpose
@@ -38,7 +42,6 @@ KEPT = {
     "classical_linear.propagate_arrays": "rebound by perfbench/tracing.py",
     "io_formats.read_timeseries_csv": "rebound by perfbench/tracing.py",
     "quantum_symtop.coupling_block": "rebound by perfbench/tracing.py; lab-frame oracle",
-    "core.moment_of_inertia": "the oracle for revival_time",
     "quantum_linear.nitrogen_spin_weights": "the N2 spin-weight hook of criterion 1",
 }
 
@@ -111,6 +114,58 @@ def unrebound_entries(kept: dict[str, str], tracer_source: str) -> list[str]:
                   if REBOUND in why and key.rsplit(".", 1)[1] not in named)
 
 
+def _defaulted(func: ast.FunctionDef, skip_first: bool) -> list[tuple[str, int | None]]:
+    """(name, positional index or None if keyword-only) of each defaulted
+    parameter; the index does not count a method's self or cls."""
+    args = func.args
+    positional = [*args.posonlyargs, *args.args]
+    first_default = len(positional) - len(args.defaults)
+    out = [(a.arg, i - skip_first) for i, a in enumerate(positional) if i >= first_default]
+    return out + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def unset_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """"module.function(parameter)" of each defaulted parameter in sources
+    that no call in callers sets.
+
+    A call is matched by the callee's name (a Name, or the last attribute);
+    a call of a class counts for its __init__.  A call sets a parameter by
+    naming it, by passing more positional arguments than its index, or by
+    *args (positional) or **kwargs (any).
+    """
+    calls = []
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.append((name, sum(not isinstance(a, ast.Starred) for a in node.args),
+                              any(isinstance(a, ast.Starred) for a in node.args),
+                              {k.arg for k in node.keywords}))
+    params = []                      # (label, callee name, parameter, index)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        methods = set()
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    methods.add(item)
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    callee = cls.name if item.name == "__init__" else item.name
+                    params += [(f"{module}.{cls.name}.{item.name}", callee, *p)
+                               for p in _defaulted(item, not static)]
+        for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            if func not in methods:
+                params += [(f"{module}.{func.name}", func.name, *p)
+                           for p in _defaulted(func, False)]
+    return sorted(f"{label}({param})" for label, callee, param, index in params
+                  if not any(name == callee and (param in kw or None in kw
+                                                 or (index is not None
+                                                     and (n_pos > index or starred)))
+                             for name, n_pos, starred, kw in calls))
+
+
 def test_scanner_flags_only_unused_names():
     src = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
            "import a.b\nfrom m import x, y\n__all__ = ['y']\nnp.zeros(a.b.c)\n")
@@ -134,6 +189,19 @@ def test_definition_scanner_flags_only_unreachable_names():
     assert unreferenced_definitions(sources) == ["a.Orphan", "a.dead", "b.Box.spare", "b.use"]
 
 
+def test_default_scanner_flags_only_unset_parameters():
+    sources = {"a": "def f(x, y=1, *, z=2):\n    pass\n"
+                    "class Box:\n    def __init__(self, n=0):\n        pass\n"
+                    "    def put(self, item, where=None):\n        pass\n"
+                    "    @staticmethod\n    def make(k=1):\n        pass\n"
+                    "def g(u=1, v=2):\n    pass\n"
+                    "def h(p, q=1):\n    pass\n"
+                    "def lone(a=1):\n    pass\n"}
+    callers = ["f(1, 2)\nBox(3)\nb.put(1)\nBox.make(1)\ng(*args)\n",
+               "m.f(0, z=3)\nh(**opts)\nlone\n"]
+    assert unset_defaults(sources, callers) == ["a.Box.put(where)", "a.lone(a)"]
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -142,6 +210,11 @@ def test_no_unused_imports(path):
 def test_no_unreferenced_definitions():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_definitions(sources) == sorted(KEPT)
+
+
+def test_every_default_is_set_by_some_call():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unset_defaults(sources, [p.read_text() for p in CALLERS]) == []
 
 
 def test_rebound_check_flags_only_unnamed_functions():

@@ -5,12 +5,14 @@ import pytest
 from scipy.linalg import block_diag, expm
 from scipy.special import sph_harm_y
 
-from oracles import gaunt_y2, matrix_of, observe_grid
+from oracles import gaunt_y2, lm_index, matrix_of, observe_grid
 from propeller_sim import quantum_linear
-from propeller_sim.core import ProtocolError, PulseSpec, TruncationError, nitrogen
+from propeller_sim.core import (ParameterError, ProtocolError, PulseSpec, TruncationError,
+                                nitrogen, sigma_th)
 from propeller_sim.ensemble import EnsembleConfig, run_protocol
 from propeller_sim.quantum_linear import (LinearBasis, kick_batch, nitrogen_spin_weights,
-                                          thermal_run, thermal_states)
+                                          thermal_run)
+from propeller_sim.quantum_symtop import thermal_levels
 from propeller_sim.spectral import accumulate_pattern
 
 Z5 = PulseSpec(P=5.0, p=(0.0, 0.0, 1.0))
@@ -20,7 +22,7 @@ KICK_AXES = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (1, 0.5, 2), (0.3, -1, 0.2)]
 
 def pure(basis, l, m):
     c = np.zeros(basis.size, dtype=complex)
-    c[basis.index(l, m)] = 1.0
+    c[lm_index(l, m)] = 1.0
     return c
 
 
@@ -42,8 +44,8 @@ class TestBasis:
     def test_enumeration(self):
         b = LinearBasis(3)
         assert b.size == 16
-        assert b.index(2, -1) == 4 + 2 - 1
-        assert b.energies[b.index(3, 0)] == 6.0
+        assert (b.l[lm_index(2, -1)], b.m[lm_index(2, -1)]) == (2, -1)
+        assert b.energies[lm_index(3, 0)] == 6.0
 
     def test_matrix_element_quadrature_oracle(self):
         # brute-force 2-D quadrature of Y*_{l'm'} (p.r)^2 Y_{lm} for l <= 6
@@ -89,7 +91,7 @@ class TestBasis:
         m = matrix_of(b, b.op_cos2theta())
         for l in range(9):
             for mm in range(-l, l + 1):
-                i = b.index(l, mm)
+                i = lm_index(l, mm)
                 ref = 1 / 3 + (2 / 3) * (l * (l + 1) - 3 * mm * mm) \
                     / ((2 * l - 1) * (2 * l + 3))
                 assert m[i, i].real == pytest.approx(ref, abs=1e-12)
@@ -166,7 +168,7 @@ class TestSuddenKick:
     def test_kick_matches_dense_expm(self, axis):
         # exp(i P cos^2 beta) itself, global phase included, for both signs of P
         b = LinearBasis(30)
-        cols = [b.index(l, m) for l, m in ((0, 0), (1, -1), (3, 2), (5, -5), (6, 0))]
+        cols = [lm_index(l, m) for l, m in ((0, 0), (1, -1), (3, 2), (5, -5), (6, 0))]
         for P in (3.0, -2.5):
             pulse = PulseSpec.along(P, axis)
             ref = expm(1j * P * matrix_of(b, b.op_cos2beta(pulse.p_vec)))[:, cols]
@@ -230,8 +232,8 @@ class TestObserve:
         # <cos^2 theta> = 1/5 and <cos^2 phi> = 3/4 by direct integration
         b = LinearBasis(6)
         c = np.zeros(b.size, dtype=complex)
-        c[b.index(1, 1)] = 1 / math.sqrt(2)
-        c[b.index(1, -1)] = -1 / math.sqrt(2)
+        c[lm_index(1, 1)] = 1 / math.sqrt(2)
+        c[lm_index(1, -1)] = -1 / math.sqrt(2)
         assert expect(b, c, "cos2theta") == pytest.approx(0.2, abs=1e-12)
         assert expect(b, c, "cos2phi") == pytest.approx(0.75, abs=1e-12)
 
@@ -247,22 +249,30 @@ class TestObserve:
 
 
 class TestThermal:
+    # N2 is the K = 0 case of the symmetric top's thermal level list
     def test_zero_temperature_single_state(self):
-        states, trunc = thermal_states(0.0)
-        assert states == [(0, 0, 1.0)] and trunc == 0.0
+        levels, trunc = thermal_levels(nitrogen(), 0.0)
+        assert levels == [(0, 0, 1.0)] and trunc == 0.0
 
     def test_weight_normalization(self):
-        states, trunc = thermal_states(2.9475)
-        total = sum(w for (_, _, w) in states)
+        levels, trunc = thermal_levels(nitrogen(), 50.0)
+        assert sigma_th(nitrogen(), 50.0) == pytest.approx(2.9475, abs=1e-4)
+        assert [(J, Ka) for J, Ka, _ in levels] == [(J, 0) for J in range(len(levels))]
+        total = sum((2 * J + 1) * w for J, _, w in levels)
         # included states are renormalized; the dropped fraction is reported
         assert total == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= trunc < 1e-4
 
     def test_spin_weight_hook(self):
-        states, _ = thermal_states(2.0, weight_hook=nitrogen_spin_weights)
-        w = {(l, m): wt for l, m, wt in states}
-        assert w[(0, 0)] / w[(1, 0)] == pytest.approx(
-            2.0 * math.exp(2.0 / (2 * 4.0)), rel=1e-12)
+        levels, _ = thermal_levels(nitrogen(), 20.0, nitrogen_spin_weights)
+        s2 = sigma_th(nitrogen(), 20.0) ** 2
+        assert levels[0][2] / levels[1][2] == pytest.approx(2.0 * math.exp(1.0 / s2), rel=1e-12)
+
+    def test_basis_below_thermal_levels(self):
+        # the thermal list at 50 K reaches l = 12; a basis that drops the top
+        # levels is rejected, not truncated
+        with pytest.raises(ParameterError, match="thermal J=12"):
+            thermal_run(nitrogen(), 50.0, [Z5], t_max=0.1, dt_out=0.05, l_max=11)
 
     def test_no_pulse_stays_isotropic(self):
         ts = thermal_run(nitrogen(), 30.0, [PulseSpec(P=0.0, p=(0, 0, 1.0))],
@@ -336,3 +346,17 @@ class TestThermal:
             else:
                 run_protocol(EnsembleConfig(mol=nitrogen(), T_K=50.0, n_traj=2000, seed=1,
                                             pulses=pulses, t_max=0.31, dt_out=0.01))
+
+    @pytest.mark.parametrize("engine", ["classical", "quantum"])
+    @pytest.mark.parametrize("times", [(), ("auto", 0.1), (0.0, 0.1, "auto"), (0.1, 0.05)],
+                             ids=["empty", "auto_first", "auto_third", "unsorted"])
+    def test_both_engines_reject_the_same_pulse_lists(self, engine, times):
+        # one rule for both engines: at least one pulse, the first at a fixed
+        # time, auto only on the second, fixed times non-decreasing
+        pulses = [PulseSpec(P=2.0, p=(0, 0, 1.0), t_apply=t) for t in times]
+        with pytest.raises(ParameterError):
+            if engine == "quantum":
+                thermal_run(nitrogen(), 10.0, pulses, t_max=0.2, dt_out=0.01)
+            else:
+                EnsembleConfig(mol=nitrogen(), T_K=10.0, n_traj=10, seed=1,
+                               pulses=pulses, t_max=0.2, dt_out=0.01)

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from propeller_sim import quantum_symtop
-from oracles import matrix_of, symtop_d2_element
+from oracles import lm_index, matrix_of, symtop_d2_element
 from propeller_sim.angular import wigner_d_half_pi
-from propeller_sim.core import ParameterError, PulseSpec, TruncationError, benzene
-from propeller_sim.quantum_linear import LinearBasis
+from propeller_sim.core import (ParameterError, PulseSpec, TruncationError, benzene,
+                                nitrogen, sigma_th)
+from propeller_sim.quantum_linear import LinearBasis, thermal_run
 from propeller_sim.quantum_symtop import (SymTopBasis, _pulse_frame_blocks,
                                           alignment_trace, coupling_block,
-                                          delay_curve, symtop_thermal_states)
+                                          delay_curve, thermal_levels)
 from symtop_oracle import (alignment_block, block_keys, compose_two_pulses,
-                           coupling_matrix, solve_pulse, thermal_expectation)
+                           coupling_matrix, solve_pulse, thermal_expectation,
+                           thermal_states)
 
 BZ = benzene()
 
@@ -64,8 +66,8 @@ class TestCouplingMatrix:
         m = coupling_matrix(b)
         for i in range(b.size):
             for j in range(b.size):
-                a = lb.index(int(b.J[i]), int(b.M[i]))
-                c = lb.index(int(b.J[j]), int(b.M[j]))
+                a = lm_index(int(b.J[i]), int(b.M[i]))
+                c = lm_index(int(b.J[j]), int(b.M[j]))
                 assert m[i, j] == pytest.approx(omega_lin[a, c].real, abs=1e-10)
 
     @pytest.mark.parametrize("jm", [0, 1, 4, 8])
@@ -163,16 +165,47 @@ class TestSolveAndCompose:
 
 class TestThermal:
     def test_zero_temperature(self):
-        states, trunc = symtop_thermal_states(BZ, 0.0)
-        assert states == [(0, 0, 0, 1.0)] and trunc == 0.0
+        levels, trunc = thermal_levels(BZ, 0.0)
+        assert levels == [(0, 0, 1.0)] and trunc == 0.0
 
     def test_benzene_weights(self):
-        states, trunc = symtop_thermal_states(BZ, 0.9)
-        total = sum(s[3] for s in states)
+        levels, trunc = thermal_levels(BZ, 0.9)
+        total = sum((2 * J + 1) * (2 if Ka else 1) * w for J, Ka, w in levels)
         assert total >= 0.9999 and trunc < 1e-4
-        # energies even in K: the same weight appears for +-K
-        w = {(J, K, M): wt for J, K, M, wt in states}
+        # energies even in K: the expanded list gives +-K the same weight
+        w = {(J, K, M): wt for J, K, M, wt in thermal_states(BZ, 0.9)}
         assert w[(2, 1, 0)] == pytest.approx(w[(2, -1, 0)], rel=1e-12)
+
+    def test_linear_molecule_is_the_k0_case(self):
+        # N2 through the pulse-frame engine: its one K = 0 block reproduces
+        # the linear engine's alignment and post-pulse-2 Ly and L2
+        n2, dphi, jm = nitrogen(), math.radians(45.0), 44
+        times = np.linspace(0.0, 1.0, 201)
+        align = alignment_trace(n2, 50.0, 5.0, times, J_max=jm)
+        ref = thermal_run(n2, 50.0, [PulseSpec(P=5.0, p=(0, 0, 1.0))], t_max=1.0,
+                          dt_out=0.005, l_max=jm)
+        assert np.max(np.abs(align.channels["cos2theta"] - ref.channels["cos2theta"])) <= 1e-12
+        taus = np.array([0.01, 0.07])
+        scan = delay_curve(n2, 50.0, 5.0, 5.0, dphi, taus, J_max=jm)
+        for k, tau in enumerate(taus):
+            p2 = PulseSpec.along(5.0, (math.sin(dphi), 0.0, math.cos(dphi)), t_apply=tau)
+            avg = thermal_run(n2, 50.0, [PulseSpec(P=5.0, p=(0, 0, 1.0)), p2], t_max=0.1,
+                              dt_out=0.1, l_max=jm).meta["revival_avg"]
+            for name in ("Ly", "L2"):
+                assert scan.channels[name][k] == pytest.approx(avg[name], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("T_K", [0.9, 2.0])
+    def test_levels_are_the_shortest_energy_ordered_prefix(self, T_K):
+        # whole levels in energy order, cut at the first level that brings
+        # the kept Boltzmann share to WEIGHT_CUTOFF
+        levels, trunc = thermal_levels(BZ, T_K)
+        e = [J * (J + 1) / 2 + (BZ.i1_over_i3 - 1) * Ka * Ka / 2 for J, Ka, _ in levels]
+        assert e == sorted(e)
+        share = [(2 * J + 1) * (2 if Ka else 1) * w * (1 - trunc) for J, Ka, w in levels]
+        assert sum(share[:-1]) < quantum_symtop.WEIGHT_CUTOFF <= sum(share) + 1e-12
+        sig1, _ = sigma_th(BZ, T_K)
+        for (J, Ka, w), ek in zip(levels, e):
+            assert w == pytest.approx(levels[0][2] * math.exp(-ek / sig1 ** 2), rel=1e-12)
 
     def test_no_pulse_isotropic(self):
         ts = alignment_trace(BZ, 0.9, 0.0, np.linspace(0, 0.3, 7), J_max=12)
@@ -196,7 +229,7 @@ class TestThermal:
     def test_fold_matches_explicit_negative_k(self):
         # evaluate the thermal trace with all K blocks explicitly and compare
         # against the folded K >= 0 evaluation used in production
-        states, _ = symtop_thermal_states(BZ, 2.0)
+        states = thermal_states(BZ, 2.0)
         b = SymTopBasis(10)
         pulse = PulseSpec(P=-1.0, p=(1.0, 0, 0))
         sol = solve_pulse(b, pulse)
@@ -314,7 +347,7 @@ class TestAgainstBlockOracle:
     JM = 10
 
     def _oracle(self, T_K, P1, P2):
-        states, _ = symtop_thermal_states(BZ, T_K)
+        states = thermal_states(BZ, T_K)
         K_lim = max(abs(s[1]) for s in states)
         b = SymTopBasis(self.JM, BZ.i1_over_i3, K_limit=K_lim)
         sol1 = solve_pulse(b, PulseSpec(P=P1, p=(1.0, 0, 0)))
@@ -384,4 +417,4 @@ class TestHeadroom:
         got = delay_curve(BZ, 0.0, P, P, -math.pi / 4, taus).meta
         assert got["headroom_tail"] <= quantum_symtop.HEADROOM_TOL
         # the rule leaves strong kicks where 4|P| already dominates
-        assert quantum_symtop.default_J_max([PulseSpec(P=-4.0, p=(1.0, 0, 0))] * 2, 7) == 33
+        assert quantum_symtop.default_J_max(4.0, 7) == 33
