@@ -72,36 +72,41 @@ class GridPhases:
     recurrence, so the error stays at a few ulps whatever the segment length
     and depends only on the molecule and i.  The anchor angle is carried as
     a double-double, so the phase does not inherit the rounding of omega t
-    (up to 1e-13 rad after a few revivals).  SymTopEnsemble.positions builds
-    the (K, rows) table on first use and keeps the latest anchor here: one
-    GridPhases serves one range of molecules through a segment.
+    (up to 1e-13 rad after a few revivals).  The (K, rows) table is built on
+    first use and kept, and so is the latest anchor that cos_sin used: one
+    GridPhases serves one range of molecules through a segment, either as
+    SymTopEnsemble.positions' phases or as the factors of a delay scan.
     """
 
     def __init__(self, grid: UniformGrid, rows: slice):
         self.grid, self.rows = grid, rows
-        self.table = None
+        self._table = None
         self.anchor_index, self.anchor = -1, None
 
     def span(self, start: int, stop: int) -> "GridSpan":
         return GridSpan(self, start, stop)
 
-    def _anchor(self, m: int, omega: np.ndarray):
-        if m != self.anchor_index:
-            # t0 + m K h = t_hi + e_mk + e_sum and omega t_hi = p + err, exactly
-            p_mk, e_mk = _two_product(float(m * ANCHOR_STEP), self.grid.h)
-            t_hi, e_sum = _two_sum(self.grid.t0, p_mk)
-            p, err = _two_product(omega, t_hi)
-            lo = err + omega * (e_mk + e_sum)       # the angle is p + lo
-            cos, sin = np.cos(p), np.sin(p)
-            self.anchor_index, self.anchor = m, (cos - lo * sin, sin + lo * cos)
-        return self.anchor
+    def table(self, omega: np.ndarray):
+        """(K, rows) cos and sin of omega j h, j = 0 .. K - 1."""
+        if self._table is None:
+            ang = np.multiply.outer(np.arange(ANCHOR_STEP) * self.grid.h, omega)
+            self._table = (np.cos(ang), np.sin(ang))
+        return self._table
+
+    def anchors(self, omega: np.ndarray, m):
+        """cos and sin of omega (t0 + m K h) for an anchor index m, or for
+        an array of them that broadcasts against omega."""
+        # t0 + m K h = t_hi + e_mk + e_sum and omega t_hi = p + err, exactly
+        p_mk, e_mk = _two_product(np.multiply(m, ANCHOR_STEP, dtype=float), self.grid.h)
+        t_hi, e_sum = _two_sum(self.grid.t0, p_mk)
+        p, err = _two_product(omega, t_hi)
+        lo = err + omega * (e_mk + e_sum)       # the angle is p + lo
+        cos, sin = np.cos(p), np.sin(p)
+        return cos - lo * sin, sin + lo * cos
 
     def cos_sin(self, omega: np.ndarray, start: int, stop: int):
         """(stop - start, rows) cos and sin at grid indices start .. stop - 1."""
-        if self.table is None:
-            ang = np.multiply.outer(np.arange(ANCHOR_STEP) * self.grid.h, omega)
-            self.table = (np.cos(ang), np.sin(ang))
-        tab_cos, tab_sin = self.table
+        tab_cos, tab_sin = self.table(omega)
         cos = np.empty((stop - start, len(omega)))
         sin = np.empty_like(cos)
         tmp = np.empty_like(cos)
@@ -109,7 +114,9 @@ class GridPhases:
         while i < stop:             # one anchor group at a time
             m, j = divmod(i, ANCHOR_STEP)
             end = min(stop, (m + 1) * ANCHOR_STEP)
-            ac, as_ = self._anchor(m, omega)
+            if m != self.anchor_index:
+                self.anchor_index, self.anchor = m, self.anchors(omega, m)
+            ac, as_ = self.anchor
             tc, ts = tab_cos[j:j + end - i], tab_sin[j:j + end - i]
             c, s, t = cos[i - start:end - start], sin[i - start:end - start], tmp[:end - i]
             np.multiply(tc, ac, out=c)

@@ -36,9 +36,16 @@ addition; a grid value depends only on the molecule and its grid index.
 Block boundaries therefore do not change any value.  run_protocol sums over
 fixed-size molecule chunks (CHUNK) combined in index order, so values are
 also invariant under the thread count used to evaluate the chunks.  The
-alignment scan, delay_scan and advance take arbitrary times through
-np.cos/np.sin, and the scan and delay_scan reduce each time over the whole
-ensemble.
+alignment scan and advance take arbitrary times through np.cos/np.sin, and
+the scan reduces each time over the whole ensemble.
+
+delay_scan evaluates no positions after the first kick.  On its circle,
+each molecule's z^2, L_y and |L|^2 right after the second kick are
+trigonometric polynomials of degree 2, 2 and 4 in omega tau, whose
+coefficients follow from the circle's geometry.  The delays, evenly spaced,
+form a UniformGrid, and GridPhases' anchor and table factors turn each
+harmonic's sum over a chunk of SCAN_CHUNK molecules into one matrix product;
+the chunks, too, are summed in index order.
 """
 
 from __future__ import annotations
@@ -60,6 +67,8 @@ SCAN_STEP = TWO_PI / 2000.0     # extremum-scan resolution: T_rev/2000
 CHUNK = 16384                   # fixed accumulation chunk (thread-count invariant)
 BLOCK = 2 ** 14                 # molecule-times evaluated per free-flight block
 _TINY = 2.0 ** -54              # guards inverse-CDF transforms at w = 0
+SCAN_CHUNK = BLOCK // csym.ANCHOR_STEP   # molecules per delay-scan chunk (thread-count invariant)
+SCAN_DEGREE = 4                 # delay_scan's harmonics: |L|^2 after a kick, in omega tau
 POLE_SIN2 = 1e-12               # sin^2(theta) below which the azimuth is undefined
 
 # fixed per-molecule uniform draw layouts (columns of the sample matrix)
@@ -246,8 +255,8 @@ def _initial_swarm(cfg: EnsembleConfig) -> _Swarm:
     return _Swarm(*symtop_ensemble_from_uniforms(u, sig1, sig3))
 
 
-def _chunk_ranges(n: int):
-    return [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
+def _chunk_ranges(n: int, size: int):
+    return [(i, min(i + size, n)) for i in range(0, n, size)]
 
 
 def _block_times(n_molecules: int) -> int:
@@ -255,9 +264,9 @@ def _block_times(n_molecules: int) -> int:
     return max(1, BLOCK // n_molecules)
 
 
-def _flight_diagnostics(n: int, chunk: int, workers: int, segments) -> dict:
-    return {"n_traj": n, "chunks": -(-n // chunk), "threads": workers,
-            "block_shape": [_block_times(chunk), chunk],
+def _flight_diagnostics(n: int, workers: int, block_shape, segments) -> dict:
+    return {"n_traj": n, "chunks": -(-n // block_shape[1]), "threads": workers,
+            "block_shape": block_shape,
             "segments": [{"t_start_trev": t0 / TWO_PI, "n_times": int(n_t),
                           "n_frozen": int(np.count_nonzero(~sw.flight.live))}
                          for t0, n_t, sw in segments]}
@@ -380,6 +389,13 @@ def final_states(cfg: EnsembleConfig):
             "r": last.r, "L": last.L, "meta": meta}
 
 
+def segment_of(event_times, t) -> np.ndarray:
+    """Pulse segment of each time t: 0 before the first pulse, s from pulse
+    s on.  A time joins the last pulse it does not precede (by more than
+    1e-12), so a time tied with a pulse sees that pulse's kick."""
+    return np.searchsorted(np.asarray(event_times) - 1e-12, t, side="right")
+
+
 def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
     """Execute the pulse sequence and record ensemble averages on the grid.
 
@@ -398,14 +414,14 @@ def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
     grid = np.arange(0.0, cfg.t_max + 0.5 * cfg.dt_out, cfg.dt_out)
     t, h = grid * TWO_PI, cfg.dt_out * TWO_PI
     # segment 0 is free flight from the initial state, segment s >= 1 the
-    # flight after pulse s; a grid time joins the last pulse it does not
-    # precede, so each segment owns a run of the grid: its first time plus i h
+    # flight after pulse s; each segment owns a run of the grid: its first
+    # time plus i h
     segments = [(0.0, initial)] + events
-    seg_of = np.searchsorted(np.array([t_p - 1e-12 for t_p, _ in events]), t, side="right")
+    seg_of = segment_of([t_p for t_p, _ in events], t)
 
     out = {k: np.empty(len(grid)) for k in ("cos2theta", "cos2phi", "Lx", "Ly", "Lz", "L2")}
     n = cfg.n_traj
-    ranges = _chunk_ranges(n)
+    ranges = _chunk_ranges(n, CHUNK)
     workers = min(n_threads, len(ranges))
     evaluated = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -433,47 +449,155 @@ def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
             out["L2"][sel] = L2 / n
 
     out["Ly_norm"] = ly_norm(out["Ly"], out["L2"])
-    meta["free_flight"] = _flight_diagnostics(n, min(CHUNK, n), workers, evaluated)
+    chunk = min(CHUNK, n)
+    meta["free_flight"] = _flight_diagnostics(n, workers, [_block_times(chunk), chunk],
+                                              evaluated)
     return TimeSeries(grid=grid, channels=out, meta=meta)
+
+
+# 2 SCAN_DEGREE + 1 equispaced phases: (1, cos, sin) at each, and the DFT
+# that takes a trigonometric polynomial's values there to its c_k, k >= 0
+_SAMPLE_THETA = TWO_PI * np.arange(2 * SCAN_DEGREE + 1) / (2 * SCAN_DEGREE + 1)
+_SAMPLE_BASIS = np.stack([np.ones_like(_SAMPLE_THETA), np.cos(_SAMPLE_THETA),
+                          np.sin(_SAMPLE_THETA)], axis=1)
+_DFT = np.exp(-1j * np.outer(np.arange(SCAN_DEGREE + 1), _SAMPLE_THETA)) / len(_SAMPLE_THETA)
+
+
+def _scan_coefficients(flight: csym.SymTopEnsemble, L: np.ndarray, rows: slice,
+                       P: float, forms: np.ndarray) -> np.ndarray:
+    """Fourier coefficients c_k, k = 0 .. SCAN_DEGREE, of z^2 and of the
+    changes of L_y and |L|^2 by a kick of strength P, in theta = omega tau on
+    each molecule's circle: a (3, SCAN_DEGREE + 1, rows) complex array.
+
+    forms holds the rows e_z, p and e_c x p (c = x, y, z), so forms . r is
+    z, p . r and p x r.  The kick adds dL = -2 P (p . r)(p x r), and
+    |p x r|^2 = |p|^2 - (p . r)^2, so the channels are polynomials of degree
+    2, 2 and 4 in linear forms u . r(theta) = u . a + u . w b cos theta +
+    u . w c sin theta; their values at 2 SCAN_DEGREE + 1 equispaced theta fix
+    them exactly.
+    """
+    w = flight.w[rows]
+    circle = np.stack([flight.a[:, rows], w * flight.b[:, rows], w * flight.c[:, rows]])
+    values = _SAMPLE_BASIS @ (forms @ circle).reshape(3, -1)
+    z, s, *pxr = values.reshape(len(_SAMPLE_BASIS), len(forms), -1).transpose(1, 0, 2)
+    Lc = L[rows].T
+    g = pxr[0] * Lc[0] + pxr[1] * Lc[1] + pxr[2] * Lc[2]      # L . (p x r)
+    ss = s * s
+    samples = np.stack([z * z, (-2.0 * P) * (s * pxr[1]),
+                        (-4.0 * P) * (s * g) + (4.0 * P * P) * ss * (forms[1] @ forms[1] - ss)])
+    return _DFT @ samples
+
+
+def _scan_sums(flight: csym.SymTopEnsemble, L: np.ndarray, P: float, forms: np.ndarray,
+               grid: csym.UniformGrid, rows: tuple[int, int]):
+    """Sums over molecules rows = (a, b) of z^2, L_y and |L|^2 after a kick
+    at each time of the grid, split into the time-independent (3,) part and
+    the (grid.n, 3) rest, and the sum of L_y before the kick.
+
+    A channel is c_0 + 2 Re sum_k c_k e^{ik omega t}.  At time i = m K + j
+    (K = ANCHOR_STEP) the phase is the anchor factor e^{ik omega (t0 + m K h)}
+    times the table factor e^{ik omega j h}.  The anchors are folded into the
+    coefficients, and the table factors of the harmonics stand side by side,
+    so one product (K x d rows) @ (d rows x M) per channel sums harmonics
+    1 .. d over the molecules; z^2 and L_y (d = 2) share theirs.  It runs in
+    real arithmetic: Re(T x) is [Re T, -Im T] . [Re x, Im x].
+    """
+    a, b = rows
+    chunk = slice(a, b)
+    coef = _scan_coefficients(flight, L, chunk, P, forms)
+    phases = csym.GridPhases(grid, chunk)
+    omega = flight.omega[chunk]
+    n_anchors = -(-grid.n // csym.ANCHOR_STEP)
+    anchor = np.empty((n_anchors, SCAN_DEGREE, b - a), dtype=complex)
+    table = np.empty((csym.ANCHOR_STEP, SCAN_DEGREE, b - a), dtype=complex)
+    anchor[:, 0].real, anchor[:, 0].imag = phases.anchors(omega, np.arange(n_anchors)[:, None])
+    cos, sin = phases.table(omega)
+    table[:, 0].real, table[:, 0].imag = cos, -sin      # conjugated
+    for k in range(1, SCAN_DEGREE):             # e^{i(k+1)x} = e^{ikx} e^{ix}
+        np.multiply(anchor[:, k - 1], anchor[:, 0], out=anchor[:, k])
+        np.multiply(table[:, k - 1], table[:, 0], out=table[:, k])
+    osc = []
+    for channels, degree in ((slice(0, 2), 2), (slice(2, 3), SCAN_DEGREE)):
+        # x[c, m, k, i]: c_{k+1} of channel c and molecule i times its anchor m
+        x = coef[channels, None, 1:degree + 1] * anchor[:, :degree]
+        terms = table[:, :degree].reshape(csym.ANCHOR_STEP, -1).view(float)
+        osc.append(terms @ x.reshape(-1, degree * (b - a)).view(float).T)
+    osc = np.concatenate(osc, axis=1).reshape(csym.ANCHOR_STEP, -1, n_anchors)
+    osc = 2.0 * osc.transpose(2, 0, 1).reshape(-1, 3)[:grid.n]
+    Ly = L[a:b, 1]
+    const = [np.sum(coef[0, 0].real), np.sum(Ly + coef[1, 0].real),
+             np.sum(np.sum(L[a:b] * L[a:b], axis=1) + coef[2, 0].real)]
+    return np.array(const), osc, float(np.sum(Ly))
+
+
+def _kicked_means(swarm: _Swarm, pulse: PulseSpec, grid: csym.UniformGrid, workers: int):
+    """<z^2>, <L_y> and <|L|^2> right after the pulse hits the swarm at each
+    time of its free flight on the grid, as a (3, grid.n) array, and <L_y>
+    before the pulse.  Chunks of SCAN_CHUNK molecules run on `workers`
+    threads and are summed in index order."""
+    n = len(swarm.r)
+    p = pulse.p_vec
+    forms = np.concatenate([[(0.0, 0.0, 1.0), p], np.cross(np.eye(3), p)])
+    sums = functools.partial(_scan_sums, swarm.flight, swarm.L, pulse.P, forms, grid)
+    const, osc, ly_pre = np.zeros(3), np.zeros((grid.n, 3)), 0.0
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for part in (pool.map if workers > 1 else map)(sums, _chunk_ranges(n, SCAN_CHUNK)):
+            const += part[0]
+            osc += part[1]
+            ly_pre += part[2]
+    # with P = 0 every oscillating L_y term is zero, and the constant one is
+    # the sum that gives <L_y> before the pulse, so the two agree exactly
+    return ((const + osc) / n).T, ly_pre / n
+
+
+def _delay_grid(delays: np.ndarray) -> csym.UniformGrid:
+    """Evenly spaced delays (T_rev units) as the UniformGrid of their
+    free-flight times; anything else raises ParameterError."""
+    n = len(delays)
+    if not n:
+        raise ParameterError("delay_scan needs at least one delay")
+    h = (delays[-1] - delays[0]) / max(n - 1, 1)
+    off = np.max(np.abs(delays - (delays[0] + np.arange(n) * h)))
+    if not off <= 64.0 * np.spacing(np.max(np.abs(delays))):
+        raise ParameterError("delay_scan needs evenly spaced delays")
+    return csym.UniformGrid(delays[0] * TWO_PI, h * TWO_PI, n)
 
 
 def delay_scan(cfg: EnsembleConfig, delays) -> TimeSeries:
     """Post-pulse-2 stationary orientation versus pulse delay.
 
     Uses common random numbers: one sampled ensemble and one first kick are
-    shared by all delays, and so is the free-flight kernel after the first
-    kick.  Blocks of delays are evaluated at once, each over the whole
-    ensemble.  Channels: Ly, L2, Ly_norm (all stationary after the last
-    kick), the transferred dLy = <L_y(after)> - <L_y(before)>, and the
-    alignment factor cos2theta at the kick instant.  meta["Ly_pre"] holds the
-    pre-pulse-2 value and meta["free_flight"] the kernel layout.
+    shared by all delays.  After the first kick each molecule flies on a
+    fixed circle, so each channel is, per molecule, a trigonometric
+    polynomial of degree <= SCAN_DEGREE in omega tau; its coefficients are
+    built once and evaluated on the delays, which must be evenly spaced
+    (ParameterError otherwise; one delay is a one-point grid), over
+    fixed-size molecule chunks summed in index order, so values do not
+    depend on the thread count.  Channels: Ly, L2, Ly_norm (all stationary
+    after the last kick), the transferred dLy = <L_y(after)> -
+    <L_y(before)>, and the alignment factor cos2theta at the kick instant.
+    meta["Ly_pre"] holds the pre-pulse-2 value and meta["free_flight"] the
+    chunks, threads, block shape and harmonic degree that ran.
     """
     if len(cfg.pulses) != 2:
         raise ParameterError("delay_scan needs exactly two pulses")
     delays = np.asarray(list(delays), dtype=float)
+    grid = _delay_grid(delays)
     p1, p2 = cfg.pulses
     t1 = float(p1.t_apply) * TWO_PI
     swarm1 = _initial_swarm(cfg).advance(t1).kick(p1)
-    Ly_pre = float(swarm1.L[:, 1].mean())
 
     n = cfg.n_traj
-    Ly, L2, cos2 = np.empty(len(delays)), np.empty(len(delays)), np.empty(len(delays))
-    step = _block_times(n)
-    for i in range(0, len(delays), step):
-        dts = delays[i:i + step] * TWO_PI
-        pos = swarm1.flight.positions(dts)
-        z = pos[..., 2]
-        cos2[i:i + step] = np.mean(z * z, axis=-1)
-        L = csym.kick_momentum(pos, swarm1.L, p2.P, p2.p_vec)
-        Lx, Ly_i, Lz = L[..., 0], L[..., 1], L[..., 2]
-        Ly[i:i + step] = Ly_i.mean(axis=-1)
-        L2[i:i + step] = np.mean(Lx * Lx + Ly_i * Ly_i + Lz * Lz, axis=-1)
+    workers = min(resolve_threads(), -(-n // SCAN_CHUNK))
+    (cos2, Ly, L2), Ly_pre = _kicked_means(swarm1, p2, grid, workers)
     channels = {"Ly": Ly, "L2": L2,
                 "Ly_norm": ly_norm(Ly, L2),
                 "dLy": Ly - Ly_pre, "cos2theta": cos2}
+    flight = _flight_diagnostics(n, workers, [csym.ANCHOR_STEP, min(SCAN_CHUNK, n)],
+                                 [(t1, len(delays), swarm1)])
+    flight["harmonic_degree"] = SCAN_DEGREE
     meta = {"config": describe_config(cfg), "seed": cfg.seed, "Ly_pre": Ly_pre,
-            "common_random_numbers": True,
-            "free_flight": _flight_diagnostics(n, n, 1, [(t1, len(delays), swarm1)])}
+            "common_random_numbers": True, "free_flight": flight}
     return TimeSeries(grid=delays, channels=channels, meta=meta)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import angular, quantum_symtop
 from .core import MoleculeParams, ParameterError, PulseSpec, TWO_PI, sigma_th
-from .ensemble import TimeSeries, apply_pulses, check_pulses, ly_norm
+from .ensemble import TimeSeries, apply_pulses, check_pulses, ly_norm, segment_of
 from .quantum_symtop import HEADROOM_BAND, _band_tail
 from .spectral import SpectralTrace, accumulate_pattern
 
@@ -260,8 +260,7 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
     segments = [(0.0, initial)] + events
     grid = np.arange(0.0, t_max + 0.5 * dt_out, dt_out)
     t_dim = grid * TWO_PI
-    starts = np.array([t0 for t0, _ in segments])
-    seg_of = np.clip(np.searchsorted(starts, t_dim + 1e-12) - 1, 0, len(starts) - 1)
+    seg_of = segment_of([t0 for t0, _ in events], t_dim)
     out = {name: np.empty(len(grid)) for name in observables}
     last = len(segments) - 1
     for s, (t0, packets) in enumerate(segments):

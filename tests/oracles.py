@@ -15,6 +15,9 @@
   long-time belt density;
 * phi_average and grid_moments: the azimuthal profile and the quadrature
   second moments (<x^2>, <y^2>, <z^2>) of a `DensityGrid`;
+* kicked_means: <z^2>, <L_y> and <|L|^2> right after a kick at each time of
+  an ensemble's free flight, by positions, kick and mean per time, the
+  direct oracle for `ensemble.delay_scan`'s harmonic sums;
 * read_manifest: a `RunManifest` read back from its JSON file;
 * moment_of_inertia: I from a rotational constant, the oracle for
   `revival_time`.
@@ -29,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from propeller_sim import angular
+from propeller_sim.classical_symtop import SymTopEnsemble, kick_momentum
 from propeller_sim.constants import PLANCK_H, SPEED_OF_LIGHT_CM
 from propeller_sim.core import ParameterError, TWO_PI
 from propeller_sim.density import (DEFAULT_SIGMA, DensityGrid, _accumulate,
@@ -140,6 +144,19 @@ def grid_moments(grid: DensityGrid) -> tuple[float, float, float]:
     my = float(wth @ ((grid.rho * sp2[None, :]).sum(axis=1) * st2) * dphi)
     mz = float(wth @ (grid.rho.sum(axis=1) * ct2) * dphi)
     return mx, my, mz
+
+
+def kicked_means(r: np.ndarray, L: np.ndarray, P: float, p: np.ndarray, times) -> np.ndarray:
+    """(3, len(times)): <z^2>, <L_y> and <|L|^2> of the (r, L) ensemble right
+    after a kick P p that hits it after free flight by each time."""
+    flight = SymTopEnsemble(r, L)
+    out = np.empty((3, len(times)))
+    for i, t in enumerate(times):
+        pos = flight.positions(t)
+        kicked = kick_momentum(pos, L, P, p)
+        out[:, i] = (np.mean(pos[:, 2] ** 2), np.mean(kicked[:, 1]),
+                     np.mean(np.sum(kicked * kicked, axis=1)))
+    return out
 
 
 def read_manifest(path) -> RunManifest:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from oracles import kicked_means
 from propeller_sim import classical_symtop, ensemble
 from propeller_sim.classical_symtop import SymTopEnsemble
 from propeller_sim.core import (TWO_PI, ParameterError, ProtocolError, PulseSpec, benzene,
@@ -236,24 +237,84 @@ class TestDelayScan:
 
     def test_transferred_ly_identity(self):
         # per-molecule identity: dL_y = P (z^2 - x^2) for p2 = (1,0,1)/sqrt(2),
-        # so the ensemble transfer equals P<z^2 - x^2> exactly
+        # so the ensemble transfer equals P<z^2 - x^2> exactly; the delays
+        # are uneven, so each is its own one-point scan
         P = 5.0
         cfg = EnsembleConfig(mol=N2, T_K=50.0, n_traj=10_000, seed=10,
                              pulses=(PulseSpec(P=P, p=(0, 0, 1.0)),
                                      PulseSpec.along(P, (1, 0, 1), t_apply="auto")),
                              t_max=1.0, dt_out=0.01)
         taus = np.array([0.005, 0.02, 0.05])
-        scan = delay_scan(cfg, taus)
         u = uniform_matrix(cfg.seed, cfg.n_traj, 4)
         sig = sigma_th(N2, 50.0)
         r, L = linear_ensemble_from_uniforms(u, sig)
         v = np.cross(L, r)
         from propeller_sim.classical_linear import kick_velocity, propagate_arrays
         v1 = kick_velocity(r, v, P, np.array([0.0, 0.0, 1.0]))
-        for i, tau in enumerate(taus):
+        for tau in taus:
+            scan = delay_scan(cfg, [tau])
             rt, _ = propagate_arrays(r, v1, tau * 2 * math.pi)
             expect = P * np.mean(rt[:, 2] ** 2 - rt[:, 0] ** 2)
-            assert scan.channels["dLy"][i] == pytest.approx(expect, abs=1e-12)
+            assert scan.channels["dLy"][0] == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("mol, T_K, P", [(N2, 50.0, 5.0), (BZ, 0.9, -1.0),
+                                             (BZ, 0.9, -3.0), (BZ, 0.9, -10.0)],
+                             ids=["n2_P5", "benzene_P-1", "benzene_P-3", "benzene_P-10"])
+    def test_matches_direct_oracle(self, mol, T_K, P):
+        cfg = EnsembleConfig(mol=mol, T_K=T_K, n_traj=3000, seed=8,
+                             pulses=(PulseSpec(P=P, p=(0, 0, 1.0)),
+                                     PulseSpec.along(P, (-1, 0, 1), t_apply="auto")),
+                             t_max=0.5, dt_out=0.01)
+        taus = np.arange(0.0, 0.12 + 0.25 / 2000, 1.0 / 2000)
+        scan = delay_scan(cfg, taus)
+        kicked = ensemble._initial_swarm(cfg).advance(0.0).kick(cfg.pulses[0])
+        p2 = cfg.pulses[1]
+        expect = kicked_means(kicked.r, kicked.L, p2.P, p2.p_vec, taus * TWO_PI)
+        for name, row in zip(("cos2theta", "Ly", "L2"), expect):
+            assert np.max(np.abs(scan.channels[name] - row)) <= 1e-12 * np.max(np.abs(row)), name
+        assert scan.meta["Ly_pre"] == pytest.approx(np.mean(kicked.L[:, 1]), rel=0, abs=1e-14)
+
+    def test_rest_and_parallel_rows_match_oracle(self):
+        # molecules at rest (one of them with r = p, where the oracle's kick
+        # is exactly zero) and a rotor that passes through p at t = 0, where
+        # the oracle's kick_momentum zeroes a dL of rounding size
+        rng = np.random.default_rng(23)
+        n = 700
+        r = rng.standard_normal((n, 3))
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        L = 3.0 * rng.standard_normal((n, 3))
+        p = np.array([-1.0, 0.0, 1.0]) / math.sqrt(2.0)
+        L[:40] = 0.0
+        r[0] = p
+        r[40] = p
+        L[40] = 4.0 * np.cross(p, [0.0, 1.0, 0.0])
+        pulse = PulseSpec(P=-10.0, p=tuple(p))
+        grid = classical_symtop.UniformGrid(0.0, 0.003, 97)
+        means, ly_pre = ensemble._kicked_means(ensemble._Swarm(r, L), pulse, grid, 1)
+        expect = kicked_means(r, L, pulse.P, p, np.arange(grid.n) * grid.h)
+        for got, row in zip(means, expect):
+            assert np.max(np.abs(got - row)) <= 1e-12 * np.max(np.abs(row))
+        assert ly_pre == pytest.approx(np.mean(L[:, 1]), rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("delays", [[0.0, 0.01, 0.03], [0.02, 0.01, 0.03],
+                                        [], [0.01, 0.02, 0.03 + 1e-9]])
+    def test_uneven_delays_rejected(self, delays):
+        cfg = EnsembleConfig(mol=N2, T_K=50.0, n_traj=50, seed=1,
+                             pulses=(PulseSpec(P=5.0, p=(0, 0, 1.0)),
+                                     PulseSpec.along(5.0, (1, 0, 1), t_apply="auto")),
+                             t_max=1.0, dt_out=0.01)
+        with pytest.raises(ParameterError, match="delay"):
+            delay_scan(cfg, delays)
+
+    def test_even_delays_accepted(self):
+        # linspace and hand-written decimals are even to within a few ulps
+        cfg = EnsembleConfig(mol=N2, T_K=50.0, n_traj=50, seed=1,
+                             pulses=(PulseSpec(P=5.0, p=(0, 0, 1.0)),
+                                     PulseSpec.along(5.0, (1, 0, 1), t_apply="auto")),
+                             t_max=1.0, dt_out=0.01)
+        for delays in ([0.01, 0.02, 0.03], np.linspace(0.3, 0.7, 301),
+                       np.arange(0.25, 0.5, 0.001), [0.07, 0.07]):
+            assert len(delay_scan(cfg, delays).channels["Ly"]) == len(delays)
 
     def test_sign_flip_is_exact(self):
         base = dict(mol=BZ, T_K=0.9, n_traj=20_000, seed=13, t_max=0.3, dt_out=0.01)
@@ -293,17 +354,25 @@ class TestFreeFlightBlocks:
 
     @pytest.mark.parametrize("mol, pulses", [(BZ, BZ_TWO), (N2, N2_AUTO)],
                              ids=["benzene", "n2"])
-    def test_delay_scan_block_boundaries(self, mol, pulses):
-        # 2000 molecules put 8 delays in a block; a single-delay call is its own block
-        cfg = EnsembleConfig(mol=mol, T_K=0.9 if mol is BZ else 50.0, n_traj=2000,
+    def test_delay_scan_thread_invariance(self, monkeypatch, mol, pulses):
+        # 3 chunks of SCAN_CHUNK molecules and a partial fourth
+        n = 3 * ensemble.SCAN_CHUNK + 77
+        cfg = EnsembleConfig(mol=mol, T_K=0.9 if mol is BZ else 50.0, n_traj=n,
                              seed=4, pulses=pulses, t_max=0.5, dt_out=0.01)
-        taus = np.linspace(0.0, 0.1, 21)
-        whole = delay_scan(cfg, taus)
-        assert whole.meta["free_flight"]["block_shape"] == [8, 2000]
-        singles = [delay_scan(cfg, [tau]) for tau in taus]
-        for name, values in whole.channels.items():
-            joined = np.concatenate([one.channels[name] for one in singles])
-            assert np.array_equal(values, joined), name
+        taus = np.arange(0.0, 0.1 + 0.25 / 2000, 1.0 / 2000)
+        runs = []
+        for k in ("1", "2", "4"):
+            monkeypatch.setenv("PROPELLER_THREADS", k)
+            runs.append(delay_scan(cfg, taus))
+        flights = [r.meta["free_flight"] for r in runs]
+        assert [f["threads"] for f in flights] == [1, 2, 4]
+        assert all(f["chunks"] == 4 and f["harmonic_degree"] == ensemble.SCAN_DEGREE
+                   and f["block_shape"] == [classical_symtop.ANCHOR_STEP, ensemble.SCAN_CHUNK]
+                   for f in flights)
+        for other in runs[1:]:
+            assert other.meta["Ly_pre"] == runs[0].meta["Ly_pre"]
+            for name in runs[0].channels:
+                assert np.array_equal(runs[0].channels[name], other.channels[name]), name
 
     def test_delay_scan_builds_constant_geometry(self, monkeypatch):
         builds = []

@@ -7,9 +7,9 @@ from scipy.special import sph_harm_y
 
 from oracles import gaunt_y2, lm_index, matrix_of, observe_grid
 from propeller_sim import quantum_linear
-from propeller_sim.core import (ParameterError, ProtocolError, PulseSpec, TruncationError,
-                                nitrogen, sigma_th)
-from propeller_sim.ensemble import EnsembleConfig, run_protocol
+from propeller_sim.core import (TWO_PI, ParameterError, ProtocolError, PulseSpec,
+                                TruncationError, nitrogen, sigma_th)
+from propeller_sim.ensemble import EnsembleConfig, run_protocol, segment_of
 from propeller_sim.quantum_linear import (LinearBasis, kick_batch, nitrogen_spin_weights,
                                           thermal_run)
 from propeller_sim.quantum_symtop import thermal_levels
@@ -304,6 +304,23 @@ class TestThermal:
         assert np.all(ts.channels["Ly"][pre] == 0.0)
         after = ts.grid > t1 + 1e-9          # the kick itself leaves cos^2 theta alone
         assert np.all(np.abs(ts.channels["cos2theta"][after] - 1 / 3) > 1e-3)
+
+    def test_grid_time_tied_with_a_pulse_sees_its_kick(self):
+        # dt_out = 2^-7 and the second pulse at 3 dt_out: grid time 3 is the
+        # pulse time exactly, and both engines put it after the kick
+        dt = 2.0 ** -7
+        pulses = (PulseSpec(P=2.0, p=(0, 0, 1.0)),
+                  PulseSpec.along(2.0, (1, 0, 1), t_apply=3 * dt))
+        times = np.arange(6) * dt * TWO_PI
+        assert segment_of([0.0, times[3]], times).tolist() == [1, 1, 1, 2, 2, 2]
+        quantum = thermal_run(nitrogen(), 10.0, pulses, t_max=5 * dt, dt_out=dt, l_max=26)
+        classical = run_protocol(EnsembleConfig(mol=nitrogen(), T_K=10.0, n_traj=500,
+                                                seed=3, pulses=pulses, t_max=5 * dt,
+                                                dt_out=dt))
+        for ts in (quantum, classical):
+            ly = ts.channels["Ly"]
+            assert ly[3] == pytest.approx(ly[4], rel=0, abs=1e-12)
+            assert abs(ly[3] - ly[2]) > 1e-2
 
     def test_revival_periodicity_of_traces(self):
         ts = thermal_run(nitrogen(), 20.0,
