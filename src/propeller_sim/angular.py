@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
-_LOG_FACT_CACHE = gammaln(np.arange(1, 2048))  # log(n!) = _LOG_FACT_CACHE[n]
+_LOG_FACT_CACHE = np.array([math.lgamma(n + 1.0) for n in range(2047)])  # log(n!)
 
 
 def _logfact(n):
@@ -85,7 +84,7 @@ def wigner3j_array(j1, j2, j3, m1, m2, m3) -> np.ndarray:
                    + _logfact(np.where(on, j2 + m2 - k, 0))
                    + _logfact(np.where(on, j3 - j2 + m1 + k, 0))
                    + _logfact(np.where(on, j3 - j1 - m2 + k, 0)))
-        total += np.where(on, (-1.0) ** k * np.exp(base - log_den), 0.0)
+        total += (-1.0) ** k * np.exp(np.where(on, base - log_den, -np.inf))
     sign = np.where((j1 - j2 - m3) % 2 == 1, -1.0, 1.0)
     return np.where(ok, sign * total, 0.0)
 

@@ -45,8 +45,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import erf, ive
+from numpy.polynomial.legendre import leggauss
 
 from . import angular
 from . import classical_symtop as csym
@@ -76,7 +75,7 @@ class DensityGrid:
 
     @classmethod
     def build(cls, n_theta: int = 181, n_phi: int = 360) -> "DensityGrid":
-        x, w = np.polynomial.legendre.leggauss(n_theta)
+        x, w = leggauss(n_theta)
         order = np.argsort(-x)               # increasing theta = decreasing cos
         theta = np.arccos(x[order])
         phi = np.arange(n_phi) * (TWO_PI / n_phi)
@@ -150,12 +149,32 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         return p, n * (x * p - p_prev) / (x * x - 1.0)       # P_n, P_n'
 
     k = np.arange(1.0, n)
-    x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     for _ in range(2):
         p, dp = legendre_n(x)
         x = x - p / dp
     _, dp = legendre_n(x)
     return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def _point_spectrum(l_max: int, a: float) -> np.ndarray:
+    """e^{-a} i_l(a) for l <= l_max, i_l the modified spherical Bessel function.
+
+    Miller's backward recurrence i_{l-1} = i_{l+1} + (2l + 1) / a i_l, run
+    as ratios i_l / i_{l-1} from a start far enough above l_max that the
+    growing solution has died out (its share falls like e^{-(n^2 - l^2)/a}),
+    then normalised by e^{-a} i_0(a) = (1 - e^{-2a}) / (2a).
+    """
+    start = l_max + int(math.ceil(math.sqrt(50.0 * a))) + 20
+    factors = np.empty(l_max + 1)        # e^{-a} i_0, then i_l / i_{l-1}
+    r = 0.0
+    for ell in range(start, 0, -1):
+        r = 1.0 / ((2 * ell + 1) / a + r)
+        if ell <= l_max:
+            factors[ell] = r
+    factors[0] = -math.expm1(-2.0 * a) / (2.0 * a)
+    return np.cumprod(factors)
 
 
 def _kernel_spectra(c: np.ndarray, point: np.ndarray, sigma: float,
@@ -173,9 +192,7 @@ def _kernel_spectra(c: np.ndarray, point: np.ndarray, sigma: float,
     if np.any(point):
         # int e^{-a(1-t)} P_l(t) dt = 2 e^{-a} i_l(a), i_l the modified
         # spherical Bessel function, a = 1 / sigma^2
-        a = 1.0 / (sigma * sigma)
-        out[:, point] = (2.0 * TWO_PI * math.sqrt(math.pi / (2.0 * a))
-                         * ive(ell + 0.5, a))[:, None]
+        out[:, point] = 2.0 * TWO_PI * _point_spectrum(l_max, 1.0 / (sigma * sigma))[:, None]
     centers, inverse = np.unique(c[~point], return_inverse=True)
     if centers.size:
         t, wq = _gauss_legendre(_spectrum_cap(sigma) + 1)
@@ -315,7 +332,9 @@ def belt_average(kind: str, r0: np.ndarray, L: np.ndarray,
     c = np.zeros(e_l.shape[0]) if kind == "linear" else cos_pr[live]
     # exact on-sphere normalization of the recentered Gaussian in u = e_L.r
     rt2 = math.sqrt(2.0) * sigma_belt
-    mass = 0.5 * (erf((1.0 - c) / rt2) + erf((1.0 + c) / rt2))
+    centers, inverse = np.unique(c, return_inverse=True)
+    mass = 0.5 * np.array([math.erf((1.0 - x) / rt2) + math.erf((1.0 + x) / rt2)
+                           for x in centers.tolist()])[inverse]
     amp = 1.0 / (TWO_PI * math.sqrt(TWO_PI * s2) * mass)
     rest = r0[~live]
 

@@ -68,18 +68,20 @@ def write_density_text(path, grid: DensityGrid, seed=None):
         f"# seed = {seed if seed is not None else meta.get('seed', '')}",
         "# columns: theta,phi,rho",
     ]
-    for i, th in enumerate(grid.theta):
-        for j, ph in enumerate(grid.phi):
-            lines.append(f"{_fmt(th)},{_fmt(ph)},{_fmt(grid.rho[i, j])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    # theta and phi are formatted once; a theta row is one template whose
+    # %.10e fields take that row's rho values
+    cells = [f",{_fmt(ph)},{_FMT}\n" for ph in grid.phi.tolist()]
+    rows = ["".join([th + c for c in cells]) % tuple(rho)
+            for th, rho in zip(map(_fmt, grid.theta.tolist()), grid.rho.tolist())]
+    Path(path).write_text("\n".join(lines) + "\n" + "".join(rows))
 
 
 def read_density_text(path):
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[:8]
+    with open(path) as fh:
+        header = [fh.readline().rstrip("\n") for _ in range(8)]
+        body = np.loadtxt(fh, delimiter=",", ndmin=2)
     n_theta = int(header[2].split("=")[1])
     n_phi = int(header[3].split("=")[1])
-    body = np.array([[float(v) for v in ln.split(",")] for ln in lines[8:]])
     theta = body[::n_phi, 0]
     phi = body[:n_phi, 1]
     rho = body[:, 2].reshape(n_theta, n_phi)
@@ -122,6 +124,4 @@ class RunManifest:
 
 
 def library_versions() -> dict:
-    import scipy
-    return {"propeller-sim": __version__, "numpy": np.__version__,
-            "scipy": scipy.__version__}
+    return {"propeller-sim": __version__, "numpy": np.__version__}

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import angular, quantum_symtop
 from .core import MoleculeParams, ParameterError, PulseSpec, TWO_PI, sigma_th
@@ -112,7 +113,7 @@ class LinearBasis:
         if key in self._ops:
             return self._ops[key]
         L = self.l_max
-        x, w = np.polynomial.legendre.leggauss(L + 4)
+        x, w = leggauss(L + 4)
         tables = [angular.legendre_table(L, m, x)     # each built once
                   for m in range(-L, L + 1)]
         up = np.zeros((2 * L + 1, L + 1, L + 1), dtype=complex)   # <l', m+2|.|l, m>

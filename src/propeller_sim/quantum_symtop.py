@@ -315,7 +315,7 @@ def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
     values = trace.evaluate(times * TWO_PI)
     meta.update(headroom_tail=tail, headroom_tail_pulse1=tail, n_blocks=n_blocks,
                 max_block_dim=J_max + 1 - min(levels),
-                distinct_freqs=len(np.unique(trace.freqs)))
+                distinct_freqs=trace.distinct_freqs)
     return TimeSeries(grid=times, channels={"cos2theta": values}, meta=meta)
 
 
@@ -367,6 +367,6 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
     tail2 = _band_tail(values[2:], J_max, "after pulse 2")
     meta.update(headroom_tail=max(tail1, tail2), headroom_tail_pulse1=tail1,
                 headroom_tail_pulse2=tail2, dphi=dphi, n_blocks=n_blocks,
-                max_block_dim=n - min(levels), distinct_freqs=len(np.unique(trace.freqs)))
+                max_block_dim=n - min(levels), distinct_freqs=trace.distinct_freqs)
     return TimeSeries(grid=np.asarray(taus_trev, dtype=float),
                       channels={"Ly": Ly, "L2": L2, "Ly_norm": ly_norm(Ly, L2)}, meta=meta)

@@ -1,13 +1,42 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 from sympy.physics.wigner import wigner_3j as sympy_3j
 
 from oracles import gaunt_y2, symtop_d2_element
+from propeller_sim import angular
 from propeller_sim.angular import (legendre_table, wigner3j, wigner3j_array,
                                    wigner_d_half_pi, y2_components)
+
+
+def _exact_3j(j1, j2, j3, m1, m2, m3):
+    """The Racah sum in 40-digit arithmetic with exact factorials."""
+    if m1 + m2 + m3 != 0 or not abs(j1 - j2) <= j3 <= j1 + j2 \
+            or max(abs(m1) - j1, abs(m2) - j2, abs(m3) - j3) > 0:
+        return 0.0
+    f = mpmath.factorial
+    with mpmath.workdps(40):
+        pre = mpmath.sqrt(f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3)
+                          / f(j1 + j2 + j3 + 1) * f(j1 + m1) * f(j1 - m1)
+                          * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3))
+        total = mpmath.fsum((-1) ** k / (f(k) * f(j1 + j2 - j3 - k) * f(j1 - m1 - k)
+                                         * f(j2 + m2 - k) * f(j3 - j2 + m1 + k)
+                                         * f(j3 - j1 - m2 + k))
+                            for k in range(max(0, j2 - j3 - m1, j1 - j3 + m2),
+                                           min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1))
+        return float((-1) ** (j1 - j2 - m3) * pre * total)
+
+
+class TestLogFactorials:
+    def test_against_exact(self):
+        n = np.arange(len(angular._LOG_FACT_CACHE))
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.log(mpmath.factorial(int(k)))) for k in n])
+        err = np.abs(angular._logfact(n) - ref)
+        assert np.max(err / np.maximum(ref, 1.0)) <= 1e-13
 
 
 class TestWigner3j:
@@ -59,6 +88,16 @@ class TestWigner3jArray:
 
     def test_empty(self):
         assert wigner3j_array([], 2, [], [], 0, []).shape == (0,)
+
+    @pytest.mark.parametrize("j1", [0, 1, 7, 40, 118, 120])
+    def test_rank2_against_exact(self, j1):
+        # the rank-2 couplings the engines build, j <= 120: every j3 and m2,
+        # and m1 spread over its range
+        cases = np.array([(j1, 2, j3, m1, m2, -m1 - m2)
+                          for j3 in range(max(j1 - 2, 0), j1 + 3) for m2 in range(-2, 3)
+                          for m1 in sorted({*range(-j1, j1 + 1, max(1, j1 // 6)), j1})])
+        ref = [_exact_3j(*map(int, c)) for c in cases]
+        assert np.max(np.abs(wigner3j_array(*cases.T) - ref)) <= 1e-13
 
 
 class TestWignerDHalfPi:

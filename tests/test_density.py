@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import i0
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.special import i0, ive
 
 from oracles import grid_moments, kde_at, kde_snapshot, phi_average
 from propeller_sim import density
@@ -308,6 +310,35 @@ class TestSecondMoments:
         r, L = symtop_ensemble_from_uniforms(u, 1.3, 1.8)
         m = second_moments(r, L)
         assert sum(m) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestQuadratureAndSpectra:
+    @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3, 1.0])
+    def test_point_spectrum_against_scipy(self, sigma):
+        # e^{-a} i_l(a) = sqrt(pi / (2a)) ive(l + 1/2, a), a = 1 / sigma^2
+        a, l_max = 1.0 / sigma ** 2, density._spectrum_cap(min(sigma, 0.5))
+        ref = math.sqrt(math.pi / (2.0 * a)) * ive(np.arange(l_max + 1) + 0.5, a)
+        got = density._point_spectrum(l_max, a)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * ref[0]
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.5])
+    def test_point_spectrum_termwise_against_exact(self, sigma):
+        # each term to its own relative accuracy, tail terms included
+        a, l_max = 1.0 / sigma ** 2, density._spectrum_cap(sigma)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.sqrt(mpmath.pi / (2 * a)) * mpmath.exp(-a)
+                                  * mpmath.besseli(ell + 0.5, a)) for ell in range(l_max + 1)])
+        got = density._point_spectrum(l_max, a)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 50, 153, 273])
+    def test_gauss_legendre_against_tridiagonal_solver(self, n, monkeypatch):
+        x, w = density._gauss_legendre(n)
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda t: eigvalsh_tridiagonal(np.diag(t), np.diag(t, 1)))
+        x_ref, w_ref = density._gauss_legendre(n)
+        assert np.max(np.abs(x - x_ref)) <= 1e-15 and np.max(np.abs(w - w_ref)) <= 1e-15
+        assert np.sum(w) == pytest.approx(2.0, abs=1e-14)
 
 
 class TestGrid:

@@ -1,7 +1,9 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
+from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import chi2
 
 from oracles import kicked_means
@@ -10,7 +12,7 @@ from propeller_sim.classical_symtop import SymTopEnsemble
 from propeller_sim.core import (TWO_PI, ParameterError, ProtocolError, PulseSpec, benzene,
                                 nitrogen, sigma_th)
 from propeller_sim.ensemble import (CHUNK, POLE_SIN2, EnsembleConfig, delay_scan,
-                                    final_states, linear_ensemble_from_uniforms,
+                                    final_states, linear_ensemble_from_uniforms, ndtri,
                                     orientation_from_uniforms, run_protocol,
                                     symtop_ensemble_from_uniforms, tangent_frame,
                                     uniform_matrix)
@@ -33,6 +35,36 @@ class TestOrientationSampler:
         c2 = np.cos(th) ** 2
         se = c2.std() / math.sqrt(len(c2))
         assert abs(c2.mean() - 1.0 / 3.0) < 3 * se
+
+
+class TestNdtri:
+    # AS241 switches branch at |p - 1/2| = 0.425 and, in the tails, at
+    # r = sqrt(-log min(p, 1 - p)) = 5; P holds points on both sides of each
+    # switch, the sampler's extreme uniforms (2^-54 after its guard, and
+    # 1 - 2^-53) and a random sweep
+    CENTRAL_EDGE = [np.nextafter(p, p + d) for p in (0.075, 0.925) for d in (-1.0, 0.0, 1.0)]
+    TAIL_EDGE = [f(math.exp(-(5.0 + d) ** 2)) for f in (lambda x: x, lambda x: 1.0 - x)
+                 for d in (-1e-5, 1e-5)]
+    P = np.concatenate([[2.0 ** -54, 1.0 - 2.0 ** -53, 0.5], CENTRAL_EDGE, TAIL_EDGE,
+                        uniform_matrix(5, 20_000, 1)[:, 0]])
+
+    @staticmethod
+    def _ulps(got, ref):
+        return np.max(np.abs(got - ref) / np.spacing(np.abs(ref)))
+
+    def test_points_straddle_the_branch_switches(self):
+        central = (np.abs(np.array(self.CENTRAL_EDGE) - 0.5) <= 0.425).reshape(2, 3)
+        p = np.array(self.TAIL_EDGE)
+        near = np.sqrt(-np.log(np.minimum(p, 1.0 - p))) <= 5.0
+        assert central.any(axis=1).all() and not central.all(axis=1).any()
+        assert near.tolist() == [True, False, True, False]
+
+    def test_against_stdlib(self):
+        ref = np.array([statistics.NormalDist().inv_cdf(p) for p in self.P])
+        assert self._ulps(ndtri(self.P), ref) <= 8
+
+    def test_against_scipy(self):
+        assert self._ulps(ndtri(self.P), scipy_ndtri(self.P)) <= 8
 
 
 def _velocity_components(u, r, L):

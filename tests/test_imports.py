@@ -1,6 +1,6 @@
 """Every imported name is used, and every top-level definition is reachable.
 
-Three `ast` scans standing in for a linter, and one import check:
+Three `ast` scans standing in for a linter, and two import checks:
 
 * the unused-import rule over src/ and tests/; names listed in a module's
   `__all__` count as used (re-exports);
@@ -16,8 +16,9 @@ Three `ast` scans standing in for a linter, and one import check:
   or method is set, by keyword or by position, in some call under src/,
   tests/ or perfbench/, so that no option lingers that nothing sets;
 
-and `import propeller_sim.cli`, run in a fresh interpreter, loads no
-scipy.sparse module.
+and `import propeller_sim.cli`, run in a fresh interpreter, loads no scipy
+module, nor do small classical-symtop, density and quantum-symtop runs
+through `cli.main` (the runtime needs numpy alone; scipy is a test oracle).
 """
 
 import ast
@@ -227,11 +228,33 @@ def test_kept_tracer_entries_are_rebound():
     assert unrebound_entries(KEPT, TRACER.read_text()) == []
 
 
-def test_cli_import_loads_no_scipy_sparse():
-    # no engine needs scipy.sparse; importing it adds ~3.5 MiB to every run's peak RSS
-    code = ("import sys, propeller_sim.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+def _fresh_interpreter(code: str) -> str:
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.special and scipy.linalg costs ~0.4 s and ~30 MiB per run
+    assert _fresh_interpreter(f"import sys, propeller_sim.cli\nprint({SCIPY_MODULES})") == "[]"
+
+
+def test_cli_runs_load_no_scipy():
+    # catches imports made lazily inside the engines, the sampler and the density
+    runs = [["classical-symtop", "--molecule", "benzene", "--P1", "-1", "--P2", "-1",
+             "--delay", "0.02", "--n-traj", "100", "--t-max", "0.05", "--dt-out", "0.01"],
+            ["density", "--molecule", "benzene", "--P1", "-1", "--n-traj", "100"],
+            ["density", "--molecule", "n2", "--P1", "0", "--n-traj", "100"],   # point kernels
+            ["quantum-symtop", "--molecule", "benzene", "--temp-K", "0.9", "--P1", "-1",
+             "--P2", "-1", "--delay", "0.02", "--t-max", "0.05", "--dt-out", "0.01"]]
+    code = ("import sys, tempfile\n"
+            "from propeller_sim import cli\n"
+            "with tempfile.TemporaryDirectory() as out:\n"
+            "    codes = [cli.main([*run, '--out', f'{out}/{i}'])\n"
+            f"             for i, run in enumerate({runs!r})]\n"
+            f"print(codes, {SCIPY_MODULES})")
+    assert _fresh_interpreter(code) == "[0, 0, 0, 0] []"
