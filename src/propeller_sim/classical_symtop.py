@@ -22,7 +22,6 @@ as by free motion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,76 +62,36 @@ class UniformGrid:
 
 
 class GridPhases:
-    """cos/sin(omega t) on a UniformGrid for one range of molecules.
+    """cos/sin(omega t) on a UniformGrid for one range of molecules, as
+    anchor and table factors.
 
-    Index i = m K + j (K = ANCHOR_STEP) joins the anchor A_m = omega (t0 +
-    m K h) and the table entry T_j = omega j h by angle addition, e.g.
-    cos(A_m + T_j) = cos A_m cos T_j - sin A_m sin T_j: four multiplies and
-    two adds per element in place of a cos and a sin.  No value is a running
-    recurrence, so the error stays at a few ulps whatever the segment length
-    and depends only on the molecule and i.  The anchor angle is carried as
-    a double-double, so the phase does not inherit the rounding of omega t
-    (up to 1e-13 rad after a few revivals).  The (K, rows) table is built on
-    first use and kept, and so is the latest anchor that cos_sin used: one
-    GridPhases serves one range of molecules through a segment, either as
-    SymTopEnsemble.positions' phases or as the factors of a delay scan.
+    Index i = m K + j (K = ANCHOR_STEP) splits the angle omega (t0 + i h)
+    into the anchor A_m = omega (t0 + m K h) and the table entry T_j =
+    omega j h, to be joined by angle addition, e.g. cos(A_m + T_j) =
+    cos A_m cos T_j - sin A_m sin T_j.  Callers fold the anchor into
+    per-molecule coefficients (a free-flight circle, a delay scan's
+    harmonics), so each element costs a product with the table.  No value
+    is a running recurrence, so the error stays at a few ulps whatever the
+    segment length and depends only on the molecule and i.  The anchor
+    angle is carried as a double-double, so the phase does not inherit the
+    rounding of omega t (up to 1e-13 rad after a few revivals).
     """
 
-    def __init__(self, grid: UniformGrid, rows: slice):
-        self.grid, self.rows = grid, rows
-        self._table = None
-        self.anchor_index, self.anchor = -1, None
+    def __init__(self, grid: UniformGrid, omega: np.ndarray):
+        self.grid, self.omega = grid, omega
+        ang = np.multiply.outer(np.arange(ANCHOR_STEP) * grid.h, omega)
+        self.table = (np.cos(ang), np.sin(ang))     # (K, rows): cos, sin of T_j
 
-    def span(self, start: int, stop: int) -> "GridSpan":
-        return GridSpan(self, start, stop)
-
-    def table(self, omega: np.ndarray):
-        """(K, rows) cos and sin of omega j h, j = 0 .. K - 1."""
-        if self._table is None:
-            ang = np.multiply.outer(np.arange(ANCHOR_STEP) * self.grid.h, omega)
-            self._table = (np.cos(ang), np.sin(ang))
-        return self._table
-
-    def anchors(self, omega: np.ndarray, m):
-        """cos and sin of omega (t0 + m K h) for an anchor index m, or for
-        an array of them that broadcasts against omega."""
+    def anchors(self, m):
+        """cos and sin of A_m for an anchor index m, or for an array of
+        them that broadcasts against omega."""
         # t0 + m K h = t_hi + e_mk + e_sum and omega t_hi = p + err, exactly
         p_mk, e_mk = _two_product(np.multiply(m, ANCHOR_STEP, dtype=float), self.grid.h)
         t_hi, e_sum = _two_sum(self.grid.t0, p_mk)
-        p, err = _two_product(omega, t_hi)
-        lo = err + omega * (e_mk + e_sum)       # the angle is p + lo
+        p, err = _two_product(self.omega, t_hi)
+        lo = err + self.omega * (e_mk + e_sum)       # the angle is p + lo
         cos, sin = np.cos(p), np.sin(p)
         return cos - lo * sin, sin + lo * cos
-
-    def cos_sin(self, omega: np.ndarray, start: int, stop: int):
-        """(stop - start, rows) cos and sin at grid indices start .. stop - 1."""
-        tab_cos, tab_sin = self.table(omega)
-        cos = np.empty((stop - start, len(omega)))
-        sin = np.empty_like(cos)
-        tmp = np.empty_like(cos)
-        i = start
-        while i < stop:             # one anchor group at a time
-            m, j = divmod(i, ANCHOR_STEP)
-            end = min(stop, (m + 1) * ANCHOR_STEP)
-            if m != self.anchor_index:
-                self.anchor_index, self.anchor = m, self.anchors(omega, m)
-            ac, as_ = self.anchor
-            tc, ts = tab_cos[j:j + end - i], tab_sin[j:j + end - i]
-            c, s, t = cos[i - start:end - start], sin[i - start:end - start], tmp[:end - i]
-            np.multiply(tc, ac, out=c)
-            c -= np.multiply(ts, as_, out=t)
-            np.multiply(tc, as_, out=s)
-            s += np.multiply(ts, ac, out=t)
-            i = end
-        return cos, sin
-
-
-class GridSpan(NamedTuple):
-    """Grid indices start .. stop - 1 of a GridPhases."""
-
-    phases: GridPhases
-    start: int
-    stop: int
 
 
 class SymTopEnsemble:
@@ -153,9 +112,9 @@ class SymTopEnsemble:
     a, b and c are stored component-major, (3, N), so that a block of n_t
     times yields each component as one contiguous (n_t, N) array.
 
-    cos/sin(omega t) come from np.cos/np.sin at arbitrary times, or from a
-    GridPhases (anchors and a table) on a UniformGrid; both feed the same
-    placement and normalisation.
+    positions takes arbitrary times through np.cos/np.sin.  Sums on a
+    UniformGrid read the geometry directly, with a GridPhases' anchors
+    folded into it (ensemble._chunk_sums, ensemble._scan_sums).
     """
 
     def __init__(self, r: np.ndarray, L: np.ndarray):
@@ -176,43 +135,31 @@ class SymTopEnsemble:
         self.w = w
         self.a, self.b, self.c = a.T.copy(), b.T.copy(), c.T.copy()
 
-    def positions(self, dt, rows: slice = slice(None)) -> np.ndarray:
+    def positions(self, dt) -> np.ndarray:
         """Axis vectors after free flight by dt (dimensionless).
 
         A scalar dt gives a C-ordered (N, 3) array.  A 1-D array of n_t
-        times, or a GridSpan of n_t grid indices, gives (n_t, N, 3), a view
-        of component-major data in which each pos[..., k] is a contiguous
-        (n_t, N) array.  rows restricts the evaluation to a range of
-        molecules; a GridSpan must be evaluated on its GridPhases' rows.
+        times gives (n_t, N, 3), a view of component-major data in which
+        each pos[..., k] is a contiguous (n_t, N) array.
         """
-        if isinstance(dt, GridSpan):
-            if dt.phases.rows != rows:
-                raise ValueError(f"grid phases of rows {dt.phases.rows} used for {rows}")
-            cos, sin = dt.phases.cos_sin(self.omega[rows], dt.start, dt.stop)
-            return np.moveaxis(self._place(cos, sin, rows), 0, -1)
         times = np.asarray(dt, dtype=float)
-        ang = np.multiply.outer(np.atleast_1d(times), self.omega[rows])
+        ang = np.multiply.outer(np.atleast_1d(times), self.omega)
         cos = np.cos(ang)
-        out = self._place(cos, np.sin(ang, out=ang), rows)
-        if times.ndim == 0:
-            return np.ascontiguousarray(out[:, 0].T)
-        return np.moveaxis(out, 0, -1)
-
-    def _place(self, cos: np.ndarray, sin: np.ndarray, rows: slice) -> np.ndarray:
-        """(3, n_t, rows) normalised a + w (b cos + c sin); overwrites cos."""
-        w = self.w[rows]
+        sin = np.sin(ang, out=ang)
         out = np.empty((3,) + cos.shape)
         tmp = np.empty_like(cos)
         for k in range(3):
-            np.multiply(self.b[k, rows], cos, out=out[k])
-            out[k] += np.multiply(self.c[k, rows], sin, out=tmp)
-            out[k] *= w
-            out[k] += self.a[k, rows]
+            np.multiply(self.b[k], cos, out=out[k])
+            out[k] += np.multiply(self.c[k], sin, out=tmp)
+            out[k] *= self.w
+            out[k] += self.a[k]
         norm = np.multiply(out[0], out[0], out=cos)
         norm += np.multiply(out[1], out[1], out=tmp)
         norm += np.multiply(out[2], out[2], out=tmp)
         out /= np.sqrt(norm, out=norm)
-        return out
+        if times.ndim == 0:
+            return np.ascontiguousarray(out[:, 0].T)
+        return np.moveaxis(out, 0, -1)
 
     def time_average_squares(self) -> np.ndarray:
         """(N, 3) averages of x^2, y^2, z^2 over each molecule's closed orbit."""

@@ -177,6 +177,19 @@ def _point_spectrum(l_max: int, a: float) -> np.ndarray:
     return np.cumprod(factors)
 
 
+def _unique(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of a 1-D array and each element's index among
+    them, as np.unique(x, return_inverse=True) gives them, by a sort and a
+    diff (np.unique imports numpy.ma on its first call in a process)."""
+    order = np.argsort(x)
+    ordered = x[order]
+    first = np.ones(len(x), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def _kernel_spectra(c: np.ndarray, point: np.ndarray, sigma: float,
                     l_max: int) -> np.ndarray:
     """kappa[l, i] = 2 pi int_{-1}^{1} k_i(t) P_l(t) dt for l <= l_max.
@@ -193,7 +206,7 @@ def _kernel_spectra(c: np.ndarray, point: np.ndarray, sigma: float,
         # int e^{-a(1-t)} P_l(t) dt = 2 e^{-a} i_l(a), i_l the modified
         # spherical Bessel function, a = 1 / sigma^2
         out[:, point] = 2.0 * TWO_PI * _point_spectrum(l_max, 1.0 / (sigma * sigma))[:, None]
-    centers, inverse = np.unique(c[~point], return_inverse=True)
+    centers, inverse = _unique(c[~point])
     if centers.size:
         t, wq = _gauss_legendre(_spectrum_cap(sigma) + 1)
         legendre = (angular.legendre_table(l_max, 0, t)
@@ -214,7 +227,7 @@ def _truncation(c: np.ndarray, point: np.ndarray, sigma: float) -> tuple[int, np
     the sum of s_l beyond L bounds the truncation error.
     """
     l_cap = _spectrum_cap(sigma)
-    centers = np.unique(c[~point])          # one profile per distinct cone ...
+    centers = _unique(c[~point])[0]         # one profile per distinct cone ...
     if np.any(point):                       # ... and one for all point kernels
         centers = np.append(centers, 1.0)
     is_point = np.arange(centers.size) >= centers.size - np.any(point)
@@ -332,7 +345,7 @@ def belt_average(kind: str, r0: np.ndarray, L: np.ndarray,
     c = np.zeros(e_l.shape[0]) if kind == "linear" else cos_pr[live]
     # exact on-sphere normalization of the recentered Gaussian in u = e_L.r
     rt2 = math.sqrt(2.0) * sigma_belt
-    centers, inverse = np.unique(c, return_inverse=True)
+    centers, inverse = _unique(c)
     mass = 0.5 * np.array([math.erf((1.0 - x) / rt2) + math.erf((1.0 + x) / rt2)
                            for x in centers.tolist()])[inverse]
     amp = 1.0 / (TWO_PI * math.sqrt(TWO_PI * s2) * mass)

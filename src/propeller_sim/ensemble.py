@@ -18,26 +18,27 @@ parabolic refinement in a window that ends at t_max.
 
 Every ensemble is carried as axes r and angular momenta L; a linear
 molecule is the case L . r = 0, and its sampler maps the thermal velocity v
-to L = r x v.  Kicks are classical_symtop.kick_momentum, and free flight
-between kicks runs through one kernel per segment
+to L = r x v.  Kicks are classical_symtop.kick_momentum.  Between kicks each
+molecule flies on a fixed circle r = a + w (b cos omega t + c sin omega t)
 (classical_symtop.SymTopEnsemble, whose L . r = 0 cone is the linear
-rotor's great circle): the per-molecule geometry is built once, and blocks
-of output times are evaluated as (time x molecule) arrays of about BLOCK
-elements.  Each block is reduced along its contiguous molecule axis, so
-every row is summed by the same pairwise summation as a 1-D array of those
-molecules; a molecule at a pole leaves its cos2phi row by compression, not
-by adding a zero.
+rotor's great circle), built once per segment.
 
-run_protocol hands each segment's run of the output grid to the kernel as
-a classical_symtop.UniformGrid (first time t0, step h, n times), so its
-cos/sin(omega t) come from anchors every ANCHOR_STEP grid indices and a
-(ANCHOR_STEP x chunk) table per segment and chunk, joined by angle
-addition; a grid value depends only on the molecule and its grid index.
-Block boundaries therefore do not change any value.  run_protocol sums over
-fixed-size molecule chunks (CHUNK) combined in index order, so values are
-also invariant under the thread count used to evaluate the chunks.  The
-alignment scan and advance take arbitrary times through np.cos/np.sin, and
-the scan reduces each time over the whole ensemble.
+run_protocol reads each segment's run of the output grid as a
+classical_symtop.UniformGrid (first time t0, step h, n times) and builds no
+positions.  Its GridPhases gives cos/sin of an anchor every ANCHOR_STEP grid
+indices and a (ANCHOR_STEP x chunk) table; each anchor is folded into two
+per-molecule coefficient vectors of the circle, so a grid value is the
+centre plus two table products per component and depends only on the
+molecule and its grid index.  Blocks of output times are evaluated as (time
+x molecule) arrays of about BLOCK elements and reduced along the contiguous
+molecule axis, so every row is summed by the same pairwise summation as a
+1-D array of those molecules; a molecule at a pole leaves its cos2phi row by
+compression, not by adding a zero.  Block boundaries therefore do not change
+any value.  run_protocol sums over fixed-size molecule chunks (CHUNK)
+combined in index order, so values are also invariant under the thread
+count used to evaluate the chunks.  The alignment scan and advance take
+arbitrary times through SymTopEnsemble.positions, and the scan reduces each
+time over the whole ensemble.
 
 delay_scan evaluates no positions after the first kick.  On its circle,
 each molecule's z^2, L_y and |L|^2 right after the second kick are
@@ -333,27 +334,55 @@ def _chunk_sums(flight: csym.SymTopEnsemble, L: np.ndarray, grid: csym.UniformGr
                 rows: tuple[int, int]):
     """Per-time sums of z^2, of x^2/(x^2+y^2) off the poles and of the
     off-pole count over molecules rows = (a, b) at the grid's times, plus
-    the chunk's L sums."""
+    the chunk's L sums.
+
+    At index i = m K + j (K = ANCHOR_STEP) each molecule sits at
+    a + P_m cos T_j + Q_m sin T_j, where P_m = w (b cos A_m + c sin A_m) and
+    Q_m = w (c cos A_m - b sin A_m) fold the anchor A_m into its circle.
+    r is not normalised: the ratio does not depend on |r|, and |r|^2 is 1
+    to rounding.
+    """
     a, b = rows
-    z2, c2p = np.empty(grid.n), np.empty(grid.n)
-    n_az = np.empty(grid.n, dtype=np.int64)
     chunk = slice(a, b)
-    phases = csym.GridPhases(grid, chunk)
+    z2, c2p = np.empty(grid.n), np.empty(grid.n)
+    n_az = np.full(grid.n, b - a, dtype=np.int64)
+    phases = csym.GridPhases(grid, flight.omega[chunk])
+    tab_cos, tab_sin = phases.table
+    centre = flight.a[:, chunk]
+    wb, wc = flight.w[chunk] * flight.b[:, chunk], flight.w[chunk] * flight.c[:, chunk]
     step = _block_times(b - a)
+    pos = np.empty((3, min(step, grid.n), b - a))
+    tmp = np.empty(pos.shape[1:])
     for i in range(0, grid.n, step):
-        pos = flight.positions(phases.span(i, min(i + step, grid.n)), chunk)
-        x, y, z = pos[..., 0], pos[..., 1], pos[..., 2]
-        x2 = x * x
-        s2 = x2 + y * y
-        az_ok = s2 >= POLE_SIN2
-        ratio = np.divide(x2, s2, out=np.zeros_like(x2), where=az_ok)
-        z2[i:i + step] = np.sum(z * z, axis=-1)
-        c2p[i:i + step] = np.sum(ratio, axis=-1)
-        n_az[i:i + step] = np.count_nonzero(az_ok, axis=-1)
+        stop = min(i + step, grid.n)
+        x, y, z = pos[:, :stop - i]
+        lo = i
+        while lo < stop:                # one anchor group at a time
+            m, j = divmod(lo, csym.ANCHOR_STEP)
+            hi = min(stop, (m + 1) * csym.ANCHOR_STEP)
+            if j == 0:                  # blocks run in order, so i = 0 comes first
+                cos_a, sin_a = phases.anchors(m)
+                P, Q = wb * cos_a + wc * sin_a, wc * cos_a - wb * sin_a
+            tc, ts, t = tab_cos[j:j + hi - lo], tab_sin[j:j + hi - lo], tmp[:hi - lo]
+            for k in range(3):
+                out = pos[k, lo - i:hi - i]
+                np.multiply(tc, P[k], out=out)
+                out += np.multiply(ts, Q[k], out=t)
+                out += centre[k]
+            lo = hi
+        z2[i:stop] = np.sum(np.multiply(z, z, out=z), axis=-1)
+        np.multiply(x, x, out=x)
+        s2 = np.multiply(y, y, out=y)
+        s2 += x
+        if s2.min() >= POLE_SIN2:       # no pole in the block
+            c2p[i:stop] = np.sum(np.divide(x, s2, out=x), axis=-1)
+            continue
         # a pole molecule must leave the sum, not add a zero to it, so that
         # the pairwise summation order matches the 1-D sum of the kept terms
-        for j in np.flatnonzero(~az_ok.all(axis=-1)):
-            c2p[i + j] = np.sum(ratio[j, az_ok[j]])
+        for at, (x2, row) in enumerate(zip(x, s2), start=i):
+            ok = row >= POLE_SIN2
+            n_az[at] = np.count_nonzero(ok)
+            c2p[at] = np.sum(x2[ok] / row[ok])
     Lc = L[a:b]
     return z2, c2p, n_az, Lc.sum(axis=0), float(np.sum(Lc * Lc))
 
@@ -562,13 +591,12 @@ def _scan_sums(flight: csym.SymTopEnsemble, L: np.ndarray, P: float, forms: np.n
     a, b = rows
     chunk = slice(a, b)
     coef = _scan_coefficients(flight, L, chunk, P, forms)
-    phases = csym.GridPhases(grid, chunk)
-    omega = flight.omega[chunk]
+    phases = csym.GridPhases(grid, flight.omega[chunk])
     n_anchors = -(-grid.n // csym.ANCHOR_STEP)
     anchor = np.empty((n_anchors, SCAN_DEGREE, b - a), dtype=complex)
     table = np.empty((csym.ANCHOR_STEP, SCAN_DEGREE, b - a), dtype=complex)
-    anchor[:, 0].real, anchor[:, 0].imag = phases.anchors(omega, np.arange(n_anchors)[:, None])
-    cos, sin = phases.table(omega)
+    anchor[:, 0].real, anchor[:, 0].imag = phases.anchors(np.arange(n_anchors)[:, None])
+    cos, sin = phases.table
     table[:, 0].real, table[:, 0].imag = cos, -sin      # conjugated
     for k in range(1, SCAN_DEGREE):             # e^{i(k+1)x} = e^{ikx} e^{ix}
         np.multiply(anchor[:, k - 1], anchor[:, 0], out=anchor[:, k])

@@ -341,6 +341,20 @@ class TestQuadratureAndSpectra:
         assert np.sum(w) == pytest.approx(2.0, abs=1e-14)
 
 
+class TestUnique:
+    def test_matches_numpy_unique(self):
+        # repeated cone centres (a linear ensemble's zeros, shared c values)
+        # and distinct ones, in the layout np.unique returns
+        rng = np.random.default_rng(4)
+        for x in (np.zeros(7), rng.choice([-0.5, 0.0, 0.25, 1.0], 300),
+                  rng.uniform(-1.0, 1.0, 257), np.zeros(0)):
+            centers, inverse = density._unique(x)
+            ref_centers, ref_inverse = np.unique(x, return_inverse=True)
+            assert np.array_equal(centers, ref_centers)
+            assert np.array_equal(inverse, ref_inverse) and inverse.dtype == ref_inverse.dtype
+            assert np.array_equal(centers[inverse], x)
+
+
 class TestGrid:
     def test_build_shapes(self):
         g = DensityGrid.build(61, 90)

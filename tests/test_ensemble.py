@@ -424,64 +424,122 @@ class TestFreeFlightBlocks:
             counts.append(len(builds))
         assert counts[0] == counts[1] <= 2
 
-    def test_pole_molecules_leave_cos2phi(self):
+    @staticmethod
+    def _position_sums(flight, times):
+        """Per-time z^2 and off-pole x^2/(x^2+y^2) sums and off-pole counts,
+        each kept term summed as a compressed 1-D array of positions(times)."""
+        z2, c2p, n_az = [], [], []
+        for pos in flight.positions(times):
+            s2 = pos[:, 0] ** 2 + pos[:, 1] ** 2
+            ok = s2 >= POLE_SIN2
+            z2.append(np.sum(pos[:, 2] ** 2))
+            c2p.append(np.sum(pos[ok, 0] ** 2 / s2[ok]))
+            n_az.append(np.count_nonzero(ok))
+        return np.array(z2), np.array(c2p), np.array(n_az)
+
+    @staticmethod
+    def _pole_swarm(n):
         # molecules at rest on the poles, and one flying through a pole at
-        # t = pi/4 (grid index 2 of k pi/8): each time's sum equals the 1-D
-        # sum of the kept terms of the grid evaluation
+        # t = pi/4 (grid index 2 of k pi/8)
         rng = np.random.default_rng(17)
-        n = 300
         r = rng.standard_normal((n, 3))
         r /= np.linalg.norm(r, axis=1, keepdims=True)
         v = np.cross(r, rng.standard_normal((n, 3)))
         r[:3] = [[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]]
         v[:3] = [[0, 0, 0], [0, 0, 0], [0, 0, 2.0]]
-        L = np.cross(r, v)
+        return r, np.cross(r, v)
+
+    def test_pole_molecules_leave_cos2phi(self):
+        # the grid sums agree with the compressed 1-D sums of the normalised
+        # positions to rounding: the kernel neither normalises r nor joins
+        # cos/sin per element, so the terms differ by ulps
+        n = 300
+        r, L = self._pole_swarm(n)
         flight = SymTopEnsemble(r, L)
         grid = classical_symtop.UniformGrid(0.0, math.pi / 8, 5)
         z2, c2p, n_az, _, _ = ensemble._chunk_sums(flight, L, grid, (0, n))
-        rows = slice(0, n)
-        block = flight.positions(classical_symtop.GridPhases(grid, rows).span(0, grid.n), rows)
+        ref_z2, ref_c2p, ref_n_az = self._position_sums(flight, np.arange(5) * grid.h)
+        assert list(n_az) == list(ref_n_az) == [n - 2 - (i == 2) for i in range(5)]
+        assert np.allclose(c2p, ref_c2p, rtol=1e-14, atol=0)
+        assert np.allclose(z2, ref_z2, rtol=1e-14, atol=0)
+        # exactly: each time's sum is the 1-D sum of the kernel's own
+        # per-molecule terms, with the pole molecules left out, not zeroed
+        alone = [ensemble._chunk_sums(flight, L, grid, (k, k + 1)) for k in range(n)]
         for i in range(grid.n):
-            pos = block[i]
-            s2 = pos[:, 0] ** 2 + pos[:, 1] ** 2
-            ok = s2 >= POLE_SIN2
-            assert n_az[i] == ok.sum() == n - 2 - (i == 2)
-            assert c2p[i] == np.sum(pos[ok, 0] ** 2 / s2[ok])
-            assert z2[i] == np.sum(pos[:, 2] ** 2)
+            assert c2p[i] == np.sum([p[1][i] for p in alone if p[2][i]])
+            assert z2[i] == np.sum([p[0][i] for p in alone])
+
+    def test_pole_and_pole_free_blocks(self, monkeypatch):
+        # two times per block: only the block of indices 2 and 3 holds a
+        # pole molecule, so the others take the path without a pole mask
+        n = 300
+        r, L = self._pole_swarm(n)
+        r, L = r[2:], L[2:]                 # no molecule rests on a pole
+        monkeypatch.setattr(ensemble, "BLOCK", 2 * (n - 2))
+        flight = SymTopEnsemble(r, L)
+        grid = classical_symtop.UniformGrid(0.0, math.pi / 8, 6)
+        z2, c2p, n_az, _, _ = ensemble._chunk_sums(flight, L, grid, (0, n - 2))
+        ref_z2, ref_c2p, ref_n_az = self._position_sums(flight, np.arange(6) * grid.h)
+        assert list(n_az) == list(ref_n_az) == [n - 2 - (i == 2) for i in range(6)]
+        assert np.allclose(c2p, ref_c2p, rtol=1e-14, atol=0)
+        assert np.allclose(z2, ref_z2, rtol=1e-14, atol=0)
 
     def test_grid_phases_track_exact_positions(self):
         # a fig2 segment: N2 at 50 K after a P = 5 kick, 2,501 steps of
-        # T_rev/500; the anchored grid agrees with positions at every time
+        # T_rev/500; the grid sums agree with sums of positions at every time
         cfg = EnsembleConfig(mol=N2, T_K=50.0, n_traj=2000, seed=3,
                              pulses=(PulseSpec(P=5.0, p=(0, 0, 1.0)),), t_max=5.0,
                              dt_out=0.002)
-        flight = ensemble._initial_swarm(cfg).kick(cfg.pulses[0]).flight
+        swarm = ensemble._initial_swarm(cfg).kick(cfg.pulses[0])
         grid = classical_symtop.UniformGrid(0.0, 0.002 * TWO_PI, 2501)
-        phases = classical_symtop.GridPhases(grid, slice(None))
-        worst = 0.0
-        for i in range(0, grid.n, 128):
-            stop = min(i + 128, grid.n)
-            exact = flight.positions(grid.t0 + np.arange(i, stop) * grid.h)
-            worst = max(worst, np.max(np.abs(flight.positions(phases.span(i, stop)) - exact)))
-        assert worst <= 1e-13
+        got = ensemble._chunk_sums(swarm.flight, swarm.L, grid, (0, 2000))[:3]
+        ref = [np.concatenate(part) for part in zip(*(
+            self._position_sums(swarm.flight, np.arange(i, min(i + 128, grid.n)) * grid.h)
+            for i in range(0, grid.n, 128)))]
+        assert np.array_equal(got[2], ref[2])
+        for value, exact in zip(got[:2], ref[:2]):
+            assert np.max(np.abs(value - exact) / exact) <= 1e-13
 
     def test_grid_phases_follow_the_rows(self):
-        # a molecule's grid value does not depend on the chunk it is
-        # evaluated in; phases made for other rows are refused
+        # a molecule's grid values do not depend on the chunk it is
+        # evaluated in, and each time's chunk sum is the 1-D sum of them
         rng = np.random.default_rng(2)
         r = rng.standard_normal((20, 3))
         r /= np.linalg.norm(r, axis=1, keepdims=True)
-        flight = SymTopEnsemble(r, 4.0 * rng.standard_normal((20, 3)))
+        L = 4.0 * rng.standard_normal((20, 3))
+        flight = SymTopEnsemble(r, L)
         grid = classical_symtop.UniformGrid(0.3, 0.1, 70)
+        alone = [ensemble._chunk_sums(SymTopEnsemble(r[k:k + 1], L[k:k + 1]), L[k:k + 1],
+                                      grid, (0, 1)) for k in range(20)]
+        for k in range(20):
+            inside = ensemble._chunk_sums(flight, L, grid, (k, k + 1))
+            for got, want in zip(inside[:3], alone[k][:3]):
+                assert np.array_equal(got, want)
+        z2, c2p, n_az, _, _ = ensemble._chunk_sums(flight, L, grid, (0, 20))
+        for total, parts in ((z2, [p[0] for p in alone]), (c2p, [p[1] for p in alone])):
+            per_time = np.array(parts).T.copy()      # (times, molecules), C-ordered
+            assert np.array_equal(total, [np.sum(row) for row in per_time])
+        assert np.all(n_az == 20)
 
-        def on_grid(rows):
-            return flight.positions(classical_symtop.GridPhases(grid, rows).span(0, 70), rows)
-
-        split = np.concatenate([on_grid(slice(0, 7)), on_grid(slice(7, 20))], axis=1)
-        assert np.array_equal(on_grid(slice(0, 20)), split)
-        phases = classical_symtop.GridPhases(grid, slice(0, 10))
-        with pytest.raises(ValueError, match="rows"):
-            flight.positions(phases.span(0, 4), slice(10, 20))
+    @pytest.mark.parametrize("mol", [BZ, N2], ids=["benzene", "n2"])
+    def test_sums_ignore_threads_and_blocks(self, monkeypatch, mol):
+        # two chunks, the second partial: 1 or 2 threads, one time per block
+        # or blocks across anchor groups, and the sums agree bit for bit
+        cfg = EnsembleConfig(mol=mol, T_K=0.9 if mol is BZ else 50.0, n_traj=CHUNK + 700,
+                             seed=8, pulses=(PulseSpec(P=5.0, p=(0, 0, 1.0)),),
+                             t_max=0.1, dt_out=0.001)
+        runs = []
+        for threads, block in (("1", ensemble.BLOCK), ("2", ensemble.BLOCK),
+                               ("2", 40 * CHUNK), ("1", 1)):
+            monkeypatch.setenv("PROPELLER_THREADS", threads)
+            monkeypatch.setattr(ensemble, "BLOCK", block)
+            runs.append(run_protocol(cfg))
+        assert [r.meta["free_flight"]["threads"] for r in runs] == [1, 2, 2, 1]
+        assert runs[2].meta["free_flight"]["block_shape"] == [40, CHUNK]
+        for other in runs[1:]:
+            for name in runs[0].channels:
+                assert np.array_equal(runs[0].channels[name], other.channels[name],
+                                      equal_nan=True), name
 
     @pytest.mark.parametrize("block", [1, 3 * 997, 7 * 997, 2 ** 22])
     def test_run_protocol_ignores_block_size(self, monkeypatch, block):

@@ -18,7 +18,8 @@ Three `ast` scans standing in for a linter, and two import checks:
 
 and `import propeller_sim.cli`, run in a fresh interpreter, loads no scipy
 module, nor do small classical-symtop, density and quantum-symtop runs
-through `cli.main` (the runtime needs numpy alone; scipy is a test oracle).
+through `cli.main` (the runtime needs numpy alone; scipy is a test oracle),
+and a small fig4 preset loads no numpy.ma inside its run.
 """
 
 import ast
@@ -258,3 +259,14 @@ def test_cli_runs_load_no_scipy():
             f"             for i, run in enumerate({runs!r})]\n"
             f"print(codes, {SCIPY_MODULES})")
     assert _fresh_interpreter(code) == "[0, 0, 0, 0] []"
+
+
+def test_density_run_loads_no_numpy_ma():
+    # np.unique imports numpy.ma (12-18 ms) on its first call in a process,
+    # which would land inside every density run's timed call
+    code = ("import sys, tempfile\n"
+            "from propeller_sim import cli\n"
+            "with tempfile.TemporaryDirectory() as out:\n"
+            "    code = cli.main(['preset', 'fig4', '--n-traj', '300', '--out', f'{out}/fig4'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+    assert _fresh_interpreter(code) == "0 []"
