@@ -182,7 +182,7 @@ def _symtop_diagnostics(runs: dict) -> dict:
 def cmd_quantum_symtop(args, out_dir: Path):
     mol = parse_molecule(args.molecule)
     _check_pairing(args, mol)
-    grid = np.arange(0.0, args.t_max + 0.5 * args.dt_out, args.dt_out)
+    grid = ensemble.output_grid(args.t_max, args.dt_out)
     align = quantum_symtop.alignment_trace(mol, args.temp_K, args.P1, grid,
                                            J_max=args.l_max)
     files = [_write_series(out_dir, "alignment", align, args.format)]
@@ -249,7 +249,7 @@ def _compare_linear(args, mol, out_dir: Path):
 
 
 def _compare_symtop(args, mol, out_dir: Path):
-    taus = np.arange(0.0, args.t_max + 0.5 * args.dt_out, args.dt_out)
+    taus = ensemble.output_grid(args.t_max, args.dt_out)
     cfg = _ensemble_config(args, mol)
     scan_cl = ensemble.delay_scan(cfg, taus)
     dphi = math.radians(args.angle_deg)
@@ -307,7 +307,7 @@ def _density_preset(out_dir: Path, seed, n_traj, T_K, P1, P2, with_analytic):
 def _preset_fig5(out_dir: Path, seed: int, n_traj):
     mol = benzene()
     n = n_traj or 100000
-    taus = np.arange(0.0, 0.12 + 0.5 * SCAN_TREV, SCAN_TREV)
+    taus = ensemble.output_grid(0.12, SCAN_TREV)
     files, summary = [], []
     combined, free_flight = {}, {}
     for P in (-1.0, -3.0, -10.0):
@@ -343,7 +343,7 @@ def _preset_fig5(out_dir: Path, seed: int, n_traj):
 
 def _preset_fig6(out_dir: Path, seed: int, n_traj):
     mol = benzene()
-    taus = np.arange(0.0, 0.12 + 0.5 * SCAN_TREV, SCAN_TREV)
+    taus = ensemble.output_grid(0.12, SCAN_TREV)
     tgrid = np.arange(0.0, 1.1, 0.001)
     files, quantum = [], {}
     for P in (-1.0, -3.0, -10.0):

@@ -10,11 +10,12 @@ depends only on (seed, i): results are bit-stable when n_traj is extended
 and independent of how work is chunked across threads.
 
 The pulse protocol is one for the classical and quantum engines:
-check_pulses holds the pulse-list rules, and apply_pulses fires the pulses
-on any state with advance, kick and cos2theta (this swarm, or
-quantum_linear's wave packets).  An "auto" second pulse fires at the first
-alignment extremum after the first, found on a T_rev/2000 grid with
-parabolic refinement in a window that ends at t_max.
+check_pulses holds the pulse-list rules, apply_pulses fires the pulses on
+any state with advance, kick and record (this swarm, or quantum_linear's
+wave packets), and record_protocol records each segment between kicks that
+the output grid reads.  An "auto" second pulse fires at the first alignment
+extremum after the first, scanned through the same record on a T_rev/2000
+grid with parabolic refinement in a window that ends at t_max.
 
 Every ensemble is carried as axes r and angular momenta L; a linear
 molecule is the case L . r = 0, and its sampler maps the thermal velocity v
@@ -23,7 +24,7 @@ molecule flies on a fixed circle r = a + w (b cos omega t + c sin omega t)
 (classical_symtop.SymTopEnsemble, whose L . r = 0 cone is the linear
 rotor's great circle), built once per segment.
 
-run_protocol reads each segment's run of the output grid as a
+A swarm records each segment's run of the output grid as a
 classical_symtop.UniformGrid (first time t0, step h, n times) and builds no
 positions.  Its GridPhases gives cos/sin of an anchor every ANCHOR_STEP grid
 indices and a (ANCHOR_STEP x chunk) table; each anchor is folded into two
@@ -34,11 +35,11 @@ x molecule) arrays of about BLOCK elements and reduced along the contiguous
 molecule axis, so every row is summed by the same pairwise summation as a
 1-D array of those molecules; a molecule at a pole leaves its cos2phi row by
 compression, not by adding a zero.  Block boundaries therefore do not change
-any value.  run_protocol sums over fixed-size molecule chunks (CHUNK)
-combined in index order, so values are also invariant under the thread
-count used to evaluate the chunks.  The alignment scan and advance take
-arbitrary times through SymTopEnsemble.positions, and the scan reduces each
-time over the whole ensemble.
+any value.  The sums run over fixed-size molecule chunks (CHUNK) combined in
+index order (_chunk_totals), so values are also invariant under the thread
+count used to evaluate the chunks.  The alignment scan records its windows
+of the T_rev/2000 grid the same way; only advance, which carries the axes to
+a pulse time, builds positions (SymTopEnsemble.positions).
 
 delay_scan evaluates no positions after the first kick.  On its circle,
 each molecule's z^2, L_y and |L|^2 right after the second kick are
@@ -216,16 +217,24 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ParameterError("n_traj must be >= 1")
-        for name in ("T_K", "t_max", "dt_out"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.dt_out <= 0:
-            raise ParameterError("dt_out must be positive")
-        if self.t_max < 0:
-            raise ParameterError(f"t_max must be >= 0, got {self.t_max}")
-        if self.T_K < 0:
-            raise ParameterError("temperature must be >= 0")
+        if not (math.isfinite(self.T_K) and self.T_K >= 0):
+            raise ParameterError(f"T_K must be finite and >= 0, got {self.T_K}")
+        _check_grid(self.t_max, self.dt_out)
         object.__setattr__(self, "pulses", check_pulses(self.pulses))
+
+
+def _check_grid(t_max: float, dt_out: float):
+    """The output-grid rules: finite values, t_max >= 0 and dt_out > 0."""
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ParameterError(f"t_max must be finite and >= 0, got {t_max}")
+    if not (math.isfinite(dt_out) and dt_out > 0):
+        raise ParameterError(f"dt_out must be finite and positive, got {dt_out}")
+
+
+def output_grid(t_max: float, dt_out: float) -> np.ndarray:
+    """The output times 0, dt_out, 2 dt_out, ... up to t_max (T_rev units)."""
+    _check_grid(t_max, dt_out)
+    return np.arange(0.0, t_max + 0.5 * dt_out, dt_out)
 
 
 def check_pulses(pulses) -> tuple[PulseSpec, ...]:
@@ -257,18 +266,17 @@ class TimeSeries:
                 raise ParameterError(f"channel {name!r} length mismatch with grid")
 
 
-def resolve_threads() -> int:
-    """Thread count from PROPELLER_THREADS (default 1)."""
+def resolve_threads(n: int, size: int) -> int:
+    """Threads for n molecules in chunks of size: PROPELLER_THREADS (default
+    1), at most one per chunk."""
     env = os.environ.get("PROPELLER_THREADS", "")
-    if not env:
-        return 1
     try:
-        value = int(env)
+        value = int(env) if env else 1
     except ValueError:
         value = 0
     if value < 1:
         raise ParameterError(f"PROPELLER_THREADS must be a positive integer, got {env!r}")
-    return value
+    return min(value, -(-n // size))
 
 
 @dataclass(frozen=True)
@@ -294,13 +302,16 @@ class _Swarm:
     def kick(self, pulse: PulseSpec) -> "_Swarm":
         return _Swarm(self.r, csym.kick_momentum(self.r, self.L, pulse.P, pulse.p_vec))
 
-    def cos2theta(self, times: np.ndarray) -> np.ndarray:
-        out = np.empty(len(times))
-        step = _block_times(len(self.r))
-        for i in range(0, len(times), step):
-            z = self.flight.positions(times[i:i + step])[..., 2]
-            out[i:i + step] = np.mean(z * z, axis=-1)
-        return out
+    def record(self, times: np.ndarray, h: float) -> dict:
+        """Ensemble means at the free-flight times t0 + i h of this segment:
+        cos2theta, cos2phi (pole-excluded), Lx, Ly, Lz and L2."""
+        n, grid = len(self.r), csym.UniformGrid(times[0], h, len(times))
+        z2, c2p, n_az, Lsum, L2 = _chunk_totals(
+            functools.partial(_chunk_sums, self.flight, self.L, grid), n, CHUNK)
+        return {"cos2theta": z2 / n,
+                "cos2phi": np.divide(c2p, n_az, out=np.full(len(times), np.nan),
+                                     where=n_az > 0),
+                **dict(zip(("Lx", "Ly", "Lz"), Lsum / n)), "L2": L2 / n}
 
 
 def _initial_swarm(cfg: EnsembleConfig) -> _Swarm:
@@ -313,8 +324,19 @@ def _initial_swarm(cfg: EnsembleConfig) -> _Swarm:
     return _Swarm(*symtop_ensemble_from_uniforms(u, sig1, sig3))
 
 
-def _chunk_ranges(n: int, size: int):
-    return [(i, min(i + size, n)) for i in range(0, n, size)]
+def _chunk_totals(sums, n: int, size: int) -> list:
+    """Totals of each result of sums((a, b)) over the chunks of n molecules,
+    added in index order to zeros (a zero total is +0), whatever the threads."""
+    workers = resolve_threads(n, size)
+    chunks = [(i, min(i + size, n)) for i in range(0, n, size)]
+    totals = None
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for part in (pool.map if workers > 1 else map)(sums, chunks):
+            if totals is None:
+                totals = [np.zeros_like(x) for x in part]
+            for total, x in zip(totals, part):
+                total += x
+    return totals
 
 
 def _block_times(n_molecules: int) -> int:
@@ -389,8 +411,8 @@ def _chunk_sums(flight: csym.SymTopEnsemble, L: np.ndarray, grid: csym.UniformGr
 
 def mean_cos2theta(state, times: np.ndarray) -> np.ndarray:
     """<cos^2 theta> of a protocol state after free flight by each of the
-    times: the extremum scan's one entry point for either engine."""
-    return state.cos2theta(times)
+    times (steps of SCAN_STEP): the extremum scan's entry point."""
+    return state.record(times, SCAN_STEP)["cos2theta"]
 
 
 def ly_norm(Ly: np.ndarray, L2: np.ndarray) -> np.ndarray:
@@ -427,8 +449,8 @@ def find_alignment_extremum(state, kind: str, t_limit: float) -> float:
     n_limit = int(math.floor(t_limit / SCAN_STEP))
     window = 256
     values = np.empty(0)
-    for stop in [*range(window + 1, n_limit + 1, window), n_limit + 1]:
-        times = np.arange(len(values), stop) * SCAN_STEP
+    for stop in range(window + 1, n_limit + window + 1, window):
+        times = np.arange(len(values), min(stop, n_limit + 1)) * SCAN_STEP
         values = np.concatenate([values, mean_cos2theta(state, times)])
         k = first_local_extremum(values, kind)
         if k is not None:
@@ -440,7 +462,7 @@ def find_alignment_extremum(state, kind: str, t_limit: float) -> float:
 
 
 def apply_pulses(pulses, t_max: float, state):
-    """Fire the pulses in order on a state with advance, kick and cos2theta.
+    """Fire the pulses in order on a state with advance, kick and record.
 
     Returns ([(t, state after the kick)], meta) with meta["pulse_times_trev"],
     and meta["auto_delay_trev"] for an "auto" pulse: the first alignment
@@ -482,6 +504,31 @@ def segment_of(event_times, t) -> np.ndarray:
     return np.searchsorted(np.asarray(event_times) - 1e-12, t, side="right")
 
 
+def record_protocol(pulses, t_max: float, dt_out: float, initial):
+    """Fire the pulses on the initial state and record the output grid.
+
+    Segment s, the flight after pulse s (0: from the initial state), is
+    recorded once if grid times read it: state.record(times, h) gets those
+    times since its kick, t0 + i h, and the grid step h.  Returns the
+    TimeSeries (Ly_norm added when Ly and L2 are channels, meta from
+    apply_pulses), the recorded (t0, n_times, state) and the last state."""
+    grid = output_grid(t_max, dt_out)
+    events, meta = apply_pulses(pulses, t_max, initial)
+    t, h = grid * TWO_PI, dt_out * TWO_PI
+    seg_of = segment_of([t0 for t0, _ in events], t)
+    channels, recorded = {}, []
+    for s, (t0, state) in enumerate([(0.0, initial)] + events):
+        sel = np.flatnonzero(seg_of == s)
+        if not len(sel):
+            continue
+        recorded.append((t0, len(sel), state))
+        for name, values in state.record(t[sel] - t0, h).items():
+            channels.setdefault(name, np.empty(len(grid)))[sel] = values
+    if "Ly" in channels and "L2" in channels:
+        channels["Ly_norm"] = ly_norm(channels["Ly"], channels["L2"])
+    return TimeSeries(grid=grid, channels=channels, meta=meta), recorded, events[-1][1]
+
+
 def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
     """Execute the pulse sequence and record ensemble averages on the grid.
 
@@ -491,54 +538,14 @@ def run_protocol(cfg: EnsembleConfig) -> TimeSeries:
     free-flight layout (chunks, threads, block shape, segments with their
     frozen-molecule counts) in meta["free_flight"].
     """
-    n_threads = resolve_threads()
-    initial = _initial_swarm(cfg)
-    meta = {"config": describe_config(cfg), "seed": cfg.seed}
-    events, pulse_meta = apply_pulses(cfg.pulses, cfg.t_max, initial)
-    meta.update(pulse_meta)
-
-    grid = np.arange(0.0, cfg.t_max + 0.5 * cfg.dt_out, cfg.dt_out)
-    t, h = grid * TWO_PI, cfg.dt_out * TWO_PI
-    # segment 0 is free flight from the initial state, segment s >= 1 the
-    # flight after pulse s; each segment owns a run of the grid: its first
-    # time plus i h
-    segments = [(0.0, initial)] + events
-    seg_of = segment_of([t_p for t_p, _ in events], t)
-
-    out = {k: np.empty(len(grid)) for k in ("cos2theta", "cos2phi", "Lx", "Ly", "Lz", "L2")}
     n = cfg.n_traj
-    ranges = _chunk_ranges(n, CHUNK)
-    workers = min(n_threads, len(ranges))
-    evaluated = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        mapper = pool.map if workers > 1 else map
-        for s, (t0, swarm) in enumerate(segments):
-            sel = np.flatnonzero(seg_of == s)
-            if not len(sel):
-                continue
-            evaluated.append((t0, len(sel), swarm))
-            seg_grid = csym.UniformGrid(t[sel[0]] - t0, h, len(sel))
-            chunk_sums = functools.partial(_chunk_sums, swarm.flight, swarm.L, seg_grid)
-            z2, c2p = np.zeros(len(sel)), np.zeros(len(sel))
-            n_az = np.zeros(len(sel), dtype=np.int64)
-            Lsum, L2 = np.zeros(3), 0.0
-            for part in mapper(chunk_sums, ranges):   # chunk order, whatever the threads
-                z2 += part[0]
-                c2p += part[1]
-                n_az += part[2]
-                Lsum += part[3]
-                L2 += part[4]
-            out["cos2theta"][sel] = z2 / n
-            out["cos2phi"][sel] = np.divide(c2p, n_az, out=np.full(len(sel), np.nan),
-                                            where=n_az > 0)
-            out["Lx"][sel], out["Ly"][sel], out["Lz"][sel] = Lsum / n
-            out["L2"][sel] = L2 / n
-
-    out["Ly_norm"] = ly_norm(out["Ly"], out["L2"])
+    workers = resolve_threads(n, CHUNK)     # a bad PROPELLER_THREADS fails before sampling
+    ts, recorded, _ = record_protocol(cfg.pulses, cfg.t_max, cfg.dt_out, _initial_swarm(cfg))
     chunk = min(CHUNK, n)
-    meta["free_flight"] = _flight_diagnostics(n, workers, [_block_times(chunk), chunk],
-                                              evaluated)
-    return TimeSeries(grid=grid, channels=out, meta=meta)
+    ts.meta = {"config": describe_config(cfg), "seed": cfg.seed, **ts.meta,
+               "free_flight": _flight_diagnostics(n, workers, [_block_times(chunk), chunk],
+                                                  recorded)}
+    return ts
 
 
 # 2 SCAN_DEGREE + 1 equispaced phases: (1, cos, sin) at each, and the DFT
@@ -615,21 +622,15 @@ def _scan_sums(flight: csym.SymTopEnsemble, L: np.ndarray, P: float, forms: np.n
     return np.array(const), osc, float(np.sum(Ly))
 
 
-def _kicked_means(swarm: _Swarm, pulse: PulseSpec, grid: csym.UniformGrid, workers: int):
+def _kicked_means(swarm: _Swarm, pulse: PulseSpec, grid: csym.UniformGrid):
     """<z^2>, <L_y> and <|L|^2> right after the pulse hits the swarm at each
     time of its free flight on the grid, as a (3, grid.n) array, and <L_y>
-    before the pulse.  Chunks of SCAN_CHUNK molecules run on `workers`
-    threads and are summed in index order."""
+    before the pulse, summed over chunks of SCAN_CHUNK molecules."""
     n = len(swarm.r)
     p = pulse.p_vec
     forms = np.concatenate([[(0.0, 0.0, 1.0), p], np.cross(np.eye(3), p)])
     sums = functools.partial(_scan_sums, swarm.flight, swarm.L, pulse.P, forms, grid)
-    const, osc, ly_pre = np.zeros(3), np.zeros((grid.n, 3)), 0.0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part in (pool.map if workers > 1 else map)(sums, _chunk_ranges(n, SCAN_CHUNK)):
-            const += part[0]
-            osc += part[1]
-            ly_pre += part[2]
+    const, osc, ly_pre = _chunk_totals(sums, n, SCAN_CHUNK)
     # with P = 0 every oscillating L_y term is zero, and the constant one is
     # the sum that gives <L_y> before the pulse, so the two agree exactly
     return ((const + osc) / n).T, ly_pre / n
@@ -669,12 +670,11 @@ def delay_scan(cfg: EnsembleConfig, delays) -> TimeSeries:
     delays = np.asarray(list(delays), dtype=float)
     grid = _delay_grid(delays)
     p1, p2 = cfg.pulses
+    n = cfg.n_traj
+    workers = resolve_threads(n, SCAN_CHUNK)
     t1 = float(p1.t_apply) * TWO_PI
     swarm1 = _initial_swarm(cfg).advance(t1).kick(p1)
-
-    n = cfg.n_traj
-    workers = min(resolve_threads(), -(-n // SCAN_CHUNK))
-    (cos2, Ly, L2), Ly_pre = _kicked_means(swarm1, p2, grid, workers)
+    (cos2, Ly, L2), Ly_pre = _kicked_means(swarm1, p2, grid)
     channels = {"Ly": Ly, "L2": L2,
                 "Ly_norm": ly_norm(Ly, L2),
                 "dLy": Ly - Ly_pre, "cos2theta": cos2}

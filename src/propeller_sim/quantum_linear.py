@@ -21,9 +21,10 @@ one (l', l) matrix of amplitudes of the beats e_l' - e_l, the same beats
 as the symmetric top's (spectral.beat_freqs).
 
 The thermal mixture is the K = 0 case of quantum_symtop.thermal_levels,
-expanded to all m.  Its wave packets are a pulse-protocol state, fired by
-ensemble.apply_pulses under the classical engine's rules; the zero beat of
-each weighted trace (spectral.SpectralTrace) is its exact revival average.
+expanded to all m.  Its wave packets are a pulse-protocol state, fired and
+recorded by ensemble.record_protocol: each segment builds its four weighted
+traces once, for the auto-delay scan and the output grid alike.  The zero
+beat of each trace (spectral.SpectralTrace) is its exact revival average.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import angular, quantum_symtop
-from .core import MoleculeParams, ParameterError, PulseSpec, TWO_PI, sigma_th
-from .ensemble import TimeSeries, apply_pulses, check_pulses, ly_norm, segment_of
+from .core import MoleculeParams, ParameterError, PulseSpec, sigma_th
+from .ensemble import TimeSeries, check_pulses, record_protocol
 from .quantum_symtop import HEADROOM_BAND, _band_tail
 from .spectral import SpectralTrace, accumulate_pattern
 
@@ -138,15 +139,13 @@ class LinearBasis:
         return self._diagonal(self.l * (self.l + 1))
 
     def operator(self, name: str) -> dict:
-        table = {
-            "cos2theta": self.op_cos2theta,
-            "cos2phi": self.op_cos2phi,
-            "Ly": self.op_jy,
-            "L2": self.op_j2,
-        }
-        if name not in table:
-            raise ParameterError(f"unknown observable {name!r}")
-        return table[name]()
+        if name not in self._ops:
+            build = {"cos2theta": self.op_cos2theta, "cos2phi": self.op_cos2phi,
+                     "Ly": self.op_jy, "L2": self.op_j2}.get(name)
+            if build is None:
+                raise ParameterError(f"unknown observable {name!r}")
+            self._ops[name] = build()
+        return self._ops[name]
 
 
 def _shell_rotations(l_max: int, p: np.ndarray) -> list[np.ndarray]:
@@ -192,9 +191,11 @@ class _Packets:
     weights: np.ndarray
 
     @functools.cached_property
-    def _cos2theta(self) -> SpectralTrace:
-        return accumulate_pattern(self.basis.operator("cos2theta"),
-                                  self.basis.blocks(self.psi), self.weights)
+    def traces(self) -> dict[str, SpectralTrace]:
+        """The weighted cos2theta, cos2phi, Ly and L2 traces, built on first use."""
+        blocks = self.basis.blocks(self.psi)
+        return {name: accumulate_pattern(self.basis.operator(name), blocks, self.weights)
+                for name in ("cos2theta", "cos2phi", "Ly", "L2")}
 
     def advance(self, dt: float) -> "_Packets":
         phases = np.exp(-1j * self.basis.energies * dt)
@@ -203,8 +204,9 @@ class _Packets:
     def kick(self, pulse: PulseSpec) -> "_Packets":
         return _Packets(self.basis, kick_batch(self.basis, self.psi, pulse), self.weights)
 
-    def cos2theta(self, times: np.ndarray) -> np.ndarray:
-        return self._cos2theta.evaluate(times)
+    def record(self, times: np.ndarray, h: float) -> dict:
+        """The traces at the free-flight times since the segment's kick."""
+        return {name: trace.evaluate(times) for name, trace in self.traces.items()}
 
 
 # ---- thermal averaging -------------------------------------------------------
@@ -223,16 +225,16 @@ def default_l_max(p_max: float, l0_max: int) -> int:
 
 def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
                 dt_out: float, l_max: int | None = None,
-                observables=("cos2theta", "cos2phi", "Ly", "L2"),
                 spin_weights=None) -> TimeSeries:
     """Boltzmann-averaged double-pulse run; times in T_rev units.
 
     Pulses are given in the classical frame and fired by
-    ensemble.apply_pulses: an "auto" second pulse fires at the first extremum
-    of the quantum <cos^2 theta> trace after the first pulse.
+    ensemble.record_protocol: an "auto" second pulse fires at the first
+    extremum of the quantum <cos^2 theta> trace after the first pulse.
 
     The returned TimeSeries carries meta["revival_avg"]: exact one-revival
-    time averages of every requested observable over the final free segment.
+    time averages of cos2theta, cos2phi, Ly and L2 over the final free
+    segment.
     """
     if mol.kind != "linear":
         raise ParameterError("thermal_run handles linear molecules")
@@ -246,38 +248,14 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
     n0 = (l0_max + 1) ** 2
     weights = np.repeat([w for _, _, w in levels], [2 * J + 1 for J, _, _ in levels])
     initial = _Packets(basis, np.eye(basis.size, n0, dtype=complex), weights)
-    ops = {name: basis.operator(name) for name in observables}
-
-    meta = {"l_max": l_max, "sigma_th": sigma_th(mol, T_K), "n_initial_states": n0,
-            "weight_truncation": trunc,
-            "n_blocks": len({p.P for p in pulses}) * (l_max + 1),
-            "max_block_dim": l_max + 1,
-            "spin_weights": "uniform" if spin_weights is None else "custom"}
-    events, pulse_meta = apply_pulses(pulses, t_max, initial)
-    meta.update(pulse_meta)
-    meta["headroom_tail"] = float(basis.band_population(events[-1][1].psi).max())
-
-    # segment 0 is the stationary initial mixture; each kick starts a new one
-    segments = [(0.0, initial)] + events
-    grid = np.arange(0.0, t_max + 0.5 * dt_out, dt_out)
-    t_dim = grid * TWO_PI
-    seg_of = segment_of([t0 for t0, _ in events], t_dim)
-    out = {name: np.empty(len(grid)) for name in observables}
-    last = len(segments) - 1
-    for s, (t0, packets) in enumerate(segments):
-        idx = np.flatnonzero(seg_of == s)
-        # a segment no grid time reads (segment 0 when pulse 1 fires at
-        # t = 0) needs no trace, except the last, which gives revival_avg
-        if not len(idx) and s != last:
-            continue
-        blocks = basis.blocks(packets.psi)
-        traces = {name: accumulate_pattern(ops[name], blocks, weights) for name in observables}
-        if len(idx):
-            for name, trace in traces.items():
-                out[name][idx] = trace.evaluate(t_dim[idx] - t0)
-        if s == last:
-            meta["revival_avg"] = {name: float(trace.time_average)
-                                   for name, trace in traces.items()}
-    if "Ly" in out and "L2" in out:
-        out["Ly_norm"] = ly_norm(out["Ly"], out["L2"])
-    return TimeSeries(grid=grid, channels=out, meta=meta)
+    ts, _, last = record_protocol(pulses, t_max, dt_out, initial)
+    ts.meta = {"l_max": l_max, "sigma_th": sigma_th(mol, T_K), "n_initial_states": n0,
+               "weight_truncation": trunc,
+               "n_blocks": len({p.P for p in pulses}) * (l_max + 1),
+               "max_block_dim": l_max + 1,
+               "spin_weights": "uniform" if spin_weights is None else "custom",
+               **ts.meta,
+               "headroom_tail": float(basis.band_population(last.psi).max()),
+               "revival_avg": {name: float(trace.time_average)
+                               for name, trace in last.traces.items()}}
+    return ts

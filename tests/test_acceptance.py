@@ -47,8 +47,7 @@ def fig2_runs():
         nitrogen(), 50.0,
         [PulseSpec(P=5.0, p=(0.0, 0.0, 1.0)),
          PulseSpec.along(5.0, (1.0, 0.0, 1.0), t_apply=float(delay))],
-        t_max=delay + 0.12, dt_out=0.001,
-        observables=("cos2theta", "cos2phi", "Ly", "L2"))
+        t_max=delay + 0.12, dt_out=0.001)
     wall = time.perf_counter() - t0
     # dense classical curve on the comparison window for criterion 2
     cfg_fine = EnsembleConfig(
@@ -70,7 +69,6 @@ def test_criterion_01_azimuthal_plateau(fig2_runs):
         [PulseSpec(P=5.0, p=(0.0, 0.0, 1.0)),
          PulseSpec.along(5.0, (1.0, 0.0, 1.0), t_apply=float(fig2_runs["delay"]))],
         t_max=fig2_runs["delay"] + 0.05, dt_out=0.01,
-        observables=("cos2phi",),
         spin_weights=quantum_linear.nitrogen_spin_weights)
     quantum_avg_spin = spin_run.meta["revival_avg"]["cos2phi"]
     wall = fig2_runs["wall_s"]
@@ -109,8 +107,7 @@ def quantum_axis_moments(pulses, t_max: float, dt_out: float):
     from the unrotated run.
     """
     def run(ps):
-        return quantum_linear.thermal_run(nitrogen(), 50.0, ps, t_max=t_max,
-                                          dt_out=dt_out, observables=("cos2theta",))
+        return quantum_linear.thermal_run(nitrogen(), 50.0, ps, t_max=t_max, dt_out=dt_out)
 
     z_run = run(pulses)
     delay = z_run.meta.get("auto_delay_trev")

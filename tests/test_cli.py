@@ -61,9 +61,13 @@ class TestExitCodes:
         ("classical-linear", "--t-max", "nan"),
         ("classical-linear", "--dt-out", "inf"),
         ("classical-linear", "--delay", "nan"),
+        *((command, flag, value)
+          for command in ("quantum-linear", "quantum-symtop", "compare")
+          for flag, value in (("--dt-out", "0"), ("--dt-out", "inf"), ("--t-max", "nan"),
+                              ("--dt-out", "-0.01"), ("--t-max", "-1"))),
     ])
     def test_non_finite_or_negative_run_parameters(self, tmp_path, command, flag, value):
-        molecule = "benzene" if command.endswith("symtop") else "n2"
+        molecule = "n2" if command.endswith("linear") else "benzene"
         args = {"--temp-K": "5", "--P1": "2", "--P2": "2", "--delay": "0.02",
                 "--t-max": "0.05", "--dt-out": "0.01"}
         args[flag] = value
@@ -72,6 +76,7 @@ class TestExitCodes:
             argv += [k, v]
         assert run_cli(*argv) == 2
         assert not (tmp_path / "timeseries.csv").exists()
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_bad_propeller_threads(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PROPELLER_THREADS", "abc")

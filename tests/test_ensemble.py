@@ -11,11 +11,12 @@ from propeller_sim import classical_symtop, ensemble
 from propeller_sim.classical_symtop import SymTopEnsemble
 from propeller_sim.core import (TWO_PI, ParameterError, ProtocolError, PulseSpec, benzene,
                                 nitrogen, sigma_th)
-from propeller_sim.ensemble import (CHUNK, POLE_SIN2, EnsembleConfig, delay_scan,
-                                    final_states, linear_ensemble_from_uniforms, ndtri,
-                                    orientation_from_uniforms, run_protocol,
-                                    symtop_ensemble_from_uniforms, tangent_frame,
-                                    uniform_matrix)
+from propeller_sim.ensemble import (CHUNK, POLE_SIN2, SCAN_STEP, EnsembleConfig,
+                                    delay_scan, final_states,
+                                    linear_ensemble_from_uniforms, ndtri,
+                                    orientation_from_uniforms, record_protocol,
+                                    run_protocol, symtop_ensemble_from_uniforms,
+                                    tangent_frame, uniform_matrix)
 
 N2, BZ = nitrogen(), benzene()
 
@@ -256,6 +257,64 @@ class TestProtocol:
                            pulses=(PulseSpec(P=1.0, p=(0, 0, 1.0), t_apply="auto"),))
 
 
+class _StubState:
+    """A protocol state that logs each record call and records, on every
+    channel, the number of kicks it has taken."""
+
+    def __init__(self, channels, log, kicks=0):
+        self.channels, self.log, self.kicks = channels, log, kicks
+
+    def advance(self, dt):
+        return self
+
+    def kick(self, pulse):
+        return _StubState(self.channels, self.log, self.kicks + 1)
+
+    def record(self, times, h):
+        self.log.append((self.kicks, times, h))
+        return {name: np.full(len(times), float(self.kicks)) for name in self.channels}
+
+
+class TestRecordProtocol:
+    DT = 2.0 ** -7
+
+    @pytest.mark.parametrize("pulse_steps, expect", [
+        # pulse 1 at t = 0: no grid time precedes it, so segment 0 is skipped
+        ((0.0, 3.0), [(1, 0, 3), (2, 3, 8)]),
+        # two pulses between grid times 0 and 1: segment 1 is skipped
+        ((0.5, 0.75), [(0, 0, 1), (2, 1, 8)]),
+    ])
+    def test_records_each_segment_on_the_grid_once(self, pulse_steps, expect):
+        log = []
+        pulses = [PulseSpec(P=1.0, p=(0, 0, 1.0), t_apply=k * self.DT) for k in pulse_steps]
+        ts, recorded, last = record_protocol(pulses, 7 * self.DT, self.DT,
+                                             _StubState(("c",), log))
+        t = np.arange(8) * self.DT * TWO_PI
+        event_times = [k * self.DT * TWO_PI for k in pulse_steps]
+        assert [kicks for kicks, _, _ in log] == [kicks for kicks, _, _ in expect]
+        for (kicks, times, h), (_, lo, hi) in zip(log, expect):
+            t0 = event_times[kicks - 1] if kicks else 0.0
+            assert np.array_equal(times, t[lo:hi] - t0)
+            assert h == self.DT * TWO_PI
+        assert [(t0, n, state.kicks) for t0, n, state in recorded] == [
+            (event_times[kicks - 1] if kicks else 0.0, hi - lo, kicks)
+            for kicks, lo, hi in expect]
+        assert last.kicks == 2 and list(ts.channels) == ["c"]
+        assert np.array_equal(ts.grid, np.arange(8) * self.DT)
+        assert ts.channels["c"].tolist() == sum(([float(k)] * (hi - lo)
+                                                 for k, lo, hi in expect), [])
+        assert ts.meta["pulse_times_trev"] == [k * self.DT for k in pulse_steps]
+
+    @pytest.mark.parametrize("channels, normed", [
+        (("Ly", "L2"), True), (("Ly",), False), (("L2", "c"), False)])
+    def test_ly_norm_only_with_ly_and_l2(self, channels, normed):
+        ts, _, _ = record_protocol([PulseSpec(P=1.0, p=(0, 0, 1.0))], 0.05, 0.01,
+                                   _StubState(channels, []))
+        assert list(ts.channels) == [*channels, *(["Ly_norm"] if normed else [])]
+        if normed:
+            assert np.array_equal(ts.channels["Ly_norm"], np.ones(6))
+
+
 class TestDelayScan:
     def test_single_zero_strength_second_pulse(self):
         cfg = EnsembleConfig(mol=N2, T_K=50.0, n_traj=20_000, seed=6,
@@ -322,7 +381,7 @@ class TestDelayScan:
         L[40] = 4.0 * np.cross(p, [0.0, 1.0, 0.0])
         pulse = PulseSpec(P=-10.0, p=tuple(p))
         grid = classical_symtop.UniformGrid(0.0, 0.003, 97)
-        means, ly_pre = ensemble._kicked_means(ensemble._Swarm(r, L), pulse, grid, 1)
+        means, ly_pre = ensemble._kicked_means(ensemble._Swarm(r, L), pulse, grid)
         expect = kicked_means(r, L, pulse.P, p, np.arange(grid.n) * grid.h)
         for got, row in zip(means, expect):
             assert np.max(np.abs(got - row)) <= 1e-12 * np.max(np.abs(row))
@@ -468,6 +527,17 @@ class TestFreeFlightBlocks:
         for i in range(grid.n):
             assert c2p[i] == np.sum([p[1][i] for p in alone if p[2][i]])
             assert z2[i] == np.sum([p[0][i] for p in alone])
+
+    def test_scan_matches_positions(self):
+        # the auto-delay scan records a window of the T_rev/2000 grid; each
+        # time agrees with the mean z^2 of the normalised positions, with
+        # molecules resting on the poles and one flying through a pole
+        r, L = self._pole_swarm(300)
+        swarm = ensemble._Swarm(r, L)
+        times = np.arange(1000, 1257) * SCAN_STEP
+        got = ensemble.mean_cos2theta(swarm, times)
+        z = swarm.flight.positions(times)[..., 2]
+        assert np.max(np.abs(got - np.mean(z * z, axis=-1))) <= 1e-14
 
     def test_pole_and_pole_free_blocks(self, monkeypatch):
         # two times per block: only the block of indices 2 and 3 holds a

@@ -281,10 +281,14 @@ class TestThermal:
         assert np.allclose(ts.channels["cos2phi"], 0.5, atol=1e-8)
         assert np.allclose(ts.channels["Ly"], 0.0, atol=1e-8)
 
-    @pytest.mark.parametrize("t1", [0.0, 0.05])
-    def test_traces_only_for_segments_on_the_grid(self, monkeypatch, t1):
+    @pytest.mark.parametrize("t1, delay", [(0.0, 0.03), (0.05, 0.03),
+                                           (0.0, "auto"), (0.05, "auto")],
+                             ids=["0.0", "0.05", "0.0-auto", "0.05-auto"])
+    def test_traces_only_for_segments_on_the_grid(self, monkeypatch, t1, delay):
         # pulse 1 at t = 0 leaves segment 0 without a grid time, so its four
-        # traces are skipped; at t1 > 0 the pre-pulse times still read it
+        # traces are skipped; at t1 > 0 the pre-pulse times still read it.
+        # An auto delay scans the traces that the segment after pulse 1
+        # records, so it builds none of its own
         calls = []
         original = quantum_linear.accumulate_pattern
 
@@ -294,8 +298,10 @@ class TestThermal:
 
         monkeypatch.setattr(quantum_linear, "accumulate_pattern", counting)
         pulses = [PulseSpec(P=2.0, p=(0, 0, 1.0), t_apply=t1),
-                  PulseSpec.along(2.0, (1, 0, 1), t_apply=t1 + 0.03)]
+                  PulseSpec.along(2.0, (1, 0, 1),
+                                  t_apply=delay if delay == "auto" else t1 + delay)]
         ts = thermal_run(nitrogen(), 20.0, pulses, t_max=0.2, dt_out=0.01, l_max=26)
+        assert ts.meta["pulse_times_trev"][1] > t1 + 0.01     # a grid time between the pulses
         assert len(calls) == 4 * (2 if t1 == 0.0 else 3)
         pre = ts.grid < t1 - 1e-9
         assert pre.sum() == round(t1 / 0.01)
