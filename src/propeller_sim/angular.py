@@ -1,5 +1,6 @@
 """Angular-momentum algebra: Wigner 3j symbols, the Wigner d^J(pi/2)
-rotation tables, normalized associated Legendre tables, and the rank-2
+rotation tables, normalized associated Legendre tables (one m at a time,
+or swept over every m with the sectoral seed carried along), and the rank-2
 harmonics Y_2q at a polarization vector.
 
 The 3j symbol uses the Racah sum with log-factorials, combined per term in
@@ -100,6 +101,29 @@ def y2_components(p: np.ndarray) -> np.ndarray:
                      -c1 * z * xp, c2 * xp * xp])
 
 
+def _sectoral_seeds(x: np.ndarray, m_max: int):
+    """Pbar_mm(x) for m = 0..m_max in turn, each seed one product from the last."""
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    pmm = np.full(len(x), 1.0 / math.sqrt(4.0 * math.pi))
+    for m in range(m_max + 1):
+        if m:
+            pmm = -math.sqrt((2 * m + 1) / (2.0 * m)) * s * pmm
+        yield pmm
+
+
+def _upward(l_max: int, m: int, x: np.ndarray, pmm: np.ndarray) -> np.ndarray:
+    """Rows l = m..l_max of Pbar_lm(x), m >= 0, by upward recursion from the seed."""
+    rows = np.empty((l_max - m + 1, len(x)))
+    rows[0] = pmm
+    if l_max > m:
+        rows[1] = math.sqrt(2.0 * m + 3.0) * x * pmm
+    for l in range(m + 2, l_max + 1):
+        a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        rows[l - m] = a * (x * rows[l - m - 1] - b * rows[l - m - 2])
+    return rows
+
+
 def legendre_table(l_max: int, m: int, x: np.ndarray) -> np.ndarray:
     """Fully normalized associated Legendre functions, rows l = |m| .. l_max.
 
@@ -111,21 +135,23 @@ def legendre_table(l_max: int, m: int, x: np.ndarray) -> np.ndarray:
     if l_max < am:
         return np.zeros((0, len(x)))
     x = np.asarray(x, dtype=float)
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    rows = np.empty((l_max - am + 1, len(x)))
-    pmm = np.full(len(x), 1.0 / math.sqrt(4.0 * math.pi))
-    for k in range(1, am + 1):
-        pmm = -math.sqrt((2 * k + 1) / (2.0 * k)) * s * pmm
-    rows[0] = pmm
-    if l_max > am:
-        rows[1] = math.sqrt(2.0 * am + 3.0) * x * pmm
-    for l in range(am + 2, l_max + 1):
-        a = math.sqrt((4.0 * l * l - 1.0) / (l * l - am * am))
-        b = math.sqrt(((l - 1.0) ** 2 - am * am) / (4.0 * (l - 1.0) ** 2 - 1.0))
-        rows[l - am] = a * (x * rows[l - am - 1] - b * rows[l - am - 2])
+    *_, pmm = _sectoral_seeds(x, am)
+    rows = _upward(l_max, am, x, pmm)
     if m < 0:
         rows = rows * (-1.0) ** am
     return rows
+
+
+def legendre_sweep(l_max: int, x: np.ndarray):
+    """legendre_table(l_max, m, x) for m = 0..l_max in turn.
+
+    The sectoral seed Pbar_mm is carried from m to m, one product per step,
+    so a sweep over every m builds each seed once; every table is bitwise
+    the one legendre_table returns.
+    """
+    x = np.asarray(x, dtype=float)
+    for m, pmm in enumerate(_sectoral_seeds(x, l_max)):
+        yield _upward(l_max, m, x, pmm)
 
 
 def wigner_d_half_pi(J_max: int) -> list[np.ndarray]:

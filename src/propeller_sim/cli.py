@@ -7,11 +7,13 @@ classical-linear | classical-symtop
 quantum-linear
     Thermal wave-packet run in the classical frame.
 quantum-symtop
-    Thermal symmetric-top run: alignment trace and (with --P2) a delay scan.
+    Thermal symmetric-top run: alignment trace and (with --P2) a delay scan
+    over the output grid, so --delay must stay auto.
 density
     Classical run followed by the time-averaged belt density grid.
 compare
-    Classical-vs-quantum harness on a common grid with a deviation summary.
+    Classical-vs-quantum harness on a common grid with a deviation summary;
+    for a symmetric top it compares delay scans, so --delay must stay auto.
 preset
     Canned parameter sets fig2, fig3a, fig3b, fig4, fig5, fig6, fig7.
 
@@ -137,6 +139,14 @@ def _check_pairing(args, mol: MoleculeParams):
         raise ParameterError(f"{args.command} requires an oblate-symtop molecule, got {mol.kind}")
 
 
+def _check_delay_scanned(args):
+    """A delay scan covers every delay of the output grid: a numeric --delay
+    would be ignored, so it is rejected."""
+    if parse_delay(str(args.delay)) != "auto":
+        raise ParameterError(f"--delay {args.delay} cannot be honoured: {args.command} "
+                             "scans every delay of the output grid (use --delay auto)")
+
+
 def cmd_classical(args, out_dir: Path):
     mol = parse_molecule(args.molecule)
     _check_pairing(args, mol)
@@ -182,6 +192,7 @@ def _symtop_diagnostics(runs: dict) -> dict:
 def cmd_quantum_symtop(args, out_dir: Path):
     mol = parse_molecule(args.molecule)
     _check_pairing(args, mol)
+    _check_delay_scanned(args)
     grid = ensemble.output_grid(args.t_max, args.dt_out)
     align = quantum_symtop.alignment_trace(mol, args.temp_K, args.P1, grid,
                                            J_max=args.l_max)
@@ -249,6 +260,7 @@ def _compare_linear(args, mol, out_dir: Path):
 
 
 def _compare_symtop(args, mol, out_dir: Path):
+    _check_delay_scanned(args)
     taus = ensemble.output_grid(args.t_max, args.dt_out)
     cfg = _ensemble_config(args, mol)
     scan_cl = ensemble.delay_scan(cfg, taus)

@@ -258,9 +258,8 @@ def _spectral_sum(grid: DensityGrid, u: np.ndarray, c: np.ndarray, point: np.nda
         kap = _kernel_spectra(c[s], point[s], sigma, l_max) * amp[s]
         x = u[s, 2]
         phi = np.arctan2(u[s, 1], u[s, 0])
-        for m in ms:
+        for m, table in enumerate(angular.legendre_sweep(l_max, x)):
             conj_phase = np.stack([np.cos(m * phi), -np.sin(m * phi)], axis=1)
-            table = angular.legendre_table(l_max, m, x)
             moments[:, m:, m] += ((table * kap[m:]) @ conj_phase).T
     # evaluate at |x| and restore the sign by parity, Pbar_lm(-x) =
     # (-1)^(l+m) Pbar_lm(x), so that mirror nodes share their rounding and
@@ -270,8 +269,7 @@ def _spectral_sum(grid: DensityGrid, u: np.ndarray, c: np.ndarray, point: np.nda
         x_grid = 0.5 * (x_grid - x_grid[::-1])
     sign = np.sign(x_grid)
     rows = np.empty((2, len(grid.theta), l_max + 1))
-    for m in ms:
-        table = angular.legendre_table(l_max, m, np.abs(x_grid))
+    for m, table in enumerate(angular.legendre_sweep(l_max, np.abs(x_grid))):
         rows[:, :, m] = (moments[:, m::2, m] @ table[0::2]
                          + sign * (moments[:, m + 1::2, m] @ table[1::2]))
     rows[:, :, 1:] *= 2.0

@@ -115,8 +115,9 @@ class LinearBasis:
             return self._ops[key]
         L = self.l_max
         x, w = leggauss(L + 4)
-        tables = [angular.legendre_table(L, m, x)     # each built once
-                  for m in range(-L, L + 1)]
+        # m = 0..L from one sweep; Pbar_l,-m = (-1)^m Pbar_lm gives the rest
+        sweep = list(angular.legendre_sweep(L, x))
+        tables = [(-1.0) ** m * t for m, t in zip(range(L, 0, -1), sweep[:0:-1])] + sweep
         up = np.zeros((2 * L + 1, L + 1, L + 1), dtype=complex)   # <l', m+2|.|l, m>
         for m, t_lo, t_hi in zip(range(-L, L - 1), tables, tables[2:]):
             block = math.pi * (t_hi * w) @ t_lo.T
@@ -164,8 +165,9 @@ def kick_batch(basis: LinearBasis, psi: np.ndarray, pulse: PulseSpec) -> np.ndar
     l_max, p = basis.l_max, pulse.p_vec
     key = ("kick", pulse.P)
     if key not in basis._ops:            # one eigensystem per distinct P
-        (basis._ops[key],) = quantum_symtop._kicks(
-            quantum_symtop._pulse_frame_blocks(l_max, 0), 0, (pulse.P,), l_max + 1)
+        omega = quantum_symtop._pulse_frame_blocks(l_max, 0)
+        basis._ops[key] = quantum_symtop._kicks(
+            quantum_symtop._block_eigh(omega, 0, l_max + 1), pulse.P)
     U = basis._ops[key]
     shells = list(enumerate(_shell_rotations(l_max, p))) if p[0] or p[1] else []
     out = np.array(psi, dtype=complex, order="C")     # one copy, updated in place

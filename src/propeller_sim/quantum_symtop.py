@@ -11,8 +11,13 @@ up to a global phase, with Omega = 3 cos^2(beta) - 1 about the polarization.
 
 The engine works in the pulse frame, quantised along the polarization.
 There Omega = 2 D^{2*}_{0,0} conserves K and m, so each (K, m) block holds
-at most J_max + 1 states and is pentadiagonal in J; the blocks are
-diagonalised once per run.  The lab-frame coupling is the rotated one,
+at most J_max + 1 states and is pentadiagonal in J.  Both 3j factors of an
+element, (J' 2 J; m 0 -m) and (J' 2 J; K 0 -K), are read from one rank-2
+table per J_max (_rank2_table), shared by every K and by quantum_linear's
+K = 0 kick.  Each engine call diagonalises every block it needs once; the
+thermal states after pulse 1 are read from that eigensystem column by
+column, and only the second pulse forms whole kick matrices.  No block or
+eigensystem outlives the call.  The lab-frame coupling is the rotated one,
 Omega_x = R Omega_z R^T with R = d^J(pi/2) on every J shell
 (angular.wigner_d_half_pi); `coupling_block` builds it directly and serves
 as the test oracle.  Block (K, -m) is S (K, m) S with S = diag((-1)^J), and
@@ -46,6 +51,7 @@ tests build their propagator oracle on them (tests/symtop_oracle.py).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -184,6 +190,21 @@ def default_J_max(p_max: float, J0_max: int) -> int:
 # ---- pulse-frame engine ------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
+def _rank2_table(J_max: int) -> np.ndarray:
+    """t[dJ, m, J] = (J+dJ 2 J; m 0 -m) for dJ = 0, 1, 2 and m, J = 0..J_max.
+
+    Both 3j factors of every pulse-frame block read this one table: the m
+    factor directly, and (J+dJ 2 J; K 0 -K) at m = |K|, times (-1)^dJ for
+    K < 0.  It is read-only, so it is shared across calls.
+    """
+    m = np.arange(J_max + 1)[:, None]
+    J = np.arange(J_max + 1)
+    t = np.stack([angular.wigner3j_array(J + dJ, 2, J, m, 0, -m) for dJ in (0, 1, 2)])
+    t.flags.writeable = False
+    return t
+
+
 def _pulse_frame_blocks(J_max: int, K: int) -> np.ndarray:
     """Omega about the pulse axis on every (K, m >= 0) block, zero-padded.
 
@@ -191,6 +212,7 @@ def _pulse_frame_blocks(J_max: int, K: int) -> np.ndarray:
     J, J' = |K|..J_max; it is pentadiagonal in J and vanishes wherever J or
     J' < m.
     """
+    t = _rank2_table(J_max)
     Js = np.arange(abs(K), J_max + 1)
     n = len(Js)
     m = np.arange(J_max + 1)[:, None]
@@ -199,23 +221,26 @@ def _pulse_frame_blocks(J_max: int, K: int) -> np.ndarray:
     for dJ in (0, 1, 2):
         i = np.arange(n - dJ)
         J = Js[i]
+        k_factor = t[dJ, abs(K), J] * ((-1.0) ** dJ if K < 0 else 1.0)
         v = (2.0 * np.sqrt((2.0 * J + 2 * dJ + 1) * (2.0 * J + 1)) * sign
-             * angular.wigner3j_array(J + dJ, 2, J, m, 0, -m)
-             * angular.wigner3j_array(J + dJ, 2, J, K, 0, -K))
+             * t[dJ][:, J] * k_factor)
         out[:, i + dJ, i] = v
         out[:, i, i + dJ] = v
     return out
 
 
-def _kicks(omega: np.ndarray, K: int, strengths, n_m: int) -> np.ndarray:
-    """exp(i (P/3) Omega) on the blocks m = 0..n_m-1, one stack per P."""
-    n = omega.shape[1]
-    out = np.zeros((len(strengths), n_m, n, n), dtype=complex)
-    for m in range(n_m):
-        lo = max(m - K, 0)
-        lam, W = np.linalg.eigh(omega[m, lo:, lo:])
-        for U, P in zip(out, strengths):
-            U[m, lo:, lo:] = (W * np.exp(1j * (P / 3.0) * lam)) @ W.T
+def _block_eigh(omega: np.ndarray, K: int, n_m: int) -> list:
+    """(lam, W) of the blocks m = 0..n_m-1, each on its rows J >= max(m, K)."""
+    return [np.linalg.eigh(omega[m, max(m - K, 0):, max(m - K, 0):]) for m in range(n_m)]
+
+
+def _kicks(eigs: list, P: float) -> np.ndarray:
+    """exp(i (P/3) Omega) on each diagonalised block, zero-padded to the m = 0 size."""
+    n = len(eigs[0][0])
+    out = np.zeros((len(eigs), n, n), dtype=complex)
+    for U, (lam, W) in zip(out, eigs):
+        lo = n - len(lam)
+        U[lo:, lo:] = (W * np.exp(1j * (P / 3.0) * lam)) @ W.T
     return out
 
 
@@ -272,26 +297,34 @@ def _band_tail(pop_band: np.ndarray, J_max: int, stage: str) -> float:
     return tail
 
 
-def _first_kick(K: int, levels, J_max: int, strengths, n_m: int | None = None):
+def _first_kick(K: int, levels, J_max: int, P1: float, n_m: int | None = None):
     """The thermal states of one K as pulse-frame states after the first kick.
 
     A whole level is isotropic, so it may be resolved along the pulse axis
     into |J0 K m0>; m0 and -m0 (like K and -K) contribute alike, so m0 >= 0
-    carry doubled weights.  Returns the (K, m) blocks of Omega, their kicks
-    (one stack per strength, m = 0..n_m-1, by default up to the largest m0),
-    m0, the weights, the amplitudes psi (states x J, J = K..J_max) and the
-    largest per-state population within HEADROOM_BAND of J_max.
+    carry doubled weights.  Each (K, m) block, m = 0..n_m-1 (by default up
+    to the largest m0), is diagonalised once, Omega = W diag(lam) W^T, and a
+    state's kicked amplitudes are its column of the kick,
+    psi = (W e^{i P1 lam/3}) W[J0 - K, :]^T, so no kick matrix is formed.
+    Returns the (K, m) blocks of Omega, their eigensystems, m0, the weights,
+    the amplitudes psi (states x J, J = K..J_max) and the largest per-state
+    population within HEADROOM_BAND of J_max.
     """
     J0, m0, w = (np.array(c) for c in zip(*[
         (J, m, wt * (2.0 if m else 1.0) * (2.0 if K else 1.0))
         for J, wt in levels for m in range(J + 1)]))
     J0, m0 = J0.astype(int), m0.astype(int)
     omega = _pulse_frame_blocks(J_max, K)
-    kicks = _kicks(omega, K, strengths, int(m0.max()) + 1 if n_m is None else n_m)
-    psi = kicks[0][m0, :, J0 - K]
+    n, m_top = omega.shape[1], int(m0.max()) + 1
+    eigs = _block_eigh(omega, K, m_top if n_m is None else n_m)
+    psi = np.zeros((len(w), n), dtype=complex)
+    for m, (lam, W) in enumerate(eigs[:m_top]):
+        s = np.flatnonzero(m0 == m)
+        lo = n - len(lam)
+        psi[s, lo:] = ((W * np.exp(1j * (P1 / 3.0) * lam)) @ W[J0[s] - K - lo].T).T
     tail = _band_tail((np.abs(psi[:, -HEADROOM_BAND:]) ** 2).sum(axis=1), J_max,
                       "after pulse 1")
-    return omega, kicks, m0, w, psi, tail
+    return omega, eigs, m0, w, psi, tail
 
 
 def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
@@ -305,8 +338,8 @@ def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
     amp = np.zeros((J_max + 1, J_max + 1), dtype=complex)
     tail, n_blocks = 0.0, 0
     for K, lev in levels.items():
-        omega, (U1,), m0, w, psi, tail_K = _first_kick(K, lev, J_max, (P1,))
-        n_blocks += U1.shape[0]
+        omega, eigs, m0, w, psi, tail_K = _first_kick(K, lev, J_max, P1)
+        n_blocks += len(eigs)
         tail = max(tail, tail_K)
         op = (np.eye(omega.shape[1]) + omega[m0]) / 3.0
         amp[K:, K:] += np.einsum("sij,si,sj->ij", op, np.conj(psi) * w[:, None], psi)
@@ -339,12 +372,13 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
     band = []                           # per state: band population beats, (n, n)
     tail1, n_blocks = 0.0, 0
     for K, lev in levels.items():
-        _, (_, U2), m0, w, psi, tail_K = _first_kick(K, lev, J_max, (P1, P2), n)
+        _, eigs, m0, w, psi, tail_K = _first_kick(K, lev, J_max, P1, n)
         n_blocks += n
         tail1 = max(tail1, tail_K)
         Js = np.arange(K, n)
         # block -m is S (block m) S with S = (-1)^J; stack m = -J_max..J_max
         S = np.where(Js % 2 == 1, -1.0, 1.0)
+        U2 = _kicks(eigs, P2)
         U2 = np.concatenate([U2[:0:-1] * np.outer(S, S), U2])
         # pulse-2 frame amplitudes at each delay, before the phase e^{-i e_J tau}
         Z = (tilt[Js][:, :, m0] * psi.T[:, None, :]).transpose(1, 2, 0)  # (m, s, J)

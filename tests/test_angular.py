@@ -149,6 +149,15 @@ class TestLegendreTable:
         overlaps = 2 * math.pi * (tab * w) @ tab.T
         assert np.allclose(overlaps, np.eye(len(tab)), atol=1e-12)
 
+    @pytest.mark.parametrize("L", [0, 1, 88, 200])
+    def test_sweep_is_bitwise_the_tables(self, L):
+        # the sweep carries the sectoral seed from m to m; the poles make it 0
+        x = np.concatenate([[-1.0, 1.0, 0.0], np.linspace(-0.999, 0.999, 37)])
+        sweep = list(angular.legendre_sweep(L, x))
+        assert len(sweep) == L + 1
+        for m, table in enumerate(sweep):
+            assert table.tobytes() == legendre_table(L, m, x).tobytes(), m
+
 
 class TestY2Components:
     def test_against_scipy(self):

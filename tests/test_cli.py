@@ -70,6 +70,8 @@ class TestExitCodes:
         molecule = "n2" if command.endswith("linear") else "benzene"
         args = {"--temp-K": "5", "--P1": "2", "--P2": "2", "--delay": "0.02",
                 "--t-max": "0.05", "--dt-out": "0.01"}
+        if command in ("quantum-symtop", "compare"):
+            del args["--delay"]     # these benzene scans reject a numeric delay
         args[flag] = value
         argv = [command, "--molecule", molecule, "--n-traj", "50", "--out", str(tmp_path)]
         for k, v in args.items():
@@ -77,6 +79,18 @@ class TestExitCodes:
         assert run_cli(*argv) == 2
         assert not (tmp_path / "timeseries.csv").exists()
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["quantum-symtop", "compare"])
+    @pytest.mark.parametrize("delay", ["0.05", "0", "nan"])
+    def test_numeric_delay_rejected_where_every_delay_is_scanned(self, tmp_path,
+                                                                 command, delay):
+        # the benzene quantum run and compare scan the whole output grid of delays
+        argv = [command, "--molecule", "benzene", "--temp-K", "0.9", "--P1", "-1",
+                "--P2", "-1", "--n-traj", "50", "--t-max", "0.01", "--dt-out", "0.005",
+                "--out", str(tmp_path)]
+        assert run_cli(*argv, "--delay", delay) == 2
+        assert not (tmp_path / "manifest.json").exists()
+        assert run_cli(*argv, "--delay", "auto") == 0
 
     def test_bad_propeller_threads(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PROPELLER_THREADS", "abc")
@@ -237,8 +251,9 @@ class TestOutputs:
     @pytest.mark.parametrize("l_max", ["0", "3"])
     def test_basis_below_headroom_band_is_rejected(self, tmp_path, command, molecule, l_max):
         # a basis no larger than the headroom band can never pass its check
+        delay = ["--delay", "0.02"] if command == "quantum-linear" else []
         code = run_cli(command, "--molecule", molecule, "--temp-K", "0", "--P1", "0.01",
-                       "--P2", "0.01", "--delay", "0.02", "--t-max", "0.05",
+                       "--P2", "0.01", *delay, "--t-max", "0.05",
                        "--dt-out", "0.01", "--l-max", l_max, "--out", str(tmp_path))
         assert code == 2
         assert not (tmp_path / "manifest.json").exists()
@@ -254,8 +269,11 @@ class TestOutputs:
     ])
     def test_manifest_diagnostics_not_empty(self, tmp_path, command, molecule, sections):
         P = "2" if molecule == "n2" else "-1"
+        # the benzene delay scans take no numeric delay
+        scanned = molecule == "benzene" and command in ("quantum-symtop", "compare")
+        delay = [] if scanned else ["--delay", "0.02"]
         assert run_cli(command, "--molecule", molecule, "--temp-K", "0.9",
-                       "--P1", P, "--P2", P, "--delay", "0.02", "--n-traj", "100",
+                       "--P1", P, "--P2", P, *delay, "--n-traj", "100",
                        "--t-max", "0.05", "--dt-out", "0.01", "--out", str(tmp_path)) == 0
         m = read_manifest(tmp_path / "manifest.json")
         assert set(m.diagnostics) == sections

@@ -251,7 +251,7 @@ def test_cli_runs_load_no_scipy():
             ["density", "--molecule", "benzene", "--P1", "-1", "--n-traj", "100"],
             ["density", "--molecule", "n2", "--P1", "0", "--n-traj", "100"],   # point kernels
             ["quantum-symtop", "--molecule", "benzene", "--temp-K", "0.9", "--P1", "-1",
-             "--P2", "-1", "--delay", "0.02", "--t-max", "0.05", "--dt-out", "0.01"]]
+             "--P2", "-1", "--t-max", "0.05", "--dt-out", "0.01"]]
     code = ("import sys, tempfile\n"
             "from propeller_sim import cli\n"
             "with tempfile.TemporaryDirectory() as out:\n"

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from propeller_sim import quantum_symtop
+from propeller_sim import angular, quantum_symtop
 from oracles import lm_index, matrix_of, symtop_d2_element
-from propeller_sim.angular import wigner_d_half_pi
+from propeller_sim.angular import wigner3j, wigner3j_array, wigner_d_half_pi
 from propeller_sim.core import (ParameterError, PulseSpec, TruncationError, benzene,
                                 nitrogen, sigma_th)
 from propeller_sim.quantum_linear import LinearBasis, thermal_run
@@ -304,6 +304,99 @@ def _lab_from_pulse_frame(J_max, K):
     for J, d in zip(Js, wigner_d_half_pi(J_max)[abs(K):]):
         R[pos[J] - J:pos[J] + J + 1, pos[J] - J:pos[J] + J + 1] = d
     return R @ oz @ R.T, pos
+
+
+def _per_K_blocks(J_max, K):
+    """The pulse-frame blocks built per K, with both 3j factors evaluated for
+    this K alone: the build the shared rank-2 table replaces."""
+    Js = np.arange(abs(K), J_max + 1)
+    n = len(Js)
+    m = np.arange(J_max + 1)[:, None]
+    sign = np.where((m - K) % 2 == 1, -1.0, 1.0)
+    out = np.zeros((J_max + 1, n, n))
+    for dJ in (0, 1, 2):
+        i = np.arange(n - dJ)
+        J = Js[i]
+        v = (2.0 * np.sqrt((2.0 * J + 2 * dJ + 1) * (2.0 * J + 1)) * sign
+             * wigner3j_array(J + dJ, 2, J, m, 0, -m)
+             * wigner3j_array(J + dJ, 2, J, K, 0, -K))
+        out[:, i + dJ, i] = v
+        out[:, i, i + dJ] = v
+    return out
+
+
+class TestRank2Table:
+    @pytest.mark.parametrize("J_max", [0, 1, 4, 10])
+    def test_m_factor_against_scalar_3j(self, J_max):
+        t = quantum_symtop._rank2_table(J_max)
+        assert t.shape == (3, J_max + 1, J_max + 1) and not t.flags.writeable
+        for dJ in range(3):
+            for m in range(J_max + 1):
+                for J in range(J_max + 1):
+                    ref = wigner3j(J + dJ, 2, J, m, 0, -m)
+                    assert t[dJ, m, J] == pytest.approx(ref, abs=1e-14), (dJ, m, J)
+
+    @pytest.mark.parametrize("J_max", [0, 1, 4, 10])
+    def test_k_factor_with_parity_sign(self, J_max):
+        # (J+dJ 2 J; K 0 -K) is the table at m = |K|, times (-1)^dJ for K < 0,
+        # for every K up to J_max
+        t = quantum_symtop._rank2_table(J_max)
+        for K in range(-J_max, J_max + 1):
+            for dJ in range(3):
+                sign = (-1.0) ** dJ if K < 0 else 1.0
+                for J in range(J_max + 1):
+                    ref = wigner3j(J + dJ, 2, J, K, 0, -K)
+                    assert t[dJ, abs(K), J] * sign == pytest.approx(ref, abs=1e-14), (K, dJ, J)
+
+    @pytest.mark.parametrize("J_max, K", [*((12, K) for K in range(-3, 4)),
+                                          (0, 0), (1, 0), (1, 1), (1, -1), (5, 5)])
+    def test_blocks_equal_per_K_build(self, J_max, K):
+        got = _pulse_frame_blocks(J_max, K)
+        ref = _per_K_blocks(J_max, K)
+        if K >= 0:
+            assert got.tobytes() == ref.tobytes()
+            return
+        # the Racah sum at -K runs over other terms, so the per-K build differs
+        # from the mirror in the last bits; the table gives the exact mirror
+        # S B(|K|) S, S = (-1)^J
+        S = (-1.0) ** np.arange(abs(K), J_max + 1)
+        assert np.array_equal(got, S[:, None] * _pulse_frame_blocks(J_max, -K) * S)
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+class TestSetupWork:
+    """The engines build one 3j table and diagonalise each block once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"wigner3j_array": 0, "eigh": 0}
+        w3j, eigh = angular.wigner3j_array, np.linalg.eigh
+
+        def counting_w3j(*args):
+            calls["wigner3j_array"] += 1
+            return w3j(*args)
+
+        def counting_eigh(a, *args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(a, *args, **kwargs)
+
+        quantum_symtop._rank2_table.cache_clear()
+        monkeypatch.setattr(angular, "wigner3j_array", counting_w3j)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        yield calls
+        quantum_symtop._rank2_table.cache_clear()
+
+    def test_delay_curve(self, calls):
+        taus = np.linspace(0.0, 0.05, 11)
+        ts = delay_curve(BZ, 0.9, -2.0, -2.0, -math.pi / 4, taus)
+        assert ts.meta["K_limit"] > 0
+        assert calls["wigner3j_array"] <= 3
+        assert calls["eigh"] == ts.meta["n_blocks"]
+
+    def test_alignment_trace(self, calls):
+        ts = alignment_trace(BZ, 0.9, -2.0, np.linspace(0.0, 0.05, 11))
+        assert calls["wigner3j_array"] <= 3
+        assert calls["eigh"] == ts.meta["n_blocks"]
 
 
 class TestPulseFrame:
