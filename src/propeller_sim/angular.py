@@ -1,7 +1,7 @@
-"""Angular-momentum algebra: Wigner 3j symbols, the Wigner d^J(pi/2)
-rotation tables, normalized associated Legendre tables (one m at a time,
-or swept over every m with the sectoral seed carried along), and the rank-2
-harmonics Y_2q at a polarization vector.
+"""Angular-momentum algebra: Wigner 3j symbols, the d^J(pi/2) tables and the
+shell rotations D^J(alpha, beta, 0) built on them, normalized associated
+Legendre tables (one m at a time, or swept over every m with the sectoral
+seed carried along), and the rank-2 harmonics Y_2q at a polarization vector.
 
 The 3j symbol uses the Racah sum with log-factorials, combined per term in
 log space.  For the rank-2 couplings needed here the alternating sum has at
@@ -178,3 +178,13 @@ def wigner_d_half_pi(J_max: int) -> list[np.ndarray]:
         if two_j % 2 == 0:
             out.append(d)
     return out
+
+
+def shell_rotations(l_max: int, alpha: float, beta: float):
+    """D^l(alpha, beta, 0) = exp(-i alpha J_z) exp(-i beta J_y), l = 0..l_max in turn:
+    d(pi/2) diag(e^{-i beta m}) d(pi/2)^T is exp(-i beta J_x), and the phases
+    Q = diag(e^{-i pi m/2}) turn it into exp(-i beta J_y), for any sign of beta."""
+    for l, d in enumerate(wigner_d_half_pi(l_max)):
+        m = np.arange(-l, l + 1)
+        yield (np.exp(-1j * (alpha + math.pi / 2) * m)[:, None]    # diag(e^{-i alpha m}) Q
+               * ((d * np.exp(-1j * beta * m)) @ d.T) * np.exp(0.5j * math.pi * m))

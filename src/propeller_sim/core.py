@@ -18,9 +18,10 @@ Two lab frames are used and related by a fixed axis permutation:
 
 * classical frame: first pulse along z, second pulse in the x-z plane,
   light propagates along y; oriented angular momentum is L_y.
-* propagation frame: z along the light propagation, first pulse along x,
-  second pulse at azimuth dphi in the x-y plane; oriented angular momentum
-  is J_z.
+* propagation frame, now used only by the symmetric-top lab-frame oracle
+  (quantum_symtop.SymTopBasis, coupling_block): z along the light, first
+  pulse along x, second pulse at azimuth dphi in the x-y plane; oriented
+  angular momentum is J_z.
 
 classical (x, y, z) = propagation (y', z', x').
 """
@@ -158,10 +159,11 @@ def sigma_th(mol: MoleculeParams, T_K: float):
 
     Linear molecules: a single sigma with sigma^2 = I k_B T / hbar^2
     = k_B T / (2 h B c).  Symmetric tops: (sigma_1, sigma_3) built from
-    I_1 and I_3; for a planar ring sigma_3 = sqrt(2) sigma_1.
+    I_1 and I_3; for a planar ring sigma_3 = sqrt(2) sigma_1.  Every engine's
+    temperature rule: T_K must be finite and >= 0.
     """
-    if T_K < 0:
-        raise ParameterError(f"temperature must be >= 0, got {T_K}")
+    if not (math.isfinite(T_K) and T_K >= 0):
+        raise ParameterError(f"T_K must be finite and >= 0, got {T_K}")
     sig1 = math.sqrt(BOLTZMANN_K * T_K /
                      (2 * PLANCK_H * mol.B_cm1 * SPEED_OF_LIGHT_CM))
     if mol.kind == "linear":

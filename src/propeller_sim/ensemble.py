@@ -217,8 +217,7 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ParameterError("n_traj must be >= 1")
-        if not (math.isfinite(self.T_K) and self.T_K >= 0):
-            raise ParameterError(f"T_K must be finite and >= 0, got {self.T_K}")
+        sigma_th(self.mol, self.T_K)        # the temperature rule
         _check_grid(self.t_max, self.dt_out)
         object.__setattr__(self, "pulses", check_pulses(self.pulses))
 

@@ -7,8 +7,10 @@ period is t' = 2 pi exactly and every observable trace is periodic in it.
 
 An impulsive pulse applies the unitary exp(i P cos^2 beta) with
 cos beta = p . r_hat: e^{iP/3} times the K = 0 pulse-frame blocks of
-quantum_symtop, conjugated for a tilted p by D^l(alpha, beta, 0) on every l
-shell.  The blocks are diagonalised once per distinct P in a run.
+quantum_symtop, conjugated for a tilted p on every l shell by
+D^l(alpha, beta, 0) at p's azimuth and polar angle (angular.shell_rotations,
+also quantum_symtop.delay_curve's turn into the second pulse's frame).  The
+blocks are diagonalised once per distinct P in a run.
 
 Every observable is Hermitian, so it is a dict of block tables {q: T} for
 the m-offsets q >= 0 only, with T[m + l_max, l', l] = <l', m+q|A|l, m>; the
@@ -149,17 +151,6 @@ class LinearBasis:
         return self._ops[name]
 
 
-def _shell_rotations(l_max: int, p: np.ndarray) -> list[np.ndarray]:
-    """D^l(alpha, beta, 0) for l = 0..l_max at the polar and azimuthal angles
-    of p: d(pi/2) diag(e^{-i beta m}) d(pi/2)^T is exp(-i beta J_x), and the
-    phases Q = diag(e^{-i pi m/2}) turn it into exp(-i beta J_y)."""
-    beta, alpha = math.atan2(math.hypot(p[0], p[1]), p[2]), math.atan2(p[1], p[0])
-    ms = (np.arange(-l, l + 1) for l in range(l_max + 1))
-    return [np.exp(-1j * (alpha + math.pi / 2) * m)[:, None]    # diag(e^{-i alpha m}) Q
-            * ((d * np.exp(-1j * beta * m)) @ d.T) * np.exp(0.5j * math.pi * m)
-            for m, d in zip(ms, angular.wigner_d_half_pi(l_max))]
-
-
 def kick_batch(basis: LinearBasis, psi: np.ndarray, pulse: PulseSpec) -> np.ndarray:
     """Apply one impulsive kick to a (size, n_states) coefficient batch."""
     l_max, p = basis.l_max, pulse.p_vec
@@ -169,7 +160,8 @@ def kick_batch(basis: LinearBasis, psi: np.ndarray, pulse: PulseSpec) -> np.ndar
         basis._ops[key] = quantum_symtop._kicks(
             quantum_symtop._block_eigh(omega, 0, l_max + 1), pulse.P)
     U = basis._ops[key]
-    shells = list(enumerate(_shell_rotations(l_max, p))) if p[0] or p[1] else []
+    beta, alpha = math.atan2(math.hypot(p[0], p[1]), p[2]), math.atan2(p[1], p[0])
+    shells = list(enumerate(angular.shell_rotations(l_max, alpha, beta))) if p[0] or p[1] else []
     out = np.array(psi, dtype=complex, order="C")     # one copy, updated in place
     for l, D in shells:
         out[l * l:(l + 1) ** 2] = D.conj().T @ out[l * l:(l + 1) ** 2]

@@ -1,7 +1,6 @@
 """Rotational wave-packet dynamics of an oblate symmetric top.
 
-The laboratory frame has z along the laser propagation and the first pulse
-polarized along x; states are |J, K, M>.  Dimensionless energies are
+Dimensionless energies are
 
     e(J, K) = J(J+1)/2 + (I_1/I_3 - 1) K^2 / 2          (units hbar^2/I_1),
 
@@ -9,19 +8,17 @@ so e = J(J+1)/2 - K^2/4 for a planar ring (I_3 = 2 I_1).  An impulsive pulse
 of strength P applies U = exp(i (P/3) Omega), equal to exp(i P cos^2 beta)
 up to a global phase, with Omega = 3 cos^2(beta) - 1 about the polarization.
 
-The engine works in the pulse frame, quantised along the polarization.
-There Omega = 2 D^{2*}_{0,0} conserves K and m, so each (K, m) block holds
-at most J_max + 1 states and is pentadiagonal in J.  Both 3j factors of an
-element, (J' 2 J; m 0 -m) and (J' 2 J; K 0 -K), are read from one rank-2
-table per J_max (_rank2_table), shared by every K and by quantum_linear's
-K = 0 kick.  Each engine call diagonalises every block it needs once; the
-thermal states after pulse 1 are read from that eigensystem column by
-column, and only the second pulse forms whole kick matrices.  No block or
-eigensystem outlives the call.  The lab-frame coupling is the rotated one,
-Omega_x = R Omega_z R^T with R = d^J(pi/2) on every J shell
-(angular.wigner_d_half_pi); `coupling_block` builds it directly and serves
-as the test oracle.  Block (K, -m) is S (K, m) S with S = diag((-1)^J), and
-the K and -K blocks are related the same way, so K, m >= 0 suffice.
+The engine works in the pulse frame, quantised along the polarization;
+states are |J, K, m>.  There Omega = 2 D^{2*}_{0,0} conserves K and m, so
+each (K, m) block holds at most J_max + 1 states and is pentadiagonal in J.
+Both 3j factors of an element, (J' 2 J; m 0 -m) and (J' 2 J; K 0 -K), are
+read from one rank-2 table per J_max (_rank2_table), shared by every K and
+by quantum_linear's K = 0 kick.  Each engine call diagonalises every block
+it needs once; the thermal states after pulse 1 are read from that
+eigensystem column by column, and only the second pulse forms whole kick
+matrices.  No block or eigensystem outlives the call.  Block (K, -m) is
+S (K, m) S with S = diag((-1)^J), and the K and -K blocks are related the
+same way, so K, m >= 0 suffice.
 
 * One thermal list serves both quantum engines: thermal_levels gives whole
   degenerate (J, |K|) levels, and a linear molecule is its K = 0 case, so
@@ -30,15 +27,15 @@ the K and -K blocks are related the same way, so K, m >= 0 suffice.
   isotropic, so it may be resolved into pulse-frame states |J0 K m0>; free
   evolution depends only on (J, K) and commutes with rotations; and
   cos^2 theta about the first pulse is (1 + Omega)/3, diagonal in m.
-* The two-pulse delay curve rotates only where it must.  The second pulse
-  is tilted by dphi about z, |J,K,M> -> e^{i M dphi} |J,K,M>, which the
-  pulse frame sees as Theta^J = d^T e^{i M dphi} d per J shell.  The lab
-  J_z observed after it is d^T M d = -J_x there, and J^2 is unchanged.
-  Free flight multiplies each J shell by e^{-i e tau}, so with the rank-n
+* The delay curve turns once, into pulse 2's frame: pulse 1's frame is the
+  classical one (light along y), and pulse 2's is it turned by dphi about
+  y, so |J K m0> reads D^dagger |J K m0> there, D = D^J(0, dphi, 0) from
+  angular.shell_rotations as for quantum_linear's tilted kicks.  The turn
+  leaves J_y, the oriented angular momentum, and J^2 unchanged.  Free
+  flight multiplies each J shell by e^{-i e tau}, so with the rank-n
   thermal state after pulse 1 every stationary observable reduces to one
   (J, J') matrix of amplitudes of the beats e_J - e_J' (spectral.beat_freqs,
-  the same for every K), summed over the blocks.  No lab-frame block matrix
-  is formed.
+  the same for every K), summed over the blocks.
 * Basis truncation is checked per initial state: the population within
   HEADROOM_BAND of J_max after pulse 1, and after pulse 2 at every delay of
   the output grid.  The latter is the same contraction with the band
@@ -46,7 +43,9 @@ the K and -K blocks are related the same way, so K, m >= 0 suffice.
   observables.  _band_tail is the check and message of both engines.
 
 `SymTopBasis` and `coupling_block` stay as the lab-frame reference: the
-tests build their propagator oracle on them (tests/symtop_oracle.py).
+tests build their propagator oracle on them (tests/symtop_oracle.py), in
+core's propagation frame (first pulse along x) with states |J, K, M>, where
+the coupling Omega_x = R Omega_z R^T, R = d^J(pi/2), is built directly.
 """
 
 from __future__ import annotations
@@ -244,25 +243,6 @@ def _kicks(eigs: list, P: float) -> np.ndarray:
     return out
 
 
-def _frame_tables(J_max: int, dphi: float, m0_top: int):
-    """The tilt and the lab J_z seen from the pulse frame, from d^J(pi/2).
-
-    tilt[J, m + J_max, m0] = (d^T e^{i M dphi} d)^J_{m, m0} for m0 < m0_top;
-    jz_up[m + J_max, J] = (d^T M d)^J_{m, m+1}.  d^T J_z d is -J_x, so that
-    band and its mirror are all of the lab J_z there.
-    """
-    n_m = 2 * J_max + 1
-    tilt = np.zeros((J_max + 1, n_m, m0_top), dtype=complex)
-    jz_up = np.zeros((n_m - 1, J_max + 1))
-    for J, d in enumerate(angular.wigner_d_half_pi(J_max)):
-        M = np.arange(-J, J + 1)
-        k = min(J + 1, m0_top)
-        tilt[J, J_max - J:J_max + J + 1, :k] = d.T @ (np.exp(1j * M * dphi)[:, None]
-                                                      * d[:, J:J + k])
-        jz_up[J_max - J:J_max + J, J] = np.einsum("ij,i,ij->j", d[:, :-1], M, d[:, 1:])
-    return tilt, jz_up
-
-
 def _basis_cutoff(J_max: int | None, J0: int, default: int) -> int:
     """J_max (default if None), above the thermal levels and the band."""
     J_max = default if J_max is None else J_max
@@ -356,9 +336,9 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
                 dphi: float, taus_trev, J_max: int | None = None) -> TimeSeries:
     """Oriented angular momentum vs pulse delay (stationary after pulse 2).
 
-    Channels: Ly (= <J_z>, the classical-frame L_y), L2 (= <J^2>) and
-    Ly_norm = Ly/sqrt(L2); dphi is the tilt of the second pulse about the
-    propagation axis in radians (the classical-frame angle of p2 from z).
+    Channels: Ly (= <J_y> in the classical frame, the oriented angular
+    momentum), L2 (= <J^2>) and Ly_norm = Ly/sqrt(L2); dphi is the signed
+    angle of p2 from p1 in radians, p2 = (sin dphi, 0, cos dphi).
     Raises TruncationError if any initial state puts more than HEADROOM_TOL
     within HEADROOM_BAND of J_max after pulse 1, or after pulse 2 at any tau.
     """
@@ -366,7 +346,12 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
     taus = np.asarray(taus_trev, dtype=float) * TWO_PI
     n = J_max + 1
     m0_top = max(J for lev in levels.values() for J, _ in lev) + 1
-    tilt, jz_up = _frame_tables(J_max, dphi, m0_top)
+    # tilt[J, m + J_max, m0] = <J m|D^dagger|J m0> in pulse 2's frame, m0 < m0_top
+    tilt = np.zeros((n, 2 * J_max + 1, m0_top), dtype=complex)
+    for J, D in enumerate(angular.shell_rotations(J_max, 0.0, dphi)):
+        tilt[J, J_max - J:J_max + J + 1, :J + 1] = np.conj(D[J:J + m0_top]).T
+    m, J = np.ogrid[-J_max:J_max, :n]   # D commutes with J_y: the same band in both frames
+    jy_up = 0.5j * np.sqrt(np.clip(J * (J + 1.0) - m * (m + 1), 0, None))  # <J m|J_y|J m+1>
     g_Ly = np.zeros((n, n), dtype=complex)
     g_L2 = np.zeros_like(g_Ly)
     band = []                           # per state: band population beats, (n, n)
@@ -386,9 +371,9 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
         U2h = np.conj(U2).transpose(0, 2, 1)
         a = Js * (Js + 1.0)
         g_L2[K:, K:] += np.einsum("mij,mij->ij", U2h @ (a[:, None] * U2), Zw @ Z)
-        # J_z's band above the diagonal; its mirror gives the same real trace
+        # J_y's band above the diagonal; its mirror gives the same real trace
         g_Ly[K:, K:] += 2.0 * np.einsum(
-            "mij,mij->ij", U2h[:-1] @ (jz_up[:, Js][:, :, None] * U2[1:]), Zw[:-1] @ Z[1:])
+            "mij,mij->ij", U2h[:-1] @ (jy_up[:, Js][:, :, None] * U2[1:]), Zw[:-1] @ Z[1:])
         # per-state population of the top J rows after pulse 2
         Y = U2[:, None, -HEADROOM_BAND:, :] * Z[:, :, None, :]
         Y = Y.transpose(1, 0, 2, 3).reshape(len(w), -1, len(Js))

@@ -3,13 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import sph_harm_y
 from sympy.physics.wigner import wigner_3j as sympy_3j
 
 from oracles import gaunt_y2, symtop_d2_element
 from propeller_sim import angular
-from propeller_sim.angular import (legendre_table, wigner3j, wigner3j_array,
-                                   wigner_d_half_pi, y2_components)
+from propeller_sim.angular import (legendre_table, shell_rotations, wigner3j,
+                                   wigner3j_array, wigner_d_half_pi, y2_components)
 
 
 def _exact_3j(j1, j2, j3, m1, m2, m3):
@@ -125,6 +126,22 @@ class TestWignerDHalfPi:
             jx = np.diag(0.5 * np.sqrt(J * (J + 1.0) - m * (m + 1.0)), 1)
             jx = jx + jx.T
             assert np.max(np.abs(d.T @ (np.arange(-J, J + 1)[:, None] * d) + jx)) <= 1e-12, J
+
+
+class TestShellRotations:
+    @pytest.mark.parametrize("alpha", [0.0, math.pi, 1.1])
+    @pytest.mark.parametrize("beta", [-2.5, -math.pi / 4, 0.0, 0.3, math.pi])
+    def test_against_expm(self, alpha, beta):
+        # D^l(alpha, beta, 0) = expm(-i alpha J_z) expm(-i beta J_y), with J_y
+        # from the ladder closed form <l m+1|J_y|l m> = -(i/2) sqrt(l(l+1) - m(m+1))
+        shells = list(shell_rotations(6, alpha, beta))
+        assert len(shells) == 7
+        for l, D in enumerate(shells):
+            m = np.arange(-l, l + 1)
+            jy = np.diag(-0.5j * np.sqrt(l * (l + 1.0) - m[:-1] * (m[:-1] + 1.0)), -1)
+            jy = jy + jy.conj().T
+            ref = expm(-1j * alpha * np.diag(m)) @ expm(-1j * beta * jy)
+            assert np.max(np.abs(D - ref)) <= 1e-13, l
 
 
 class TestLegendreTable:

@@ -65,6 +65,8 @@ class TestExitCodes:
           for command in ("quantum-linear", "quantum-symtop", "compare")
           for flag, value in (("--dt-out", "0"), ("--dt-out", "inf"), ("--t-max", "nan"),
                               ("--dt-out", "-0.01"), ("--t-max", "-1"))),
+        *((command, "--temp-K", value)
+          for command in ("quantum-linear", "quantum-symtop") for value in ("inf", "nan")),
     ])
     def test_non_finite_or_negative_run_parameters(self, tmp_path, command, flag, value):
         molecule = "n2" if command.endswith("linear") else "benzene"

@@ -77,8 +77,11 @@ class TestSigmaTh:
                 2 * sigma_th(nitrogen(), T), rel=1e-12)
 
     def test_negative_temperature(self):
-        with pytest.raises(ParameterError):
-            sigma_th(nitrogen(), -1.0)
+        # and the non-finite ones, which would never end a thermal level sum
+        for T in (-1.0, math.inf, math.nan):
+            for mol in (nitrogen(), benzene()):
+                with pytest.raises(ParameterError, match="T_K"):
+                    sigma_th(mol, T)
 
 
 class TestPulseSpec:

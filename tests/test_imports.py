@@ -1,6 +1,6 @@
 """Every imported name is used, and every top-level definition is reachable.
 
-Three `ast` scans standing in for a linter, and two import checks:
+`ast` scans standing in for a linter, and two import checks:
 
 * the unused-import rule over src/ and tests/; names listed in a module's
   `__all__` count as used (re-exports);
@@ -15,6 +15,8 @@ Three `ast` scans standing in for a linter, and two import checks:
 * an unused-option rule over src/: each defaulted parameter of a function
   or method is set, by keyword or by position, in some call under src/,
   tests/ or perfbench/, so that no option lingers that nothing sets;
+* a one-builder rule over src/: only angular calls wigner_d_half_pi, so
+  every per-shell rotation comes from angular.shell_rotations;
 
 and `import propeller_sim.cli`, run in a fresh interpreter, loads no scipy
 module, nor do small classical-symtop, density and quantum-symtop runs
@@ -168,6 +170,13 @@ def unset_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
                              for name, n_pos, starred, kw in calls))
 
 
+def callers_of(name: str, sources: dict[str, str]) -> list[str]:
+    """The modules in sources that call name, as a Name or an attribute."""
+    return sorted(module for module, source in sources.items()
+                  if any(isinstance(n, ast.Call) and name in _words(n.func)
+                         for n in ast.walk(ast.parse(source))))
+
+
 def test_scanner_flags_only_unused_names():
     src = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
            "import a.b\nfrom m import x, y\n__all__ = ['y']\nnp.zeros(a.b.c)\n")
@@ -217,6 +226,18 @@ def test_no_unreferenced_definitions():
 def test_every_default_is_set_by_some_call():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unset_defaults(sources, [p.read_text() for p in CALLERS]) == []
+
+
+def test_caller_scanner_finds_names_and_attributes():
+    sources = {"a": "def f():\n    return g(1)\n", "b": "x = m.g()\n",
+               "c": "g = 1\nh(g)\n", "d": "from m import g\n"}
+    assert callers_of("g", sources) == ["a", "b"]
+
+
+def test_one_shell_rotation_builder():
+    # a second tilt construction from d(pi/2) would duplicate shell_rotations
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert callers_of("wigner_d_half_pi", sources) == ["angular"]
 
 
 def test_rebound_check_flags_only_unnamed_functions():

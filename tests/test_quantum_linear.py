@@ -6,7 +6,7 @@ from scipy.linalg import block_diag, expm
 from scipy.special import sph_harm_y
 
 from oracles import gaunt_y2, lm_index, matrix_of, observe_grid
-from propeller_sim import quantum_linear
+from propeller_sim import angular, quantum_linear
 from propeller_sim.core import (TWO_PI, ParameterError, ProtocolError, PulseSpec,
                                 TruncationError, nitrogen, sigma_th)
 from propeller_sim.ensemble import EnsembleConfig, run_protocol, segment_of
@@ -180,7 +180,8 @@ class TestSuddenKick:
         c2 = matrix_of(b, b.op_cos2theta())
         for axis in KICK_AXES:
             p = PulseSpec.along(1.0, axis).p_vec
-            D = block_diag(*quantum_linear._shell_rotations(b.l_max, p))
+            beta, alpha = math.atan2(math.hypot(p[0], p[1]), p[2]), math.atan2(p[1], p[0])
+            D = block_diag(*angular.shell_rotations(b.l_max, alpha, beta))
             assert np.max(np.abs(D @ D.conj().T - np.eye(b.size))) <= 1e-13, axis
             ref = matrix_of(b, b.op_cos2beta(p))
             assert np.max(np.abs(D @ c2 @ D.conj().T - ref)) <= 1e-13, axis
