@@ -18,9 +18,11 @@ q < 0 tables are their mirrors.  The rank-2 Gaunt integrals
 <l' m'|Y_2q|l m> fill them for the whole basis at once through
 angular.wigner3j_array, and cos 2 phi by exact Gauss-Legendre quadrature.
 Each segment's state batch is scattered once into its (m, l) stack, and
-spectral.accumulate_pattern contracts it with the tables into the trace of
-one (l', l) matrix of amplitudes of the beats e_l' - e_l, the same beats
-as the symmetric top's (spectral.beat_freqs).
+one spectral.accumulate_pattern call contracts it with the tables of all
+four observables, each into the trace of one (l', l) matrix of amplitudes
+of the beats e_l' - e_l, the same beats as the symmetric top's
+(spectral.beat_freqs).  After a kick along z every state keeps its m, so
+the density of each m block reads only the states that live in it.
 
 The thermal mixture is the K = 0 case of quantum_symtop.thermal_levels,
 expanded to all m.  Its wave packets are a pulse-protocol state, fired and
@@ -187,9 +189,9 @@ class _Packets:
     @functools.cached_property
     def traces(self) -> dict[str, SpectralTrace]:
         """The weighted cos2theta, cos2phi, Ly and L2 traces, built on first use."""
-        blocks = self.basis.blocks(self.psi)
-        return {name: accumulate_pattern(self.basis.operator(name), blocks, self.weights)
-                for name in ("cos2theta", "cos2phi", "Ly", "L2")}
+        return accumulate_pattern({name: self.basis.operator(name)
+                                   for name in ("cos2theta", "cos2phi", "Ly", "L2")},
+                                  self.basis.blocks(self.psi), self.weights)
 
     def advance(self, dt: float) -> "_Packets":
         phases = np.exp(-1j * self.basis.energies * dt)

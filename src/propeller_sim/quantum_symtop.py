@@ -63,6 +63,10 @@ from .spectral import SpectralTrace, beat_freqs
 HEADROOM_BAND = 4
 HEADROOM_TOL = 1e-10
 WEIGHT_CUTOFF = 0.9999
+# The highest J the thermal sum may reach.  Benzene at 300 K sums past
+# J = 250 to keep J <= 151; N2 at 3000 K keeps J <= 97, already a
+# 10k-column quantum_linear batch.
+THERMAL_J_LIMIT = 300
 
 
 class SymTopBasis:
@@ -149,7 +153,8 @@ def thermal_levels(mol: MoleculeParams, T_K: float, hook=None):
 
     Weights are exp(-e(J, K)/sigma_1^2) times the nuclear-spin hook(J).
     Whole levels keep the mixture isotropic and K <-> -K symmetric; a linear
-    molecule is the K = 0 case.
+    molecule is the K = 0 case.  A sum that would pass THERMAL_J_LIMIT is
+    rejected as soon as it gets there.
     """
     linear = mol.kind == "linear"
     sig = sigma_th(mol, T_K) if linear else sigma_th(mol, T_K)[0]
@@ -169,6 +174,9 @@ def thermal_levels(mol: MoleculeParams, T_K: float, hook=None):
         z += shell
         if J > 4 and shell < 1e-16 * z:
             break
+        if J == THERMAL_J_LIMIT:
+            raise ParameterError(f"T={T_K} K needs thermal levels above J={THERMAL_J_LIMIT}, "
+                                 "more than the quantum engines can hold")
         J += 1
     levels.sort(key=lambda t: t[:3])
     kept, cum = [], 0.0

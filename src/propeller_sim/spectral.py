@@ -15,6 +15,11 @@ triangle of g onto the lower one by conjugation, which leaves only the
 positive beats.  The real trace of the diagonal is the zero beat: the exact
 long-time average.  Grouping equal beats turns a trace over many output
 times into one small matrix product.
+
+accumulate_pattern builds every trace of a segment from its (m, l) stack of
+states in one call: each m-offset's weighted density is formed once, for
+all operators with that offset, over the states live in both m blocks and
+the rows and columns l >= |m|.  The terms it skips are exact zeros.
 """
 
 from __future__ import annotations
@@ -63,26 +68,43 @@ class SpectralTrace:
     def evaluate(self, times: np.ndarray) -> np.ndarray:
         """Real trace values at the given (dimensionless) times, last axis."""
         f, g = group_amplitudes(self.freqs, self.amps)
-        phases = np.exp(1j * np.outer(np.asarray(times), f))
+        # exp in place: the (times, beats) table sets a quantum run's peak memory
+        phases = 1j * np.outer(np.asarray(times), f)
+        np.exp(phases, out=phases)
         return self.time_average[..., None] + np.real(g @ phases.T)
 
 
-def accumulate_pattern(op: dict, blocks: np.ndarray, weights: np.ndarray) -> SpectralTrace:
-    """The trace sum_s w_s <psi_s|A|psi_s>(t) of a Hermitian A given as
-    per-m block tables.
+def accumulate_pattern(ops: dict, blocks: np.ndarray, weights: np.ndarray) -> dict:
+    """The traces sum_s w_s <psi_s|A|psi_s>(t) of Hermitian operators A,
+    {name: SpectralTrace} for ops {name: A}, each A given as per-m block tables.
 
-    op maps each m-offset q >= 0 to a table T[m, l', l] = <l', m+q|A|l, m>;
+    A maps each m-offset q >= 0 to a table T[m, l', l] = <l', m+q|A|l, m>;
     the q < 0 tables are their mirrors, whose beats conjugate the q > 0
     ones and so give the same real trace.  blocks[m, l, s] holds state s at
-    the segment reference time, m counted from the lowest.  One batched
-    product per q gives the weighted densities rho[m] = (conj(psi[m+q]) w)
-    psi[m]^T; sum_m T[m] * rho[m], doubled for q > 0, is the (l', l) matrix
-    of amplitudes of the beats e_l' - e_l.
+    the segment reference time, m counted from -l_max.  Each distinct q
+    builds the weighted densities rho[m] = (conj(psi[m+q]) w) psi[m]^T once
+    and contracts them with every table of that q: sum_m T[m] * rho[m],
+    doubled for q > 0, is the (l', l) matrix of amplitudes of the beats
+    e_l' - e_l.  Each rho[m] runs over the rows l' >= |m+q|, the columns
+    l >= |m| and the states live (with a nonzero entry) in both blocks, so
+    every term it drops is exactly zero.
     """
     n_m, n_l = blocks.shape[:2]
-    amp = np.zeros((n_l, n_l), dtype=complex)
-    bra = np.conj(blocks) * weights
-    for q, T in op.items():
-        rho = bra[q:] @ blocks[:n_m - q].transpose(0, 2, 1)
-        amp += (2.0 if q else 1.0) * np.einsum("mij,mij->ij", T[:n_m - q], rho)
-    return SpectralTrace(beat_freqs(n_l), amp)
+    live = np.any(blocks != 0, axis=1)
+    amps = {name: np.zeros((n_l, n_l), dtype=complex) for name in ops}
+    for q in sorted({q for op in ops.values() for q in op}):
+        tables = {name: op[q] for name, op in ops.items() if q in op}
+        parts = {name: np.zeros((n_l, n_l), dtype=complex) for name in tables}
+        for m in range(n_m - q):
+            s = np.flatnonzero(live[m + q] & live[m])
+            if s.size == 0:
+                continue
+            r, c = abs(m + q - n_l + 1), abs(m - n_l + 1)
+            bra = np.conj(blocks[m + q, r:][:, s]) * weights[s]
+            rho = bra @ blocks[m, c:][:, s].T
+            for name, T in tables.items():
+                parts[name][r:, c:] += T[m, r:, c:] * rho
+        for name, part in parts.items():
+            amps[name] += (2.0 if q else 1.0) * part
+    freqs = beat_freqs(n_l)
+    return {name: SpectralTrace(freqs, amp) for name, amp in amps.items()}

@@ -260,6 +260,15 @@ class TestOutputs:
         assert code == 2
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command, molecule", [("quantum-linear", "n2"),
+                                                   ("quantum-symtop", "benzene")])
+    def test_huge_finite_temperature_is_rejected(self, tmp_path, command, molecule):
+        # the thermal sum stops at its J limit instead of growing without end
+        code = run_cli(command, "--molecule", molecule, "--temp-K", "1e9", "--P1", "2",
+                       "--t-max", "0.01", "--dt-out", "0.005", "--out", str(tmp_path))
+        assert code == 2
+        assert not (tmp_path / "manifest.json").exists()
+
     @pytest.mark.parametrize("command, molecule, sections", [
         ("classical-linear", "n2", {"free_flight"}),
         ("classical-symtop", "benzene", {"free_flight"}),

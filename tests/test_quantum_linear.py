@@ -96,22 +96,49 @@ class TestBasis:
                     / ((2 * l - 1) * (2 * l + 3))
                 assert m[i, i].real == pytest.approx(ref, abs=1e-12)
 
+    @staticmethod
+    def assert_traces_match_dense(b, psi, w):
+        # sum_s w_s psi_s(t)^H A psi_s(t) from the dense matrices, at five times
+        names = ("cos2theta", "cos2phi", "Ly", "L2")
+        traces = accumulate_pattern({name: b.operator(name) for name in names},
+                                    b.blocks(psi), w)
+        assert list(traces) == list(names)
+        times = np.array([0.0, 0.13, 0.9, 2.4, 5.7])
+        for name in names:
+            A = matrix_of(b, b.operator(name))
+            ref = [np.real(np.einsum("is,ij,js,s->", np.conj(ev), A, ev, w))
+                   for ev in (psi * np.exp(-1j * b.energies * t)[:, None] for t in times)]
+            assert np.max(np.abs(traces[name].evaluate(times) - ref)) <= 1e-13, name
+
     def test_accumulate_pattern_matches_dense_trace(self):
-        # sum_s w_s psi_s(t)^H A psi_s(t) from the dense matrices, for a
-        # random batch kicked by a tilted pulse, at five times
+        # a random batch kicked by a tilted pulse
         b = LinearBasis(20)
         rng = np.random.default_rng(11)
         psi = rng.normal(size=(b.size, 6)) + 1j * rng.normal(size=(b.size, 6))
         psi[b.l > 5] = 0.0
         psi = kick_batch(b, psi / np.linalg.norm(psi, axis=0), PulseSpec.along(1.5, (1, 0.5, 2)))
-        w = rng.uniform(0.1, 1.0, size=6)
-        times = np.array([0.0, 0.13, 0.9, 2.4, 5.7])
-        for name in ("cos2theta", "cos2phi", "Ly", "L2"):
-            trace = accumulate_pattern(b.operator(name), b.blocks(psi), w)
-            A = matrix_of(b, b.operator(name))
-            ref = [np.real(np.einsum("is,ij,js,s->", np.conj(ev), A, ev, w))
-                   for ev in (psi * np.exp(-1j * b.energies * t)[:, None] for t in times)]
-            assert np.max(np.abs(trace.evaluate(times) - ref)) <= 1e-13, name
+        self.assert_traces_match_dense(b, psi, rng.uniform(0.1, 1.0, size=6))
+
+    def test_accumulate_pattern_over_mixed_support(self):
+        # columns confined to one m block by a kick along z, columns spread
+        # over every m by a tilted kick, and an all-zero column: the products
+        # over live states and l >= |m| may drop only exact zeros
+        b = LinearBasis(20)
+        start = np.zeros((b.size, 4), dtype=complex)
+        for k, (l, m) in enumerate([(0, 0), (3, -2), (5, 5), (4, 1)]):
+            start[lm_index(l, m), k] = 1.0
+        confined = kick_batch(b, start, PulseSpec(P=2.0, p=(0, 0, 1.0)))
+        spread = kick_batch(b, start[:, 1:3], PulseSpec.along(1.5, (1, 0.5, 2)))
+        psi = np.hstack([confined, spread, np.zeros((b.size, 1))])
+        blocks = b.blocks(psi)
+        assert [np.count_nonzero(np.any(blocks[:, :, s] != 0, axis=1))
+                for s in range(psi.shape[1])] == [1, 1, 1, 1, 41, 41, 0]
+        w = np.random.default_rng(5).uniform(0.1, 1.0, size=psi.shape[1])
+        self.assert_traces_match_dense(b, psi, w)
+        # J_y couples m to m + 1 only, so the confined columns have no beat in it
+        ly = accumulate_pattern({"Ly": b.operator("Ly")}, b.blocks(confined), w[:4])["Ly"]
+        assert ly.freqs.size == 0 and ly.amps.size == 0
+        assert ly.time_average == 0.0
 
 
 class TestFreeEvolution:
@@ -286,10 +313,11 @@ class TestThermal:
                                            (0.0, "auto"), (0.05, "auto")],
                              ids=["0.0", "0.05", "0.0-auto", "0.05-auto"])
     def test_traces_only_for_segments_on_the_grid(self, monkeypatch, t1, delay):
-        # pulse 1 at t = 0 leaves segment 0 without a grid time, so its four
-        # traces are skipped; at t1 > 0 the pre-pulse times still read it.
-        # An auto delay scans the traces that the segment after pulse 1
-        # records, so it builds none of its own
+        # one accumulate_pattern call builds a segment's four traces.  Pulse 1
+        # at t = 0 leaves segment 0 without a grid time, so its call is
+        # skipped; at t1 > 0 the pre-pulse times still read it.  An auto
+        # delay scans the traces that the segment after pulse 1 records, so
+        # it makes no call of its own
         calls = []
         original = quantum_linear.accumulate_pattern
 
@@ -303,7 +331,7 @@ class TestThermal:
                                   t_apply=delay if delay == "auto" else t1 + delay)]
         ts = thermal_run(nitrogen(), 20.0, pulses, t_max=0.2, dt_out=0.01, l_max=26)
         assert ts.meta["pulse_times_trev"][1] > t1 + 0.01     # a grid time between the pulses
-        assert len(calls) == 4 * (2 if t1 == 0.0 else 3)
+        assert len(calls) == (2 if t1 == 0.0 else 3)
         pre = ts.grid < t1 - 1e-9
         assert pre.sum() == round(t1 / 0.01)
         assert np.allclose(ts.channels["cos2theta"][pre], 1 / 3, rtol=0, atol=1e-12)

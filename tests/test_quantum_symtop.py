@@ -168,6 +168,11 @@ class TestThermal:
         levels, trunc = thermal_levels(BZ, 0.0)
         assert levels == [(0, 0, 1.0)] and trunc == 0.0
 
+    def test_room_temperature_benzene_stays_under_the_j_limit(self):
+        # the sum runs past J = 250 to keep J <= 151
+        levels, trunc = thermal_levels(BZ, 300.0)
+        assert max(J for J, _, _ in levels) == 151 and trunc < 1e-4
+
     def test_benzene_weights(self):
         levels, trunc = thermal_levels(BZ, 0.9)
         total = sum((2 * J + 1) * (2 if Ka else 1) * w for J, Ka, w in levels)
