@@ -183,9 +183,8 @@ def _symtop_diagnostics(runs: dict) -> dict:
     diag = {k: runs["alignment"].meta[k]
             for k in ("K_limit", "n_initial_states", "weight_truncation")}
     for name, ts in runs.items():
-        diag[name] = {k: ts.meta[k] for k in (
-            "J_max", "n_blocks", "max_block_dim", "headroom_tail_pulse1",
-            "headroom_tail_pulse2", "distinct_freqs") if k in ts.meta}
+        diag[name] = {k: ts.meta[k] for k in ("J_max", "n_blocks", "max_block_dim",
+                                              "headroom_tail_pulse1", "distinct_freqs")}
     return diag
 
 

@@ -82,9 +82,13 @@ class PulseSolution:
         self.basis = basis
         self.pulse = pulse
         self.blocks = blocks       # key -> BlockSolution
+        self._U: dict = {}
 
     def block_U(self, key) -> np.ndarray:
-        return self.blocks[key].U()
+        """The kick on one block, formed once (compose_two_pulses asks per delay)."""
+        if key not in self._U:
+            self._U[key] = self.blocks[key].U()
+        return self._U[key]
 
     def row(self, J: int, K: int, M: int) -> np.ndarray:
         """One amplitude row C_{ri, r} over the full basis."""
@@ -106,6 +110,24 @@ def solve_pulse(basis: SymTopBasis, pulse: PulseSpec, keys=None) -> PulseSolutio
         lam, V = np.linalg.eigh(coupling_block(basis, key))
         blocks[key] = BlockSolution(key, basis.block_indices(*key), V, lam, pulse.P)
     return PulseSolution(basis, pulse, blocks)
+
+
+def embed(sol: PulseSolution, basis: SymTopBasis) -> PulseSolution:
+    """sol's kick on a larger basis with the same K_limit: unchanged on sol's
+    own states, the identity above its J_max.
+
+    Each block of a smaller basis is the J <= J_max prefix of the same block
+    here, so a first pulse truncated like the engine's can be followed by a
+    second pulse on a basis padded past the band it would fill.
+    """
+    blocks = {}
+    for key, b in sol.blocks.items():
+        idx = basis.block_indices(*key)
+        k = len(b.lam)
+        V, lam = np.eye(len(idx)), np.zeros(len(idx))
+        V[:k, :k], lam[:k] = b.V, b.lam
+        blocks[key] = BlockSolution(key, idx, V, lam, b.P)
+    return PulseSolution(basis, sol.pulse, blocks)
 
 
 def compose_two_pulses(sol1: PulseSolution, sol2: PulseSolution | None,

@@ -224,7 +224,7 @@ class TestOutputs:
         run_keys = {"J_max", "n_blocks", "max_block_dim", "headroom_tail_pulse1",
                     "distinct_freqs"}
         assert set(diag["alignment"]) == run_keys
-        assert set(diag["delay_curve"]) == run_keys | {"headroom_tail_pulse2"}
+        assert set(diag["delay_curve"]) == run_keys
         for name, J_max in (("alignment", m.truncation["J_max"]),
                             ("delay_curve", m.truncation["J_max_two_pulse"])):
             run = diag[name]
@@ -232,7 +232,6 @@ class TestOutputs:
             assert run["n_blocks"] > 0 and run["distinct_freqs"] > 0
             assert 0.0 <= run["headroom_tail_pulse1"] <= 1e-10
         assert diag["alignment"]["headroom_tail_pulse1"] == m.truncation["headroom_tail"]
-        assert 0.0 < diag["delay_curve"]["headroom_tail_pulse2"] <= 1e-10
         assert not any(k.startswith("result_diagnostics") for k in m.config)
 
     @pytest.mark.parametrize("P", ["-1", "-2"])
@@ -328,7 +327,9 @@ class TestOutputs:
         for diag in m.diagnostics["quantum_symtop"].values():
             assert {"K_limit", "n_initial_states", "weight_truncation",
                     "alignment", "delay_curve"} <= set(diag)
-            assert 0.0 < diag["delay_curve"]["headroom_tail_pulse2"] <= 1e-10
+            # pulse 2 acts on the observables, so pulse 1's tail is the only one
+            assert set(diag["delay_curve"]) == set(diag["alignment"])
+            assert 0.0 <= diag["delay_curve"]["headroom_tail_pulse1"] <= 1e-10
 
     def test_compare_linear(self, tmp_path):
         code = run_cli("compare", "--molecule", "n2", "--temp-K", "50",

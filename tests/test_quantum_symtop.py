@@ -13,7 +13,7 @@ from propeller_sim.quantum_symtop import (SymTopBasis, _pulse_frame_blocks,
                                           alignment_trace, coupling_block,
                                           delay_curve, thermal_levels)
 from symtop_oracle import (alignment_block, block_keys, compose_two_pulses,
-                           coupling_matrix, solve_pulse, thermal_expectation,
+                           coupling_matrix, embed, solve_pulse, thermal_expectation,
                            thermal_states)
 
 BZ = benzene()
@@ -444,13 +444,15 @@ class TestAgainstBlockOracle:
 
     JM = 10
 
-    def _oracle(self, T_K, P1, P2):
+    def _oracle(self, T_K, P1, P2, pad=0):
+        """Pulse 1 on the engine's basis; pulse 2 on a basis pad levels larger."""
         states = thermal_states(BZ, T_K)
         K_lim = max(abs(s[1]) for s in states)
         b = SymTopBasis(self.JM, BZ.i1_over_i3, K_limit=K_lim)
-        sol1 = solve_pulse(b, PulseSpec(P=P1, p=(1.0, 0, 0)))
-        sol2 = solve_pulse(b, PulseSpec(P=P2, p=(1.0, 0, 0)))
-        return states, b, sol1, sol2
+        padded = SymTopBasis(self.JM + pad, BZ.i1_over_i3, K_limit=K_lim)
+        sol1 = embed(solve_pulse(b, PulseSpec(P=P1, p=(1.0, 0, 0))), padded)
+        sol2 = solve_pulse(padded, PulseSpec(P=P2, p=(1.0, 0, 0)))
+        return states, padded, sol1, sol2
 
     def test_alignment_trace(self, no_headroom_gate):
         times = np.array([0.0, 0.004, 0.013, 0.05, 0.21, 0.5, 0.77])
@@ -463,7 +465,9 @@ class TestAgainstBlockOracle:
     @pytest.mark.parametrize("dphi", [-math.pi / 4, 0.3])
     def test_delay_curve(self, no_headroom_gate, dphi):
         taus = np.array([0.0, 0.013, 0.05, 0.11, 0.5])
-        states, b, sol1, sol2 = self._oracle(0.9, -3.0, -2.0)
+        # the engine's pulse 2 is exact on its J_max basis, so the oracle's
+        # second kick runs on a basis padded until the band it fills stays empty
+        states, b, sol1, sol2 = self._oracle(0.9, -3.0, -2.0, pad=12)
         got = delay_curve(BZ, 0.9, -3.0, -2.0, dphi, taus, J_max=self.JM)
         for k, tau in enumerate(taus):
             blocks = compose_two_pulses(sol1, sol2, 2 * math.pi * tau, dphi)
@@ -472,16 +476,92 @@ class TestAgainstBlockOracle:
                 assert abs(got.channels[name][k] - ref) <= 1e-12, (name, tau)
 
 
+class TestHeisenbergKick:
+    """delay_curve applies pulse 2 to the observables, U = e^{iP c^2}:
+    U^dag J_y U = J_y + iP [J_y, c^2] and U^dag J^2 U = J^2 + iP [J^2, c^2]
+    + 4P^2 (c^2 - c^4), with c^2 = cos^2 about p2."""
+
+    @staticmethod
+    def _explicit(states, jm, jp, P2, dphi, taus):
+        """Sum_s w_s <J_y> and <J^2> after free flight and an eigh kick on J <= jp."""
+        out = np.zeros((2, len(taus)))
+        rot = list(angular.shell_rotations(jm, 0.0, dphi))
+        for K, (m0, w, psi) in states.items():
+            Js = np.arange(K, jp + 1)
+            # amplitudes phi[s, J, m + jp] in pulse 2's frame, <J m|D^dagger|J m0>
+            phi = np.zeros((len(w), len(Js), 2 * jp + 1), dtype=complex)
+            for i, J in enumerate(range(K, jm + 1)):
+                on = m0 <= J
+                phi[on, i, jp - J:jp + J + 1] = psi[on, i, None] * np.conj(rot[J][m0[on] + J])
+            # free flight to each delay, (tau, s, J, m), then the kick on each m block
+            phase = np.exp(-1j * np.outer(2 * math.pi * taus, Js * (Js + 1.0) / 2.0))
+            phi = phase[:, None, :, None] * phi
+            omega = _pulse_frame_blocks(jp, K)
+            S = (-1.0) ** Js
+            for m in range(-jp, jp + 1):
+                lo = max(abs(m) - K, 0)
+                blk = omega[m] if m >= 0 else S[:, None] * omega[-m] * S
+                lam, W = np.linalg.eigh(blk[lo:, lo:])
+                U = (W * np.exp(1j * (P2 / 3.0) * lam)) @ W.T
+                phi[:, :, lo:, m + jp] = phi[:, :, lo:, m + jp] @ U.T
+            m = np.arange(-jp, jp)
+            # <J m|J_y|J m+1> = (i/2) sqrt(J(J+1) - m(m+1))
+            jy = 0.5j * np.sqrt(np.clip(Js[:, None] * (Js[:, None] + 1.0) - m * (m + 1), 0, None))
+            out[0] += 2.0 * np.einsum("tsjm,jm,s->t", np.conj(phi[..., :-1]) * phi[..., 1:],
+                                      jy, w).real
+            out[1] += np.einsum("tsjm,j,s->t", np.abs(phi) ** 2, Js * (Js + 1.0), w)
+        return out
+
+    @pytest.mark.parametrize("P2, dphi", [(-4.0, -math.pi / 4), (2.5, 0.3)])
+    def test_closed_form_matches_explicit_kick(self, monkeypatch, P2, dphi):
+        # random pulse-frame states on J <= jm in place of the first kick's;
+        # the explicit kick runs on a basis padded past the band it fills
+        jm, jp, n_s = 12, 36, 5
+        rng = np.random.default_rng(11)
+        states = {}
+
+        def random_states(K, levels, omega, P1):
+            m0 = rng.integers(0, max(J for J, _ in levels) + 1, n_s)
+            Js = np.arange(K, jm + 1)
+            psi = (rng.normal(size=(n_s, len(Js))) + 1j * rng.normal(size=(n_s, len(Js))))
+            psi *= Js >= m0[:, None]
+            psi /= np.linalg.norm(psi, axis=1)[:, None]
+            states[K] = (m0, rng.uniform(0.5, 1.0, n_s), psi)
+            return *states[K], 0.0
+
+        monkeypatch.setattr(quantum_symtop, "_first_kick", random_states)
+        taus = np.array([0.0, 0.013, 0.21])
+        got = delay_curve(BZ, 0.9, 0.0, P2, dphi, taus, J_max=jm)
+        ref = self._explicit(states, jm, jp, P2, dphi, taus)
+        for name, r in zip(("Ly", "L2"), ref):
+            assert np.max(np.abs(got.channels[name] - r)) <= 1e-13 * np.max(np.abs(r)), name
+
+    @pytest.mark.parametrize("P", [-1.0, -4.0])
+    def test_ly_vanishes_at_zero_delay(self, P):
+        # at tau = 0 the two kicks make one kick e^{i f} with f a function of
+        # the figure axis alone; its torque r x grad f integrates to zero over
+        # the sphere, and the thermal mixture is isotropic, so <J_y> = 0
+        taus = np.arange(0.0, 0.15 + 0.00025, 0.0005)
+        Ly = delay_curve(BZ, 0.9, P, P, -math.pi / 4, taus).channels["Ly"]
+        assert abs(Ly[0]) <= 1e-14 * np.max(np.abs(Ly))
+
+
 class TestHeadroom:
     def test_alignment_rejects_small_basis(self):
         with pytest.raises(TruncationError, match="after pulse 1"):
             alignment_trace(BZ, 0.9, -4.0, np.linspace(0.0, 0.1, 5), J_max=12)
 
-    def test_delay_curve_rejects_after_second_pulse(self):
-        # no first kick: only the post-pulse-2 check can see the overflow
+    def test_delay_curve_checks_only_the_first_pulse(self):
+        # pulse 2 acts on the observables, so with no first kick a basis that
+        # the second kick would overfill as a state gives the large-basis
+        # curve; Ly vanishes here (one kick on an isotropic mixture), so both
+        # channels are judged on L2's column scale
         taus = np.linspace(0.0, 0.1, 11)
-        with pytest.raises(TruncationError, match="after pulse 2"):
-            delay_curve(BZ, 0.9, 0.0, -4.0, -math.pi / 4, taus, J_max=14)
+        small = delay_curve(BZ, 0.9, 0.0, -4.0, -math.pi / 4, taus, J_max=14)
+        large = delay_curve(BZ, 0.9, 0.0, -4.0, -math.pi / 4, taus, J_max=40)
+        scale = np.max(np.abs(large.channels["L2"]))
+        for name in ("Ly", "L2"):
+            assert np.max(np.abs(small.channels[name] - large.channels[name])) <= 1e-13 * scale
         with pytest.raises(TruncationError, match="after pulse 1"):
             delay_curve(BZ, 0.9, -4.0, -4.0, -math.pi / 4, taus, J_max=12)
 
@@ -489,28 +569,30 @@ class TestHeadroom:
         with pytest.raises(ParameterError):
             alignment_trace(BZ, 0.9, -1.0, [0.0], J_max=5)
 
-    def test_post_pulse_2_tail_is_exact_on_the_grid(self):
-        # at T = 0 the one initial state |0 0 0> is the same in both frames, so
-        # the reported tail is the lab-frame band population, maximised over
-        # every delay of the output grid; only even J are reachable from it,
-        # and an odd J_max puts one at the lower edge of the band
-        jm, P, dphi = 21, -2.0, -math.pi / 4
+    def test_post_pulse_2_values_are_exact_on_the_grid(self):
+        # at T = 0 the one initial state |0 0 0> is the same in both frames;
+        # J_max = 16 is the smallest basis that passes pulse 1, and a second
+        # kick on it would move L2 by 1e-11 of its scale.  The engine matches
+        # the lab-frame chain with pulse 2 on a padded basis at every delay
+        jm, pad, P, dphi = 16, 8, -2.0, -math.pi / 4
         taus = np.linspace(0.0, 0.2, 41)
-        got = delay_curve(BZ, 0.0, P, P, dphi, taus, J_max=jm).meta
-        b = SymTopBasis(jm, BZ.i1_over_i3, K_limit=0)
-        sol = solve_pulse(b, PulseSpec(P=P, p=(1.0, 0, 0)), keys=[(0, 0)])
-        idx = b.block_indices(0, 0)
-        band = b.J[idx] > jm - quantum_symtop.HEADROOM_BAND
-        pops = [np.sum(np.abs(compose_two_pulses(sol, None, 2 * math.pi * t, dphi)
-                              [(0, 0)][0, band]) ** 2) for t in taus]
-        assert got["headroom_tail_pulse2"] == pytest.approx(max(pops), rel=1e-6)
-        assert 1e-13 < got["headroom_tail_pulse2"] < quantum_symtop.HEADROOM_TOL
-        assert got["headroom_tail"] == got["headroom_tail_pulse2"]
+        got = delay_curve(BZ, 0.0, P, P, dphi, taus, J_max=jm)
+        kick = PulseSpec(P=P, p=(1.0, 0, 0))
+        padded = SymTopBasis(jm + pad, BZ.i1_over_i3, K_limit=0)
+        first = embed(solve_pulse(SymTopBasis(jm, BZ.i1_over_i3, K_limit=0), kick,
+                                  keys=[(0, 0)]), padded).blocks[(0, 0)]
+        second = solve_pulse(padded, kick, keys=[(0, 0)]).blocks[(0, 0)]
+        idx = second.idx
+        e, M, J = padded.energies[idx], padded.M[idx], padded.J[idx]
+        phase = np.exp(-1j * np.outer(e, 2 * math.pi * taus) + 1j * M[:, None] * dphi)
+        pop = np.abs(second.apply(phase * first.U()[:, :1])) ** 2
+        for name, ref in (("Ly", M @ pop), ("L2", (J * (J + 1.0)) @ pop)):
+            assert np.max(np.abs(got.channels[name] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("P", [-1.0, -2.0])
     def test_default_J_max_holds_weak_kicks_at_zero_temperature(self, P):
-        # weak equal kicks from |0 0 0> spread furthest relative to 4|P|
-        # over the delay grid; the default basis keeps the band empty
+        # weak kicks from |0 0 0> spread furthest relative to 4|P|; the
+        # default basis keeps the band empty after pulse 1
         taus = np.arange(0.0, 0.15 + 0.00025, 0.0005)
         got = delay_curve(BZ, 0.0, P, P, -math.pi / 4, taus).meta
         assert got["headroom_tail"] <= quantum_symtop.HEADROOM_TOL
