@@ -1,7 +1,7 @@
 """Angular-momentum algebra: Wigner 3j symbols, the d^J(pi/2) tables and the
 shell rotations D^J(alpha, beta, 0) built on them, normalized associated
-Legendre tables (one m at a time, or swept over every m with the sectoral
-seed carried along), and the rank-2 harmonics Y_2q at a polarization vector.
+Legendre tables swept over every m, the package's one Gauss-Legendre rule
+(gauss_legendre), and the rank-2 harmonics Y_2q at a polarization vector.
 
 The 3j symbol uses the Racah sum with log-factorials, combined per term in
 log space.  For the rank-2 couplings needed here the alternating sum has at
@@ -101,57 +101,53 @@ def y2_components(p: np.ndarray) -> np.ndarray:
                      -c1 * z * xp, c2 * xp * xp])
 
 
-def _sectoral_seeds(x: np.ndarray, m_max: int):
-    """Pbar_mm(x) for m = 0..m_max in turn, each seed one product from the last."""
+def legendre_sweep(l_max: int, x: np.ndarray):
+    """Fully normalized associated Legendre tables for m = 0..l_max in turn.
+
+    Table m holds rows l = m..l_max, Theta[l - m, i] = Y_lm(theta_i, 0) at
+    x = cos(theta), Condon-Shortley phase included, stable to high l by
+    upward recursion.  The sectoral seed Pbar_mm is carried from m to m, one
+    product per step.  Negative m follow from Pbar_l,-m = (-1)^m Pbar_lm.
+    """
+    x = np.asarray(x, dtype=float)
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     pmm = np.full(len(x), 1.0 / math.sqrt(4.0 * math.pi))
-    for m in range(m_max + 1):
+    for m in range(l_max + 1):
         if m:
             pmm = -math.sqrt((2 * m + 1) / (2.0 * m)) * s * pmm
-        yield pmm
+        rows = np.empty((l_max - m + 1, len(x)))
+        rows[0] = pmm
+        if l_max > m:
+            rows[1] = math.sqrt(2.0 * m + 3.0) * x * pmm
+        for l in range(m + 2, l_max + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            rows[l - m] = a * (x * rows[l - m - 1] - b * rows[l - m - 2])
+        yield rows
 
 
-def _upward(l_max: int, m: int, x: np.ndarray, pmm: np.ndarray) -> np.ndarray:
-    """Rows l = m..l_max of Pbar_lm(x), m >= 0, by upward recursion from the seed."""
-    rows = np.empty((l_max - m + 1, len(x)))
-    rows[0] = pmm
-    if l_max > m:
-        rows[1] = math.sqrt(2.0 * m + 3.0) * x * pmm
-    for l in range(m + 2, l_max + 1):
-        a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-        rows[l - m] = a * (x * rows[l - m - 1] - b * rows[l - m - 2])
-    return rows
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (increasing) and weights, accurate to rounding.
 
-
-def legendre_table(l_max: int, m: int, x: np.ndarray) -> np.ndarray:
-    """Fully normalized associated Legendre functions, rows l = |m| .. l_max.
-
-    Returns Theta[l - |m|, i] = Y_{l m}(theta_i, 0) at x = cos(theta), real
-    for any sign of m (Condon-Shortley phase included), stable to high l via
-    upward recursion.
+    Golub-Welsch nodes (Math. Comp. 23, 221 (1969)) polished by two Newton
+    steps on P_n, weights from 2 / ((1 - x^2) P_n'(x)^2).  Raw eigenvector
+    weights are off by 1e-16 to 1e-14 somewhere on [-1, 1], and that error
+    would become the noise floor of the density's kernel spectra.
     """
-    am = abs(m)
-    if l_max < am:
-        return np.zeros((0, len(x)))
-    x = np.asarray(x, dtype=float)
-    *_, pmm = _sectoral_seeds(x, am)
-    rows = _upward(l_max, am, x, pmm)
-    if m < 0:
-        rows = rows * (-1.0) ** am
-    return rows
+    def legendre_n(x):
+        p_prev, p = np.ones(n), x.copy()
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        return p, n * (x * p - p_prev) / (x * x - 1.0)       # P_n, P_n'
 
-
-def legendre_sweep(l_max: int, x: np.ndarray):
-    """legendre_table(l_max, m, x) for m = 0..l_max in turn.
-
-    The sectoral seed Pbar_mm is carried from m to m, one product per step,
-    so a sweep over every m builds each seed once; every table is bitwise
-    the one legendre_table returns.
-    """
-    x = np.asarray(x, dtype=float)
-    for m, pmm in enumerate(_sectoral_seeds(x, l_max)):
-        yield _upward(l_max, m, x, pmm)
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    for _ in range(2):
+        p, dp = legendre_n(x)
+        x = x - p / dp
+    _, dp = legendre_n(x)
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
 def wigner_d_half_pi(J_max: int) -> list[np.ndarray]:

@@ -184,7 +184,7 @@ def _symtop_diagnostics(runs: dict) -> dict:
             for k in ("K_limit", "n_initial_states", "weight_truncation")}
     for name, ts in runs.items():
         diag[name] = {k: ts.meta[k] for k in ("J_max", "n_blocks", "max_block_dim",
-                                              "headroom_tail_pulse1", "distinct_freqs")}
+                                              "headroom_tail", "distinct_freqs")}
     return diag
 
 

@@ -13,13 +13,15 @@ ensemble:
 * analytic_zero_temp: the closed-form 1/(2 pi^2 sin theta) law for molecules
   kicked from rest by a single z-polarized pulse.
 
-Grids are Gauss-Legendre in cos(theta) crossed with uniform phi, so the
-normalization integral is spectrally accurate.
+Grids are Gauss-Legendre in cos(theta) (angular.gauss_legendre) crossed
+with uniform phi, so the normalization integral is spectrally accurate.
 
-belt_average has two paths that agree to ~1e-13 of the peak density:
+belt_average lists every kernel once as (axis u_i, cone centre c_i, point
+flag, amplitude), live belts and cones first.  Both of its paths read that
+list, and they agree to ~1e-13 of the peak density:
 
 * direct: every kernel evaluated at every grid node, N x n_theta x n_phi
-  exponentials.  It is the reference the tests compare against.
+  exponentials in chunks of one kernel kind.  The tests' reference.
 * spectral: every belt, cone and point kernel is zonal, k_i(u_i . r), so by
   the Funk-Hecke theorem (Atkinson & Han, Spherical Harmonics and
   Approximations on the Unit Sphere, 2012)
@@ -45,7 +47,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import angular
 from . import classical_symtop as csym
@@ -75,7 +76,7 @@ class DensityGrid:
 
     @classmethod
     def build(cls, n_theta: int = 181, n_phi: int = 360) -> "DensityGrid":
-        x, w = leggauss(n_theta)
+        x, w = angular.gauss_legendre(n_theta)
         order = np.argsort(-x)               # increasing theta = decreasing cos
         theta = np.arccos(x[order])
         phi = np.arange(n_phi) * (TWO_PI / n_phi)
@@ -103,16 +104,6 @@ def _check_sigma(sigma: float):
             "(the small-angle form 1 - cos(a) ~ a^2/2 breaks down beyond)")
 
 
-def _accumulate(grid_pts: np.ndarray, centers_or_axes: np.ndarray,
-                kernel_of_dots) -> np.ndarray:
-    """Sum kernel_of_dots(E_chunk @ grid^T) over molecule chunks."""
-    total = np.zeros(grid_pts.shape[0])
-    for a in range(0, centers_or_axes.shape[0], _MOL_CHUNK):
-        dots = centers_or_axes[a:a + _MOL_CHUNK] @ grid_pts.T
-        total += kernel_of_dots(dots).sum(axis=0)
-    return total
-
-
 def _ensemble_arrays(r0, L) -> tuple[np.ndarray, np.ndarray]:
     """Axes and angular momenta as matching (N, 3) arrays, N >= 1."""
     r0 = np.atleast_2d(np.asarray(r0, dtype=float))
@@ -132,30 +123,6 @@ def _spectrum_cap(sigma: float) -> int:
     have angular width sigma, so their spectra fall like exp(-l^2 sigma^2 / 2).
     """
     return int(math.ceil(12.0 / sigma)) + 32
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights accurate to rounding.
-
-    Golub-Welsch nodes polished by two Newton steps on P_n, weights from
-    2 / ((1 - x^2) P_n'(x)^2).  numpy's leggauss and the raw eigenvector
-    weights are each off by 1e-16 to 1e-14 somewhere on [-1, 1], and that
-    error becomes the noise floor of the kernel spectra.
-    """
-    def legendre_n(x):
-        p_prev, p = np.ones(n), x.copy()
-        for j in range(2, n + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        return p, n * (x * p - p_prev) / (x * x - 1.0)       # P_n, P_n'
-
-    k = np.arange(1.0, n)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    for _ in range(2):
-        p, dp = legendre_n(x)
-        x = x - p / dp
-    _, dp = legendre_n(x)
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
 def _point_spectrum(l_max: int, a: float) -> np.ndarray:
@@ -208,8 +175,8 @@ def _kernel_spectra(c: np.ndarray, point: np.ndarray, sigma: float,
         out[:, point] = 2.0 * TWO_PI * _point_spectrum(l_max, 1.0 / (sigma * sigma))[:, None]
     centers, inverse = _unique(c[~point])
     if centers.size:
-        t, wq = _gauss_legendre(_spectrum_cap(sigma) + 1)
-        legendre = (angular.legendre_table(l_max, 0, t)
+        t, wq = angular.gauss_legendre(_spectrum_cap(sigma) + 1)
+        legendre = (next(angular.legendre_sweep(l_max, t))
                     * np.sqrt(2.0 * TWO_PI / (2.0 * ell + 1.0))[:, None])    # P_l(t)
         k = np.exp(-(t[None, :] - centers[:, None]) ** 2 / (2.0 * sigma * sigma))
         out[:, ~point] = (TWO_PI * (legendre * wq) @ k.T)[:, inverse]
@@ -288,23 +255,25 @@ def _spectral_is_cheaper(n: int, n_theta: int, n_phi: int, l_max: int) -> bool:
     return (l_max + 1) ** 2 * per_row < n * n_theta * n_phi
 
 
-def _direct_sum(gp: np.ndarray, e_l: np.ndarray, c: np.ndarray, amp: np.ndarray,
-                rest: np.ndarray, sigma: float) -> np.ndarray:
-    """Belt/cone and point kernels summed node by node over molecule chunks."""
+def _direct_sum(gp: np.ndarray, u: np.ndarray, c: np.ndarray, point: np.ndarray,
+                amp: np.ndarray, sigma: float) -> np.ndarray:
+    """sum_i amp_i k_i(u_i . r) at the nodes gp, node by node over molecule
+    chunks.  The belt and cone kernels come first; the chunks are cut where
+    they end, so that each chunk holds one kind of kernel."""
     s2 = sigma * sigma
+    n_live = int(np.count_nonzero(~point))
     rho = np.zeros(gp.shape[0])
-    for a in range(0, e_l.shape[0], _MOL_CHUNK):
-        dots = e_l[a:a + _MOL_CHUNK] @ gp.T
-        dev = dots - c[a:a + _MOL_CHUNK, None]
-        mask = np.abs(dev) < _KERNEL_CUTOFF * sigma
-        block = np.where(mask, np.exp(-np.minimum(dev * dev / (2.0 * s2), 745.0)), 0.0)
-        rho += amp[a:a + _MOL_CHUNK] @ block
-    if rest.shape[0]:
-        def kern(dots):
-            return np.exp(-np.minimum((1.0 - dots) / s2, 745.0))
-
-        amp0 = 1.0 / (2.0 * math.pi * s2)
-        rho += amp0 * _accumulate(gp, rest, kern)
+    for lo, hi in ((0, n_live), (n_live, len(u))):
+        for a in range(lo, hi, _MOL_CHUNK):
+            s = slice(a, min(a + _MOL_CHUNK, hi))
+            dots = u[s] @ gp.T
+            if point[a]:
+                block = np.exp(-np.minimum((1.0 - dots) / s2, 745.0))
+            else:
+                dev = dots - c[s, None]
+                block = np.where(np.abs(dev) < _KERNEL_CUTOFF * sigma,
+                                 np.exp(-np.minimum(dev * dev / (2.0 * s2), 745.0)), 0.0)
+            rho += amp[s] @ block
     return rho
 
 
@@ -373,7 +342,7 @@ def belt_average(kind: str, r0: np.ndarray, L: np.ndarray,
         grid.rho = np.maximum(rho, 0.0)
         meta.update(path="spectral", synthesis_error=error, clamped_min=lowest)
     else:
-        rho = _direct_sum(grid.points(), e_l, c, amp, rest, sigma_belt)
+        rho = _direct_sum(grid.points(), u, centers, point, amps, sigma_belt)
         grid.rho = (rho / n).reshape(n_theta, n_phi)
         meta.update(path="direct", synthesis_error=0.0, clamped_min=0.0)
     grid.meta.update(meta)

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import angular, quantum_symtop
 from .core import MoleculeParams, ParameterError, PulseSpec, sigma_th
@@ -118,7 +117,7 @@ class LinearBasis:
         if key in self._ops:
             return self._ops[key]
         L = self.l_max
-        x, w = leggauss(L + 4)
+        x, w = angular.gauss_legendre(L + 4)
         # m = 0..L from one sweep; Pbar_l,-m = (-1)^m Pbar_lm gives the rest
         sweep = list(angular.legendre_sweep(L, x))
         tables = [(-1.0) ** m * t for m, t in zip(range(L, 0, -1), sweep[:0:-1])] + sweep

@@ -65,9 +65,9 @@ from .spectral import SpectralTrace, beat_freqs
 HEADROOM_BAND = 4
 HEADROOM_TOL = 1e-10
 WEIGHT_CUTOFF = 0.9999
-# The highest J the thermal sum may reach.  Benzene at 300 K sums past
-# J = 250 to keep J <= 151; N2 at 3000 K keeps J <= 97, already a
-# 10k-column quantum_linear batch.
+# The highest J the thermal level list may keep.  Benzene at 300 K sums
+# past J = 250 to keep J <= 151, at 500 K it keeps J <= 195; N2 at 3000 K
+# keeps J <= 97, already a 10k-column quantum_linear batch.
 THERMAL_J_LIMIT = 300
 
 
@@ -155,8 +155,8 @@ def thermal_levels(mol: MoleculeParams, T_K: float, hook=None):
 
     Weights are exp(-e(J, K)/sigma_1^2) times the nuclear-spin hook(J).
     Whole levels keep the mixture isotropic and K <-> -K symmetric; a linear
-    molecule is the K = 0 case.  A sum that would pass THERMAL_J_LIMIT is
-    rejected as soon as it gets there.
+    molecule is the K = 0 case.  A list keeping J > THERMAL_J_LIMIT is rejected,
+    once the levels up to the limit weigh under WEIGHT_CUTOFF of the sum.
     """
     linear = mol.kind == "linear"
     sig = sigma_th(mol, T_K) if linear else sigma_th(mol, T_K)[0]
@@ -164,7 +164,7 @@ def thermal_levels(mol: MoleculeParams, T_K: float, hook=None):
         return [(0, 0, 1.0)], 0.0
     s2 = sig * sig
     ratio = 1.0 if linear else mol.i1_over_i3
-    levels, z, J = [], 0.0, 0
+    levels, z, z_limit, J = [], 0.0, 0.0, 0
     while True:
         shell = 0.0
         for Ka in range(1 if linear else J + 1):
@@ -174,11 +174,9 @@ def thermal_levels(mol: MoleculeParams, T_K: float, hook=None):
             levels.append((e, J, Ka, w, mult))
             shell += w * mult
         z += shell
-        if J > 4 and shell < 1e-16 * z:
+        z_limit = z if J <= THERMAL_J_LIMIT else z_limit
+        if z_limit < WEIGHT_CUTOFF * z or (J > 4 and shell < 1e-16 * z):
             break
-        if J == THERMAL_J_LIMIT:
-            raise ParameterError(f"T={T_K} K needs thermal levels above J={THERMAL_J_LIMIT}, "
-                                 "more than the quantum engines can hold")
         J += 1
     levels.sort(key=lambda t: t[:3])
     kept, cum = [], 0.0
@@ -187,6 +185,9 @@ def thermal_levels(mol: MoleculeParams, T_K: float, hook=None):
         cum += w * mult / z
         if cum >= WEIGHT_CUTOFF:
             break
+    if max(J for J, _, _ in kept) > THERMAL_J_LIMIT:
+        raise ParameterError(f"T={T_K} K needs thermal levels above J={THERMAL_J_LIMIT}, "
+                             "more than the quantum engines can hold")
     return [(J, Ka, w / cum) for J, Ka, w in kept], 1.0 - cum
 
 
@@ -335,8 +336,7 @@ def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
     trace = SpectralTrace(beat_freqs(J_max + 1), amp)
     times = np.asarray(times_trev, dtype=float)
     values = trace.evaluate(times * TWO_PI)
-    meta.update(headroom_tail=tail, headroom_tail_pulse1=tail, n_blocks=n_blocks,
-                max_block_dim=J_max + 1 - min(levels),
+    meta.update(headroom_tail=tail, n_blocks=n_blocks, max_block_dim=J_max + 1 - min(levels),
                 distinct_freqs=trace.distinct_freqs)
     return TimeSeries(grid=times, channels={"cos2theta": values}, meta=meta)
 
@@ -363,13 +363,13 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
     m, J = np.ogrid[-J_max:J_max, :n]   # D commutes with J_y: the same band in both frames
     jy = 0.5 * np.sqrt(np.clip(J * (J + 1.0) - m * (m + 1), 0, None))  # <J m|J_y|J m+1> / i
     g = np.zeros((2, n, n), dtype=complex)   # the beat amplitudes of Ly and L2
-    tail1, n_blocks = 0.0, 0
+    tail, n_blocks = 0.0, 0
     for K, lev in levels.items():
         # Omega to J_max + 2, so that c^4 = c^2 c^2 is exact on J <= J_max
         omega = _pulse_frame_blocks(J_max + 2, K)[:n]
         m0, w, psi, tail_K = _first_kick(K, lev, omega[:, :-2, :-2], P1)
         n_blocks += int(m0.max()) + 1
-        tail1 = max(tail1, tail_K)
+        tail = max(tail, tail_K)
         Js = np.arange(K, n)
         c2 = (np.eye(len(Js) + 2) + omega) / 3.0     # cos^2 about p2, block by block
         # block -m is S (block m) S with S = (-1)^J; stack m = -J_max..J_max
@@ -394,7 +394,7 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
                          - 2.0 * P2 * np.einsum("mij,mij->ij", comm, G))
     trace = SpectralTrace(beat_freqs(n), g)
     Ly, L2 = trace.evaluate(taus)
-    meta.update(headroom_tail=tail1, headroom_tail_pulse1=tail1, dphi=dphi, n_blocks=n_blocks,
+    meta.update(headroom_tail=tail, dphi=dphi, n_blocks=n_blocks,
                 max_block_dim=n - min(levels), distinct_freqs=trace.distinct_freqs)
     return TimeSeries(grid=np.asarray(taus_trev, dtype=float),
                       channels={"Ly": Ly, "L2": L2, "Ly_norm": ly_norm(Ly, L2)}, meta=meta)

@@ -35,8 +35,7 @@ from propeller_sim import angular
 from propeller_sim.classical_symtop import SymTopEnsemble, kick_momentum
 from propeller_sim.constants import PLANCK_H, SPEED_OF_LIGHT_CM
 from propeller_sim.core import ParameterError, TWO_PI
-from propeller_sim.density import (DEFAULT_SIGMA, DensityGrid, _accumulate,
-                                   _check_sigma)
+from propeller_sim.density import DEFAULT_SIGMA, DensityGrid, _check_sigma
 from propeller_sim.io_formats import RunManifest
 
 
@@ -90,11 +89,10 @@ def observe_grid(basis, c: np.ndarray, f) -> float:
     theta = np.arccos(x)
     phi = np.arange(n_ph) * (TWO_PI / n_ph)
     psi_m = np.zeros((2 * l_max + 1, n_th), dtype=complex)
-    for m in range(-l_max, l_max + 1):
-        tab = angular.legendre_table(l_max, m, x)
-        sel = basis.m == m
-        if tab.shape[0]:
-            psi_m[m + l_max] = c[sel] @ tab
+    for m, tab in enumerate(angular.legendre_sweep(l_max, x)):
+        # Pbar_l,-m = (-1)^m Pbar_lm
+        psi_m[l_max + m] = c[basis.m == m] @ tab
+        psi_m[l_max - m] = c[basis.m == -m] @ ((-1.0) ** m * tab)
     phases = np.exp(1j * np.outer(np.arange(-l_max, l_max + 1), phi))
     psi = psi_m.T @ phases          # (n_th, n_ph)
     dens = np.abs(psi) ** 2
@@ -111,12 +109,11 @@ def kde_at(at: np.ndarray, points: np.ndarray, sigma: float = DEFAULT_SIGMA) -> 
     if n < 1:
         raise ParameterError("need at least one point")
     norm = 1.0 / (2.0 * math.pi * sigma * sigma)
-
-    def kern(dots):
-        arg = np.minimum((1.0 - dots) / (sigma * sigma), 745.0)
-        return np.exp(-arg)
-
-    return _accumulate(at, points, kern) * (norm / n)
+    total = np.zeros(at.shape[0])
+    for a in range(0, n, 128):
+        dots = points[a:a + 128] @ at.T
+        total += np.exp(-np.minimum((1.0 - dots) / (sigma * sigma), 745.0)).sum(axis=0)
+    return total * (norm / n)
 
 
 def kde_snapshot(points: np.ndarray, sigma: float = DEFAULT_SIGMA,

@@ -131,13 +131,15 @@ def embed(sol: PulseSolution, basis: SymTopBasis) -> PulseSolution:
 
 
 def compose_two_pulses(sol1: PulseSolution, sol2: PulseSolution | None,
-                       tau: float, dphi: float) -> dict:
+                       tau: float, dphi: float, rows: dict | None = None) -> dict:
     """Two-pulse amplitude blocks B(tau) for a delay tau (dimensionless).
 
     sol2 = None means the second pulse is a replica of the first.  The tilt
     enters as the diagonal frame-transform phase e^{i(M'-M) dphi} applied per
     intermediate state; amplitudes refer to the convention
-    Psi(t) = sum_r B_r exp(-i e_r t)|r>.
+    Psi(t) = sum_r B_r exp(-i e_r t)|r>.  rows maps each block key to the
+    local rows to compose (thermal_rows: the rows thermal_expectation
+    reads); the other rows stay zero.  By default every row is composed.
     """
     sol2 = sol2 or sol1
     basis = sol1.basis
@@ -149,7 +151,9 @@ def compose_two_pulses(sol1: PulseSolution, sol2: PulseSolution | None,
         U2 = sol2.block_U(key)
         d_mid = np.exp(-1j * e * tau + 1j * M * dphi)
         d_out = np.exp(1j * e * tau - 1j * M * dphi)
-        out[key] = (U1.T * d_mid) @ U2.T * d_out[None, :]
+        sel = slice(None) if rows is None else rows[key]
+        out[key] = np.zeros(U1.shape, dtype=complex)
+        out[key][sel] = (U1.T[sel] * d_mid) @ U2.T * d_out[None, :]
     return out
 
 
@@ -186,6 +190,11 @@ def _initial_in_block(basis: SymTopBasis, key, states):
             locs.append(lookup[state_index(basis, J, K, M)])
             ws.append(w)
     return np.array(locs, dtype=int), np.array(ws)
+
+
+def thermal_rows(basis: SymTopBasis, states) -> dict:
+    """Block key -> local indices of the thermal states living in the block."""
+    return {key: _initial_in_block(basis, key, states)[0] for key in block_keys(basis)}
 
 
 def coo_amplitudes(rows, cols, vals, energies: np.ndarray, psi: np.ndarray,

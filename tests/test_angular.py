@@ -9,7 +9,7 @@ from sympy.physics.wigner import wigner_3j as sympy_3j
 
 from oracles import gaunt_y2, symtop_d2_element
 from propeller_sim import angular
-from propeller_sim.angular import (legendre_table, shell_rotations, wigner3j,
+from propeller_sim.angular import (legendre_sweep, shell_rotations, wigner3j,
                                    wigner3j_array, wigner_d_half_pi, y2_components)
 
 
@@ -144,36 +144,34 @@ class TestShellRotations:
             assert np.max(np.abs(D - ref)) <= 1e-13, l
 
 
+def _legendre_rows(l_max, m, x):
+    """Rows l = |m|..l_max of Pbar_lm(x): the sweep's table |m|, times (-1)^m for m < 0."""
+    table = list(legendre_sweep(l_max, x))[abs(m)]
+    return (-1.0) ** m * table if m < 0 else table
+
+
 class TestLegendreTable:
     @pytest.mark.parametrize("m", [0, 1, 3, -2, -5])
     def test_against_scipy(self, m):
         x = np.linspace(-0.99, 0.99, 9)
         theta = np.arccos(x)
-        tab = legendre_table(12, m, x)
+        tab = _legendre_rows(12, m, x)
         for row, l in enumerate(range(abs(m), 13)):
             ref = np.array([complex(sph_harm_y(l, m, t, 0.0)).real for t in theta])
             assert np.allclose(tab[row], ref, atol=1e-12), (l, m)
 
     def test_high_l_stability(self):
         x = np.array([0.123])
-        tab = legendre_table(200, 7, x)
+        sweep = list(legendre_sweep(200, x))
+        assert len(sweep) == 201 and [len(t) for t in sweep] == list(range(201, 0, -1))
         ref = complex(sph_harm_y(200, 7, math.acos(0.123), 0.0)).real
-        assert tab[-1][0] == pytest.approx(ref, rel=1e-9)
+        assert sweep[7][-1][0] == pytest.approx(ref, rel=1e-9)
 
     def test_orthonormality(self):
         x, w = np.polynomial.legendre.leggauss(40)
-        tab = legendre_table(20, 2, x)
+        tab = _legendre_rows(20, 2, x)
         overlaps = 2 * math.pi * (tab * w) @ tab.T
         assert np.allclose(overlaps, np.eye(len(tab)), atol=1e-12)
-
-    @pytest.mark.parametrize("L", [0, 1, 88, 200])
-    def test_sweep_is_bitwise_the_tables(self, L):
-        # the sweep carries the sectoral seed from m to m; the poles make it 0
-        x = np.concatenate([[-1.0, 1.0, 0.0], np.linspace(-0.999, 0.999, 37)])
-        sweep = list(angular.legendre_sweep(L, x))
-        assert len(sweep) == L + 1
-        for m, table in enumerate(sweep):
-            assert table.tobytes() == legendre_table(L, m, x).tobytes(), m
 
 
 class TestY2Components:

@@ -221,8 +221,7 @@ class TestOutputs:
                              "alignment", "delay_curve"}
         assert diag["K_limit"] == 7 and diag["n_initial_states"] == 394
         assert 0.0 < diag["weight_truncation"] < 1e-4
-        run_keys = {"J_max", "n_blocks", "max_block_dim", "headroom_tail_pulse1",
-                    "distinct_freqs"}
+        run_keys = {"J_max", "n_blocks", "max_block_dim", "headroom_tail", "distinct_freqs"}
         assert set(diag["alignment"]) == run_keys
         assert set(diag["delay_curve"]) == run_keys
         for name, J_max in (("alignment", m.truncation["J_max"]),
@@ -230,8 +229,8 @@ class TestOutputs:
             run = diag[name]
             assert run["J_max"] == J_max and run["max_block_dim"] == J_max + 1
             assert run["n_blocks"] > 0 and run["distinct_freqs"] > 0
-            assert 0.0 <= run["headroom_tail_pulse1"] <= 1e-10
-        assert diag["alignment"]["headroom_tail_pulse1"] == m.truncation["headroom_tail"]
+            assert 0.0 <= run["headroom_tail"] <= 1e-10
+        assert diag["alignment"]["headroom_tail"] == m.truncation["headroom_tail"]
         assert not any(k.startswith("result_diagnostics") for k in m.config)
 
     @pytest.mark.parametrize("P", ["-1", "-2"])
@@ -329,7 +328,7 @@ class TestOutputs:
                     "alignment", "delay_curve"} <= set(diag)
             # pulse 2 acts on the observables, so pulse 1's tail is the only one
             assert set(diag["delay_curve"]) == set(diag["alignment"])
-            assert 0.0 <= diag["delay_curve"]["headroom_tail_pulse1"] <= 1e-10
+            assert 0.0 <= diag["delay_curve"]["headroom_tail"] <= 1e-10
 
     def test_compare_linear(self, tmp_path):
         code = run_cli("compare", "--molecule", "n2", "--temp-K", "50",

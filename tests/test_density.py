@@ -7,7 +7,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import i0, ive
 
 from oracles import grid_moments, kde_at, kde_snapshot, phi_average
-from propeller_sim import density
+from propeller_sim import angular, density
 from propeller_sim.classical_symtop import SymTopEnsemble, kick_momentum
 from propeller_sim.core import IntegrationError, ParameterError, PulseSpec, nitrogen
 from propeller_sim.density import (DensityGrid, analytic_zero_temp, belt_average,
@@ -333,10 +333,10 @@ class TestQuadratureAndSpectra:
 
     @pytest.mark.parametrize("n", [2, 50, 153, 273])
     def test_gauss_legendre_against_tridiagonal_solver(self, n, monkeypatch):
-        x, w = density._gauss_legendre(n)
+        x, w = angular.gauss_legendre(n)
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda t: eigvalsh_tridiagonal(np.diag(t), np.diag(t, 1)))
-        x_ref, w_ref = density._gauss_legendre(n)
+        x_ref, w_ref = angular.gauss_legendre(n)
         assert np.max(np.abs(x - x_ref)) <= 1e-15 and np.max(np.abs(w - w_ref)) <= 1e-15
         assert np.sum(w) == pytest.approx(2.0, abs=1e-14)
 

@@ -17,11 +17,15 @@
   tests/ or perfbench/, so that no option lingers that nothing sets;
 * a one-builder rule over src/: only angular calls wigner_d_half_pi, so
   every per-shell rotation comes from angular.shell_rotations;
+* a one-quadrature rule over src/: no module imports numpy.polynomial or
+  reaches it as an attribute, so angular.gauss_legendre is the only
+  Gauss-Legendre rule;
 
 and `import propeller_sim.cli`, run in a fresh interpreter, loads no scipy
-module, nor do small classical-symtop, density and quantum-symtop runs
-through `cli.main` (the runtime needs numpy alone; scipy is a test oracle),
-and a small fig4 preset loads no numpy.ma inside its run.
+and no numpy.polynomial module; small classical-symtop, density and
+quantum-symtop runs through `cli.main` load no scipy (the runtime needs
+numpy alone; scipy is a test oracle), and a small fig4 preset loads no
+numpy.ma inside its run.
 """
 
 import ast
@@ -177,6 +181,23 @@ def callers_of(name: str, sources: dict[str, str]) -> list[str]:
                          for n in ast.walk(ast.parse(source))))
 
 
+def importers_of(dotted: str, sources: dict[str, str]) -> list[str]:
+    """The modules in sources that import dotted or a submodule of it, or
+    reach it as an attribute (np.polynomial for numpy.polynomial)."""
+    leaf = dotted.rsplit(".", 1)[-1]
+
+    def names(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module:
+            return [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+        return [dotted] if isinstance(node, ast.Attribute) and node.attr == leaf else []
+
+    return sorted(module for module, source in sources.items()
+                  if any(n == dotted or n.startswith(dotted + ".")
+                         for node in ast.walk(ast.parse(source)) for n in names(node)))
+
+
 def test_scanner_flags_only_unused_names():
     src = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
            "import a.b\nfrom m import x, y\n__all__ = ['y']\nnp.zeros(a.b.c)\n")
@@ -240,6 +261,21 @@ def test_one_shell_rotation_builder():
     assert callers_of("wigner_d_half_pi", sources) == ["angular"]
 
 
+def test_import_scanner_finds_imports_and_attributes():
+    sources = {"a": "from numpy.polynomial.legendre import leggauss\n",
+               "b": "import numpy.polynomial\n", "c": "from numpy import polynomial\n",
+               "d": "import numpy as np\nx = np.polynomial.legendre.leggauss(3)\n",
+               "e": "import numpy as np\nfrom numpy import linalg\nnp.polyfit\n",
+               "f": "import numpy.polynomials\n"}
+    assert importers_of("numpy.polynomial", sources) == ["a", "b", "c", "d"]
+
+
+def test_one_gauss_legendre_rule():
+    # angular.gauss_legendre is the package's only quadrature rule
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert importers_of("numpy.polynomial", sources) == []
+
+
 def test_rebound_check_flags_only_unnamed_functions():
     kept = {"a.traced": REBOUND, "a.gone": REBOUND + "; an oracle", "a.oracle": "an oracle"}
     source = 'rebind(a, "traced")\n# gone is only a comment here\n'
@@ -263,6 +299,13 @@ SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 def test_cli_import_loads_no_scipy():
     # importing scipy.special and scipy.linalg costs ~0.4 s and ~30 MiB per run
     assert _fresh_interpreter(f"import sys, propeller_sim.cli\nprint({SCIPY_MODULES})") == "[]"
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # numpy.polynomial adds 4-5 ms to every run's import
+    code = ("import sys, propeller_sim.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial']))")
+    assert _fresh_interpreter(code) == "[]"
 
 
 def test_cli_runs_load_no_scipy():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from propeller_sim.quantum_symtop import (SymTopBasis, _pulse_frame_blocks,
                                           delay_curve, thermal_levels)
 from symtop_oracle import (alignment_block, block_keys, compose_two_pulses,
                            coupling_matrix, embed, solve_pulse, thermal_expectation,
-                           thermal_states)
+                           thermal_rows, thermal_states)
 
 BZ = benzene()
 
@@ -172,6 +173,19 @@ class TestThermal:
         # the sum runs past J = 250 to keep J <= 151
         levels, trunc = thermal_levels(BZ, 300.0)
         assert max(J for J, _, _ in levels) == 151 and trunc < 1e-4
+
+    def test_j_limit_applies_to_the_kept_levels(self):
+        # at 500 K the sum runs past J = THERMAL_J_LIMIT to keep J <= 195
+        levels, trunc = thermal_levels(BZ, 500.0)
+        assert max(J for J, _, _ in levels) == 195 and len(levels) == 12100
+        assert trunc < 1e-4
+
+    @pytest.mark.parametrize("T_K", [1200.0, 1e9])
+    def test_levels_above_the_j_limit_are_rejected_quickly(self, T_K):
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="above J=300"):
+            thermal_levels(BZ, T_K)
+        assert time.perf_counter() - start < 1.0
 
     def test_benzene_weights(self):
         levels, trunc = thermal_levels(BZ, 0.9)
@@ -457,8 +471,8 @@ class TestAgainstBlockOracle:
     def test_alignment_trace(self, no_headroom_gate):
         times = np.array([0.0, 0.004, 0.013, 0.05, 0.21, 0.5, 0.77])
         states, b, sol1, sol0 = self._oracle(0.9, -3.0, 0.0)
-        ref = thermal_expectation(compose_two_pulses(sol1, sol0, 0.0, 0.0), b,
-                                  "cos2theta", states, times)
+        blocks = compose_two_pulses(sol1, sol0, 0.0, 0.0, thermal_rows(b, states))
+        ref = thermal_expectation(blocks, b, "cos2theta", states, times)
         got = alignment_trace(BZ, 0.9, -3.0, times, J_max=self.JM)
         assert np.max(np.abs(got.channels["cos2theta"] - ref)) <= 1e-12
 
@@ -469,8 +483,9 @@ class TestAgainstBlockOracle:
         # second kick runs on a basis padded until the band it fills stays empty
         states, b, sol1, sol2 = self._oracle(0.9, -3.0, -2.0, pad=12)
         got = delay_curve(BZ, 0.9, -3.0, -2.0, dphi, taus, J_max=self.JM)
+        rows = thermal_rows(b, states)
         for k, tau in enumerate(taus):
-            blocks = compose_two_pulses(sol1, sol2, 2 * math.pi * tau, dphi)
+            blocks = compose_two_pulses(sol1, sol2, 2 * math.pi * tau, dphi, rows)
             for name in ("Ly", "L2"):
                 ref = thermal_expectation(blocks, b, name, states, [0.0])[0]
                 assert abs(got.channels[name][k] - ref) <= 1e-12, (name, tau)
