@@ -114,7 +114,7 @@ class SymTopEnsemble:
 
     positions takes arbitrary times through np.cos/np.sin.  Sums on a
     UniformGrid read the geometry directly, with a GridPhases' anchors
-    folded into it (ensemble._chunk_sums, ensemble._scan_sums).
+    folded into it (ensemble._circle_blocks, ensemble._scan_sums).
     """
 
     def __init__(self, r: np.ndarray, L: np.ndarray):

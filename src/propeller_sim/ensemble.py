@@ -11,11 +11,11 @@ and independent of how work is chunked across threads.
 
 The pulse protocol is one for the classical and quantum engines:
 check_pulses holds the pulse-list rules, apply_pulses fires the pulses on
-any state with advance, kick and record (this swarm, or quantum_linear's
-wave packets), and record_protocol records each segment between kicks that
-the output grid reads.  An "auto" second pulse fires at the first alignment
-extremum after the first, scanned through the same record on a T_rev/2000
-grid with parabolic refinement in a window that ends at t_max.
+any state with advance, kick, record and cos2theta (this swarm, or
+quantum_linear's wave packets), and record_protocol records each segment
+between kicks that the output grid reads.  An "auto" second pulse fires at
+the first alignment extremum after the first, scanned through cos2theta
+alone on a T_rev/2000 grid with parabolic refinement up to t_max.
 
 Every ensemble is carried as axes r and angular momenta L; a linear
 molecule is the case L . r = 0, and its sampler maps the thermal velocity v
@@ -37,9 +37,10 @@ molecule axis, so every row is summed by the same pairwise summation as a
 compression, not by adding a zero.  Block boundaries therefore do not change
 any value.  The sums run over fixed-size molecule chunks (CHUNK) combined in
 index order (_chunk_totals), so values are also invariant under the thread
-count used to evaluate the chunks.  The alignment scan records its windows
-of the T_rev/2000 grid the same way; only advance, which carries the axes to
-a pulse time, builds positions (SymTopEnsemble.positions).
+count used to evaluate the chunks.  The alignment scan sums z^2 alone on
+its windows of the T_rev/2000 grid through the same blocks, bit for bit;
+only advance, which carries the axes to a pulse time, builds positions
+(SymTopEnsemble.positions).
 
 delay_scan evaluates no positions after the first kick.  On its circle,
 each molecule's z^2, L_y and |L|^2 right after the second kick are
@@ -301,6 +302,12 @@ class _Swarm:
     def kick(self, pulse: PulseSpec) -> "_Swarm":
         return _Swarm(self.r, csym.kick_momentum(self.r, self.L, pulse.P, pulse.p_vec))
 
+    def cos2theta(self, times: np.ndarray, h: float) -> np.ndarray:
+        """<cos^2 theta> alone at the free-flight times t0 + i h, as record has it."""
+        grid = csym.UniformGrid(times[0], h, len(times))
+        z2 = _chunk_totals(functools.partial(_z2_sums, self.flight, grid), len(self.r), CHUNK)
+        return z2[0] / len(self.r)
+
     def record(self, times: np.ndarray, h: float) -> dict:
         """Ensemble means at the free-flight times t0 + i h of this segment:
         cos2theta, cos2phi (pole-excluded), Lx, Ly, Lz and L2."""
@@ -351,32 +358,27 @@ def _flight_diagnostics(n: int, workers: int, block_shape, segments) -> dict:
                          for t0, n_t, sw in segments]}
 
 
-def _chunk_sums(flight: csym.SymTopEnsemble, L: np.ndarray, grid: csym.UniformGrid,
-                rows: tuple[int, int]):
-    """Per-time sums of z^2, of x^2/(x^2+y^2) off the poles and of the
-    off-pole count over molecules rows = (a, b) at the grid's times, plus
-    the chunk's L sums.
+def _circle_blocks(flight: csym.SymTopEnsemble, grid: csym.UniformGrid,
+                   rows: tuple[int, int], axes: slice):
+    """(i, stop, pos) per block: pos[k] is component axes[k] (of x, y, z) of
+    molecules rows = (a, b) at grid indices i .. stop - 1, in a reused array.
 
     At index i = m K + j (K = ANCHOR_STEP) each molecule sits at
     a + P_m cos T_j + Q_m sin T_j, where P_m = w (b cos A_m + c sin A_m) and
     Q_m = w (c cos A_m - b sin A_m) fold the anchor A_m into its circle.
-    r is not normalised: the ratio does not depend on |r|, and |r|^2 is 1
-    to rounding.
+    r is not normalised: |r|^2 is 1 to rounding.
     """
     a, b = rows
     chunk = slice(a, b)
-    z2, c2p = np.empty(grid.n), np.empty(grid.n)
-    n_az = np.full(grid.n, b - a, dtype=np.int64)
     phases = csym.GridPhases(grid, flight.omega[chunk])
     tab_cos, tab_sin = phases.table
-    centre = flight.a[:, chunk]
-    wb, wc = flight.w[chunk] * flight.b[:, chunk], flight.w[chunk] * flight.c[:, chunk]
+    centre = flight.a[axes, chunk]
+    wb, wc = flight.w[chunk] * flight.b[axes, chunk], flight.w[chunk] * flight.c[axes, chunk]
     step = _block_times(b - a)
-    pos = np.empty((3, min(step, grid.n), b - a))
+    pos = np.empty((len(centre), min(step, grid.n), b - a))
     tmp = np.empty(pos.shape[1:])
     for i in range(0, grid.n, step):
         stop = min(i + step, grid.n)
-        x, y, z = pos[:, :stop - i]
         lo = i
         while lo < stop:                # one anchor group at a time
             m, j = divmod(lo, csym.ANCHOR_STEP)
@@ -385,13 +387,36 @@ def _chunk_sums(flight: csym.SymTopEnsemble, L: np.ndarray, grid: csym.UniformGr
                 cos_a, sin_a = phases.anchors(m)
                 P, Q = wb * cos_a + wc * sin_a, wc * cos_a - wb * sin_a
             tc, ts, t = tab_cos[j:j + hi - lo], tab_sin[j:j + hi - lo], tmp[:hi - lo]
-            for k in range(3):
+            for k in range(len(pos)):
                 out = pos[k, lo - i:hi - i]
                 np.multiply(tc, P[k], out=out)
                 out += np.multiply(ts, Q[k], out=t)
                 out += centre[k]
             lo = hi
-        z2[i:stop] = np.sum(np.multiply(z, z, out=z), axis=-1)
+        yield i, stop, pos[:, :stop - i]
+
+
+def _z2_rows(z: np.ndarray) -> np.ndarray:
+    """Per-time sums of z^2 over a (times, molecules) block, squared in place."""
+    return np.sum(np.multiply(z, z, out=z), axis=-1)
+
+
+def _z2_sums(flight: csym.SymTopEnsemble, grid: csym.UniformGrid, rows: tuple[int, int]):
+    """Per-time sums of z^2 alone over molecules rows = (a, b)."""
+    return [np.concatenate([_z2_rows(z) for _, _, (z,) in
+                            _circle_blocks(flight, grid, rows, slice(2, 3))])]
+
+
+def _chunk_sums(flight: csym.SymTopEnsemble, L: np.ndarray, grid: csym.UniformGrid,
+                rows: tuple[int, int]):
+    """Per-time sums of z^2, of x^2/(x^2+y^2) off the poles and of the
+    off-pole count over molecules rows = (a, b) at the grid's times, plus
+    the chunk's L sums.  The ratio does not depend on |r|."""
+    a, b = rows
+    z2, c2p = np.empty(grid.n), np.empty(grid.n)
+    n_az = np.full(grid.n, b - a, dtype=np.int64)
+    for i, stop, (x, y, z) in _circle_blocks(flight, grid, rows, slice(0, 3)):
+        z2[i:stop] = _z2_rows(z)
         np.multiply(x, x, out=x)
         s2 = np.multiply(y, y, out=y)
         s2 += x
@@ -411,7 +436,7 @@ def _chunk_sums(flight: csym.SymTopEnsemble, L: np.ndarray, grid: csym.UniformGr
 def mean_cos2theta(state, times: np.ndarray) -> np.ndarray:
     """<cos^2 theta> of a protocol state after free flight by each of the
     times (steps of SCAN_STEP): the extremum scan's entry point."""
-    return state.record(times, SCAN_STEP)["cos2theta"]
+    return state.cos2theta(times, SCAN_STEP)
 
 
 def ly_norm(Ly: np.ndarray, L2: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ import numpy as np
 from . import angular, quantum_symtop
 from .core import MoleculeParams, ParameterError, PulseSpec, sigma_th
 from .ensemble import TimeSeries, check_pulses, record_protocol
-from .quantum_symtop import HEADROOM_BAND, _band_tail
+from .quantum_symtop import HEADROOM_BAND, STATE_BATCH_BYTES, _band_tail
 from .spectral import SpectralTrace, accumulate_pattern
 
 
@@ -199,6 +199,10 @@ class _Packets:
     def kick(self, pulse: PulseSpec) -> "_Packets":
         return _Packets(self.basis, kick_batch(self.basis, self.psi, pulse), self.weights)
 
+    def cos2theta(self, times: np.ndarray, h: float) -> np.ndarray:
+        """The cos2theta trace alone at the free-flight times since the kick."""
+        return self.traces["cos2theta"].evaluate(times)
+
     def record(self, times: np.ndarray, h: float) -> dict:
         """The traces at the free-flight times since the segment's kick."""
         return {name: trace.evaluate(times) for name, trace in self.traces.items()}
@@ -238,9 +242,12 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
     l0_max = levels[-1][0]
     p_max = max(abs(p.P) for p in pulses)
     l_max = quantum_symtop._basis_cutoff(l_max, l0_max, default_l_max(p_max, l0_max))
-    basis = LinearBasis(l_max)
     # the K = 0 levels are l0 = 0..l0_max, all m: the first (l0_max + 1)^2 states
     n0 = (l0_max + 1) ** 2
+    if (l_max + 1) ** 2 * n0 * 16 > STATE_BATCH_BYTES:
+        raise ParameterError(f"T={T_K} K needs a {(l_max + 1) ** 2} x {n0} state batch at "
+                             f"l_max={l_max}, over STATE_BATCH_BYTES = {STATE_BATCH_BYTES}")
+    basis = LinearBasis(l_max)
     weights = np.repeat([w for _, _, w in levels], [2 * J + 1 for J, _, _ in levels])
     initial = _Packets(basis, np.eye(basis.size, n0, dtype=complex), weights)
     ts, _, last = record_protocol(pulses, t_max, dt_out, initial)

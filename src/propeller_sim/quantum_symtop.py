@@ -69,6 +69,9 @@ WEIGHT_CUTOFF = 0.9999
 # past J = 250 to keep J <= 151, at 500 K it keeps J <= 195; N2 at 3000 K
 # keeps J <= 97, already a 10k-column quantum_linear batch.
 THERMAL_J_LIMIT = 300
+# The largest dense batch, basis size x initial states x 16 B, that
+# quantum_linear.thermal_run may allocate: N2 at P = 5 needs 5 MiB at 50 K.
+STATE_BATCH_BYTES = 2 ** 28
 
 
 class SymTopBasis:
@@ -350,10 +353,13 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
     angle of p2 from p1 in radians, p2 = (sin dphi, 0, cos dphi).
     Pulse 2 acts on the observables, so its values are exact in the basis:
     TruncationError is raised only if an initial state puts more than
-    HEADROOM_TOL within HEADROOM_BAND of J_max after pulse 1.
+    HEADROOM_TOL within HEADROOM_BAND of J_max after pulse 1.  Ly is 0.0 at
+    tau = 0, one kick e^{if(r)} whose torque averages out over the isotropic
+    mixture, and so at every whole revival of tau/T_rev (within 4 ulp).
     """
     levels, J_max, meta = _thermal_setup(mol, T_K, (P1, P2), J_max)
-    taus = np.asarray(taus_trev, dtype=float) * TWO_PI
+    taus_trev = np.asarray(taus_trev, dtype=float)
+    taus = taus_trev * TWO_PI
     n = J_max + 1
     m0_top = max(J for lev in levels.values() for J, _ in lev) + 1
     # tilt[J, m + J_max, m0] = <J m|D^dagger|J m0> in pulse 2's frame, m0 < m0_top
@@ -394,7 +400,8 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
                          - 2.0 * P2 * np.einsum("mij,mij->ij", comm, G))
     trace = SpectralTrace(beat_freqs(n), g)
     Ly, L2 = trace.evaluate(taus)
+    Ly[np.abs(taus_trev - np.round(taus_trev)) <= 4 * np.spacing(np.abs(taus_trev))] = 0.0
     meta.update(headroom_tail=tail, dphi=dphi, n_blocks=n_blocks,
                 max_block_dim=n - min(levels), distinct_freqs=trace.distinct_freqs)
-    return TimeSeries(grid=np.asarray(taus_trev, dtype=float),
+    return TimeSeries(grid=taus_trev,
                       channels={"Ly": Ly, "L2": L2, "Ly_norm": ly_norm(Ly, L2)}, meta=meta)

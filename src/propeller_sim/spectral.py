@@ -13,8 +13,9 @@ and every trace is periodic in one revival period.
 A real trace needs only Re, so `SpectralTrace` folds the strict upper
 triangle of g onto the lower one by conjugation, which leaves only the
 positive beats.  The real trace of the diagonal is the zero beat: the exact
-long-time average.  Grouping equal beats turns a trace over many output
-times into one small matrix product.
+long-time average.  The beats are integers, so each splits as f = S q + r
+with S = ceil(sqrt(f_max + 1)): over T times a trace takes T (Q + S)
+exponentials and one (T, Q) @ (Q, S) product, never a (times x beats) table.
 
 accumulate_pattern builds every trace of a segment from its (m, l) stack of
 states in one call: each m-offset's weighted density is formed once, for
@@ -24,7 +25,11 @@ the rows and columns l >= |m|.  The terms it skips are exact zeros.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .classical_symtop import _split
 
 
 def beat_freqs(n: int) -> np.ndarray:
@@ -48,13 +53,17 @@ def group_amplitudes(freqs: np.ndarray, amps: np.ndarray):
 
 class SpectralTrace:
     """Re sum g_{J J'} exp(i freqs_{J J'} t) for an (n, n) amplitude matrix g,
-    or for each matrix of a (..., n, n) stack."""
+    or for each matrix of a (..., n, n) stack.  The beats freqs[J, J'] =
+    e_J - e_J' must be integers, >= 0 below the diagonal (beat_freqs)."""
 
     def __init__(self, freqs: np.ndarray, g: np.ndarray):
         lo, hi = np.tril_indices(freqs.shape[0], -1)
+        beats = freqs[lo, hi]
+        if not np.all((beats >= 0) & (beats == np.round(beats))):
+            raise ValueError("SpectralTrace needs integer beats, non-negative below the diagonal")
         folded = g[..., lo, hi] + np.conj(g[..., hi, lo])
         live = np.any(folded != 0, axis=tuple(range(folded.ndim - 1)))
-        self.freqs = freqs[lo[live], hi[live]]
+        self.freqs = beats[live]
         self.amps = folded[..., live]
         # the zero beat: the exact long-time average
         self.time_average = np.real(np.trace(g, axis1=-2, axis2=-1))
@@ -66,12 +75,28 @@ class SpectralTrace:
         return len(set(self.freqs.tolist()))
 
     def evaluate(self, times: np.ndarray) -> np.ndarray:
-        """Real trace values at the given (dimensionless) times, last axis."""
+        """Real trace values at the given (dimensionless) times, last axis:
+        Re sum_r [(e^{iSqt})_{t,q} @ G]_{..., t, r} e^{irt}, G[..., q, r] the
+        grouped amplitude of beat S q + r."""
         f, g = group_amplitudes(self.freqs, self.amps)
-        # exp in place: the (times, beats) table sets a quantum run's peak memory
-        phases = 1j * np.outer(np.asarray(times), f)
-        np.exp(phases, out=phases)
-        return self.time_average[..., None] + np.real(g @ phases.T)
+        t, f_max = np.asarray(times, dtype=float), int(f.max(initial=0))
+        S = math.isqrt(f_max) + 1                 # ceil(sqrt(f_max + 1))
+        q, r = np.divmod(f.astype(np.int64), S)
+        G = np.zeros(g.shape[:-1] + (f_max // S + 1, S), dtype=complex)
+        G[..., q, r] = g
+        part = _phases(t, S * np.arange(G.shape[-2])) @ G       # (..., T, S)
+        return self.time_average[..., None] + np.einsum(
+            "...tr,tr->...t", part, _phases(t, np.arange(S))).real
+
+
+def _phases(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The (times, k) table e^{ikt} for integers 0 <= k < 2^27.  With t split
+    into halves (classical_symtop._split), k t_hi is exact, so no angle as
+    large as k t is rounded: e^{ikt} = e^{ik t_hi} e^{ik t_lo}."""
+    hi, lo = (np.outer(x, 1j * k) for x in _split(t))
+    out = np.exp(hi, out=hi)
+    out *= np.exp(lo, out=lo)
+    return out
 
 
 def accumulate_pattern(ops: dict, blocks: np.ndarray, weights: np.ndarray) -> dict:

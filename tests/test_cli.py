@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +267,21 @@ class TestOutputs:
         code = run_cli(command, "--molecule", molecule, "--temp-K", "1e9", "--P1", "2",
                        "--t-max", "0.01", "--dt-out", "0.005", "--out", str(tmp_path))
         assert code == 2
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_state_batch_is_bounded_before_it_is_allocated(self, tmp_path):
+        # N2 at 7,000 K keeps J <= 149, and at P = 2 thermal_run's dense
+        # batch would be 28,900 x 22,500 complex (9.7 GiB): exit 2 at once
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = run_cli("quantum-linear", "--molecule", "n2", "--temp-K", "7000",
+                           "--P1", "2", "--t-max", "0.01", "--dt-out", "0.005",
+                           "--out", str(tmp_path))
+            elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and elapsed < 1.0 and peak < 2 ** 24
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("command, molecule, sections", [

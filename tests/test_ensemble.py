@@ -539,6 +539,16 @@ class TestFreeFlightBlocks:
         z = swarm.flight.positions(times)[..., 2]
         assert np.max(np.abs(got - np.mean(z * z, axis=-1))) <= 1e-14
 
+    def test_scan_reads_record_cos2theta_bitwise(self, monkeypatch):
+        # the scan's z-only sums over three chunks are record's cos2theta bit
+        # for bit, so the auto delay does not move
+        monkeypatch.setattr(ensemble, "CHUNK", 128)
+        r, L = self._pole_swarm(300)
+        swarm = ensemble._Swarm(r, L)
+        times = np.arange(1000, 1257) * SCAN_STEP
+        assert np.array_equal(ensemble.mean_cos2theta(swarm, times),
+                              swarm.record(times, SCAN_STEP)["cos2theta"])
+
     def test_pole_and_pole_free_blocks(self, monkeypatch):
         # two times per block: only the block of indices 2 and 3 holds a
         # pole molecule, so the others take the path without a pole mask

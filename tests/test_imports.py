@@ -25,10 +25,13 @@ and `import propeller_sim.cli`, run in a fresh interpreter, loads no scipy
 and no numpy.polynomial module; small classical-symtop, density and
 quantum-symtop runs through `cli.main` load no scipy (the runtime needs
 numpy alone; scipy is a test oracle), and a small fig4 preset loads no
-numpy.ma inside its run.
+numpy.ma inside its run.  perfbench/tracing.py, loaded from its file
+without touching perfbench/, installs on the package under src/ and
+uninstalls cleanly, so a rename of anything it rebinds fails here.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -284,6 +287,27 @@ def test_rebound_check_flags_only_unnamed_functions():
 
 def test_kept_tracer_entries_are_rebound():
     assert unrebound_entries(KEPT, TRACER.read_text()) == []
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    # the tracer rebinds layer functions by name and signature, so a rename
+    # (SpectralTrace.evaluate, mean_cos2theta, ...) fails here, in Tier-1
+    import propeller_sim
+    from propeller_sim import ensemble, spectral
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACER)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert Path(propeller_sim.__file__).resolve().parent == PACKAGE
+    originals = spectral.SpectralTrace.__dict__["evaluate"], ensemble.mean_cos2theta
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert spectral.SpectralTrace.__dict__["evaluate"] is not originals[0]
+        assert ensemble.mean_cos2theta is not originals[1]
+    finally:
+        tracer.uninstall()
+    assert (spectral.SpectralTrace.__dict__["evaluate"], ensemble.mean_cos2theta) == originals
 
 
 def _fresh_interpreter(code: str) -> str:

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +18,18 @@ def _unique_reference(freqs, amps):
 
 def _random_stack(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _exact_trace(g, times):
+    """Re sum_{J J'} g_{J J'} exp(i (e_J - e_J') t) over every entry, each
+    phase from its 40-digit angle rounded once to double precision."""
+    freqs = beat_freqs(g.shape[-1]).astype(np.int64)
+    with mpmath.workdps(40):
+        table = {(f, t): complex(mpmath.expj(f * mpmath.mpf(float(t))))
+                 for f in set(np.abs(freqs).ravel().tolist()) for t in times}
+    phases = np.array([[table[abs(f), t] for f in freqs.ravel()] for t in times])
+    phases = np.where(freqs.ravel() < 0, np.conj(phases), phases).reshape(len(times), *freqs.shape)
+    return np.real(np.einsum("tij,...ij->...t", phases, g))
 
 
 class TestGroupAmplitudes:
@@ -75,6 +89,41 @@ class TestSpectralTrace:
         assert np.max(np.abs(got - ref)) <= 1e-12
         single = SpectralTrace(freqs, g[1, 2])
         assert np.max(np.abs(single.evaluate(times) - ref[1, 2])) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 3, 61, 61), (61, 61)])
+    def test_matches_exact_phases_over_ten_revivals(self, shape):
+        # beats up to e_60 = 1,830 at times up to 10 revivals: angles up to
+        # 1.2e5, whose rounding alone would cost 1e-11 per term and about
+        # 1e-13 of sum |g| in all; split at the high half of t they are exact
+        rng = np.random.default_rng(sum(shape))
+        g = _random_stack(rng, shape)
+        times = np.concatenate([[0.0, 20 * math.pi], rng.uniform(0.0, 20 * math.pi, 10)])
+        got = SpectralTrace(beat_freqs(shape[-1]), g).evaluate(times)
+        bound = 1e-15 * np.abs(g).sum(axis=(-2, -1))
+        assert np.all(np.max(np.abs(got - _exact_trace(g, times)), axis=-1) <= bound)
+
+    def test_no_times_by_beats_table(self):
+        # 2,500 times x beat_freqs(45) (564 live beats) as a phase table would
+        # take 22.6 MB; the split needs (times x sqrt(beats)) tables
+        n, times = 45, np.linspace(0.0, 60.0, 2500)
+        trace = SpectralTrace(beat_freqs(n), _random_stack(np.random.default_rng(45), (n, n)))
+        table = len(times) * trace.distinct_freqs * 16
+        tracemalloc.start()
+        try:
+            trace.evaluate(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.distinct_freqs >= 400 and peak < table / 4
+
+    @pytest.mark.parametrize("freqs", [
+        beat_freqs(6) / 2.0,                    # half-integer beats
+        beat_freqs(6) + 1e-9,                   # almost integers
+        -beat_freqs(6),                         # descending levels
+    ])
+    def test_rejects_beats_that_are_not_integers(self, freqs):
+        with pytest.raises(ValueError, match="integer beats"):
+            SpectralTrace(freqs, np.ones((6, 6)))
 
     def test_time_average_is_the_zero_beat(self):
         # integer beats below 64 average out over 64 uniform times of one period
