@@ -1,7 +1,7 @@
 """Angular-momentum algebra: Wigner 3j symbols, the d^J(pi/2) tables and the
 shell rotations D^J(alpha, beta, 0) built on them, normalized associated
-Legendre tables swept over every m, the package's one Gauss-Legendre rule
-(gauss_legendre), and the rank-2 harmonics Y_2q at a polarization vector.
+Legendre tables swept over every m, and the package's one Gauss-Legendre
+rule (gauss_legendre).
 
 The 3j symbol uses the Racah sum with log-factorials, combined per term in
 log space.  For the rank-2 couplings needed here the alternating sum has at
@@ -88,17 +88,6 @@ def wigner3j_array(j1, j2, j3, m1, m2, m3) -> np.ndarray:
         total += (-1.0) ** k * np.exp(np.where(on, base - log_den, -np.inf))
     sign = np.where((j1 - j2 - m3) % 2 == 1, -1.0, 1.0)
     return np.where(ok, sign * total, 0.0)
-
-
-def y2_components(p: np.ndarray) -> np.ndarray:
-    """[Y_{2,-2} .. Y_{2,2}] evaluated at the unit vector p."""
-    x, y, z = p
-    c2 = math.sqrt(15.0 / (32.0 * math.pi))
-    c1 = math.sqrt(15.0 / (8.0 * math.pi))
-    c0 = math.sqrt(5.0 / (16.0 * math.pi))
-    xp, xm = complex(x, y), complex(x, -y)
-    return np.array([c2 * xm * xm, c1 * z * xm, c0 * (3 * z * z - 1),
-                     -c1 * z * xp, c2 * xp * xp])
 
 
 def legendre_sweep(l_max: int, x: np.ndarray):

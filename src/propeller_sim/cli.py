@@ -17,6 +17,9 @@ compare
 preset
     Canned parameter sets fig2, fig3a, fig3b, fig4, fig5, fig6, fig7.
 
+--angle-deg (45 by default) and --delay (auto by default) set the second
+pulse, so they are rejected without --P2; compare's --P2 defaults to --P1.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Times are in units of T_rev throughout.  PROPELLER_THREADS (a positive
 integer) caps the trajectory-evaluation thread count of the Monte Carlo
@@ -77,8 +80,8 @@ def _add_common(sub):
     sub.add_argument("--temp-K", type=float, default=0.0)
     sub.add_argument("--P1", type=float, default=5.0)
     sub.add_argument("--P2", type=float, default=None)
-    sub.add_argument("--angle-deg", type=float, default=45.0)
-    sub.add_argument("--delay", default="auto")
+    sub.add_argument("--angle-deg", type=float, default=None)
+    sub.add_argument("--delay", default=None)
     sub.add_argument("--n-traj", type=int, default=10000)
     sub.add_argument("--seed", type=int, default=1)
     sub.add_argument("--t-max", type=float, default=5.0)
@@ -106,12 +109,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _second_pulse(args) -> tuple:
+    """The second pulse's angle in degrees and its delay, 45 and auto unless
+    given.  Without --P2 no second pulse fires, so either flag is rejected."""
+    given = [flag for flag, value in (("--angle-deg", args.angle_deg), ("--delay", args.delay))
+             if value is not None]
+    if args.P2 is None and given:
+        raise ParameterError(f"{' and '.join(given)} cannot be honoured: {args.command} "
+                             "fires no second pulse without --P2")
+    return (45.0 if args.angle_deg is None else args.angle_deg,
+            parse_delay("auto" if args.delay is None else str(args.delay)))
+
+
 def _pulses_from_args(args) -> tuple:
     pulses = [PulseSpec(P=args.P1, p=(0.0, 0.0, 1.0), t_apply=0.0)]
+    angle_deg, delay = _second_pulse(args)
     if args.P2 is not None:
-        a = math.radians(args.angle_deg)
-        pulses.append(PulseSpec.along(args.P2, (math.sin(a), 0.0, math.cos(a)),
-                                      t_apply=parse_delay(str(args.delay))))
+        a = math.radians(angle_deg)
+        pulses.append(PulseSpec.along(args.P2, (math.sin(a), 0.0, math.cos(a)), t_apply=delay))
     return tuple(pulses)
 
 
@@ -142,7 +157,7 @@ def _check_pairing(args, mol: MoleculeParams):
 def _check_delay_scanned(args):
     """A delay scan covers every delay of the output grid: a numeric --delay
     would be ignored, so it is rejected."""
-    if parse_delay(str(args.delay)) != "auto":
+    if _second_pulse(args)[1] != "auto":
         raise ParameterError(f"--delay {args.delay} cannot be honoured: {args.command} "
                              "scans every delay of the output grid (use --delay auto)")
 
@@ -199,7 +214,7 @@ def cmd_quantum_symtop(args, out_dir: Path):
     trunc = {"J_max": align.meta["J_max"], "headroom_tail": align.meta["headroom_tail"]}
     runs = {"alignment": align}
     if args.P2 is not None:
-        dphi = math.radians(args.angle_deg)
+        dphi = math.radians(_second_pulse(args)[0])
         scan = quantum_symtop.delay_curve(mol, args.temp_K, args.P1, args.P2,
                                           dphi, grid, J_max=args.l_max)
         files.append(_write_series(out_dir, "delayscan", scan, args.format,
@@ -263,7 +278,7 @@ def _compare_symtop(args, mol, out_dir: Path):
     taus = ensemble.output_grid(args.t_max, args.dt_out)
     cfg = _ensemble_config(args, mol)
     scan_cl = ensemble.delay_scan(cfg, taus)
-    dphi = math.radians(args.angle_deg)
+    dphi = math.radians(_second_pulse(args)[0])
     align_qm = quantum_symtop.alignment_trace(mol, args.temp_K, args.P1, taus,
                                               J_max=args.l_max)
     scan_qm = quantum_symtop.delay_curve(mol, args.temp_K, args.P1, args.P2,
@@ -301,7 +316,7 @@ def _preset_fig2(out_dir: Path, seed: int, n_traj):
 
 def _density_preset(out_dir: Path, seed, n_traj, T_K, P1, P2, with_analytic):
     args = argparse.Namespace(command="density", molecule="n2", temp_K=T_K,
-                              P1=P1, P2=P2, angle_deg=45.0, delay="auto",
+                              P1=P1, P2=P2, angle_deg=None, delay=None,
                               n_traj=n_traj or 10000, seed=seed, t_max=5.0,
                               dt_out=0.005, sigma_kde=0.1, l_max=None, format="csv")
     files, delay, extra = cmd_density(args, out_dir)

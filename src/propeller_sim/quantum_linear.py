@@ -10,13 +10,14 @@ cos beta = p . r_hat: e^{iP/3} times the K = 0 pulse-frame blocks of
 quantum_symtop, conjugated for a tilted p on every l shell by
 D^l(alpha, beta, 0) at p's azimuth and polar angle (angular.shell_rotations,
 also quantum_symtop.delay_curve's turn into the second pulse's frame).  The
-blocks are diagonalised once per distinct P in a run.
+blocks are built and diagonalised once per basis, and every kick strength
+reads that one eigensystem.
 
 Every observable is Hermitian, so it is a dict of block tables {q: T} for
 the m-offsets q >= 0 only, with T[m + l_max, l', l] = <l', m+q|A|l, m>; the
-q < 0 tables are their mirrors.  The rank-2 Gaunt integrals
-<l' m'|Y_2q|l m> fill them for the whole basis at once through
-angular.wigner3j_array, and cos 2 phi by exact Gauss-Legendre quadrature.
+q < 0 tables are their mirrors.  cos^2 theta is (1 + Omega)/3 on the same
+K = 0 blocks as the kick, and cos 2 phi is built by exact Gauss-Legendre
+quadrature.
 Each segment's state batch is scattered once into its (m, l) stack, and
 one spectral.accumulate_pattern call contracts it with the tables of all
 four observables, each into the trace of one (l', l) matrix of amplitudes
@@ -82,33 +83,22 @@ class LinearBasis:
     def _diagonal(self, vals) -> dict:
         return {0: self._table(self.m, self.l, self.l, vals)}
 
-    def _y2_matrix(self, q: int) -> np.ndarray:
-        """Gaunt integrals <l' m+q|Y_2q|l m>, l' = l-2, l, l+2, as one table."""
-        lp = self.l[:, None] + np.array([-2, 0, 2])
-        col, step = np.nonzero((lp >= np.abs(self.m + q)[:, None]) & (lp <= self.l_max))
-        l, m = self.l[col], self.m[col]
-        lp, mp = l + 2 * step - 2, m + q
-        sign = np.where(mp % 2 == 1, -1.0, 1.0)
-        pref = np.sqrt((2 * lp + 1) * 5 * (2 * l + 1) / (4.0 * math.pi))
-        return self._table(m, lp, l, sign * pref * angular.wigner3j_array(lp, 2, l, 0, 0, 0)
-                           * angular.wigner3j_array(lp, 2, l, -mp, q, m))
+    @functools.cached_property
+    def _omega(self) -> np.ndarray:
+        """Omega = 3 cos^2 theta - 1 on the K = 0 pulse-frame blocks m = 0..l_max."""
+        return quantum_symtop._pulse_frame_blocks(self.l_max, 0)
 
-    def op_cos2beta(self, p) -> dict:
-        """(p . r_hat)^2 via the rank-2 addition theorem, for a unit p."""
-        p = np.asarray(p, dtype=float)
-        key = ("cos2beta", tuple(np.round(p, 15)))
-        if key in self._ops:
-            return self._ops[key]
-        op = self._diagonal(1.0 / 3.0)
-        pref = (2.0 / 3.0) * (4.0 * math.pi / 5.0)
-        for q, y in enumerate(angular.y2_components(p)[2:]):
-            if abs(y) >= 1e-300:
-                op[q] = op.get(q, 0.0) + pref * np.conj(y) * self._y2_matrix(q)
-        self._ops[key] = op
-        return op
+    @functools.cached_property
+    def _eigs(self) -> list:
+        """The blocks of Omega, diagonalised once for the kicks of every strength."""
+        return quantum_symtop._block_eigh(self._omega, 0, self.l_max + 1)
 
-    def op_cos2theta(self) -> dict:
-        return self.op_cos2beta(np.array([0.0, 0.0, 1.0]))
+    def op_cos2beta(self) -> dict:
+        """cos^2 theta = (1 + Omega)/3 on every m block, zero where l or l' < |m|."""
+        L = self.l_max
+        m = np.abs(np.arange(-L, L + 1))
+        live = np.arange(L + 1) >= m[:, None]
+        return {0: (live[:, :, None] * np.eye(L + 1) + self._omega[m]) / 3.0}
 
     def op_cos_2phi(self) -> dict:
         """cos(2 phi): couples m -> m + 2 with all Delta-l, built by exact
@@ -144,7 +134,7 @@ class LinearBasis:
 
     def operator(self, name: str) -> dict:
         if name not in self._ops:
-            build = {"cos2theta": self.op_cos2theta, "cos2phi": self.op_cos2phi,
+            build = {"cos2theta": self.op_cos2beta, "cos2phi": self.op_cos2phi,
                      "Ly": self.op_jy, "L2": self.op_j2}.get(name)
             if build is None:
                 raise ParameterError(f"unknown observable {name!r}")
@@ -156,10 +146,8 @@ def kick_batch(basis: LinearBasis, psi: np.ndarray, pulse: PulseSpec) -> np.ndar
     """Apply one impulsive kick to a (size, n_states) coefficient batch."""
     l_max, p = basis.l_max, pulse.p_vec
     key = ("kick", pulse.P)
-    if key not in basis._ops:            # one eigensystem per distinct P
-        omega = quantum_symtop._pulse_frame_blocks(l_max, 0)
-        basis._ops[key] = quantum_symtop._kicks(
-            quantum_symtop._block_eigh(omega, 0, l_max + 1), pulse.P)
+    if key not in basis._ops:            # one kick per distinct P, one eigensystem
+        basis._ops[key] = quantum_symtop._kicks(basis._eigs, pulse.P)
     U = basis._ops[key]
     beta, alpha = math.atan2(math.hypot(p[0], p[1]), p[2]), math.atan2(p[1], p[0])
     shells = list(enumerate(angular.shell_rotations(l_max, alpha, beta))) if p[0] or p[1] else []
@@ -253,7 +241,7 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
     ts, _, last = record_protocol(pulses, t_max, dt_out, initial)
     ts.meta = {"l_max": l_max, "sigma_th": sigma_th(mol, T_K), "n_initial_states": n0,
                "weight_truncation": trunc,
-               "n_blocks": len({p.P for p in pulses}) * (l_max + 1),
+               "n_blocks": l_max + 1,
                "max_block_dim": l_max + 1,
                "spin_weights": "uniform" if spin_weights is None else "custom",
                **ts.meta,

@@ -1,8 +1,12 @@
 """Scalar and direct-sum reference implementations the tests check against.
 
 * gaunt_y2 and symtop_d2_element: one rank-2 matrix element from two
-  scalar 3j symbols, the element-wise oracles of `LinearBasis`'s rank-2
-  operators and of the symmetric-top coupling blocks;
+  scalar 3j symbols, the element-wise oracles of the Gaunt tables and of
+  the symmetric-top coupling blocks;
+* y2_components, gaunt_table and cos2beta_tables: (p . r_hat)^2 for any
+  unit p on a `LinearBasis`, by the rank-2 addition theorem over the Gaunt
+  integrals <l' m'|Y_2q|l m>, the oracle of the engine's cos^2 theta table
+  (the K = 0 pulse-frame blocks) and of its tilted kicks;
 * lm_index: the flat index l^2 + l + m of |l, m> in a `LinearBasis`;
 * matrix_of: the dense matrix of a `LinearBasis` operator given as its
   q >= 0 block tables, mirrored into the q < 0 ones, for the element-wise
@@ -56,6 +60,45 @@ def symtop_d2_element(Jp: int, Mp: int, J: int, M: int, K: int, p: int) -> float
     sign = (-1.0) ** (p + M - K)
     return (pref * sign * angular.wigner3j(Jp, 2, J, Mp, -p, -M)
             * angular.wigner3j(Jp, 2, J, K, 0, -K))
+
+
+def y2_components(p) -> np.ndarray:
+    """[Y_{2,-2} .. Y_{2,2}] evaluated at the unit vector p."""
+    x, y, z = p
+    c2 = math.sqrt(15.0 / (32.0 * math.pi))
+    c1 = math.sqrt(15.0 / (8.0 * math.pi))
+    c0 = math.sqrt(5.0 / (16.0 * math.pi))
+    xp, xm = complex(x, y), complex(x, -y)
+    return np.array([c2 * xm * xm, c1 * z * xm, c0 * (3 * z * z - 1),
+                     -c1 * z * xp, c2 * xp * xp])
+
+
+def gaunt_table(basis, q: int) -> np.ndarray:
+    """<l' m+q|Y_2q|l m>, l' = l-2, l, l+2, as one table T[m + l_max, l', l]
+    over the whole basis: gaunt_y2 with the 3j symbols taken as arrays."""
+    lp = basis.l[:, None] + np.array([-2, 0, 2])
+    col, step = np.nonzero((lp >= np.abs(basis.m + q)[:, None]) & (lp <= basis.l_max))
+    l, m = basis.l[col], basis.m[col]
+    lp, mp = l + 2 * step - 2, m + q
+    sign = np.where(mp % 2 == 1, -1.0, 1.0)
+    pref = np.sqrt((2 * lp + 1) * 5 * (2 * l + 1) / (4.0 * math.pi))
+    n = basis.l_max + 1
+    out = np.zeros((2 * n - 1, n, n), dtype=complex)
+    out[m + basis.l_max, lp, l] = (sign * pref * angular.wigner3j_array(lp, 2, l, 0, 0, 0)
+                                   * angular.wigner3j_array(lp, 2, l, -mp, q, m))
+    return out
+
+
+def cos2beta_tables(basis, p) -> dict:
+    """(p . r_hat)^2 for a unit p as {q: T} tables (see matrix_of), by the
+    addition theorem (p . r_hat)^2 = 1/3 + (8 pi/15) sum_q Y*_2q(p) Y_2q(r_hat)."""
+    n = basis.l_max + 1
+    op = {0: np.zeros((2 * n - 1, n, n), dtype=complex)}
+    op[0][basis.m + basis.l_max, basis.l, basis.l] = 1.0 / 3.0
+    for q, y in enumerate(y2_components(np.asarray(p, dtype=float))[2:]):
+        if abs(y) >= 1e-300:
+            op[q] = op.get(q, 0.0) + (8.0 * math.pi / 15.0) * np.conj(y) * gaunt_table(basis, q)
+    return op
 
 
 def lm_index(l: int, m: int) -> int:

@@ -7,10 +7,10 @@ from scipy.linalg import expm
 from scipy.special import sph_harm_y
 from sympy.physics.wigner import wigner_3j as sympy_3j
 
-from oracles import gaunt_y2, symtop_d2_element
+from oracles import gaunt_y2, symtop_d2_element, y2_components
 from propeller_sim import angular
 from propeller_sim.angular import (legendre_sweep, shell_rotations, wigner3j,
-                                   wigner3j_array, wigner_d_half_pi, y2_components)
+                                   wigner3j_array, wigner_d_half_pi)
 
 
 def _exact_3j(j1, j2, j3, m1, m2, m3):

@@ -96,6 +96,18 @@ class TestExitCodes:
         assert not (tmp_path / "manifest.json").exists()
         assert run_cli(*argv, "--delay", "auto") == 0
 
+    @pytest.mark.parametrize("flag, value", [("--angle-deg", "80"), ("--delay", "0.3")])
+    @pytest.mark.parametrize("command, molecule", [
+        ("classical-linear", "n2"), ("classical-symtop", "benzene"), ("quantum-linear", "n2"),
+        ("quantum-symtop", "benzene"), ("density", "n2")])
+    def test_second_pulse_flags_need_p2(self, tmp_path, command, molecule, flag, value):
+        # without --P2 these commands fire one pulse: no angle or delay to set
+        argv = [command, "--molecule", molecule, "--P1", "1", "--n-traj", "50",
+                "--t-max", "0.02", "--dt-out", "0.01", "--out", str(tmp_path)]
+        assert run_cli(*argv, flag, value) == 2
+        assert not (tmp_path / "manifest.json").exists()
+        assert run_cli(*argv) == 0
+
     def test_bad_propeller_threads(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PROPELLER_THREADS", "abc")
         assert run_cli("classical-linear", "--n-traj", "50", "--t-max", "0.02",

@@ -17,6 +17,9 @@
   tests/ or perfbench/, so that no option lingers that nothing sets;
 * a one-builder rule over src/: only angular calls wigner_d_half_pi, so
   every per-shell rotation comes from angular.shell_rotations;
+* a one-rank-2-builder rule over src/: only quantum_symtop calls
+  wigner3j_array, so every rank-2 coupling, the linear rotor's included,
+  comes from its one 3j table;
 * a one-quadrature rule over src/: no module imports numpy.polynomial or
   reaches it as an attribute, so angular.gauss_legendre is the only
   Gauss-Legendre rule;
@@ -262,6 +265,12 @@ def test_one_shell_rotation_builder():
     # a second tilt construction from d(pi/2) would duplicate shell_rotations
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert callers_of("wigner_d_half_pi", sources) == ["angular"]
+
+
+def test_one_rank2_builder():
+    # the linear rotor's cos^2 theta and kicks are the K = 0 pulse-frame blocks
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert callers_of("wigner3j_array", sources) == ["quantum_symtop"]
 
 
 def test_import_scanner_finds_imports_and_attributes():

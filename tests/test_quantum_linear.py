@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import block_diag, expm
 from scipy.special import sph_harm_y
 
-from oracles import gaunt_y2, lm_index, matrix_of, observe_grid
-from propeller_sim import angular, quantum_linear
+from oracles import cos2beta_tables, gaunt_table, gaunt_y2, lm_index, matrix_of, observe_grid
+from propeller_sim import angular, quantum_linear, quantum_symtop
 from propeller_sim.core import (TWO_PI, ParameterError, ProtocolError, PulseSpec,
                                 TruncationError, nitrogen, sigma_th)
 from propeller_sim.ensemble import EnsembleConfig, run_protocol, segment_of
@@ -48,47 +48,54 @@ class TestBasis:
         assert b.energies[lm_index(3, 0)] == 6.0
 
     def test_matrix_element_quadrature_oracle(self):
-        # brute-force 2-D quadrature of Y*_{l'm'} (p.r)^2 Y_{lm} for l <= 6
+        # brute-force 2-D quadrature of Y*_{l'm'} (p.r)^2 Y_{lm} for l <= 6: the
+        # Gaunt oracle at a tilted p, and the engine's cos^2 theta at p = z
         b = LinearBasis(6)
-        p = np.array([1.0, 0.5, 2.0])
-        p /= np.linalg.norm(p)
+        tilt = np.array([1.0, 0.5, 2.0])
+        tilt /= np.linalg.norm(tilt)
         x, w = np.polynomial.legendre.leggauss(96)
         theta = np.arccos(x)
         n_phi = 128
         phi = np.arange(n_phi) * 2 * math.pi / n_phi
         th_g, ph_g = np.meshgrid(theta, phi, indexing="ij")
-        dots2 = (p[0] * np.sin(th_g) * np.cos(ph_g)
-                 + p[1] * np.sin(th_g) * np.sin(ph_g)
-                 + p[2] * np.cos(th_g)) ** 2
         ytab = np.stack([sph_harm_y(int(l), int(m), th_g, ph_g)
                          for l, m in zip(b.l, b.m)])
-        mat = matrix_of(b, b.op_cos2beta(p))
         scale = 2 * math.pi / n_phi
-        for i in range(b.size):
-            for j in range(b.size):
-                ref = scale * np.einsum("t,tp->", w,
-                                        np.conj(ytab[i]) * dots2 * ytab[j])
-                assert mat[i, j] == pytest.approx(ref, abs=1e-9), (i, j)
+        for p, op in ((tilt, cos2beta_tables(b, tilt)), ((0.0, 0.0, 1.0), b.op_cos2beta())):
+            dots2 = (p[0] * np.sin(th_g) * np.cos(ph_g)
+                     + p[1] * np.sin(th_g) * np.sin(ph_g)
+                     + p[2] * np.cos(th_g)) ** 2
+            mat = matrix_of(b, op)
+            for i in range(b.size):
+                for j in range(b.size):
+                    ref = scale * np.einsum("t,tp->", w,
+                                            np.conj(ytab[i]) * dots2 * ytab[j])
+                    assert mat[i, j] == pytest.approx(ref, abs=1e-9), (p, i, j)
 
     def test_rank2_elements_match_scalar_oracle(self):
+        # the Gaunt tables against scalar 3j symbols, element by element ...
         b = LinearBasis(8)
         for q in range(-2, 3):
             ref = np.array([[gaunt_y2(int(lp), int(mp), q, int(l), int(m))
                              for l, m in zip(b.l, b.m)] for lp, mp in zip(b.l, b.m)])
-            got = matrix_of(b, {q: b._y2_matrix(q)}, hermitian=False)
+            got = matrix_of(b, {q: gaunt_table(b, q)}, hermitian=False)
             assert np.max(np.abs(got - ref)) < 1e-14, q
+        # ... and the engine's cos^2 theta, from the K = 0 blocks, against them
+        for l_max in (8, 80):
+            b = LinearBasis(l_max)
+            got, ref = b.op_cos2beta()[0], cos2beta_tables(b, (0.0, 0.0, 1.0))[0]
+            assert np.max(np.abs(got - ref)) <= 1e-12, l_max
 
     def test_hermiticity(self):
         b = LinearBasis(10)
-        ops = [b.op_cos2beta(np.asarray(p))
-               for p in ([0, 0, 1.0], np.array([1.0, 0, 1.0]) / math.sqrt(2))]
-        for op in ops + [b.operator(name) for name in ("cos2phi", "Ly", "L2")]:
+        ops = [cos2beta_tables(b, np.array([1.0, 0, 1.0]) / math.sqrt(2))]
+        for op in ops + [b.operator(name) for name in ("cos2theta", "cos2phi", "Ly", "L2")]:
             m = matrix_of(b, op)
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
     def test_cos2theta_closed_form(self):
         b = LinearBasis(8)
-        m = matrix_of(b, b.op_cos2theta())
+        m = matrix_of(b, b.op_cos2beta())
         for l in range(9):
             for mm in range(-l, l + 1):
                 i = lm_index(l, mm)
@@ -198,19 +205,19 @@ class TestSuddenKick:
         cols = [lm_index(l, m) for l, m in ((0, 0), (1, -1), (3, 2), (5, -5), (6, 0))]
         for P in (3.0, -2.5):
             pulse = PulseSpec.along(P, axis)
-            ref = expm(1j * P * matrix_of(b, b.op_cos2beta(pulse.p_vec)))[:, cols]
+            ref = expm(1j * P * matrix_of(b, cos2beta_tables(b, pulse.p_vec)))[:, cols]
             got = kick_batch(b, np.eye(b.size, dtype=complex)[:, cols], pulse)
             assert np.max(np.abs(got - ref)) <= 1e-13, P
 
     def test_shell_rotations_carry_cos2theta_to_cos2beta(self):
         b = LinearBasis(12)
-        c2 = matrix_of(b, b.op_cos2theta())
+        c2 = matrix_of(b, b.op_cos2beta())
         for axis in KICK_AXES:
             p = PulseSpec.along(1.0, axis).p_vec
             beta, alpha = math.atan2(math.hypot(p[0], p[1]), p[2]), math.atan2(p[1], p[0])
             D = block_diag(*angular.shell_rotations(b.l_max, alpha, beta))
             assert np.max(np.abs(D @ D.conj().T - np.eye(b.size))) <= 1e-13, axis
-            ref = matrix_of(b, b.op_cos2beta(p))
+            ref = matrix_of(b, cos2beta_tables(b, p))
             assert np.max(np.abs(D @ c2 @ D.conj().T - ref)) <= 1e-13, axis
 
     def test_tilted_kick_couples_m(self):
@@ -225,19 +232,30 @@ class TestSuddenKick:
             kick(b, pure(b, 0, 0), Z5)
 
     def test_equal_kicks_share_one_eigensystem(self, monkeypatch):
-        # the K = 0 blocks are diagonalised once per distinct P in a run
-        calls = []
-        eigh = np.linalg.eigh
+        # the K = 0 blocks are built from one 3j table and diagonalised once
+        # per basis, for equal and for unequal kick strengths alike
+        calls = {"wigner3j_array": 0, "eigh": 0}
+        w3j, eigh = angular.wigner3j_array, np.linalg.eigh
 
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape[0])
+        def counting_w3j(*args):
+            calls["wigner3j_array"] += 1
+            return w3j(*args)
+
+        def counting_eigh(a, *args, **kwargs):
+            calls["eigh"] += 1
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        pulses = [PulseSpec(P=2.0, p=(0, 0, 1.0)),
-                  PulseSpec.along(2.0, (1, 0, 1), t_apply=0.03)]
-        ts = thermal_run(nitrogen(), 10.0, pulses, t_max=0.1, dt_out=0.05, l_max=26)
-        assert len(calls) == 27 == ts.meta["n_blocks"]
+        monkeypatch.setattr(angular, "wigner3j_array", counting_w3j)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for P2 in (2.0, 3.0):
+            calls.update(wigner3j_array=0, eigh=0)
+            quantum_symtop._rank2_table.cache_clear()
+            pulses = [PulseSpec(P=2.0, p=(0, 0, 1.0)),
+                      PulseSpec.along(P2, (1, 0, 1), t_apply=0.03)]
+            ts = thermal_run(nitrogen(), 10.0, pulses, t_max=0.1, dt_out=0.05, l_max=26)
+            assert calls["eigh"] == 27 == ts.meta["n_blocks"], P2
+            assert calls["wigner3j_array"] <= 3, P2
+        quantum_symtop._rank2_table.cache_clear()
 
     def test_unitarity_long_run(self):
         b = LinearBasis(64)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from propeller_sim import angular, quantum_symtop
-from oracles import lm_index, matrix_of, symtop_d2_element
+from oracles import cos2beta_tables, lm_index, matrix_of, symtop_d2_element
 from propeller_sim.angular import wigner3j, wigner3j_array, wigner_d_half_pi
 from propeller_sim.core import (ParameterError, PulseSpec, TruncationError, benzene,
                                 nitrogen, sigma_th)
@@ -62,7 +62,7 @@ class TestCouplingMatrix:
         jm = 6
         b = SymTopBasis(jm, K_limit=0)
         lb = LinearBasis(jm)
-        lin = matrix_of(lb, lb.op_cos2beta(np.array([1.0, 0.0, 0.0])))
+        lin = matrix_of(lb, cos2beta_tables(lb, (1.0, 0.0, 0.0)))
         omega_lin = 3 * lin - np.eye(lb.size)
         m = coupling_matrix(b)
         for i in range(b.size):
