@@ -10,15 +10,22 @@ quantum-symtop
     Thermal symmetric-top run: alignment trace and (with --P2) a delay scan
     over the output grid, so --delay must stay auto.
 density
-    Classical run followed by the time-averaged belt density grid.
+    Classical run followed by the time-averaged belt density grid, always
+    written as the text table density.csv.
 compare
     Classical-vs-quantum harness on a common grid with a deviation summary;
     for a symmetric top it compares delay scans, so --delay must stay auto.
 preset
-    Canned parameter sets fig2, fig3a, fig3b, fig4, fig5, fig6, fig7.
+    Canned runs fig2, fig3a, fig3b, fig4, fig5, fig6, fig7, each a row of
+    PRESETS: one subcommand's flags and a writer.  --n-traj replaces the
+    row's value, and a preset whose subcommand takes none rejects it.
 
---angle-deg (45 by default) and --delay (auto by default) set the second
-pulse, so they are rejected without --P2; compare's --P2 defaults to --P1.
+FLAGS declares every flag once and COMMANDS lists the flags that each
+subcommand honours, so any other flag exits 2.  --seed is the one flag that
+a subcommand takes without using it: the quantum runs only record it as the
+manifest's seed.  --angle-deg (45 by default) and --delay (auto by default)
+set the second pulse, so they are rejected without --P2; compare's --P2
+defaults to --P1.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Times are in units of T_rev throughout.  PROPELLER_THREADS (a positive
@@ -43,7 +50,22 @@ from .core import (IntegrationError, MoleculeParams, ParameterError,
                    ProtocolError, PulseSpec, TruncationError, benzene, nitrogen)
 from .ensemble import EnsembleConfig, TimeSeries
 
-SCAN_TREV = 1.0 / 2000.0
+FLAGS = {
+    "--molecule": {"default": "n2"},
+    "--temp-K": {"type": float, "default": 0.0},
+    "--P1": {"type": float, "default": 5.0},
+    "--P2": {"type": float},
+    "--angle-deg": {"type": float},
+    "--delay": {},
+    "--n-traj": {"type": int, "default": 10000},
+    "--seed": {"type": int, "default": 1},
+    "--t-max": {"type": float, "default": 5.0},
+    "--dt-out": {"type": float, "default": 0.005},
+    "--sigma-kde": {"type": float, "default": 0.1},
+    "--l-max": {"type": int},
+    "--out": {"required": True},
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+}
 
 
 def parse_molecule(text: str) -> MoleculeParams:
@@ -75,37 +97,20 @@ def parse_delay(text: str):
         raise ParameterError(f"--delay must be 'auto' or a time in T_rev, got {text!r}") from None
 
 
-def _add_common(sub):
-    sub.add_argument("--molecule", default="n2")
-    sub.add_argument("--temp-K", type=float, default=0.0)
-    sub.add_argument("--P1", type=float, default=5.0)
-    sub.add_argument("--P2", type=float, default=None)
-    sub.add_argument("--angle-deg", type=float, default=None)
-    sub.add_argument("--delay", default=None)
-    sub.add_argument("--n-traj", type=int, default=10000)
-    sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--t-max", type=float, default=5.0)
-    sub.add_argument("--dt-out", type=float, default=0.005)
-    sub.add_argument("--sigma-kde", type=float, default=0.1)
-    sub.add_argument("--l-max", type=int, default=None)
-    sub.add_argument("--out", required=True)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="propeller-sim",
                                  description="double-pulse molecular rotation simulator")
     ap.add_argument("--version", action="version", version=f"propeller-sim {__version__}")
     subs = ap.add_subparsers(dest="command", required=True)
-    for name in ("classical-linear", "classical-symtop", "quantum-linear",
-                 "quantum-symtop", "density", "compare"):
-        _add_common(subs.add_parser(name))
+    for name, (_, _, honoured) in COMMANDS.items():
+        sub = subs.add_parser(name)
+        for flag in (f for f in FLAGS if f in honoured):
+            sub.add_argument(flag, **FLAGS[flag])
     pre = subs.add_parser("preset")
-    pre.add_argument("name", choices=("fig2", "fig3a", "fig3b", "fig4",
-                                      "fig5", "fig6", "fig7"))
-    pre.add_argument("--out", required=True)
-    pre.add_argument("--seed", type=int, default=1)
-    pre.add_argument("--n-traj", type=int, default=None)
+    pre.add_argument("name", choices=tuple(PRESETS))
+    pre.add_argument("--out", **FLAGS["--out"])
+    pre.add_argument("--seed", **FLAGS["--seed"])
+    pre.add_argument("--n-traj", type=int)
     return ap
 
 
@@ -131,9 +136,10 @@ def _pulses_from_args(args) -> tuple:
 
 
 def _ensemble_config(args, mol: MoleculeParams) -> EnsembleConfig:
+    """The Monte Carlo run of args, on the grid flags its command takes."""
+    grid = {k: v for k, v in vars(args).items() if k in ("t_max", "dt_out")}
     return EnsembleConfig(mol=mol, T_K=args.temp_K, n_traj=args.n_traj,
-                          seed=args.seed, pulses=_pulses_from_args(args),
-                          t_max=args.t_max, dt_out=args.dt_out)
+                          seed=args.seed, pulses=_pulses_from_args(args), **grid)
 
 
 def _write_series(out_dir: Path, name: str, ts: TimeSeries, fmt: str,
@@ -146,14 +152,6 @@ def _write_series(out_dir: Path, name: str, ts: TimeSeries, fmt: str,
     return fname
 
 
-def _check_pairing(args, mol: MoleculeParams):
-    wants_linear = args.command.endswith("linear")
-    if wants_linear and mol.kind != "linear":
-        raise ParameterError(f"{args.command} requires a linear molecule, got {mol.kind}")
-    if args.command.endswith("symtop") and mol.kind != "oblate-symtop":
-        raise ParameterError(f"{args.command} requires an oblate-symtop molecule, got {mol.kind}")
-
-
 def _check_delay_scanned(args):
     """A delay scan covers every delay of the output grid: a numeric --delay
     would be ignored, so it is rejected."""
@@ -162,20 +160,15 @@ def _check_delay_scanned(args):
                              "scans every delay of the output grid (use --delay auto)")
 
 
-def cmd_classical(args, out_dir: Path):
-    mol = parse_molecule(args.molecule)
-    _check_pairing(args, mol)
-    cfg = _ensemble_config(args, mol)
-    ts = ensemble.run_protocol(cfg)
+def cmd_classical(args, mol: MoleculeParams, out_dir: Path):
+    ts = ensemble.run_protocol(_ensemble_config(args, mol))
     files = [_write_series(out_dir, "timeseries", ts, args.format)]
     extra = {"config": ts.meta["config"],
              "diagnostics": {"free_flight": ts.meta["free_flight"]}}
     return files, ts.meta.get("auto_delay_trev"), extra
 
 
-def cmd_quantum_linear(args, out_dir: Path):
-    mol = parse_molecule(args.molecule)
-    _check_pairing(args, mol)
+def cmd_quantum_linear(args, mol: MoleculeParams, out_dir: Path):
     ts = quantum_linear.thermal_run(mol, args.temp_K, _pulses_from_args(args),
                                     t_max=args.t_max, dt_out=args.dt_out,
                                     l_max=args.l_max)
@@ -203,32 +196,35 @@ def _symtop_diagnostics(runs: dict) -> dict:
     return diag
 
 
-def cmd_quantum_symtop(args, out_dir: Path):
-    mol = parse_molecule(args.molecule)
-    _check_pairing(args, mol)
-    _check_delay_scanned(args)
-    grid = ensemble.output_grid(args.t_max, args.dt_out)
-    align = quantum_symtop.alignment_trace(mol, args.temp_K, args.P1, grid,
-                                           J_max=args.l_max)
-    files = [_write_series(out_dir, "alignment", align, args.format)]
-    trunc = {"J_max": align.meta["J_max"], "headroom_tail": align.meta["headroom_tail"]}
-    runs = {"alignment": align}
+def _symtop_runs(args, mol: MoleculeParams, times, taus) -> dict:
+    """The quantum symmetric top's alignment trace over times and, with --P2,
+    its delay curve over the delays taus."""
+    runs = {"alignment": quantum_symtop.alignment_trace(mol, args.temp_K, args.P1, times,
+                                                        J_max=args.l_max)}
     if args.P2 is not None:
         dphi = math.radians(_second_pulse(args)[0])
-        scan = quantum_symtop.delay_curve(mol, args.temp_K, args.P1, args.P2,
-                                          dphi, grid, J_max=args.l_max)
-        files.append(_write_series(out_dir, "delayscan", scan, args.format,
+        runs["delay_curve"] = quantum_symtop.delay_curve(mol, args.temp_K, args.P1, args.P2,
+                                                         dphi, taus, J_max=args.l_max)
+    return runs
+
+
+def cmd_quantum_symtop(args, mol: MoleculeParams, out_dir: Path):
+    _check_delay_scanned(args)
+    grid = ensemble.output_grid(args.t_max, args.dt_out)
+    runs = _symtop_runs(args, mol, grid, grid)
+    align = runs["alignment"]
+    files = [_write_series(out_dir, "alignment", align, args.format)]
+    trunc = {"J_max": align.meta["J_max"], "headroom_tail": align.meta["headroom_tail"]}
+    if "delay_curve" in runs:
+        files.append(_write_series(out_dir, "delayscan", runs["delay_curve"], args.format,
                                    time_column="tau_trev"))
-        trunc["J_max_two_pulse"] = scan.meta["J_max"]
-        runs["delay_curve"] = scan
+        trunc["J_max_two_pulse"] = runs["delay_curve"].meta["J_max"]
     return files, None, {"truncation": trunc,
                          "diagnostics": {"quantum_symtop": _symtop_diagnostics(runs)}}
 
 
-def cmd_density(args, out_dir: Path):
-    mol = parse_molecule(args.molecule)
-    cfg = _ensemble_config(args, mol)
-    final = ensemble.final_states(cfg)
+def cmd_density(args, mol: MoleculeParams, out_dir: Path):
+    final = ensemble.final_states(_ensemble_config(args, mol))
     grid = density.belt_average(final["kind"], final["r"], final["L"], args.sigma_kde)
     moments = density.second_moments(final["r"], final["L"])
     io_formats.write_density_text(out_dir / "density.csv", grid, seed=args.seed)
@@ -240,29 +236,28 @@ def cmd_density(args, out_dir: Path):
     return ["density.csv"], final["meta"].get("auto_delay_trev"), extra
 
 
-def cmd_compare(args, out_dir: Path):
-    mol = parse_molecule(args.molecule)
+def cmd_compare(args, mol: MoleculeParams, out_dir: Path):
     if args.P2 is None:
         args.P2 = args.P1
-    if mol.kind == "linear":
-        return _compare_linear(args, mol, out_dir)
-    return _compare_symtop(args, mol, out_dir)
+    return (_compare_linear if mol.kind == "linear" else _compare_symtop)(args, mol, out_dir)
 
 
 def _compare_linear(args, mol, out_dir: Path):
     cfg = _ensemble_config(args, mol)
     cl = ensemble.run_protocol(cfg)
     delay = float(cl.meta.get("auto_delay_trev", cfg.pulses[-1].t_apply))
+    post = cl.grid >= delay
+    if not post.any():
+        raise ParameterError(f"the second pulse at {delay:g} T_rev fires after the last "
+                             f"output time {cl.grid[-1]:g}: no deviation after it to compare")
     qpulses = (cfg.pulses[0], dataclasses.replace(cfg.pulses[1], t_apply=delay))
     qm = quantum_linear.thermal_run(mol, args.temp_K, qpulses, t_max=args.t_max,
                                     dt_out=args.dt_out, l_max=args.l_max)
-    channels = {}
-    summary = {}
+    channels, summary = {}, {}
     for name in ("cos2theta", "cos2phi"):
         cl_resampled = np.interp(qm.grid, cl.grid, cl.channels[name])
         channels[f"{name}_classical"] = cl_resampled
         channels[f"{name}_quantum"] = qm.channels[name]
-        post = qm.grid >= delay
         summary[name] = float(np.max(np.abs(cl_resampled[post] - qm.channels[name][post])))
     ts = TimeSeries(grid=qm.grid, channels=channels, meta={})
     files = [_write_series(out_dir, "compare", ts, args.format)]
@@ -276,127 +271,106 @@ def _compare_linear(args, mol, out_dir: Path):
 def _compare_symtop(args, mol, out_dir: Path):
     _check_delay_scanned(args)
     taus = ensemble.output_grid(args.t_max, args.dt_out)
-    cfg = _ensemble_config(args, mol)
-    scan_cl = ensemble.delay_scan(cfg, taus)
-    dphi = math.radians(_second_pulse(args)[0])
-    align_qm = quantum_symtop.alignment_trace(mol, args.temp_K, args.P1, taus,
-                                              J_max=args.l_max)
-    scan_qm = quantum_symtop.delay_curve(mol, args.temp_K, args.P1, args.P2,
-                                         dphi, taus, J_max=args.l_max)
+    scan_cl = ensemble.delay_scan(_ensemble_config(args, mol), taus)
+    runs = _symtop_runs(args, mol, taus, taus)
     channels = {
         "cos2theta_classical": scan_cl.channels["cos2theta"],
-        "cos2theta_quantum": align_qm.channels["cos2theta"],
+        "cos2theta_quantum": runs["alignment"].channels["cos2theta"],
         "Ly_norm_classical": scan_cl.channels["Ly_norm"],
-        "Ly_norm_quantum": scan_qm.channels["Ly_norm"],
+        "Ly_norm_quantum": runs["delay_curve"].channels["Ly_norm"],
     }
-    summary = {
-        "cos2theta": float(np.max(np.abs(channels["cos2theta_classical"]
-                                         - channels["cos2theta_quantum"]))),
-        "Ly_norm": float(np.max(np.abs(channels["Ly_norm_classical"]
-                                       - channels["Ly_norm_quantum"]))),
-    }
+    summary = {name: float(np.max(np.abs(channels[f"{name}_classical"]
+                                         - channels[f"{name}_quantum"])))
+               for name in ("cos2theta", "Ly_norm")}
     ts = TimeSeries(grid=taus, channels=channels, meta={})
     files = [_write_series(out_dir, "compare", ts, args.format, time_column="tau_trev")]
-    quantum = _symtop_diagnostics({"alignment": align_qm, "delay_curve": scan_qm})
     return files, None, {"max_abs_deviation": summary,
                          "diagnostics": {"free_flight": scan_cl.meta["free_flight"],
-                                         "quantum_symtop": quantum}}
+                                         "quantum_symtop": _symtop_diagnostics(runs)}}
+
+
+# the flags of every subcommand, and of those that write a time series
+_SHARED = ("--molecule", "--temp-K", "--P1", "--P2", "--angle-deg", "--delay",
+           "--seed", "--t-max", "--out")
+_SERIES = _SHARED + ("--dt-out", "--format")
+
+# subcommand -> (runner, the molecule kind it needs or None, the flags it honours)
+COMMANDS = {
+    "classical-linear": (cmd_classical, "linear", _SERIES + ("--n-traj",)),
+    "classical-symtop": (cmd_classical, "oblate-symtop", _SERIES + ("--n-traj",)),
+    "quantum-linear": (cmd_quantum_linear, "linear", _SERIES + ("--l-max",)),
+    "quantum-symtop": (cmd_quantum_symtop, "oblate-symtop", _SERIES + ("--l-max",)),
+    "density": (cmd_density, None, _SHARED + ("--n-traj", "--sigma-kde")),
+    "compare": (cmd_compare, None, _SERIES + ("--n-traj", "--l-max")),
+}
 
 
 # ---- presets ------------------------------------------------------------------
 
 
-def _preset_fig2(out_dir: Path, seed: int, n_traj):
-    args = argparse.Namespace(command="compare", molecule="n2", temp_K=50.0,
-                              P1=5.0, P2=5.0, angle_deg=45.0, delay="auto",
-                              n_traj=n_traj or 10000, seed=seed, t_max=5.0,
-                              dt_out=0.002, sigma_kde=0.1, l_max=None, format="csv")
-    return cmd_compare(args, out_dir)
+def _sweep(args):
+    """The benzene presets' pulse pairs P1 = P2 = -1, -3, -10, tagged P1, P3, P10."""
+    for P in (-1.0, -3.0, -10.0):
+        yield f"P{int(abs(P))}", argparse.Namespace(**{**vars(args), "P1": P, "P2": P})
 
 
-def _density_preset(out_dir: Path, seed, n_traj, T_K, P1, P2, with_analytic):
-    args = argparse.Namespace(command="density", molecule="n2", temp_K=T_K,
-                              P1=P1, P2=P2, angle_deg=None, delay=None,
-                              n_traj=n_traj or 10000, seed=seed, t_max=5.0,
-                              dt_out=0.005, sigma_kde=0.1, l_max=None, format="csv")
-    files, delay, extra = cmd_density(args, out_dir)
+def _density_profile(args, mol, out_dir: Path):
+    """density, then its phi average in profile.csv (with the analytic law at T = 0)."""
+    files, delay, extra = cmd_density(args, mol, out_dir)
     grid_t, _, rho, _ = io_formats.read_density_text(out_dir / "density.csv")
-    profile = TimeSeries(grid=grid_t,
-                         channels={"rho_phi_avg": rho.mean(axis=1)}, meta={})
-    if with_analytic:
+    profile = TimeSeries(grid=grid_t, channels={"rho_phi_avg": rho.mean(axis=1)}, meta={})
+    if args.temp_K == 0.0:
         profile.channels["rho_analytic"] = density.analytic_zero_temp(grid_t)
-    io_formats.write_timeseries_csv(out_dir / "profile.csv", profile,
-                                    time_column="theta")
+    io_formats.write_timeseries_csv(out_dir / "profile.csv", profile, time_column="theta")
     return files + ["profile.csv"], delay, extra
 
 
-def _preset_fig5(out_dir: Path, seed: int, n_traj):
-    mol = benzene()
-    n = n_traj or 100000
-    taus = ensemble.output_grid(0.12, SCAN_TREV)
-    files, summary = [], []
+def _preset_fig5(args, mol, out_dir: Path):
+    taus = ensemble.output_grid(args.t_max, args.dt_out)
+    files, extrema = [], []
     combined, free_flight = {}, {}
-    for P in (-1.0, -3.0, -10.0):
-        cfg = EnsembleConfig(
-            mol=mol, T_K=0.9, n_traj=n, seed=seed,
-            pulses=(PulseSpec(P=P, p=(0, 0, 1.0)),
-                    PulseSpec.along(P, (-1.0, 0.0, 1.0), t_apply="auto")),
-            t_max=0.5, dt_out=SCAN_TREV)
-        scan = ensemble.delay_scan(cfg, taus)
-        tag = f"P{int(abs(P))}"
+    for tag, run in _sweep(args):
+        scan = ensemble.delay_scan(_ensemble_config(run, mol), taus)
         free_flight[tag] = scan.meta["free_flight"]
-        align = TimeSeries(grid=taus,
-                           channels={"cos2theta": scan.channels["cos2theta"]}, meta={})
-        files.append(_write_series(out_dir, f"alignment_{tag}", align, "csv"))
-        files.append(_write_series(out_dir, f"delayscan_{tag}", scan, "csv",
-                                   time_column="tau_trev"))
-        combined[f"cos2theta_{tag}"] = scan.channels["cos2theta"]
-        combined[f"Ly_norm_{tag}"] = scan.channels["Ly_norm"]
         c2 = scan.channels["cos2theta"]
+        align = TimeSeries(grid=taus, channels={"cos2theta": c2}, meta={})
+        files.append(_write_series(out_dir, f"alignment_{tag}", align, args.format))
+        files.append(_write_series(out_dir, f"delayscan_{tag}", scan, args.format,
+                                   time_column="tau_trev"))
+        combined[f"cos2theta_{tag}"] = c2
+        combined[f"Ly_norm_{tag}"] = scan.channels["Ly_norm"]
         k_min = ensemble.first_local_extremum(c2, "min")
         k_opt = ensemble.first_local_extremum(np.abs(scan.channels["Ly"]), "max")
-        summary.append((P, taus[k_min], c2[k_min], taus[k_opt]))
-    lines = ["# propeller-sim v" + __version__,
-             "P,t_min_trev,cos2theta_min,t_opt_trev"]
-    for row in summary:
-        lines.append(",".join("%.10e" % v for v in row))
-    (out_dir / "extrema.csv").write_text("\n".join(lines) + "\n")
-    files.append("extrema.csv")
+        extrema.append((run.P1, taus[k_min], c2[k_min], taus[k_opt]))
+    P, *columns = np.array(extrema).T
+    ts = TimeSeries(grid=P, channels=dict(zip(("t_min_trev", "cos2theta_min", "t_opt_trev"),
+                                              columns)), meta={})
+    files.append(_write_series(out_dir, "extrema", ts, args.format, time_column="P"))
     ts = TimeSeries(grid=taus, channels=combined, meta={})
-    files.append(_write_series(out_dir, "combined", ts, "csv", time_column="tau_trev"))
-    return files, None, {"n_traj": n, "diagnostics": {"free_flight": free_flight}}
+    files.append(_write_series(out_dir, "combined", ts, args.format, time_column="tau_trev"))
+    return files, None, {"n_traj": args.n_traj, "diagnostics": {"free_flight": free_flight}}
 
 
-def _preset_fig6(out_dir: Path, seed: int, n_traj):
-    mol = benzene()
-    taus = ensemble.output_grid(0.12, SCAN_TREV)
-    tgrid = np.arange(0.0, 1.1, 0.001)
+def _preset_fig6(args, mol, out_dir: Path):
+    taus = ensemble.output_grid(args.t_max, args.dt_out)
     files, quantum = [], {}
-    for P in (-1.0, -3.0, -10.0):
-        tag = f"P{int(abs(P))}"
-        align = quantum_symtop.alignment_trace(mol, 0.9, P, tgrid)
-        files.append(_write_series(out_dir, f"alignment_{tag}", align, "csv"))
-        scan = quantum_symtop.delay_curve(mol, 0.9, P, P, -math.pi / 4, taus)
-        files.append(_write_series(out_dir, f"delayscan_{tag}", scan, "csv",
-                                   time_column="tau_trev"))
-        quantum[tag] = _symtop_diagnostics({"alignment": align, "delay_curve": scan})
+    for tag, run in _sweep(args):
+        runs = _symtop_runs(run, mol, np.arange(0.0, 1.1, 0.001), taus)
+        files.append(_write_series(out_dir, f"alignment_{tag}", runs["alignment"],
+                                   args.format))
+        files.append(_write_series(out_dir, f"delayscan_{tag}", runs["delay_curve"],
+                                   args.format, time_column="tau_trev"))
+        quantum[tag] = _symtop_diagnostics(runs)
     return files, None, {"diagnostics": {"quantum_symtop": quantum}}
 
 
-def _preset_fig7(out_dir: Path, seed: int, n_traj):
-    files = []
-    extras = {}
+def _preset_fig7(args, mol, out_dir: Path):
+    files, extras = [], {}
     diagnostics = {"free_flight": {}, "quantum_symtop": {}}
-    for P in (-1.0, -3.0, -10.0):
-        tag = f"P{int(abs(P))}"
+    for tag, run in _sweep(args):
         sub = out_dir / tag
         sub.mkdir(exist_ok=True)
-        args = argparse.Namespace(command="compare", molecule="benzene", temp_K=0.9,
-                                  P1=P, P2=P, angle_deg=-45.0, delay="auto",
-                                  n_traj=n_traj or 100000, seed=seed, t_max=0.15,
-                                  dt_out=SCAN_TREV, sigma_kde=0.1, l_max=None,
-                                  format="csv")
-        f, _, extra = cmd_compare(args, sub)
+        f, _, extra = cmd_compare(run, mol, sub)
         files += [f"{tag}/{x}" for x in f]
         extras[tag] = extra["max_abs_deviation"]
         for key, block in diagnostics.items():
@@ -404,15 +378,39 @@ def _preset_fig7(out_dir: Path, seed: int, n_traj):
     return files, None, {"max_abs_deviation": extras, "diagnostics": diagnostics}
 
 
+_BENZENE = "--molecule benzene --temp-K 0.9 --angle-deg -45 --dt-out 0.0005"
+
+# preset -> (subcommand, its flags, the writer that runs them); fig5-fig7
+# sweep P1 = P2 through _sweep
 PRESETS = {
-    "fig2": _preset_fig2,
-    "fig3a": lambda d, s, n: _density_preset(d, s, n, 0.0, 10.0, None, True),
-    "fig3b": lambda d, s, n: _density_preset(d, s, n, 50.0, 10.0, None, False),
-    "fig4": lambda d, s, n: _density_preset(d, s, n, 50.0, 5.0, 5.0, False),
-    "fig5": _preset_fig5,
-    "fig6": _preset_fig6,
-    "fig7": _preset_fig7,
+    "fig2": ("compare", "--molecule n2 --temp-K 50 --P1 5 --P2 5 --dt-out 0.002", cmd_compare),
+    "fig3a": ("density", "--molecule n2 --temp-K 0 --P1 10", _density_profile),
+    "fig3b": ("density", "--molecule n2 --temp-K 50 --P1 10", _density_profile),
+    "fig4": ("density", "--molecule n2 --temp-K 50 --P1 5 --P2 5", _density_profile),
+    "fig5": ("classical-symtop", f"{_BENZENE} --t-max 0.12 --n-traj 100000", _preset_fig5),
+    "fig6": ("quantum-symtop", f"{_BENZENE} --t-max 0.12", _preset_fig6),
+    "fig7": ("compare", f"{_BENZENE} --t-max 0.15 --n-traj 100000", _preset_fig7),
 }
+
+
+def _run(args, out_dir: Path, write):
+    """Check the molecule against the command's kind, then write its run."""
+    kind = COMMANDS[args.command][1]
+    mol = parse_molecule(args.molecule)
+    if kind is not None and mol.kind != kind:
+        raise ParameterError(f"{args.command} requires a {kind} molecule, got {mol.kind}")
+    return write(args, mol, out_dir)
+
+
+def _run_preset(parser, args, out_dir: Path):
+    command, flags, write = PRESETS[args.name]
+    argv = [command, *flags.split(), "--seed", str(args.seed), "--out", str(out_dir)]
+    if args.n_traj is not None:
+        if "--n-traj" not in COMMANDS[command][2]:
+            raise ParameterError(f"--n-traj cannot be honoured: preset {args.name} "
+                                 f"runs {command}, which samples no molecules")
+        argv += ["--n-traj", str(args.n_traj)]
+    return _run(parser.parse_args(argv), out_dir, write)
 
 
 def main(argv=None) -> int:
@@ -426,19 +424,11 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         if args.command == "preset":
-            files, delay, extra = PRESETS[args.name](out_dir, args.seed, args.n_traj)
+            files, delay, extra = _run_preset(parser, args, out_dir)
             config = {"preset": args.name, "seed": args.seed, "n_traj": args.n_traj}
             command = f"preset {args.name}"
         else:
-            runner = {
-                "classical-linear": cmd_classical,
-                "classical-symtop": cmd_classical,
-                "quantum-linear": cmd_quantum_linear,
-                "quantum-symtop": cmd_quantum_symtop,
-                "density": cmd_density,
-                "compare": cmd_compare,
-            }[args.command]
-            files, delay, extra = runner(args, out_dir)
+            files, delay, extra = _run(args, out_dir, COMMANDS[args.command][0])
             config = {k: v for k, v in vars(args).items() if k != "out"}
             command = args.command
     except ParameterError as exc:
@@ -449,7 +439,7 @@ def main(argv=None) -> int:
         return 3
     manifest = io_formats.RunManifest(
         command=command, config=io_formats._plain(config),
-        seed=getattr(args, "seed", None),
+        seed=args.seed,
         versions=io_formats.library_versions(),
         wall_time_s=time.perf_counter() - start,
         auto_delay_trev=delay,

@@ -324,7 +324,8 @@ def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
     """Thermal <cos^2 theta>(t) about the first-pulse axis after one pulse.
 
     Computed in the pulse frame, where cos^2 theta = (1 + Omega)/3 and the
-    kick are both diagonal in m: no rotation is needed.
+    kick are both diagonal in m: no rotation is needed.  Each m block adds
+    (1 + Omega[m])/3 times its states' weighted density sum_s w_s psi_s^* psi_s^T.
     """
     levels, J_max, meta = _thermal_setup(mol, T_K, (P1,), J_max)
     amp = np.zeros((J_max + 1, J_max + 1), dtype=complex)
@@ -334,8 +335,10 @@ def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
         m0, w, psi, tail_K = _first_kick(K, lev, omega, P1)
         n_blocks += int(m0.max()) + 1
         tail = max(tail, tail_K)
-        op = (np.eye(omega.shape[1]) + omega[m0]) / 3.0
-        amp[K:, K:] += np.einsum("sij,si,sj->ij", op, np.conj(psi) * w[:, None], psi)
+        eye = np.eye(omega.shape[1])
+        for m in range(int(m0.max()) + 1):
+            s = m0 == m
+            amp[K:, K:] += (eye + omega[m]) / 3.0 * ((np.conj(psi[s]) * w[s, None]).T @ psi[s])
     trace = SpectralTrace(beat_freqs(J_max + 1), amp)
     times = np.asarray(times_trev, dtype=float)
     values = trace.evaluate(times * TWO_PI)

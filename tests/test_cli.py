@@ -16,6 +16,19 @@ def run_cli(*args) -> int:
     return main(list(args))
 
 
+MONTE_CARLO = ("classical-linear", "classical-symtop", "density", "compare")
+
+
+def n_traj(command, value) -> list:
+    """--n-traj value for the commands that sample molecules, else nothing."""
+    return ["--n-traj", value] if command in MONTE_CARLO else []
+
+
+def dt_out(command, value) -> list:
+    """--dt-out value for the commands with an output grid (all but density)."""
+    return [] if command == "density" else ["--dt-out", value]
+
+
 class TestParsing:
     def test_molecule_specs(self):
         assert parse_molecule("n2").kind == "linear"
@@ -48,10 +61,10 @@ class TestExitCodes:
 
     def test_internal_key_error_propagates(self, tmp_path, monkeypatch):
         # a KeyError inside a runner is a bug, not a configuration error
-        def broken(args, out_dir):
+        def broken(cfg):
             raise KeyError("missing-channel")
 
-        monkeypatch.setattr(cli, "cmd_classical", broken)
+        monkeypatch.setattr(cli.ensemble, "run_protocol", broken)
         with pytest.raises(KeyError, match="missing-channel"):
             run_cli("classical-linear", "--out", str(tmp_path))
 
@@ -77,7 +90,7 @@ class TestExitCodes:
         if command in ("quantum-symtop", "compare"):
             del args["--delay"]     # these benzene scans reject a numeric delay
         args[flag] = value
-        argv = [command, "--molecule", molecule, "--n-traj", "50", "--out", str(tmp_path)]
+        argv = [command, "--molecule", molecule, *n_traj(command, "50"), "--out", str(tmp_path)]
         for k, v in args.items():
             argv += [k, v]
         assert run_cli(*argv) == 2
@@ -90,7 +103,7 @@ class TestExitCodes:
                                                                  command, delay):
         # the benzene quantum run and compare scan the whole output grid of delays
         argv = [command, "--molecule", "benzene", "--temp-K", "0.9", "--P1", "-1",
-                "--P2", "-1", "--n-traj", "50", "--t-max", "0.01", "--dt-out", "0.005",
+                "--P2", "-1", *n_traj(command, "50"), "--t-max", "0.01", "--dt-out", "0.005",
                 "--out", str(tmp_path)]
         assert run_cli(*argv, "--delay", delay) == 2
         assert not (tmp_path / "manifest.json").exists()
@@ -102,8 +115,8 @@ class TestExitCodes:
         ("quantum-symtop", "benzene"), ("density", "n2")])
     def test_second_pulse_flags_need_p2(self, tmp_path, command, molecule, flag, value):
         # without --P2 these commands fire one pulse: no angle or delay to set
-        argv = [command, "--molecule", molecule, "--P1", "1", "--n-traj", "50",
-                "--t-max", "0.02", "--dt-out", "0.01", "--out", str(tmp_path)]
+        argv = [command, "--molecule", molecule, "--P1", "1", *n_traj(command, "50"),
+                "--t-max", "0.02", *dt_out(command, "0.01"), "--out", str(tmp_path)]
         assert run_cli(*argv, flag, value) == 2
         assert not (tmp_path / "manifest.json").exists()
         assert run_cli(*argv) == 0
@@ -311,8 +324,8 @@ class TestOutputs:
         scanned = molecule == "benzene" and command in ("quantum-symtop", "compare")
         delay = [] if scanned else ["--delay", "0.02"]
         assert run_cli(command, "--molecule", molecule, "--temp-K", "0.9",
-                       "--P1", P, "--P2", P, *delay, "--n-traj", "100",
-                       "--t-max", "0.05", "--dt-out", "0.01", "--out", str(tmp_path)) == 0
+                       "--P1", P, "--P2", P, *delay, *n_traj(command, "100"),
+                       "--t-max", "0.05", *dt_out(command, "0.01"), "--out", str(tmp_path)) == 0
         m = read_manifest(tmp_path / "manifest.json")
         assert set(m.diagnostics) == sections
         assert all(m.diagnostics.values())
@@ -347,7 +360,9 @@ class TestOutputs:
         ("fig7", {"free_flight", "quantum_symtop"}),
     ])
     def test_preset_quantum_symtop_diagnostics(self, tmp_path, name, sections):
-        assert run_cli("preset", name, "--n-traj", "200", "--out", str(tmp_path)) == 0
+        # fig6 runs quantum-symtop, which samples no molecules to count
+        size = [] if name == "fig6" else ["--n-traj", "200"]
+        assert run_cli("preset", name, *size, "--out", str(tmp_path)) == 0
         m = read_manifest(tmp_path / "manifest.json")
         assert set(m.diagnostics) == sections
         for section in sections:
@@ -369,3 +384,79 @@ class TestOutputs:
         m = read_manifest(tmp_path / "manifest.json")
         assert "cos2phi" in m.config["result_max_abs_deviation"]
         assert m.diagnostics["free_flight"]["n_traj"] == 2000
+
+    @pytest.mark.parametrize("window", [("--delay", "2.0", "--t-max", "0.1"),
+                                        ("--delay", "0.05", "--t-max", "0.1", "--dt-out", "0.2")])
+    def test_compare_needs_an_output_time_after_the_second_pulse(self, tmp_path, window):
+        # the deviation is taken after the second pulse: with no grid time
+        # there, there is nothing to compare
+        code = run_cli("compare", "--molecule", "n2", "--temp-K", "0", "--P1", "1",
+                       "--n-traj", "50", *window, "--out", str(tmp_path))
+        assert code == 2
+        assert not (tmp_path / "manifest.json").exists()
+
+
+class TestFlagTable:
+    """Each subcommand takes only the flags that it honours.
+
+    A flag outside a command's row of cli.COMMANDS exits 2 before anything
+    runs.  A flag inside it, set to a probe value, changes the bytes of a
+    data file or the exit code against a base run.  The one exception is
+    --seed on the quantum commands, which only record it as the manifest's
+    seed.  --out is not probed: every run here is read back from its --out.
+    """
+
+    BASE = {
+        "classical-linear": "--molecule n2 --temp-K 5 --P1 2 --P2 2 --n-traj 50 "
+                            "--t-max 0.1 --dt-out 0.01",
+        "classical-symtop": "--molecule benzene --temp-K 0.9 --P1 -1 --P2 -1 --n-traj 50 "
+                            "--t-max 0.1 --dt-out 0.01",
+        "quantum-linear": "--molecule n2 --temp-K 5 --P1 2 --P2 2 --t-max 0.1 --dt-out 0.01",
+        "quantum-symtop": "--molecule benzene --temp-K 0.9 --P1 -1 --P2 -1 "
+                          "--t-max 0.1 --dt-out 0.01",
+        # --t-max bounds only the auto-delay search, so the base fires --P2
+        "density": "--molecule n2 --temp-K 5 --P1 2 --P2 2 --n-traj 5",
+        "compare": "--molecule n2 --temp-K 5 --P1 2 --P2 2 --n-traj 50 "
+                   "--t-max 0.1 --dt-out 0.01",
+    }
+    # at T = 0 a classical linear run does not depend on B, so the bases are warm
+    PROBES = {"--angle-deg": "80", "--delay": "0.02", "--n-traj": "60", "--seed": "2",
+              "--t-max": "0.08", "--dt-out": "0.02", "--sigma-kde": "0.2",
+              "--l-max": "3", "--format": "json"}
+    LINEAR = {"--molecule": "custom:1.5", "--temp-K": "8", "--P1": "3", "--P2": "3"}
+    SYMTOP = {"--molecule": "custom:0.2,0.1", "--temp-K": "2", "--P1": "-2", "--P2": "-2"}
+
+    @staticmethod
+    def _run(command, argv, out):
+        code = run_cli(command, *argv, "--out", str(out))
+        files = {p.name: p.read_bytes() for p in out.glob("*") if p.name != "manifest.json"}
+        return code, files
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_flag_is_honoured_or_rejected(self, tmp_path, command):
+        honoured = cli.COMMANDS[command][2]
+        probes = {**self.PROBES, **(self.SYMTOP if "benzene" in self.BASE[command]
+                                    else self.LINEAR)}
+        if command == "density":
+            probes["--t-max"] = "0.002"     # too short for the alignment maximum: exit 3
+        base = self.BASE[command].split()
+        reference = self._run(command, base, tmp_path / "base")
+        assert reference[0] == 0 and reference[1]
+        for flag in cli.FLAGS:
+            if flag == "--out":
+                continue
+            out = tmp_path / flag.lstrip("-")
+            probe = self._run(command, [*base, flag, probes[flag]], out)
+            if flag not in honoured:
+                assert probe == (2, {}), flag
+                assert not (out / "manifest.json").exists(), flag
+            elif flag == "--seed" and command.startswith("quantum"):
+                assert probe == reference
+                assert read_manifest(out / "manifest.json").seed == 2
+            else:
+                assert probe != reference, flag
+
+    def test_preset_rejects_a_molecule_count_it_cannot_use(self, tmp_path):
+        # fig6 runs quantum-symtop, which samples no molecules
+        assert run_cli("preset", "fig6", "--n-traj", "5", "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "manifest.json").exists()

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,17 @@ class TestThermal:
         c2 = ts.channels["cos2theta"]
         assert c2[0] == pytest.approx(1 / 3, abs=1e-6)
         assert c2.min() < 1 / 3 - 0.05
+
+    def test_alignment_trace_contracts_per_m_block(self):
+        # one (n, n) copy of (1 + Omega[m0])/3 per thermal state peaked at
+        # 10.6 MiB here (14,322 states, J_max 44); one per m block needs 1.9 MiB
+        tracemalloc.start()
+        try:
+            alignment_trace(BZ, 10.0, -1.0, [0.0, 0.01, 0.02])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_dphi_sign_flips_jz(self):
         taus = np.linspace(0.0, 0.08, 9)
