@@ -25,7 +25,8 @@ subcommand honours, so any other flag exits 2.  --seed is the one flag that
 a subcommand takes without using it: the quantum runs only record it as the
 manifest's seed.  --angle-deg (45 by default) and --delay (auto by default)
 set the second pulse, so they are rejected without --P2; compare's --P2
-defaults to --P1.
+defaults to --P1.  density has no output grid: its --t-max only bounds the
+search for an auto second pulse, so it is rejected unless one fires.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Times are in units of T_rev throughout.  PROPELLER_THREADS (a positive
@@ -106,6 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name)
         for flag in (f for f in FLAGS if f in honoured):
             sub.add_argument(flag, **FLAGS[flag])
+    # density reads --t-max only as the --delay auto window: None marks it unset
+    subs.choices["density"].set_defaults(t_max=None)
     pre = subs.add_parser("preset")
     pre.add_argument("name", choices=tuple(PRESETS))
     pre.add_argument("--out", **FLAGS["--out"])
@@ -224,6 +227,11 @@ def cmd_quantum_symtop(args, mol: MoleculeParams, out_dir: Path):
 
 
 def cmd_density(args, mol: MoleculeParams, out_dir: Path):
+    if args.t_max is None:
+        args.t_max = FLAGS["--t-max"]["default"]
+    elif args.P2 is None or _second_pulse(args)[1] != "auto":
+        raise ParameterError(f"--t-max {args.t_max} cannot be honoured: density uses it only "
+                             "to bound the --delay auto search, and fires no auto second pulse")
     final = ensemble.final_states(_ensemble_config(args, mol))
     grid = density.belt_average(final["kind"], final["r"], final["L"], args.sigma_kde)
     moments = density.second_moments(final["r"], final["L"])

@@ -15,21 +15,26 @@ reads that one eigensystem.
 
 Every observable is Hermitian, so it is a dict of block tables {q: T} for
 the m-offsets q >= 0 only, with T[m + l_max, l', l] = <l', m+q|A|l, m>; the
-q < 0 tables are their mirrors.  cos^2 theta is (1 + Omega)/3 on the same
-K = 0 blocks as the kick, and cos 2 phi is built by exact Gauss-Legendre
-quadrature.
-Each segment's state batch is scattered once into its (m, l) stack, and
-one spectral.accumulate_pattern call contracts it with the tables of all
-four observables, each into the trace of one (l', l) matrix of amplitudes
-of the beats e_l' - e_l, the same beats as the symmetric top's
-(spectral.beat_freqs).  After a kick along z every state keeps its m, so
-the density of each m block reads only the states that live in it.
+q < 0 tables are their mirrors.  A table diagonal in l (the 1/2 of
+cos^2 phi, J^2, J_y's J_+) is stored as T[m + l_max, l], and the real ones
+(cos^2 theta, cos 2 phi) as floats.  cos^2 theta is (1 + Omega)/3 on the
+same K = 0 blocks as the kick, and cos 2 phi is built by exact
+Gauss-Legendre quadrature.
+One spectral.accumulate_pattern call per segment reads the flat state
+batch one m block at a time (LinearBasis.m_rows) and contracts it with the
+tables of all four observables, each into the trace of one (l', l) matrix
+of amplitudes of the beats e_l' - e_l, the same beats as the symmetric
+top's (spectral.beat_freqs).  After a kick along z every state keeps its
+m, so the density of each m block reads only the states that live in it.
 
 The thermal mixture is the K = 0 case of quantum_symtop.thermal_levels,
 expanded to all m.  Its wave packets are a pulse-protocol state, fired and
 recorded by ensemble.record_protocol: each segment builds its four weighted
 traces once, for the auto-delay scan and the output grid alike.  The zero
 beat of each trace (spectral.SpectralTrace) is its exact revival average.
+A free flight only records its duration: the next kick applies its phases
+in the one copy of the batch that it makes, so each kick, not each flight,
+costs one batch.
 """
 
 from __future__ import annotations
@@ -65,23 +70,18 @@ class LinearBasis:
         """Per-state population within HEADROOM_BAND of l_max."""
         return (np.abs(psi[self.l > self.l_max - HEADROOM_BAND]) ** 2).sum(axis=0)
 
-    def blocks(self, psi: np.ndarray) -> np.ndarray:
-        """A (size, n_states) batch as its (m + l_max, l, n_states) stack."""
-        out = np.zeros((2 * self.l_max + 1, self.l_max + 1, psi.shape[1]), dtype=complex)
-        out[self.m + self.l_max, self.l] = psi
-        return out
+    @functools.cached_property
+    def m_rows(self) -> list:
+        """The flat rows of each m block, m = -l_max..l_max: l^2 + l + m for l >= |m|."""
+        ls = np.arange(self.l_max + 1)
+        return [ls[abs(m):] * (ls[abs(m):] + 1) + m for m in range(-self.l_max, self.l_max + 1)]
 
     # ---- operator block tables ---------------------------------------------
 
-    def _table(self, m, lp, l, vals) -> np.ndarray:
-        """A table with T[m + l_max, l', l] = vals and zeros elsewhere."""
-        n = self.l_max + 1
-        out = np.zeros((2 * n - 1, n, n), dtype=complex)
-        out[m + self.l_max, lp, l] = vals
-        return out
-
-    def _diagonal(self, vals) -> dict:
-        return {0: self._table(self.m, self.l, self.l, vals)}
+    def _diagonal(self, vals) -> np.ndarray:
+        """A table diagonal in l, d[m + l_max, l] = vals(l, m), zero where l < |m|."""
+        m, l = np.ogrid[-self.l_max:self.l_max + 1, :self.l_max + 1]
+        return np.where(l >= np.abs(m), vals(l, m), 0.0)
 
     @functools.cached_property
     def _omega(self) -> np.ndarray:
@@ -100,37 +100,29 @@ class LinearBasis:
         live = np.arange(L + 1) >= m[:, None]
         return {0: (live[:, :, None] * np.eye(L + 1) + self._omega[m]) / 3.0}
 
-    def op_cos_2phi(self) -> dict:
-        """cos(2 phi): couples m -> m + 2 with all Delta-l, built by exact
-        Gauss-Legendre quadrature of the theta overlaps (polynomial integrands)."""
-        key = "cos_2phi"
-        if key in self._ops:
-            return self._ops[key]
+    def op_cos2phi(self) -> dict:
+        """Azimuthal factor cos^2(phi) = 1/2 + cos(2 phi)/2.  cos(2 phi) couples
+        m -> m + 2 with all Delta-l, by exact Gauss-Legendre quadrature of the
+        theta overlaps (polynomial integrands); the table is real."""
         L = self.l_max
         x, w = angular.gauss_legendre(L + 4)
         # m = 0..L from one sweep; Pbar_l,-m = (-1)^m Pbar_lm gives the rest
         sweep = list(angular.legendre_sweep(L, x))
         tables = [(-1.0) ** m * t for m, t in zip(range(L, 0, -1), sweep[:0:-1])] + sweep
-        up = np.zeros((2 * L + 1, L + 1, L + 1), dtype=complex)   # <l', m+2|.|l, m>
+        up = np.zeros((2 * L + 1, L + 1, L + 1))      # <l', m+2|cos(2 phi)/2|l, m>
         for m, t_lo, t_hi in zip(range(-L, L - 1), tables, tables[2:]):
             block = math.pi * (t_hi * w) @ t_lo.T
-            up[m + L, abs(m + 2):, abs(m):] = np.where(np.abs(block) >= 1e-14, block, 0.0)
-        self._ops[key] = op = {2: up}
-        return op
-
-    def op_cos2phi(self) -> dict:
-        """Azimuthal factor cos^2(phi) = 1/2 + cos(2 phi)/2."""
-        return {**self._diagonal(0.5),
-                **{q: 0.5 * T for q, T in self.op_cos_2phi().items()}}
+            up[m + L, abs(m + 2):, abs(m):] = 0.5 * np.where(np.abs(block) >= 1e-14, block, 0.0)
+        return {0: self._diagonal(lambda l, m: 0.5), 2: up}
 
     def op_jy(self) -> dict:
-        """J_y = (J_+ - J_-)/(2i) (dimensionless angular momentum): the J_+ table."""
-        sel = self.m < self.l
-        l, m = self.l[sel], self.m[sel]
-        return {1: self._table(m, l, l, -0.5j * np.sqrt(l * (l + 1) - m * (m + 1)))}
+        """J_y = (J_+ - J_-)/(2i) (dimensionless angular momentum): the J_+ table,
+        diagonal in l, zero at m = l."""
+        return {1: self._diagonal(lambda l, m: np.where(
+            m < l, -0.5j * np.sqrt(np.maximum(l * (l + 1) - m * (m + 1), 0)), 0.0))}
 
     def op_j2(self) -> dict:
-        return self._diagonal(self.l * (self.l + 1))
+        return {0: self._diagonal(lambda l, m: l * (l + 1.0))}
 
     def operator(self, name: str) -> dict:
         if name not in self._ops:
@@ -142,8 +134,10 @@ class LinearBasis:
         return self._ops[name]
 
 
-def kick_batch(basis: LinearBasis, psi: np.ndarray, pulse: PulseSpec) -> np.ndarray:
-    """Apply one impulsive kick to a (size, n_states) coefficient batch."""
+def kick_batch(basis: LinearBasis, psi: np.ndarray, pulse: PulseSpec,
+               dt: float = 0.0) -> np.ndarray:
+    """Apply one impulsive kick to a (size, n_states) coefficient batch after
+    a free flight of dt, whose phases e^{-i e_l dt} fill the one copy made."""
     l_max, p = basis.l_max, pulse.p_vec
     key = ("kick", pulse.P)
     if key not in basis._ops:            # one kick per distinct P, one eigensystem
@@ -151,11 +145,12 @@ def kick_batch(basis: LinearBasis, psi: np.ndarray, pulse: PulseSpec) -> np.ndar
     U = basis._ops[key]
     beta, alpha = math.atan2(math.hypot(p[0], p[1]), p[2]), math.atan2(p[1], p[0])
     shells = list(enumerate(angular.shell_rotations(l_max, alpha, beta))) if p[0] or p[1] else []
-    out = np.array(psi, dtype=complex, order="C")     # one copy, updated in place
+    # one copy, updated in place
+    out = (psi * np.exp(-1j * basis.energies * dt)[:, None] if dt
+           else np.array(psi, dtype=complex, order="C"))
     for l, D in shells:
         out[l * l:(l + 1) ** 2] = D.conj().T @ out[l * l:(l + 1) ** 2]
-    for m in range(-l_max, l_max + 1):
-        rows = np.flatnonzero(basis.m == m)
+    for m, rows in zip(range(-l_max, l_max + 1), basis.m_rows):
         out[rows] = U[abs(m), abs(m):, abs(m):] @ out[rows]
     for l, D in shells:
         out[l * l:(l + 1) ** 2] = D @ out[l * l:(l + 1) ** 2]
@@ -167,25 +162,28 @@ def kick_batch(basis: LinearBasis, psi: np.ndarray, pulse: PulseSpec) -> np.ndar
 @dataclass(frozen=True)
 class _Packets:
     """The thermal wave packets between kicks, as a pulse-protocol state:
-    columns psi at the segment start with their Boltzmann weights."""
+    columns psi at the last kick with their Boltzmann weights, and the free
+    flight since then, which the next kick applies.  Traces are built only
+    for packets that have not flown (the initial state and each kick's)."""
 
     basis: LinearBasis
     psi: np.ndarray
     weights: np.ndarray
+    flight: float = 0.0
 
     @functools.cached_property
     def traces(self) -> dict[str, SpectralTrace]:
         """The weighted cos2theta, cos2phi, Ly and L2 traces, built on first use."""
         return accumulate_pattern({name: self.basis.operator(name)
                                    for name in ("cos2theta", "cos2phi", "Ly", "L2")},
-                                  self.basis.blocks(self.psi), self.weights)
+                                  self.psi, self.basis.m_rows, self.weights)
 
     def advance(self, dt: float) -> "_Packets":
-        phases = np.exp(-1j * self.basis.energies * dt)
-        return _Packets(self.basis, self.psi * phases[:, None], self.weights)
+        return _Packets(self.basis, self.psi, self.weights, self.flight + dt)
 
     def kick(self, pulse: PulseSpec) -> "_Packets":
-        return _Packets(self.basis, kick_batch(self.basis, self.psi, pulse), self.weights)
+        return _Packets(self.basis, kick_batch(self.basis, self.psi, pulse, self.flight),
+                        self.weights)
 
     def cos2theta(self, times: np.ndarray, h: float) -> np.ndarray:
         """The cos2theta trace alone at the free-flight times since the kick."""

@@ -70,7 +70,10 @@ WEIGHT_CUTOFF = 0.9999
 # keeps J <= 97, already a 10k-column quantum_linear batch.
 THERMAL_J_LIMIT = 300
 # The largest dense batch, basis size x initial states x 16 B, that
-# quantum_linear.thermal_run may allocate: N2 at P = 5 needs 5 MiB at 50 K.
+# quantum_linear.thermal_run may allocate (N2 at P = 5 needs 5 MiB at 50 K),
+# and the budget of one chunk of states in delay_curve: its three
+# (m, state, J) complex arrays, 192 MiB each for all of benzene's K = 0
+# states at 50 K.
 STATE_BATCH_BYTES = 2 ** 28
 
 
@@ -385,22 +388,32 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
         SS = np.outer((-1.0) ** Js, (-1.0) ** Js)
         c2, c4 = (np.concatenate([x[:0:-1] * SS, x])
                   for x in (c2[:, :-2, :-2], (c2 @ c2)[:, :-2, :-2]))
-        # pulse-2 frame amplitudes at each delay, before the phase e^{-i e_J tau}
-        Z = (tilt[Js][:, :, m0] * psi.T[:, None, :]).transpose(1, 2, 0)  # (m, s, J)
-        Zw = np.conj(Z).transpose(0, 2, 1) * w
+        # the (m, J, J) densities G = sum_s w_s Z_s^* Z_s^T of the pulse-2 frame
+        # amplitudes Z, before the phase e^{-i e_J tau}, and their m -> m + 1
+        # band, by chunks of states whose Z, Zw and tilt gathers fit the budget
+        G = G1 = None
+        chunk = max(1, STATE_BATCH_BYTES // (3 * 16 * tilt.shape[1] * len(Js)))
+        tilt_K = tilt[Js]
+        for s in range(0, len(w), chunk):
+            sl = slice(s, s + chunk)
+            Z = (tilt_K[:, :, m0[sl]] * psi[sl].T[:, None, :]).transpose(1, 2, 0)  # (m, s, J)
+            Zw = np.conj(Z).transpose(0, 2, 1) * w[sl]
+            if G is None:
+                G, G1 = Zw @ Z, Zw[:-1] @ Z[1:]
+            else:
+                G += Zw @ Z
+                G1 += Zw[:-1] @ Z[1:]
         # U^dag J^2 U = J^2 + iP [J^2, c^2] + 4P^2 (c^2 - c^4), U = e^{iP c^2}
-        G = Zw @ Z
         a = Js * (Js + 1.0)
         h2, h4 = (np.einsum("mij,mij->ij", c, G) for c in (c2, c4))
         g[1, K:, K:] += (np.diag(a * np.einsum("mii->i", G)) + 1j * P2 * (a[:, None] - a) * h2
                          + 4.0 * P2 * P2 * (h2 - h4))
         # U^dag J_y U = J_y + iP [J_y, c^2] on J_y's band above the diagonal,
         # m -> m + 1, where J_y = i jy; the mirror gives the same real trace
-        G = Zw[:-1] @ Z[1:]
         j = jy[:, Js]
         comm = j[:, :, None] * c2[1:] - c2[:-1] * j[:, None, :]     # [J_y, c^2] / i
-        g[0, K:, K:] += (2j * np.diag(np.einsum("mi,mii->i", j, G))
-                         - 2.0 * P2 * np.einsum("mij,mij->ij", comm, G))
+        g[0, K:, K:] += (2j * np.diag(np.einsum("mi,mii->i", j, G1))
+                         - 2.0 * P2 * np.einsum("mij,mij->ij", comm, G1))
     trace = SpectralTrace(beat_freqs(n), g)
     Ly, L2 = trace.evaluate(taus)
     Ly[np.abs(taus_trev - np.round(taus_trev)) <= 4 * np.spacing(np.abs(taus_trev))] = 0.0

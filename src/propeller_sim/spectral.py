@@ -17,14 +17,16 @@ long-time average.  The beats are integers, so each splits as f = S q + r
 with S = ceil(sqrt(f_max + 1)): over T times a trace takes T (Q + S)
 exponentials and one (T, Q) @ (Q, S) product, never a (times x beats) table.
 
-accumulate_pattern builds every trace of a segment from its (m, l) stack of
-states in one call: each m-offset's weighted density is formed once, for
-all operators with that offset, over the states live in both m blocks and
-the rows and columns l >= |m|.  The terms it skips are exact zeros.
+accumulate_pattern builds every trace of a segment from its flat batch of
+states in one call, gathering each m block (rows l >= |m|) once and holding
+only the few that the largest m-offset pairs: each pair's weighted density
+is formed once, for all operators with that offset, over the states live in
+both blocks.  The terms it skips are exact zeros.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -99,37 +101,49 @@ def _phases(t: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def accumulate_pattern(ops: dict, blocks: np.ndarray, weights: np.ndarray) -> dict:
+def accumulate_pattern(ops: dict, psi: np.ndarray, rows: list, weights: np.ndarray) -> dict:
     """The traces sum_s w_s <psi_s|A|psi_s>(t) of Hermitian operators A,
     {name: SpectralTrace} for ops {name: A}, each A given as per-m block tables.
 
-    A maps each m-offset q >= 0 to a table T[m, l', l] = <l', m+q|A|l, m>;
-    the q < 0 tables are their mirrors, whose beats conjugate the q > 0
-    ones and so give the same real trace.  blocks[m, l, s] holds state s at
-    the segment reference time, m counted from -l_max.  Each distinct q
-    builds the weighted densities rho[m] = (conj(psi[m+q]) w) psi[m]^T once
-    and contracts them with every table of that q: sum_m T[m] * rho[m],
-    doubled for q > 0, is the (l', l) matrix of amplitudes of the beats
-    e_l' - e_l.  Each rho[m] runs over the rows l' >= |m+q|, the columns
-    l >= |m| and the states live (with a nonzero entry) in both blocks, so
-    every term it drops is exactly zero.
+    A maps each m-offset q >= 0 to a table of <l', m+q|A|l, m>: T[m, l', l],
+    or T[m, l] for an A diagonal in l (l' = l), m counted from -l_max.  The
+    q < 0 tables are the mirrors, whose beats conjugate the q > 0 ones and
+    so give the same real trace.  psi is the flat (size, n_states) batch at
+    the segment reference time and rows[m] its rows of block m, l >= |m| in
+    l order, m = -l_max..l_max.
+
+    The blocks are gathered once each, walking m up with a window of the
+    last max(q) + 1.  Each pair of blocks (m, m + q) builds the weighted
+    density rho = (conj(psi[m+q]) w) psi[m]^T once, over the states live
+    (with a nonzero entry) in both, and adds T[m] * rho to every table of
+    that q; dropped states and rows l < |m| hold exact zeros.  Summed over
+    m, doubled for q > 0 and added up in q order, it is the (l', l) matrix
+    of amplitudes of the beats e_l' - e_l.
     """
-    n_m, n_l = blocks.shape[:2]
-    live = np.any(blocks != 0, axis=1)
-    amps = {name: np.zeros((n_l, n_l), dtype=complex) for name in ops}
-    for q in sorted({q for op in ops.values() for q in op}):
-        tables = {name: op[q] for name, op in ops.items() if q in op}
-        parts = {name: np.zeros((n_l, n_l), dtype=complex) for name in tables}
-        for m in range(n_m - q):
-            s = np.flatnonzero(live[m + q] & live[m])
-            if s.size == 0:
+    n_l = (len(rows) + 1) // 2
+    parts = {(name, q): np.zeros((n_l, n_l), dtype=complex)
+             for name, op in ops.items() for q in sorted(op)}
+    window = collections.deque(maxlen=max(q for _, q in parts) + 1)  # window[q]: block k - q
+    for k, idx in enumerate(rows):
+        block = psi[idx]
+        live = np.any(block != 0, axis=0)
+        window.appendleft((block, live))
+        r = abs(k - n_l + 1)                              # block k's first l
+        for q, (ket, ket_live) in enumerate(window):
+            tables = [(op[q], parts[name, q]) for name, op in ops.items() if q in op]
+            s = np.flatnonzero(live & ket_live)
+            if not tables or s.size == 0:
                 continue
-            r, c = abs(m + q - n_l + 1), abs(m - n_l + 1)
-            bra = np.conj(blocks[m + q, r:][:, s]) * weights[s]
-            rho = bra @ blocks[m, c:][:, s].T
-            for name, T in tables.items():
-                parts[name][r:, c:] += T[m, r:, c:] * rho
-        for name, part in parts.items():
-            amps[name] += (2.0 if q else 1.0) * part
+            m, c = k - q, abs(k - q - n_l + 1)
+            rho = (np.conj(block[:, s]) * weights[s]) @ ket[:, s].T
+            for T, part in tables:
+                if T.ndim == 3:
+                    part[r:, c:] += T[m, r:, c:] * rho
+                else:
+                    d = np.arange(max(r, c), n_l)
+                    part[d, d] += T[m, d] * rho[d - r, d - c]
+    amps = {name: np.zeros((n_l, n_l), dtype=complex) for name in ops}
+    for (name, q), part in parts.items():
+        amps[name] += (2.0 if q else 1.0) * part
     freqs = beat_freqs(n_l)
     return {name: SpectralTrace(freqs, amp) for name, amp in amps.items()}

@@ -9,8 +9,8 @@
   (the K = 0 pulse-frame blocks) and of its tilted kicks;
 * lm_index: the flat index l^2 + l + m of |l, m> in a `LinearBasis`;
 * matrix_of: the dense matrix of a `LinearBasis` operator given as its
-  q >= 0 block tables, mirrored into the q < 0 ones, for the element-wise
-  and dense-matrix oracles;
+  q >= 0 block tables, dense or diagonal in l, mirrored into the q < 0
+  ones, for the element-wise and dense-matrix oracles;
 * observe_grid: <f(theta, phi)> of one |l, m> wave packet by quadrature of
   f against |Psi|^2, the reference for the operator expectation values;
 * kde_at and kde_snapshot: the instantaneous kernel density estimate, each
@@ -107,19 +107,25 @@ def lm_index(l: int, m: int) -> int:
 
 
 def matrix_of(basis, op: dict, hermitian: bool = True) -> np.ndarray:
-    """Dense matrix of {q: T} with T[m + l_max, l', l] = <l', m+q|A|l, m>.
+    """Dense matrix of {q: T} with T[m + l_max, l', l] = <l', m+q|A|l, m>, or
+    T[m + l_max, l] = <l, m+q|A|l, m> for a table diagonal in l; real or complex.
 
     A Hermitian operator's q < 0 tables are the mirrors of its q > 0 ones,
     which are added here; hermitian=False takes the tables as they are.
     """
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for q, T in op.items():
-        k, lp, l = np.nonzero(T)
+        if T.ndim == 2:                 # diagonal in l: l' = l
+            k, l = np.nonzero(T)
+            lp, vals = l, T[k, l]
+        else:
+            k, lp, l = np.nonzero(T)
+            vals = T[k, lp, l]
         m = k - basis.l_max
         rows, cols = lp * lp + lp + m + q, l * l + l + m
-        out[rows, cols] = T[k, lp, l]
+        out[rows, cols] = vals
         if hermitian and q > 0:
-            out[cols, rows] = np.conj(T[k, lp, l])
+            out[cols, rows] = np.conj(vals)
     return out
 
 

@@ -24,9 +24,10 @@ def n_traj(command, value) -> list:
     return ["--n-traj", value] if command in MONTE_CARLO else []
 
 
-def dt_out(command, value) -> list:
-    """--dt-out value for the commands with an output grid (all but density)."""
-    return [] if command == "density" else ["--dt-out", value]
+def grid(command, t_max, dt) -> list:
+    """--t-max and --dt-out for the commands with an output grid, all but
+    density, which takes --t-max only to bound an auto second pulse's search."""
+    return [] if command == "density" else ["--t-max", t_max, "--dt-out", dt]
 
 
 class TestParsing:
@@ -116,7 +117,7 @@ class TestExitCodes:
     def test_second_pulse_flags_need_p2(self, tmp_path, command, molecule, flag, value):
         # without --P2 these commands fire one pulse: no angle or delay to set
         argv = [command, "--molecule", molecule, "--P1", "1", *n_traj(command, "50"),
-                "--t-max", "0.02", *dt_out(command, "0.01"), "--out", str(tmp_path)]
+                *grid(command, "0.02", "0.01"), "--out", str(tmp_path)]
         assert run_cli(*argv, flag, value) == 2
         assert not (tmp_path / "manifest.json").exists()
         assert run_cli(*argv) == 0
@@ -325,7 +326,7 @@ class TestOutputs:
         delay = [] if scanned else ["--delay", "0.02"]
         assert run_cli(command, "--molecule", molecule, "--temp-K", "0.9",
                        "--P1", P, "--P2", P, *delay, *n_traj(command, "100"),
-                       "--t-max", "0.05", *dt_out(command, "0.01"), "--out", str(tmp_path)) == 0
+                       *grid(command, "0.05", "0.01"), "--out", str(tmp_path)) == 0
         m = read_manifest(tmp_path / "manifest.json")
         assert set(m.diagnostics) == sections
         assert all(m.diagnostics.values())
@@ -384,6 +385,20 @@ class TestOutputs:
         m = read_manifest(tmp_path / "manifest.json")
         assert "cos2phi" in m.config["result_max_abs_deviation"]
         assert m.diagnostics["free_flight"]["n_traj"] == 2000
+
+    @pytest.mark.parametrize("pulse2", [(), ("--P2", "2", "--delay", "0.05")],
+                             ids=["one-pulse", "fixed-delay"])
+    def test_density_rejects_a_window_without_an_auto_pulse(self, tmp_path, pulse2):
+        # density's --t-max bounds only the --delay auto search, so without an
+        # auto second pulse it would change nothing
+        base = ("density", "--molecule", "n2", "--temp-K", "5", "--P1", "2",
+                "--n-traj", "20", *pulse2)
+        code = run_cli(*base, "--t-max", "0.001", "--out", str(tmp_path / "window"))
+        assert code == 2
+        assert not (tmp_path / "window" / "manifest.json").exists()
+        # without it the run records the default window
+        assert run_cli(*base, "--out", str(tmp_path / "plain")) == 0
+        assert read_manifest(tmp_path / "plain" / "manifest.json").config["t_max"] == 5.0
 
     @pytest.mark.parametrize("window", [("--delay", "2.0", "--t-max", "0.1"),
                                         ("--delay", "0.05", "--t-max", "0.1", "--dt-out", "0.2")])

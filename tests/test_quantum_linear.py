@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ class TestBasis:
         # sum_s w_s psi_s(t)^H A psi_s(t) from the dense matrices, at five times
         names = ("cos2theta", "cos2phi", "Ly", "L2")
         traces = accumulate_pattern({name: b.operator(name) for name in names},
-                                    b.blocks(psi), w)
+                                    psi, b.m_rows, w)
         assert list(traces) == list(names)
         times = np.array([0.0, 0.13, 0.9, 2.4, 5.7])
         for name in names:
@@ -137,13 +138,12 @@ class TestBasis:
         confined = kick_batch(b, start, PulseSpec(P=2.0, p=(0, 0, 1.0)))
         spread = kick_batch(b, start[:, 1:3], PulseSpec.along(1.5, (1, 0.5, 2)))
         psi = np.hstack([confined, spread, np.zeros((b.size, 1))])
-        blocks = b.blocks(psi)
-        assert [np.count_nonzero(np.any(blocks[:, :, s] != 0, axis=1))
+        assert [sum(np.any(psi[rows, s] != 0) for rows in b.m_rows)
                 for s in range(psi.shape[1])] == [1, 1, 1, 1, 41, 41, 0]
         w = np.random.default_rng(5).uniform(0.1, 1.0, size=psi.shape[1])
         self.assert_traces_match_dense(b, psi, w)
         # J_y couples m to m + 1 only, so the confined columns have no beat in it
-        ly = accumulate_pattern({"Ly": b.operator("Ly")}, b.blocks(confined), w[:4])["Ly"]
+        ly = accumulate_pattern({"Ly": b.operator("Ly")}, confined, b.m_rows, w[:4])["Ly"]
         assert ly.freqs.size == 0 and ly.amps.size == 0
         assert ly.time_average == 0.0
 
@@ -319,6 +319,19 @@ class TestThermal:
         # levels is rejected, not truncated
         with pytest.raises(ParameterError, match="thermal J=12"):
             thermal_run(nitrogen(), 50.0, [Z5], t_max=0.1, dt_out=0.05, l_max=11)
+
+    def test_fig2_run_holds_about_two_state_batches(self):
+        # fig2's run: 2,025 x 169 states, 5.2 MiB a batch.  A padded (m, l)
+        # stack per segment, five dense complex tables and a phase copy per
+        # flight took the tracemalloc peak to 44.5 MiB
+        pulses = [Z5, PulseSpec.along(5.0, (1, 0, 1), t_apply=0.0196)]
+        tracemalloc.start()
+        try:
+            thermal_run(nitrogen(), 50.0, pulses, t_max=5.0, dt_out=0.002)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_no_pulse_stays_isotropic(self):
         ts = thermal_run(nitrogen(), 30.0, [PulseSpec(P=0.0, p=(0, 0, 1.0))],

@@ -251,6 +251,23 @@ class TestThermal:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
+    def test_delay_curve_chunks_states_to_the_batch_budget(self, monkeypatch):
+        # at a 1 MiB budget the 5 K states run a few at a time; one (m, state, J)
+        # stack of all of them peaked at 22.4 MiB here.  The chunks' sums agree
+        # with the one-chunk run to rounding
+        taus = np.linspace(0.0, 0.15, 30)
+        ref = delay_curve(BZ, 5.0, -1.0, -1.0, -math.pi / 4, taus)
+        monkeypatch.setattr(quantum_symtop, "STATE_BATCH_BYTES", 2 ** 20)
+        tracemalloc.start()
+        try:
+            got = delay_curve(BZ, 5.0, -1.0, -1.0, -math.pi / 4, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * 2 ** 20
+        for name, col in ref.channels.items():
+            assert np.max(np.abs(got.channels[name] - col)) <= 1e-13 * np.max(np.abs(col)), name
+
     def test_dphi_sign_flips_jz(self):
         taus = np.linspace(0.0, 0.08, 9)
         plus = delay_curve(BZ, 0.9, -3.0, -3.0, math.pi / 4, taus, J_max=30)
