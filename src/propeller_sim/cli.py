@@ -8,7 +8,8 @@ quantum-linear
     Thermal wave-packet run in the classical frame.
 quantum-symtop
     Thermal symmetric-top run: alignment trace and (with --P2) a delay scan
-    over the output grid, so --delay must stay auto.
+    over the output grid, so --delay must stay auto; with --P2 the alignment
+    is the delay curve's cos2theta, from the same pulse-1 pass.
 density
     Classical run followed by the time-averaged belt density grid, always
     written as the text table density.csv.
@@ -199,22 +200,25 @@ def _symtop_diagnostics(runs: dict) -> dict:
     return diag
 
 
-def _symtop_runs(args, mol: MoleculeParams, times, taus) -> dict:
-    """The quantum symmetric top's alignment trace over times and, with --P2,
-    its delay curve over the delays taus."""
-    runs = {"alignment": quantum_symtop.alignment_trace(mol, args.temp_K, args.P1, times,
-                                                        J_max=args.l_max)}
-    if args.P2 is not None:
-        dphi = math.radians(_second_pulse(args)[0])
-        runs["delay_curve"] = quantum_symtop.delay_curve(mol, args.temp_K, args.P1, args.P2,
-                                                         dphi, taus, J_max=args.l_max)
-    return runs
+def _symtop_runs(args, mol: MoleculeParams, taus, times=None) -> dict:
+    """The quantum symmetric top's alignment trace and, with --P2, its delay
+    curve (Ly, L2, Ly_norm) over the delays taus.  The trace runs over times
+    if given, and is otherwise the curve's cos2theta: each K is kicked once."""
+    if args.P2 is None:
+        return {"alignment": quantum_symtop.alignment_trace(mol, args.temp_K, args.P1, taus,
+                                                            J_max=args.l_max)}
+    dphi = math.radians(_second_pulse(args)[0])
+    curve = quantum_symtop.delay_curve(mol, args.temp_K, args.P1, args.P2, dphi, taus,
+                                       J_max=args.l_max)
+    align = TimeSeries(curve.grid, {"cos2theta": curve.channels.pop("cos2theta")}, curve.meta)
+    if times is not None:
+        align = quantum_symtop.alignment_trace(mol, args.temp_K, args.P1, times, J_max=args.l_max)
+    return {"alignment": align, "delay_curve": curve}
 
 
 def cmd_quantum_symtop(args, mol: MoleculeParams, out_dir: Path):
     _check_delay_scanned(args)
-    grid = ensemble.output_grid(args.t_max, args.dt_out)
-    runs = _symtop_runs(args, mol, grid, grid)
+    runs = _symtop_runs(args, mol, ensemble.output_grid(args.t_max, args.dt_out))
     align = runs["alignment"]
     files = [_write_series(out_dir, "alignment", align, args.format)]
     trunc = {"J_max": align.meta["J_max"], "headroom_tail": align.meta["headroom_tail"]}
@@ -227,6 +231,11 @@ def cmd_quantum_symtop(args, mol: MoleculeParams, out_dir: Path):
 
 
 def cmd_density(args, mol: MoleculeParams, out_dir: Path):
+    return _belt_density(args, mol, out_dir)[:3]
+
+
+def _belt_density(args, mol: MoleculeParams, out_dir: Path):
+    """density's files, auto delay and manifest extras, and its grid."""
     if args.t_max is None:
         args.t_max = FLAGS["--t-max"]["default"]
     elif args.P2 is None or _second_pulse(args)[1] != "auto":
@@ -241,7 +250,7 @@ def cmd_density(args, mol: MoleculeParams, out_dir: Path):
                                              "n_live", "n_rest")}
     extra = {"second_moments": list(moments), "density_integral": grid.integral(),
              "diagnostics": {"belt_average": diagnostics}}
-    return ["density.csv"], final["meta"].get("auto_delay_trev"), extra
+    return ["density.csv"], final["meta"].get("auto_delay_trev"), extra, grid
 
 
 def cmd_compare(args, mol: MoleculeParams, out_dir: Path):
@@ -280,16 +289,12 @@ def _compare_symtop(args, mol, out_dir: Path):
     _check_delay_scanned(args)
     taus = ensemble.output_grid(args.t_max, args.dt_out)
     scan_cl = ensemble.delay_scan(_ensemble_config(args, mol), taus)
-    runs = _symtop_runs(args, mol, taus, taus)
-    channels = {
-        "cos2theta_classical": scan_cl.channels["cos2theta"],
-        "cos2theta_quantum": runs["alignment"].channels["cos2theta"],
-        "Ly_norm_classical": scan_cl.channels["Ly_norm"],
-        "Ly_norm_quantum": runs["delay_curve"].channels["Ly_norm"],
-    }
-    summary = {name: float(np.max(np.abs(channels[f"{name}_classical"]
-                                         - channels[f"{name}_quantum"])))
-               for name in ("cos2theta", "Ly_norm")}
+    runs = _symtop_runs(args, mol, taus)
+    channels, summary = {}, {}
+    for name, run in (("cos2theta", "alignment"), ("Ly_norm", "delay_curve")):
+        cl, qm = scan_cl.channels[name], runs[run].channels[name]
+        channels.update({f"{name}_classical": cl, f"{name}_quantum": qm})
+        summary[name] = float(np.max(np.abs(cl - qm)))
     ts = TimeSeries(grid=taus, channels=channels, meta={})
     files = [_write_series(out_dir, "compare", ts, args.format, time_column="tau_trev")]
     return files, None, {"max_abs_deviation": summary,
@@ -324,11 +329,10 @@ def _sweep(args):
 
 def _density_profile(args, mol, out_dir: Path):
     """density, then its phi average in profile.csv (with the analytic law at T = 0)."""
-    files, delay, extra = cmd_density(args, mol, out_dir)
-    grid_t, _, rho, _ = io_formats.read_density_text(out_dir / "density.csv")
-    profile = TimeSeries(grid=grid_t, channels={"rho_phi_avg": rho.mean(axis=1)}, meta={})
+    files, delay, extra, grid = _belt_density(args, mol, out_dir)
+    profile = TimeSeries(grid=grid.theta, channels={"rho_phi_avg": grid.rho.mean(axis=1)})
     if args.temp_K == 0.0:
-        profile.channels["rho_analytic"] = density.analytic_zero_temp(grid_t)
+        profile.channels["rho_analytic"] = density.analytic_zero_temp(grid.theta)
     io_formats.write_timeseries_csv(out_dir / "profile.csv", profile, time_column="theta")
     return files + ["profile.csv"], delay, extra
 
@@ -363,7 +367,7 @@ def _preset_fig6(args, mol, out_dir: Path):
     taus = ensemble.output_grid(args.t_max, args.dt_out)
     files, quantum = [], {}
     for tag, run in _sweep(args):
-        runs = _symtop_runs(run, mol, np.arange(0.0, 1.1, 0.001), taus)
+        runs = _symtop_runs(run, mol, taus, np.arange(0.0, 1.1, 0.001))
         files.append(_write_series(out_dir, f"alignment_{tag}", runs["alignment"],
                                    args.format))
         files.append(_write_series(out_dir, f"delayscan_{tag}", runs["delay_curve"],

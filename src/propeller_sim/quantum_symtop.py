@@ -8,34 +8,28 @@ so e = J(J+1)/2 - K^2/4 for a planar ring (I_3 = 2 I_1).  An impulsive pulse
 of strength P applies U = exp(i (P/3) Omega), equal to exp(i P cos^2 beta)
 up to a global phase, with Omega = 3 cos^2(beta) - 1 about the polarization.
 
-The engine works in the pulse frame, quantised along the polarization;
+The engines work in the pulse frame, quantised along the polarization;
 states are |J, K, m>.  There Omega = 2 D^{2*}_{0,0} conserves K and m, so
 each (K, m) block holds at most J_max + 1 states and is pentadiagonal in J.
-Both 3j factors of an element, (J' 2 J; m 0 -m) and (J' 2 J; K 0 -K), are
-read from one rank-2 table per basis (_rank2_table), shared by every K and
-by quantum_linear's K = 0 kick.  Each engine call diagonalises the blocks
-of pulse 1 once and reads the thermal states after it from that
-eigensystem column by column, so no kick matrix is formed.  No block or
-eigensystem outlives the call.
-Block (K, -m) is S (K, m) S with S = diag((-1)^J), and the K and -K blocks
-are related the same way, so K, m >= 0 suffice.
+Its 3j factors, (J' 2 J; m 0 -m) and (J' 2 J; K 0 -K), come from one rank-2
+table per basis (_rank2_table), which quantum_linear's K = 0 kick reads too.
+Block (K, -m) is S (K, m) S with S = diag((-1)^J), and K and -K are related
+the same way, so K, m >= 0 suffice.
 
 * One thermal list serves both quantum engines: thermal_levels gives whole
-  degenerate (J, |K|) levels, and a linear molecule is its K = 0 case, so
-  these functions run N2 too and quantum_linear draws its mixture here.
-* Alignment needs no rotation.  Whole levels make the initial mixture
-  isotropic, so it may be resolved into pulse-frame states |J0 K m0>; free
-  evolution depends only on (J, K) and commutes with rotations; and
-  cos^2 theta about the first pulse is (1 + Omega)/3, diagonal in m.
-* The delay curve turns once, into pulse 2's frame: pulse 1's frame is the
-  classical one (light along y), and pulse 2's is it turned by dphi about
-  y, so |J K m0> reads D^dagger |J K m0> there, D = D^J(0, dphi, 0) from
-  angular.shell_rotations as for quantum_linear's tilted kicks.  The turn
-  leaves J_y, the oriented angular momentum, and J^2 unchanged.  Free
-  flight multiplies each J shell by e^{-i e tau}, so with the rank-n
-  thermal state after pulse 1 every stationary observable reduces to one
-  (J, J') matrix of amplitudes of the beats e_J - e_J' (spectral.beat_freqs,
-  the same for every K), summed over the blocks.
+  degenerate (J, |K|) levels, and a linear molecule is its K = 0 case.
+* One pass over K (_pulse1_pass) kicks both functions' states.  Whole levels
+  make the mixture isotropic, so it may be resolved into pulse-frame states
+  |J0 K m0>, read from each block's one eigensystem without a kick matrix.
+  Free flight depends only on (J, K) and cos^2 theta about p1 is
+  (1 + Omega)/3, diagonal in m, so the pass also sums the alignment's (J, J')
+  amplitudes of the beats e_J - e_J' (spectral.beat_freqs, the same for every
+  K).  alignment_trace is that pass alone; delay_curve adds pulse 2 in the
+  same K iteration and returns the alignment at each delay as cos2theta.
+* The delay curve turns once, into pulse 2's frame, which is pulse 1's (the
+  classical frame, light along y) turned by dphi about y: |J K m0> reads
+  D^dagger |J K m0> there, D = D^J(0, dphi, 0) from angular.shell_rotations.
+  The turn leaves J_y, the oriented angular momentum, and J^2 unchanged.
 * Pulse 2 acts on the observables.  With c^2 = cos^2 about p2, (1 + Omega)/3
   on the pulse-2-frame blocks, its kick U = e^{iP c^2} gives exactly
   U^dag J_y U = J_y + iP [J_y, c^2] and U^dag J^2 U = J^2 + iP [J^2, c^2]
@@ -296,17 +290,11 @@ def _band_tail(pop_band: np.ndarray, J_max: int, stage: str) -> float:
 
 
 def _first_kick(K: int, levels, omega: np.ndarray, P1: float):
-    """The thermal states of one K as pulse-frame states after the first kick.
-
-    A whole level is isotropic, so it may be resolved along the pulse axis
-    into |J0 K m0>; m0 and -m0 (like K and -K) contribute alike, so m0 >= 0
-    carry doubled weights.  Each (K, m) block of omega (_pulse_frame_blocks),
-    m = 0..max m0, is diagonalised once, Omega = W diag(lam) W^T, and a
-    state's kicked amplitudes are its column of the kick,
-    psi = (W e^{i P1 lam/3}) W[J0 - K, :]^T, so no kick matrix is formed.
-    Returns m0, the weights, the amplitudes psi (states x J, J = K..J_max)
-    and the largest per-state population within HEADROOM_BAND of J_max.
-    """
+    """m0, the weights (doubled for m0 > 0 and K > 0, which stand for -m0 and
+    -K), the amplitudes psi (states x J, J = K..J_max) of one K's states after
+    the first kick, each the column (W e^{i P1 lam/3}) W[J0 - K, :]^T of the
+    kick from its block's Omega = W diag(lam) W^T, and their largest
+    population within HEADROOM_BAND of J_max (_band_tail)."""
     J0, m0, w = (np.array(c) for c in zip(*[
         (J, m, wt * (2.0 if m else 1.0) * (2.0 if K else 1.0))
         for J, wt in levels for m in range(J + 1)]))
@@ -322,46 +310,54 @@ def _first_kick(K: int, levels, omega: np.ndarray, P1: float):
     return m0, w, psi, tail
 
 
-def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
-                    J_max: int | None = None) -> TimeSeries:
-    """Thermal <cos^2 theta>(t) about the first-pulse axis after one pulse.
-
-    Computed in the pulse frame, where cos^2 theta = (1 + Omega)/3 and the
-    kick are both diagonal in m: no rotation is needed.  Each m block adds
-    (1 + Omega[m])/3 times its states' weighted density sum_s w_s psi_s^* psi_s^T.
-    """
-    levels, J_max, meta = _thermal_setup(mol, T_K, (P1,), J_max)
-    amp = np.zeros((J_max + 1, J_max + 1), dtype=complex)
+def _pulse1_pass(levels: dict, J_max: int, P1: float, meta: dict, amp: np.ndarray):
+    """Pulse 1's states, one K at a time: yields (K, c2, m0, w, psi), adds to
+    amp the (J, J') amplitudes of cos^2 theta about p1, (1 + Omega[m])/3 times
+    sum_s w_s psi_s^* psi_s^T summed over the m blocks, and records the
+    headroom tail and the blocks in meta.  Omega and c2 = (1 + Omega)/3 run to
+    J_max + 2, so that delay_curve's c^4 = c^2 c^2 is exact on J <= J_max."""
+    n = J_max + 1
     tail, n_blocks = 0.0, 0
     for K, lev in levels.items():
-        omega = _pulse_frame_blocks(J_max, K)
-        m0, w, psi, tail_K = _first_kick(K, lev, omega, P1)
+        omega = _pulse_frame_blocks(J_max + 2, K)[:n]
+        m0, w, psi, tail_K = _first_kick(K, lev, omega[:, :-2, :-2], P1)
         n_blocks += int(m0.max()) + 1
         tail = max(tail, tail_K)
-        eye = np.eye(omega.shape[1])
+        c2 = (np.eye(omega.shape[1]) + omega) / 3.0
         for m in range(int(m0.max()) + 1):
             s = m0 == m
-            amp[K:, K:] += (eye + omega[m]) / 3.0 * ((np.conj(psi[s]) * w[s, None]).T @ psi[s])
+            amp[K:, K:] += c2[m, :-2, :-2] * ((np.conj(psi[s]) * w[s, None]).T @ psi[s])
+        yield K, c2, m0, w, psi
+    meta.update(headroom_tail=tail, n_blocks=n_blocks, max_block_dim=n - min(levels))
+
+
+def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
+                    J_max: int | None = None) -> TimeSeries:
+    """Thermal <cos^2 theta>(t) about the first-pulse axis after one pulse:
+    the pulse-1 pass alone, so equal to delay_curve's cos2theta on the same
+    J_max."""
+    levels, J_max, meta = _thermal_setup(mol, T_K, (P1,), J_max)
+    amp = np.zeros((J_max + 1, J_max + 1), dtype=complex)
+    for _ in _pulse1_pass(levels, J_max, P1, meta, amp):
+        pass
     trace = SpectralTrace(beat_freqs(J_max + 1), amp)
     times = np.asarray(times_trev, dtype=float)
-    values = trace.evaluate(times * TWO_PI)
-    meta.update(headroom_tail=tail, n_blocks=n_blocks, max_block_dim=J_max + 1 - min(levels),
-                distinct_freqs=trace.distinct_freqs)
-    return TimeSeries(grid=times, channels={"cos2theta": values}, meta=meta)
+    meta.update(distinct_freqs=trace.distinct_freqs)
+    return TimeSeries(times, {"cos2theta": trace.evaluate(times * TWO_PI)}, meta)
 
 
 def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
                 dphi: float, taus_trev, J_max: int | None = None) -> TimeSeries:
-    """Oriented angular momentum vs pulse delay (stationary after pulse 2).
+    """Alignment and oriented angular momentum vs pulse delay.
 
-    Channels: Ly (= <J_y> in the classical frame, the oriented angular
-    momentum), L2 (= <J^2>) and Ly_norm = Ly/sqrt(L2); dphi is the signed
-    angle of p2 from p1 in radians, p2 = (sin dphi, 0, cos dphi).
-    Pulse 2 acts on the observables, so its values are exact in the basis:
-    TruncationError is raised only if an initial state puts more than
-    HEADROOM_TOL within HEADROOM_BAND of J_max after pulse 1.  Ly is 0.0 at
-    tau = 0, one kick e^{if(r)} whose torque averages out over the isotropic
-    mixture, and so at every whole revival of tau/T_rev (within 4 ulp).
+    Channels: cos2theta about p1 as pulse 2 fires, Ly (= <J_y> in the
+    classical frame, the oriented angular momentum) and L2 (= <J^2>), both
+    stationary after pulse 2, and Ly_norm = Ly/sqrt(L2); dphi is the signed
+    angle of p2 from p1 in radians, p2 = (sin dphi, 0, cos dphi).  Pulse 2
+    is exact in the basis, so TruncationError comes only from pulse 1's
+    headroom.  Ly is 0.0 at tau = 0, one kick e^{if(r)} whose torque averages
+    out over the isotropic mixture, and so at every whole revival of
+    tau/T_rev (within 4 ulp).
     """
     levels, J_max, meta = _thermal_setup(mol, T_K, (P1, P2), J_max)
     taus_trev = np.asarray(taus_trev, dtype=float)
@@ -375,34 +371,32 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
     m, J = np.ogrid[-J_max:J_max, :n]   # D commutes with J_y: the same band in both frames
     jy = 0.5 * np.sqrt(np.clip(J * (J + 1.0) - m * (m + 1), 0, None))  # <J m|J_y|J m+1> / i
     g = np.zeros((2, n, n), dtype=complex)   # the beat amplitudes of Ly and L2
-    tail, n_blocks = 0.0, 0
-    for K, lev in levels.items():
-        # Omega to J_max + 2, so that c^4 = c^2 c^2 is exact on J <= J_max
-        omega = _pulse_frame_blocks(J_max + 2, K)[:n]
-        m0, w, psi, tail_K = _first_kick(K, lev, omega[:, :-2, :-2], P1)
-        n_blocks += int(m0.max()) + 1
-        tail = max(tail, tail_K)
+    amp = np.zeros((n, n), dtype=complex)    # and of cos^2 theta about p1
+    for K, c2, m0, w, psi in _pulse1_pass(levels, J_max, P1, meta, amp):
         Js = np.arange(K, n)
-        c2 = (np.eye(len(Js) + 2) + omega) / 3.0     # cos^2 about p2, block by block
         # block -m is S (block m) S with S = (-1)^J; stack m = -J_max..J_max
         SS = np.outer((-1.0) ** Js, (-1.0) ** Js)
         c2, c4 = (np.concatenate([x[:0:-1] * SS, x])
                   for x in (c2[:, :-2, :-2], (c2 @ c2)[:, :-2, :-2]))
         # the (m, J, J) densities G = sum_s w_s Z_s^* Z_s^T of the pulse-2 frame
         # amplitudes Z, before the phase e^{-i e_J tau}, and their m -> m + 1
-        # band, by chunks of states whose Z, Zw and tilt gathers fit the budget
+        # band, by chunks of states: Z and Zw, weighted in place, take 2/3 of the budget
         G = G1 = None
         chunk = max(1, STATE_BATCH_BYTES // (3 * 16 * tilt.shape[1] * len(Js)))
         tilt_K = tilt[Js]
         for s in range(0, len(w), chunk):
             sl = slice(s, s + chunk)
-            Z = (tilt_K[:, :, m0[sl]] * psi[sl].T[:, None, :]).transpose(1, 2, 0)  # (m, s, J)
-            Zw = np.conj(Z).transpose(0, 2, 1) * w[sl]
+            Z = tilt_K[:, :, m0[sl]]
+            Z *= psi[sl].T[:, None, :]
+            Z = Z.transpose(1, 2, 0)    # (m, s, J)
+            Zw = np.conj(Z).transpose(0, 2, 1)
+            Zw *= w[sl]
             if G is None:
                 G, G1 = Zw @ Z, Zw[:-1] @ Z[1:]
             else:
                 G += Zw @ Z
                 G1 += Zw[:-1] @ Z[1:]
+            del Z, Zw       # before the next chunk's Z
         # U^dag J^2 U = J^2 + iP [J^2, c^2] + 4P^2 (c^2 - c^4), U = e^{iP c^2}
         a = Js * (Js + 1.0)
         h2, h4 = (np.einsum("mij,mij->ij", c, G) for c in (c2, c4))
@@ -417,7 +411,7 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
     trace = SpectralTrace(beat_freqs(n), g)
     Ly, L2 = trace.evaluate(taus)
     Ly[np.abs(taus_trev - np.round(taus_trev)) <= 4 * np.spacing(np.abs(taus_trev))] = 0.0
-    meta.update(headroom_tail=tail, dphi=dphi, n_blocks=n_blocks,
-                max_block_dim=n - min(levels), distinct_freqs=trace.distinct_freqs)
-    return TimeSeries(grid=taus_trev,
-                      channels={"Ly": Ly, "L2": L2, "Ly_norm": ly_norm(Ly, L2)}, meta=meta)
+    meta.update(dphi=dphi, distinct_freqs=trace.distinct_freqs)   # cos2theta's are among them
+    cos2theta = SpectralTrace(beat_freqs(n), amp).evaluate(taus)
+    return TimeSeries(taus_trev, {"cos2theta": cos2theta, "Ly": Ly, "L2": L2,
+                                  "Ly_norm": ly_norm(Ly, L2)}, meta)

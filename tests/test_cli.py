@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 import tracemalloc
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import read_manifest
-from propeller_sim import __version__, cli
+from propeller_sim import __version__, cli, quantum_symtop
 from propeller_sim.cli import main, parse_molecule
 from propeller_sim.core import ParameterError
 from propeller_sim.io_formats import read_density_text, read_timeseries_csv
@@ -260,6 +261,26 @@ class TestOutputs:
             assert 0.0 <= run["headroom_tail"] <= 1e-10
         assert diag["alignment"]["headroom_tail"] == m.truncation["headroom_tail"]
         assert not any(k.startswith("result_diagnostics") for k in m.config)
+
+    @pytest.mark.parametrize("command", ["quantum-symtop", "compare"])
+    def test_symtop_run_diagonalises_each_block_once(self, tmp_path, monkeypatch, command):
+        # the alignment on the delay grid is the delay curve's cos2theta, so
+        # one pulse-1 pass kicks every K: as many eigensolves as the run's blocks
+        calls, eigh = [], np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == quantum_symtop.__name__:
+                calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        assert run_cli(command, "--molecule", "benzene", "--temp-K", "0.9", "--P1", "-4",
+                       "--P2", "-4", "--angle-deg", "-45", "--t-max", "0.05",
+                       "--dt-out", "0.005", *n_traj(command, "200"),
+                       "--out", str(tmp_path)) == 0
+        diag = read_manifest(tmp_path / "manifest.json").diagnostics["quantum_symtop"]
+        assert diag["alignment"]["n_blocks"] == diag["delay_curve"]["n_blocks"] > 0
+        assert len(calls) == diag["delay_curve"]["n_blocks"]
 
     @pytest.mark.parametrize("P", ["-1", "-2"])
     def test_quantum_symtop_weak_kicks_at_zero_temperature(self, tmp_path, P):

@@ -20,6 +20,9 @@
 * a one-rank-2-builder rule over src/: only quantum_symtop calls
   wigner3j_array, so every rank-2 coupling, the linear rotor's included,
   comes from its one 3j table;
+* a one-pulse-1-pass rule over src/: only quantum_symtop._pulse1_pass
+  calls _first_kick, so alignment_trace and delay_curve kick each K's
+  thermal states through one pass;
 * a one-quadrature rule over src/: no module imports numpy.polynomial or
   reaches it as an attribute, so angular.gauss_legendre is the only
   Gauss-Legendre rule;
@@ -54,6 +57,7 @@ KEPT = {
     "angular.wigner3j": "rebound by perfbench/tracing.py; the scalar 3j oracle",
     "classical_linear.kick_velocity": "rebound by perfbench/tracing.py",
     "classical_linear.propagate_arrays": "rebound by perfbench/tracing.py",
+    "io_formats.read_density_text": "rebound by perfbench/tracing.py",
     "io_formats.read_timeseries_csv": "rebound by perfbench/tracing.py",
     "quantum_symtop.coupling_block": "rebound by perfbench/tracing.py; lab-frame oracle",
     "quantum_linear.nitrogen_spin_weights": "the N2 spin-weight hook of criterion 1",
@@ -187,6 +191,20 @@ def callers_of(name: str, sources: dict[str, str]) -> list[str]:
                          for n in ast.walk(ast.parse(source))))
 
 
+def function_callers_of(name: str, sources: dict[str, str]) -> list[str]:
+    """"module.function" or "module.Class.method" of each top-level function
+    or method in sources whose body, nested definitions included, calls name."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            prefix = f"{module}.{node.name}." if isinstance(node, ast.ClassDef) else f"{module}."
+            found += [prefix + f.name for f in members if isinstance(f, ast.FunctionDef)
+                      and any(isinstance(n, ast.Call) and name in _words(n.func)
+                              for n in ast.walk(f))]
+    return sorted(found)
+
+
 def importers_of(dotted: str, sources: dict[str, str]) -> list[str]:
     """The modules in sources that import dotted or a submodule of it, or
     reach it as an attribute (np.polynomial for numpy.polynomial)."""
@@ -271,6 +289,21 @@ def test_one_rank2_builder():
     # the linear rotor's cos^2 theta and kicks are the K = 0 pulse-frame blocks
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert callers_of("wigner3j_array", sources) == ["quantum_symtop"]
+
+
+def test_function_caller_scanner_finds_functions_and_methods():
+    sources = {"a": "def f():\n    return g(1)\n"
+                    "def h():\n    def inner():\n        return m.g()\n    return inner\n"
+                    "def k():\n    return g\n",
+               "b": "class C:\n    def run(self):\n        self.g()\n"
+                    "    def other(self):\n        return 1\nx = g()\n"}
+    assert function_callers_of("g", sources) == ["a.f", "a.h", "b.C.run"]
+
+
+def test_one_pulse1_pass():
+    # alignment_trace and delay_curve share the thermal states after pulse 1
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert function_callers_of("_first_kick", sources) == ["quantum_symtop._pulse1_pass"]
 
 
 def test_import_scanner_finds_imports_and_attributes():

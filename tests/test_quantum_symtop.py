@@ -447,6 +447,29 @@ class TestSetupWork:
         assert calls["eigh"] == ts.meta["n_blocks"]
 
 
+class TestOnePass:
+    """alignment_trace is the pulse-1 pass alone, and delay_curve's cos2theta
+    is the same pass's alignment at each delay."""
+
+    def test_delay_curve_alignment_is_the_trace(self, benzene_quantum_alignment,
+                                                benzene_quantum_scans):
+        # P1 = P2 = -1, -3, -10 on one grid: the same basis, the same bits
+        for P, trace in benzene_quantum_alignment.items():
+            curve = benzene_quantum_scans[P]
+            assert curve.meta["J_max"] == trace.meta["J_max"]
+            assert np.array_equal(curve.grid, trace.grid)
+            assert curve.channels["cos2theta"].tobytes() == trace.channels["cos2theta"].tobytes()
+
+    def test_stronger_second_pulse_moves_the_alignment_by_rounding(self):
+        # |P2| > |P1| widens the curve's basis past the one pulse 1 needs
+        taus = np.arange(0.0, 0.15 + 0.00025, 0.0005)
+        curve = delay_curve(BZ, 0.9, -2.0, -6.0, -math.pi / 4, taus)
+        trace = alignment_trace(BZ, 0.9, -2.0, taus)
+        assert curve.meta["J_max"] > trace.meta["J_max"]
+        ref = trace.channels["cos2theta"]
+        assert np.max(np.abs(curve.channels["cos2theta"] - ref)) <= 1e-13 * np.max(ref)
+
+
 class TestPulseFrame:
     @pytest.mark.parametrize("K", [0, 1, 3, -2, 8])
     def test_blocks_match_scalar_elements(self, K):
