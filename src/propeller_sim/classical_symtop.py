@@ -103,9 +103,10 @@ class SymTopEnsemble:
 
     with the geometry (a, w, b, c, omega) computed once at construction:
 
-    * a rotating molecule: the precession cone, a = cos(th) e_L,
-      w = sin(th), b = r0par, c = vhat, omega = |L| (a linear rotor, with
-      L . r = 0, has the great circle w = 1 up to rounding);
+    * a rotating molecule (live): the precession cone, a = cos(th) e_L,
+      w = sin(th), b = r0par, c = vhat, omega = |L|; a linear rotor, with
+      L . r = 0 up to rounding, has the great circle w = 1, and cos_pr, the
+      cos(th) kept with eL for the belt density, is 0 within CONE_SIN;
     * frozen molecules (at rest, or r parallel to L): a = r, w = 0,
       b = c = 0, omega = 0.
 
@@ -130,7 +131,8 @@ class SymTopEnsemble:
         b[live] = (r[live] - axis) / sth[live, None]
         vel = np.cross(L[live], r[live])
         c[live] = vel / np.linalg.norm(vel, axis=-1, keepdims=True)
-        self.live = live
+        self.live, self.eL = live, eL
+        self.cos_pr = np.where(np.abs(cth) <= CONE_SIN, 0.0, cth)
         self.omega = np.where(live, rate, 0.0)
         self.w = w
         self.a, self.b, self.c = a.T.copy(), b.T.copy(), c.T.copy()

@@ -22,12 +22,13 @@ preset
     row's value, and a preset whose subcommand takes none rejects it.
 
 FLAGS declares every flag once and COMMANDS lists the flags that each
-subcommand honours, so any other flag exits 2.  --seed is the one flag that
-a subcommand takes without using it: the quantum runs only record it as the
-manifest's seed.  --angle-deg (45 by default) and --delay (auto by default)
-set the second pulse, so they are rejected without --P2; compare's --P2
-defaults to --P1.  density has no output grid: its --t-max only bounds the
-search for an auto second pulse, so it is rejected unless one fires.
+subcommand honours, so any other flag exits 2, as does a non-finite number.
+--seed is the one flag that a subcommand takes without using it: the
+quantum runs only record it as the manifest's seed.  --angle-deg (45 by
+default) and --delay (auto by default) set the second pulse, so they are
+rejected without --P2; compare's --P2 defaults to --P1.  density has no
+output grid: its --t-max only bounds the search for an auto second pulse,
+so it is rejected unless one fires.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Times are in units of T_rev throughout.  PROPELLER_THREADS (a positive
@@ -52,18 +53,26 @@ from .core import (IntegrationError, MoleculeParams, ParameterError,
                    ProtocolError, PulseSpec, TruncationError, benzene, nitrogen)
 from .ensemble import EnsembleConfig, TimeSeries
 
+
+def finite(text: str) -> float:
+    """The type of every float flag: argparse rejects nan and +-inf with exit 2."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 FLAGS = {
     "--molecule": {"default": "n2"},
-    "--temp-K": {"type": float, "default": 0.0},
-    "--P1": {"type": float, "default": 5.0},
-    "--P2": {"type": float},
-    "--angle-deg": {"type": float},
+    "--temp-K": {"type": finite, "default": 0.0},
+    "--P1": {"type": finite, "default": 5.0},
+    "--P2": {"type": finite},
+    "--angle-deg": {"type": finite},
     "--delay": {},
     "--n-traj": {"type": int, "default": 10000},
     "--seed": {"type": int, "default": 1},
-    "--t-max": {"type": float, "default": 5.0},
-    "--dt-out": {"type": float, "default": 0.005},
-    "--sigma-kde": {"type": float, "default": 0.1},
+    "--t-max": {"type": finite, "default": 5.0},
+    "--dt-out": {"type": finite, "default": 0.005},
+    "--sigma-kde": {"type": finite, "default": 0.1},
     "--l-max": {"type": int},
     "--out": {"required": True},
     "--format": {"choices": ("csv", "json"), "default": "csv"},
@@ -94,9 +103,9 @@ def parse_delay(text: str):
     if text == "auto":
         return "auto"
     try:
-        return float(text)
+        return finite(text)
     except ValueError:
-        raise ParameterError(f"--delay must be 'auto' or a time in T_rev, got {text!r}") from None
+        raise ParameterError(f"--delay must be 'auto' or a finite time, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +251,7 @@ def _belt_density(args, mol: MoleculeParams, out_dir: Path):
         raise ParameterError(f"--t-max {args.t_max} cannot be honoured: density uses it only "
                              "to bound the --delay auto search, and fires no auto second pulse")
     final = ensemble.final_states(_ensemble_config(args, mol))
-    grid = density.belt_average(final["kind"], final["r"], final["L"], args.sigma_kde)
+    grid = density.belt_average(final["r"], final["L"], args.sigma_kde)
     moments = density.second_moments(final["r"], final["L"])
     io_formats.write_density_text(out_dir / "density.csv", grid, seed=args.seed)
     diagnostics = {k: grid.meta[k] for k in ("path", "l_max", "spectrum_tail",
@@ -270,12 +279,11 @@ def _compare_linear(args, mol, out_dir: Path):
     qpulses = (cfg.pulses[0], dataclasses.replace(cfg.pulses[1], t_apply=delay))
     qm = quantum_linear.thermal_run(mol, args.temp_K, qpulses, t_max=args.t_max,
                                     dt_out=args.dt_out, l_max=args.l_max)
-    channels, summary = {}, {}
+    channels, summary = {}, {}     # both runs record ensemble.output_grid
     for name in ("cos2theta", "cos2phi"):
-        cl_resampled = np.interp(qm.grid, cl.grid, cl.channels[name])
-        channels[f"{name}_classical"] = cl_resampled
-        channels[f"{name}_quantum"] = qm.channels[name]
-        summary[name] = float(np.max(np.abs(cl_resampled[post] - qm.channels[name][post])))
+        c, q = cl.channels[name], qm.channels[name]
+        channels.update({f"{name}_classical": c, f"{name}_quantum": q})
+        summary[name] = float(np.max(np.abs(c[post] - q[post])))
     ts = TimeSeries(grid=qm.grid, channels=channels, meta={})
     files = [_write_series(out_dir, "compare", ts, args.format)]
     extra = {"max_abs_deviation": summary, "delay_trev": delay,

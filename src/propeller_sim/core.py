@@ -125,7 +125,7 @@ class PulseSpec:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (3,):
             raise ParameterError("polarization must be a 3-vector")
-        if abs(np.linalg.norm(p) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(p) - 1.0) <= 1e-12:     # NaN fails it too
             raise ParameterError(f"polarization must be a unit vector, |p| = {np.linalg.norm(p)}")
         object.__setattr__(self, "p", tuple(float(x) for x in p))
         if isinstance(self.t_apply, str) and self.t_apply != "auto":
@@ -140,8 +140,8 @@ class PulseSpec:
         """Build a pulse, normalizing the given polarization direction."""
         d = np.asarray(direction, dtype=float)
         n = np.linalg.norm(d)
-        if n == 0:
-            raise ParameterError("polarization direction must be nonzero")
+        if not 0.0 < n < math.inf:
+            raise ParameterError(f"polarization direction must be nonzero and finite, |d| = {n}")
         return cls(P=P, p=tuple(d / n), t_apply=t_apply)
 
     @property

@@ -3,13 +3,13 @@
 Two reconstructions of the molecular-axis distribution from a Monte Carlo
 ensemble:
 
-* belt_average: per-molecule long-time average.  A freely rotating linear
-  molecule covers a great circle, so its time-averaged density is a Gaussian
-  "belt" exp(-(e_L.r)^2/(2 sigma^2)) around the plane normal to its angular
-  momentum direction; a symmetric top covers its precession cone
-  e_L.r = cos(theta_pr), handled by the same kernel recentered on the cone
-  (the per-molecule normalization is then the exact truncated-Gaussian
-  integral).  Molecules at rest contribute a point kernel at their position;
+* belt_average: per-molecule long-time average.  A rotating molecule
+  covers its precession cone e_L.r = cos(theta_pr) (a linear one the great
+  circle cos(theta_pr) = 0), so its time-averaged density is a Gaussian
+  "belt" in e_L.r recentered on the cone, normalized by the exact
+  truncated-Gaussian integral.  The cones come from SymTopEnsemble, so any
+  mix of linear and symmetric-top molecules takes one path.  Frozen
+  molecules contribute a point kernel at their position;
 * analytic_zero_temp: the closed-form 1/(2 pi^2 sin theta) law for molecules
   kicked from rest by a single z-polarized pulse.
 
@@ -51,6 +51,7 @@ import numpy as np
 from . import angular
 from . import classical_symtop as csym
 from .core import IntegrationError, ParameterError, TWO_PI
+from .ensemble import unit_vectors
 
 DEFAULT_SIGMA = 0.1
 _KERNEL_CUTOFF = 45.0    # exp(-45^2/2) ~ 1e-440; beyond this the kernel is zero
@@ -85,12 +86,7 @@ class DensityGrid:
 
     def points(self) -> np.ndarray:
         """All grid nodes as unit vectors, shape (n_theta * n_phi, 3)."""
-        st, ct = np.sin(self.theta), np.cos(self.theta)
-        cp, sp = np.cos(self.phi), np.sin(self.phi)
-        x = st[:, None] * cp[None, :]
-        y = st[:, None] * sp[None, :]
-        z = np.broadcast_to(ct[:, None], x.shape)
-        return np.stack([x, y, z], axis=-1).reshape(-1, 3)
+        return unit_vectors(*np.meshgrid(self.theta, self.phi, indexing="ij")).reshape(-1, 3)
 
     def integral(self) -> float:
         dphi = TWO_PI / len(self.phi)
@@ -277,18 +273,16 @@ def _direct_sum(gp: np.ndarray, u: np.ndarray, c: np.ndarray, point: np.ndarray,
     return rho
 
 
-def belt_average(kind: str, r0: np.ndarray, L: np.ndarray,
-                 sigma_belt: float = DEFAULT_SIGMA,
+def belt_average(r0: np.ndarray, L: np.ndarray, sigma_belt: float = DEFAULT_SIGMA,
                  grid: DensityGrid | None = None) -> DensityGrid:
     """Long-time-averaged density from per-molecule rotation belts.
 
-    Each molecule (axis r0, angular momentum L) covers its precession cone
-    e_L.r = cos(theta_pr).  kind "linear" takes the centre of every belt as
-    exactly 0, the great circle of L . r0 = 0, so that rounding in the
-    computed cos(theta_pr) cannot split the belts' one Legendre spectrum;
-    kind "symtop" takes the computed centres.  Molecules with no rotation
-    of their axis (at rest, or axis parallel to L) contribute a point kernel
-    at r0 instead.
+    Each rotating molecule (axis r0, angular momentum L) covers its
+    precession cone e_L.r = cos(theta_pr), read with its live flag from
+    classical_symtop.SymTopEnsemble: a linear rotor's cone is the great
+    circle cos(theta_pr) = 0 exactly, so rounding cannot split the belts'
+    one Legendre spectrum.  Molecules with no rotation of their axis (at
+    rest, or axis parallel to L) contribute a point kernel at r0 instead.
 
     grid.meta records the path taken ("direct" or "spectral"), the truncation
     degree l_max, the kernel-spectrum tail beyond it, the bound on the
@@ -296,27 +290,20 @@ def belt_average(kind: str, r0: np.ndarray, L: np.ndarray,
     round-off below zero was clamped (clamped_min).
     """
     _check_sigma(sigma_belt)
-    if kind not in ("linear", "symtop"):
-        raise ParameterError(f"unknown ensemble kind {kind!r}")
     r0, L = _ensemble_arrays(r0, L)
+    cones = csym.SymTopEnsemble(r0, L)
     n = r0.shape[0]
     grid = grid or DensityGrid.build()
     s2 = sigma_belt * sigma_belt
 
-    Lnorm = np.linalg.norm(L, axis=-1)
-    eL_all = L / np.maximum(Lnorm, 1e-300)[:, None]
-    cos_pr = np.clip(np.einsum("ij,ij->i", eL_all, r0), -1.0, 1.0)
-    sin_pr = np.sqrt(np.clip(1.0 - cos_pr**2, 0.0, 1.0))
-    live = (Lnorm > csym.REST_MOMENTUM) & (sin_pr > csym.CONE_SIN)
-    e_l = eL_all[live]
-    c = np.zeros(e_l.shape[0]) if kind == "linear" else cos_pr[live]
+    e_l, c = cones.eL[cones.live], cones.cos_pr[cones.live]
     # exact on-sphere normalization of the recentered Gaussian in u = e_L.r
     rt2 = math.sqrt(2.0) * sigma_belt
     centers, inverse = _unique(c)
     mass = 0.5 * np.array([math.erf((1.0 - x) / rt2) + math.erf((1.0 + x) / rt2)
                            for x in centers.tolist()])[inverse]
     amp = 1.0 / (TWO_PI * math.sqrt(TWO_PI * s2) * mass)
-    rest = r0[~live]
+    rest = r0[~cones.live]
 
     # every kernel as (axis, cone centre, point flag, amplitude)
     u = np.concatenate([e_l, rest])

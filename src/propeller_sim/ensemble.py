@@ -514,11 +514,9 @@ def apply_pulses(pulses, t_max: float, state):
 
 
 def final_states(cfg: EnsembleConfig):
-    """States right after the last kick: dict with kind, r, L and meta."""
+    """States right after the last kick: dict with r, L and meta."""
     events, meta = apply_pulses(cfg.pulses, cfg.t_max, _initial_swarm(cfg))
-    last = events[-1][1]
-    return {"kind": "linear" if cfg.mol.kind == "linear" else "symtop",
-            "r": last.r, "L": last.L, "meta": meta}
+    return {"r": events[-1][1].r, "L": events[-1][1].L, "meta": meta}
 
 
 def segment_of(event_times, t) -> np.ndarray:

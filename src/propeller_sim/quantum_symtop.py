@@ -268,6 +268,8 @@ def _basis_cutoff(J_max: int | None, J0: int, default: int) -> int:
 
 def _thermal_setup(mol: MoleculeParams, T_K: float, strengths, J_max):
     """Thermal levels {K >= 0: [(J0, weight)]}, the basis cut-off and base meta."""
+    if not all(map(math.isfinite, strengths)):
+        raise ParameterError(f"kick strengths must be finite, got {strengths}")
     levels, trunc = thermal_levels(mol, T_K)
     J0 = max(J for J, _, _ in levels)
     J_max = _basis_cutoff(J_max, J0, default_J_max(max(map(abs, strengths)), J0))
@@ -359,6 +361,8 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
     out over the isotropic mixture, and so at every whole revival of
     tau/T_rev (within 4 ulp).
     """
+    if not math.isfinite(dphi):
+        raise ParameterError(f"the pulse angle dphi must be finite, got {dphi}")
     levels, J_max, meta = _thermal_setup(mol, T_K, (P1, P2), J_max)
     taus_trev = np.asarray(taus_trev, dtype=float)
     taus = taus_trev * TWO_PI

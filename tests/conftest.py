@@ -44,13 +44,9 @@ def benzene_classical_scans():
 
 
 @pytest.fixture(scope="session")
-def benzene_quantum_alignment():
-    return {P: quantum_symtop.alignment_trace(benzene(), 0.9, P, FINE_TAUS)
-            for P in BENZENE_P_VALUES}
-
-
-@pytest.fixture(scope="session")
 def benzene_quantum_scans():
+    """Delay curves for P1 = P2 = -1, -3, -10 at -45 deg; their cos2theta is
+    the alignment after pulse 1 at each delay (test_quantum_symtop.TestOnePass)."""
     return {P: quantum_symtop.delay_curve(benzene(), 0.9, P, P, -math.pi / 4.0,
                                           FINE_TAUS)
             for P in BENZENE_P_VALUES}

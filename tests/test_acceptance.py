@@ -164,7 +164,7 @@ def test_criterion_05_zero_temperature_law():
                          pulses=(PulseSpec(P=10.0, p=(0.0, 0.0, 1.0)),),
                          t_max=0.1, dt_out=0.05)
     fin = final_states(cfg)
-    grid = density.belt_average("linear", fin["r"], fin["L"], 0.1)
+    grid = density.belt_average(fin["r"], fin["L"], 0.1)
     prof = phi_average(grid)
     exact = density.analytic_zero_temp(grid.theta)
     window = (grid.theta >= 0.3) & (grid.theta <= math.pi - 0.3)
@@ -191,12 +191,12 @@ def _classical_extrema(scan):
 
 
 def test_criterion_06_anti_alignment_ordering(benzene_classical_scans,
-                                              benzene_quantum_alignment):
+                                              benzene_quantum_scans):
     rows = []
     for P in BENZENE_P_VALUES:
         cl = _classical_extrema(benzene_classical_scans[P])
         qt, qv = refined_extremum(FINE_TAUS,
-                                  benzene_quantum_alignment[P].channels["cos2theta"],
+                                  benzene_quantum_scans[P].channels["cos2theta"],
                                   "min")
         rows.append((P, cl["t_min"], cl["v_min"], qt, qv))
     ok = True
@@ -235,12 +235,11 @@ def test_criterion_07_optimal_delay_coincidence(benzene_classical_scans):
 
 
 def test_criterion_08_short_time_agreement(benzene_classical_scans,
-                                           benzene_quantum_alignment,
                                            benzene_quantum_scans):
     devs, feature = {}, {}
     for P in BENZENE_P_VALUES:
         cl = benzene_classical_scans[P]
-        qm_c2 = benzene_quantum_alignment[P].channels["cos2theta"]
+        qm_c2 = benzene_quantum_scans[P].channels["cos2theta"]
         qm_ly = benzene_quantum_scans[P].channels["Ly_norm"]
         dev_c2 = float(np.max(np.abs(cl.channels["cos2theta"] - qm_c2)))
         dev_ly = float(np.max(np.abs(cl.channels["Ly_norm"] - qm_ly)))

@@ -78,6 +78,7 @@ class TestExitCodes:
         ("classical-linear", "--t-max", "nan"),
         ("classical-linear", "--dt-out", "inf"),
         ("classical-linear", "--delay", "nan"),
+        ("quantum-linear", "--delay", "inf"),
         *((command, flag, value)
           for command in ("quantum-linear", "quantum-symtop", "compare")
           for flag, value in (("--dt-out", "0"), ("--dt-out", "inf"), ("--t-max", "nan"),
@@ -97,6 +98,18 @@ class TestExitCodes:
             argv += [k, v]
         assert run_cli(*argv) == 2
         assert not (tmp_path / "timeseries.csv").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value) for command, (_, _, honoured) in cli.COMMANDS.items()
+        for flag in honoured if cli.FLAGS[flag].get("type") is cli.finite
+        for value in ("nan", "inf", "-inf")])
+    def test_every_float_flag_must_be_finite(self, tmp_path, capsys, command, flag, value):
+        # the flag is rejected however the rest of the run would have gone;
+        # "--flag=-inf" reaches the type, where "--flag -inf" reads as a flag
+        assert run_cli(command, "--P2", "1", f"{flag}={value}", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "invalid finite value" in err and "Traceback" not in err
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["quantum-symtop", "compare"])

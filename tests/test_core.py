@@ -91,6 +91,14 @@ class TestPulseSpec:
         p = PulseSpec.along(1.0, (1.0, 0.0, 1.0))
         assert np.linalg.norm(p.p_vec) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_polarization_rejected(self, bad):
+        # a NaN norm fails the unit-vector check instead of slipping past it
+        with pytest.raises(ParameterError, match="unit vector"):
+            PulseSpec(P=1.0, p=(bad, 0.0, 0.0))
+        with pytest.raises(ParameterError, match="nonzero and finite"):
+            PulseSpec.along(1.0, (bad, 0.0, 1.0))
+
     def test_auto_tag(self):
         assert PulseSpec(P=1.0, p=(0.0, 0.0, 1.0), t_apply="auto").t_apply == "auto"
         with pytest.raises(ParameterError):

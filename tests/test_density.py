@@ -9,11 +9,13 @@ from scipy.special import i0, ive
 from oracles import grid_moments, kde_at, kde_snapshot, phi_average
 from propeller_sim import angular, density
 from propeller_sim.classical_symtop import SymTopEnsemble, kick_momentum
-from propeller_sim.core import IntegrationError, ParameterError, PulseSpec, nitrogen
+from propeller_sim.core import (IntegrationError, ParameterError, PulseSpec, benzene,
+                                nitrogen, sigma_th)
 from propeller_sim.density import (DensityGrid, analytic_zero_temp, belt_average,
                                    second_moments)
 from propeller_sim.ensemble import (EnsembleConfig, final_states,
-                                    linear_ensemble_from_uniforms, uniform_matrix)
+                                    linear_ensemble_from_uniforms,
+                                    symtop_ensemble_from_uniforms, uniform_matrix)
 
 
 class TestKdeSnapshot:
@@ -69,7 +71,7 @@ class TestBeltAverage:
         # one molecule rotating in the x-y plane: belt peak 1/(2 pi sqrt(2 pi) s)
         r0 = np.array([[1.0, 0.0, 0.0]])
         L0 = np.array([[0.0, 0.0, 2.0]])         # r0 x v0 with v0 = (0, 2, 0)
-        grid = belt_average("linear", r0, L0, 0.1)
+        grid = belt_average(r0, L0, 0.1)
         i_eq = np.argmin(np.abs(grid.theta - math.pi / 2))
         expect = 1 / (2 * math.pi * math.sqrt(2 * math.pi) * 0.1)
         assert grid.rho[i_eq].mean() == pytest.approx(expect, rel=2e-3)
@@ -80,7 +82,7 @@ class TestBeltAverage:
         u = uniform_matrix(3, 2000, 4)
         r, L = linear_ensemble_from_uniforms(u, 1.5)
         L = kick_momentum(r, L, 4.0, np.array([0.0, 0.0, 1.0]))
-        grid = belt_average("linear", r, L, 0.1, grid=DensityGrid.build(91, 180))
+        grid = belt_average(r, L, 0.1, grid=DensityGrid.build(91, 180))
         assert np.all(grid.rho >= 0)
         assert grid.integral() == pytest.approx(1.0, abs=1e-3)
 
@@ -90,13 +92,13 @@ class TestBeltAverage:
         u = uniform_matrix(5, 400, 4)
         r, L = linear_ensemble_from_uniforms(u, 1.0)
         L = kick_momentum(r, L, 3.0, np.array([0.0, 0.0, 1.0]))
-        a = belt_average("linear", r, L, 0.1)
-        b = belt_average("linear", SymTopEnsemble(r, L).positions(1.234), L, 0.1)
+        a = belt_average(r, L, 0.1)
+        b = belt_average(SymTopEnsemble(r, L).positions(1.234), L, 0.1)
         assert np.max(np.abs(a.rho - b.rho)) < 1e-12 * np.max(a.rho) + 1e-12
 
     def test_rest_molecules_point_kernel(self):
         r0 = np.array([[0.0, 0.0, 1.0]])
-        grid = belt_average("linear", r0, np.zeros((1, 3)), 0.1)
+        grid = belt_average(r0, np.zeros((1, 3)), 0.1)
         # nearest grid node sits ~0.013 rad off the pole, hence the 1% slack
         assert grid.rho[0].max() == pytest.approx(1 / (2 * math.pi * 0.01), rel=0.01)
 
@@ -109,7 +111,7 @@ class TestBeltAverage:
                              pulses=(PulseSpec(P=10.0, p=(0, 0, 1.0)),),
                              t_max=0.1, dt_out=0.01)
         fin = final_states(cfg)
-        grid = belt_average("linear", fin["r"], fin["L"], sig,
+        grid = belt_average(fin["r"], fin["L"], sig,
                             grid=DensityGrid.build(181, 60))
         prof = phi_average(grid)
         x = np.sin(grid.theta) ** 2 / (4 * sig * sig)
@@ -133,7 +135,7 @@ class TestBeltAverage:
             rt = flight.positions(t)
             total += kde_snapshot(rt, 0.1, grid=DensityGrid.build(*grid_shape)).rho
         avg = total / len(times)
-        belt = belt_average("linear", r, L, 0.1, grid=DensityGrid.build(*grid_shape))
+        belt = belt_average(r, L, 0.1, grid=DensityGrid.build(*grid_shape))
         sel = belt.rho > 0.1 * belt.rho.max()
         rel = np.abs(avg[sel] - belt.rho[sel]) / belt.rho[sel]
         assert np.max(rel) < 0.05
@@ -144,7 +146,7 @@ class TestBeltAverage:
         s = math.sin(math.pi / 3)
         r0 = np.array([[s, 0.0, c]])
         L = np.array([[0.0, 0.0, 3.0]])
-        grid = belt_average("symtop", r0, L, 0.1)
+        grid = belt_average(r0, L, 0.1)
         peak_theta = grid.theta[np.argmax(phi_average(grid))]
         assert peak_theta == pytest.approx(math.pi / 3, abs=0.02)
         assert grid.integral() == pytest.approx(1.0, abs=1e-3)
@@ -155,7 +157,14 @@ def _linear_ensemble(n, seed, n_rest=0):
     r, L = linear_ensemble_from_uniforms(uniform_matrix(seed, n, 4), 1.5)
     L = kick_momentum(r, L, 4.0, np.array([0.0, 0.0, 1.0]))
     L[n - n_rest:] = 0.0
-    return "linear", r, L
+    return r, L
+
+
+def _benzene_ensemble(n, seed):
+    """Kicked thermal benzene cones (0.9 K, P = -3)."""
+    r, L = symtop_ensemble_from_uniforms(uniform_matrix(seed, n, 5),
+                                         *sigma_th(benzene(), 0.9))
+    return r, kick_momentum(r, L, -3.0, np.array([0.0, 0.0, 1.0]))
 
 
 def _cone_ensemble(n, seed):
@@ -169,7 +178,7 @@ def _cone_ensemble(n, seed):
     theta_pr = np.linspace(0.0, math.pi, n)
     theta_pr[[0, 1, -2, -1]] = [1e-7, 1e-4, math.pi - 1e-4, math.pi - 1e-7]
     r0 = np.cos(theta_pr)[:, None] * e_l + np.sin(theta_pr)[:, None] * perp
-    return "symtop", r0, 2.5 * e_l
+    return r0, 2.5 * e_l
 
 
 ORACLE_ENSEMBLES = {
@@ -180,9 +189,9 @@ ORACLE_ENSEMBLES = {
 }
 
 
-def _belt_on_path(monkeypatch, spectral, kind, r, w, sigma, shape):
+def _belt_on_path(monkeypatch, spectral, r, w, sigma, shape):
     monkeypatch.setattr(density, "_spectral_is_cheaper", lambda *args: spectral)
-    return belt_average(kind, r, w, sigma, grid=DensityGrid.build(*shape))
+    return belt_average(r, w, sigma, grid=DensityGrid.build(*shape))
 
 
 class TestSpectralBelt:
@@ -190,9 +199,9 @@ class TestSpectralBelt:
     @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.5])
     @pytest.mark.parametrize("ensemble", sorted(ORACLE_ENSEMBLES))
     def test_matches_direct_sum(self, monkeypatch, ensemble, sigma, shape):
-        kind, r, w = ORACLE_ENSEMBLES[ensemble]()
-        direct = _belt_on_path(monkeypatch, False, kind, r, w, sigma, shape)
-        spectral = _belt_on_path(monkeypatch, True, kind, r, w, sigma, shape)
+        r, w = ORACLE_ENSEMBLES[ensemble]()
+        direct = _belt_on_path(monkeypatch, False, r, w, sigma, shape)
+        spectral = _belt_on_path(monkeypatch, True, r, w, sigma, shape)
         assert direct.meta["path"] == "direct" and spectral.meta["path"] == "spectral"
         top = direct.rho.max()
         assert np.max(np.abs(spectral.rho - direct.rho)) <= 1e-10 * top
@@ -201,9 +210,10 @@ class TestSpectralBelt:
 
     def test_linear_belts_share_one_spectrum(self, monkeypatch):
         # a kicked linear ensemble carries L . r = 0 only to rounding, so the
-        # computed cone centres scatter about 0; kind "linear" takes c = 0
-        # exactly, which keeps one Legendre spectrum and l_max = 88
-        _, r, L = _linear_ensemble(600, 10)
+        # computed cone centres scatter about 0; SymTopEnsemble takes every
+        # centre within CONE_SIN of 0 as exactly 0, which keeps one Legendre
+        # spectrum and l_max = 88
+        r, L = _linear_ensemble(600, 10)
         dots = np.einsum("ij,ij->i", L / np.linalg.norm(L, axis=1, keepdims=True), r)
         assert 0.0 < np.max(np.abs(dots)) < 1e-14 and len(np.unique(dots)) > 1
         centres = []
@@ -214,18 +224,43 @@ class TestSpectralBelt:
             return spectra(c, point, *args)
 
         monkeypatch.setattr(density, "_kernel_spectra", counted)
-        direct = _belt_on_path(monkeypatch, False, "linear", r, L, 0.1, (61, 120))
-        spectral = _belt_on_path(monkeypatch, True, "linear", r, L, 0.1, (61, 120))
+        direct = _belt_on_path(monkeypatch, False, r, L, 0.1, (61, 120))
+        spectral = _belt_on_path(monkeypatch, True, r, L, 0.1, (61, 120))
         assert set(centres) == {1} and spectral.meta["l_max"] == 88
         assert np.max(np.abs(spectral.rho - direct.rho)) <= 1e-10 * direct.rho.max()
 
+    def test_belts_and_cones_in_one_call(self, monkeypatch):
+        # no molecule kind is passed: N2 belts and benzene cones mix in one
+        # call, which is the n-weighted sum of its parts, and every belt
+        # still has the centre 0 exactly (one spectrum for all of them)
+        belts, cones = _linear_ensemble(300, 11), _benzene_ensemble(100, 12)
+        r, L = (np.concatenate(parts) for parts in zip(belts, cones))
+        centres = []
+        spectra = density._kernel_spectra
+
+        def counted(c, point, *args):
+            centres.append(np.unique(c[~point]))
+            return spectra(c, point, *args)
+
+        monkeypatch.setattr(density, "_kernel_spectra", counted)
+        mixed = _belt_on_path(monkeypatch, True, r, L, 0.1, (61, 120))
+        mixed_centres = centres[-1]
+        parts = [_belt_on_path(monkeypatch, True, *part, 0.1, (61, 120))
+                 for part in (belts, cones)]
+        cone_centres = centres[-1]
+        assert np.count_nonzero(mixed_centres == 0.0) == 1
+        assert np.array_equal(mixed_centres, np.union1d(cone_centres, [0.0]))
+        assert mixed.meta["n_live"] == sum(p.meta["n_live"] for p in parts) == 400
+        weighted = (300 * parts[0].rho + 100 * parts[1].rho) / 400
+        assert np.max(np.abs(mixed.rho - weighted)) <= 1e-12 * mixed.rho.max()
+
     def test_single_molecule_takes_direct_path(self):
-        _, r, L = _linear_ensemble(1, 7)
-        assert belt_average("linear", r, L, 0.1).meta["path"] == "direct"
+        r, L = _linear_ensemble(1, 7)
+        assert belt_average(r, L, 0.1).meta["path"] == "direct"
 
     def test_fig4_size_takes_spectral_path(self):
-        _, r, L = _linear_ensemble(4000, 8)
-        grid = belt_average("linear", r, L, 0.1)
+        r, L = _linear_ensemble(4000, 8)
+        grid = belt_average(r, L, 0.1)
         assert grid.meta["path"] == "spectral"
         assert 80 <= grid.meta["l_max"] <= 100
         assert grid.integral() == pytest.approx(1.0, abs=1e-9)
@@ -236,7 +271,7 @@ class TestSpectralBelt:
         phase = np.linspace(0.0, 2 * math.pi, 500, endpoint=False)
         r0 = np.stack([np.cos(phase), np.sin(phase), np.zeros(500)], axis=1)
         v0 = 2.0 * np.stack([-np.sin(phase), np.cos(phase), np.zeros(500)], axis=1)
-        grid = belt_average("linear", r0, np.cross(r0, v0), 0.1)
+        grid = belt_average(r0, np.cross(r0, v0), 0.1)
         assert grid.meta["path"] == "spectral"
         assert np.all(grid.rho >= 0)
         top = grid.rho.max()
@@ -244,28 +279,26 @@ class TestSpectralBelt:
         assert -grid.meta["synthesis_error"] <= grid.meta["clamped_min"] <= 0.0
 
     def test_negative_beyond_error_bound_raises(self, monkeypatch):
-        _, r, L = _linear_ensemble(500, 9)
+        r, L = _linear_ensemble(500, 9)
         monkeypatch.setattr(density, "_spectral_sum",
                             lambda grid, *args: np.full(grid.rho.shape, -1e-6))
         with pytest.raises(IntegrationError, match="error bound"):
-            belt_average("linear", r, L, 0.1)
+            belt_average(r, L, 0.1)
 
 
 class TestInputValidation:
     def test_empty_ensemble_rejected(self):
         empty = np.zeros((0, 3))
-        for kind in ("linear", "symtop"):
-            with pytest.raises(ParameterError, match="at least one"):
-                belt_average(kind, empty, empty)
+        with pytest.raises(ParameterError, match="at least one"):
+            belt_average(empty, empty)
         with pytest.raises(ParameterError, match="at least one"):
             second_moments(empty, empty)
 
     def test_mismatched_lengths_rejected(self):
         r0 = np.tile([1.0, 0.0, 0.0], (3, 1))
         w = np.tile([0.0, 1.0, 0.0], (2, 1))
-        for kind in ("linear", "symtop"):
-            with pytest.raises(ParameterError, match="shape"):
-                belt_average(kind, r0, w)
+        with pytest.raises(ParameterError, match="shape"):
+            belt_average(r0, w)
         with pytest.raises(ParameterError, match="shape"):
             second_moments(r0, w)
 
@@ -299,13 +332,12 @@ class TestSecondMoments:
         r, L = linear_ensemble_from_uniforms(u, 1.0)
         L = kick_momentum(r, L, 6.0, np.array([0.0, 0.0, 1.0]))
         analytic = second_moments(r, L)
-        grid_m = grid_moments(belt_average("linear", r, L, 0.05,
+        grid_m = grid_moments(belt_average(r, L, 0.05,
                                            grid=DensityGrid.build(91, 180)))
         # the belt grid smears by ~sigma^2, so compare loosely
         assert np.allclose(analytic, grid_m, atol=0.01)
 
     def test_symtop_sum_to_one(self):
-        from propeller_sim.ensemble import symtop_ensemble_from_uniforms
         u = uniform_matrix(15, 5000, 5)
         r, L = symtop_ensemble_from_uniforms(u, 1.3, 1.8)
         m = second_moments(r, L)

@@ -228,7 +228,6 @@ class TestProtocol:
                                              PulseSpec.along(-3.0, (1, 0, 1), t_apply=0.02)))
         fin = final_states(cfg)
         assert "v" not in fin and fin["L"].shape == fin["r"].shape == (200, 3)
-        assert fin["kind"] == ("linear" if mol is N2 else "symtop")
         if mol is N2:
             assert np.max(np.abs(np.einsum("ij,ij->i", fin["L"], fin["r"]))) < 1e-12
 

@@ -23,6 +23,9 @@
 * a one-pulse-1-pass rule over src/: only quantum_symtop._pulse1_pass
   calls _first_kick, so alignment_trace and delay_curve kick each K's
   thermal states through one pass;
+* a one-cone-builder rule over src/: only classical_symtop refers to
+  CONE_SIN, so SymTopEnsemble alone decides whether a molecule is frozen,
+  on a great circle or on a cone, and the belt density reads its cones;
 * a one-quadrature rule over src/: no module imports numpy.polynomial or
   reaches it as an attribute, so angular.gauss_legendre is the only
   Gauss-Legendre rule;
@@ -205,6 +208,12 @@ def function_callers_of(name: str, sources: dict[str, str]) -> list[str]:
     return sorted(found)
 
 
+def referrers_of(name: str, sources: dict[str, str]) -> list[str]:
+    """The modules in sources that spell name as a Name or an attribute."""
+    return sorted(module for module, source in sources.items()
+                  if name in _words(ast.parse(source)))
+
+
 def importers_of(dotted: str, sources: dict[str, str]) -> list[str]:
     """The modules in sources that import dotted or a submodule of it, or
     reach it as an attribute (np.polynomial for numpy.polynomial)."""
@@ -304,6 +313,18 @@ def test_one_pulse1_pass():
     # alignment_trace and delay_curve share the thermal states after pulse 1
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert function_callers_of("_first_kick", sources) == ["quantum_symtop._pulse1_pass"]
+
+
+def test_referrer_scanner_finds_names_and_attributes():
+    sources = {"a": "LIMIT = 1\n", "b": "x = m.LIMIT\n", "c": "y = 'LIMIT'\n",
+               "d": "def f(limit):\n    return limit\n"}
+    assert referrers_of("LIMIT", sources) == ["a", "b"]
+
+
+def test_one_cone_builder():
+    # the belt density reads its cones from SymTopEnsemble, not a second test
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert referrers_of("CONE_SIN", sources) == ["classical_symtop"]
 
 
 def test_import_scanner_finds_imports_and_attributes():

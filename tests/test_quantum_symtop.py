@@ -451,11 +451,11 @@ class TestOnePass:
     """alignment_trace is the pulse-1 pass alone, and delay_curve's cos2theta
     is the same pass's alignment at each delay."""
 
-    def test_delay_curve_alignment_is_the_trace(self, benzene_quantum_alignment,
-                                                benzene_quantum_scans):
-        # P1 = P2 = -1, -3, -10 on one grid: the same basis, the same bits
-        for P, trace in benzene_quantum_alignment.items():
-            curve = benzene_quantum_scans[P]
+    def test_delay_curve_alignment_is_the_trace(self, benzene_quantum_scans):
+        # P1 = P2 = -1, -3, -10 on one grid: the same basis, the same bits,
+        # so the acceptance criteria read the curves' cos2theta
+        for P, curve in benzene_quantum_scans.items():
+            trace = alignment_trace(BZ, 0.9, P, curve.grid)
             assert curve.meta["J_max"] == trace.meta["J_max"]
             assert np.array_equal(curve.grid, trace.grid)
             assert curve.channels["cos2theta"].tobytes() == trace.channels["cos2theta"].tobytes()
@@ -648,6 +648,16 @@ class TestHeadroom:
     def test_basis_below_thermal_levels(self):
         with pytest.raises(ParameterError):
             alignment_trace(BZ, 0.9, -1.0, [0.0], J_max=5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pulses_rejected(self, bad):
+        # before the basis rule, which would size J_max from |P|
+        for J_max in (None, 12):
+            with pytest.raises(ParameterError, match="finite"):
+                alignment_trace(BZ, 0.9, bad, [0.0], J_max=J_max)
+            for P1, P2, dphi in ((bad, -1.0, 0.5), (-1.0, bad, 0.5), (-1.0, -1.0, bad)):
+                with pytest.raises(ParameterError, match="finite"):
+                    delay_curve(BZ, 0.9, P1, P2, dphi, [0.0], J_max=J_max)
 
     def test_post_pulse_2_values_are_exact_on_the_grid(self):
         # at T = 0 the one initial state |0 0 0> is the same in both frames;
