@@ -194,9 +194,11 @@ def cmd_quantum_linear(args, mol: MoleculeParams, out_dir: Path):
 
 
 def _linear_diagnostics(ts: TimeSeries) -> dict:
-    """diagnostics.quantum_linear: basis size, thermal set, kick blocks and headroom."""
-    return {k: ts.meta[k] for k in ("l_max", "n_initial_states", "weight_truncation",
-                                    "n_blocks", "max_block_dim", "headroom_tail")}
+    """diagnostics.quantum_linear: basis size, thermal set and the columns carried,
+    kick blocks and headroom."""
+    return {k: ts.meta[k] for k in ("l_max", "n_initial_states", "n_columns",
+                                    "weight_truncation", "n_blocks", "max_block_dim",
+                                    "headroom_tail")}
 
 
 def _symtop_diagnostics(runs: dict) -> dict:

@@ -7,7 +7,9 @@ via the inverse normal CDF, Wichura's AS241).  Each molecule consumes a
 fixed number of uniforms, drawn as one row of a (n_traj, k) matrix from a
 counter-based (Philox) generator keyed by the run seed.  Row i therefore
 depends only on (seed, i): results are bit-stable when n_traj is extended
-and independent of how work is chunked across threads.
+and independent of how work is chunked across threads.  delay_scan keeps
+its last sample, read-only, so a sweep of scans over the kick strength
+shares one draw.
 
 The pulse protocol is one for the classical and quantum engines:
 check_pulses holds the pulse-list rules, apply_pulses fires the pulses on
@@ -320,14 +322,27 @@ class _Swarm:
                 **dict(zip(("Lx", "Ly", "Lz"), Lsum / n)), "L2": L2 / n}
 
 
+def _thermal_sample(mol: MoleculeParams, T_K: float, n_traj: int, seed: int) -> tuple:
+    """The seeded initial (r, L) arrays."""
+    if mol.kind == "linear":
+        u = uniform_matrix(seed, n_traj, _LINEAR_DRAWS)
+        return linear_ensemble_from_uniforms(u, sigma_th(mol, T_K))
+    u = uniform_matrix(seed, n_traj, _SYMTOP_DRAWS)
+    return symtop_ensemble_from_uniforms(u, *sigma_th(mol, T_K))
+
+
+@functools.lru_cache(maxsize=1)
+def _scan_sample(mol: MoleculeParams, T_K: float, n_traj: int, seed: int) -> tuple:
+    """delay_scan's sample, read-only and kept for the next identical request:
+    a preset sweeps its scans over the kick strength on one draw.  A time
+    series draws its one sample uncached, so that it does not outlive the run."""
+    r, L = _thermal_sample(mol, T_K, n_traj, seed)
+    r.flags.writeable = L.flags.writeable = False
+    return r, L
+
+
 def _initial_swarm(cfg: EnsembleConfig) -> _Swarm:
-    if cfg.mol.kind == "linear":
-        sigma = sigma_th(cfg.mol, cfg.T_K)
-        u = uniform_matrix(cfg.seed, cfg.n_traj, _LINEAR_DRAWS)
-        return _Swarm(*linear_ensemble_from_uniforms(u, sigma))
-    sig1, sig3 = sigma_th(cfg.mol, cfg.T_K)
-    u = uniform_matrix(cfg.seed, cfg.n_traj, _SYMTOP_DRAWS)
-    return _Swarm(*symtop_ensemble_from_uniforms(u, sig1, sig3))
+    return _Swarm(*_thermal_sample(cfg.mol, cfg.T_K, cfg.n_traj, cfg.seed))
 
 
 def _chunk_totals(sums, n: int, size: int) -> list:
@@ -675,17 +690,19 @@ def delay_scan(cfg: EnsembleConfig, delays) -> TimeSeries:
     """Post-pulse-2 stationary orientation versus pulse delay.
 
     Uses common random numbers: one sampled ensemble and one first kick are
-    shared by all delays.  After the first kick each molecule flies on a
-    fixed circle, so each channel is, per molecule, a trigonometric
-    polynomial of degree <= SCAN_DEGREE in omega tau; its coefficients are
-    built once and evaluated on the delays, which must be evenly spaced
-    (ParameterError otherwise; one delay is a one-point grid), over
-    fixed-size molecule chunks summed in index order, so values do not
-    depend on the thread count.  Channels: Ly, L2, Ly_norm (all stationary
-    after the last kick), the transferred dLy = <L_y(after)> -
-    <L_y(before)>, and the alignment factor cos2theta at the kick instant.
-    meta["Ly_pre"] holds the pre-pulse-2 value and meta["free_flight"] the
-    chunks, threads, block shape and harmonic degree that ran.
+    shared by all delays, and the sample by the next scan of the same
+    molecule, temperature, size and seed (_scan_sample).  After the first
+    kick each molecule flies on a fixed circle, so each channel is, per
+    molecule, a trigonometric polynomial of degree <= SCAN_DEGREE in
+    omega tau; its coefficients are built once and evaluated on the delays,
+    which must be evenly spaced (ParameterError otherwise; one delay is a
+    one-point grid), over fixed-size molecule chunks summed in index order,
+    so values do not depend on the thread count.  Channels: Ly, L2, Ly_norm
+    (all stationary after the last kick), the transferred dLy =
+    <L_y(after)> - <L_y(before)>, and the alignment factor cos2theta at the
+    kick instant.  meta["Ly_pre"] holds the pre-pulse-2 value and
+    meta["free_flight"] the chunks, threads, block shape and harmonic degree
+    that ran.
     """
     if len(cfg.pulses) != 2:
         raise ParameterError("delay_scan needs exactly two pulses")
@@ -695,7 +712,8 @@ def delay_scan(cfg: EnsembleConfig, delays) -> TimeSeries:
     n = cfg.n_traj
     workers = resolve_threads(n, SCAN_CHUNK)
     t1 = float(p1.t_apply) * TWO_PI
-    swarm1 = _initial_swarm(cfg).advance(t1).kick(p1)
+    sample = _scan_sample(cfg.mol, cfg.T_K, cfg.n_traj, cfg.seed)
+    swarm1 = _Swarm(*sample).advance(t1).kick(p1)
     (cos2, Ly, L2), Ly_pre = _kicked_means(swarm1, p2, grid)
     channels = {"Ly": Ly, "L2": L2,
                 "Ly_norm": ly_norm(Ly, L2),

@@ -10,8 +10,9 @@ cos beta = p . r_hat: e^{iP/3} times the K = 0 pulse-frame blocks of
 quantum_symtop, conjugated for a tilted p on every l shell by
 D^l(alpha, beta, 0) at p's azimuth and polar angle (angular.shell_rotations,
 also quantum_symtop.delay_curve's turn into the second pulse's frame).  The
-blocks are built and diagonalised once per basis, and every kick strength
-reads that one eigensystem.
+blocks are built and diagonalised once per basis, Omega = W diag(lam) W^T,
+and every kick builds each block's W e^{iP lam/3} W^T from that one
+eigensystem as it applies it, so no kick matrices are kept.
 
 Every observable is Hermitian, so it is a dict of block tables {q: T} for
 the m-offsets q >= 0 only, with T[m + l_max, l', l] = <l', m+q|A|l, m>; the
@@ -28,10 +29,15 @@ top's (spectral.beat_freqs).  After a kick along z every state keeps its
 m, so the density of each m block reads only the states that live in it.
 
 The thermal mixture is the K = 0 case of quantum_symtop.thermal_levels,
-expanded to all m.  Its wave packets are a pulse-protocol state, fired and
-recorded by ensemble.record_protocol: each segment builds its four weighted
-traces once, for the auto-delay scan and the output grid alike.  The zero
-beat of each trace (spectral.SpectralTrace) is its exact revival average.
+expanded to all m.  When every pulse lies in the xz plane (p_y = 0, as in
+every run the CLI makes), the reflection y -> -y maps |l, m> to +-|l, -m>,
+commutes with the kicks and the free flight, and leaves cos^2 theta,
+cos^2 phi, J_y and J^2 unchanged: the batch then carries only the m0 >= 0
+columns, those with m0 > 0 at twice the weight.  Its wave packets are a
+pulse-protocol state, fired and recorded by ensemble.record_protocol: each
+segment builds its four weighted traces once, for the auto-delay scan and
+the output grid alike.  The zero beat of each trace (spectral.SpectralTrace)
+is its exact revival average.
 A free flight only records its duration: the next kick applies its phases
 in the one copy of the batch that it makes, so each kick, not each flight,
 costs one batch.
@@ -53,7 +59,7 @@ from .spectral import SpectralTrace, accumulate_pattern
 
 
 class LinearBasis:
-    """Truncated |l, m> basis with cached operator block tables and kicks."""
+    """Truncated |l, m> basis with cached operator block tables and kick eigensystem."""
 
     def __init__(self, l_max: int):
         if l_max < 0:
@@ -137,12 +143,10 @@ class LinearBasis:
 def kick_batch(basis: LinearBasis, psi: np.ndarray, pulse: PulseSpec,
                dt: float = 0.0) -> np.ndarray:
     """Apply one impulsive kick to a (size, n_states) coefficient batch after
-    a free flight of dt, whose phases e^{-i e_l dt} fill the one copy made."""
+    a free flight of dt, whose phases e^{-i e_l dt} fill the one copy made.
+    Each m block's kick W e^{iP lam/3} W^T is built from the basis's one
+    eigensystem Omega = W diag(lam) W^T when it is applied, and not kept."""
     l_max, p = basis.l_max, pulse.p_vec
-    key = ("kick", pulse.P)
-    if key not in basis._ops:            # one kick per distinct P, one eigensystem
-        basis._ops[key] = quantum_symtop._kicks(basis._eigs, pulse.P)
-    U = basis._ops[key]
     beta, alpha = math.atan2(math.hypot(p[0], p[1]), p[2]), math.atan2(p[1], p[0])
     shells = list(enumerate(angular.shell_rotations(l_max, alpha, beta))) if p[0] or p[1] else []
     # one copy, updated in place
@@ -151,7 +155,8 @@ def kick_batch(basis: LinearBasis, psi: np.ndarray, pulse: PulseSpec,
     for l, D in shells:
         out[l * l:(l + 1) ** 2] = D.conj().T @ out[l * l:(l + 1) ** 2]
     for m, rows in zip(range(-l_max, l_max + 1), basis.m_rows):
-        out[rows] = U[abs(m), abs(m):, abs(m):] @ out[rows]
+        lam, W = basis._eigs[abs(m)]
+        out[rows] = ((W * np.exp(1j * (pulse.P / 3.0) * lam)) @ W.T) @ out[rows]
     for l, D in shells:
         out[l * l:(l + 1) ** 2] = D @ out[l * l:(l + 1) ** 2]
     out *= np.exp(1j * pulse.P / 3.0)
@@ -228,16 +233,23 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
     l0_max = levels[-1][0]
     p_max = max(abs(p.P) for p in pulses)
     l_max = quantum_symtop._basis_cutoff(l_max, l0_max, default_l_max(p_max, l0_max))
-    # the K = 0 levels are l0 = 0..l0_max, all m: the first (l0_max + 1)^2 states
+    # the K = 0 levels are l0 = 0..l0_max, all m: the first (l0_max + 1)^2
+    # states, or their m0 >= 0 half when every pulse lies in the xz plane
+    mirror = all(p.p[1] == 0.0 for p in pulses)
     n0 = (l0_max + 1) ** 2
-    if (l_max + 1) ** 2 * n0 * 16 > STATE_BATCH_BYTES:
-        raise ParameterError(f"T={T_K} K needs a {(l_max + 1) ** 2} x {n0} state batch at "
+    n_cols = (l0_max + 1) * (l0_max + 2) // 2 if mirror else n0
+    if (l_max + 1) ** 2 * n_cols * 16 > STATE_BATCH_BYTES:
+        raise ParameterError(f"T={T_K} K needs a {(l_max + 1) ** 2} x {n_cols} state batch at "
                              f"l_max={l_max}, over STATE_BATCH_BYTES = {STATE_BATCH_BYTES}")
     basis = LinearBasis(l_max)
-    weights = np.repeat([w for _, _, w in levels], [2 * J + 1 for J, _, _ in levels])
-    initial = _Packets(basis, np.eye(basis.size, n0, dtype=complex), weights)
-    ts, _, last = record_protocol(pulses, t_max, dt_out, initial)
+    rows = np.flatnonzero((basis.l <= l0_max) & ((basis.m >= 0) | (not mirror)))
+    w_l = np.array([w for _, _, w in levels])
+    weights = w_l[basis.l[rows]] * np.where(mirror & (basis.m[rows] > 0), 2.0, 1.0)
+    psi = np.zeros((basis.size, n_cols), dtype=complex)
+    psi[rows, np.arange(n_cols)] = 1.0
+    ts, _, last = record_protocol(pulses, t_max, dt_out, _Packets(basis, psi, weights))
     ts.meta = {"l_max": l_max, "sigma_th": sigma_th(mol, T_K), "n_initial_states": n0,
+               "n_columns": n_cols,
                "weight_truncation": trunc,
                "n_blocks": l_max + 1,
                "max_block_dim": l_max + 1,

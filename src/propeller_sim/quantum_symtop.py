@@ -63,8 +63,8 @@ WEIGHT_CUTOFF = 0.9999
 # past J = 250 to keep J <= 151, at 500 K it keeps J <= 195; N2 at 3000 K
 # keeps J <= 97, already a 10k-column quantum_linear batch.
 THERMAL_J_LIMIT = 300
-# The largest dense batch, basis size x initial states x 16 B, that
-# quantum_linear.thermal_run may allocate (N2 at P = 5 needs 5 MiB at 50 K),
+# The largest dense batch, basis size x columns carried x 16 B, that
+# quantum_linear.thermal_run may allocate (N2 at P = 5 needs 2.8 MiB at 50 K),
 # and the budget of one chunk of states in delay_curve: its three
 # (m, state, J) complex arrays, 192 MiB each for all of benzene's K = 0
 # states at 50 K.
@@ -243,16 +243,6 @@ def _pulse_frame_blocks(J_max: int, K: int) -> np.ndarray:
 def _block_eigh(omega: np.ndarray, K: int, n_m: int) -> list:
     """(lam, W) of the blocks m = 0..n_m-1, each on its rows J >= max(m, K)."""
     return [np.linalg.eigh(omega[m, max(m - K, 0):, max(m - K, 0):]) for m in range(n_m)]
-
-
-def _kicks(eigs: list, P: float) -> np.ndarray:
-    """exp(i (P/3) Omega) on each diagonalised block, zero-padded to the m = 0 size."""
-    n = len(eigs[0][0])
-    out = np.zeros((len(eigs), n, n), dtype=complex)
-    for U, (lam, W) in zip(out, eigs):
-        lo = n - len(lam)
-        U[lo:, lo:] = (W * np.exp(1j * (P / 3.0) * lam)) @ W.T
-    return out
 
 
 def _basis_cutoff(J_max: int | None, J0: int, default: int) -> int:

@@ -15,7 +15,8 @@ triangle of g onto the lower one by conjugation, which leaves only the
 positive beats.  The real trace of the diagonal is the zero beat: the exact
 long-time average.  The beats are integers, so each splits as f = S q + r
 with S = ceil(sqrt(f_max + 1)): over T times a trace takes T (Q + S)
-exponentials and one (T, Q) @ (Q, S) product, never a (times x beats) table.
+exponentials and (T, Q) @ (Q, S) products, never a (times x beats) table.
+The times are walked in blocks of TIME_BLOCK, so no table grows with T.
 
 accumulate_pattern builds every trace of a segment from its flat batch of
 states in one call, gathering each m block (rows l >= |m|) once and holding
@@ -32,6 +33,8 @@ import math
 import numpy as np
 
 from .classical_symtop import _split
+
+TIME_BLOCK = 256        # times per block of SpectralTrace.evaluate's phase tables
 
 
 def beat_freqs(n: int) -> np.ndarray:
@@ -79,16 +82,22 @@ class SpectralTrace:
     def evaluate(self, times: np.ndarray) -> np.ndarray:
         """Real trace values at the given (dimensionless) times, last axis:
         Re sum_r [(e^{iSqt})_{t,q} @ G]_{..., t, r} e^{irt}, G[..., q, r] the
-        grouped amplitude of beat S q + r."""
+        grouped amplitude of beat S q + r, over blocks of TIME_BLOCK times."""
         f, g = group_amplitudes(self.freqs, self.amps)
         t, f_max = np.asarray(times, dtype=float), int(f.max(initial=0))
         S = math.isqrt(f_max) + 1                 # ceil(sqrt(f_max + 1))
         q, r = np.divmod(f.astype(np.int64), S)
         G = np.zeros(g.shape[:-1] + (f_max // S + 1, S), dtype=complex)
         G[..., q, r] = g
-        part = _phases(t, S * np.arange(G.shape[-2])) @ G       # (..., T, S)
-        return self.time_average[..., None] + np.einsum(
-            "...tr,tr->...t", part, _phases(t, np.arange(S))).real
+        kq, kr = S * np.arange(G.shape[-2]), np.arange(S)
+        out = np.empty(G.shape[:-2] + t.shape)
+        for a in range(0, len(t), TIME_BLOCK):
+            tb = t[a:a + TIME_BLOCK]
+            part = _phases(tb, kq) @ G                          # (..., block, S)
+            out[..., a:a + TIME_BLOCK] = np.einsum("...tr,tr->...t", part,
+                                                   _phases(tb, kr)).real
+        out += self.time_average[..., None]
+        return out
 
 
 def _phases(t: np.ndarray, k: np.ndarray) -> np.ndarray:

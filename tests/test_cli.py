@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import time
 import tracemalloc
@@ -331,7 +332,8 @@ class TestOutputs:
 
     def test_state_batch_is_bounded_before_it_is_allocated(self, tmp_path):
         # N2 at 7,000 K keeps J <= 149, and at P = 2 thermal_run's dense
-        # batch would be 28,900 x 22,500 complex (9.7 GiB): exit 2 at once
+        # batch would be 28,900 x 11,325 complex even with the xz-plane
+        # mirror (4.9 GiB; 9.7 GiB for all 22,500 states): exit 2 at once
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -366,8 +368,12 @@ class TestOutputs:
         assert all(m.diagnostics.values())
         if "quantum_linear" in sections:
             diag = m.diagnostics["quantum_linear"]
-            assert set(diag) == {"l_max", "n_initial_states", "weight_truncation",
-                                 "n_blocks", "max_block_dim", "headroom_tail"}
+            assert set(diag) == {"l_max", "n_initial_states", "n_columns",
+                                 "weight_truncation", "n_blocks", "max_block_dim",
+                                 "headroom_tail"}
+            # both pulses lie in the xz plane: the m0 >= 0 columns of l0 <= J0 ran
+            J0 = math.isqrt(diag["n_initial_states"]) - 1
+            assert diag["n_columns"] == (J0 + 1) * (J0 + 2) // 2 < diag["n_initial_states"]
             # the pulse-frame blocks m = 0..l_max, shared by the two equal kicks
             assert diag["max_block_dim"] == diag["l_max"] + 1
             assert diag["n_blocks"] == diag["l_max"] + 1

@@ -141,6 +141,23 @@ class TestDeterminism:
         for name in a.channels:
             assert np.array_equal(a.channels[name], b.channels[name]), name
 
+    def test_sweep_over_strengths_draws_one_sample(self, monkeypatch):
+        # a preset sweep repeats (molecule, T, n_traj, seed) with other
+        # pulses: one draw serves it, read-only, and a new seed draws anew
+        draws = []
+        monkeypatch.setattr(ensemble, "uniform_matrix",
+                            lambda *args: draws.append(args) or uniform_matrix(*args))
+        ensemble._scan_sample.cache_clear()
+        scans = [delay_scan(EnsembleConfig(mol=BZ, T_K=0.9, n_traj=300, seed=seed,
+                                           pulses=(PulseSpec(P=P, p=(0, 0, 1.0)),
+                                                   PulseSpec.along(P, (1, 0, -1)))),
+                            np.linspace(0.0, 0.05, 6))
+                 for seed, P in ((7, -1.0), (7, -3.0), (8, -3.0))]
+        assert draws == [(7, 300, 5), (8, 300, 5)]
+        r, L = ensemble._scan_sample(BZ, 0.9, 300, 8)
+        assert not (r.flags.writeable or L.flags.writeable)
+        assert not np.array_equal(scans[0].channels["Ly"], scans[1].channels["Ly"])
+
     def test_extension_stability(self):
         # the first rows of the sample matrix do not change when n grows
         small = uniform_matrix(5, 100, 4)

@@ -328,17 +328,59 @@ class TestThermal:
             thermal_run(nitrogen(), 50.0, [Z5], t_max=0.1, dt_out=0.05, l_max=11)
 
     def test_fig2_run_holds_about_two_state_batches(self):
-        # fig2's run: 2,025 x 169 states, 5.2 MiB a batch.  A padded (m, l)
-        # stack per segment, five dense complex tables and a phase copy per
-        # flight took the tracemalloc peak to 44.5 MiB
+        # fig2's run: 2,025 x 91 mirrored states, 2.8 MiB a batch.  All 169
+        # columns, a dense kick per strength and phase tables over all 2,501
+        # output times took the tracemalloc peak to 25.2 MiB; a padded (m, l)
+        # stack per segment and a phase copy per flight, to 44.5 MiB before
         pulses = [Z5, PulseSpec.along(5.0, (1, 0, 1), t_apply=0.0196)]
         tracemalloc.start()
         try:
-            thermal_run(nitrogen(), 50.0, pulses, t_max=5.0, dt_out=0.002)
+            ts = thermal_run(nitrogen(), 50.0, pulses, t_max=5.0, dt_out=0.002)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        assert ts.meta["n_columns"] == 91 and peak < 16 * 2 ** 20
+
+    def test_mirror_matches_the_run_turned_out_of_the_xz_plane(self):
+        # fig2's pulses turned by 90 degrees about z: pulse 2 then has p_y != 0,
+        # so every column is carried.  The turn leaves cos^2 theta and J^2
+        # alone, maps cos^2 phi to 1 - cos^2 phi and J_y to J_x, which the
+        # xz-plane mirror makes zero
+        a = math.radians(45.0)
+        runs = [thermal_run(nitrogen(), 50.0,
+                            [Z5, PulseSpec.along(5.0, p2, t_apply=0.0196)],
+                            t_max=5.0, dt_out=0.002)
+                for p2 in ((math.sin(a), 0.0, math.cos(a)), (0.0, math.sin(a), math.cos(a)))]
+        mirrored, turned = runs
+        assert (mirrored.meta["n_columns"], turned.meta["n_columns"]) == (91, 169)
+        assert mirrored.meta["n_initial_states"] == turned.meta["n_initial_states"] == 169
+        avg_m, avg_t = mirrored.meta["revival_avg"], turned.meta["revival_avg"]
+        for name in ("cos2theta", "L2"):
+            ref = mirrored.channels[name]
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(turned.channels[name] - ref)) <= 1e-13 * scale, name
+            assert abs(avg_t[name] - avg_m[name]) <= 1e-13 * scale, name
+        assert np.max(np.abs(turned.channels["cos2phi"] - (1.0 - mirrored.channels["cos2phi"]))) \
+            <= 1e-13
+        assert abs(avg_t["cos2phi"] - (1.0 - avg_m["cos2phi"])) <= 1e-13
+        ly_max = np.max(np.abs(mirrored.channels["Ly"]))
+        assert ly_max > 1.0
+        assert np.max(np.abs(turned.channels["Ly"])) <= 1e-13 * ly_max
+        assert abs(avg_t["Ly"]) <= 1e-13 * ly_max
+
+    def test_batch_budget_counts_the_columns_carried(self, monkeypatch):
+        # N2 at 10 K keeps l0 <= 5: 21 mirrored columns of 36.  A budget of
+        # exactly the 729 x 21 mirrored batch admits the xz-plane run and
+        # rejects the same run turned out of that plane
+        monkeypatch.setattr(quantum_linear, "STATE_BATCH_BYTES", 729 * 21 * 16)
+
+        def run(p):
+            return thermal_run(nitrogen(), 10.0, [PulseSpec.along(2.0, p)],
+                               t_max=0.02, dt_out=0.01, l_max=26)
+
+        assert run((1, 0, 1)).meta["n_columns"] == 21
+        with pytest.raises(ParameterError, match="729 x 36 state batch"):
+            run((0, 1, 1))
 
     def test_no_pulse_stays_isotropic(self):
         ts = thermal_run(nitrogen(), 30.0, [PulseSpec(P=0.0, p=(0, 0, 1.0))],

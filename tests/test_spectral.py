@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from propeller_sim.spectral import SpectralTrace, beat_freqs, group_amplitudes
+from propeller_sim.spectral import TIME_BLOCK, SpectralTrace, beat_freqs, group_amplitudes
 
 
 def _unique_reference(freqs, amps):
@@ -115,6 +115,26 @@ class TestSpectralTrace:
         finally:
             tracemalloc.stop()
         assert trace.distinct_freqs >= 400 and peak < table / 4
+
+    def test_phase_tables_do_not_grow_with_the_times(self):
+        # beat_freqs(45), fig2's basis, over 20,000 times: the phase tables
+        # and their product for all times at once took 29.9 MiB; in blocks of
+        # TIME_BLOCK times they stay the same size.  Values on both sides of
+        # the block boundaries match the sum over every beat
+        n, times = 45, np.linspace(0.0, 2 * math.pi, 20_000)
+        g = _random_stack(np.random.default_rng(20), (2, n, n))
+        trace = SpectralTrace(beat_freqs(n), g)
+        tracemalloc.start()
+        try:
+            got = trace.evaluate(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20 and got.shape == (2, len(times))
+        k = np.array([0, TIME_BLOCK - 1, TIME_BLOCK, 5 * TIME_BLOCK + 7, len(times) - 1])
+        phases = np.exp(1j * times[k, None, None] * beat_freqs(n))
+        ref = np.real(np.einsum("tij,aij->at", phases, g))
+        assert np.max(np.abs(got[:, k] - ref)) <= 1e-12 * np.abs(g).sum()
 
     @pytest.mark.parametrize("freqs", [
         beat_freqs(6) / 2.0,                    # half-integer beats
