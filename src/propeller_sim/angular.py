@@ -14,6 +14,7 @@ cos(theta), so the quadrature is exact at machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -97,14 +98,19 @@ def legendre_sweep(l_max: int, x: np.ndarray):
     x = cos(theta), Condon-Shortley phase included, stable to high l by
     upward recursion.  The sectoral seed Pbar_mm is carried from m to m, one
     product per step.  Negative m follow from Pbar_l,-m = (-1)^m Pbar_lm.
+
+    Every table is a view of one (l_max + 1) x len(x) buffer, rows m..l_max,
+    valid until the next table is drawn; the caller may scale it in place,
+    and must copy a table to keep it.
     """
     x = np.asarray(x, dtype=float)
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     pmm = np.full(len(x), 1.0 / math.sqrt(4.0 * math.pi))
+    buffer = np.empty((l_max + 1, len(x)))
     for m in range(l_max + 1):
         if m:
             pmm = -math.sqrt((2 * m + 1) / (2.0 * m)) * s * pmm
-        rows = np.empty((l_max - m + 1, len(x)))
+        rows = buffer[m:]
         rows[0] = pmm
         if l_max > m:
             rows[1] = math.sqrt(2.0 * m + 3.0) * x * pmm
@@ -115,13 +121,15 @@ def legendre_sweep(l_max: int, x: np.ndarray):
         yield rows
 
 
+@functools.cache
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (increasing) and weights, accurate to rounding.
 
     Golub-Welsch nodes (Math. Comp. 23, 221 (1969)) polished by two Newton
     steps on P_n, weights from 2 / ((1 - x^2) P_n'(x)^2).  Raw eigenvector
     weights are off by 1e-16 to 1e-14 somewhere on [-1, 1], and that error
-    would become the noise floor of the density's kernel spectra.
+    would become the noise floor of the density's kernel spectra.  Each rule
+    is built once per n and shared, so both arrays are read-only.
     """
     def legendre_n(x):
         p_prev, p = np.ones(n), x.copy()
@@ -136,7 +144,9 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         p, dp = legendre_n(x)
         x = x - p / dp
     _, dp = legendre_n(x)
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def wigner_d_half_pi(J_max: int) -> list[np.ndarray]:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -59,6 +60,13 @@ def finite(text: str) -> float:
     if not math.isfinite(value := float(text)):
         raise ValueError(f"{text!r} is not finite")
     return value
+
+
+# argparse takes "-1e-1" and "-inf" for flags unless they match its negative
+# number pattern, which knows only -12 and -1.5: this one knows all that
+# float() reads, so a float flag takes them as a separate value
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$",
+                             re.IGNORECASE)
 
 
 FLAGS = {
@@ -124,6 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--out", **FLAGS["--out"])
     pre.add_argument("--seed", **FLAGS["--seed"])
     pre.add_argument("--n-traj", type=int)
+    for parser in subs.choices.values():
+        parser._negative_number_matcher = NEGATIVE_NUMBER
     return ap
 
 

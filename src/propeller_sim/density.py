@@ -33,7 +33,10 @@ list, and they agree to ~1e-13 of the peak density:
   |kappa_l| / kappa_0 exceeds one rounding unit: L = 88 for sigma = 0.1
   belts, 166 for sigma = 0.05.  grid.meta records L, the kernel-spectrum
   tail beyond it, the resulting error bound, and the most negative value
-  before round-off below zero was clamped.
+  before round-off below zero was clamped.  At its peak it holds one
+  chunk's spectra kappa and one Legendre buffer, each (L + 1) x chunk: the
+  sweep's tables are views of that buffer, scaled by kappa in place, and
+  the point and cone spectra are gathered straight into kappa.
 
 The path follows an operation count over N, n_theta * n_phi and L.  On the
 181 x 360 grid at sigma = 0.1 the measured crossover is near N = 80 (one
@@ -163,20 +166,21 @@ def _kernel_spectra(c: np.ndarray, point: np.ndarray, sigma: float,
     projections on the same nodes for every l_max, so truncating a spectrum
     never changes its leading entries.
     """
-    out = np.empty((l_max + 1, len(c)))
-    ell = np.arange(l_max + 1)
+    centers, inverse = _unique(c[~point])
+    profiles = np.empty((l_max + 1, centers.size + 1))   # each distinct cone, then the point
     if np.any(point):
         # int e^{-a(1-t)} P_l(t) dt = 2 e^{-a} i_l(a), i_l the modified
         # spherical Bessel function, a = 1 / sigma^2
-        out[:, point] = 2.0 * TWO_PI * _point_spectrum(l_max, 1.0 / (sigma * sigma))[:, None]
-    centers, inverse = _unique(c[~point])
+        profiles[:, -1] = 2.0 * TWO_PI * _point_spectrum(l_max, 1.0 / (sigma * sigma))
     if centers.size:
         t, wq = angular.gauss_legendre(_spectrum_cap(sigma) + 1)
-        legendre = (next(angular.legendre_sweep(l_max, t))
-                    * np.sqrt(2.0 * TWO_PI / (2.0 * ell + 1.0))[:, None])    # P_l(t)
+        legendre = next(angular.legendre_sweep(l_max, t))
+        legendre *= np.sqrt(2.0 * TWO_PI / (2.0 * np.arange(l_max + 1) + 1.0))[:, None]  # P_l(t)
         k = np.exp(-(t[None, :] - centers[:, None]) ** 2 / (2.0 * sigma * sigma))
-        out[:, ~point] = (TWO_PI * (legendre * wq) @ k.T)[:, inverse]
-    return out
+        profiles[:, :-1] = TWO_PI * (legendre * wq) @ k.T
+    column = np.full(len(c), centers.size)
+    column[~point] = inverse
+    return np.take(profiles, column, axis=1, out=np.empty((l_max + 1, len(c))))
 
 
 def _truncation(c: np.ndarray, point: np.ndarray, sigma: float) -> tuple[int, np.ndarray]:
@@ -218,12 +222,14 @@ def _spectral_sum(grid: DensityGrid, u: np.ndarray, c: np.ndarray, point: np.nda
     moments = np.zeros((2, l_max + 1, l_max + 1))      # Re/Im A_lm, [., l, m]
     for a in range(0, len(u), _SPECTRAL_CHUNK):
         s = slice(a, a + _SPECTRAL_CHUNK)
-        kap = _kernel_spectra(c[s], point[s], sigma, l_max) * amp[s]
+        kap = _kernel_spectra(c[s], point[s], sigma, l_max)
+        kap *= amp[s]
         x = u[s, 2]
         phi = np.arctan2(u[s, 1], u[s, 0])
         for m, table in enumerate(angular.legendre_sweep(l_max, x)):
             conj_phase = np.stack([np.cos(m * phi), -np.sin(m * phi)], axis=1)
-            moments[:, m:, m] += ((table * kap[m:]) @ conj_phase).T
+            table *= kap[m:]
+            moments[:, m:, m] += (table @ conj_phase).T
     # evaluate at |x| and restore the sign by parity, Pbar_lm(-x) =
     # (-1)^(l+m) Pbar_lm(x), so that mirror nodes share their rounding and
     # a density symmetric under z -> -z stays symmetric to the last bit or two

@@ -69,11 +69,12 @@ def write_density_text(path, grid: DensityGrid, seed=None):
         "# columns: theta,phi,rho",
     ]
     # theta and phi are formatted once; a theta row is one template whose
-    # %.10e fields take that row's rho values
+    # %.10e fields take that row's rho values, written as it is formed
     cells = [f",{_fmt(ph)},{_FMT}\n" for ph in grid.phi.tolist()]
-    rows = ["".join([th + c for c in cells]) % tuple(rho)
-            for th, rho in zip(map(_fmt, grid.theta.tolist()), grid.rho.tolist())]
-    Path(path).write_text("\n".join(lines) + "\n" + "".join(rows))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        for th, rho in zip(map(_fmt, grid.theta.tolist()), grid.rho):
+            fh.write("".join([th + c for c in cells]) % tuple(rho.tolist()))
 
 
 def read_density_text(path):

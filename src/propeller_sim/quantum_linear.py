@@ -112,8 +112,9 @@ class LinearBasis:
         theta overlaps (polynomial integrands); the table is real."""
         L = self.l_max
         x, w = angular.gauss_legendre(L + 4)
-        # m = 0..L from one sweep; Pbar_l,-m = (-1)^m Pbar_lm gives the rest
-        sweep = list(angular.legendre_sweep(L, x))
+        # m = 0..L from one sweep, each table copied out of the sweep's one
+        # buffer; Pbar_l,-m = (-1)^m Pbar_lm gives the rest
+        sweep = [t.copy() for t in angular.legendre_sweep(L, x)]
         tables = [(-1.0) ** m * t for m, t in zip(range(L, 0, -1), sweep[:0:-1])] + sweep
         up = np.zeros((2 * L + 1, L + 1, L + 1))      # <l', m+2|cos(2 phi)/2|l, m>
         for m, t_lo, t_hi in zip(range(-L, L - 1), tables, tables[2:]):

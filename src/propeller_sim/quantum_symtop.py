@@ -366,6 +366,7 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
     jy = 0.5 * np.sqrt(np.clip(J * (J + 1.0) - m * (m + 1), 0, None))  # <J m|J_y|J m+1> / i
     g = np.zeros((2, n, n), dtype=complex)   # the beat amplitudes of Ly and L2
     amp = np.zeros((n, n), dtype=complex)    # and of cos^2 theta about p1
+    buf = np.empty((2, 0), dtype=complex)    # Z and Zw, sized by the first K, reused
     for K, c2, m0, w, psi in _pulse1_pass(levels, J_max, P1, meta, amp):
         Js = np.arange(K, n)
         # block -m is S (block m) S with S = (-1)^J; stack m = -J_max..J_max
@@ -377,25 +378,30 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
         # band, by chunks of states: Z and Zw, weighted in place, take 2/3 of the budget
         G = G1 = None
         chunk = max(1, STATE_BATCH_BYTES // (3 * 16 * tilt.shape[1] * len(Js)))
-        tilt_K = tilt[Js]
         for s in range(0, len(w), chunk):
             sl = slice(s, s + chunk)
-            Z = tilt_K[:, :, m0[sl]]
+            shape = (len(Js), tilt.shape[1], len(w[sl]))     # (J, m, s)
+            if buf.shape[1] < math.prod(shape):
+                buf = np.empty((2, math.prod(shape)), dtype=complex)
+            Z, Zw = (b[:math.prod(shape)].reshape(shape) for b in buf)
+            # "clip" writes into Z directly, where "raise" would buffer a copy;
+            # every m0 is below m0_top, so nothing is clipped
+            np.take(tilt[K:], m0[sl], axis=2, out=Z, mode="clip")
             Z *= psi[sl].T[:, None, :]
+            Zw = np.conjugate(Z, out=Zw).transpose(1, 0, 2)    # (m, J, s)
             Z = Z.transpose(1, 2, 0)    # (m, s, J)
-            Zw = np.conj(Z).transpose(0, 2, 1)
             Zw *= w[sl]
             if G is None:
                 G, G1 = Zw @ Z, Zw[:-1] @ Z[1:]
             else:
                 G += Zw @ Z
                 G1 += Zw[:-1] @ Z[1:]
-            del Z, Zw       # before the next chunk's Z
         # U^dag J^2 U = J^2 + iP [J^2, c^2] + 4P^2 (c^2 - c^4), U = e^{iP c^2}
         a = Js * (Js + 1.0)
         h2, h4 = (np.einsum("mij,mij->ij", c, G) for c in (c2, c4))
         g[1, K:, K:] += (np.diag(a * np.einsum("mii->i", G)) + 1j * P2 * (a[:, None] - a) * h2
                          + 4.0 * P2 * P2 * (h2 - h4))
+        del G           # unread by the J_y algebra, under which Z and Zw's buffer stays
         # U^dag J_y U = J_y + iP [J_y, c^2] on J_y's band above the diagonal,
         # m -> m + 1, where J_y = i jy; the mirror gives the same real trace
         j = jy[:, Js]

@@ -146,7 +146,7 @@ class TestShellRotations:
 
 def _legendre_rows(l_max, m, x):
     """Rows l = |m|..l_max of Pbar_lm(x): the sweep's table |m|, times (-1)^m for m < 0."""
-    table = list(legendre_sweep(l_max, x))[abs(m)]
+    table = [t.copy() for t in legendre_sweep(l_max, x)][abs(m)]
     return (-1.0) ** m * table if m < 0 else table
 
 
@@ -162,10 +162,17 @@ class TestLegendreTable:
 
     def test_high_l_stability(self):
         x = np.array([0.123])
-        sweep = list(legendre_sweep(200, x))
+        sweep = [t.copy() for t in legendre_sweep(200, x)]
         assert len(sweep) == 201 and [len(t) for t in sweep] == list(range(201, 0, -1))
         ref = complex(sph_harm_y(200, 7, math.acos(0.123), 0.0)).real
         assert sweep[7][-1][0] == pytest.approx(ref, rel=1e-9)
+
+    def test_tables_share_one_buffer(self):
+        # each table is a view of the sweep's one buffer, valid until the next
+        sweep = legendre_sweep(6, np.linspace(-1.0, 1.0, 5))
+        first = next(sweep)
+        for table in sweep:
+            assert np.shares_memory(first, table)
 
     def test_orthonormality(self):
         x, w = np.polynomial.legendre.leggauss(40)

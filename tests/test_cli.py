@@ -106,9 +106,23 @@ class TestExitCodes:
         for flag in honoured if cli.FLAGS[flag].get("type") is cli.finite
         for value in ("nan", "inf", "-inf")])
     def test_every_float_flag_must_be_finite(self, tmp_path, capsys, command, flag, value):
-        # the flag is rejected however the rest of the run would have gone;
-        # "--flag=-inf" reaches the type, where "--flag -inf" reads as a flag
+        # the flag is rejected however the rest of the run would have gone
         assert run_cli(command, "--P2", "1", f"{flag}={value}", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "invalid finite value" in err and "Traceback" not in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_negative_exponent_value_as_separate_token(self, tmp_path):
+        # argparse's own negative-number pattern would read "-1e-1" as a flag
+        argv = ["classical-linear", "--n-traj", "50", "--t-max", "0.05", "--dt-out", "0.01"]
+        assert run_cli(*argv, "--P1", "-1e-1", "--out", str(tmp_path / "token")) == 0
+        assert run_cli(*argv, "--P1=-1e-1", "--out", str(tmp_path / "joined")) == 0
+        assert ((tmp_path / "token" / "timeseries.csv").read_bytes()
+                == (tmp_path / "joined" / "timeseries.csv").read_bytes())
+
+    def test_negative_infinity_as_separate_token(self, tmp_path, capsys):
+        # "-inf" reaches the type as a value, which rejects it
+        assert run_cli("classical-linear", "--P1", "-inf", "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert "invalid finite value" in err and "Traceback" not in err
         assert not (tmp_path / "manifest.json").exists()

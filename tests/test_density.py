@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import i0, ive
 
 from oracles import grid_moments, kde_at, kde_snapshot, phi_average
-from propeller_sim import angular, density
+from propeller_sim import angular, density, io_formats
 from propeller_sim.classical_symtop import SymTopEnsemble, kick_momentum
 from propeller_sim.core import (IntegrationError, ParameterError, PulseSpec, benzene,
                                 nitrogen, sigma_th)
@@ -368,9 +369,53 @@ class TestQuadratureAndSpectra:
         x, w = angular.gauss_legendre(n)
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda t: eigvalsh_tridiagonal(np.diag(t), np.diag(t, 1)))
-        x_ref, w_ref = angular.gauss_legendre(n)
+        x_ref, w_ref = angular.gauss_legendre.__wrapped__(n)     # built afresh, not cached
         assert np.max(np.abs(x - x_ref)) <= 1e-15 and np.max(np.abs(w - w_ref)) <= 1e-15
         assert np.sum(w) == pytest.approx(2.0, abs=1e-14)
+
+    def test_gauss_legendre_built_once_per_size(self):
+        # each belt reads its spectrum rule twice; the cached rule is shared,
+        # so it is read-only and bitwise the rule built afresh
+        rule = angular.gauss_legendre(153)
+        assert angular.gauss_legendre(153) is rule
+        assert not any(a.flags.writeable for a in rule)
+        for cached, fresh in zip(rule, angular.gauss_legendre.__wrapped__(153)):
+            assert np.array_equal(cached, fresh)
+
+
+class TestMemory:
+    """tracemalloc peaks of the density path: one Legendre buffer and one
+    spectra table for the belt, one theta row for the text."""
+
+    def test_belt_average_at_fig4_size(self):
+        # fig4's final states: 4,000 N2 molecules at 50 K after P = 5 + 5 at 45 deg
+        cfg = EnsembleConfig(mol=nitrogen(), T_K=50.0, n_traj=4000, seed=1, t_max=5.0,
+                             pulses=(PulseSpec(P=5.0, p=(0.0, 0.0, 1.0)),
+                                     PulseSpec.along(5.0, (1.0, 0.0, 1.0), t_apply="auto")))
+        final = final_states(cfg)
+        tracemalloc.start()
+        try:
+            grid = belt_average(final["r"], final["L"], 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.meta["path"] == "spectral"
+        assert peak <= 8.5 * 2 ** 20
+
+    def test_density_text_streams_rows(self, tmp_path):
+        grid = DensityGrid.build(181, 360)
+        grid.rho = np.random.default_rng(3).uniform(0.0, 1.0, grid.rho.shape)
+        grid.meta.update(estimator="belt", sigma=0.1, n_molecules=4000)
+        tracemalloc.start()
+        try:
+            io_formats.write_density_text(tmp_path / "density.csv", grid, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
+        theta, phi, rho, _ = io_formats.read_density_text(tmp_path / "density.csv")
+        for got, ref in ((theta, grid.theta), (phi, grid.phi), (rho, grid.rho)):
+            assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
 
 
 class TestUnique:

@@ -29,6 +29,9 @@
 * a one-quadrature rule over src/: no module imports numpy.polynomial or
   reaches it as an attribute, so angular.gauss_legendre is the only
   Gauss-Legendre rule;
+* a one-buffer rule over src/ and tests/: nothing collects
+  angular.legendre_sweep whole with list(...) or tuple(...), because its
+  tables are views of one buffer and would all read as its last one;
 
 and `import propeller_sim.cli`, run in a fresh interpreter, loads no scipy
 and no numpy.polynomial module; small classical-symtop, density and
@@ -231,6 +234,19 @@ def importers_of(dotted: str, sources: dict[str, str]) -> list[str]:
                          for node in ast.walk(ast.parse(source)) for n in names(node)))
 
 
+def collectors_of(name: str, sources: dict[str, str]) -> list[str]:
+    """The modules in sources with a list(...) or tuple(...) call whose
+    arguments call name, as a Name or an attribute."""
+    def collects(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("list", "tuple")
+                and any(isinstance(n, ast.Call) and name in _words(n.func)
+                        for arg in node.args for n in ast.walk(arg)))
+
+    return sorted(module for module, source in sources.items()
+                  if any(collects(n) for n in ast.walk(ast.parse(source))))
+
+
 def test_scanner_flags_only_unused_names():
     src = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
            "import a.b\nfrom m import x, y\n__all__ = ['y']\nnp.zeros(a.b.c)\n")
@@ -340,6 +356,22 @@ def test_one_gauss_legendre_rule():
     # angular.gauss_legendre is the package's only quadrature rule
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert importers_of("numpy.polynomial", sources) == []
+
+
+def test_collector_scanner_finds_list_and_tuple_of_calls():
+    sources = {"a": "x = list(legendre_sweep(3, t))\n",
+               "b": "x = tuple(angular.legendre_sweep(3, t))\n",
+               "c": "x = list(t for t in angular.legendre_sweep(3, t))\n",
+               "d": "x = [t.copy() for t in legendre_sweep(3, t)]\n",
+               "e": "x = next(legendre_sweep(3, t))\ny = list(range(3))\n",
+               "f": "x = list(legendre_sweep)\n"}
+    assert collectors_of("legendre_sweep", sources) == ["a", "b", "c"]
+
+
+def test_legendre_tables_are_not_collected_whole():
+    # each table of the sweep is a view of one buffer: copy a table to keep it
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in FILES}
+    assert collectors_of("legendre_sweep", sources) == []
 
 
 def test_rebound_check_flags_only_unnamed_functions():
