@@ -25,15 +25,16 @@ One spectral.accumulate_pattern call per segment reads the flat state
 batch one m block at a time (LinearBasis.m_rows) and contracts it with the
 tables of all four observables, each into the trace of one (l', l) matrix
 of amplitudes of the beats e_l' - e_l, the same beats as the symmetric
-top's (spectral.beat_freqs).  After a kick along z every state keeps its
-m, so the density of each m block reads only the states that live in it.
+top's.  After a kick along z every state keeps its m, so the density of
+each m block reads only the states that live in it.
 
-The thermal mixture is the K = 0 case of quantum_symtop.thermal_levels,
-expanded to all m.  When every pulse lies in the xz plane (p_y = 0, as in
-every run the CLI makes), the reflection y -> -y maps |l, m> to +-|l, -m>,
-commutes with the kicks and the free flight, and leaves cos^2 theta,
-cos^2 phi, J_y and J^2 unchanged: the batch then carries only the m0 >= 0
-columns, those with m0 > 0 at twice the weight.  Its wave packets are a
+The front end is the symmetric top's at K = 0: quantum_symtop._thermal_setup
+gives the levels, the spin weights and l_max (default_l_max), and
+thermal_states the columns |l0, m0> with their weights.  When every pulse
+lies in the xz plane (p_y = 0, as in every CLI run), the reflection
+y -> -y maps |l, m> to +-|l, -m>, commutes with the kicks and the free
+flight and leaves all four observables unchanged, so only m0 >= 0 is
+carried, m0 > 0 at twice the weight.  Its wave packets are a
 pulse-protocol state, fired and recorded by ensemble.record_protocol: each
 segment builds its four weighted traces once, for the auto-delay scan and
 the output grid alike.  The zero beat of each trace (spectral.SpectralTrace)
@@ -230,30 +231,22 @@ def thermal_run(mol: MoleculeParams, T_K: float, pulses, t_max: float,
     if mol.kind != "linear":
         raise ParameterError("thermal_run handles linear molecules")
     pulses = check_pulses(pulses)
-    levels, trunc = quantum_symtop.thermal_levels(mol, T_K, spin_weights)
-    l0_max = levels[-1][0]
-    p_max = max(abs(p.P) for p in pulses)
-    l_max = quantum_symtop._basis_cutoff(l_max, l0_max, default_l_max(p_max, l0_max))
-    # the K = 0 levels are l0 = 0..l0_max, all m: the first (l0_max + 1)^2
-    # states, or their m0 >= 0 half when every pulse lies in the xz plane
-    mirror = all(p.p[1] == 0.0 for p in pulses)
-    n0 = (l0_max + 1) ** 2
-    n_cols = (l0_max + 1) * (l0_max + 2) // 2 if mirror else n0
+    levels, l_max, setup = quantum_symtop._thermal_setup(
+        mol, T_K, [p.P for p in pulses], l_max, spin_weights, default_l_max)
+    mirror = all(p.p[1] == 0.0 for p in pulses)       # every pulse in the xz plane
+    l0, m0, weights = quantum_symtop.thermal_states(0, levels[0], mirror)
+    n_cols = len(weights)
     if (l_max + 1) ** 2 * n_cols * 16 > STATE_BATCH_BYTES:
         raise ParameterError(f"T={T_K} K needs a {(l_max + 1) ** 2} x {n_cols} state batch at "
                              f"l_max={l_max}, over STATE_BATCH_BYTES = {STATE_BATCH_BYTES}")
     basis = LinearBasis(l_max)
-    rows = np.flatnonzero((basis.l <= l0_max) & ((basis.m >= 0) | (not mirror)))
-    w_l = np.array([w for _, _, w in levels])
-    weights = w_l[basis.l[rows]] * np.where(mirror & (basis.m[rows] > 0), 2.0, 1.0)
     psi = np.zeros((basis.size, n_cols), dtype=complex)
-    psi[rows, np.arange(n_cols)] = 1.0
+    psi[l0 * (l0 + 1) + m0, np.arange(n_cols)] = 1.0
     ts, _, last = record_protocol(pulses, t_max, dt_out, _Packets(basis, psi, weights))
-    ts.meta = {"l_max": l_max, "sigma_th": sigma_th(mol, T_K), "n_initial_states": n0,
-               "n_columns": n_cols,
-               "weight_truncation": trunc,
-               "n_blocks": l_max + 1,
-               "max_block_dim": l_max + 1,
+    ts.meta = {"l_max": l_max, "sigma_th": sigma_th(mol, T_K),
+               "n_initial_states": setup["n_initial_states"], "n_columns": n_cols,
+               "weight_truncation": setup["weight_truncation"],
+               "n_blocks": l_max + 1, "max_block_dim": l_max + 1,
                "spin_weights": "uniform" if spin_weights is None else "custom",
                **ts.meta,
                "headroom_tail": float(basis.band_population(last.psi).max()),

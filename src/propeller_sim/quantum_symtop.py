@@ -16,16 +16,17 @@ table per basis (_rank2_table), which quantum_linear's K = 0 kick reads too.
 Block (K, -m) is S (K, m) S with S = diag((-1)^J), and K and -K are related
 the same way, so K, m >= 0 suffice.
 
-* One thermal list serves both quantum engines: thermal_levels gives whole
-  degenerate (J, |K|) levels, and a linear molecule is its K = 0 case.
+* One front end serves both quantum engines, a linear molecule as its K = 0
+  case: _thermal_setup gives whole (J, |K|) levels (thermal_levels), the
+  basis cut-off and the counts, and thermal_states each K's states |J0 K m0>.
 * One pass over K (_pulse1_pass) kicks both functions' states.  Whole levels
   make the mixture isotropic, so it may be resolved into pulse-frame states
   |J0 K m0>, read from each block's one eigensystem without a kick matrix.
   Free flight depends only on (J, K) and cos^2 theta about p1 is
   (1 + Omega)/3, diagonal in m, so the pass also sums the alignment's (J, J')
-  amplitudes of the beats e_J - e_J' (spectral.beat_freqs, the same for every
-  K).  alignment_trace is that pass alone; delay_curve adds pulse 2 in the
-  same K iteration and returns the alignment at each delay as cos2theta.
+  amplitudes of the beats e_J - e_J', the same for every K.  alignment_trace
+  is that pass alone; delay_curve adds pulse 2 in the same K iteration and
+  returns the alignment at each delay as cos2theta.
 * The delay curve turns once, into pulse 2's frame, which is pulse 1's (the
   classical frame, light along y) turned by dphi about y: |J K m0> reads
   D^dagger |J K m0> there, D = D^J(0, dphi, 0) from angular.shell_rotations.
@@ -54,7 +55,7 @@ import numpy as np
 from . import angular
 from .core import MoleculeParams, ParameterError, TruncationError, TWO_PI, sigma_th
 from .ensemble import TimeSeries, ly_norm
-from .spectral import SpectralTrace, beat_freqs
+from .spectral import SpectralTrace
 
 HEADROOM_BAND = 4
 HEADROOM_TOL = 1e-10
@@ -256,13 +257,15 @@ def _basis_cutoff(J_max: int | None, J0: int, default: int) -> int:
     return J_max
 
 
-def _thermal_setup(mol: MoleculeParams, T_K: float, strengths, J_max):
-    """Thermal levels {K >= 0: [(J0, weight)]}, the basis cut-off and base meta."""
+def _thermal_setup(mol: MoleculeParams, T_K: float, strengths, J_max, hook=None,
+                   default=default_J_max):
+    """Thermal levels {K >= 0: [(J0, weight)]} under the spin hook, the basis
+    cut-off (default(|P| max, J0) if J_max is None) and base meta."""
     if not all(map(math.isfinite, strengths)):
         raise ParameterError(f"kick strengths must be finite, got {strengths}")
-    levels, trunc = thermal_levels(mol, T_K)
+    levels, trunc = thermal_levels(mol, T_K, hook)
     J0 = max(J for J, _, _ in levels)
-    J_max = _basis_cutoff(J_max, J0, default_J_max(max(map(abs, strengths)), J0))
+    J_max = _basis_cutoff(J_max, J0, default(max(map(abs, strengths)), J0))
     by_K: dict = {}
     for J, Ka, w in levels:
         by_K.setdefault(Ka, []).append((J, w))
@@ -281,16 +284,23 @@ def _band_tail(pop_band: np.ndarray, J_max: int, stage: str) -> float:
     return tail
 
 
-def _first_kick(K: int, levels, omega: np.ndarray, P1: float):
-    """m0, the weights (doubled for m0 > 0 and K > 0, which stand for -m0 and
-    -K), the amplitudes psi (states x J, J = K..J_max) of one K's states after
-    the first kick, each the column (W e^{i P1 lam/3}) W[J0 - K, :]^T of the
-    kick from its block's Omega = W diag(lam) W^T, and their largest
-    population within HEADROOM_BAND of J_max (_band_tail)."""
+def thermal_states(K: int, levels, mirror: bool):
+    """(J0, m0, weights) of one K's thermal states |J0 K m0>, in the order of
+    levels [(J0, weight per state)] and m0 ascending.  K > 0 is doubled, for
+    -K.  With mirror (every pulse in the xz plane, every observable even
+    under y -> -y) only m0 >= 0 is kept, and m0 > 0 is doubled, for -m0."""
     J0, m0, w = (np.array(c) for c in zip(*[
-        (J, m, wt * (2.0 if m else 1.0) * (2.0 if K else 1.0))
-        for J, wt in levels for m in range(J + 1)]))
-    J0, m0 = J0.astype(int), m0.astype(int)
+        (J, m, wt * (2.0 if mirror and m else 1.0) * (2.0 if K else 1.0))
+        for J, wt in levels for m in range(0 if mirror else -J, J + 1)]))
+    return J0.astype(int), m0.astype(int), w
+
+
+def _first_kick(K: int, levels, omega: np.ndarray, P1: float):
+    """m0 and the weights of thermal_states (mirrored), the amplitudes psi
+    (states x J, J = K..J_max) after the first kick, each the column
+    (W e^{i P1 lam/3}) W[J0 - K, :]^T of its block's Omega = W diag(lam) W^T,
+    and their largest population within HEADROOM_BAND of J_max (_band_tail)."""
+    J0, m0, w = thermal_states(K, levels, True)
     n = omega.shape[1]
     psi = np.zeros((len(w), n), dtype=complex)
     for m, (lam, W) in enumerate(_block_eigh(omega, K, int(m0.max()) + 1)):
@@ -332,7 +342,7 @@ def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
     amp = np.zeros((J_max + 1, J_max + 1), dtype=complex)
     for _ in _pulse1_pass(levels, J_max, P1, meta, amp):
         pass
-    trace = SpectralTrace(beat_freqs(J_max + 1), amp)
+    trace = SpectralTrace(amp)
     times = np.asarray(times_trev, dtype=float)
     meta.update(distinct_freqs=trace.distinct_freqs)
     return TimeSeries(times, {"cos2theta": trace.evaluate(times * TWO_PI)}, meta)
@@ -408,10 +418,10 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
         comm = j[:, :, None] * c2[1:] - c2[:-1] * j[:, None, :]     # [J_y, c^2] / i
         g[0, K:, K:] += (2j * np.diag(np.einsum("mi,mii->i", j, G1))
                          - 2.0 * P2 * np.einsum("mij,mij->ij", comm, G1))
-    trace = SpectralTrace(beat_freqs(n), g)
+    trace = SpectralTrace(g)
     Ly, L2 = trace.evaluate(taus)
     Ly[np.abs(taus_trev - np.round(taus_trev)) <= 4 * np.spacing(np.abs(taus_trev))] = 0.0
     meta.update(dphi=dphi, distinct_freqs=trace.distinct_freqs)   # cos2theta's are among them
-    cos2theta = SpectralTrace(beat_freqs(n), amp).evaluate(taus)
+    cos2theta = SpectralTrace(amp).evaluate(taus)
     return TimeSeries(taus_trev, {"cos2theta": cos2theta, "Ly": Ly, "L2": L2,
                                   "Ly_norm": ly_norm(Ly, L2)}, meta)

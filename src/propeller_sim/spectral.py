@@ -6,9 +6,9 @@ After the pulses, every expectation value is a finite sum over rotor beats,
 
 where g is the (J, J') matrix of beat amplitudes, summed over the blocks
 (K, m) and the states before it reaches a trace.  The K^2 part of the
-symmetric-top energy cancels in every beat, so the beats are integers
-(`beat_freqs`), the same for the linear rotor (K = 0) and the symmetric top,
-and every trace is periodic in one revival period.
+symmetric-top energy cancels in every beat, so the beats are integers, the
+same for the linear rotor (K = 0) and the symmetric top, and every trace is
+periodic in one revival period.  `SpectralTrace` builds them from g's size.
 
 A real trace needs only Re, so `SpectralTrace` folds the strict upper
 triangle of g onto the lower one by conjugation, which leaves only the
@@ -57,15 +57,12 @@ def group_amplitudes(freqs: np.ndarray, amps: np.ndarray):
 
 
 class SpectralTrace:
-    """Re sum g_{J J'} exp(i freqs_{J J'} t) for an (n, n) amplitude matrix g,
-    or for each matrix of a (..., n, n) stack.  The beats freqs[J, J'] =
-    e_J - e_J' must be integers, >= 0 below the diagonal (beat_freqs)."""
+    """Re sum g_{J J'} exp(i (e_J - e_J') t) for an (n, n) amplitude matrix g,
+    or for each matrix of a (..., n, n) stack, J, J' = 0..n-1 (beat_freqs)."""
 
-    def __init__(self, freqs: np.ndarray, g: np.ndarray):
-        lo, hi = np.tril_indices(freqs.shape[0], -1)
-        beats = freqs[lo, hi]
-        if not np.all((beats >= 0) & (beats == np.round(beats))):
-            raise ValueError("SpectralTrace needs integer beats, non-negative below the diagonal")
+    def __init__(self, g: np.ndarray):
+        lo, hi = np.tril_indices(g.shape[-1], -1)
+        beats = beat_freqs(g.shape[-1])[lo, hi]
         folded = g[..., lo, hi] + np.conj(g[..., hi, lo])
         live = np.any(folded != 0, axis=tuple(range(folded.ndim - 1)))
         self.freqs = beats[live]
@@ -154,5 +151,4 @@ def accumulate_pattern(ops: dict, psi: np.ndarray, rows: list, weights: np.ndarr
     amps = {name: np.zeros((n_l, n_l), dtype=complex) for name in ops}
     for (name, q), part in parts.items():
         amps[name] += (2.0 if q else 1.0) * part
-    freqs = beat_freqs(n_l)
-    return {name: SpectralTrace(freqs, amp) for name, amp in amps.items()}
+    return {name: SpectralTrace(amp) for name, amp in amps.items()}

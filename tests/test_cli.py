@@ -440,6 +440,49 @@ class TestOutputs:
         assert "cos2phi" in m.config["result_max_abs_deviation"]
         assert m.diagnostics["free_flight"]["n_traj"] == 2000
 
+    @pytest.mark.parametrize("argv, n_rows", [
+        (("--molecule", "n2", "--temp-K", "50", "--P1", "5", "--P2", "5", "--n-traj", "500",
+          "--t-max", "0.1", "--dt-out", "0.002"), 41),
+        (("--molecule", "n2", "--temp-K", "50", "--P1", "5", "--P2", "5", "--n-traj", "500",
+          "--t-max", "0.0205", "--dt-out", "0.001"), 1),
+        (("--molecule", "benzene", "--temp-K", "0.9", "--P1", "-3", "--P2", "-3",
+          "--angle-deg", "-45", "--n-traj", "500", "--t-max", "0.05", "--dt-out", "0.0025"), 21),
+        (("--molecule", "benzene", "--temp-K", "0.9", "--P1", "-3", "--P2", "-3",
+          "--n-traj", "50", "--t-max", "0"), 1),
+    ], ids=["n2", "n2_one_time_after_pulse2", "benzene", "benzene_one_delay"])
+    def test_compare_deviation_is_the_maximum_of_the_file(self, tmp_path, argv, n_rows):
+        # N2 compares the times from the second pulse on, benzene every delay;
+        # the file holds 11 significant digits, so each deviation read back
+        # is within 1e-10 of the manifest's
+        assert run_cli("compare", *argv, "--out", str(tmp_path)) == 0
+        config = read_manifest(tmp_path / "manifest.json").config
+        ts = read_timeseries_csv(tmp_path / "compare.csv")
+        rows = ts.grid >= config.get("result_delay_trev", -math.inf)
+        assert np.count_nonzero(rows) == n_rows
+        deviation = config["result_max_abs_deviation"]
+        assert len(deviation) == 2
+        for name, value in deviation.items():
+            gap = np.abs(ts.channels[f"{name}_classical"] - ts.channels[f"{name}_quantum"])
+            assert value == pytest.approx(gap[rows].max(), rel=0, abs=1e-10), name
+
+    def test_fig5_extrema_are_read_from_the_delay_scans(self, tmp_path):
+        # t_min and cos2theta_min at the first local minimum of cos2theta,
+        # t_opt at the first local maximum of |Ly|; at 500 molecules the peak
+        # of |Ly| and that of Ly_norm lie at different delays for every P
+        def first(v):
+            return np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]))[0] + 1
+
+        assert run_cli("preset", "fig5", "--n-traj", "500", "--out", str(tmp_path)) == 0
+        extrema = read_timeseries_csv(tmp_path / "extrema.csv")
+        assert list(extrema.grid) == [-1.0, -3.0, -10.0]
+        for i, P in enumerate((1, 3, 10)):
+            scan = read_timeseries_csv(tmp_path / f"delayscan_P{P}.csv")
+            k_min, k_opt = first(-scan.channels["cos2theta"]), first(np.abs(scan.channels["Ly"]))
+            assert k_opt != first(np.abs(scan.channels["Ly_norm"]))
+            assert extrema.channels["t_min_trev"][i] == scan.grid[k_min]
+            assert extrema.channels["cos2theta_min"][i] == scan.channels["cos2theta"][k_min]
+            assert extrema.channels["t_opt_trev"][i] == scan.grid[k_opt]
+
     @pytest.mark.parametrize("pulse2", [(), ("--P2", "2", "--delay", "0.05")],
                              ids=["one-pulse", "fixed-delay"])
     def test_density_rejects_a_window_without_an_auto_pulse(self, tmp_path, pulse2):

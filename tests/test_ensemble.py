@@ -12,9 +12,10 @@ from propeller_sim.classical_symtop import SymTopEnsemble
 from propeller_sim.core import (TWO_PI, ParameterError, ProtocolError, PulseSpec, benzene,
                                 nitrogen, sigma_th)
 from propeller_sim.ensemble import (CHUNK, POLE_SIN2, SCAN_STEP, EnsembleConfig,
-                                    delay_scan, final_states,
-                                    linear_ensemble_from_uniforms, ndtri,
-                                    orientation_from_uniforms, record_protocol,
+                                    delay_scan, final_states, find_alignment_extremum,
+                                    linear_ensemble_from_uniforms, mean_cos2theta, ndtri,
+                                    orientation_from_uniforms, parabolic_vertex,
+                                    record_protocol,
                                     run_protocol, symtop_ensemble_from_uniforms,
                                     tangent_frame, uniform_matrix)
 
@@ -271,6 +272,41 @@ class TestProtocol:
         with pytest.raises(ParameterError):
             EnsembleConfig(mol=N2, T_K=0.0, n_traj=10, seed=1,
                            pulses=(PulseSpec(P=1.0, p=(0, 0, 1.0), t_apply="auto"),))
+
+
+class _DipState:
+    """A protocol state whose <cos^2 theta> after t is
+    sign (1 - exp(-((t - t0)/w)^2)): its one local extremum, a minimum for
+    sign 1, lies at t0."""
+
+    def __init__(self, t0, w, sign):
+        self.t0, self.w, self.sign = t0, w, sign
+
+    def cos2theta(self, times, h):
+        return self.sign * (1.0 - np.exp(-((times - self.t0) / self.w) ** 2))
+
+
+class TestAlignmentExtremum:
+    @pytest.mark.parametrize("curvature", [2.5, -1.0])
+    @pytest.mark.parametrize("offset", [-0.4, -0.25, 0.3])
+    def test_vertex_of_an_exact_parabola(self, curvature, offset):
+        # the vertex on either side of the middle sample x1; y has no constant
+        # term, so its rounding stays relative to a (x - v)^2 and the vertex is
+        # exact to rounding; a constant c would scale it by |c| / (a h^2)
+        x1 = 137 * SCAN_STEP
+        v = x1 + offset * SCAN_STEP
+        x = x1 + SCAN_STEP * np.array([-1.0, 0.0, 1.0])
+        assert parabolic_vertex(x, curvature * (x - v) ** 2) == pytest.approx(v, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("kind, sign", [("min", 1.0), ("max", -1.0)])
+    def test_extremum_is_the_vertex_of_its_bracketing_samples(self, kind, sign):
+        # the dip lies past the first 256-step scan block, between two steps
+        t0 = 300.37 * SCAN_STEP
+        state = _DipState(t0, 40 * SCAN_STEP, sign)
+        found = find_alignment_extremum(state, kind, 0.5 * TWO_PI)
+        ts = np.array([299.0, 300.0, 301.0]) * SCAN_STEP
+        assert found == parabolic_vertex(ts, mean_cos2theta(state, ts))
+        assert abs(found - t0) < 0.01 * SCAN_STEP
 
 
 class _StubState:

@@ -23,6 +23,11 @@
 * a one-pulse-1-pass rule over src/: only quantum_symtop._pulse1_pass
   calls _first_kick, so alignment_trace and delay_curve kick each K's
   thermal states through one pass;
+* a one-quantum-front-end rule over src/: only quantum_symtop calls
+  thermal_levels and _basis_cutoff, so both quantum engines take their
+  thermal levels and basis cut-off from _thermal_setup;
+* a one-beat-table rule over src/: only spectral calls beat_freqs, so every
+  trace builds its beats from the size of its amplitude matrix;
 * a one-cone-builder rule over src/: only classical_symtop refers to
   CONE_SIN, so SymTopEnsemble alone decides whether a molecule is frozen,
   on a great circle or on a cone, and the belt density reads its cones;
@@ -329,6 +334,37 @@ def test_one_pulse1_pass():
     # alignment_trace and delay_curve share the thermal states after pulse 1
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert function_callers_of("_first_kick", sources) == ["quantum_symtop._pulse1_pass"]
+
+
+def _with_call(sources: dict[str, str], module: str, call: str) -> dict[str, str]:
+    """sources with a top-level function calling call appended to module."""
+    return {**sources, module: sources[module] + f"\n\ndef _extra():\n    return {call}\n"}
+
+
+def test_one_quantum_front_end():
+    # thermal_run reads its levels, l_max and counts from _thermal_setup
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert callers_of("thermal_levels", sources) == ["quantum_symtop"]
+    assert callers_of("_basis_cutoff", sources) == ["quantum_symtop"]
+
+
+def test_one_quantum_front_end_rule_sees_a_second_caller():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    for name in ("thermal_levels", "_basis_cutoff"):
+        extra = _with_call(sources, "quantum_linear", f"quantum_symtop.{name}(mol, 0.0)")
+        assert callers_of(name, extra) == ["quantum_linear", "quantum_symtop"]
+
+
+def test_one_beat_table():
+    # SpectralTrace(g) builds e_J - e_J' itself, so no engine passes beats
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert callers_of("beat_freqs", sources) == ["spectral"]
+
+
+def test_one_beat_table_rule_sees_a_second_caller():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    extra = _with_call(sources, "quantum_symtop", "spectral.beat_freqs(3)")
+    assert callers_of("beat_freqs", extra) == ["quantum_symtop", "spectral"]
 
 
 def test_referrer_scanner_finds_names_and_attributes():

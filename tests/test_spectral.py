@@ -84,10 +84,10 @@ class TestSpectralTrace:
         times = np.concatenate([[0.0], rng.uniform(-5.0, 40.0, size=30)])
         phases = np.exp(1j * times[:, None, None] * freqs)
         ref = np.real(np.einsum("tij,abij->abt", phases, g))
-        got = SpectralTrace(freqs, g).evaluate(times)
+        got = SpectralTrace(g).evaluate(times)
         assert got.shape == (2, 3, len(times))
         assert np.max(np.abs(got - ref)) <= 1e-12
-        single = SpectralTrace(freqs, g[1, 2])
+        single = SpectralTrace(g[1, 2])
         assert np.max(np.abs(single.evaluate(times) - ref[1, 2])) <= 1e-12
 
     @pytest.mark.parametrize("shape", [(2, 3, 61, 61), (61, 61)])
@@ -98,7 +98,7 @@ class TestSpectralTrace:
         rng = np.random.default_rng(sum(shape))
         g = _random_stack(rng, shape)
         times = np.concatenate([[0.0, 20 * math.pi], rng.uniform(0.0, 20 * math.pi, 10)])
-        got = SpectralTrace(beat_freqs(shape[-1]), g).evaluate(times)
+        got = SpectralTrace(g).evaluate(times)
         bound = 1e-15 * np.abs(g).sum(axis=(-2, -1))
         assert np.all(np.max(np.abs(got - _exact_trace(g, times)), axis=-1) <= bound)
 
@@ -106,7 +106,7 @@ class TestSpectralTrace:
         # 2,500 times x beat_freqs(45) (564 live beats) as a phase table would
         # take 22.6 MB; the split needs (times x sqrt(beats)) tables
         n, times = 45, np.linspace(0.0, 60.0, 2500)
-        trace = SpectralTrace(beat_freqs(n), _random_stack(np.random.default_rng(45), (n, n)))
+        trace = SpectralTrace(_random_stack(np.random.default_rng(45), (n, n)))
         table = len(times) * trace.distinct_freqs * 16
         tracemalloc.start()
         try:
@@ -123,7 +123,7 @@ class TestSpectralTrace:
         # the block boundaries match the sum over every beat
         n, times = 45, np.linspace(0.0, 2 * math.pi, 20_000)
         g = _random_stack(np.random.default_rng(20), (2, n, n))
-        trace = SpectralTrace(beat_freqs(n), g)
+        trace = SpectralTrace(g)
         tracemalloc.start()
         try:
             got = trace.evaluate(times)
@@ -136,20 +136,11 @@ class TestSpectralTrace:
         ref = np.real(np.einsum("tij,aij->at", phases, g))
         assert np.max(np.abs(got[:, k] - ref)) <= 1e-12 * np.abs(g).sum()
 
-    @pytest.mark.parametrize("freqs", [
-        beat_freqs(6) / 2.0,                    # half-integer beats
-        beat_freqs(6) + 1e-9,                   # almost integers
-        -beat_freqs(6),                         # descending levels
-    ])
-    def test_rejects_beats_that_are_not_integers(self, freqs):
-        with pytest.raises(ValueError, match="integer beats"):
-            SpectralTrace(freqs, np.ones((6, 6)))
-
     def test_time_average_is_the_zero_beat(self):
         # integer beats below 64 average out over 64 uniform times of one period
         n = 8
         g = _random_stack(np.random.default_rng(8), (n, n))
-        trace = SpectralTrace(beat_freqs(n), g)
+        trace = SpectralTrace(g)
         times = np.arange(64) * (2 * math.pi / 64)
         assert trace.time_average == pytest.approx(trace.evaluate(times).mean(), abs=1e-12)
         assert trace.time_average == pytest.approx(np.trace(g).real, abs=1e-15)
@@ -160,6 +151,6 @@ class TestSpectralTrace:
         g[0, 3, 1] = 1.0            # beat e_3 - e_1 = 5
         g[1, 0, 2] = 2.0j           # beat -(e_2 - e_0) = -3, folded onto +3
         g[1, 4, 4] = 7.0            # zero beat
-        trace = SpectralTrace(beat_freqs(n), g)
+        trace = SpectralTrace(g)
         assert sorted(trace.freqs) == [3.0, 5.0]
         assert np.array_equal(trace.time_average, [0.0, 7.0])
