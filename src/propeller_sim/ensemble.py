@@ -59,7 +59,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -373,6 +373,14 @@ def _flight_diagnostics(n: int, workers: int, block_shape, segments) -> dict:
                          for t0, n_t, sw in segments]}
 
 
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialised float array whose data starts on a 64-byte boundary."""
+    n = math.prod(shape)
+    raw = np.empty(n + 8)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip:skip + n].reshape(shape)
+
+
 def _circle_blocks(flight: csym.SymTopEnsemble, grid: csym.UniformGrid,
                    rows: tuple[int, int], axes: slice):
     """(i, stop, pos) per block: pos[k] is component axes[k] (of x, y, z) of
@@ -390,8 +398,8 @@ def _circle_blocks(flight: csym.SymTopEnsemble, grid: csym.UniformGrid,
     centre = flight.a[axes, chunk]
     wb, wc = flight.w[chunk] * flight.b[axes, chunk], flight.w[chunk] * flight.c[axes, chunk]
     step = _block_times(b - a)
-    pos = np.empty((len(centre), min(step, grid.n), b - a))
-    tmp = np.empty(pos.shape[1:])
+    pos = _aligned_empty((len(centre), min(step, grid.n), b - a))
+    tmp = _aligned_empty(pos.shape[1:])
     for i in range(0, grid.n, step):
         stop = min(i + step, grid.n)
         lo = i
@@ -727,15 +735,5 @@ def delay_scan(cfg: EnsembleConfig, delays) -> TimeSeries:
 
 
 def describe_config(cfg: EnsembleConfig) -> dict:
-    """JSON-serializable echo of a run configuration."""
-    return {
-        "molecule": {"kind": cfg.mol.kind, "B_cm1": cfg.mol.B_cm1,
-                     "C_cm1": cfg.mol.C_cm1, "delta_alpha_sign": cfg.mol.delta_alpha_sign,
-                     "name": cfg.mol.name},
-        "T_K": cfg.T_K,
-        "n_traj": cfg.n_traj,
-        "seed": cfg.seed,
-        "pulses": [{"P": p.P, "p": list(p.p), "t_apply": p.t_apply} for p in cfg.pulses],
-        "t_max": cfg.t_max,
-        "dt_out": cfg.dt_out,
-    }
+    """JSON-serializable echo of a run configuration: its fields, mol as "molecule"."""
+    return {"molecule" if k == "mol" else k: v for k, v in asdict(cfg).items()}

@@ -204,11 +204,6 @@ class _Packets:
 # ---- thermal averaging -------------------------------------------------------
 
 
-def nitrogen_spin_weights(l: int) -> float:
-    """2:1 even:odd nuclear-spin alternation of N2 (6:3 degeneracies)."""
-    return 2.0 if l % 2 == 0 else 1.0
-
-
 def default_l_max(p_max: float, l0_max: int) -> int:
     # 4x the strongest kick |P| plus a constant margin wide enough that the
     # 1e-10 headroom band stays empty even for weak pulses

@@ -14,9 +14,11 @@ A real trace needs only Re, so `SpectralTrace` folds the strict upper
 triangle of g onto the lower one by conjugation, which leaves only the
 positive beats.  The real trace of the diagonal is the zero beat: the exact
 long-time average.  The beats are integers, so each splits as f = S q + r
-with S = ceil(sqrt(f_max + 1)): over T times a trace takes T (Q + S)
-exponentials and (T, Q) @ (Q, S) products, never a (times x beats) table.
-The times are walked in blocks of TIME_BLOCK, so no table grows with T.
+with S = ceil(sqrt(f_max + 1)), and the constructor groups the folded
+amplitudes once (group_amplitudes) into the (..., Q, S) matrix G, the only
+copy of them it keeps.  Over T times a trace then takes T (Q + S)
+exponentials and (T, Q) @ (Q, S) products, never a (times x beats) table,
+and the times are walked in blocks of TIME_BLOCK, so no table grows with T.
 
 accumulate_pattern builds every trace of a segment from its flat batch of
 states in one call, gathering each m block (rows l >= |m|) once and holding
@@ -58,35 +60,30 @@ def group_amplitudes(freqs: np.ndarray, amps: np.ndarray):
 
 class SpectralTrace:
     """Re sum g_{J J'} exp(i (e_J - e_J') t) for an (n, n) amplitude matrix g,
-    or for each matrix of a (..., n, n) stack, J, J' = 0..n-1 (beat_freqs)."""
+    or for each matrix of a (..., n, n) stack, J, J' = 0..n-1 (beat_freqs).
+    G[..., q, r] (shape (..., Q, S)) is the grouped amplitude of beat S q + r."""
 
     def __init__(self, g: np.ndarray):
         lo, hi = np.tril_indices(g.shape[-1], -1)
-        beats = beat_freqs(g.shape[-1])[lo, hi]
         folded = g[..., lo, hi] + np.conj(g[..., hi, lo])
         live = np.any(folded != 0, axis=tuple(range(folded.ndim - 1)))
-        self.freqs = beats[live]
-        self.amps = folded[..., live]
+        f, amps = group_amplitudes(beat_freqs(g.shape[-1])[lo, hi][live], folded[..., live])
+        f_max = int(f.max(initial=0))
+        S = math.isqrt(f_max) + 1                 # ceil(sqrt(f_max + 1))
+        q, r = np.divmod(f.astype(np.int64), S)
+        self.G = np.zeros(amps.shape[:-1] + (f_max // S + 1, S), dtype=complex)
+        self.G[..., q, r] = amps
+        self.distinct_freqs = len(f)
         # the zero beat: the exact long-time average
         self.time_average = np.real(np.trace(g, axis1=-2, axis2=-1))
 
-    @property
-    def distinct_freqs(self) -> int:
-        """Number of distinct (positive) beats.  Counted by a set: the first
-        plain np.unique in a process imports numpy.ma (~15 ms) to test for a mask."""
-        return len(set(self.freqs.tolist()))
-
     def evaluate(self, times: np.ndarray) -> np.ndarray:
         """Real trace values at the given (dimensionless) times, last axis:
-        Re sum_r [(e^{iSqt})_{t,q} @ G]_{..., t, r} e^{irt}, G[..., q, r] the
-        grouped amplitude of beat S q + r, over blocks of TIME_BLOCK times."""
-        f, g = group_amplitudes(self.freqs, self.amps)
-        t, f_max = np.asarray(times, dtype=float), int(f.max(initial=0))
-        S = math.isqrt(f_max) + 1                 # ceil(sqrt(f_max + 1))
-        q, r = np.divmod(f.astype(np.int64), S)
-        G = np.zeros(g.shape[:-1] + (f_max // S + 1, S), dtype=complex)
-        G[..., q, r] = g
-        kq, kr = S * np.arange(G.shape[-2]), np.arange(S)
+        Re sum_r [(e^{iSqt})_{t,q} @ G]_{..., t, r} e^{irt}, over blocks of
+        TIME_BLOCK times."""
+        t, G = np.asarray(times, dtype=float), self.G
+        Q, S = G.shape[-2:]
+        kq, kr = S * np.arange(Q), np.arange(S)
         out = np.empty(G.shape[:-2] + t.shape)
         for a in range(0, len(t), TIME_BLOCK):
             tb = t[a:a + TIME_BLOCK]

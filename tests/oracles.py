@@ -22,6 +22,8 @@
 * kicked_means: <z^2>, <L_y> and <|L|^2> right after a kick at each time of
   an ensemble's free flight, by positions, kick and mean per time, the
   direct oracle for `ensemble.delay_scan`'s harmonic sums;
+* nitrogen_spin_weights: the 2:1 even:odd nuclear-spin weight hook of N2,
+  for `quantum_linear.thermal_run(spin_weights=...)`;
 * read_manifest: a `RunManifest` read back from its JSON file;
 * moment_of_inertia: I from a rotational constant, the oracle for
   `revival_time`.
@@ -203,6 +205,11 @@ def kicked_means(r: np.ndarray, L: np.ndarray, P: float, p: np.ndarray, times) -
         out[:, i] = (np.mean(pos[:, 2] ** 2), np.mean(kicked[:, 1]),
                      np.mean(np.sum(kicked * kicked, axis=1)))
     return out
+
+
+def nitrogen_spin_weights(l: int) -> float:
+    """2:1 even:odd nuclear-spin alternation of N2 (6:3 degeneracies)."""
+    return 2.0 if l % 2 == 0 else 1.0
 
 
 def read_manifest(path) -> RunManifest:

@@ -18,7 +18,7 @@ from propeller_sim.ensemble import (delay_scan, final_states,
                                     run_protocol)
 
 from conftest import FINE_TAUS, SCAN_TREV, BENZENE_P_VALUES
-from oracles import phi_average
+from oracles import nitrogen_spin_weights, phi_average
 
 
 def report(num: int, ok: bool, detail: str):
@@ -69,7 +69,7 @@ def test_criterion_01_azimuthal_plateau(fig2_runs):
         [PulseSpec(P=5.0, p=(0.0, 0.0, 1.0)),
          PulseSpec.along(5.0, (1.0, 0.0, 1.0), t_apply=float(fig2_runs["delay"]))],
         t_max=fig2_runs["delay"] + 0.05, dt_out=0.01,
-        spin_weights=quantum_linear.nitrogen_spin_weights)
+        spin_weights=nitrogen_spin_weights)
     quantum_avg_spin = spin_run.meta["revival_avg"]["cos2phi"]
     wall = fig2_runs["wall_s"]
     ok = (abs(classical_avg - 0.52) <= 0.01

@@ -13,6 +13,7 @@ from propeller_sim.core import (TWO_PI, ParameterError, ProtocolError, PulseSpec
                                 nitrogen, sigma_th)
 from propeller_sim.ensemble import (CHUNK, POLE_SIN2, SCAN_STEP, EnsembleConfig,
                                     delay_scan, final_states, find_alignment_extremum,
+                                    first_local_extremum,
                                     linear_ensemble_from_uniforms, mean_cos2theta, ndtri,
                                     orientation_from_uniforms, parabolic_vertex,
                                     record_protocol,
@@ -298,6 +299,15 @@ class TestAlignmentExtremum:
         x = x1 + SCAN_STEP * np.array([-1.0, 0.0, 1.0])
         assert parabolic_vertex(x, curvature * (x - v) ** 2) == pytest.approx(v, rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("values, kind, want", [
+        ([0, 1, 1, 0], "max", None),        # a plateau is no strict extremum
+        ([1, 0, 0, 1], "min", None),
+        ([0, 2, 1, 3, 0], "max", 1),        # the first of two
+        ([3, 2, 2, 1, 2], "min", 3),        # past a plateau
+    ])
+    def test_first_local_extremum_is_strict(self, values, kind, want):
+        assert first_local_extremum(values, kind) == want
+
     @pytest.mark.parametrize("kind, sign", [("min", 1.0), ("max", -1.0)])
     def test_extremum_is_the_vertex_of_its_bracketing_samples(self, kind, sign):
         # the dip lies past the first 256-step scan block, between two steps
@@ -579,6 +589,21 @@ class TestFreeFlightBlocks:
         for i in range(grid.n):
             assert c2p[i] == np.sum([p[1][i] for p in alone if p[2][i]])
             assert z2[i] == np.sum([p[0][i] for p in alone])
+
+    def test_blocks_start_on_64_byte_boundaries(self):
+        # cache-line aligned block buffers, so free flight does not run at a
+        # speed set by the heap layout; eight are held at once, so a heap
+        # that aligns one by chance cannot pass
+        r, L = self._pole_swarm(300)
+        flight = SymTopEnsemble(r, L)
+        grid = classical_symtop.UniformGrid(0.0, math.pi / 8, 200)
+        runs = [list(ensemble._circle_blocks(flight, grid, (0, n), axes))
+                for n in (150, 200, 250, 300) for axes in (slice(0, 3), slice(2, 3))]
+        assert all(len(blocks) > 1 and all(pos.ctypes.data % 64 == 0 for *_, pos in blocks)
+                   for blocks in runs)
+        held = [ensemble._aligned_empty((k, 3)) for k in range(1, 40)]
+        assert all(a.ctypes.data % 64 == 0 and a.shape == (k, 3) and a.flags.c_contiguous
+                   for k, a in enumerate(held, start=1))
 
     def test_scan_matches_positions(self):
         # the auto-delay scan records a window of the T_rev/2000 grid; each

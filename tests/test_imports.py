@@ -12,6 +12,8 @@
   not refer to itself;
 * a KEPT entry whose reason is that perfbench/tracing.py rebinds it must
   be named there, as a string, so that no stale entry outlives the tracer;
+* a tracer-only KEPT rule: every KEPT reason says that perfbench/tracing.py
+  rebinds it, so code that only the tests call lives under tests/, not src/;
 * an unused-option rule over src/: each defaulted parameter of a function
   or method is set, by keyword or by position, in some call under src/,
   tests/ or perfbench/, so that no option lingers that nothing sets;
@@ -71,7 +73,6 @@ KEPT = {
     "io_formats.read_density_text": "rebound by perfbench/tracing.py",
     "io_formats.read_timeseries_csv": "rebound by perfbench/tracing.py",
     "quantum_symtop.coupling_block": "rebound by perfbench/tracing.py; lab-frame oracle",
-    "quantum_linear.nitrogen_spin_weights": "the N2 spin-weight hook of criterion 1",
 }
 
 
@@ -141,6 +142,11 @@ def unrebound_entries(kept: dict[str, str], tracer_source: str) -> list[str]:
              if isinstance(n, ast.Constant) and isinstance(n.value, str)}
     return sorted(key for key, why in kept.items()
                   if REBOUND in why and key.rsplit(".", 1)[1] not in named)
+
+
+def untraced_entries(kept: dict[str, str]) -> list[str]:
+    """KEPT entries whose reason does not name the tracer."""
+    return sorted(key for key, why in kept.items() if REBOUND not in why)
 
 
 def _defaulted(func: ast.FunctionDef, skip_first: bool) -> list[tuple[str, int | None]]:
@@ -418,6 +424,16 @@ def test_rebound_check_flags_only_unnamed_functions():
 
 def test_kept_tracer_entries_are_rebound():
     assert unrebound_entries(KEPT, TRACER.read_text()) == []
+
+
+def test_tracer_only_check_flags_other_reasons():
+    kept = {"a.traced": REBOUND, "a.both": REBOUND + "; an oracle", "a.oracle": "an oracle"}
+    assert untraced_entries(kept) == ["a.oracle"]
+
+
+def test_kept_entries_are_only_for_the_tracer():
+    # a test-only helper belongs in tests/oracles.py, not on KEPT
+    assert untraced_entries(KEPT) == []
 
 
 def test_benchmark_tracer_installs_on_the_package():

@@ -152,5 +152,7 @@ class TestSpectralTrace:
         g[1, 0, 2] = 2.0j           # beat -(e_2 - e_0) = -3, folded onto +3
         g[1, 4, 4] = 7.0            # zero beat
         trace = SpectralTrace(g)
-        assert sorted(trace.freqs) == [3.0, 5.0]
+        # G[..., q, r] holds beat S q + r, so its flat index is the beat
+        assert trace.distinct_freqs == 2
+        assert np.flatnonzero(np.any(trace.G != 0, axis=0)).tolist() == [3, 5]
         assert np.array_equal(trace.time_average, [0.0, 7.0])
