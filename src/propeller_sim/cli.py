@@ -264,12 +264,12 @@ def _belt_density(args, mol: MoleculeParams, out_dir: Path):
                              "to bound the --delay auto search, and fires no auto second pulse")
     final = ensemble.final_states(_ensemble_config(args, mol))
     grid = density.belt_average(final["r"], final["L"], args.sigma_kde)
-    moments = density.second_moments(final["r"], final["L"])
     io_formats.write_density_text(out_dir / "density.csv", grid, seed=args.seed)
     diagnostics = {k: grid.meta[k] for k in ("path", "l_max", "spectrum_tail",
                                              "synthesis_error", "clamped_min",
                                              "n_live", "n_rest")}
-    extra = {"second_moments": list(moments), "density_integral": grid.integral(),
+    extra = {"second_moments": list(grid.meta["second_moments"]),
+             "density_integral": grid.integral(),
              "diagnostics": {"belt_average": diagnostics}}
     return ["density.csv"], final["meta"].get("auto_delay_trev"), extra, grid
 

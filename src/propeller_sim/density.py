@@ -293,7 +293,8 @@ def belt_average(r0: np.ndarray, L: np.ndarray, sigma_belt: float = DEFAULT_SIGM
     grid.meta records the path taken ("direct" or "spectral"), the truncation
     degree l_max, the kernel-spectrum tail beyond it, the bound on the
     spectral synthesis error, and the most negative spectral value before
-    round-off below zero was clamped (clamped_min).
+    round-off below zero was clamped (clamped_min), and the molecules'
+    second_moments, read from the same cones.
     """
     _check_sigma(sigma_belt)
     r0, L = _ensemble_arrays(r0, L)
@@ -320,7 +321,7 @@ def belt_average(r0: np.ndarray, L: np.ndarray, sigma_belt: float = DEFAULT_SIGM
     tail = float(envelope[l_max + 1:].sum())
     meta = {"estimator": "belt", "sigma": sigma_belt, "n_molecules": n,
             "n_live": int(e_l.shape[0]), "n_rest": int(rest.shape[0]),
-            "l_max": l_max, "spectrum_tail": tail}
+            "l_max": l_max, "spectrum_tail": tail, "second_moments": second_moments(cones)}
 
     n_theta, n_phi = len(grid.theta), len(grid.phi)
     if _spectral_is_cheaper(n, n_theta, n_phi, l_max):
@@ -347,14 +348,14 @@ def analytic_zero_temp(theta) -> np.ndarray:
     return 1.0 / (2.0 * math.pi**2 * np.sin(np.asarray(theta, dtype=float)))
 
 
-def second_moments(r0: np.ndarray, L: np.ndarray):
-    """Ensemble- and time-averaged (<x^2>, <y^2>, <z^2>), computed analytically.
+def second_moments(cones: csym.SymTopEnsemble):
+    """Ensemble- and time-averaged (<x^2>, <y^2>, <z^2>), computed analytically
+    from the molecules' free flight.
 
     The time average runs over each molecule's own closed trajectory (its
     precession cone, a great circle for a linear rotor) with uniform
     measure, so no numerical time stepping enters; the three moments sum to
     1 exactly.
     """
-    per_mol = csym.SymTopEnsemble(*_ensemble_arrays(r0, L)).time_average_squares()
-    m = per_mol.mean(axis=0)
+    m = cones.time_average_squares().mean(axis=0)
     return float(m[0]), float(m[1]), float(m[2])

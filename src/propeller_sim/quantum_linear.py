@@ -8,9 +8,8 @@ period is t' = 2 pi exactly and every observable trace is periodic in it.
 An impulsive pulse applies the unitary exp(i P cos^2 beta) with
 cos beta = p . r_hat: e^{iP/3} times the K = 0 pulse-frame blocks of
 quantum_symtop, conjugated for a tilted p on every l shell by
-D^l(alpha, beta, 0) at p's azimuth and polar angle (angular.shell_rotations,
-also quantum_symtop.delay_curve's turn into the second pulse's frame).  The
-blocks are built and diagonalised once per basis, Omega = W diag(lam) W^T,
+D^l(alpha, beta, 0) at p's azimuth and polar angle (angular.shell_rotations).
+The blocks are built and diagonalised once per basis, Omega = W diag(lam) W^T,
 and every kick builds each block's W e^{iP lam/3} W^T from that one
 eigensystem as it applies it, so no kick matrices are kept.
 

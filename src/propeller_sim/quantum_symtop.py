@@ -22,22 +22,23 @@ the same way, so K, m >= 0 suffice.
 * One pass over K (_pulse1_pass) kicks both functions' states.  Whole levels
   make the mixture isotropic, so it may be resolved into pulse-frame states
   |J0 K m0>, read from each block's one eigensystem without a kick matrix.
-  Free flight depends only on (J, K) and cos^2 theta about p1 is
-  (1 + Omega)/3, diagonal in m, so the pass also sums the alignment's (J, J')
-  amplitudes of the beats e_J - e_J', the same for every K.  alignment_trace
-  is that pass alone; delay_curve adds pulse 2 in the same K iteration and
-  returns the alignment at each delay as cos2theta.
-* The delay curve turns once, into pulse 2's frame, which is pulse 1's (the
-  classical frame, light along y) turned by dphi about y: |J K m0> reads
-  D^dagger |J K m0> there, D = D^J(0, dphi, 0) from angular.shell_rotations.
-  The turn leaves J_y, the oriented angular momentum, and J^2 unchanged.
-* Pulse 2 acts on the observables.  With c^2 = cos^2 about p2, (1 + Omega)/3
-  on the pulse-2-frame blocks, its kick U = e^{iP c^2} gives exactly
-  U^dag J_y U = J_y + iP [J_y, c^2] and U^dag J^2 U = J^2 + iP [J^2, c^2]
-  + 4P^2 (c^2 - c^4) (classically Delta L = -2P (p.r)(p x r)), c^4 squaring
-  blocks built to J_max + 2.  They are exact on psi's support, so only
-  pulse 1 can truncate: _band_tail, the check and message of both engines,
-  bounds each initial state's population within HEADROOM_BAND of J_max.
+  Free flight depends only on (J, K), and z^2 = cos^2 theta about p1 is
+  (1 + Omega)/3, diagonal in m, so the pass sums the (J, J') amplitudes of
+  the beats e_J - e_J' of z^2 and z^4 and the J populations, the same for
+  every K.  alignment_trace is z^2's trace alone; delay_curve returns it at
+  each delay as cos2theta.
+* Pulse 2 follows from those moments in closed form.  Its kick U = e^{iP c^2},
+  c = cos about p2, gives exactly U^dag J_y U = J_y + iP [J_y, c^2] and
+  U^dag J^2 U = J^2 + iP [J^2, c^2] + 4P^2 (c^2 - c^4) (classically
+  Delta L = -2P (p.r)(p x r)).  After pulse 1 the mixture is symmetric about
+  p1, so by the Legendre addition theorem (Edmonds, Angular Momentum in
+  Quantum Mechanics, 1957) each P_l(c) averages to P_l(cos dphi) P_l(z)
+  over the turns about p1: Ly is P sin(2 dphi) <P_2(z)>, and <c^2>, <c^4>
+  and i<[J^2, c^2]> come from <P_2(z)>, <P_4(z)> and 2 d<z^2>/dtau.  They
+  are exact on the states' support, with z^4 from blocks built to
+  J_max + 2, so only pulse 1 can truncate: _band_tail, the check and
+  message of both engines, bounds each initial state's population within
+  HEADROOM_BAND of J_max.
 
 `SymTopBasis` and `coupling_block` stay as the lab-frame reference: the
 tests build their propagator oracle on them (tests/symtop_oracle.py), in
@@ -66,9 +67,9 @@ WEIGHT_CUTOFF = 0.9999
 THERMAL_J_LIMIT = 300
 # The largest dense batch, basis size x columns carried x 16 B, that
 # quantum_linear.thermal_run may allocate (N2 at P = 5 needs 2.8 MiB at 50 K),
-# and the budget of one chunk of states in delay_curve: its three
-# (m, state, J) complex arrays, 192 MiB each for all of benzene's K = 0
-# states at 50 K.
+# and the budget of one K of the pulse-1 pass (_pass_bytes): benzene at 50 K
+# needs 6.6 MiB at P = -1, at the warmest temperature thermal_levels accepts
+# (about 1,180 K) 476 MiB, which is rejected.
 STATE_BATCH_BYTES = 2 ** 28
 
 
@@ -194,8 +195,9 @@ def thermal_levels(mol: MoleculeParams, T_K: float, hook=None):
 
 def default_J_max(p_max: float, J0_max: int) -> int:
     # 4x the strongest kick |P| plus a margin, or 16 + 2|P| for weak kicks, a
-    # term sized for two kicked states; pulse 1 alone needs less, but the rule
-    # sets the J_max that manifests and the benchmark's references record
+    # rule sized for two kicked states.  Only pulse 1 kicks states, and pulse 2
+    # needs no basis room, but the rule sets the J_max that manifests and the
+    # benchmark's references record
     return max(10 + math.ceil(4.0 * p_max), 16 + math.ceil(2.0 * p_max)) + J0_max
 
 
@@ -312,25 +314,46 @@ def _first_kick(K: int, levels, omega: np.ndarray, P1: float):
     return m0, w, psi, tail
 
 
-def _pulse1_pass(levels: dict, J_max: int, P1: float, meta: dict, amp: np.ndarray):
-    """Pulse 1's states, one K at a time: yields (K, c2, m0, w, psi), adds to
-    amp the (J, J') amplitudes of cos^2 theta about p1, (1 + Omega[m])/3 times
-    sum_s w_s psi_s^* psi_s^T summed over the m blocks, and records the
-    headroom tail and the blocks in meta.  Omega and c2 = (1 + Omega)/3 run to
-    J_max + 2, so that delay_curve's c^4 = c^2 c^2 is exact on J <= J_max."""
+def _pass_bytes(levels: dict, J_max: int) -> tuple:
+    """(bytes, K) of the largest K's arrays in _pulse1_pass: Omega on the
+    J_max + 2 blocks, and the states' amplitudes psi twice, for the copies
+    of one m block's rows that the pass gathers beside them."""
+    return max((8 * (J_max + 3) * (J_max + 3 - K) ** 2
+                + 2 * 16 * sum(J + 1 for J, _ in lev) * (J_max + 1 - K), K)
+               for K, lev in levels.items())
+
+
+def _pulse1_pass(levels: dict, J_max: int, P1: float, meta: dict):
+    """The moments of pulse 1's states, one K at a time: (pop, amp, amp4),
+    the J populations sum_s w_s |psi_s|^2 and the (J, J') beat amplitudes of
+    z^2 = cos^2 theta and of z^4 about p1, each z^k's blocks times
+    sum_s w_s psi_s^* psi_s^T summed over the m blocks.  Records the headroom
+    tail and the blocks in meta.  Omega and c2 = (1 + Omega)/3 run to
+    J_max + 2, so that c^4 = c^2 c^2 is exact on J <= J_max.  A run whose
+    largest K needs more than STATE_BATCH_BYTES is rejected before any of it
+    is allocated."""
+    need, K_top = _pass_bytes(levels, J_max)
+    if need > STATE_BATCH_BYTES:
+        raise ParameterError(f"the pulse-1 pass needs {need / 2 ** 20:.0f} MiB at K={K_top}, "
+                             f"J_max={J_max}, over STATE_BATCH_BYTES = {STATE_BATCH_BYTES}")
     n = J_max + 1
+    pop = np.zeros(n)
+    amp, amp4 = np.zeros((2, n, n), dtype=complex)
     tail, n_blocks = 0.0, 0
     for K, lev in levels.items():
-        omega = _pulse_frame_blocks(J_max + 2, K)[:n]
-        m0, w, psi, tail_K = _first_kick(K, lev, omega[:, :-2, :-2], P1)
+        omega = _pulse_frame_blocks(J_max + 2, K)
+        m0, w, psi, tail_K = _first_kick(K, lev, omega[:n, :-2, :-2], P1)
         n_blocks += int(m0.max()) + 1
         tail = max(tail, tail_K)
-        c2 = (np.eye(omega.shape[1]) + omega) / 3.0
+        pop[K:] += w @ (psi.real ** 2 + psi.imag ** 2)
         for m in range(int(m0.max()) + 1):
             s = m0 == m
-            amp[K:, K:] += c2[m, :-2, :-2] * ((np.conj(psi[s]) * w[s, None]).T @ psi[s])
-        yield K, c2, m0, w, psi
+            rho = (np.conj(psi[s]) * w[s, None]).T @ psi[s]
+            c2 = (np.eye(omega.shape[1]) + omega[m]) / 3.0
+            amp[K:, K:] += c2[:-2, :-2] * rho
+            amp4[K:, K:] += (c2 @ c2)[:-2, :-2] * rho
     meta.update(headroom_tail=tail, n_blocks=n_blocks, max_block_dim=n - min(levels))
+    return pop, amp, amp4
 
 
 def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
@@ -339,10 +362,7 @@ def alignment_trace(mol: MoleculeParams, T_K: float, P1: float, times_trev,
     the pulse-1 pass alone, so equal to delay_curve's cos2theta on the same
     J_max."""
     levels, J_max, meta = _thermal_setup(mol, T_K, (P1,), J_max)
-    amp = np.zeros((J_max + 1, J_max + 1), dtype=complex)
-    for _ in _pulse1_pass(levels, J_max, P1, meta, amp):
-        pass
-    trace = SpectralTrace(amp)
+    trace = SpectralTrace(_pulse1_pass(levels, J_max, P1, meta)[1])
     times = np.asarray(times_trev, dtype=float)
     meta.update(distinct_freqs=trace.distinct_freqs)
     return TimeSeries(times, {"cos2theta": trace.evaluate(times * TWO_PI)}, meta)
@@ -366,59 +386,21 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
     levels, J_max, meta = _thermal_setup(mol, T_K, (P1, P2), J_max)
     taus_trev = np.asarray(taus_trev, dtype=float)
     taus = taus_trev * TWO_PI
-    n = J_max + 1
-    m0_top = max(J for lev in levels.values() for J, _ in lev) + 1
-    # tilt[J, m + J_max, m0] = <J m|D^dagger|J m0> in pulse 2's frame, m0 < m0_top
-    tilt = np.zeros((n, 2 * J_max + 1, m0_top), dtype=complex)
-    for J, D in enumerate(angular.shell_rotations(J_max, 0.0, dphi)):
-        tilt[J, J_max - J:J_max + J + 1, :J + 1] = np.conj(D[J:J + m0_top]).T
-    m, J = np.ogrid[-J_max:J_max, :n]   # D commutes with J_y: the same band in both frames
-    jy = 0.5 * np.sqrt(np.clip(J * (J + 1.0) - m * (m + 1), 0, None))  # <J m|J_y|J m+1> / i
-    g = np.zeros((2, n, n), dtype=complex)   # the beat amplitudes of Ly and L2
-    amp = np.zeros((n, n), dtype=complex)    # and of cos^2 theta about p1
-    buf = np.empty((2, 0), dtype=complex)    # Z and Zw, sized by the first K, reused
-    for K, c2, m0, w, psi in _pulse1_pass(levels, J_max, P1, meta, amp):
-        Js = np.arange(K, n)
-        # block -m is S (block m) S with S = (-1)^J; stack m = -J_max..J_max
-        SS = np.outer((-1.0) ** Js, (-1.0) ** Js)
-        c2, c4 = (np.concatenate([x[:0:-1] * SS, x])
-                  for x in (c2[:, :-2, :-2], (c2 @ c2)[:, :-2, :-2]))
-        # the (m, J, J) densities G = sum_s w_s Z_s^* Z_s^T of the pulse-2 frame
-        # amplitudes Z, before the phase e^{-i e_J tau}, and their m -> m + 1
-        # band, by chunks of states: Z and Zw, weighted in place, take 2/3 of the budget
-        G = G1 = None
-        chunk = max(1, STATE_BATCH_BYTES // (3 * 16 * tilt.shape[1] * len(Js)))
-        for s in range(0, len(w), chunk):
-            sl = slice(s, s + chunk)
-            shape = (len(Js), tilt.shape[1], len(w[sl]))     # (J, m, s)
-            if buf.shape[1] < math.prod(shape):
-                buf = np.empty((2, math.prod(shape)), dtype=complex)
-            Z, Zw = (b[:math.prod(shape)].reshape(shape) for b in buf)
-            # "clip" writes into Z directly, where "raise" would buffer a copy;
-            # every m0 is below m0_top, so nothing is clipped
-            np.take(tilt[K:], m0[sl], axis=2, out=Z, mode="clip")
-            Z *= psi[sl].T[:, None, :]
-            Zw = np.conjugate(Z, out=Zw).transpose(1, 0, 2)    # (m, J, s)
-            Z = Z.transpose(1, 2, 0)    # (m, s, J)
-            Zw *= w[sl]
-            if G is None:
-                G, G1 = Zw @ Z, Zw[:-1] @ Z[1:]
-            else:
-                G += Zw @ Z
-                G1 += Zw[:-1] @ Z[1:]
-        # U^dag J^2 U = J^2 + iP [J^2, c^2] + 4P^2 (c^2 - c^4), U = e^{iP c^2}
-        a = Js * (Js + 1.0)
-        h2, h4 = (np.einsum("mij,mij->ij", c, G) for c in (c2, c4))
-        g[1, K:, K:] += (np.diag(a * np.einsum("mii->i", G)) + 1j * P2 * (a[:, None] - a) * h2
-                         + 4.0 * P2 * P2 * (h2 - h4))
-        del G           # unread by the J_y algebra, under which Z and Zw's buffer stays
-        # U^dag J_y U = J_y + iP [J_y, c^2] on J_y's band above the diagonal,
-        # m -> m + 1, where J_y = i jy; the mirror gives the same real trace
-        j = jy[:, Js]
-        comm = j[:, :, None] * c2[1:] - c2[:-1] * j[:, None, :]     # [J_y, c^2] / i
-        g[0, K:, K:] += (2j * np.diag(np.einsum("mi,mii->i", j, G1))
-                         - 2.0 * P2 * np.einsum("mij,mij->ij", comm, G1))
-    trace = SpectralTrace(g)
+    pop, amp, amp4 = _pulse1_pass(levels, J_max, P1, meta)
+    # <P_2(z)> and <P_4(z)> about p1 give <c^2> and <c^4> about p2, and
+    # i<[J^2, c^2]> is P_2(cos dphi) i<[J^2, z^2]>, by the addition theorem
+    D = np.diag(pop)
+    A2, A4 = (3.0 * amp - D) / 2.0, (35.0 * amp4 - 30.0 * amp + 3.0 * D) / 8.0
+    x = math.cos(dphi)
+    p2, p4 = (3.0 * x * x - 1.0) / 2.0, (35.0 * x ** 4 - 30.0 * x * x + 3.0) / 8.0
+    c2 = D / 3.0 + (2.0 / 3.0) * p2 * A2
+    c4 = D / 5.0 + (4.0 / 7.0) * p2 * A2 + (8.0 / 35.0) * p4 * A4
+    # U^dag J_y U = J_y + iP [J_y, c^2] and U^dag J^2 U = J^2 + iP [J^2, c^2]
+    # + 4P^2 (c^2 - c^4), U = e^{iP c^2}
+    a = np.arange(J_max + 1) * (np.arange(J_max + 1) + 1.0)
+    trace = SpectralTrace(np.stack([
+        P2 * math.sin(2.0 * dphi) * A2,
+        np.diag(a * pop) + 1j * P2 * p2 * (a[:, None] - a) * amp + 4.0 * P2 * P2 * (c2 - c4)]))
     Ly, L2 = trace.evaluate(taus)
     Ly[np.abs(taus_trev - np.round(taus_trev)) <= 4 * np.spacing(np.abs(taus_trev))] = 0.0
     meta.update(dphi=dphi, distinct_freqs=trace.distinct_freqs)   # cos2theta's are among them

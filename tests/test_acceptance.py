@@ -13,6 +13,7 @@ import pytest
 
 from propeller_sim import EnsembleConfig, PulseSpec, benzene, nitrogen
 from propeller_sim import density, quantum_linear, quantum_symtop
+from propeller_sim.classical_symtop import SymTopEnsemble
 from propeller_sim.ensemble import (delay_scan, final_states,
                                     first_local_extremum, parabolic_vertex,
                                     run_protocol)
@@ -123,7 +124,7 @@ def test_criterion_03_single_pulse_moments():
                          pulses=(PulseSpec(P=10.0, p=(0.0, 0.0, 1.0)),),
                          t_max=0.1, dt_out=0.05)
     fin = final_states(cfg)
-    cl = density.second_moments(fin["r"], fin["L"])
+    cl = density.second_moments(SymTopEnsemble(fin["r"], fin["L"]))
     qm = quantum_axis_moments([PulseSpec(P=10.0, p=(0.0, 0.0, 1.0))],
                               t_max=0.02, dt_out=0.01)
     target = (0.29, 0.29, 0.42)
@@ -144,7 +145,7 @@ def test_criterion_04_propeller_moments():
                 PulseSpec.along(5.0, (1.0, 0.0, 1.0), t_apply="auto")),
         t_max=0.5, dt_out=0.05)
     fin = final_states(cfg)
-    cl = density.second_moments(fin["r"], fin["L"])
+    cl = density.second_moments(SymTopEnsemble(fin["r"], fin["L"]))
     qm = quantum_axis_moments([PulseSpec(P=5.0, p=(0.0, 0.0, 1.0)),
                                PulseSpec.along(5.0, (1.0, 0.0, 1.0), t_apply="auto")],
                               t_max=0.1, dt_out=0.05)

@@ -360,6 +360,19 @@ class TestOutputs:
         assert code == 2 and elapsed < 1.0 and peak < 2 ** 24
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_pulse1_pass_is_bounded_before_it_is_allocated(self, tmp_path, capsys):
+        # benzene at 1,100 K, near the warmest temperature the thermal list
+        # accepts: at P = -1 (J_max = 308) the K = 0 pass would hold Omega on
+        # 311 blocks of 311 x 311 and the amplitudes of every K = 0 state,
+        # 431 MiB by _pass_bytes, over STATE_BATCH_BYTES: exit 2 at once
+        start = time.perf_counter()
+        code = run_cli("quantum-symtop", "--molecule", "benzene", "--temp-K", "1100",
+                       "--P1", "-1", "--P2", "-1", "--t-max", "0.01", "--dt-out", "0.005",
+                       "--out", str(tmp_path))
+        assert code == 2 and time.perf_counter() - start < 1.0
+        assert "pulse-1 pass needs 431 MiB at K=0, J_max=308" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     @pytest.mark.parametrize("command, molecule, sections", [
         ("classical-linear", "n2", {"free_flight"}),
         ("classical-symtop", "benzene", {"free_flight"}),

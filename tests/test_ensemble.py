@@ -483,6 +483,53 @@ class TestDelayScan:
         assert np.all(np.sign(plus.channels["Ly"]) == -np.sign(minus.channels["Ly"]))
 
 
+class TestScanAdditionTheorem:
+    """The delay scan's kick algebra against pulse 2 from pulse-1 moments.
+
+    The kick adds dL = -2P (p.r)(p x r), and L.dL = P d(p.r)^2/dt, since the
+    axis moves as dr/dt = L x r.  Averaged over turns about p1, P_l(c) with
+    c = p2.r is P_l(cos dphi) P_l(z), so dLy = P sin(2 dphi) <P_2(z)> and
+    L2 = <|L|^2> + 2P P_2(cos dphi) <dz^2/dt> + 4P^2 (<c^2> - <c^4>), with
+    <c^2> and <c^4> from <P_2(z)> and <P_4(z)>, all at the kick.  Each
+    channel depends on a molecule's azimuth about p1 through degree <= 4, so
+    a sample turned by 2 pi k / 5 about p1, k = 0..4, averages it exactly,
+    and its scan meets the closed form of the unturned sample's moments to
+    rounding (1.2e-15 here).
+    """
+
+    @pytest.mark.parametrize("P", [-1.0, -3.0, -10.0])
+    @pytest.mark.parametrize("dphi", [-math.pi / 4, 0.3])
+    def test_symmetrised_sample_meets_the_closed_form(self, monkeypatch, P, dphi):
+        r, L = ensemble._thermal_sample(BZ, 0.9, 2000, 5)
+        turns = [np.array([[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0],
+                           [0.0, 0.0, 1.0]]) for a in TWO_PI * np.arange(5) / 5]
+        monkeypatch.setattr(ensemble, "_scan_sample", lambda *args: (
+            np.concatenate([r @ R.T for R in turns]), np.concatenate([L @ R.T for R in turns])))
+        p1 = PulseSpec(P=P, p=(0.0, 0.0, 1.0))
+        cfg = EnsembleConfig(mol=BZ, T_K=0.9, n_traj=5 * len(r), seed=5, t_max=0.2, dt_out=0.01,
+                             pulses=(p1, PulseSpec.along(P, (math.sin(dphi), 0.0, math.cos(dphi)),
+                                                         t_apply="auto")))
+        delays = np.linspace(0.0, 0.15, 61)
+        scan = delay_scan(cfg, delays)
+        kicked = ensemble._Swarm(r, L).kick(p1)
+        pos = kicked.flight.positions(delays * TWO_PI)          # (delays, N, 3)
+        z = pos[..., 2]
+        zdot = kicked.L[:, 0] * pos[..., 1] - kicked.L[:, 1] * pos[..., 0]   # (L x r)_z
+        A2 = (3.0 * np.mean(z ** 2, axis=1) - 1.0) / 2.0
+        A4 = (35.0 * np.mean(z ** 4, axis=1) - 30.0 * np.mean(z ** 2, axis=1) + 3.0) / 8.0
+        x = math.cos(dphi)
+        p2, p4 = (3.0 * x * x - 1.0) / 2.0, (35.0 * x ** 4 - 30.0 * x * x + 3.0) / 8.0
+        c2 = 1.0 / 3.0 + (2.0 / 3.0) * p2 * A2
+        c4 = 1.0 / 5.0 + (4.0 / 7.0) * p2 * A2 + (8.0 / 35.0) * p4 * A4
+        dLy = P * math.sin(2.0 * dphi) * A2
+        dz2 = np.mean(2.0 * z * zdot, axis=1)
+        L2 = np.mean(np.sum(kicked.L ** 2, axis=1)) + 2.0 * P * p2 * dz2 + 4.0 * P * P * (c2 - c4)
+        for name, ref in (("dLy", dLy), ("L2", L2), ("Ly_norm", dLy / np.sqrt(L2))):
+            dev = np.max(np.abs(scan.channels[name] - ref))
+            assert dev <= 1e-12 * np.max(np.abs(ref)), (name, dev)
+        assert abs(scan.meta["Ly_pre"]) <= 1e-15
+
+
 class TestFreeFlightBlocks:
     BZ_TWO = (PulseSpec(P=-3.0, p=(0, 0, 1.0)),
               PulseSpec.along(-3.0, (-1, 0, 1), t_apply=0.03))

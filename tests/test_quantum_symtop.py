@@ -251,22 +251,41 @@ class TestThermal:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
-    def test_delay_curve_chunks_states_to_the_batch_budget(self, monkeypatch):
-        # at a 1 MiB budget the 5 K states run a few at a time; one (m, state, J)
-        # stack of all of them peaked at 22.4 MiB here.  The chunks' sums agree
-        # with the one-chunk run to rounding
+    def test_delay_curve_memory_at_5K(self):
+        # pulse 2 in closed form keeps no (m, state, J) stack: the 5 K curve
+        # peaked at 1.1 MiB here, where the pulse-2 tilt of every state peaked
+        # at 15.8 MiB (and at 22.4 MiB as one stack)
         taus = np.linspace(0.0, 0.15, 30)
-        ref = delay_curve(BZ, 5.0, -1.0, -1.0, -math.pi / 4, taus)
-        monkeypatch.setattr(quantum_symtop, "STATE_BATCH_BYTES", 2 ** 20)
         tracemalloc.start()
         try:
-            got = delay_curve(BZ, 5.0, -1.0, -1.0, -math.pi / 4, taus)
+            delay_curve(BZ, 5.0, -1.0, -1.0, -math.pi / 4, taus)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 11 * 2 ** 20
-        for name, col in ref.channels.items():
-            assert np.max(np.abs(got.channels[name] - col)) <= 1e-13 * np.max(np.abs(col)), name
+
+    def test_pulse1_pass_is_bounded_before_it_is_allocated(self, monkeypatch):
+        # at 0.9 K and P = -1 (J_max = 25) the largest K is 0: Omega on 28
+        # blocks of 28 x 28, and the 21 mirrored states' 26 amplitudes twice.
+        # A budget one byte short rejects both functions before the pass
+        # allocates; at the warmest temperature thermal_levels accepts the
+        # same count reaches 476 MiB, over the real budget
+        levels, J_max, _ = quantum_symtop._thermal_setup(BZ, 0.9, (-1.0,), None)
+        need = 8 * 28 ** 3 + 2 * 16 * 21 * 26
+        assert J_max == 25 and quantum_symtop._pass_bytes(levels, J_max) == (need, 0)
+        monkeypatch.setattr(quantum_symtop, "STATE_BATCH_BYTES", need)
+        alignment_trace(BZ, 0.9, -1.0, [0.0])
+        monkeypatch.setattr(quantum_symtop, "STATE_BATCH_BYTES", need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="pulse-1 pass needs 0 MiB at K=0"):
+                alignment_trace(BZ, 0.9, -1.0, [0.0])
+            with pytest.raises(ParameterError, match="over STATE_BATCH_BYTES"):
+                delay_curve(BZ, 0.9, -1.0, -1.0, -math.pi / 4, [0.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 17
 
     def test_dphi_sign_flips_jz(self):
         taus = np.linspace(0.0, 0.08, 9)
@@ -468,6 +487,33 @@ class TestOnePass:
         assert curve.meta["J_max"] > trace.meta["J_max"]
         ref = trace.channels["cos2theta"]
         assert np.max(np.abs(curve.channels["cos2theta"] - ref)) <= 1e-13 * np.max(ref)
+
+
+class TestAdditionTheorem:
+    """delay_curve's pulse 2 from pulse 1's moments: the mixture is symmetric
+    about p1, so P_l(cos) about p2 averages to P_l(cos dphi) P_l(cos theta)."""
+
+    @pytest.mark.parametrize("T_K", [0.9, 5.0])
+    @pytest.mark.parametrize("dphi", [-math.pi / 4, 0.3])
+    def test_ly_is_the_kick_times_the_alignment(self, T_K, dphi):
+        # Ly = P2 sin(2 dphi) <P_2(cos theta)> as pulse 2 fires, read on the
+        # curve's own cos2theta channel
+        P2, taus = -3.0, np.linspace(0.0, 0.15, 61)
+        run = delay_curve(BZ, T_K, -2.0, P2, dphi, taus)
+        ref = P2 * math.sin(2.0 * dphi) * (3.0 * run.channels["cos2theta"] - 1.0) / 2.0
+        assert np.max(np.abs(run.channels["Ly"] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("T_K, P1", [(0.9, -3.0), (5.0, -2.0)])
+    def test_no_second_pulse_keeps_the_pulse1_j2(self, T_K, P1):
+        # with P2 = 0, L2 is <J^2> after pulse 1 at every delay: the thermal
+        # <J^2> plus 4 P1^2 (<cos^2> - <cos^4>) = 8 P1^2 / 15 of the isotropic
+        # mixture, U^dag J^2 U for U = e^{i P1 cos^2}
+        L2 = delay_curve(BZ, T_K, P1, 0.0, 0.3, np.linspace(0.0, 0.15, 61)).channels["L2"]
+        levels, _ = thermal_levels(BZ, T_K)
+        ref = sum((2 * J + 1) * (2 if Ka else 1) * w * J * (J + 1.0) for J, Ka, w in levels)
+        ref += 8.0 * P1 * P1 / 15.0
+        assert np.ptp(L2) == 0.0
+        assert abs(L2[0] - ref) <= 1e-12 * ref
 
 
 class TestPulseFrame:
