@@ -101,12 +101,15 @@ def legendre_sweep(l_max: int, x: np.ndarray):
 
     Every table is a view of one (l_max + 1) x len(x) buffer, rows m..l_max,
     valid until the next table is drawn; the caller may scale it in place,
-    and must copy a table to keep it.
+    and must copy a table to keep it.  Each row l >= m + 2 is written in
+    place from the two below it with one scratch row, in the operation order
+    of a (x Pbar_l-1 - b Pbar_l-2), so no row allocates.
     """
     x = np.asarray(x, dtype=float)
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     pmm = np.full(len(x), 1.0 / math.sqrt(4.0 * math.pi))
     buffer = np.empty((l_max + 1, len(x)))
+    scratch = np.empty(len(x))
     for m in range(l_max + 1):
         if m:
             pmm = -math.sqrt((2 * m + 1) / (2.0 * m)) * s * pmm
@@ -117,7 +120,9 @@ def legendre_sweep(l_max: int, x: np.ndarray):
         for l in range(m + 2, l_max + 1):
             a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
             b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            rows[l - m] = a * (x * rows[l - m - 1] - b * rows[l - m - 2])
+            row = np.multiply(x, rows[l - m - 1], out=rows[l - m])
+            row -= np.multiply(b, rows[l - m - 2], out=scratch)
+            row *= a
         yield rows
 
 

@@ -34,14 +34,17 @@ list, and they agree to ~1e-13 of the peak density:
   belts, 166 for sigma = 0.05.  grid.meta records L, the kernel-spectrum
   tail beyond it, the resulting error bound, and the most negative value
   before round-off below zero was clamped.  At its peak it holds one
-  chunk's spectra kappa and one Legendre buffer, each (L + 1) x chunk: the
-  sweep's tables are views of that buffer, scaled by kappa in place, and
-  the point and cone spectra are gathered straight into kappa.
+  chunk's spectra kappa and one Legendre buffer, each (L + 1) x chunk, the
+  last chunk's buffer with the grid's n_theta nodes as extra columns: the
+  sweep's tables are views of it, the molecule columns scaled by kappa in
+  place.  Both are dropped before the phi synthesis.
 
-The path follows an operation count over N, n_theta * n_phi and L.  On the
-181 x 360 grid at sigma = 0.1 the measured crossover is near N = 80 (one
-molecule: 12 ms direct, 110 ms spectral; 4000 molecules: 5.8 s direct,
-0.17 s spectral).
+The path follows an operation count over N, n_theta * n_phi and L: N = 89
+on the 181 x 360 grid at sigma = 0.1, where the measured crossover is near
+N = 12 (1 molecule: 5 ms direct, 15 ms spectral; 4000: 4.9 s, 0.06 s).
+_SPECTRAL_STEP_COST and _SPECTRAL_ROW_COST stay as they are on purpose:
+moving the crossover would switch small runs between the paths, whose
+outputs differ by up to 1e-10.
 """
 
 from __future__ import annotations
@@ -176,11 +179,13 @@ def _kernel_spectra(c: np.ndarray, point: np.ndarray, sigma: float,
         t, wq = angular.gauss_legendre(_spectrum_cap(sigma) + 1)
         legendre = next(angular.legendre_sweep(l_max, t))
         legendre *= np.sqrt(2.0 * TWO_PI / (2.0 * np.arange(l_max + 1) + 1.0))[:, None]  # P_l(t)
-        k = np.exp(-(t[None, :] - centers[:, None]) ** 2 / (2.0 * sigma * sigma))
-        profiles[:, :-1] = TWO_PI * (legendre * wq) @ k.T
+        k = np.subtract(t[None, :], centers[:, None])    # one (cone, node) table, in place
+        np.exp(np.divide(np.square(k, out=k), -2.0 * sigma * sigma, out=k), out=k)
+        np.matmul(TWO_PI * (legendre * wq), k.T, out=profiles[:, :-1])
+        del k
     column = np.full(len(c), centers.size)
     column[~point] = inverse
-    return np.take(profiles, column, axis=1, out=np.empty((l_max + 1, len(c))))
+    return np.take(profiles, column, axis=1)    # with out=, take would buffer a copy
 
 
 def _truncation(c: np.ndarray, point: np.ndarray, sigma: float) -> tuple[int, np.ndarray]:
@@ -217,19 +222,10 @@ def _spectral_sum(grid: DensityGrid, u: np.ndarray, c: np.ndarray, point: np.nda
     A_lm = sum_i amp_i kappa_il Ybar_lm(u_i) accumulates one m at a time over
     fixed molecule chunks; then rho(theta_j, phi_k) =
     sum_m c_m Re[e^{i m phi_k} sum_l Pbar_lm(x_j) A_lm], c_0 = 1, c_m = 2.
+    The grid's |cos theta| nodes ride as extra columns on the last chunk's
+    sweep: once that chunk has added its m-th moments, A_lm is complete for
+    that m and the grid rows of m are synthesised at once.
     """
-    ms = np.arange(l_max + 1)
-    moments = np.zeros((2, l_max + 1, l_max + 1))      # Re/Im A_lm, [., l, m]
-    for a in range(0, len(u), _SPECTRAL_CHUNK):
-        s = slice(a, a + _SPECTRAL_CHUNK)
-        kap = _kernel_spectra(c[s], point[s], sigma, l_max)
-        kap *= amp[s]
-        x = u[s, 2]
-        phi = np.arctan2(u[s, 1], u[s, 0])
-        for m, table in enumerate(angular.legendre_sweep(l_max, x)):
-            conj_phase = np.stack([np.cos(m * phi), -np.sin(m * phi)], axis=1)
-            table *= kap[m:]
-            moments[:, m:, m] += (table @ conj_phase).T
     # evaluate at |x| and restore the sign by parity, Pbar_lm(-x) =
     # (-1)^(l+m) Pbar_lm(x), so that mirror nodes share their rounding and
     # a density symmetric under z -> -z stays symmetric to the last bit or two
@@ -237,12 +233,29 @@ def _spectral_sum(grid: DensityGrid, u: np.ndarray, c: np.ndarray, point: np.nda
     if np.allclose(x_grid, -x_grid[::-1], rtol=0.0, atol=4.0 * np.finfo(float).eps):
         x_grid = 0.5 * (x_grid - x_grid[::-1])
     sign = np.sign(x_grid)
+    moments = np.zeros((2, l_max + 1, l_max + 1))      # Re/Im A_lm, [., l, m]
     rows = np.empty((2, len(grid.theta), l_max + 1))
-    for m, table in enumerate(angular.legendre_sweep(l_max, np.abs(x_grid))):
-        rows[:, :, m] = (moments[:, m::2, m] @ table[0::2]
-                         + sign * (moments[:, m + 1::2, m] @ table[1::2]))
+    for a in range(0, len(u), _SPECTRAL_CHUNK):
+        s = slice(a, a + _SPECTRAL_CHUNK)
+        last = a + _SPECTRAL_CHUNK >= len(u)
+        kap = _kernel_spectra(c[s], point[s], sigma, l_max)
+        kap *= amp[s]
+        n_s = kap.shape[1]
+        x = np.concatenate([u[s, 2], np.abs(x_grid)]) if last else u[s, 2]
+        step = np.exp(-1j * np.arctan2(u[s, 1], u[s, 0]))
+        conj_phase = np.ones(n_s, dtype=complex)            # e^{-i m phi}, one product per m
+        operand = conj_phase.view(float).reshape(n_s, 2)    # [cos m phi, -sin m phi]
+        for m, table in enumerate(angular.legendre_sweep(l_max, x)):
+            table[:, :n_s] *= kap[m:]
+            moments[:, m:, m] += (table[:, :n_s] @ operand).T
+            conj_phase *= step
+            if last:
+                nodes = table[:, n_s:]
+                rows[:, :, m] = (moments[:, m::2, m] @ nodes[0::2]
+                                 + sign * (moments[:, m + 1::2, m] @ nodes[1::2]))
+    del kap, table, nodes          # free the last sweep before the phi synthesis
     rows[:, :, 1:] *= 2.0
-    m_phi = np.outer(ms, grid.phi)
+    m_phi = np.outer(np.arange(l_max + 1), grid.phi)
     return rows[0] @ np.cos(m_phi) - rows[1] @ np.sin(m_phi)
 
 
@@ -322,6 +335,7 @@ def belt_average(r0: np.ndarray, L: np.ndarray, sigma_belt: float = DEFAULT_SIGM
     meta = {"estimator": "belt", "sigma": sigma_belt, "n_molecules": n,
             "n_live": int(e_l.shape[0]), "n_rest": int(rest.shape[0]),
             "l_max": l_max, "spectrum_tail": tail, "second_moments": second_moments(cones)}
+    del cones      # its geometry would otherwise sit beside the sweep's buffers
 
     n_theta, n_phi = len(grid.theta), len(grid.phi)
     if _spectral_is_cheaper(n, n_theta, n_phi, l_max):

@@ -167,6 +167,18 @@ class TestLegendreTable:
         ref = complex(sph_harm_y(200, 7, math.acos(0.123), 0.0)).real
         assert sweep[7][-1][0] == pytest.approx(ref, rel=1e-9)
 
+    def test_rows_follow_the_recursion_bit_for_bit(self):
+        # rows are written in place, in the operation order of the three-term
+        # recursion a (x Pbar_l-1 - b Pbar_l-2); quantum_linear's printed
+        # outputs read these tables, so the order must not drift
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, 37)
+        for m, table in enumerate(legendre_sweep(30, x)):
+            for l in range(m + 2, 31):
+                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+                ref = a * (x * table[l - m - 1] - b * table[l - m - 2])
+                assert np.array_equal(table[l - m], ref), (l, m)
+
     def test_tables_share_one_buffer(self):
         # each table is a view of the sweep's one buffer, valid until the next
         sweep = legendre_sweep(6, np.linspace(-1.0, 1.0, 5))
