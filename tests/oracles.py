@@ -25,6 +25,9 @@
 * nitrogen_spin_weights: the 2:1 even:odd nuclear-spin weight hook of N2,
   for `quantum_linear.thermal_run(spin_weights=...)`;
 * read_manifest: a `RunManifest` read back from its JSON file;
+* write_timeseries_csv and write_density_text: the two CSV writers as they
+  were before `io_formats.format_e10`, one `'%.10e' %` per value or row
+  template, the byte reference of the array-formatting writers;
 * moment_of_inertia: I from a rotational constant, the oracle for
   `revival_time`.
 """
@@ -37,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from propeller_sim import angular
+from propeller_sim import __version__, angular
 from propeller_sim.classical_symtop import SymTopEnsemble, kick_momentum
 from propeller_sim.constants import PLANCK_H, SPEED_OF_LIGHT_CM
 from propeller_sim.core import ParameterError, TWO_PI
@@ -214,6 +217,36 @@ def nitrogen_spin_weights(l: int) -> float:
 
 def read_manifest(path) -> RunManifest:
     return RunManifest(**json.loads(Path(path).read_text()))
+
+
+def write_timeseries_csv(path, ts, time_column: str = "t_trev"):
+    names = list(ts.channels)
+    lines = [f"# propeller-sim v{__version__}",
+             ",".join([time_column] + names)]
+    cols = [ts.grid] + [ts.channels[n] for n in names]
+    for row in zip(*cols):
+        lines.append(",".join("%.10e" % v for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_density_text(path, grid: DensityGrid, seed=None):
+    meta = grid.meta
+    lines = [
+        f"# propeller-sim v{__version__} density grid",
+        f"# estimator = {meta.get('estimator', 'unknown')}",
+        f"# n_theta = {len(grid.theta)}",
+        f"# n_phi = {len(grid.phi)}",
+        f"# sigma = {'%.10e' % meta.get('sigma', float('nan'))}",
+        f"# n_molecules = {meta.get('n_molecules', 0)}",
+        f"# seed = {seed if seed is not None else meta.get('seed', '')}",
+        "# columns: theta,phi,rho",
+    ]
+    # a theta row is one template whose %.10e fields take that row's rho values
+    cells = [f",{'%.10e' % ph},%.10e\n" for ph in grid.phi.tolist()]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        for th, rho in zip(grid.theta.tolist(), grid.rho):
+            fh.write("".join(["%.10e" % th + c for c in cells]) % tuple(rho.tolist()))
 
 
 def moment_of_inertia(B_cm1: float) -> float:
