@@ -95,7 +95,7 @@ class GridPhases:
 
 
 class SymTopEnsemble:
-    """Free-flight kernel for (N, 3) ensembles, evaluated on blocks of times.
+    """Free-flight kernel for an (N, 3) ensemble.
 
     Each molecule moves on a circle of the unit sphere,
 
@@ -110,12 +110,11 @@ class SymTopEnsemble:
     * frozen molecules (at rest, or r parallel to L): a = r, w = 0,
       b = c = 0, omega = 0.
 
-    a, b and c are stored component-major, (3, N), so that a block of n_t
-    times yields each component as one contiguous (n_t, N) array.
-
-    positions takes arbitrary times through np.cos/np.sin.  Sums on a
-    UniformGrid read the geometry directly, with a GridPhases' anchors
-    folded into it (ensemble._circle_blocks, ensemble._scan_sums).
+    a, b and c are stored component-major, (3, N), so that each component
+    of a range of molecules is one contiguous row.  positions evaluates one
+    time through np.cos/np.sin.  Sums on a UniformGrid read the geometry
+    directly, with a GridPhases' anchors folded into it
+    (ensemble._circle_blocks, ensemble._scan_sums).
     """
 
     def __init__(self, r: np.ndarray, L: np.ndarray):
@@ -137,31 +136,12 @@ class SymTopEnsemble:
         self.w = w
         self.a, self.b, self.c = a.T.copy(), b.T.copy(), c.T.copy()
 
-    def positions(self, dt) -> np.ndarray:
-        """Axis vectors after free flight by dt (dimensionless).
-
-        A scalar dt gives a C-ordered (N, 3) array.  A 1-D array of n_t
-        times gives (n_t, N, 3), a view of component-major data in which
-        each pos[..., k] is a contiguous (n_t, N) array.
-        """
-        times = np.asarray(dt, dtype=float)
-        ang = np.multiply.outer(np.atleast_1d(times), self.omega)
-        cos = np.cos(ang)
-        sin = np.sin(ang, out=ang)
-        out = np.empty((3,) + cos.shape)
-        tmp = np.empty_like(cos)
-        for k in range(3):
-            np.multiply(self.b[k], cos, out=out[k])
-            out[k] += np.multiply(self.c[k], sin, out=tmp)
-            out[k] *= self.w
-            out[k] += self.a[k]
-        norm = np.multiply(out[0], out[0], out=cos)
-        norm += np.multiply(out[1], out[1], out=tmp)
-        norm += np.multiply(out[2], out[2], out=tmp)
-        out /= np.sqrt(norm, out=norm)
-        if times.ndim == 0:
-            return np.ascontiguousarray(out[:, 0].T)
-        return np.moveaxis(out, 0, -1)
+    def positions(self, dt: float) -> np.ndarray:
+        """C-ordered (N, 3) axis vectors after free flight by dt (dimensionless)."""
+        ang = float(dt) * self.omega
+        pos = (self.b * np.cos(ang) + self.c * np.sin(ang)) * self.w + self.a
+        pos /= np.sqrt(pos[0] * pos[0] + pos[1] * pos[1] + pos[2] * pos[2])
+        return np.ascontiguousarray(pos.T)
 
     def time_average_squares(self) -> np.ndarray:
         """(N, 3) averages of x^2, y^2, z^2 over each molecule's closed orbit."""
@@ -170,22 +150,9 @@ class SymTopEnsemble:
 
 
 def kick_momentum(r: np.ndarray, L: np.ndarray, P: float, p: np.ndarray) -> np.ndarray:
-    """Vectorized angular-momentum change; dL = 0 when p is (anti)parallel to r.
-
-    r is (..., 3) in any memory layout and L broadcasts against it.  p . r
-    is taken as BLAS row products of a C-ordered r, so a block of kicks
-    reproduces the products of one (N, 3) kick bit for bit.
-    """
-    cb = np.ascontiguousarray(r) @ p
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    pxr = (p[1] * z - p[2] * y, p[2] * x - p[0] * z, p[0] * y - p[1] * x)
-    scale = -2.0 * P * cb
-    degenerate = np.sqrt(pxr[0] * pxr[0] + pxr[1] * pxr[1] + pxr[2] * pxr[2]) < 1e-12
-    any_degenerate = np.any(degenerate)
-    out = np.empty(np.broadcast_shapes(r.shape, L.shape))
-    for k in range(3):
-        dL = scale * pxr[k]
-        if any_degenerate:
-            dL[degenerate] = 0.0
-        np.add(L[..., k], dL, out=out[..., k])
-    return out
+    """(N, 3) angular momenta L after a kick of axes r (N, 3); dL = 0 where
+    p is (anti)parallel to r."""
+    pxr = np.cross(p, r)
+    dL = (-2.0 * P * (r @ p))[:, None] * pxr
+    dL[np.sqrt(np.sum(pxr * pxr, axis=1)) < 1e-12] = 0.0
+    return L + dL

@@ -231,7 +231,8 @@ def _symtop_runs(args, mol: MoleculeParams, taus, times=None) -> dict:
     dphi = math.radians(_second_pulse(args)[0])
     curve = quantum_symtop.delay_curve(mol, args.temp_K, args.P1, args.P2, dphi, taus,
                                        J_max=args.l_max)
-    align = TimeSeries(curve.grid, {"cos2theta": curve.channels.pop("cos2theta")}, curve.meta)
+    meta = dict(curve.meta, distinct_freqs=curve.meta.pop("cos2theta_freqs"))
+    align = TimeSeries(curve.grid, {"cos2theta": curve.channels.pop("cos2theta")}, meta)
     if times is not None:
         align = quantum_symtop.alignment_trace(mol, args.temp_K, args.P1, times, J_max=args.l_max)
     return {"alignment": align, "delay_curve": curve}
@@ -357,6 +358,16 @@ def _density_profile(args, mol, out_dir: Path):
     return files + ["profile.csv"], delay, extra
 
 
+def _scan_extremum(tag: str, taus, values, kind: str, name: str) -> int:
+    """Index of the first strict interior local max/min of a delay-scan curve;
+    raises ProtocolError if the sampled curve has none."""
+    k = ensemble.first_local_extremum(values, kind)
+    if k is None:
+        raise ProtocolError(f"{tag}: no delay-scan {kind} of {name} found in scan window "
+                            f"[0, {taus[-1]:.4g}] T_rev ({len(taus)} delays)")
+    return k
+
+
 def _preset_fig5(args, mol, out_dir: Path):
     taus = ensemble.output_grid(args.t_max, args.dt_out)
     files, extrema = [], []
@@ -371,8 +382,8 @@ def _preset_fig5(args, mol, out_dir: Path):
                                    time_column="tau_trev"))
         combined[f"cos2theta_{tag}"] = c2
         combined[f"Ly_norm_{tag}"] = scan.channels["Ly_norm"]
-        k_min = ensemble.first_local_extremum(c2, "min")
-        k_opt = ensemble.first_local_extremum(np.abs(scan.channels["Ly"]), "max")
+        k_min = _scan_extremum(tag, taus, c2, "min", "<cos^2 theta>")
+        k_opt = _scan_extremum(tag, taus, np.abs(scan.channels["Ly"]), "max", "|Ly|")
         extrema.append((run.P1, taus[k_min], c2[k_min], taus[k_opt]))
     P, *columns = np.array(extrema).T
     ts = TimeSeries(grid=P, channels=dict(zip(("t_min_trev", "cos2theta_min", "t_opt_trev"),

@@ -42,7 +42,7 @@ index order (_chunk_totals), so values are also invariant under the thread
 count used to evaluate the chunks.  The alignment scan sums z^2 alone on
 its windows of the T_rev/2000 grid through the same blocks, bit for bit;
 only advance, which carries the axes to a pulse time, builds positions
-(SymTopEnsemble.positions).
+(SymTopEnsemble.positions, one (N, 3) array).
 
 delay_scan evaluates no positions after the first kick.  On its circle,
 each molecule's z^2, L_y and |L|^2 right after the second kick are

@@ -379,7 +379,8 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
     is exact in the basis, so TruncationError comes only from pulse 1's
     headroom.  Ly is 0.0 at tau = 0, one kick e^{if(r)} whose torque averages
     out over the isotropic mixture, and so at every whole revival of
-    tau/T_rev (within 4 ulp).
+    tau/T_rev (within 4 ulp).  meta's distinct_freqs counts the beats of Ly
+    and L2, and cos2theta_freqs those of cos2theta.
     """
     if not math.isfinite(dphi):
         raise ParameterError(f"the pulse angle dphi must be finite, got {dphi}")
@@ -403,7 +404,9 @@ def delay_curve(mol: MoleculeParams, T_K: float, P1: float, P2: float,
         np.diag(a * pop) + 1j * P2 * p2 * (a[:, None] - a) * amp + 4.0 * P2 * P2 * (c2 - c4)]))
     Ly, L2 = trace.evaluate(taus)
     Ly[np.abs(taus_trev - np.round(taus_trev)) <= 4 * np.spacing(np.abs(taus_trev))] = 0.0
-    meta.update(dphi=dphi, distinct_freqs=trace.distinct_freqs)   # cos2theta's are among them
-    cos2theta = SpectralTrace(amp).evaluate(taus)
+    align = SpectralTrace(amp)
+    meta.update(dphi=dphi, distinct_freqs=trace.distinct_freqs,
+                cos2theta_freqs=align.distinct_freqs)
+    cos2theta = align.evaluate(taus)
     return TimeSeries(taus_trev, {"cos2theta": cos2theta, "Ly": Ly, "L2": L2,
                                   "Ly_norm": ly_norm(Ly, L2)}, meta)

@@ -19,6 +19,9 @@
   long-time belt density;
 * phi_average and grid_moments: the azimuthal profile and the quadrature
   second moments (<x^2>, <y^2>, <z^2>) of a `DensityGrid`;
+* positions_at and kicks_at: a `SymTopEnsemble`'s (N, 3) axes at each of
+  several times, and the momenta after a kick of each, stacked to
+  (n_t, N, 3) from one kernel call per time;
 * kicked_means: <z^2>, <L_y> and <|L|^2> right after a kick at each time of
   an ensemble's free flight, by positions, kick and mean per time, the
   direct oracle for `ensemble.delay_scan`'s harmonic sums;
@@ -195,6 +198,16 @@ def grid_moments(grid: DensityGrid) -> tuple[float, float, float]:
     my = float(wth @ ((grid.rho * sp2[None, :]).sum(axis=1) * st2) * dphi)
     mz = float(wth @ (grid.rho.sum(axis=1) * ct2) * dphi)
     return mx, my, mz
+
+
+def positions_at(flight: SymTopEnsemble, times) -> np.ndarray:
+    """(n_t, N, 3): the axes after free flight by each time."""
+    return np.stack([flight.positions(t) for t in times])
+
+
+def kicks_at(pos: np.ndarray, L: np.ndarray, P: float, p: np.ndarray) -> np.ndarray:
+    """(n_t, N, 3): L after a kick P p of each time's (N, 3) axes pos[i]."""
+    return np.stack([kick_momentum(r, L, P, p) for r in pos])
 
 
 def kicked_means(r: np.ndarray, L: np.ndarray, P: float, p: np.ndarray, times) -> np.ndarray:

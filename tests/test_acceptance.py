@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import eval_legendre
 
 from propeller_sim import EnsembleConfig, PulseSpec, benzene, nitrogen
 from propeller_sim import density, quantum_linear, quantum_symtop
@@ -180,6 +181,34 @@ def test_criterion_05_zero_temperature_law():
         f"estimator's kernel bias exp(-x) I0(x) sqrt(2 pi x) - 1 with "
         f"x = sin^2(theta)/(4 sigma^2) is ~8% at theta = 0.3 for sigma = 0.1, "
         "so the stated 5% bound cannot be met at the window edge")
+
+
+def test_criterion_05_smoothed_law():
+    """Companion to criterion 5: its deviation is the belt kernel's, not the
+    sample's.  At T = 0 each kicked N2 molecule flies a great circle through
+    the poles, so by the addition theorem fig3a's phi-averaged belt profile
+    is, for any sample, the kernel-smoothed law
+    sum_l (2l + 1)/(4 pi) amp kappa_l P_l(0) P_l(cos theta), with kappa_l
+    the c = 0 belt spectrum and amp the belt normalisation."""
+    cfg = EnsembleConfig(mol=nitrogen(), T_K=0.0, n_traj=1000, seed=33,
+                         pulses=(PulseSpec(P=10.0, p=(0.0, 0.0, 1.0)),),
+                         t_max=0.1, dt_out=0.05)
+    fin = final_states(cfg)
+    sigma = 0.1
+    grid = density.belt_average(fin["r"], fin["L"], sigma)
+    prof = phi_average(grid)
+    l = np.arange(grid.meta["l_max"] + 1)
+    kappa = density._kernel_spectra(np.zeros(1), np.zeros(1, bool), sigma, l[-1])[:, 0]
+    amp = 1.0 / (2.0 * math.pi * math.sqrt(2.0 * math.pi) * sigma
+                 * math.erf(1.0 / (math.sqrt(2.0) * sigma)))
+    coef = (2 * l + 1) / (4.0 * math.pi) * amp * kappa * eval_legendre(l, 0.0)
+    law = np.polynomial.legendre.legval(np.cos(grid.theta), coef)
+    rel = np.abs(prof / law - 1.0)
+    dev, at = float(np.max(rel)), float(grid.theta[np.argmax(rel)])
+    ok = dev <= 1e-9
+    report(5, ok, f"belt vs the sigma = {sigma} smoothed T = 0 law: max relative "
+                  f"deviation {dev:.1e} at theta = {at:.3f} (<= 1e-9 on [0, pi])")
+    assert ok, (dev, at)
 
 
 def _classical_extrema(scan):

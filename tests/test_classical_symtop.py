@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from oracles import kicks_at, positions_at
 from propeller_sim import ensemble
 from propeller_sim.classical_symtop import SymTopEnsemble, UniformGrid, kick_momentum
 from propeller_sim.classical_linear import kick_velocity, propagate_arrays
@@ -189,8 +190,17 @@ class TestKick:
         L = kick([0, 0, 1], [0.3, 0.2, 0.1], PulseSpec(P=5.0, p=(0.0, 0.0, 1.0)))
         assert np.allclose(L, [0.3, 0.2, 0.1])
 
+    def test_near_parallel_kick_is_exactly_zero(self):
+        # within |p x r| < 1e-12 of +-p the rounding-sized torque is dropped,
+        # so a molecule at rest on the pulse axis stays frozen
+        pulse = PulseSpec(P=5.0, p=(0.0, 0.0, 1.0))
+        for r in ([1e-13, 0.0, 1.0], [0.0, -3e-13, -1.0]):
+            L = kick(r, [0.0, 0.0, 0.0], pulse)
+            assert np.array_equal(L, np.zeros(3))
+            assert not SymTopEnsemble(np.array([r]), L[None, :]).live[0]
 
-# ---- block-evaluated free-flight kernel --------------------------------------
+
+# ---- free-flight kernel -----------------------------------------------------
 
 def _kernel_ensemble(seed=5, n=40):
     """Random cones plus the special cases: rest, r parallel and antiparallel
@@ -229,26 +239,27 @@ class TestFreeFlightKernel:
 
     def test_symtop_block_matches_rotation_oracle(self):
         r, L = _kernel_ensemble()
-        block = SymTopEnsemble(r, L).positions(self.TIMES)
+        block = positions_at(SymTopEnsemble(r, L), self.TIMES)
         assert block.shape == (len(self.TIMES), len(r), 3)
         for i, t in enumerate(self.TIMES):
             assert np.allclose(block[i], _rodrigues(r, L, t), rtol=0, atol=1e-12)
 
-    def test_symtop_block_is_time_by_time(self):
+    def test_one_time_is_c_ordered(self):
         r, L = _kernel_ensemble()
         ens = SymTopEnsemble(r, L)
-        block = ens.positions(self.TIMES)
-        for i, t in enumerate(self.TIMES):
+        for t in self.TIMES:
             single = ens.positions(t)
             assert single.shape == (len(r), 3) and single.flags.c_contiguous
-            assert np.array_equal(block[i], single)
+        # an array of times would broadcast against the N molecules
+        with pytest.raises(TypeError):
+            ens.positions(np.linspace(0.0, 1.0, len(r)))
 
     def test_frozen_molecules_stay_put(self):
         r, L = _kernel_ensemble()
         ens = SymTopEnsemble(r, L)
         frozen = ~ens.live
         assert frozen[[0, 2, 3, 5]].all() and ens.live[[1, 4]].all()
-        block = ens.positions(self.TIMES)
+        block = positions_at(ens, self.TIMES)
         unit = r / np.linalg.norm(r, axis=1, keepdims=True)    # every row is normalised
         for i in range(len(self.TIMES)):
             assert np.array_equal(block[i][frozen], unit[frozen])
@@ -261,7 +272,7 @@ class TestFreeFlightKernel:
         v[6] = 0.0
         ens = SymTopEnsemble(r, np.cross(r, v))
         assert (~ens.live)[[0, 2, 3, 5, 6]].all()
-        block = ens.positions(self.TIMES)
+        block = positions_at(ens, self.TIMES)
         for i, t in enumerate(self.TIMES):
             assert np.allclose(block[i], propagate_arrays(r, v, t)[0], rtol=0, atol=2e-14)
 
@@ -272,7 +283,7 @@ class TestFreeFlightKernel:
         L = np.cross(r, np.random.default_rng(8).standard_normal(r.shape))
         ens = SymTopEnsemble(r, L)
         assert np.all(ens.w == 1.0) and np.max(np.abs(ens.a)) <= 1e-15
-        top = ens.positions(self.TIMES)
+        top = positions_at(ens, self.TIMES)
         for i, t in enumerate(self.TIMES):
             lin = propagate_arrays(r, np.cross(L, r), t)[0]
             assert np.allclose(top[i], lin, rtol=0, atol=1e-14)
@@ -297,16 +308,13 @@ class TestFreeFlightKernel:
                     mp.mpf(ens.b[2, k]) * mp.cos(ang) + mp.mpf(ens.c[2, k]) * mp.sin(ang)))
                 assert abs(z2[k, i] - float(z * z)) <= 2e-15
 
-    def test_block_kick_is_kick_by_kick(self):
+    def test_linear_kick_is_the_velocity_kick(self):
+        # on a linear ensemble (L . r = 0) the kick at each time is r x (the
+        # velocity kick) of the closed form, to 2.7e-15 here (5.3e-15 over
+        # 200 seeds)
         r, L = _kernel_ensemble()
-        pos = SymTopEnsemble(r, L).positions(self.TIMES)     # component-major view
         p = PulseSpec.along(-3.0, (-1.0, 0.0, 1.0)).p_vec
-        block = kick_momentum(pos, L, -3.0, p)
-        for i in range(len(self.TIMES)):
-            assert np.array_equal(block[i], kick_momentum(pos[i].copy(), L, -3.0, p))
-        # on a linear block (L . r = 0) the kick is r x (the velocity kick)
-        # of the closed form, to 2.7e-15 here (5.3e-15 over 200 seeds)
         lin = np.cross(r, np.cross(L, r))
-        pos = SymTopEnsemble(r, lin).positions(self.TIMES)
+        pos = positions_at(SymTopEnsemble(r, lin), self.TIMES)
         oracle = np.cross(pos, kick_velocity(pos, np.cross(lin, pos), -3.0, p))
-        assert np.allclose(kick_momentum(pos, lin, -3.0, p), oracle, rtol=0, atol=5e-15)
+        assert np.allclose(kicks_at(pos, lin, -3.0, p), oracle, rtol=0, atol=5e-15)

@@ -10,7 +10,7 @@ import pytest
 from oracles import read_manifest
 from propeller_sim import __version__, cli, quantum_symtop
 from propeller_sim.cli import main, parse_molecule
-from propeller_sim.core import ParameterError
+from propeller_sim.core import ParameterError, benzene
 from propeller_sim.io_formats import read_density_text, read_timeseries_csv
 
 
@@ -290,6 +290,19 @@ class TestOutputs:
         assert diag["alignment"]["headroom_tail"] == m.truncation["headroom_tail"]
         assert not any(k.startswith("result_diagnostics") for k in m.config)
 
+    def test_alignment_counts_its_own_beats(self, tmp_path):
+        # with --P2 the alignment is the delay curve's cos2theta, whose trace
+        # groups fewer beats than Ly and L2's: 48 against 83 here
+        assert run_cli("quantum-symtop", "--molecule", "benzene", "--temp-K", "0.9",
+                       "--P1", "-4", "--P2", "-4", "--angle-deg", "-45",
+                       "--t-max", "0.15", "--dt-out", "0.0005", "--out", str(tmp_path)) == 0
+        m = read_manifest(tmp_path / "manifest.json")
+        diag = m.diagnostics["quantum_symtop"]
+        alone = quantum_symtop.alignment_trace(benzene(), 0.9, -4.0, [0.0],
+                                               J_max=m.truncation["J_max"])
+        assert diag["alignment"]["distinct_freqs"] == alone.meta["distinct_freqs"] == 48
+        assert diag["delay_curve"]["distinct_freqs"] == 83
+
     @pytest.mark.parametrize("command", ["quantum-symtop", "compare"])
     def test_symtop_run_diagonalises_each_block_once(self, tmp_path, monkeypatch, command):
         # the alignment on the delay grid is the delay curve's cos2theta, so
@@ -422,6 +435,18 @@ class TestOutputs:
         flight = m.diagnostics["free_flight"]
         assert sorted(flight) == ["P1", "P10", "P3"]
         assert all(f["segments"][0]["n_times"] == 241 for f in flight.values())
+
+    @pytest.mark.parametrize("n, code", [("1", 3), ("10", 0)])
+    def test_preset_fig5_needs_both_extrema(self, tmp_path, capsys, n, code):
+        # one molecule's cos2theta has no interior minimum in 0-0.12 T_rev:
+        # a numerical failure naming the tag, not a traceback; 10 have both
+        assert run_cli("preset", "fig5", "--n-traj", n, "--seed", "1",
+                       "--out", str(tmp_path)) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (tmp_path / "manifest.json").exists() == (code == 0)
+        if code:
+            assert "P1: no delay-scan min of <cos^2 theta> found" in err
 
     @pytest.mark.parametrize("name, sections", [
         ("fig6", {"quantum_symtop"}),

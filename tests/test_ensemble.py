@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import chi2
 
-from oracles import kicked_means
+from oracles import kicked_means, positions_at
 from propeller_sim import classical_symtop, ensemble
 from propeller_sim.classical_symtop import SymTopEnsemble
 from propeller_sim.core import (TWO_PI, ParameterError, ProtocolError, PulseSpec, benzene,
@@ -512,7 +512,7 @@ class TestScanAdditionTheorem:
         delays = np.linspace(0.0, 0.15, 61)
         scan = delay_scan(cfg, delays)
         kicked = ensemble._Swarm(r, L).kick(p1)
-        pos = kicked.flight.positions(delays * TWO_PI)          # (delays, N, 3)
+        pos = positions_at(kicked.flight, delays * TWO_PI)      # (delays, N, 3)
         z = pos[..., 2]
         zdot = kicked.L[:, 0] * pos[..., 1] - kicked.L[:, 1] * pos[..., 0]   # (L x r)_z
         A2 = (3.0 * np.mean(z ** 2, axis=1) - 1.0) / 2.0
@@ -595,9 +595,9 @@ class TestFreeFlightBlocks:
     @staticmethod
     def _position_sums(flight, times):
         """Per-time z^2 and off-pole x^2/(x^2+y^2) sums and off-pole counts,
-        each kept term summed as a compressed 1-D array of positions(times)."""
+        each kept term summed as a compressed 1-D array of the positions."""
         z2, c2p, n_az = [], [], []
-        for pos in flight.positions(times):
+        for pos in positions_at(flight, times):
             s2 = pos[:, 0] ** 2 + pos[:, 1] ** 2
             ok = s2 >= POLE_SIN2
             z2.append(np.sum(pos[:, 2] ** 2))
@@ -660,7 +660,7 @@ class TestFreeFlightBlocks:
         swarm = ensemble._Swarm(r, L)
         times = np.arange(1000, 1257) * SCAN_STEP
         got = ensemble.mean_cos2theta(swarm, times)
-        z = swarm.flight.positions(times)[..., 2]
+        z = positions_at(swarm.flight, times)[..., 2]
         assert np.max(np.abs(got - np.mean(z * z, axis=-1))) <= 1e-14
 
     def test_scan_reads_record_cos2theta_bitwise(self, monkeypatch):
