@@ -1,6 +1,6 @@
 """Mutation probe: do the tests notice small, plausible edits to src/?
 
-    python tests/mutation_probe.py [--timeout SECONDS] [NAME ...]
+    python tests/mutation_probe.py
 
 Run by hand; pytest does not collect it (its name is not test_*.py).  Each
 entry of MUTANTS names a module of src/propeller_sim, the text edits that
@@ -12,19 +12,18 @@ the edits are applied to the copy, and
     python -m pytest -x -q -p no:cacheprovider <tests>
 
 runs there with PYTHONPATH=src, every thread variable pinned to 1, and a
-wall-time cap.  A failing test run kills the mutant, a passing one means it
-survived; a run cut by the cap counts as killed and is marked as a timeout.
-Any other pytest exit (no tests collected, a usage error) is reported as an
-error of the probe.  A control run first runs every chosen mutant's tests
-on an unmutated copy, which must pass, so that a failing test cannot pass
-for a kill.  The script prints one line per run, then the counts and the
+wall-time cap of TIMEOUT_S.  A failing test run kills the mutant, a passing
+one means it survived; a run cut by the cap counts as killed and is marked
+as a timeout.  Any other pytest exit (no tests collected, a usage error) is
+reported as an error of the probe.  A control run first runs every mutant's
+tests on an unmutated copy, which must pass, so that a failing test cannot
+pass for a kill.  The script prints one line per run, then the counts and the
 run time, and exits 1 if the control failed or any mutant survived or
 errored.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -37,6 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "PROPELLER_THREADS")
+TIMEOUT_S = 600.0
 CLI = "tests/test_cli.py::TestOutputs::"
 SCAN = "tests/test_ensemble.py::TestScanAdditionTheorem"
 
@@ -102,7 +102,7 @@ def _mutate(path: Path, edits) -> None:
     path.write_text(text)
 
 
-def run_mutant(module: str, edits, tests, timeout: float) -> str:
+def run_mutant(module: str, edits, tests) -> str:
     """'killed', 'timeout', 'survived' or 'error <pytest exit code>'."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
@@ -120,40 +120,31 @@ def run_mutant(module: str, edits, tests, timeout: float) -> str:
             code = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
                 cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                timeout=timeout).returncode
+                timeout=TIMEOUT_S).returncode
         except subprocess.TimeoutExpired:
             return "timeout"
     return {0: "survived", 1: "killed"}.get(code, f"error {code}")
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    ap.add_argument("--timeout", type=float, default=600.0,
-                    help="wall-time cap per mutant in seconds (default 600)")
-    args = ap.parse_args(argv)
-    unknown = set(args.names) - {m[0] for m in MUTANTS}
-    if unknown:
-        ap.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
+def main() -> int:
     start, tally = time.perf_counter(), {}
     control = run_mutant("__init__.py", [], list(dict.fromkeys(
-        t for *_, tests in chosen for t in tests)), args.timeout)
+        t for *_, tests in MUTANTS for t in tests)))
     passed = control == "survived"
     print(f"{'control (no mutation)':32s} {'passed' if passed else control:10s} "
           f"{time.perf_counter() - start:6.1f} s", flush=True)
     if not passed:
         return 1
-    for name, module, edits, tests in chosen:
+    for name, module, edits, tests in MUTANTS:
         t0 = time.perf_counter()
-        status = run_mutant(module, edits, tests, args.timeout)
+        status = run_mutant(module, edits, tests)
         tally[status.split()[0]] = tally.get(status.split()[0], 0) + 1
         print(f"{name:32s} {status:10s} {time.perf_counter() - t0:6.1f} s", flush=True)
     killed = tally.get("killed", 0) + tally.get("timeout", 0)
-    print(f"{len(chosen)} mutants: {killed} killed ({tally.get('timeout', 0)} by timeout), "
+    print(f"{len(MUTANTS)} mutants: {killed} killed ({tally.get('timeout', 0)} by timeout), "
           f"{tally.get('survived', 0)} survived, {tally.get('error', 0)} errors "
           f"in {time.perf_counter() - start:.1f} s")
-    return 0 if killed == len(chosen) else 1
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
