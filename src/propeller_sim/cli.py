@@ -370,27 +370,27 @@ def _scan_extremum(tag: str, taus, values, kind: str, name: str) -> int:
 
 def _preset_fig5(args, mol, out_dir: Path):
     taus = ensemble.output_grid(args.t_max, args.dt_out)
-    files, extrema = [], []
-    combined, free_flight = {}, {}
-    for tag, run in _sweep(args):
-        scan = ensemble.delay_scan(_ensemble_config(run, mol), taus)
-        free_flight[tag] = scan.meta["free_flight"]
-        c2 = scan.channels["cos2theta"]
-        align = TimeSeries(grid=taus, channels={"cos2theta": c2}, meta={})
-        files.append(_write_series(out_dir, f"alignment_{tag}", align, args.format))
-        files.append(_write_series(out_dir, f"delayscan_{tag}", scan, args.format,
-                                   time_column="tau_trev"))
-        combined[f"cos2theta_{tag}"] = c2
+    scans, extrema, combined = {}, [], {}
+    for tag, run in _sweep(args):       # every extremum is read before a file is written
+        scan = scans[tag] = ensemble.delay_scan(_ensemble_config(run, mol), taus)
+        c2 = combined[f"cos2theta_{tag}"] = scan.channels["cos2theta"]
         combined[f"Ly_norm_{tag}"] = scan.channels["Ly_norm"]
         k_min = _scan_extremum(tag, taus, c2, "min", "<cos^2 theta>")
         k_opt = _scan_extremum(tag, taus, np.abs(scan.channels["Ly"]), "max", "|Ly|")
         extrema.append((run.P1, taus[k_min], c2[k_min], taus[k_opt]))
+    files = []
+    for tag, scan in scans.items():
+        align = TimeSeries(grid=taus, channels={"cos2theta": scan.channels["cos2theta"]}, meta={})
+        files.append(_write_series(out_dir, f"alignment_{tag}", align, args.format))
+        files.append(_write_series(out_dir, f"delayscan_{tag}", scan, args.format,
+                                   time_column="tau_trev"))
     P, *columns = np.array(extrema).T
     ts = TimeSeries(grid=P, channels=dict(zip(("t_min_trev", "cos2theta_min", "t_opt_trev"),
                                               columns)), meta={})
     files.append(_write_series(out_dir, "extrema", ts, args.format, time_column="P"))
     ts = TimeSeries(grid=taus, channels=combined, meta={})
     files.append(_write_series(out_dir, "combined", ts, args.format, time_column="tau_trev"))
+    free_flight = {tag: scan.meta["free_flight"] for tag, scan in scans.items()}
     return files, None, {"n_traj": args.n_traj, "diagnostics": {"free_flight": free_flight}}
 
 

@@ -3,13 +3,13 @@
 Sampling follows the transformation method throughout: uniform deviates are
 mapped through inverse CDFs (isotropic orientations via
 theta = 2 arcsin sqrt(w), Rayleigh via sqrt(2) sigma sqrt(ln 1/(1-w)), normals
-via the inverse normal CDF, Wichura's AS241).  Each molecule consumes a
-fixed number of uniforms, drawn as one row of a (n_traj, k) matrix from a
-counter-based (Philox) generator keyed by the run seed.  Row i therefore
-depends only on (seed, i): results are bit-stable when n_traj is extended
-and independent of how work is chunked across threads.  delay_scan keeps
-its last sample, read-only, so a sweep of scans over the kick strength
-shares one draw.
+via the standard library's statistics.NormalDist.inv_cdf).  Each molecule
+consumes a fixed number of uniforms, drawn as one row of a (n_traj, k)
+matrix from a counter-based (Philox) generator keyed by the run seed.  Row
+i therefore depends only on (seed, i): results are bit-stable when n_traj
+is extended and independent of how work is chunked across threads.
+delay_scan keeps its last sample, read-only, so a sweep of scans over the
+kick strength shares one draw.
 
 The pulse protocol is one for the classical and quantum engines:
 check_pulses holds the pulse-list rules, apply_pulses fires the pulses on
@@ -58,6 +58,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -81,59 +82,13 @@ _LINEAR_DRAWS = 4    # w_theta, w_phi, w_vtheta, w_vphi
 _SYMTOP_DRAWS = 5    # w_Lpar, w_L3, w_thetaL, w_phiL, w_cone
 
 
-# Wichura's AS241 (PPND16) rational approximations, highest power first:
-# (numerator, denominator) for |p - 1/2| <= 0.425, and for the tails in
-# r = sqrt(-log(min(p, 1 - p))) - 1.6 (r <= 5) and r - 5 (r > 5)
-_AS241_CENTRAL = (
-    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-     1.3314166789178437745e+2, 3.3871328727963666080e+0),
-    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-     4.2313330701600911252e+1, 1.0))
-_AS241_NEAR = (
-    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-     1.2704582524523683826e+0, 3.6478483247632045060e+0, 5.7694972214606914055e+0,
-     4.6303378461565452959e+0, 1.4234371107496835773e+0),
-    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
-     2.0531916266377588219e+0, 1.0))
-_AS241_TAIL = (
-    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
-     5.4637849111641143699e+0, 6.6579046435011037772e+0),
-    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-     5.9983220655588793769e-1, 1.0))
+_inv_cdf = statistics.NormalDist().inv_cdf
 
 
-def _horner(coeffs, r):
-    return functools.reduce(lambda acc, c: acc * r + c, coeffs[1:], coeffs[0])
-
-
-def ndtri(p) -> np.ndarray:
-    """Inverse standard normal CDF for p in (0, 1), by Wichura's AS241.
-
-    Wichura, Appl. Statist. 37, 477 (1988); relative error ~1e-16.  The
-    branches and the order of operations are those of the standard
-    library's NormalDist.inv_cdf, applied elementwise.
-    """
-    p = np.asarray(p, dtype=float)
-    q = p - 0.5
-    central = np.abs(q) <= 0.425
-    out = np.empty_like(p)
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    num, den = _AS241_CENTRAL
-    out[central] = _horner(num, r) * qc / _horner(den, r)
-    qt = q[~central]
-    r = np.sqrt(-np.log(np.where(qt <= 0.0, p[~central], 1.0 - p[~central])))
-    near = r <= 5.0
-    r = np.where(near, r - 1.6, r - 5.0)
-    num = np.where(near, _horner(_AS241_NEAR[0], r), _horner(_AS241_TAIL[0], r))
-    den = np.where(near, _horner(_AS241_NEAR[1], r), _horner(_AS241_TAIL[1], r))
-    out[~central] = np.where(qt < 0.0, -1.0, 1.0) * (num / den)
-    return out
+def ndtri(w: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF of a 1-D array of w in (0, 1): the
+    standard library's NormalDist.inv_cdf (Wichura's AS241) per element."""
+    return np.fromiter(map(_inv_cdf, w.tolist()), float, len(w))
 
 
 def uniform_matrix(seed: int, n: int, k: int) -> np.ndarray:
@@ -220,6 +175,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ParameterError("n_traj must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         sigma_th(self.mol, self.T_K)        # the temperature rule
         _check_grid(self.t_max, self.dt_out)
         object.__setattr__(self, "pulses", check_pulses(self.pulses))

@@ -89,6 +89,21 @@ MUTANTS = [
     ("extremum_nonstrict", "ensemble.py",
      [("(v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])", "(v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])")],
      ["tests/test_ensemble.py::TestAlignmentExtremum"]),
+    ("ndtri_without_guard", "ensemble.py",
+     [("_TINY = 2.0 ** -54", "_TINY = 0.0")],
+     ["tests/test_ensemble.py::TestNdtri"]),
+    ("first_kick_phase_sign", "quantum_symtop.py",
+     [("np.exp(1j * (P1 / 3.0) * lam)", "np.exp(-1j * (P1 / 3.0) * lam)")],
+     ["tests/test_quantum_symtop.py"]),
+    ("A4_coefficient_30", "quantum_symtop.py",
+     [("35.0 * amp4", "30.0 * amp4")],
+     ["tests/test_quantum_symtop.py"]),
+    ("phases_without_split", "spectral.py",
+     [("for x in _split(t))", "for x in (t, np.zeros_like(t)))")],
+     ["tests/test_spectral.py"]),
+    ("chunk_totals_reversed", "ensemble.py",
+     [("(sums, chunks):", "(sums, chunks[::-1]):")],
+     ["tests/test_ensemble.py", "tests/test_references.py"]),
 ]
 
 

@@ -151,6 +151,17 @@ class TestExitCodes:
         assert not (tmp_path / "manifest.json").exists()
         assert run_cli(*argv) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["classical-linear", "--n-traj", "10", "--t-max", "0.01"],
+        ["density", "--n-traj", "10"],
+        ["preset", "fig4"]], ids=["classical-linear", "density", "preset-fig4"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, argv):
+        # the Philox key must be non-negative: a configuration error, not a traceback
+        assert run_cli(*argv, "--seed", "-1", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_bad_propeller_threads(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PROPELLER_THREADS", "abc")
         assert run_cli("classical-linear", "--n-traj", "50", "--t-max", "0.02",
@@ -447,6 +458,7 @@ class TestOutputs:
         assert (tmp_path / "manifest.json").exists() == (code == 0)
         if code:
             assert "P1: no delay-scan min of <cos^2 theta> found" in err
+            assert not list(tmp_path.glob("*.csv"))     # every P is read before a file is written
 
     @pytest.mark.parametrize("name, sections", [
         ("fig6", {"quantum_symtop"}),

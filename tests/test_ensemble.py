@@ -69,6 +69,12 @@ class TestNdtri:
     def test_against_scipy(self):
         assert self._ulps(ndtri(self.P), scipy_ndtri(self.P)) <= 8
 
+    def test_zero_uniforms_give_finite_rotors(self):
+        # a row of zero uniforms reaches the quantile through the 2^-54 guard
+        for r, L in (linear_ensemble_from_uniforms(np.zeros((1, 4)), 2.0),
+                     symtop_ensemble_from_uniforms(np.zeros((1, 5)), 1.5, 1.5)):
+            assert np.all(np.isfinite(r)) and np.all(np.isfinite(L)) and np.any(L)
+
 
 def _velocity_components(u, r, L):
     """(v_theta, v_phi) of the rotors (r, L) drawn from the uniforms u."""
@@ -165,6 +171,14 @@ class TestDeterminism:
         small = uniform_matrix(5, 100, 4)
         big = uniform_matrix(5, 1000, 4)
         assert np.array_equal(big[:100], small)
+
+    @pytest.mark.parametrize("mol, T_K", [(N2, 50.0), (BZ, 0.9)], ids=["n2", "benzene"])
+    def test_sample_rows_depend_only_on_seed_and_index(self, mol, T_K):
+        # the first n molecules are the same, bit for bit, in a larger sample
+        r_big, L_big = ensemble._thermal_sample(mol, T_K, 5000, 3)
+        for n in (1, 7, 8, 9, 17, 4099):
+            r, L = ensemble._thermal_sample(mol, T_K, n, 3)
+            assert np.array_equal(r, r_big[:n]) and np.array_equal(L, L_big[:n]), n
 
     def test_thread_count_invariance(self, monkeypatch):
         cfg = EnsembleConfig(mol=N2, T_K=50.0, n_traj=40_000, seed=3,
@@ -781,6 +795,15 @@ class TestThreadSetting:
                              t_max=0.02, dt_out=0.01)
         with pytest.raises(ParameterError, match="PROPELLER_THREADS"):
             run_protocol(cfg)
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_chunk_totals_add_in_index_order(self, monkeypatch, threads):
+        # (0 + 1) + 1e16 rounds to 1e16, so in index order the three chunks
+        # total 0; added in reverse they total 1
+        monkeypatch.setenv("PROPELLER_THREADS", threads)
+        values = (1.0, 1e16, -1e16)
+        (total,) = ensemble._chunk_totals(lambda rows: [np.array([values[rows[0]]])], 3, 1)
+        assert total.tolist() == [0.0]
 
     def test_workers_capped_at_chunks(self, monkeypatch):
         monkeypatch.setenv("PROPELLER_THREADS", "8")
